@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint test race bench baselines
+.PHONY: all build lint test race fuzz bench benchcheck baselines
 
 all: build lint test
 
@@ -24,8 +24,31 @@ test:
 race:
 	$(GO) test -race ./...
 
+# fuzz runs every reader fuzz target for 10 s each: the record-log
+# substrate's framing target, then the family parsers and summarizers on
+# top of it. One target per line as package:Target.
+FUZZ_TARGETS = \
+	internal/recordlog:FuzzScan \
+	internal/traceview:FuzzRead \
+	internal/partaudit:FuzzReadLog \
+	internal/commview:FuzzRead \
+	internal/resview:FuzzRead \
+	internal/servestats:FuzzRead
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 10s ./$${t%%:*}; \
+	done
+
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
+
+# benchcheck vets and tests the nested bpart/benchmark module (see
+# BENCHMARK.json) against the packages in this tree; ./... above does not
+# descend into it.
+benchcheck:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # baselines regenerates the committed perf baselines CI diffs against
 # (see the observability job in .github/workflows/ci.yml). Run after an

@@ -19,7 +19,7 @@
 // written for regression tracking — including a serving section that
 // replays the canonical seeded Zipf request stream per scheme through the
 // bpartd HTTP surface (internal/servestats); -deterministic zeroes its
-// wall-clock fields (experiment seconds, resource walls, serving latency
+// wall-clock fields (experiment seconds, parallel walls, serving latency
 // percentiles) so two runs with identical flags produce byte-identical
 // files.
 // With -fault, the JSON fault schedule is injected into every engine the
@@ -29,14 +29,13 @@
 // are served on the given address while the benchmark runs — profile the
 // harness live. With -resources, one JSONL resource record per phase
 // (experiments, partition streams, BPart layers, cluster supersteps,
-// scaling-probe replays) is written for cmd/tracestat's `resources`
-// subcommand, and the -json artifact grows a resources section with the
-// measured speedup curve; -widths overrides the scaling ladder.
+// Parallel Speedup repetitions) is written for cmd/tracestat's
+// `resources` subcommand.
 // With -workers N, every iteration engine runs its supersteps on an
 // N-worker goroutine pool; outputs and every deterministic artifact are
 // bit-identical at any setting, so the flag changes wall time only. The
-// "Parallel Speedup" experiment and the artifact's parallel section sweep
-// their own -widths ladder regardless of -workers.
+// "Parallel Speedup" experiment sweeps its own -widths ladder (and the
+// artifact's parallel section a fixed 1,2,4 one) regardless of -workers.
 package main
 
 import (
@@ -79,8 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ckptEvery := fs.Int("checkpoint-every", 0, "override the schedule's checkpoint interval; without -fault, >0 enables checkpointing with no faults (0 = schedule default, negative disables)")
 	deterministic := fs.Bool("deterministic", false, "zero the artifact's wall-clock fields so identical flags yield byte-identical output")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address")
-	resPath := fs.String("resources", "", "write runtime resource records (JSONL, see cmd/tracestat resources) to this file and add a resources section to the -json artifact")
-	widthsFlag := fs.String("widths", "", "comma-separated scaling-probe worker ladder (default with -resources: powers of two up to NumCPU; otherwise 1,2,4)")
+	resPath := fs.String("resources", "", "write runtime resource records (JSONL, see cmd/tracestat resources) to this file")
+	widthsFlag := fs.String("widths", "", "comma-separated Parallel Speedup worker ladder (default with -resources: powers of two up to NumCPU; otherwise 1,2,4)")
 	workers := fs.Int("workers", 0, "superstep worker-pool size for every iteration engine (0 or 1 = sequential supersteps; outputs are bit-identical at any setting)")
 	fs.Var(&ids, "id", "experiment ID to run (repeatable; default all)")
 	if err := fs.Parse(args); err != nil {
@@ -216,12 +215,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "bench: artifact:", err)
 			failed++
 		} else {
-			if *resPath != "" {
-				if err := artifact.CollectResources(opt); err != nil {
-					fmt.Fprintln(stderr, "bench: resources:", err)
-					failed++
-				}
-			}
 			if *deterministic {
 				artifact.StripWallClock()
 			}
@@ -246,7 +239,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseWidths resolves the scaling-probe worker ladder: an explicit
+// parseWidths resolves the Parallel Speedup worker ladder: an explicit
 // comma-separated -widths list wins; otherwise -resources runs select the
 // host's power-of-two ladder up to NumCPU, and plain runs keep the
 // harness's host-independent default (nil).

@@ -37,8 +37,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
@@ -46,150 +48,179 @@ import (
 	"bpart"
 )
 
-func main() {
-	var (
-		graphPath = flag.String("graph", "", "graph file (edge list, or .bg binary)")
-		datasetID = flag.String("dataset", "", "synthetic dataset: lj-sim, twitter-sim, friendster-sim")
-		scale     = flag.Float64("scale", 1.0, "synthetic dataset scale")
-		scheme    = flag.String("scheme", "BPart", "partitioning scheme (see -list)")
-		k         = flag.Int("k", 8, "number of parts")
-		all       = flag.Bool("all", false, "compare every registered scheme")
-		vcutMode  = flag.Bool("vcut", false, "compare the vertex-cut schemes instead (replication factor)")
-		list      = flag.Bool("list", false, "list registered schemes and exit")
-		outPath   = flag.String("out", "", "write the vertex→part assignment to this file")
-		evalPath  = flag.String("eval", "", "evaluate an existing assignment file instead of partitioning")
-		timeline  = flag.String("timeline", "", "run a 5|V|-walker random walk on the partition and write the per-machine BSP timeline CSV here")
-		faultPath = flag.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into the engine runs and print their RecoveryStats")
-		ckptEvery = flag.Int("checkpoint-every", 0, "override the schedule's checkpoint interval; without -fault, >0 enables checkpointing with no faults (0 = schedule default, negative disables)")
-		tracePath = flag.String("trace", "", "write a JSONL span/event trace of the run to this file")
-		auditPath = flag.String("audit", "", "write the partition decision audit log (JSONL, see cmd/partstat) to this file")
-		metrics   = flag.Bool("metrics", false, "print telemetry counters (Prometheus text format) on exit")
-		pprofAddr = flag.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address (e.g. localhost:6060)")
-		resPath   = flag.String("resources", "", "write runtime resource records (JSONL, see `tracestat resources`) to this file")
-		workers   = flag.Int("workers", 0, "superstep worker-pool size for the engine runs (0 or 1 = sequential; results are bit-identical at any setting)")
-	)
-	flag.Parse()
+// errUsage reports a flag error the flag package has already printed.
+var errUsage = errors.New("usage")
 
-	tel, err := setupTelemetry(*tracePath, *metrics, *pprofAddr, *resPath)
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if err == errUsage {
+			os.Exit(2)
+		}
+		fmt.Fprintln(os.Stderr, "bpart:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns instead of exiting so the deferred
+// trace, resource-log and audit flushes run on every path: an error raised
+// after those files were opened still leaves everything recorded so far on
+// disk, which is when the logs are wanted most.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bpart", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		graphPath = fs.String("graph", "", "graph file (edge list, or .bg binary)")
+		datasetID = fs.String("dataset", "", "synthetic dataset: lj-sim, twitter-sim, friendster-sim")
+		scale     = fs.Float64("scale", 1.0, "synthetic dataset scale")
+		scheme    = fs.String("scheme", "BPart", "partitioning scheme (see -list)")
+		k         = fs.Int("k", 8, "number of parts")
+		all       = fs.Bool("all", false, "compare every registered scheme")
+		vcutMode  = fs.Bool("vcut", false, "compare the vertex-cut schemes instead (replication factor)")
+		list      = fs.Bool("list", false, "list registered schemes and exit")
+		outPath   = fs.String("out", "", "write the vertex→part assignment to this file")
+		evalPath  = fs.String("eval", "", "evaluate an existing assignment file instead of partitioning")
+		timeline  = fs.String("timeline", "", "run a 5|V|-walker random walk on the partition and write the per-machine BSP timeline CSV here")
+		faultPath = fs.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into the engine runs and print their RecoveryStats")
+		ckptEvery = fs.Int("checkpoint-every", 0, "override the schedule's checkpoint interval; without -fault, >0 enables checkpointing with no faults (0 = schedule default, negative disables)")
+		tracePath = fs.String("trace", "", "write a JSONL span/event trace of the run to this file")
+		auditPath = fs.String("audit", "", "write the partition decision audit log (JSONL, see cmd/partstat) to this file")
+		metrics   = fs.Bool("metrics", false, "print telemetry counters (Prometheus text format) on exit")
+		pprofAddr = fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address (e.g. localhost:6060)")
+		resPath   = fs.String("resources", "", "write runtime resource records (JSONL, see `tracestat resources`) to this file")
+		workers   = fs.Int("workers", 0, "superstep worker-pool size for the engine runs (0 or 1 = sequential; results are bit-identical at any setting)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return nil
+		}
+		return errUsage
+	}
+
+	tel, err := setupTelemetry(*tracePath, *metrics, *pprofAddr, *resPath, stdout, stderr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer tel.finish()
 	faults, err := loadFaultSpec(*faultPath, *ckptEvery)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *list {
 		for _, s := range bpart.Schemes() {
-			fmt.Println(s)
+			fmt.Fprintln(stdout, s)
 		}
-		return
+		return nil
 	}
 	g, err := loadGraph(*graphPath, *datasetID, *scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("graph: %v (%v)\n", g, bpart.Stats(g))
+	fmt.Fprintf(stdout, "graph: %v (%v)\n", g, bpart.Stats(g))
 
 	if *evalPath != "" {
 		a, err := bpart.ReadAssignmentFile(*evalPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r, err := bpart.Evaluate(g, a)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("stored assignment %s:\n%s\n", *evalPath, r)
-		return
+		fmt.Fprintf(stdout, "stored assignment %s:\n%s\n", *evalPath, r)
+		return nil
 	}
 
 	if *vcutMode {
-		fmt.Printf("%-12s %12s %12s\n", "scheme", "repl.factor", "max replicas")
+		fmt.Fprintf(stdout, "%-12s %12s %12s\n", "scheme", "repl.factor", "max replicas")
 		for _, p := range []bpart.VertexCutPartitioner{
 			bpart.NewRandomEdgeCut(), bpart.NewDBH(), bpart.NewGreedyCut(), bpart.NewHDRF(),
 		} {
 			tel.instrument(p)
 			ea, err := p.Partition(g, *k)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			r, err := bpart.EvaluateVertexCut(g, ea)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("%-12s %12.3f %12d\n", p.Name(), r.ReplicationFactor, r.MaxReplicas)
+			fmt.Fprintf(stdout, "%-12s %12.3f %12d\n", p.Name(), r.ReplicationFactor, r.MaxReplicas)
 		}
-		return
+		return nil
 	}
 
 	if *all {
-		fmt.Printf("%-12s %10s %10s %10s %10s %10s %10s\n",
+		fmt.Fprintf(stdout, "%-12s %10s %10s %10s %10s %10s %10s\n",
 			"scheme", "Vbias", "Ebias", "Vjain", "Ejain", "cut", "time(s)")
 		for _, s := range bpart.Schemes() {
-			r, dt, err := run(g, s, *k, tel)
+			r, dt, err := runScheme(g, s, *k, tel)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("%-12s %10.4f %10.4f %10.4f %10.4f %10.4f %10.3f\n",
+			fmt.Fprintf(stdout, "%-12s %10.4f %10.4f %10.4f %10.4f %10.4f %10.3f\n",
 				s, r.VertexBias, r.EdgeBias, r.VertexJain, r.EdgeJain, r.CutRatio, dt.Seconds())
 		}
-		return
+		return nil
 	}
 
 	p, err := bpart.NewScheme(*scheme)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tel.instrument(p)
 	if *auditPath != "" {
 		f, err := os.Create(*auditPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		aud, err := bpart.NewAuditor(f, bpart.AuditConfig{})
-		if err != nil {
-			fatal(err)
+		if err == nil && !bpart.Audit(p, aud) {
+			err = fmt.Errorf("scheme %s does not support decision auditing (BPart, Fennel and LDG do)", *scheme)
 		}
-		if !bpart.Audit(p, aud) {
-			fatal(fmt.Errorf("scheme %s does not support decision auditing (BPart, Fennel and LDG do)", *scheme))
+		if err != nil {
+			f.Close()
+			return err
 		}
 		defer func() {
-			if err := aud.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "bpart: audit flush:", err)
+			err := aud.Close()
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			f.Close()
-			fmt.Printf("audit log written to %s\n", *auditPath)
+			if err != nil {
+				fmt.Fprintln(stderr, "bpart: audit flush:", err)
+			}
+			fmt.Fprintf(stdout, "audit log written to %s\n", *auditPath)
 		}()
 	}
 	start := time.Now()
 	a, err := p.Partition(g, *k)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	dt := time.Since(start)
 	r, err := bpart.Evaluate(g, a)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%s into %d parts in %.3fs\n%s\n", *scheme, *k, dt.Seconds(), r)
+	fmt.Fprintf(stdout, "%s into %d parts in %.3fs\n%s\n", *scheme, *k, dt.Seconds(), r)
 	if *outPath != "" {
 		if err := bpart.WriteAssignmentFile(*outPath, a); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("assignment written to %s\n", *outPath)
+		fmt.Fprintf(stdout, "assignment written to %s\n", *outPath)
 	}
 	if faults != nil {
-		if err := runFaulted(g, a, faults, *k, *workers, tel); err != nil {
-			fatal(err)
+		if err := runFaulted(stdout, g, a, faults, *k, *workers, tel); err != nil {
+			return err
 		}
 	}
 	if *timeline != "" {
-		if err := writeWalkTimeline(*timeline, g, a, faults, *k, tel); err != nil {
-			fatal(err)
+		if err := writeWalkTimeline(stdout, *timeline, g, a, faults, *k, tel); err != nil {
+			return err
 		}
-		fmt.Printf("BSP timeline written to %s\n", *timeline)
+		fmt.Fprintf(stdout, "BSP timeline written to %s\n", *timeline)
 	}
+	return nil
 }
 
 // loadFaultSpec resolves the -fault / -checkpoint-every pair the same way
@@ -217,7 +248,7 @@ func loadFaultSpec(path string, every int) (*bpart.FaultSpec, error) {
 // partition and prints the recovery ledger — the CLI view of the
 // RecoveryStats the BENCH artifact records. Recovery is exact, so the
 // ranks themselves need no caveat.
-func runFaulted(g *bpart.Graph, a *bpart.Assignment, spec *bpart.FaultSpec, k, workers int, tel *telemetryState) error {
+func runFaulted(stdout io.Writer, g *bpart.Graph, a *bpart.Assignment, spec *bpart.FaultSpec, k, workers int, tel *telemetryState) error {
 	e, err := bpart.NewIterationEngine(g, a, bpart.DefaultCostModel())
 	if err != nil {
 		return err
@@ -234,16 +265,16 @@ func runFaulted(g *bpart.Graph, a *bpart.Assignment, spec *bpart.FaultSpec, k, w
 	if err != nil {
 		return err
 	}
-	printRecovery("pagerank", proj.Policy, res.Recovery)
+	printRecovery(stdout, "pagerank", proj.Policy, res.Recovery)
 	return nil
 }
 
 // printRecovery renders one engine run's RecoveryStats on a single line.
-func printRecovery(label string, policy bpart.FaultPolicy, rs *bpart.RecoveryStats) {
+func printRecovery(stdout io.Writer, label string, policy bpart.FaultPolicy, rs *bpart.RecoveryStats) {
 	if rs == nil {
 		return
 	}
-	fmt.Printf("%s recovery [%s]: crashes=%d checkpoints=%d (%d vertices) replayed=%d restreamed=%d lost_batches=%d slow=%d sim_time=%.0fus added_wait=%.2f%%\n",
+	fmt.Fprintf(stdout, "%s recovery [%s]: crashes=%d checkpoints=%d (%d vertices) replayed=%d restreamed=%d lost_batches=%d slow=%d sim_time=%.0fus added_wait=%.2f%%\n",
 		label, policy, rs.Crashes, rs.Checkpoints, rs.CheckpointVertices,
 		rs.SuperstepsReplayed, rs.RestreamedVertices, rs.LostBatches, rs.SlowSupersteps,
 		rs.RecoverySimTimeUS, 100*rs.AddedWaitRatio)
@@ -260,6 +291,8 @@ type telemetryState struct {
 	resFile   *os.File
 	resPath   string
 	metrics   bool
+	stdout    io.Writer
+	stderr    io.Writer
 }
 
 // instrument attaches everything the flags requested to one component:
@@ -274,8 +307,8 @@ func (t *telemetryState) instrument(component any) {
 // setupTelemetry wires -trace, -metrics, -pprof and -resources. The
 // registry exists whenever any of the first three is requested, so the
 // pprof endpoint and the exit dump see the same counters.
-func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string) (*telemetryState, error) {
-	t := &telemetryState{metrics: metrics, resPath: resPath}
+func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string, stdout, stderr io.Writer) (*telemetryState, error) {
+	t := &telemetryState{metrics: metrics, resPath: resPath, stdout: stdout, stderr: stderr}
 	if tracePath != "" || metrics || pprofAddr != "" {
 		t.reg = bpart.NewMetrics()
 	}
@@ -300,10 +333,10 @@ func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string) (
 		ln := pprofAddr
 		go func() {
 			if err := http.ListenAndServe(ln, bpart.DebugMux(t.reg)); err != nil {
-				fmt.Fprintln(os.Stderr, "bpart: pprof listener:", err)
+				fmt.Fprintln(stderr, "bpart: pprof listener:", err)
 			}
 		}()
-		fmt.Printf("diagnostics on http://%s/debug/pprof/ (also /metrics, /debug/vars)\n", ln)
+		fmt.Fprintf(stdout, "diagnostics on http://%s/debug/pprof/ (also /metrics, /debug/vars)\n", ln)
 	}
 	return t, nil
 }
@@ -312,21 +345,21 @@ func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string) (
 func (t *telemetryState) finish() {
 	if t.jsonl != nil {
 		if err := t.jsonl.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "bpart: trace flush:", err)
+			fmt.Fprintln(t.stderr, "bpart: trace flush:", err)
 		}
 		t.traceFile.Close()
 	}
 	if t.probe != nil {
 		if err := t.probe.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "bpart: resources flush:", err)
+			fmt.Fprintln(t.stderr, "bpart: resources flush:", err)
 		}
 		t.resFile.Close()
-		fmt.Printf("resource log written to %s\n", t.resPath)
+		fmt.Fprintf(t.stdout, "resource log written to %s\n", t.resPath)
 	}
 	if t.metrics && t.reg != nil {
-		fmt.Println("--- metrics ---")
-		if err := t.reg.WritePrometheus(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "bpart: metrics dump:", err)
+		fmt.Fprintln(t.stdout, "--- metrics ---")
+		if err := t.reg.WritePrometheus(t.stdout); err != nil {
+			fmt.Fprintln(t.stderr, "bpart: metrics dump:", err)
 		}
 	}
 }
@@ -335,7 +368,7 @@ func (t *telemetryState) finish() {
 // placement and dumps the per-machine, per-iteration timing as CSV. With a
 // fault schedule, the walk runs under injection so the timeline shows the
 // recovery barriers.
-func writeWalkTimeline(path string, g *bpart.Graph, a *bpart.Assignment, faults *bpart.FaultSpec, k int, tel *telemetryState) error {
+func writeWalkTimeline(stdout io.Writer, path string, g *bpart.Graph, a *bpart.Assignment, faults *bpart.FaultSpec, k int, tel *telemetryState) error {
 	eng, err := bpart.NewWalkEngine(g, a, bpart.DefaultCostModel())
 	if err != nil {
 		return err
@@ -355,7 +388,7 @@ func writeWalkTimeline(path string, g *bpart.Graph, a *bpart.Assignment, faults 
 	if err != nil {
 		return err
 	}
-	printRecovery("walk", policy, res.Recovery)
+	printRecovery(stdout, "walk", policy, res.Recovery)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -380,7 +413,7 @@ func loadGraph(path, datasetID string, scale float64) (*bpart.Graph, error) {
 	}
 }
 
-func run(g *bpart.Graph, scheme string, k int, tel *telemetryState) (bpart.Report, time.Duration, error) {
+func runScheme(g *bpart.Graph, scheme string, k int, tel *telemetryState) (bpart.Report, time.Duration, error) {
 	p, err := bpart.NewScheme(scheme)
 	if err != nil {
 		return bpart.Report{}, 0, err
@@ -394,9 +427,4 @@ func run(g *bpart.Graph, scheme string, k int, tel *telemetryState) (bpart.Repor
 	dt := time.Since(start)
 	r, err := bpart.Evaluate(g, a)
 	return r, dt, err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bpart:", err)
-	os.Exit(1)
 }

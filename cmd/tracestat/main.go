@@ -21,7 +21,7 @@
 // predicted-vs-observed cut reconciliation and -html a heatmap page.
 // resources analyzes the resource records of a probed run (bench
 // -resources): phase self-time breakdown, alloc/GC attribution and the
-// scaling probe's speedup curves, with -html a chart page. serve analyzes
+// Parallel Speedup curves, with -html a chart page. serve analyzes
 // a bpartd request log: per-endpoint and per-part latency percentiles and
 // the version census; -assign adds the per-part tail attribution
 // (reconciled exactly against the assignment, -version selecting which

@@ -270,7 +270,7 @@ func TestResourcesSubcommand(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	for _, want := range []string{"RESOURCES:", "partition.stream", "allocation / GC attribution", "scaling probe", "Fennel", "speedup"} {
+	for _, want := range []string{"RESOURCES:", "partition.stream", "allocation / GC attribution", "parallel speedup", "Fennel", "speedup"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("resources output missing %q:\n%s", want, out)
 		}

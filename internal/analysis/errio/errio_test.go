@@ -11,6 +11,10 @@ func TestSeededViolations(t *testing.T) {
 	analysistest.Run(t, "../testdata/errio/gio", errio.Analyzer)
 }
 
+func TestSeededViolationsRecordlog(t *testing.T) {
+	analysistest.Run(t, "../testdata/errio/recordlog", errio.Analyzer)
+}
+
 func TestSeededViolationsPartaudit(t *testing.T) {
 	analysistest.Run(t, "../testdata/errio/partaudit", errio.Analyzer)
 }

@@ -17,9 +17,9 @@ package commview
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"bpart/internal/cluster"
+	"bpart/internal/recordlog"
 	"bpart/internal/traceview"
 )
 
@@ -73,18 +73,7 @@ func Read(r io.Reader) (*Log, error) {
 }
 
 // ReadFile parses the JSONL trace at path.
-func ReadFile(path string) (*Log, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	l, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return l, nil
-}
+func ReadFile(path string) (*Log, error) { return recordlog.ReadFile(path, Read) }
 
 // FromTrace decodes the comm matrix of every cluster.superstep event that
 // carries one, in trace order. Supersteps without a "pairs" attr (capture

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"bpart/internal/htmlpage"
+	"bpart/internal/recordlog"
 )
 
 // WriteHTML renders the self-contained comm-topology page: per run, an SVG
@@ -16,39 +17,39 @@ func WriteHTML(w io.Writer, log *Log, title string) error {
 	if err := htmlpage.Start(w, title); err != nil {
 		return err
 	}
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	if log.Truncated {
-		ew.printf("<p class=\"warn\">final trace line torn; analyzing the intact prefix</p>\n")
+		ew.Printf("<p class=\"warn\">final trace line torn; analyzing the intact prefix</p>\n")
 	}
 	runs := GroupRuns(log.Steps)
 	if len(runs) == 0 {
-		ew.printf("<p class=\"meta\">No comm matrices in trace: matrix capture was off (enable with Cluster.SetCommMatrix).</p>\n")
+		ew.Printf("<p class=\"meta\">No comm matrices in trace: matrix capture was off (enable with Cluster.SetCommMatrix).</p>\n")
 	}
 	for i, run := range runs {
 		writeRunHTML(ew, i+1, run)
 	}
-	if ew.err != nil {
-		return ew.err
+	if ew.Err != nil {
+		return ew.Err
 	}
 	return htmlpage.End(w)
 }
 
-func writeRunHTML(ew *errWriter, idx int, run []Superstep) {
+func writeRunHTML(ew *recordlog.Printer, idx int, run []Superstep) {
 	s := Summarize(run)
-	ew.printf("<h2>Run %d</h2>\n", idx)
-	ew.printf("<p class=\"meta\">%d machines, %d supersteps, %d messages — imbalance %.4f, pair Jain %.4f",
+	ew.Printf("<h2>Run %d</h2>\n", idx)
+	ew.Printf("<p class=\"meta\">%d machines, %d supersteps, %d messages — imbalance %.4f, pair Jain %.4f",
 		s.Machines, s.Supersteps, s.Messages, s.ImbalanceRatio, s.PairJain)
 	if s.HotSrc >= 0 {
-		ew.printf(", hot pair M%d&rarr;M%d (%d, slack %d)", s.HotSrc, s.HotDst, s.HotMessages, s.HotSlack)
+		ew.Printf(", hot pair M%d&rarr;M%d (%d, slack %d)", s.HotSrc, s.HotDst, s.HotMessages, s.HotSlack)
 	}
-	ew.printf("</p>\n")
+	ew.Printf("</p>\n")
 	writeHeatmap(ew, &s)
 	writeEvolutionSVG(ew, run, &s)
 }
 
 // writeHeatmap draws the K×K matrix as a colored grid: white = no traffic,
 // saturated red = the run's hottest pair.
-func writeHeatmap(ew *errWriter, s *Summary) {
+func writeHeatmap(ew *recordlog.Printer, s *Summary) {
 	const cell, label = 26, 34
 	k := s.Machines
 	wpx := label + k*cell + 10
@@ -61,13 +62,13 @@ func writeHeatmap(ew *errWriter, s *Summary) {
 			}
 		}
 	}
-	ew.printf("<svg width=\"%d\" height=\"%d\">\n", wpx, hpx)
+	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", wpx, hpx)
 	for j := 0; j < k; j++ {
-		ew.printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" text-anchor=\"middle\">M%d</text>\n",
+		ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" text-anchor=\"middle\">M%d</text>\n",
 			label+j*cell+cell/2, label-8, j)
 	}
 	for i := 0; i < k; i++ {
-		ew.printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" text-anchor=\"end\">M%d</text>\n",
+		ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" text-anchor=\"end\">M%d</text>\n",
 			label-6, label+i*cell+cell/2+4, i)
 		for j := 0; j < k; j++ {
 			n := s.Matrix[i][j]
@@ -77,16 +78,16 @@ func writeHeatmap(ew *errWriter, s *Summary) {
 				g := int(240 - 200*float64(n)/float64(max))
 				fill = fmt.Sprintf("rgb(240,%d,%d)", g, g)
 			}
-			ew.printf("<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" fill=\"%s\" stroke=\"#ccc\"><title>M%d&rarr;M%d: %d</title></rect>\n",
+			ew.Printf("<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" fill=\"%s\" stroke=\"#ccc\"><title>M%d&rarr;M%d: %d</title></rect>\n",
 				label+j*cell, label+i*cell, cell, cell, fill, i, j, n)
 		}
 	}
-	ew.printf("</svg>\n")
+	ew.Printf("</svg>\n")
 }
 
 // writeEvolutionSVG draws per-superstep total traffic as a bar strip;
 // recovery-phase bars are outlined darker so restream spikes stand out.
-func writeEvolutionSVG(ew *errWriter, run []Superstep, s *Summary) {
+func writeEvolutionSVG(ew *recordlog.Printer, run []Superstep, s *Summary) {
 	const barW, maxH, base = 6, 60, 14
 	var max int64
 	for _, m := range s.PerStepMessages {
@@ -98,8 +99,8 @@ func writeEvolutionSVG(ew *errWriter, run []Superstep, s *Summary) {
 		return
 	}
 	wpx := len(run)*barW + 10
-	ew.printf("<p class=\"meta\">per-superstep traffic (dark = recovery phase)</p>\n")
-	ew.printf("<svg width=\"%d\" height=\"%d\">\n", wpx, maxH+base)
+	ew.Printf("<p class=\"meta\">per-superstep traffic (dark = recovery phase)</p>\n")
+	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", wpx, maxH+base)
 	for i, st := range run {
 		h := int(float64(s.PerStepMessages[i]) / float64(max) * maxH)
 		if h < 1 && s.PerStepMessages[i] > 0 {
@@ -109,8 +110,8 @@ func writeEvolutionSVG(ew *errWriter, run []Superstep, s *Summary) {
 		if st.Phase != "" {
 			fill = "#333"
 		}
-		ew.printf("<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" fill=\"%s\"><title>superstep %d: %d</title></rect>\n",
+		ew.Printf("<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" fill=\"%s\"><title>superstep %d: %d</title></rect>\n",
 			5+i*barW, maxH-h, barW-1, h, fill, st.Iteration, s.PerStepMessages[i])
 	}
-	ew.printf("</svg>\n")
+	ew.Printf("</svg>\n")
 }

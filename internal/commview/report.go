@@ -3,9 +3,9 @@ package commview
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"bpart/internal/partaudit"
+	"bpart/internal/recordlog"
 )
 
 // ReportOptions tunes the terminal report.
@@ -36,50 +36,26 @@ func (o ReportOptions) maxSupersteps() int {
 	return o.MaxSupersteps
 }
 
-// errWriter folds per-line error checks into one sticky error.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err == nil {
-		_, e.err = fmt.Fprintf(e.w, format, args...)
-	}
-}
-
-// bar renders v/max as a fixed-width ASCII bar.
-func bar(v, max float64, width int) string {
-	if max <= 0 || v < 0 {
-		return strings.Repeat(".", width)
-	}
-	n := int(v/max*float64(width) + 0.5)
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
-}
-
 // WriteReport renders the terminal comm-topology report: per run, the
 // summed src→dst matrix, per-machine in/out skew, hot-pair attribution
 // with runner-up slack, the per-superstep evolution, and (with an audit
 // log attached) the predicted-vs-observed reconciliation.
 func WriteReport(w io.Writer, log *Log, opt ReportOptions) error {
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	if log.Truncated {
-		ew.printf("WARNING: final trace line torn (run crashed mid-write); analyzing the intact prefix\n")
+		ew.Printf("WARNING: final trace line torn (run crashed mid-write); analyzing the intact prefix\n")
 	}
 	if len(log.Steps) == 0 {
-		ew.printf("No comm matrices in trace: matrix capture was off (enable with Cluster.SetCommMatrix).\n")
-		return ew.err
+		ew.Printf("No comm matrices in trace: matrix capture was off (enable with Cluster.SetCommMatrix).\n")
+		return ew.Err
 	}
 	for i, run := range GroupRuns(log.Steps) {
 		writeRun(ew, i+1, run, opt)
 	}
-	return ew.err
+	return ew.Err
 }
 
-func writeRun(ew *errWriter, idx int, run []Superstep, opt ReportOptions) {
+func writeRun(ew *recordlog.Printer, idx int, run []Superstep, opt ReportOptions) {
 	s := Summarize(run)
 	recovery := 0
 	for _, st := range run {
@@ -87,20 +63,20 @@ func writeRun(ew *errWriter, idx int, run []Superstep, opt ReportOptions) {
 			recovery++
 		}
 	}
-	ew.printf("RUN %d: %d machines, %d supersteps (%d recovery), %d cross-machine messages\n",
+	ew.Printf("RUN %d: %d machines, %d supersteps (%d recovery), %d cross-machine messages\n",
 		idx, s.Machines, s.Supersteps, recovery, s.Messages)
-	ew.printf("  comm imbalance ratio %.4f  (max machine traffic / mean; 1.0 = flat)\n", s.ImbalanceRatio)
-	ew.printf("  pair fairness (Jain) %.4f over %d/%d active pairs\n",
+	ew.Printf("  comm imbalance ratio %.4f  (max machine traffic / mean; 1.0 = flat)\n", s.ImbalanceRatio)
+	ew.Printf("  pair fairness (Jain) %.4f over %d/%d active pairs\n",
 		s.PairJain, s.ActivePairs, s.Machines*(s.Machines-1))
 	if s.HotSrc >= 0 {
-		ew.printf("  hot pair M%d->M%d: %d messages (lead over runner-up: %d)\n",
+		ew.Printf("  hot pair M%d->M%d: %d messages (lead over runner-up: %d)\n",
 			s.HotSrc, s.HotDst, s.HotMessages, s.HotSlack)
 	}
 
 	if s.Machines <= opt.maxMatrix() {
 		writeMatrix(ew, &s)
 	} else {
-		ew.printf("  (matrix elided: %d machines > -matrix cap %d)\n", s.Machines, opt.maxMatrix())
+		ew.Printf("  (matrix elided: %d machines > -matrix cap %d)\n", s.Machines, opt.maxMatrix())
 	}
 	writeSkew(ew, &s)
 	writeEvolution(ew, run, &s, opt)
@@ -109,7 +85,7 @@ func writeRun(ew *errWriter, idx int, run []Superstep, opt ReportOptions) {
 	}
 }
 
-func writeMatrix(ew *errWriter, s *Summary) {
+func writeMatrix(ew *recordlog.Printer, s *Summary) {
 	// Column width fits the widest cell so the grid stays aligned.
 	width := 6
 	for _, row := range s.Matrix {
@@ -119,51 +95,51 @@ func writeMatrix(ew *errWriter, s *Summary) {
 			}
 		}
 	}
-	ew.printf("  src\\dst matrix (messages over the whole run):\n")
-	ew.printf("    %4s", "")
+	ew.Printf("  src\\dst matrix (messages over the whole run):\n")
+	ew.Printf("    %4s", "")
 	for j := 0; j < s.Machines; j++ {
-		ew.printf("%*s", width, fmt.Sprintf("M%d", j))
+		ew.Printf("%*s", width, fmt.Sprintf("M%d", j))
 	}
-	ew.printf("\n")
+	ew.Printf("\n")
 	for i, row := range s.Matrix {
-		ew.printf("    %-4s", fmt.Sprintf("M%d", i))
+		ew.Printf("    %-4s", fmt.Sprintf("M%d", i))
 		for j, n := range row {
 			if i == j {
-				ew.printf("%*s", width, ".")
+				ew.Printf("%*s", width, ".")
 			} else {
-				ew.printf("%*d", width, n)
+				ew.Printf("%*d", width, n)
 			}
 		}
-		ew.printf("\n")
+		ew.Printf("\n")
 	}
 }
 
-func writeSkew(ew *errWriter, s *Summary) {
+func writeSkew(ew *recordlog.Printer, s *Summary) {
 	var max int64
 	for i := range s.Out {
 		if t := s.Out[i] + s.In[i]; t > max {
 			max = t
 		}
 	}
-	ew.printf("  per-machine out/in skew:\n")
+	ew.Printf("  per-machine out/in skew:\n")
 	for i := range s.Out {
-		ew.printf("    M%-2d %s out %-10d in %-10d\n",
-			i, bar(float64(s.Out[i]+s.In[i]), float64(max), 20), s.Out[i], s.In[i])
+		ew.Printf("    M%-2d %s out %-10d in %-10d\n",
+			i, recordlog.Bar(float64(s.Out[i]+s.In[i]), float64(max), 20), s.Out[i], s.In[i])
 	}
 }
 
-func writeEvolution(ew *errWriter, run []Superstep, s *Summary, opt ReportOptions) {
+func writeEvolution(ew *recordlog.Printer, run []Superstep, s *Summary, opt ReportOptions) {
 	var max int64
 	for _, m := range s.PerStepMessages {
 		if m > max {
 			max = m
 		}
 	}
-	ew.printf("  per-superstep evolution (messages, active pairs):\n")
+	ew.Printf("  per-superstep evolution (messages, active pairs):\n")
 	shown := 0
 	for i, st := range run {
 		if shown >= opt.maxSupersteps() {
-			ew.printf("    ... %d more supersteps elided (raise -supersteps)\n", len(run)-shown)
+			ew.Printf("    ... %d more supersteps elided (raise -supersteps)\n", len(run)-shown)
 			break
 		}
 		shown++
@@ -171,21 +147,21 @@ func writeEvolution(ew *errWriter, run []Superstep, s *Summary, opt ReportOption
 		if st.Phase != "" {
 			label = "  [" + st.Phase + "]"
 		}
-		ew.printf("    %5d  %s %-10d pairs %d%s\n",
-			st.Iteration, bar(float64(s.PerStepMessages[i]), float64(max), 20),
+		ew.Printf("    %5d  %s %-10d pairs %d%s\n",
+			st.Iteration, recordlog.Bar(float64(s.PerStepMessages[i]), float64(max), 20),
 			s.PerStepMessages[i], s.PerStepActivePairs[i], label)
 	}
 }
 
-func writeReconcile(ew *errWriter, run []Superstep, audit *partaudit.Log) {
+func writeReconcile(ew *recordlog.Printer, run []Superstep, audit *partaudit.Log) {
 	r, err := Reconcile(run, audit)
 	if err != nil {
-		ew.printf("  reconciliation vs partitioner: %v\n", err)
+		ew.Printf("  reconciliation vs partitioner: %v\n", err)
 		return
 	}
-	ew.printf("  reconciliation vs partitioner:\n")
-	ew.printf("    observed cut share  %.4f  (%d messages / %d opportunities)\n",
+	ew.Printf("  reconciliation vs partitioner:\n")
+	ew.Printf("    observed cut share  %.4f  (%d messages / %d opportunities)\n",
 		r.ObservedCutShare, r.Messages, r.Opportunities)
-	ew.printf("    predicted cut ratio %.4f  (from audit log)\n", r.PredictedCutRatio)
-	ew.printf("    gap %+.4f  (negative: mirrors/dedup saved traffic; drifting positive: placement degraded)\n", r.Gap)
+	ew.Printf("    predicted cut ratio %.4f  (from audit log)\n", r.PredictedCutRatio)
+	ew.Printf("    gap %+.4f  (negative: mirrors/dedup saved traffic; drifting positive: placement degraded)\n", r.Gap)
 }

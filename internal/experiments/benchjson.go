@@ -82,22 +82,6 @@ type BenchComm struct {
 	HotShare float64 `json:"hot_share"`
 }
 
-// BenchResource is one (scheme, workers) point of the artifact's optional
-// resources section (bench -resources): the scaling probe's measured wall
-// time with its derived speedup and efficiency, plus the number of
-// placements the parallel replay re-derived and verified identical to the
-// sequential stream. Wall/speedup/efficiency are host wall-clock — the
-// artifact's only nondeterministic content besides experiment wall seconds
-// — and StripWallClock zeroes them; Verified is deterministic.
-type BenchResource struct {
-	Scheme     string  `json:"scheme"`
-	Workers    int     `json:"workers"`
-	WallUS     float64 `json:"wall_us"`
-	Speedup    float64 `json:"speedup"`
-	Efficiency float64 `json:"efficiency"`
-	Verified   int     `json:"verified"`
-}
-
 // BenchParallel is one (engine, scheme, workers) point of the artifact's
 // parallel section: the superstep worker-pool sweep on the largest
 // reference dataset. Wall/speedup/efficiency are host wall-clock and
@@ -131,7 +115,6 @@ type BenchArtifact struct {
 	Partitions    []BenchPartition             `json:"partitions"`
 	Recovery      []BenchRecovery              `json:"recovery,omitempty"`
 	Comm          []BenchComm                  `json:"comm"`
-	Resources     []BenchResource              `json:"resources,omitempty"`
 	Parallel      []BenchParallel              `json:"parallel,omitempty"`
 	Serving       []BenchServing               `json:"serving"`
 	Histograms    []telemetry.HistogramSummary `json:"histograms"`
@@ -297,7 +280,7 @@ func (a *BenchArtifact) collectRecovery(d gen.Dataset, opt Options) error {
 }
 
 // StripWallClock zeroes every wall-clock field (bench -deterministic):
-// experiment wall seconds, resource and parallel wall/speedup columns, and
+// experiment wall seconds, the parallel wall/speedup columns, and
 // serving latency percentiles are the artifact's only nondeterministic
 // content, so a stripped artifact is byte-identical across runs with the
 // same flags — including across -workers settings, since the parallel
@@ -305,11 +288,6 @@ func (a *BenchArtifact) collectRecovery(d gen.Dataset, opt Options) error {
 func (a *BenchArtifact) StripWallClock() {
 	for i := range a.Experiments {
 		a.Experiments[i].WallSeconds = 0
-	}
-	for i := range a.Resources {
-		a.Resources[i].WallUS = 0
-		a.Resources[i].Speedup = 0
-		a.Resources[i].Efficiency = 0
 	}
 	for i := range a.Parallel {
 		a.Parallel[i].WallUS = 0

@@ -54,10 +54,11 @@ type Options struct {
 	Faults *fault.Spec
 	// Probe, when non-nil, receives resource phases from everything a run
 	// builds (bench -resources): one "cluster.superstep" lap per BSP
-	// iteration of every engine, plus the scaling probe's per-replay
-	// spans. Observation-only — results are identical with or without it.
+	// iteration of every engine, plus the Parallel Speedup sweep's
+	// per-repetition spans. Observation-only — results are identical with
+	// or without it.
 	Probe telemetry.PhaseProbe
-	// Widths is the scaling probe's worker-count ladder. nil selects the
+	// Widths is the Parallel Speedup worker-count ladder. nil selects the
 	// host-independent default {1, 2, 4}; cmd/bench fills the host's
 	// power-of-two ladder up to NumCPU. Every width must be >= 1, and the
 	// speedup/efficiency columns need width 1 as their baseline.
@@ -180,7 +181,6 @@ func All() []Experiment {
 		{"Ablation Hetero", AblationHetero},
 		{"Fault Recovery", FaultRecovery},
 		{"Comm Matrix", CommMatrix},
-		{"Scaling Probe", ScalingProbe},
 		{"Parallel Speedup", ParallelSpeedup},
 	}
 }

@@ -40,6 +40,20 @@ var benchParallelSchemes = []string{"Chunk-V", "BPart"}
 // -workers.
 var benchParallelWidths = []int{1, 2, 4}
 
+// parallelReps is the per-width repetition count; the recorded wall time is
+// the fastest repetition (conventional best-of-N timing).
+const parallelReps = 2
+
+// widths returns the sweep's ladder, defaulting to a host-independent
+// {1, 2, 4} so tests and baselines never depend on the machine's core
+// count. cmd/bench fills the host ladder for real measurements.
+func (o Options) widths() []int {
+	if len(o.Widths) > 0 {
+		return o.Widths
+	}
+	return []int{1, 2, 4}
+}
+
 // parallelEngineSpec is one engine workload of the sweep: run executes the
 // algorithm and returns the marshaled result (outputs + RunStats, the
 // byte-identity evidence) plus the run's simulated time.
@@ -88,8 +102,7 @@ type ParallelMeasurement struct {
 // sweep re-runs each workload many times, and feeding those repetitions
 // into the run's trace or histograms would make every observability
 // artifact depend on the ladder. The harness instead emits one resview
-// ScalingPhase span per repetition through opt.Probe, exactly like the
-// scaling probe.
+// ScalingPhase span per repetition through opt.Probe.
 func runParallel(opt Options, schemes []string, widths []int) ([]ParallelMeasurement, error) {
 	quiet := opt
 	quiet.Tracer, quiet.Metrics, quiet.Probe, quiet.Faults = nil, nil, nil, nil
@@ -114,7 +127,7 @@ func runParallel(opt Options, schemes []string, widths []int) ([]ParallelMeasure
 				}
 				e.Cluster().SetWorkers(wk)
 				m := ParallelMeasurement{Engine: spec.name, Scheme: scheme, Workers: wk, WallUS: -1, Identical: true}
-				for rep := 0; rep < scalingReps; rep++ {
+				for rep := 0; rep < parallelReps; rep++ {
 					var pe telemetry.PhaseEnd
 					if opt.Probe != nil {
 						pe = opt.Probe.BeginPhase(resview.ScalingPhase,
@@ -186,9 +199,8 @@ func ParallelSpeedup(opt Options) (*Table, error) {
 }
 
 // CollectParallel fills the artifact's parallel section from one sweep
-// over the BENCH scheme subset. The section is additive (omitempty) and —
-// like resources — its wall/speedup columns are the only nondeterministic
-// fields; StripWallClock zeroes them, leaving the simulated times and the
+// over the BENCH scheme subset. The section is additive (omitempty) and
+// its wall/speedup columns are the only nondeterministic fields; StripWallClock zeroes them, leaving the simulated times and the
 // identity verdicts, which are independent of the ladder and of
 // Options.Workers.
 func (a *BenchArtifact) CollectParallel(opt Options) error {

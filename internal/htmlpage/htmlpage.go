@@ -1,7 +1,9 @@
 // Package htmlpage holds the shared chrome of every bpart HTML artifact —
-// the trace timeline (internal/traceview) and the audit timeline
-// (internal/partaudit) use the same self-contained style so the artifacts
-// read as one family: no server, no external assets.
+// the trace timeline (internal/traceview), the audit timeline
+// (internal/partaudit), the comm heatmap (internal/commview), the resource
+// charts (internal/resview) and the serving latency page
+// (internal/servestats) use the same self-contained style so the
+// artifacts read as one family: no server, no external assets.
 package htmlpage
 
 import (

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"bpart/internal/htmlpage"
+	"bpart/internal/recordlog"
 )
 
 // WriteTimelineHTML renders the streaming quality timeline as one
@@ -16,25 +17,25 @@ func WriteTimelineHTML(w io.Writer, l *Log) error {
 	if err := htmlpage.Start(w, "bpart audit timeline"); err != nil {
 		return err
 	}
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	if h := l.Header; h != nil {
-		ew.printf("<p class=meta>%s · k=%d · n=%d · m=%d · window %d · %d windows, %d sampled decisions</p>\n",
+		ew.Printf("<p class=meta>%s · k=%d · n=%d · m=%d · window %d · %d windows, %d sampled decisions</p>\n",
 			html.EscapeString(h.Scheme), h.K, h.Vertices, h.Edges, h.Window, len(l.Windows), len(l.Decisions))
 	}
 	if l.Truncated {
-		ew.printf("<p class=warn>audit log truncated: final line torn (crashed run); showing intact prefix</p>\n")
+		ew.Printf("<p class=warn>audit log truncated: final line torn (crashed run); showing intact prefix</p>\n")
 	}
 	writeHTMLChart(ew, l)
 	writeHTMLFinal(ew, l)
-	if ew.err != nil {
-		return ew.err
+	if ew.Err != nil {
+		return ew.Err
 	}
 	return htmlpage.End(w)
 }
 
-func writeHTMLChart(ew *errWriter, l *Log) {
+func writeHTMLChart(ew *recordlog.Printer, l *Log) {
 	if len(l.Windows) == 0 {
-		ew.printf("<p class=meta>no window records</p>\n")
+		ew.Printf("<p class=meta>no window records</p>\n")
 		return
 	}
 	const (
@@ -62,9 +63,9 @@ func writeHTMLChart(ew *errWriter, l *Log) {
 		return padL + float64(i)/float64(n-1)*chartW
 	}
 	y := func(v float64) float64 { return float64(chartH) - v/maxY*float64(chartH) + 8 }
-	ew.printf("<h2>Streaming quality timeline</h2>\n")
-	ew.printf("<p class=legend><span style=\"background:#4878b0\">vertex bias</span><span style=\"background:#b07848\">edge bias</span><span style=\"background:#5b9a68\">cut ratio</span></p>\n")
-	ew.printf("<svg width=\"%d\" height=\"%d\">\n", chartW+padL+20, chartH+padB+16)
+	ew.Printf("<h2>Streaming quality timeline</h2>\n")
+	ew.Printf("<p class=legend><span style=\"background:#4878b0\">vertex bias</span><span style=\"background:#b07848\">edge bias</span><span style=\"background:#5b9a68\">cut ratio</span></p>\n")
+	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", chartW+padL+20, chartH+padB+16)
 	series := []struct {
 		color string
 		pick  func(Window) float64
@@ -74,31 +75,31 @@ func writeHTMLChart(ew *errWriter, l *Log) {
 		{"#5b9a68", func(w Window) float64 { return w.CutRatio }},
 	}
 	for _, s := range series {
-		ew.printf("<polyline fill=\"none\" stroke=\"%s\" stroke-width=\"1.5\" points=\"", s.color)
+		ew.Printf("<polyline fill=\"none\" stroke=\"%s\" stroke-width=\"1.5\" points=\"", s.color)
 		for i, win := range l.Windows {
-			ew.printf("%.1f,%.1f ", x(i), y(s.pick(win)))
+			ew.Printf("%.1f,%.1f ", x(i), y(s.pick(win)))
 		}
-		ew.printf("\"/>\n")
+		ew.Printf("\"/>\n")
 	}
 	// Layer boundaries: a vertical rule wherever the layer changes.
 	for i := 1; i < n; i++ {
 		if l.Windows[i].Layer != l.Windows[i-1].Layer {
-			ew.printf("<line x1=\"%.1f\" y1=\"8\" x2=\"%.1f\" y2=\"%d\" stroke=\"#ccc\" stroke-dasharray=\"3,3\"/>\n",
+			ew.Printf("<line x1=\"%.1f\" y1=\"8\" x2=\"%.1f\" y2=\"%d\" stroke=\"#ccc\" stroke-dasharray=\"3,3\"/>\n",
 				x(i), x(i), chartH+8)
-			ew.printf("<text class=lbl x=\"%.1f\" y=\"%d\">layer %d</text>\n", x(i)+3, chartH+20, l.Windows[i].Layer)
+			ew.Printf("<text class=lbl x=\"%.1f\" y=\"%d\">layer %d</text>\n", x(i)+3, chartH+20, l.Windows[i].Layer)
 		}
 	}
-	ew.printf("<text class=lbl x=\"2\" y=\"14\">%.3f</text>\n", maxY)
-	ew.printf("<text class=lbl x=\"2\" y=\"%d\">0</text>\n", chartH+8)
-	ew.printf("</svg>\n")
+	ew.Printf("<text class=lbl x=\"2\" y=\"14\">%.3f</text>\n", maxY)
+	ew.Printf("<text class=lbl x=\"2\" y=\"%d\">0</text>\n", chartH+8)
+	ew.Printf("</svg>\n")
 }
 
-func writeHTMLFinal(ew *errWriter, l *Log) {
+func writeHTMLFinal(ew *recordlog.Printer, l *Log) {
 	f := l.Final
 	if f == nil {
 		return
 	}
-	ew.printf("<h2>Final report</h2>\n")
-	ew.printf("<p class=meta>k=%d · vertex bias %.4f · edge bias %.4f · cut ratio %.4f · refine moves %d</p>\n",
+	ew.Printf("<h2>Final report</h2>\n")
+	ew.Printf("<p class=meta>k=%d · vertex bias %.4f · edge bias %.4f · cut ratio %.4f · refine moves %d</p>\n",
 		f.K, f.VBias, f.EBias, f.CutRatio, f.RefineMoves)
 }

@@ -22,24 +22,23 @@
 //     deviation and freeze outcome, and the final predicted-vs-actual
 //     per-part balance.
 //
-// The write side follows the telemetry JSONL conventions: a nil *Auditor
-// is a valid no-op on every method, writes are buffered with a FlushEvery
-// cadence and a sticky first error surfaced by Flush/Close, and the reader
-// (ReadLog) tolerates a torn final line from a crashed run while rejecting
-// interior damage. cmd/partstat renders the log (explain / timeline /
-// combine).
+// A nil *Auditor is a valid no-op on every method. Framing is
+// internal/recordlog's: whole-line writes flushed every flushCadence
+// records with a sticky first error surfaced by Flush/Close, and a reader
+// (ReadLog) that tolerates a torn final line from a crashed run while
+// rejecting interior damage. cmd/partstat renders the log (explain /
+// timeline / combine).
 package partaudit
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"sync"
 
 	"bpart/internal/graph"
+	"bpart/internal/recordlog"
 )
 
 // Version is the audit log schema version, written in the header record
@@ -79,9 +78,6 @@ type Config struct {
 	// Window is the timeline snapshot cadence in placed vertices.
 	// Default 1024.
 	Window int
-	// FlushEvery flushes the JSONL buffer after this many records, so a
-	// crashed run still leaves a parseable prefix. Default 256.
-	FlushEvery int
 }
 
 // Normalize fills defaults and validates the configuration.
@@ -95,10 +91,7 @@ func (c *Config) Normalize() error {
 	if c.Window == 0 {
 		c.Window = 1024
 	}
-	if c.FlushEvery == 0 {
-		c.FlushEvery = 256
-	}
-	if c.SampleEvery < 0 || c.Hubs < 0 || c.Window < 0 || c.FlushEvery < 0 {
+	if c.SampleEvery < 0 || c.Hubs < 0 || c.Window < 0 {
 		return fmt.Errorf("partaudit: negative Config field: %+v", *c)
 	}
 	return nil
@@ -263,13 +256,15 @@ type Final struct {
 // partitioners store one unconditionally and never branch on "is audit
 // on" beyond a nil check.
 type Auditor struct {
-	cfg        Config
-	mu         sync.Mutex
-	bw         *bufio.Writer
-	werr       error // first write failure, surfaced by Flush/Close
-	sinceFlush int
-	hubDeg     int
+	cfg    Config
+	log    *recordlog.Writer
+	hubDeg int
 }
+
+// flushCadence is the audit log's flush cadence in records, so a crashed
+// run still leaves a parseable prefix: decisions are sampled per vertex,
+// too frequent to flush one by one.
+const flushCadence = 256
 
 // New returns an Auditor writing JSON lines to w. A zero Config selects
 // the defaults.
@@ -277,7 +272,7 @@ func New(w io.Writer, cfg Config) (*Auditor, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	return &Auditor{cfg: cfg, bw: bufio.NewWriter(w), hubDeg: math.MaxInt}, nil
+	return &Auditor{cfg: cfg, log: recordlog.NewWriter(w, flushCadence), hubDeg: math.MaxInt}, nil
 }
 
 // Begin writes the header record for one partitioning run and derives the
@@ -304,9 +299,7 @@ func (a *Auditor) Begin(scheme string, g *graph.Graph, k int) {
 			hubDeg = 1 // never hub-sample isolated vertices
 		}
 	}
-	a.mu.Lock()
 	a.hubDeg = hubDeg
-	a.mu.Unlock()
 	a.emit(Header{
 		Type:        "audit_header",
 		Version:     Version,
@@ -360,18 +353,7 @@ func (a *Auditor) emit(rec any) {
 	if err != nil {
 		line = []byte(`{"type":"error"}`)
 	}
-	a.mu.Lock()
-	if _, err := a.bw.Write(append(line, '\n')); err != nil && a.werr == nil {
-		a.werr = err
-	}
-	a.sinceFlush++
-	if a.sinceFlush >= a.cfg.FlushEvery {
-		a.sinceFlush = 0
-		if err := a.bw.Flush(); err != nil && a.werr == nil {
-			a.werr = err
-		}
-	}
-	a.mu.Unlock()
+	a.log.Line(line)
 }
 
 // Flush drains buffered lines and returns the first error any write hit,
@@ -380,12 +362,7 @@ func (a *Auditor) Flush() error {
 	if a == nil {
 		return nil
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.bw.Flush(); a.werr == nil && err != nil {
-		a.werr = err
-	}
-	return a.werr
+	return a.log.Flush()
 }
 
 // Close flushes; the underlying writer is the caller's to close.

@@ -14,11 +14,11 @@ func TestConfigNormalize(t *testing.T) {
 	if err := c.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if c.SampleEvery != 64 || c.Hubs != 16 || c.Window != 1024 || c.FlushEvery != 256 {
+	if c.SampleEvery != 64 || c.Hubs != 16 || c.Window != 1024 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	for _, bad := range []Config{
-		{SampleEvery: -1}, {Hubs: -1}, {Window: -2}, {FlushEvery: -3},
+		{SampleEvery: -1}, {Hubs: -1}, {Window: -2},
 	} {
 		cfg := bad
 		if err := cfg.Normalize(); err == nil {
@@ -78,7 +78,7 @@ func pathGraph(t testing.TB) *graph.Graph {
 func TestStreamWindowAccounting(t *testing.T) {
 	g := pathGraph(t)
 	var buf bytes.Buffer
-	a, err := New(&buf, Config{SampleEvery: 1000, Hubs: 0, Window: 2, FlushEvery: 1})
+	a, err := New(&buf, Config{SampleEvery: 1000, Hubs: 0, Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestStreamSelfLoopResolvesOnce(t *testing.T) {
 	b.AddEdge(0, 1)
 	g := b.Build()
 	var buf bytes.Buffer
-	a, err := New(&buf, Config{SampleEvery: 1000, Hubs: 0, Window: 1, FlushEvery: 1})
+	a, err := New(&buf, Config{SampleEvery: 1000, Hubs: 0, Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestDecisionSampling(t *testing.T) {
 	b.AddEdge(0, 1)
 	g := b.Build()
 	var buf bytes.Buffer
-	a, err := New(&buf, Config{SampleEvery: 4, Hubs: 1, Window: 100, FlushEvery: 1})
+	a, err := New(&buf, Config{SampleEvery: 4, Hubs: 1, Window: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func (f failWriter) Write([]byte) (int, error) { return 0, f.err }
 // silently drop records.
 func TestStickyWriteError(t *testing.T) {
 	wantErr := errors.New("disk full")
-	a, err := New(failWriter{wantErr}, Config{FlushEvery: 1})
+	a, err := New(failWriter{wantErr}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 package partaudit
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
+
+	"bpart/internal/recordlog"
 )
 
 // Log is a fully parsed audit log, in record order within each kind.
@@ -75,85 +74,34 @@ func (l *Log) PieceToPart(layer int) ([]int, bool) {
 	return nil, false
 }
 
-// maxLine bounds one audit line; the widest real lines are decision
-// records whose candidate table is bounded by the piece count.
-const maxLine = 16 << 20
-
 // ReadLog parses a JSONL audit log. Like traceview.Read, a damaged or
 // incomplete final line (a run that crashed mid-write) is tolerated and
 // flagged via Log.Truncated; damage anywhere earlier is a hard error,
 // since silently skipping interior records would skew the timeline.
 func ReadLog(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
 	log := &Log{}
-	type bad struct {
-		line int
-		err  error
-	}
-	var pending *bad
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if pending != nil {
-			return nil, fmt.Errorf("partaudit: line %d: %w (not the final line, refusing to skip)", pending.line, pending.err)
-		}
-		if err := log.parseLine(line); err != nil {
-			pending = &bad{lineNo, err}
-			continue
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("partaudit: read: %w", err)
-	}
-	if pending != nil {
-		// A torn tail is only tolerable when it follows a usable prefix; if
-		// the very first line is garbage the file is not an audit log at
-		// all, and "empty but truncated" would hide that from callers.
-		if log.empty() {
-			return nil, fmt.Errorf("partaudit: line %d: %w (no valid audit records precede it)", pending.line, pending.err)
-		}
-		log.Truncated = true
-	}
-	return log, nil
-}
-
-// empty reports whether not a single usable record was parsed.
-func (l *Log) empty() bool {
-	return l.Header == nil && l.Final == nil &&
-		len(l.Decisions) == 0 && len(l.Windows) == 0 &&
-		len(l.Merges) == 0 && len(l.Layers) == 0
-}
-
-// ReadLogFile parses the audit log at path.
-func ReadLogFile(path string) (*Log, error) {
-	f, err := os.Open(path)
+	var err error
+	log.Truncated, err = recordlog.Scan(r, "partaudit", "audit", log.parseLine)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	log, err := ReadLog(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
 	return log, nil
 }
 
-func (l *Log) parseLine(line string) error {
+// ReadLogFile parses the audit log at path.
+func ReadLogFile(path string) (*Log, error) { return recordlog.ReadFile(path, ReadLog) }
+
+func (l *Log) parseLine(line []byte) error {
 	var probe struct {
 		Type string `json:"type"`
 	}
-	if err := json.Unmarshal([]byte(line), &probe); err != nil {
+	if err := json.Unmarshal(line, &probe); err != nil {
 		return err
 	}
 	switch probe.Type {
 	case "audit_header":
 		var h Header
-		if err := json.Unmarshal([]byte(line), &h); err != nil {
+		if err := json.Unmarshal(line, &h); err != nil {
 			return err
 		}
 		if h.Version != Version {
@@ -164,31 +112,31 @@ func (l *Log) parseLine(line string) error {
 		}
 	case "decision":
 		var d Decision
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
+		if err := json.Unmarshal(line, &d); err != nil {
 			return err
 		}
 		l.Decisions = append(l.Decisions, d)
 	case "window":
 		var w Window
-		if err := json.Unmarshal([]byte(line), &w); err != nil {
+		if err := json.Unmarshal(line, &w); err != nil {
 			return err
 		}
 		l.Windows = append(l.Windows, w)
 	case "combine":
 		var m Merge
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
+		if err := json.Unmarshal(line, &m); err != nil {
 			return err
 		}
 		l.Merges = append(l.Merges, m)
 	case "layer":
 		var lr LayerRecord
-		if err := json.Unmarshal([]byte(line), &lr); err != nil {
+		if err := json.Unmarshal(line, &lr); err != nil {
 			return err
 		}
 		l.Layers = append(l.Layers, lr)
 	case "final":
 		var f Final
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
+		if err := json.Unmarshal(line, &f); err != nil {
 			return err
 		}
 		l.Final = &f

@@ -3,41 +3,17 @@ package partaudit
 import (
 	"fmt"
 	"io"
-	"strings"
+
+	"bpart/internal/recordlog"
 )
 
-// errWriter folds per-line error checks into one sticky error (the
-// traceview report idiom).
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err == nil {
-		_, e.err = fmt.Fprintf(e.w, format, args...)
-	}
-}
-
-// bar renders v/max as a fixed-width ASCII bar.
-func bar(v, max float64, width int) string {
-	if max <= 0 || v < 0 {
-		return strings.Repeat(".", width)
-	}
-	n := int(v/max*float64(width) + 0.5)
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
-}
-
-func writeHeaderLine(ew *errWriter, l *Log) {
+func writeHeaderLine(ew *recordlog.Printer, l *Log) {
 	if h := l.Header; h != nil {
-		ew.printf("AUDIT: %s  k=%d  n=%d  m=%d  (sampled every %d, hub degree >= %d, window %d)\n",
+		ew.Printf("AUDIT: %s  k=%d  n=%d  m=%d  (sampled every %d, hub degree >= %d, window %d)\n",
 			h.Scheme, h.K, h.Vertices, h.Edges, h.SampleEvery, h.HubDegree, h.Window)
 	}
 	if l.Truncated {
-		ew.printf("  WARNING: final line torn (run crashed mid-write); showing the intact prefix\n")
+		ew.Printf("  WARNING: final line torn (run crashed mid-write); showing the intact prefix\n")
 	}
 }
 
@@ -45,24 +21,24 @@ func writeHeaderLine(ew *errWriter, l *Log) {
 // per-piece score table (affinity − penalty = score, capacity skips), the
 // chosen piece, the cause and the runner-up gap — `partstat explain`.
 func WriteExplain(w io.Writer, l *Log, vertex int) error {
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	writeHeaderLine(ew, l)
 	decs := l.DecisionsFor(vertex)
 	if len(decs) == 0 {
-		if ew.err != nil {
-			return ew.err
+		if ew.Err != nil {
+			return ew.Err
 		}
 		return fmt.Errorf("partaudit: vertex %d has no sampled decisions (sampled: every %s vertex plus hubs; re-run with a smaller -audit-sample to catch it)",
 			vertex, ordinal(sampleEveryOf(l)))
 	}
 	for _, d := range decs {
-		ew.printf("\nvertex %d  layer %d  stream position %d  out-degree %d\n", d.Vertex, d.Layer, d.Pos, d.Degree)
-		ew.printf("  placed on piece %d (%s)", d.Piece, d.Cause)
+		ew.Printf("\nvertex %d  layer %d  stream position %d  out-degree %d\n", d.Vertex, d.Layer, d.Pos, d.Degree)
+		ew.Printf("  placed on piece %d (%s)", d.Piece, d.Cause)
 		if d.RunnerUp >= 0 {
-			ew.printf("; runner-up piece %d trails by %.4f", d.RunnerUp, d.Gap)
+			ew.Printf("; runner-up piece %d trails by %.4f", d.RunnerUp, d.Gap)
 		}
-		ew.printf("\n")
-		ew.printf("  %5s  %8s  %10s  %10s  %s\n", "piece", "affinity", "penalty", "score", "")
+		ew.Printf("\n")
+		ew.Printf("  %5s  %8s  %10s  %10s  %s\n", "piece", "affinity", "penalty", "score", "")
 		for _, c := range d.Cands {
 			marker := ""
 			switch {
@@ -73,10 +49,10 @@ func WriteExplain(w io.Writer, l *Log, vertex int) error {
 			case c.Piece == d.RunnerUp:
 				marker = "runner-up"
 			}
-			ew.printf("  %5d  %8d  %10.4f  %10.4f  %s\n", c.Piece, c.Affinity, c.Penalty, c.Score, marker)
+			ew.Printf("  %5d  %8d  %10.4f  %10.4f  %s\n", c.Piece, c.Affinity, c.Penalty, c.Score, marker)
 		}
 	}
-	return ew.err
+	return ew.Err
 }
 
 func sampleEveryOf(l *Log) int {
@@ -97,11 +73,11 @@ func ordinal(n int) string {
 // window with vertex/edge bias and cut ratio — and the final report row,
 // which equals Evaluate's Report — `partstat timeline`.
 func WriteTimeline(w io.Writer, l *Log) error {
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	writeHeaderLine(ew, l)
 	if len(l.Windows) == 0 {
-		ew.printf("no window records: the audited run placed no vertices\n")
-		return ew.err
+		ew.Printf("no window records: the audited run placed no vertices\n")
+		return ew.Err
 	}
 	maxBias := 0.0
 	for _, win := range l.Windows {
@@ -112,20 +88,20 @@ func WriteTimeline(w io.Writer, l *Log) error {
 			maxBias = win.EBias
 		}
 	}
-	ew.printf("\n  %5s %6s %8s  %8s %-12s  %8s %-12s  %9s\n",
+	ew.Printf("\n  %5s %6s %8s  %8s %-12s  %8s %-12s  %9s\n",
 		"layer", "win", "placed", "v_bias", "", "e_bias", "", "cut_ratio")
 	for _, win := range l.Windows {
-		ew.printf("  %5d %6d %8d  %8.4f %-12s  %8.4f %-12s  %9.4f\n",
+		ew.Printf("  %5d %6d %8d  %8.4f %-12s  %8.4f %-12s  %9.4f\n",
 			win.Layer, win.Index, win.Placed,
-			win.VBias, bar(win.VBias, maxBias, 12),
-			win.EBias, bar(win.EBias, maxBias, 12),
+			win.VBias, recordlog.Bar(win.VBias, maxBias, 12),
+			win.EBias, recordlog.Bar(win.EBias, maxBias, 12),
 			win.CutRatio)
 	}
 	if f := l.Final; f != nil {
-		ew.printf("\n  final (= Evaluate's Report): k=%d  v_bias %.4f  e_bias %.4f  cut_ratio %.4f  refine moves %d\n",
+		ew.Printf("\n  final (= Evaluate's Report): k=%d  v_bias %.4f  e_bias %.4f  cut_ratio %.4f  refine moves %d\n",
 			f.K, f.VBias, f.EBias, f.CutRatio, f.RefineMoves)
 	}
-	return ew.err
+	return ew.Err
 }
 
 // WriteCombine renders the combining audit tree: per layer, the pairing
@@ -134,14 +110,14 @@ func WriteTimeline(w io.Writer, l *Log) error {
 // outcome, and the predicted-vs-actual final balance — `partstat
 // combine`.
 func WriteCombine(w io.Writer, l *Log) error {
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	writeHeaderLine(ew, l)
 	if len(l.Layers) == 0 {
-		ew.printf("no layer records: the audited scheme has no combining phase (single-phase stream)\n")
-		return ew.err
+		ew.Printf("no layer records: the audited scheme has no combining phase (single-phase stream)\n")
+		return ew.Err
 	}
 	for _, lr := range l.Layers {
-		ew.printf("\nLAYER %d: %d pieces -> targets |V|=%.1f |E|=%.1f per part (epsilon %.3f)\n",
+		ew.Printf("\nLAYER %d: %d pieces -> targets |V|=%.1f |E|=%.1f per part (epsilon %.3f)\n",
 			lr.Layer, lr.Pieces, lr.TargetV, lr.TargetE, lr.Epsilon)
 		round := -1
 		for _, m := range l.Merges {
@@ -150,9 +126,9 @@ func WriteCombine(w io.Writer, l *Log) error {
 			}
 			if m.Round != round {
 				round = m.Round
-				ew.printf("  round %d:\n", round)
+				ew.Printf("  round %d:\n", round)
 			}
-			ew.printf("    merge v-light %v (|V|=%d |E|=%d) + v-heavy %v (|V|=%d |E|=%d) -> |V|=%d |E|=%d\n",
+			ew.Printf("    merge v-light %v (|V|=%d |E|=%d) + v-heavy %v (|V|=%d |E|=%d) -> |V|=%d |E|=%d\n",
 				m.APieces, m.AV, m.AE, m.BPieces, m.BV, m.BE, m.AV+m.BV, m.AE+m.BE)
 		}
 		frozen := 0
@@ -162,20 +138,20 @@ func WriteCombine(w io.Writer, l *Log) error {
 				status = fmt.Sprintf("FROZEN as part %d", grp.Final)
 				frozen++
 			}
-			ew.printf("  group %v: |V|=%d (dev %.3f) |E|=%d (dev %.3f) — %s\n",
+			ew.Printf("  group %v: |V|=%d (dev %.3f) |E|=%d (dev %.3f) — %s\n",
 				grp.Pieces, grp.V, grp.VDev, grp.E, grp.EDev, status)
 		}
-		ew.printf("  %d/%d groups frozen\n", frozen, len(lr.Groups))
+		ew.Printf("  %d/%d groups frozen\n", frozen, len(lr.Groups))
 	}
 	if f := l.Final; f != nil {
-		ew.printf("\nFINAL: k=%d  v_bias %.4f  e_bias %.4f  cut_ratio %.4f\n", f.K, f.VBias, f.EBias, f.CutRatio)
+		ew.Printf("\nFINAL: k=%d  v_bias %.4f  e_bias %.4f  cut_ratio %.4f\n", f.K, f.VBias, f.EBias, f.CutRatio)
 		if len(f.PredictedV) == len(f.V) && len(f.PredictedE) == len(f.E) {
-			ew.printf("  predicted at freeze vs actual after refine (%d moves):\n", f.RefineMoves)
-			ew.printf("  %5s  %10s %10s  %10s %10s\n", "part", "pred |V|", "act |V|", "pred |E|", "act |E|")
+			ew.Printf("  predicted at freeze vs actual after refine (%d moves):\n", f.RefineMoves)
+			ew.Printf("  %5s  %10s %10s  %10s %10s\n", "part", "pred |V|", "act |V|", "pred |E|", "act |E|")
 			for i := range f.V {
-				ew.printf("  %5d  %10d %10d  %10d %10d\n", i, f.PredictedV[i], f.V[i], f.PredictedE[i], f.E[i])
+				ew.Printf("  %5d  %10d %10d  %10d %10d\n", i, f.PredictedV[i], f.V[i], f.PredictedE[i], f.E[i])
 			}
 		}
 	}
-	return ew.err
+	return ew.Err
 }

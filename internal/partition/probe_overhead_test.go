@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"runtime"
 	"testing"
 
 	"bpart/internal/telemetry"
@@ -35,32 +36,45 @@ func BenchmarkStream20kNopProbe(b *testing.B) {
 // TestIdleProbeOverheadGate is the <5% overhead gate for the resource-probe
 // hook sites: the hooks fire per phase (one BeginPhase/EndPhase pair per
 // stream), never per vertex, so an idle probe must be indistinguishable
-// from no probe. Measured as best-of-N to shed scheduler noise; skipped in
-// -short mode where a timing assertion is meaningless.
+// from no probe. Measured as best-of-N with the two configurations
+// interleaved, so scheduler noise and heap warm-up hit both alike; skipped
+// in -short mode where a timing assertion is meaningless.
 func TestIdleProbeOverheadGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")
 	}
 	g := twitterish(t)
 	measure := func(opt StreamOptions) float64 {
-		const reps = 5
-		best := 0.0
-		for r := 0; r < reps; r++ {
-			sw := telemetry.NewStopwatch()
-			for i := 0; i < 3; i++ {
-				if _, err := Stream(g, opt); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if s := sw.Seconds(); r == 0 || s < best {
-				best = s
+		// Each stream allocates the same amount, so collections would
+		// otherwise phase-lock onto one of the two configurations.
+		runtime.GC()
+		sw := telemetry.NewStopwatch()
+		for i := 0; i < 3; i++ {
+			if _, err := Stream(g, opt); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return best
+		return sw.Seconds()
 	}
-	base := measure(StreamOptions{K: 8, C: 1})
-	probed := measure(StreamOptions{K: 8, C: 1, Probe: telemetry.NopProbe()})
-	overhead := probed/base - 1
+	// Noise only ever inflates a measurement, so both minima converge on
+	// the true cost from above: keep sampling until they agree, and fail
+	// only if they still differ after maxReps.
+	const minReps, maxReps = 5, 40
+	opts := [2]StreamOptions{{K: 8, C: 1}, {K: 8, C: 1, Probe: telemetry.NopProbe()}}
+	var best [2]float64 // base, probed
+	var overhead float64
+	for r := 0; r < maxReps; r++ {
+		// Alternate which configuration goes first.
+		for _, i := range [2]int{r % 2, 1 - r%2} {
+			if s := measure(opts[i]); r == 0 || s < best[i] {
+				best[i] = s
+			}
+		}
+		if overhead = best[1]/best[0] - 1; r+1 >= minReps && overhead <= 0.05 {
+			break
+		}
+	}
+	base, probed := best[0], best[1]
 	t.Logf("idle-probe overhead: base %.2fms, probed %.2fms, overhead %.2f%%",
 		base*1e3, probed*1e3, overhead*100)
 	if overhead > 0.05 {

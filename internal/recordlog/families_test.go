@@ -1,0 +1,123 @@
+package recordlog_test
+
+import (
+	"io"
+	"strings"
+	"testing"
+
+	"bpart/internal/partaudit"
+	"bpart/internal/recordlog"
+	"bpart/internal/resview"
+	"bpart/internal/servestats"
+	"bpart/internal/traceview"
+)
+
+// family adapts one log family's reader to a common verdict: how many
+// records it kept, whether it flagged a torn tail, or the error.
+type family struct {
+	name string // the error prefix
+	what string // the records' name in the all-garbage error
+	good string // one valid line
+	read func(io.Reader) (records int, truncated bool, err error)
+}
+
+var families = []family{
+	{
+		name: "traceview", what: "trace",
+		good: `{"ts":"2026-08-06T10:11:12.13Z","type":"event","name":"cap.hit","attrs":{"k":8}}`,
+		read: func(r io.Reader) (int, bool, error) {
+			tr, err := traceview.Read(r)
+			if err != nil {
+				return 0, false, err
+			}
+			return len(tr.Records), tr.Truncated, nil
+		},
+	},
+	{
+		name: "partaudit", what: "audit",
+		good: `{"type":"combine","layer":1,"round":0,"a_pieces":[0],"a_v":1,"a_e":2,"b_pieces":[1],"b_v":3,"b_e":4}`,
+		read: func(r io.Reader) (int, bool, error) {
+			l, err := partaudit.ReadLog(r)
+			if err != nil {
+				return 0, false, err
+			}
+			return len(l.Merges), l.Truncated, nil
+		},
+	},
+	{
+		name: "resview", what: "resource",
+		good: `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":123.5,"allocs":10,"alloc_bytes":4096,"heap_bytes":1000,"gc_cycles":1,"gc_pause_us":5,"goroutines":2}`,
+		read: func(r io.Reader) (int, bool, error) {
+			l, err := resview.Read(r)
+			if err != nil {
+				return 0, false, err
+			}
+			return len(l.Records), l.Truncated, nil
+		},
+	},
+	{
+		name: "servestats", what: "request",
+		good: `{"v":1,"type":"request","seq":1,"endpoint":"lookup","vertex":7,"part":0,"version":1,"status":200,"latency_us":12.5}`,
+		read: func(r io.Reader) (int, bool, error) {
+			l, err := servestats.Read(r)
+			if err != nil {
+				return 0, false, err
+			}
+			return len(l.Records), l.Truncated, nil
+		},
+	},
+}
+
+// The four readers sit on one Scan, so the same damage must draw the same
+// verdict from each — and the error strings the CLIs print (pinned by the
+// cmd/tracestat and cmd/partstat diagnostics tests) must not drift.
+func TestFamiliesShareOneVerdict(t *testing.T) {
+	const (
+		jsonGarbage = "invalid character 'o' in literal null (expecting 'u')"
+		jsonTorn    = "unexpected end of JSON input"
+	)
+	long := `{"pad":"` + strings.Repeat("x", recordlog.MaxLine) + `"}`
+	for _, fam := range families {
+		good := fam.good
+		torn := good[:len(good)/2]
+		for _, tc := range []struct {
+			name      string
+			in        string
+			records   int
+			truncated bool
+			err       string
+		}{
+			{name: "empty", in: ""},
+			{name: "blank lines", in: "\n" + good + "\n\n \t\n" + good + "\n", records: 2},
+			{name: "CRLF", in: good + "\r\n" + good + "\r\n", records: 2},
+			{name: "torn tail", in: good + "\n" + torn, records: 1, truncated: true},
+			{name: "garbage tail", in: good + "\n" + good + "\nnot json\n", records: 2, truncated: true},
+			{name: "interior damage", in: good + "\n" + torn + "\n" + good + "\n",
+				err: fam.name + ": line 2: " + jsonTorn + " (not the final line, refusing to skip)"},
+			{name: "garbage first", in: "not json\n" + good + "\n",
+				err: fam.name + ": line 1: " + jsonGarbage + " (not the final line, refusing to skip)"},
+			{name: "all garbage", in: "not json\n",
+				err: fam.name + ": line 1: " + jsonGarbage + " (no valid " + fam.what + " records precede it)"},
+			{name: "only a torn line", in: torn,
+				err: fam.name + ": line 1: " + jsonTorn + " (no valid " + fam.what + " records precede it)"},
+			{name: "over-long line", in: good + "\n" + long + "\n",
+				err: fam.name + ": read: bufio.Scanner: token too long"},
+		} {
+			t.Run(fam.name+"/"+tc.name, func(t *testing.T) {
+				records, truncated, err := fam.read(strings.NewReader(tc.in))
+				if tc.err != "" {
+					if err == nil || err.Error() != tc.err {
+						t.Fatalf("err = %v, want %q", err, tc.err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if records != tc.records || truncated != tc.truncated {
+					t.Fatalf("records=%d truncated=%v, want %d/%v", records, truncated, tc.records, tc.truncated)
+				}
+			})
+		}
+	}
+}

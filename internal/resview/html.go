@@ -5,26 +5,27 @@ import (
 	"io"
 
 	"bpart/internal/htmlpage"
+	"bpart/internal/recordlog"
 )
 
 // WriteHTML renders the self-contained resource page: horizontal bar
 // charts for phase self-time and allocation attribution, and — when the
-// log carries scaling-probe records — one speedup-curve SVG per scheme
+// log carries Parallel Speedup records — one speedup-curve SVG per scheme
 // with the ideal linear-scaling diagonal for reference. Same chrome as the
 // trace, audit and comm pages (internal/htmlpage), no external assets.
 func WriteHTML(w io.Writer, log *Log, title string) error {
 	if err := htmlpage.Start(w, title); err != nil {
 		return err
 	}
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	if log.Truncated {
-		ew.printf("<p class=\"warn\">final log line torn; analyzing the intact prefix</p>\n")
+		ew.Printf("<p class=\"warn\">final log line torn; analyzing the intact prefix</p>\n")
 	}
 	if len(log.Records) == 0 {
-		ew.printf("<p class=\"meta\">No resource records: capture was off (enable with -resources / resview.NewProbe).</p>\n")
+		ew.Printf("<p class=\"meta\">No resource records: capture was off (enable with -resources / resview.NewProbe).</p>\n")
 	} else {
 		phases := Summarize(log.Records)
-		ew.printf("<p class=\"meta\">%d records across %d phases (schema v%d)</p>\n",
+		ew.Printf("<p class=\"meta\">%d records across %d phases (schema v%d)</p>\n",
 			len(log.Records), len(phases), SchemaVersion)
 		writeBarsHTML(ew, "Phase self-time", phases, func(s *PhaseSummary) (float64, string) {
 			return s.WallUS, fmtUS(s.WallUS)
@@ -36,15 +37,15 @@ func WriteHTML(w io.Writer, log *Log, title string) error {
 			writeCurveSVG(ew, c)
 		}
 	}
-	if ew.err != nil {
-		return ew.err
+	if ew.Err != nil {
+		return ew.Err
 	}
 	return htmlpage.End(w)
 }
 
 // writeBarsHTML draws one horizontal bar per phase, scaled to the largest
 // value the metric takes.
-func writeBarsHTML(ew *errWriter, title string, phases []PhaseSummary, metric func(*PhaseSummary) (float64, string)) {
+func writeBarsHTML(ew *recordlog.Printer, title string, phases []PhaseSummary, metric func(*PhaseSummary) (float64, string)) {
 	const rowH, barMax, label = 18, 360, 190
 	var max float64
 	for i := range phases {
@@ -52,8 +53,8 @@ func writeBarsHTML(ew *errWriter, title string, phases []PhaseSummary, metric fu
 			max = v
 		}
 	}
-	ew.printf("<h2>%s</h2>\n", title)
-	ew.printf("<svg width=\"%d\" height=\"%d\">\n", label+barMax+120, len(phases)*rowH+10)
+	ew.Printf("<h2>%s</h2>\n", title)
+	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", label+barMax+120, len(phases)*rowH+10)
 	for i := range phases {
 		s := &phases[i]
 		v, txt := metric(s)
@@ -62,18 +63,18 @@ func writeBarsHTML(ew *errWriter, title string, phases []PhaseSummary, metric fu
 			w = int(v / max * barMax)
 		}
 		y := 5 + i*rowH
-		ew.printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" text-anchor=\"end\">%s</text>\n",
+		ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" text-anchor=\"end\">%s</text>\n",
 			label-6, y+12, s.Phase)
-		ew.printf("<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" fill=\"#69c\"><title>%s: %s (%d records)</title></rect>\n",
+		ew.Printf("<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" fill=\"#69c\"><title>%s: %s (%d records)</title></rect>\n",
 			label, y+2, w, rowH-5, s.Phase, txt, s.Count)
-		ew.printf("<text class=\"lbl\" x=\"%d\" y=\"%d\">%s</text>\n", label+w+4, y+12, txt)
+		ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\">%s</text>\n", label+w+4, y+12, txt)
 	}
-	ew.printf("</svg>\n")
+	ew.Printf("</svg>\n")
 }
 
 // writeCurveSVG draws one scheme's speedup curve (measured polyline over
 // the dashed ideal diagonal) with the per-point efficiency as hover text.
-func writeCurveSVG(ew *errWriter, c ScalingCurve) {
+func writeCurveSVG(ew *recordlog.Printer, c ScalingCurve) {
 	const plotW, plotH, pad = 320, 200, 36
 	maxW := 1
 	maxS := 1.0
@@ -92,22 +93,22 @@ func writeCurveSVG(ew *errWriter, c ScalingCurve) {
 	}
 	x := func(workers int) int { return pad + int(float64(workers-1)/float64(max(maxW-1, 1))*plotW) }
 	y := func(speedup float64) int { return pad + plotH - int(speedup/maxS*float64(plotH)) }
-	ew.printf("<h2>Scaling: %s</h2>\n", c.Scheme)
-	ew.printf("<svg width=\"%d\" height=\"%d\">\n", pad*2+plotW+60, pad*2+plotH)
-	ew.printf("<line x1=\"%d\" y1=\"%d\" x2=\"%d\" y2=\"%d\" stroke=\"#999\" stroke-dasharray=\"4 3\"/>\n",
+	ew.Printf("<h2>Scaling: %s</h2>\n", c.Scheme)
+	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", pad*2+plotW+60, pad*2+plotH)
+	ew.Printf("<line x1=\"%d\" y1=\"%d\" x2=\"%d\" y2=\"%d\" stroke=\"#999\" stroke-dasharray=\"4 3\"/>\n",
 		x(1), y(1), x(maxW), y(float64(maxW)))
 	poly := ""
 	for _, pt := range c.Points {
 		poly += fmt.Sprintf("%d,%d ", x(pt.Workers), y(pt.Speedup))
 	}
-	ew.printf("<polyline points=\"%s\" fill=\"none\" stroke=\"#69c\" stroke-width=\"2\"/>\n", poly)
+	ew.Printf("<polyline points=\"%s\" fill=\"none\" stroke=\"#69c\" stroke-width=\"2\"/>\n", poly)
 	for _, pt := range c.Points {
-		ew.printf("<circle cx=\"%d\" cy=\"%d\" r=\"3\" fill=\"#247\"><title>%d workers: %s, speedup %.2fx, efficiency %.1f%%</title></circle>\n",
+		ew.Printf("<circle cx=\"%d\" cy=\"%d\" r=\"3\" fill=\"#247\"><title>%d workers: %s, speedup %.2fx, efficiency %.1f%%</title></circle>\n",
 			x(pt.Workers), y(pt.Speedup), pt.Workers, fmtUS(pt.WallUS), pt.Speedup, pt.Efficiency*100)
-		ew.printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" text-anchor=\"middle\">%d</text>\n",
+		ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" text-anchor=\"middle\">%d</text>\n",
 			x(pt.Workers), pad+plotH+14, pt.Workers)
 	}
-	ew.printf("<text class=\"lbl\" x=\"%d\" y=\"%d\">workers</text>\n", pad+plotW+8, pad+plotH+14)
-	ew.printf("<text class=\"lbl\" x=\"%d\" y=\"%d\">speedup</text>\n", 2, pad-8)
-	ew.printf("</svg>\n")
+	ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\">workers</text>\n", pad+plotW+8, pad+plotH+14)
+	ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\">speedup</text>\n", 2, pad-8)
+	ew.Printf("</svg>\n")
 }

@@ -1,13 +1,13 @@
 package resview
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"runtime"
 	rmetrics "runtime/metrics"
 	"sync"
 
+	"bpart/internal/recordlog"
 	"bpart/internal/telemetry"
 )
 
@@ -33,8 +33,7 @@ const gcCPUMetric = "/cpu/classes/gc/total:cpu-seconds"
 // optional probe without guarding.
 type Probe struct {
 	mu   sync.Mutex
-	bw   *bufio.Writer
-	werr error // first write failure, surfaced by Flush/Close
+	log  *recordlog.Writer
 	seq  int64
 	ms   runtime.MemStats // scratch, reused under mu
 	laps map[string]snap  // per-name lap baselines
@@ -62,7 +61,10 @@ type snap struct {
 // a full disk must not silently truncate the log.
 func NewProbe(w io.Writer) *Probe {
 	p := &Probe{
-		bw:      bufio.NewWriter(w),
+		// Flush per record: resource records are per-phase, not
+		// per-vertex, so the cost is negligible and a crashed run keeps its
+		// whole prefix.
+		log:     recordlog.NewWriter(w, 1),
 		laps:    map[string]snap{},
 		cpu:     []rmetrics.Sample{{Name: gcCPUMetric}},
 		gcCPUOK: true,
@@ -171,24 +173,13 @@ func (p *Probe) emitLocked(kind, phase string, begin, end snap, attrs []telemetr
 	if err != nil {
 		// An unencodable attr payload should not kill the probed run;
 		// degrade to a minimal record that keeps the stream parseable.
-		minimal := jr
-		minimal.Attrs = nil
-		line, err = json.Marshal(minimal)
-		if err != nil {
-			if p.werr == nil {
-				p.werr = err
-			}
+		jr.Attrs = nil
+		if line, err = json.Marshal(jr); err != nil {
+			p.log.Fail(err)
 			return
 		}
 	}
-	if _, err := p.bw.Write(append(line, '\n')); err != nil && p.werr == nil {
-		p.werr = err
-	}
-	// Flush per record: resource records are per-phase, not per-vertex, so
-	// the cost is negligible and a crashed run keeps its whole prefix.
-	if err := p.bw.Flush(); err != nil && p.werr == nil {
-		p.werr = err
-	}
+	p.log.Line(line)
 }
 
 // Flush drains buffered records to the underlying writer. It returns the
@@ -197,12 +188,7 @@ func (p *Probe) Flush() error {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.bw.Flush(); p.werr == nil && err != nil {
-		p.werr = err
-	}
-	return p.werr
+	return p.log.Flush()
 }
 
 // Close flushes; the underlying writer is the caller's to close.

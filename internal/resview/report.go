@@ -3,7 +3,8 @@ package resview
 import (
 	"fmt"
 	"io"
-	"strings"
+
+	"bpart/internal/recordlog"
 )
 
 // ReportOptions tunes the terminal report.
@@ -18,30 +19,6 @@ func (o ReportOptions) maxPhases() int {
 		return 16
 	}
 	return o.MaxPhases
-}
-
-// errWriter folds per-line error checks into one sticky error.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err == nil {
-		_, e.err = fmt.Fprintf(e.w, format, args...)
-	}
-}
-
-// bar renders v/max as a fixed-width ASCII bar.
-func bar(v, max float64, width int) string {
-	if max <= 0 || v < 0 {
-		return strings.Repeat(".", width)
-	}
-	n := int(v/max*float64(width) + 0.5)
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
 }
 
 // fmtBytes renders a byte count with a binary unit suffix.
@@ -72,76 +49,76 @@ func fmtUS(us float64) string {
 
 // WriteReport renders the terminal resource report: the phase self-time
 // breakdown, alloc/GC attribution, and — when the log carries
-// scaling-probe records — the measured speedup curve per scheme with its
+// Parallel Speedup records — the measured speedup curve per scheme with its
 // efficiency against ideal linear scaling.
 func WriteReport(w io.Writer, log *Log, opt ReportOptions) error {
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	if log.Truncated {
-		ew.printf("WARNING: final log line torn (run crashed mid-write); analyzing the intact prefix\n")
+		ew.Printf("WARNING: final log line torn (run crashed mid-write); analyzing the intact prefix\n")
 	}
 	if len(log.Records) == 0 {
-		ew.printf("No resource records: capture was off (enable with -resources / resview.NewProbe).\n")
-		return ew.err
+		ew.Printf("No resource records: capture was off (enable with -resources / resview.NewProbe).\n")
+		return ew.Err
 	}
 	phases := Summarize(log.Records)
-	ew.printf("RESOURCES: %d records across %d phases (schema v%d)\n",
+	ew.Printf("RESOURCES: %d records across %d phases (schema v%d)\n",
 		len(log.Records), len(phases), SchemaVersion)
 	writePhases(ew, phases, opt)
 	writeAllocs(ew, phases, opt)
 	if curves := Curves(log.Records); len(curves) > 0 {
 		writeScaling(ew, curves)
 	}
-	return ew.err
+	return ew.Err
 }
 
-func writePhases(ew *errWriter, phases []PhaseSummary, opt ReportOptions) {
+func writePhases(ew *recordlog.Printer, phases []PhaseSummary, opt ReportOptions) {
 	var maxWall float64
 	for _, s := range phases {
 		if s.WallUS > maxWall {
 			maxWall = s.WallUS
 		}
 	}
-	ew.printf("  phase self-time (wall clock):\n")
+	ew.Printf("  phase self-time (wall clock):\n")
 	for i, s := range phases {
 		if i >= opt.maxPhases() {
-			ew.printf("    ... %d more phases elided (raise -phases)\n", len(phases)-i)
+			ew.Printf("    ... %d more phases elided (raise -phases)\n", len(phases)-i)
 			break
 		}
-		ew.printf("    %-24s %s %10s  x%-6d goroutines<=%d\n",
-			s.Phase, bar(s.WallUS, maxWall, 20), fmtUS(s.WallUS), s.Count, s.MaxGoroutines)
+		ew.Printf("    %-24s %s %10s  x%-6d goroutines<=%d\n",
+			s.Phase, recordlog.Bar(s.WallUS, maxWall, 20), fmtUS(s.WallUS), s.Count, s.MaxGoroutines)
 	}
 }
 
-func writeAllocs(ew *errWriter, phases []PhaseSummary, opt ReportOptions) {
+func writeAllocs(ew *recordlog.Printer, phases []PhaseSummary, opt ReportOptions) {
 	var maxBytes int64
 	for _, s := range phases {
 		if s.AllocBytes > maxBytes {
 			maxBytes = s.AllocBytes
 		}
 	}
-	ew.printf("  allocation / GC attribution:\n")
+	ew.Printf("  allocation / GC attribution:\n")
 	for i, s := range phases {
 		if i >= opt.maxPhases() {
-			ew.printf("    ... %d more phases elided (raise -phases)\n", len(phases)-i)
+			ew.Printf("    ... %d more phases elided (raise -phases)\n", len(phases)-i)
 			break
 		}
 		gc := ""
 		if s.GCCycles > 0 {
 			gc = fmt.Sprintf("  gc %d (pause %s)", s.GCCycles, fmtUS(s.GCPauseUS))
 		}
-		ew.printf("    %-24s %s %10s  %d allocs%s\n",
-			s.Phase, bar(float64(s.AllocBytes), float64(maxBytes), 20), fmtBytes(s.AllocBytes), s.Allocs, gc)
+		ew.Printf("    %-24s %s %10s  %d allocs%s\n",
+			s.Phase, recordlog.Bar(float64(s.AllocBytes), float64(maxBytes), 20), fmtBytes(s.AllocBytes), s.Allocs, gc)
 	}
 }
 
-func writeScaling(ew *errWriter, curves []ScalingCurve) {
-	ew.printf("  scaling probe (parallel score replay; speedup vs 1 worker, ideal = linear):\n")
+func writeScaling(ew *recordlog.Printer, curves []ScalingCurve) {
+	ew.Printf("  parallel speedup (superstep worker pool; speedup vs 1 worker, ideal = linear):\n")
 	for _, c := range curves {
-		ew.printf("    %s:\n", c.Scheme)
+		ew.Printf("    %s:\n", c.Scheme)
 		for _, pt := range c.Points {
 			ideal := float64(pt.Workers)
-			ew.printf("      %3d workers  %10s  speedup %5.2fx %s  efficiency %5.1f%%\n",
-				pt.Workers, fmtUS(pt.WallUS), pt.Speedup, bar(pt.Speedup, ideal, 20), pt.Efficiency*100)
+			ew.Printf("      %3d workers  %10s  speedup %5.2fx %s  efficiency %5.1f%%\n",
+				pt.Workers, fmtUS(pt.WallUS), pt.Speedup, recordlog.Bar(pt.Speedup, ideal, 20), pt.Efficiency*100)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // combining layers, cluster supersteps, bench experiments) and streams the
 // deltas as versioned JSONL `resource` records; this package reads them
 // back and derives the phase self-time breakdown, alloc/GC attribution and
-// the scaling-probe speedup curves. cmd/tracestat's `resources` subcommand
+// the Parallel Speedup curves. cmd/tracestat's `resources` subcommand
 // is the CLI over it.
 //
 // Everything here is host-dependent by nature and therefore lives outside
@@ -18,12 +18,11 @@
 package resview
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
+
+	"bpart/internal/recordlog"
 )
 
 // SchemaVersion is the resource-record schema version. Bump it on any
@@ -38,11 +37,11 @@ const (
 	KindLap  = "lap"
 )
 
-// ScalingPhase is the phase name the scaling-probe and parallel-speedup
-// harnesses (internal/experiments) record one span per (scheme, workers)
-// repetition under; Curves derives the speedup plot from records with this
-// name. The parallel harness namespaces its schemes as "Engine/Scheme"
-// (e.g. "PageRank/BPart"), so its curves sort after the probe's.
+// ScalingPhase is the phase name the Parallel Speedup harness
+// (internal/experiments) records one span per (scheme, workers) repetition
+// under, its schemes namespaced as "Engine/Scheme" (e.g. "PageRank/BPart");
+// Curves derives the speedup plot from records with this name. The wire
+// name predates the harness and is kept so existing logs still plot.
 const ScalingPhase = "scaling.replay"
 
 // Record is one parsed resource record: the runtime's resource deltas over
@@ -72,27 +71,9 @@ type Record struct {
 	GCCPUUS float64
 	// Goroutines is the goroutine count at phase end.
 	Goroutines int
-	// Attrs carries the phase's annotations (k, workers, scheme, ...).
-	Attrs map[string]any
-}
-
-// Float returns the named attribute as a float64 (JSON numbers decode to
-// float64), with ok reporting presence.
-func (r *Record) Float(key string) (float64, bool) {
-	v, ok := r.Attrs[key].(float64)
-	return v, ok
-}
-
-// Int returns the named numeric attribute truncated to int.
-func (r *Record) Int(key string) (int, bool) {
-	v, ok := r.Float(key)
-	return int(v), ok
-}
-
-// Str returns the named string attribute.
-func (r *Record) Str(key string) (string, bool) {
-	v, ok := r.Attrs[key].(string)
-	return v, ok
+	// Attrs carries the phase's annotations (k, workers, scheme, ...),
+	// with the Float/Int/Str accessors.
+	recordlog.Attrs
 }
 
 // Log is a fully parsed resource log.
@@ -143,71 +124,24 @@ type jsonRecord struct {
 	Attrs      map[string]any `json:"attrs,omitempty"`
 }
 
-// maxLine bounds one JSONL line, matching traceview's reader.
-const maxLine = 16 << 20
-
-// Read parses a JSONL resource log. It follows traceview.Read's tolerance
-// contract exactly: only a torn final line is tolerated (flagged via
+// Read parses a JSONL resource log under recordlog.Scan's tolerance
+// contract: only a torn final line is tolerated (flagged via
 // Log.Truncated), interior damage or an all-garbage first line is a hard
 // error, and unknown schema versions are rejected.
 func Read(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
-	l := &Log{}
-	type bad struct {
-		line int
-		err  error
-	}
-	var pending *bad
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if pending != nil {
-			return nil, fmt.Errorf("resview: line %d: %w (not the final line, refusing to skip)", pending.line, pending.err)
-		}
-		rec, err := parseLine(line)
-		if err != nil {
-			pending = &bad{lineNo, err}
-			continue
-		}
-		l.Records = append(l.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("resview: read: %w", err)
-	}
-	if pending != nil {
-		// A torn tail is only tolerable when it follows a usable prefix;
-		// if the very first line is garbage the file is not a resource log
-		// at all, and "empty but truncated" would hide that from callers.
-		if len(l.Records) == 0 {
-			return nil, fmt.Errorf("resview: line %d: %w (no valid resource records precede it)", pending.line, pending.err)
-		}
-		l.Truncated = true
-	}
-	return l, nil
-}
-
-// ReadFile parses the JSONL resource log at path.
-func ReadFile(path string) (*Log, error) {
-	f, err := os.Open(path)
+	records, truncated, err := recordlog.Records(r, "resview", "resource", parseLine)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	l, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return l, nil
+	return &Log{Records: records, Truncated: truncated}, nil
 }
 
-func parseLine(line string) (Record, error) {
+// ReadFile parses the JSONL resource log at path.
+func ReadFile(path string) (*Log, error) { return recordlog.ReadFile(path, Read) }
+
+func parseLine(line []byte) (Record, error) {
 	var jr jsonRecord
-	if err := json.Unmarshal([]byte(line), &jr); err != nil {
+	if err := json.Unmarshal(line, &jr); err != nil {
 		return Record{}, err
 	}
 	if jr.Type != "resource" {

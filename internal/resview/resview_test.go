@@ -260,7 +260,7 @@ func TestWriteReport(t *testing.T) {
 		"WARNING: final log line torn",
 		"RESOURCES: 3 records across 2 phases",
 		"partition.stream",
-		"scaling probe",
+		"parallel speedup",
 		"Fennel",
 		"speedup",
 		"efficiency",

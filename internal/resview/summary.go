@@ -74,7 +74,7 @@ type ScalingCurve struct {
 	Points []ScalingPoint
 }
 
-// Curves extracts the scaling-probe measurements: records with phase
+// Curves extracts the Parallel Speedup measurements: records with phase
 // ScalingPhase and "scheme"/"workers" attrs, grouped by scheme (sorted by
 // name) with points sorted by workers. Repeated measurements of the same
 // width keep the fastest (the conventional best-of-N timing); speedup and

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"bpart/internal/htmlpage"
+	"bpart/internal/recordlog"
 )
 
 // WriteHTML renders the report as a self-contained HTML page (htmlpage
@@ -17,22 +18,16 @@ func WriteHTML(w io.Writer, rep *Report, attrib []Attribution) error {
 	if err := htmlpage.Start(w, "bpart serving latency"); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "<p class=\"meta\">%d requests, %d routed to parts", rep.Total, rep.Routed); err != nil {
-		return err
-	}
+	ew := &recordlog.Printer{W: w}
+	ew.Printf("<p class=\"meta\">%d requests, %d routed to parts", rep.Total, rep.Routed)
 	if rep.Truncated {
-		if _, err := io.WriteString(w, " <span class=\"warn\">(log truncated: torn final line)</span>"); err != nil {
-			return err
-		}
+		ew.Printf(" <span class=\"warn\">(log truncated: torn final line)</span>")
 	}
-	if _, err := io.WriteString(w, "</p>\n"); err != nil {
-		return err
-	}
-	if err := writeEndpointSVG(w, rep); err != nil {
-		return err
-	}
-	if err := writePartSVG(w, rep, attrib); err != nil {
-		return err
+	ew.Printf("</p>\n")
+	writeEndpointSVG(ew, rep)
+	writePartSVG(ew, rep, attrib)
+	if ew.Err != nil {
+		return ew.Err
 	}
 	return htmlpage.End(w)
 }
@@ -50,55 +45,40 @@ func logScale(us, max float64, width int) float64 {
 	return f * float64(width)
 }
 
-func writeEndpointSVG(w io.Writer, rep *Report) error {
-	if _, err := io.WriteString(w, "<h2>Latency percentiles per endpoint</h2>\n"); err != nil {
-		return err
-	}
+func writeEndpointSVG(ew *recordlog.Printer, rep *Report) {
+	ew.Printf("<h2>Latency percentiles per endpoint</h2>\n")
 	const rowH, width = 26, 640
 	max := 1.0
 	for _, e := range rep.Endpoints {
 		max = math.Max(max, e.P999)
 	}
 	h := len(rep.Endpoints)*rowH + 24
-	if _, err := fmt.Fprintf(w, "<svg width=\"%d\" height=\"%d\">\n", width+160, h); err != nil {
-		return err
-	}
+	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", width+160, h)
 	for i, e := range rep.Endpoints {
 		y := i*rowH + 16
 		// Bar to p99; ticks at p50/p95/p999.
-		if _, err := fmt.Fprintf(w, "<text class=\"lbl\" x=\"4\" y=\"%d\">%s (n=%d)</text>\n", y+12, e.Endpoint, e.Count); err != nil {
-			return err
-		}
+		ew.Printf("<text class=\"lbl\" x=\"4\" y=\"%d\">%s (n=%d)</text>\n", y+12, e.Endpoint, e.Count)
 		x0 := 140.0
-		if _, err := fmt.Fprintf(w, "<rect x=\"%.1f\" y=\"%d\" width=\"%.1f\" height=\"14\" fill=\"#4a90d9\"/>\n",
-			x0, y, logScale(e.P99, max, width)); err != nil {
-			return err
-		}
+		ew.Printf("<rect x=\"%.1f\" y=\"%d\" width=\"%.1f\" height=\"14\" fill=\"#4a90d9\"/>\n",
+			x0, y, logScale(e.P99, max, width))
 		for _, tick := range []struct {
 			us    float64
 			color string
 		}{{e.P50, "#222"}, {e.P95, "#a60"}, {e.P999, "#b00"}} {
-			if _, err := fmt.Fprintf(w, "<rect x=\"%.1f\" y=\"%d\" width=\"2\" height=\"14\" fill=\"%s\"/>\n",
-				x0+logScale(tick.us, max, width), y, tick.color); err != nil {
-				return err
-			}
+			ew.Printf("<rect x=\"%.1f\" y=\"%d\" width=\"2\" height=\"14\" fill=\"%s\"/>\n",
+				x0+logScale(tick.us, max, width), y, tick.color)
 		}
-		if _, err := fmt.Fprintf(w, "<text class=\"lbl\" x=\"%.1f\" y=\"%d\">p50 %.0fµs · p95 %.0fµs · p99 %.0fµs · p999 %.0fµs</text>\n",
-			x0+4, y-2, e.P50, e.P95, e.P99, e.P999); err != nil {
-			return err
-		}
+		ew.Printf("<text class=\"lbl\" x=\"%.1f\" y=\"%d\">p50 %.0fµs · p95 %.0fµs · p99 %.0fµs · p999 %.0fµs</text>\n",
+			x0+4, y-2, e.P50, e.P95, e.P99, e.P999)
 	}
-	_, err := io.WriteString(w, "</svg>\n")
-	return err
+	ew.Printf("</svg>\n")
 }
 
-func writePartSVG(w io.Writer, rep *Report, attrib []Attribution) error {
+func writePartSVG(ew *recordlog.Printer, rep *Report, attrib []Attribution) {
 	if len(rep.Parts) == 0 {
-		return nil
+		return
 	}
-	if _, err := io.WriteString(w, "<h2>Per-part request share and tail</h2>\n"); err != nil {
-		return err
-	}
+	ew.Printf("<h2>Per-part request share and tail</h2>\n")
 	const cellW, cellH = 56, 44
 	maxP99 := 1.0
 	for _, p := range rep.Parts {
@@ -108,31 +88,20 @@ func writePartSVG(w io.Writer, rep *Report, attrib []Attribution) error {
 	for _, a := range attrib {
 		pressure[a.Part] = a.Pressure
 	}
-	if _, err := fmt.Fprintf(w, "<svg width=\"%d\" height=\"%d\">\n", len(rep.Parts)*cellW+8, cellH+40); err != nil {
-		return err
-	}
+	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", len(rep.Parts)*cellW+8, cellH+40)
 	for i, p := range rep.Parts {
 		x := i*cellW + 4
 		// Heat: p99 relative to the hottest part.
 		heat := int(200 * p.P99 / maxP99)
-		if _, err := fmt.Fprintf(w, "<rect x=\"%d\" y=\"4\" width=\"%d\" height=\"%d\" fill=\"rgb(%d,%d,%d)\"/>\n",
-			x, cellW-4, cellH, 55+heat, 80, 235-heat); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "<text class=\"lbl\" x=\"%d\" y=\"%d\" fill=\"#fff\">p%d</text>\n", x+4, 20, p.Part); err != nil {
-			return err
-		}
+		ew.Printf("<rect x=\"%d\" y=\"4\" width=\"%d\" height=\"%d\" fill=\"rgb(%d,%d,%d)\"/>\n",
+			x, cellW-4, cellH, 55+heat, 80, 235-heat)
+		ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" fill=\"#fff\">p%d</text>\n", x+4, 20, p.Part)
 		label := fmt.Sprintf("%.1f%% · p99 %.0fµs", 100*p.Share, p.P99)
 		if pr, ok := pressure[p.Part]; ok {
 			label += fmt.Sprintf(" · ×%.2f", pr)
 		}
-		if _, err := fmt.Fprintf(w, "<text class=\"lbl\" x=\"%d\" y=\"%d\">%s</text>\n", x, cellH+20, label); err != nil {
-			return err
-		}
+		ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\">%s</text>\n", x, cellH+20, label)
 	}
-	if _, err := io.WriteString(w, "</svg>\n"); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "<p class=\"meta\">×N is request pressure: the part's request share over its vertex share (1.00 = load exactly proportional to size).</p>\n")
-	return err
+	ew.Printf("</svg>\n")
+	ew.Printf("<p class=\"meta\">×N is request pressure: the part's request share over its vertex share (1.00 = load exactly proportional to size).</p>\n")
 }

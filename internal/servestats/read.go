@@ -1,12 +1,11 @@
 package servestats
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
+
+	"bpart/internal/recordlog"
 )
 
 // Record is one parsed request record.
@@ -63,71 +62,24 @@ type jsonRecord struct {
 	LatencyUS float64 `json:"latency_us"`
 }
 
-// maxLine bounds one JSONL line, matching the traceview/resview readers.
-const maxLine = 16 << 20
-
-// Read parses a JSONL request log. It follows traceview.Read's tolerance
-// contract exactly: only a torn final line is tolerated (flagged via
+// Read parses a JSONL request log under recordlog.Scan's tolerance
+// contract: only a torn final line is tolerated (flagged via
 // Log.Truncated), interior damage or an all-garbage first line is a hard
 // error, and unknown schema versions are rejected.
 func Read(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
-	l := &Log{}
-	type bad struct {
-		line int
-		err  error
-	}
-	var pending *bad
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if pending != nil {
-			return nil, fmt.Errorf("servestats: line %d: %w (not the final line, refusing to skip)", pending.line, pending.err)
-		}
-		rec, err := parseLine(line)
-		if err != nil {
-			pending = &bad{lineNo, err}
-			continue
-		}
-		l.Records = append(l.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("servestats: read: %w", err)
-	}
-	if pending != nil {
-		// A torn tail is only tolerable when it follows a usable prefix; if
-		// the very first line is garbage the file is not a request log at
-		// all, and "empty but truncated" would hide that from callers.
-		if len(l.Records) == 0 {
-			return nil, fmt.Errorf("servestats: line %d: %w (no valid request records precede it)", pending.line, pending.err)
-		}
-		l.Truncated = true
-	}
-	return l, nil
-}
-
-// ReadFile parses the JSONL request log at path.
-func ReadFile(path string) (*Log, error) {
-	f, err := os.Open(path)
+	records, truncated, err := recordlog.Records(r, "servestats", "request", parseLine)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	l, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return l, nil
+	return &Log{Records: records, Truncated: truncated}, nil
 }
 
-func parseLine(line string) (Record, error) {
+// ReadFile parses the JSONL request log at path.
+func ReadFile(path string) (*Log, error) { return recordlog.ReadFile(path, Read) }
+
+func parseLine(line []byte) (Record, error) {
 	var jr jsonRecord
-	if err := json.Unmarshal([]byte(line), &jr); err != nil {
+	if err := json.Unmarshal(line, &jr); err != nil {
 		return Record{}, err
 	}
 	if jr.Type != "request" {

@@ -1,7 +1,6 @@
 package servestats
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"bpart/internal/graph"
+	"bpart/internal/recordlog"
 	"bpart/internal/telemetry"
 )
 
@@ -42,10 +42,9 @@ const (
 // per-request stats records. Recording being on or off never changes
 // responses — the recorder only observes.
 type Recorder struct {
-	mu   sync.Mutex
-	bw   *bufio.Writer
-	werr error // first write failure, surfaced by Flush/Close
-	seq  int64
+	mu  sync.Mutex
+	log *recordlog.Writer // nil without a sink
+	seq int64
 
 	inflight atomic.Int64
 
@@ -76,7 +75,9 @@ func NewRecorder(k int, logSink io.Writer, reg *telemetry.Registry) *Recorder {
 		r.byPart[i] = &telemetry.Histogram{}
 	}
 	if logSink != nil {
-		r.bw = bufio.NewWriter(logSink)
+		// Flush per request, so a crashed server keeps every answered
+		// request's record.
+		r.log = recordlog.NewWriter(logSink, 1)
 	}
 	return r
 }
@@ -124,7 +125,8 @@ func (r *Recorder) End(start time.Time, endpoint string, vertex graph.VertexID, 
 		}
 		r.byPart[part].Observe(us)
 	}
-	if r.bw != nil && r.werr == nil {
+	if r.log != nil {
+		// Written under r.mu, so seq is monotone in file order.
 		r.seq++
 		line, err := json.Marshal(jsonRecord{
 			V:         SchemaVersion,
@@ -137,14 +139,10 @@ func (r *Recorder) End(start time.Time, endpoint string, vertex graph.VertexID, 
 			Status:    status,
 			LatencyUS: us,
 		})
-		if err == nil {
-			_, err = r.bw.Write(append(line, '\n'))
-		}
-		if err == nil {
-			err = r.bw.Flush()
-		}
 		if err != nil {
-			r.werr = err
+			r.log.Fail(err)
+		} else {
+			r.log.Line(line)
 		}
 	}
 	r.mu.Unlock()
@@ -221,13 +219,11 @@ func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.bw != nil && r.werr == nil {
-		r.werr = r.bw.Flush()
+	if r.log == nil {
+		return nil
 	}
-	if r.werr != nil {
-		return fmt.Errorf("servestats: request log: %w", r.werr)
+	if err := r.log.Flush(); err != nil {
+		return fmt.Errorf("servestats: request log: %w", err)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package servestats
 import (
 	"fmt"
 	"io"
+
+	"bpart/internal/recordlog"
 )
 
 // WriteText renders the report as the terminal tables `tracestat serve`
@@ -11,66 +13,41 @@ import (
 // request share to part size. Errors from w are returned — the report may
 // be piped somewhere that matters.
 func WriteText(w io.Writer, rep *Report, attrib []Attribution) error {
-	if _, err := fmt.Fprintf(w, "Serving report: %d requests, %d routed", rep.Total, rep.Routed); err != nil {
-		return err
-	}
+	ew := &recordlog.Printer{W: w}
+	ew.Printf("Serving report: %d requests, %d routed", rep.Total, rep.Routed)
 	if rep.Truncated {
-		if _, err := io.WriteString(w, "  [log truncated: torn final line]"); err != nil {
-			return err
-		}
+		ew.Printf("  [log truncated: torn final line]")
 	}
-	if _, err := io.WriteString(w, "\n\nPer endpoint:\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  %-8s %8s %6s %10s %10s %10s %10s\n",
-		"endpoint", "requests", "errors", "p50", "p95", "p99", "p999"); err != nil {
-		return err
-	}
+	ew.Printf("\n\nPer endpoint:\n")
+	ew.Printf("  %-8s %8s %6s %10s %10s %10s %10s\n",
+		"endpoint", "requests", "errors", "p50", "p95", "p99", "p999")
 	for _, e := range rep.Endpoints {
-		if _, err := fmt.Fprintf(w, "  %-8s %8d %6d %10s %10s %10s %10s\n",
+		ew.Printf("  %-8s %8d %6d %10s %10s %10s %10s\n",
 			e.Endpoint, e.Count, e.Errors,
-			fmtUS(e.P50), fmtUS(e.P95), fmtUS(e.P99), fmtUS(e.P999)); err != nil {
-			return err
-		}
+			fmtUS(e.P50), fmtUS(e.P95), fmtUS(e.P99), fmtUS(e.P999))
 	}
-	if _, err := io.WriteString(w, "\nPer part:\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  %-5s %8s %7s %10s %10s %10s\n",
-		"part", "requests", "share", "p50", "p99", "p999"); err != nil {
-		return err
-	}
+	ew.Printf("\nPer part:\n")
+	ew.Printf("  %-5s %8s %7s %10s %10s %10s\n",
+		"part", "requests", "share", "p50", "p99", "p999")
 	for _, p := range rep.Parts {
-		if _, err := fmt.Fprintf(w, "  %-5d %8d %6.1f%% %10s %10s %10s\n",
+		ew.Printf("  %-5d %8d %6.1f%% %10s %10s %10s\n",
 			p.Part, p.Count, 100*p.Share,
-			fmtUS(p.P50), fmtUS(p.P99), fmtUS(p.P999)); err != nil {
-			return err
-		}
+			fmtUS(p.P50), fmtUS(p.P99), fmtUS(p.P999))
 	}
-	if _, err := io.WriteString(w, "\nVersions:\n"); err != nil {
-		return err
-	}
+	ew.Printf("\nVersions:\n")
 	for _, v := range rep.Versions {
-		if _, err := fmt.Fprintf(w, "  v%-3d %8d requests\n", v.Version, v.Count); err != nil {
-			return err
-		}
+		ew.Printf("  v%-3d %8d requests\n", v.Version, v.Count)
 	}
 	if len(attrib) > 0 {
-		if _, err := io.WriteString(w, "\nTail attribution (request share vs part size):\n"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "  %-5s %8s %7s %8s %9s %10s\n",
-			"part", "requests", "share", "v-share", "pressure", "p99"); err != nil {
-			return err
-		}
+		ew.Printf("\nTail attribution (request share vs part size):\n")
+		ew.Printf("  %-5s %8s %7s %8s %9s %10s\n",
+			"part", "requests", "share", "v-share", "pressure", "p99")
 		for _, a := range attrib {
-			if _, err := fmt.Fprintf(w, "  %-5d %8d %6.1f%% %7.1f%% %8.2fx %10s\n",
-				a.Part, a.Requests, 100*a.Share, 100*a.VShare, a.Pressure, fmtUS(a.P99)); err != nil {
-				return err
-			}
+			ew.Printf("  %-5d %8d %6.1f%% %7.1f%% %8.2fx %10s\n",
+				a.Part, a.Requests, 100*a.Share, 100*a.VShare, a.Pressure, fmtUS(a.P99))
 		}
 	}
-	return nil
+	return ew.Err
 }
 
 // fmtUS renders a microsecond latency human-first.

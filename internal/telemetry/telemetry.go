@@ -19,12 +19,13 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 	"time"
+
+	"bpart/internal/recordlog"
 )
 
 // attrKind discriminates Attr payloads so scalar attributes avoid the
@@ -258,31 +259,22 @@ func (m *Memory) Reset() {
 //
 //	{"ts":"2026-08-06T10:11:12.13Z","type":"span","name":"bpart.layer","dur_us":812.4,"attrs":{"layer":1,"pieces":16}}
 //
-// Writes are buffered and mutex-serialized; call Close (or Flush) before
-// reading the output.
+// Lines go through a recordlog.Writer that flushes every flushCadence
+// records, so a run that dies without Close still leaves a parseable prefix
+// (tracestat additionally tolerates a torn final line from a crash
+// mid-write); call Close (or Flush) before reading the output.
 type JSONL struct {
-	mu         sync.Mutex
-	bw         *bufio.Writer
-	werr       error // first write failure, surfaced by Flush/Close
-	flushEvery int   // auto-flush after this many records (0 = only on Flush/Close)
-	sinceFlush int
+	log *recordlog.Writer
 }
 
-// NewJSONL returns a tracer writing JSON lines to w.
-func NewJSONL(w io.Writer) *JSONL { return &JSONL{bw: bufio.NewWriter(w)} }
+// flushCadence is the trace's flush cadence in records: per-superstep
+// and per-layer spans are frequent enough that flushing each one would
+// show in a traced run's wall time.
+const flushCadence = 256
 
-// FlushEvery makes the tracer flush its buffer after every n records, so a
-// run that dies without Close still leaves all but the last n records on
-// disk (each record is written as one complete line, so the surviving
-// prefix stays parseable; tracestat additionally tolerates a torn final
-// line from a crash mid-write). n <= 0 restores flush-on-Close-only. It
-// returns t for chaining at construction.
-func (t *JSONL) FlushEvery(n int) *JSONL {
-	t.mu.Lock()
-	t.flushEvery = n
-	t.sinceFlush = 0
-	t.mu.Unlock()
-	return t
+// NewJSONL returns a tracer writing JSON lines to w.
+func NewJSONL(w io.Writer) *JSONL {
+	return &JSONL{log: recordlog.NewWriter(w, flushCadence)}
 }
 
 // Enabled implements Tracer.
@@ -328,35 +320,12 @@ func (t *JSONL) record(r Record) {
 		// degrade to an error line that keeps the stream parseable.
 		line = []byte(fmt.Sprintf(`{"ts":%q,"type":"error","name":%q}`, jr.TS, r.Name))
 	}
-	t.mu.Lock()
-	// bufio's error is sticky, but record has no error channel of its own:
-	// remember the first failure so Flush reports a truncated trace even
-	// if a later Flush of the drained buffer succeeds.
-	if _, err := t.bw.Write(append(line, '\n')); err != nil && t.werr == nil {
-		t.werr = err
-	}
-	if t.flushEvery > 0 {
-		t.sinceFlush++
-		if t.sinceFlush >= t.flushEvery {
-			t.sinceFlush = 0
-			if err := t.bw.Flush(); err != nil && t.werr == nil {
-				t.werr = err
-			}
-		}
-	}
-	t.mu.Unlock()
+	t.log.Line(line)
 }
 
 // Flush drains buffered lines to the underlying writer. It returns the
 // first error any record write hit, so a truncated trace is never silent.
-func (t *JSONL) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.bw.Flush(); t.werr == nil && err != nil {
-		t.werr = err
-	}
-	return t.werr
-}
+func (t *JSONL) Flush() error { return t.log.Flush() }
 
 // Close flushes; the underlying writer is the caller's to close.
 func (t *JSONL) Close() error { return t.Flush() }

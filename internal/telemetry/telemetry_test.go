@@ -167,18 +167,21 @@ func TestJSONLConcurrent(t *testing.T) {
 }
 
 func TestJSONLFlushEveryLeavesParseablePrefix(t *testing.T) {
-	// A crashed run never reaches Close; with FlushEvery, every complete
-	// record up to the last flush interval must already be on the
-	// underlying writer as whole, parseable lines.
+	// A crashed run never reaches Close; every record up to the last flush
+	// interval must already be on the underlying writer as whole,
+	// parseable lines (the exact cadence is recordlog's contract test).
 	var buf bytes.Buffer
-	tr := NewJSONL(&buf).FlushEvery(2)
-	for i := 0; i < 7; i++ {
+	tr := NewJSONL(&buf)
+	const n = 2*flushCadence + 3
+	for i := 0; i < n; i++ {
 		tr.Event("cluster.superstep", Int("iteration", i))
 	}
-	// No Flush, no Close: simulate the crash.
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("got %d flushed lines, want 6 (7 records, flush every 2)", len(lines))
+	// No Flush, no Close: simulate the crash. The buffer may have spilled a
+	// torn final line on its own; only whole lines count.
+	whole := buf.String()[:strings.LastIndexByte(buf.String(), '\n')+1]
+	lines := strings.Split(strings.TrimSpace(whole), "\n")
+	if len(lines) < 2*flushCadence || len(lines) > n {
+		t.Fatalf("got %d flushed lines, want %d..%d", len(lines), 2*flushCadence, n)
 	}
 	for i, line := range lines {
 		var obj map[string]any
@@ -188,26 +191,5 @@ func TestJSONLFlushEveryLeavesParseablePrefix(t *testing.T) {
 		if obj["name"] != "cluster.superstep" {
 			t.Fatalf("line %d name = %v", i, obj["name"])
 		}
-	}
-}
-
-func TestJSONLFlushEveryOne(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewJSONL(&buf).FlushEvery(1)
-	sp := tr.Span("walk.run")
-	sp.End()
-	if got := strings.Count(buf.String(), "\n"); got != 1 {
-		t.Fatalf("record not flushed immediately: %q", buf.String())
-	}
-	tr.FlushEvery(0) // back to buffered
-	tr.Event("e")
-	if got := strings.Count(buf.String(), "\n"); got != 1 {
-		t.Fatalf("record flushed despite FlushEvery(0): %q", buf.String())
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != 2 {
-		t.Fatalf("Close did not drain: %q", buf.String())
 	}
 }

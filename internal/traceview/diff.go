@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"sort"
+
+	"bpart/internal/recordlog"
 )
 
 // DiffMetric compares one quantity between two traces. All metrics here
@@ -129,15 +131,15 @@ func (d *DiffReport) WorstGateRegression() (DiffMetric, bool) {
 
 // WriteText renders the comparison as an aligned table.
 func (d *DiffReport) WriteText(w io.Writer, failAbovePct float64) error {
-	ew := &errWriter{w: w}
-	ew.printf("TRACE DIFF (A = baseline, B = candidate; lower is better)\n")
+	ew := &recordlog.Printer{W: w}
+	ew.Printf("TRACE DIFF (A = baseline, B = candidate; lower is better)\n")
 	nameW := len("metric")
 	for _, m := range d.Metrics {
 		if len(m.Name) > nameW {
 			nameW = len(m.Name)
 		}
 	}
-	ew.printf("  %-*s  %14s  %14s  %9s  %s\n", nameW, "metric", "A", "B", "delta", "gate")
+	ew.Printf("  %-*s  %14s  %14s  %9s  %s\n", nameW, "metric", "A", "B", "delta", "gate")
 	for _, m := range d.Metrics {
 		gate := ""
 		if m.Gate {
@@ -146,14 +148,14 @@ func (d *DiffReport) WriteText(w io.Writer, failAbovePct float64) error {
 				gate = "FAIL"
 			}
 		}
-		ew.printf("  %-*s  %14.3f  %14.3f  %8.2f%%  %s\n", nameW, m.Name, m.A, m.B, m.DeltaPct(), gate)
+		ew.Printf("  %-*s  %14.3f  %14.3f  %8.2f%%  %s\n", nameW, m.Name, m.A, m.B, m.DeltaPct(), gate)
 	}
 	if worst, ok := d.WorstGateRegression(); ok {
-		ew.printf("worst gated regression: %s %+.2f%%\n", worst.Name, worst.DeltaPct())
+		ew.Printf("worst gated regression: %s %+.2f%%\n", worst.Name, worst.DeltaPct())
 	} else {
-		ew.printf("no gated regressions\n")
+		ew.Printf("no gated regressions\n")
 	}
-	return ew.err
+	return ew.Err
 }
 
 // Exceeds reports whether any gated metric regressed by more than pct

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bpart/internal/htmlpage"
+	"bpart/internal/recordlog"
 )
 
 // WriteHTML renders the trace as one self-contained HTML file: a span
@@ -17,7 +18,7 @@ func WriteHTML(w io.Writer, tr *Trace) error {
 	if err := htmlpage.Start(w, "bpart trace timeline"); err != nil {
 		return err
 	}
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	writeHTMLSummary(ew, tr)
 	writeHTMLSpans(ew, tr)
 	steps, err := Supersteps(tr)
@@ -27,13 +28,13 @@ func WriteHTML(w io.Writer, tr *Trace) error {
 	for i, run := range GroupRuns(steps) {
 		writeHTMLRun(ew, i+1, run)
 	}
-	if ew.err != nil {
-		return ew.err
+	if ew.Err != nil {
+		return ew.Err
 	}
 	return htmlpage.End(w)
 }
 
-func writeHTMLSummary(ew *errWriter, tr *Trace) {
+func writeHTMLSummary(ew *recordlog.Printer, tr *Trace) {
 	spans, events := 0, 0
 	for _, r := range tr.Records {
 		switch r.Type {
@@ -43,14 +44,14 @@ func writeHTMLSummary(ew *errWriter, tr *Trace) {
 			events++
 		}
 	}
-	ew.printf("<p class=meta>%d records (%d spans, %d events)", len(tr.Records), spans, events)
+	ew.Printf("<p class=meta>%d records (%d spans, %d events)", len(tr.Records), spans, events)
 	if start, end, ok := tr.Bounds(); ok {
-		ew.printf(" · wall span %s · start %s", fmtUS(float64(end.Sub(start).Microseconds())),
+		ew.Printf(" · wall span %s · start %s", fmtUS(float64(end.Sub(start).Microseconds())),
 			html.EscapeString(start.UTC().Format(time.RFC3339Nano)))
 	}
-	ew.printf("</p>\n")
+	ew.Printf("</p>\n")
 	if tr.Truncated {
-		ew.printf("<p class=warn>trace truncated: final line torn (crashed run); showing intact prefix</p>\n")
+		ew.Printf("<p class=warn>trace truncated: final line torn (crashed run); showing intact prefix</p>\n")
 	}
 }
 
@@ -58,7 +59,7 @@ func writeHTMLSummary(ew *errWriter, tr *Trace) {
 // instantly; elided spans are counted below the chart.
 const maxHTMLSpans = 500
 
-func writeHTMLSpans(ew *errWriter, tr *Trace) {
+func writeHTMLSpans(ew *recordlog.Printer, tr *Trace) {
 	root := BuildTree(tr)
 	if len(root.Children) == 0 {
 		return
@@ -90,8 +91,8 @@ func writeHTMLSpans(ew *errWriter, tr *Trace) {
 		rowH   = 16
 	)
 	h := len(rows)*rowH + 24
-	ew.printf("<h2>Span timeline</h2>\n")
-	ew.printf("<svg width=\"%d\" height=\"%d\">\n", chartW+labelW+20, h)
+	ew.Printf("<h2>Span timeline</h2>\n")
+	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", chartW+labelW+20, h)
 	palette := []string{"#4878b0", "#5b9a68", "#b07848", "#8868a8", "#a85868"}
 	for i, rw := range rows {
 		rec := rw.node.Rec
@@ -103,26 +104,26 @@ func writeHTMLSpans(ew *errWriter, tr *Trace) {
 			wid = 1.5
 		}
 		color := palette[rw.depth%len(palette)]
-		ew.printf("<text class=lbl x=\"%d\" y=\"%d\">%s</text>\n",
+		ew.Printf("<text class=lbl x=\"%d\" y=\"%d\">%s</text>\n",
 			4+rw.depth*10, y+11, html.EscapeString(rec.Name))
-		ew.printf("<rect x=\"%.1f\" y=\"%d\" width=\"%.1f\" height=\"%d\" fill=\"%s\"><title>%s — %s</title></rect>\n",
+		ew.Printf("<rect x=\"%.1f\" y=\"%d\" width=\"%.1f\" height=\"%d\" fill=\"%s\"><title>%s — %s</title></rect>\n",
 			x, y+2, wid, rowH-4, color,
 			html.EscapeString(rec.Name), html.EscapeString(fmtUS(rec.DurUS)))
 	}
-	ew.printf("</svg>\n")
+	ew.Printf("</svg>\n")
 	if skipped > 0 {
-		ew.printf("<p class=meta>%d spans elided</p>\n", skipped)
+		ew.Printf("<p class=meta>%d spans elided</p>\n", skipped)
 	}
 }
 
-func writeHTMLRun(ew *errWriter, idx int, run []Superstep) {
+func writeHTMLRun(ew *recordlog.Printer, idx int, run []Superstep) {
 	b := DecomposeWaitRatio(run)
 	cp := ComputeCriticalPath(run)
-	ew.printf("<h2>Run %d — %d machines, %d supersteps</h2>\n", idx, b.Machines, b.Supersteps)
-	ew.printf("<p class=meta>sim time %s · wait ratio %.4f · critical path: compute %.1f%%, comm %.1f%%, latency %.1f%%</p>\n",
+	ew.Printf("<h2>Run %d — %d machines, %d supersteps</h2>\n", idx, b.Machines, b.Supersteps)
+	ew.Printf("<p class=meta>sim time %s · wait ratio %.4f · critical path: compute %.1f%%, comm %.1f%%, latency %.1f%%</p>\n",
 		fmtUS(b.TotalTimeUS), b.WaitRatio,
 		pctOf(cp.ComputeUS, cp.TotalUS), pctOf(cp.CommUS, cp.TotalUS), pctOf(cp.LatencyUS, cp.TotalUS))
-	ew.printf("<p class=legend><span style=\"background:#4878b0\">compute</span><span style=\"background:#b07848\">comm</span><span style=\"background:#999\">waiting</span></p>\n")
+	ew.Printf("<p class=legend><span style=\"background:#4878b0\">compute</span><span style=\"background:#b07848\">comm</span><span style=\"background:#999\">waiting</span></p>\n")
 
 	// One column group per superstep, one stacked bar per machine.
 	maxBusy := 0.0
@@ -144,7 +145,7 @@ func writeHTMLRun(ew *errWriter, idx int, run []Superstep) {
 	k := b.Machines
 	groupW := k*barW + gap
 	w := len(run)*groupW + 40
-	ew.printf("<svg width=\"%d\" height=\"%d\">\n", w, chartH+30)
+	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", w, chartH+30)
 	for si, st := range run {
 		x0 := 20 + si*groupW
 		for m := 0; m < k; m++ {
@@ -161,13 +162,13 @@ func writeHTMLRun(ew *errWriter, idx int, run []Superstep) {
 			for _, s := range segs {
 				hh := s.v / maxBusy * chartH
 				y -= hh
-				ew.printf("<rect x=\"%d\" y=\"%.1f\" width=\"%d\" height=\"%.1f\" fill=\"%s\"><title>iter %d M%d: %s</title></rect>\n",
+				ew.Printf("<rect x=\"%d\" y=\"%.1f\" width=\"%d\" height=\"%.1f\" fill=\"%s\"><title>iter %d M%d: %s</title></rect>\n",
 					x, y, barW-1, hh, s.color, st.Iteration, m, html.EscapeString(fmtUS(s.v)))
 			}
 		}
-		ew.printf("<text class=lbl x=\"%d\" y=\"%d\">%d</text>\n", x0, chartH+24, st.Iteration)
+		ew.Printf("<text class=lbl x=\"%d\" y=\"%d\">%d</text>\n", x0, chartH+24, st.Iteration)
 	}
-	ew.printf("</svg>\n")
+	ew.Printf("</svg>\n")
 }
 
 func pctOf(v, total float64) float64 {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"bpart/internal/recordlog"
 )
 
 // ReportOptions tunes the terminal report.
@@ -29,18 +31,6 @@ func (o ReportOptions) maxTreeSpans() int {
 	return o.MaxTreeSpans
 }
 
-// errWriter folds per-line error checks into one sticky error.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err == nil {
-		_, e.err = fmt.Fprintf(e.w, format, args...)
-	}
-}
-
 // fmtUS renders a simulated-or-wall microsecond quantity with a readable
 // unit.
 func fmtUS(us float64) string {
@@ -54,23 +44,11 @@ func fmtUS(us float64) string {
 	}
 }
 
-// bar renders v/max as a fixed-width ASCII bar.
-func bar(v, max float64, width int) string {
-	if max <= 0 || v < 0 {
-		return strings.Repeat(".", width)
-	}
-	n := int(v/max*float64(width) + 0.5)
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
-}
-
 // WriteReport renders the full terminal report: trace summary, span
 // aggregates, phase tree, and — per run — straggler attribution, the
 // WaitRatio decomposition and the critical-path split.
 func WriteReport(w io.Writer, tr *Trace, opt ReportOptions) error {
-	ew := &errWriter{w: w}
+	ew := &recordlog.Printer{W: w}
 	writeSummary(ew, tr)
 	writeSpanTable(ew, tr)
 	writeTree(ew, tr, opt)
@@ -79,16 +57,16 @@ func WriteReport(w io.Writer, tr *Trace, opt ReportOptions) error {
 		return err
 	}
 	if len(steps) == 0 {
-		ew.printf("\nNo cluster.superstep records: trace carries no BSP runs.\n")
-		return ew.err
+		ew.Printf("\nNo cluster.superstep records: trace carries no BSP runs.\n")
+		return ew.Err
 	}
 	for i, run := range GroupRuns(steps) {
 		writeRun(ew, i+1, run, opt)
 	}
-	return ew.err
+	return ew.Err
 }
 
-func writeSummary(ew *errWriter, tr *Trace) {
+func writeSummary(ew *recordlog.Printer, tr *Trace) {
 	spans, events, errs := 0, 0, 0
 	for _, r := range tr.Records {
 		switch r.Type {
@@ -100,40 +78,40 @@ func writeSummary(ew *errWriter, tr *Trace) {
 			errs++
 		}
 	}
-	ew.printf("TRACE SUMMARY\n")
-	ew.printf("  records %d  (spans %d, events %d, degraded %d)\n", len(tr.Records), spans, events, errs)
+	ew.Printf("TRACE SUMMARY\n")
+	ew.Printf("  records %d  (spans %d, events %d, degraded %d)\n", len(tr.Records), spans, events, errs)
 	if start, end, ok := tr.Bounds(); ok {
-		ew.printf("  wall span %s\n", fmtUS(float64(end.Sub(start).Microseconds())))
+		ew.Printf("  wall span %s\n", fmtUS(float64(end.Sub(start).Microseconds())))
 	}
 	if tr.Truncated {
-		ew.printf("  WARNING: final line torn (run crashed mid-write); analyzing the intact prefix\n")
+		ew.Printf("  WARNING: final line torn (run crashed mid-write); analyzing the intact prefix\n")
 	}
 }
 
-func writeSpanTable(ew *errWriter, tr *Trace) {
+func writeSpanTable(ew *recordlog.Printer, tr *Trace) {
 	sums := SummarizeSpans(tr)
 	if len(sums) == 0 {
 		return
 	}
-	ew.printf("\nSPANS BY NAME\n")
+	ew.Printf("\nSPANS BY NAME\n")
 	nameW := len("name")
 	for _, s := range sums {
 		if len(s.Name) > nameW {
 			nameW = len(s.Name)
 		}
 	}
-	ew.printf("  %-*s  %6s  %10s  %10s\n", nameW, "name", "count", "total", "max")
+	ew.Printf("  %-*s  %6s  %10s  %10s\n", nameW, "name", "count", "total", "max")
 	for _, s := range sums {
-		ew.printf("  %-*s  %6d  %10s  %10s\n", nameW, s.Name, s.Count, fmtUS(s.TotalUS), fmtUS(s.MaxUS))
+		ew.Printf("  %-*s  %6d  %10s  %10s\n", nameW, s.Name, s.Count, fmtUS(s.TotalUS), fmtUS(s.MaxUS))
 	}
 }
 
-func writeTree(ew *errWriter, tr *Trace, opt ReportOptions) {
+func writeTree(ew *recordlog.Printer, tr *Trace, opt ReportOptions) {
 	root := BuildTree(tr)
 	if len(root.Children) == 0 {
 		return
 	}
-	ew.printf("\nPHASE TREE\n")
+	ew.Printf("\nPHASE TREE\n")
 	shown, total := 0, 0
 	root.Walk(func(n *SpanNode, depth int) {
 		if n.Rec == nil {
@@ -144,17 +122,17 @@ func writeTree(ew *errWriter, tr *Trace, opt ReportOptions) {
 			return
 		}
 		shown++
-		ew.printf("  %s%s %s\n", strings.Repeat("  ", depth), n.Rec.Name, fmtUS(n.Rec.DurUS))
+		ew.Printf("  %s%s %s\n", strings.Repeat("  ", depth), n.Rec.Name, fmtUS(n.Rec.DurUS))
 	})
 	if total > shown {
-		ew.printf("  ... %d more spans elided (raise -tree-spans)\n", total-shown)
+		ew.Printf("  ... %d more spans elided (raise -tree-spans)\n", total-shown)
 	}
 }
 
-func writeRun(ew *errWriter, idx int, run []Superstep, opt ReportOptions) {
+func writeRun(ew *recordlog.Printer, idx int, run []Superstep, opt ReportOptions) {
 	b := DecomposeWaitRatio(run)
-	ew.printf("\nRUN %d: %d machines, %d supersteps, sim time %s\n", idx, b.Machines, b.Supersteps, fmtUS(b.TotalTimeUS))
-	ew.printf("  wait ratio %.4f  (share of cluster capacity idle at barriers)\n", b.WaitRatio)
+	ew.Printf("\nRUN %d: %d machines, %d supersteps, sim time %s\n", idx, b.Machines, b.Supersteps, fmtUS(b.TotalTimeUS))
+	ew.Printf("  wait ratio %.4f  (share of cluster capacity idle at barriers)\n", b.WaitRatio)
 	if b.Machines > 0 {
 		maxC := 0.0
 		for _, c := range b.Contribution {
@@ -162,9 +140,9 @@ func writeRun(ew *errWriter, idx int, run []Superstep, opt ReportOptions) {
 				maxC = c
 			}
 		}
-		ew.printf("  per-machine contribution (terms sum to the wait ratio):\n")
+		ew.Printf("  per-machine contribution (terms sum to the wait ratio):\n")
 		for i, c := range b.Contribution {
-			ew.printf("    M%-2d %s %.4f  (idle %s)\n", i, bar(c, maxC, 20), c, fmtUS(b.WaitUS[i]))
+			ew.Printf("    M%-2d %s %.4f  (idle %s)\n", i, recordlog.Bar(c, maxC, 20), c, fmtUS(b.WaitUS[i]))
 		}
 	}
 
@@ -178,10 +156,10 @@ func WriteStragglers(w io.Writer, idx int, run []Superstep, opt ReportOptions) e
 	if len(run) == 0 {
 		return nil
 	}
-	ew := &errWriter{w: w}
-	ew.printf("RUN %d: %d machines, %d supersteps\n", idx, run[0].Machines, len(run))
+	ew := &recordlog.Printer{W: w}
+	ew.Printf("RUN %d: %d machines, %d supersteps\n", idx, run[0].Machines, len(run))
 	writeStragglers(ew, run, opt)
-	return ew.err
+	return ew.Err
 }
 
 // WriteCritPath prints the critical-path section for one run — the
@@ -190,24 +168,24 @@ func WriteCritPath(w io.Writer, idx int, run []Superstep) error {
 	if len(run) == 0 {
 		return nil
 	}
-	ew := &errWriter{w: w}
-	ew.printf("RUN %d: %d machines, %d supersteps\n", idx, run[0].Machines, len(run))
+	ew := &recordlog.Printer{W: w}
+	ew.Printf("RUN %d: %d machines, %d supersteps\n", idx, run[0].Machines, len(run))
 	writeCritPath(ew, run)
-	return ew.err
+	return ew.Err
 }
 
-func writeStragglers(ew *errWriter, run []Superstep, opt ReportOptions) {
+func writeStragglers(ew *recordlog.Printer, run []Superstep, opt ReportOptions) {
 	strag := Stragglers(run)
-	ew.printf("  straggler attribution (machine bounding each barrier, and its lead over the runner-up):\n")
-	ew.printf("    %5s  %8s %10s %10s  %8s %10s %10s\n", "iter", "compute", "time", "slack", "comm", "time", "slack")
+	ew.Printf("  straggler attribution (machine bounding each barrier, and its lead over the runner-up):\n")
+	ew.Printf("    %5s  %8s %10s %10s  %8s %10s %10s\n", "iter", "compute", "time", "slack", "comm", "time", "slack")
 	shown := 0
 	for _, s := range strag {
 		if shown >= opt.maxSupersteps() {
-			ew.printf("    ... %d more supersteps elided (raise -supersteps)\n", len(strag)-shown)
+			ew.Printf("    ... %d more supersteps elided (raise -supersteps)\n", len(strag)-shown)
 			break
 		}
 		shown++
-		ew.printf("    %5d  %8s %10s %10s  %8s %10s %10s\n",
+		ew.Printf("    %5d  %8s %10s %10s  %8s %10s %10s\n",
 			s.Iteration,
 			fmt.Sprintf("M%d", s.ComputeMachine), fmtUS(s.ComputeUS), fmtUS(s.ComputeSlackUS),
 			fmt.Sprintf("M%d", s.CommMachine), fmtUS(s.CommUS), fmtUS(s.CommSlackUS))
@@ -224,16 +202,16 @@ func writeStragglers(ew *errWriter, run []Superstep, opt ReportOptions) {
 			commBound[s.CommMachine]++
 		}
 	}
-	ew.printf("    bound-count by machine:")
+	ew.Printf("    bound-count by machine:")
 	for i := 0; i < k; i++ {
 		if computeBound[i] > 0 || commBound[i] > 0 {
-			ew.printf("  M%d compute:%d comm:%d", i, computeBound[i], commBound[i])
+			ew.Printf("  M%d compute:%d comm:%d", i, computeBound[i], commBound[i])
 		}
 	}
-	ew.printf("\n")
+	ew.Printf("\n")
 }
 
-func writeCritPath(ew *errWriter, run []Superstep) {
+func writeCritPath(ew *recordlog.Printer, run []Superstep) {
 	cp := ComputeCriticalPath(run)
 	if cp.TotalUS <= 0 {
 		return
@@ -242,13 +220,13 @@ func writeCritPath(ew *errWriter, run []Superstep) {
 	if cp.Pipelined {
 		mode = "pipelined phases"
 	}
-	ew.printf("  critical path (%s): compute %s (%.1f%%)  comm %s (%.1f%%)  latency %s (%.1f%%)\n",
+	ew.Printf("  critical path (%s): compute %s (%.1f%%)  comm %s (%.1f%%)  latency %s (%.1f%%)\n",
 		mode,
 		fmtUS(cp.ComputeUS), 100*cp.ComputeUS/cp.TotalUS,
 		fmtUS(cp.CommUS), 100*cp.CommUS/cp.TotalUS,
 		fmtUS(cp.LatencyUS), 100*cp.LatencyUS/cp.TotalUS)
 	domIdx, domUS, _ := argmaxSlack(cp.OnPathUS)
 	if domIdx >= 0 && domUS > 0 {
-		ew.printf("  dominant machine on path: M%d with %s (%.1f%% of sim time)\n", domIdx, fmtUS(domUS), 100*domUS/cp.TotalUS)
+		ew.Printf("  dominant machine on path: M%d with %s (%.1f%% of sim time)\n", domIdx, fmtUS(domUS), 100*domUS/cp.TotalUS)
 	}
 }

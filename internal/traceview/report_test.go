@@ -113,21 +113,6 @@ func TestReportOnRealTrace(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	if got := bar(5, 10, 10); got != "#####....." {
-		t.Fatalf("bar(5,10,10) = %q", got)
-	}
-	if got := bar(0, 10, 4); got != "...." {
-		t.Fatalf("bar(0,10,4) = %q", got)
-	}
-	if got := bar(20, 10, 4); got != "####" {
-		t.Fatalf("bar over max = %q", got)
-	}
-	if got := bar(1, 0, 4); got != "...." {
-		t.Fatalf("bar zero max = %q", got)
-	}
-}
-
 func TestFmtUS(t *testing.T) {
 	cases := map[float64]string{
 		12.3:    "12.3us",

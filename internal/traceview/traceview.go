@@ -12,13 +12,12 @@
 package traceview
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"time"
+
+	"bpart/internal/recordlog"
 )
 
 // Record is one parsed trace line.
@@ -27,31 +26,14 @@ type Record struct {
 	Type  string // "span", "event" or "error" (a degraded unencodable record)
 	Name  string
 	DurUS float64 // spans only
-	Attrs map[string]any
+	// Attrs is the record's annotation object, with the Float/Int/Str
+	// accessors.
+	recordlog.Attrs
 }
 
 // End returns the span's end time (its start time for events).
 func (r *Record) End() time.Time {
 	return r.Time.Add(time.Duration(r.DurUS * float64(time.Microsecond)))
-}
-
-// Float returns the named attribute as a float64 (JSON numbers decode to
-// float64), with ok reporting presence.
-func (r *Record) Float(key string) (float64, bool) {
-	v, ok := r.Attrs[key].(float64)
-	return v, ok
-}
-
-// Int returns the named numeric attribute truncated to int.
-func (r *Record) Int(key string) (int, bool) {
-	v, ok := r.Float(key)
-	return int(v), ok
-}
-
-// Str returns the named string attribute.
-func (r *Record) Str(key string) (string, bool) {
-	v, ok := r.Attrs[key].(string)
-	return v, ok
 }
 
 // Floats returns the named attribute as a float slice (JSON arrays decode
@@ -137,72 +119,24 @@ type jsonRecord struct {
 	Attrs map[string]any `json:"attrs"`
 }
 
-// maxLine bounds one trace line; the widest real lines are superstep
-// records with per-machine arrays, far below this.
-const maxLine = 16 << 20
-
 // Read parses a JSONL trace. A damaged or incomplete final line (a run
 // that crashed mid-write) is tolerated and flagged via Trace.Truncated;
 // damage anywhere earlier is a hard error, since silently skipping
 // interior records would skew every derived statistic.
 func Read(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
-	tr := &Trace{}
-	type bad struct {
-		line int
-		err  error
-	}
-	var pending *bad
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if pending != nil {
-			return nil, fmt.Errorf("traceview: line %d: %w (not the final line, refusing to skip)", pending.line, pending.err)
-		}
-		rec, err := parseLine(line)
-		if err != nil {
-			pending = &bad{lineNo, err}
-			continue
-		}
-		tr.Records = append(tr.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("traceview: read: %w", err)
-	}
-	if pending != nil {
-		// A torn tail is only tolerable when it follows a usable prefix; if
-		// the very first line is garbage the file is not a trace at all,
-		// and "empty but truncated" would hide that from callers.
-		if len(tr.Records) == 0 {
-			return nil, fmt.Errorf("traceview: line %d: %w (no valid trace records precede it)", pending.line, pending.err)
-		}
-		tr.Truncated = true
-	}
-	return tr, nil
-}
-
-// ReadFile parses the JSONL trace at path.
-func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	records, truncated, err := recordlog.Records(r, "traceview", "trace", parseLine)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	tr, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return tr, nil
+	return &Trace{Records: records, Truncated: truncated}, nil
 }
 
-func parseLine(line string) (Record, error) {
+// ReadFile parses the JSONL trace at path.
+func ReadFile(path string) (*Trace, error) { return recordlog.ReadFile(path, Read) }
+
+func parseLine(line []byte) (Record, error) {
 	var jr jsonRecord
-	if err := json.Unmarshal([]byte(line), &jr); err != nil {
+	if err := json.Unmarshal(line, &jr); err != nil {
 		return Record{}, err
 	}
 	ts, err := time.Parse(time.RFC3339Nano, jr.TS)
