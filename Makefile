@@ -24,10 +24,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs every reader fuzz target for 10 s each: the record-log
-# substrate's framing target, then the family parsers and summarizers on
-# top of it. One target per line as package:Target.
+# fuzz runs every reader fuzz target for 10 s each: the graph and
+# assignment file readers, the record-log substrate's framing target, then
+# the family parsers and summarizers on top of it. One target per line as
+# package:Target.
 FUZZ_TARGETS = \
+	internal/gio:FuzzReadBinary \
+	internal/gio:FuzzReadEdgeList \
+	internal/gio:FuzzReadAssignment \
 	internal/recordlog:FuzzScan \
 	internal/traceview:FuzzRead \
 	internal/partaudit:FuzzReadLog \

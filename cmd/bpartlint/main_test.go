@@ -7,10 +7,11 @@ import (
 )
 
 // TestRepoIsLintClean is the acceptance gate: the suite must run over the
-// whole module without crashing and without diagnostics. With the
-// flow-sensitive spanend there are no production waivers left to carry
-// (grep for bpartlint:ignore outside internal/analysis: none), so this is
-// an exact zero across all eight analyzers. It type-checks every package
+// whole module without crashing and without diagnostics. The only
+// production waivers (grep for bpartlint:ignore outside internal/analysis)
+// are the two documented aliasret ownership transfers,
+// engine.SubsetFromVertices and graph.FromCSR, so this is an exact zero
+// across all eight analyzers. It type-checks every package
 // (including the standard library, from source), so it is the slowest test
 // in the repo; -short skips it.
 func TestRepoIsLintClean(t *testing.T) {

@@ -48,8 +48,6 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	b := graph.NewBuilder(0)
-	var srcs, dsts []graph.VertexID
-	maxID := -1
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -69,21 +67,11 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gio: line %d: bad dst %q: %v", lineNo, fields[1], err)
 		}
-		srcs = append(srcs, graph.VertexID(s))
-		dsts = append(dsts, graph.VertexID(d))
-		if int(s) > maxID {
-			maxID = int(s)
-		}
-		if int(d) > maxID {
-			maxID = int(d)
-		}
+		b.Grow(int(max(s, d)) + 1)
+		b.AddEdge(graph.VertexID(s), graph.VertexID(d))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("gio: scan: %w", err)
-	}
-	b.Grow(maxID + 1)
-	for i := range srcs {
-		b.AddEdge(srcs[i], dsts[i])
 	}
 	return b.Build(), nil
 }
@@ -108,30 +96,39 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 			return err
 		}
 	}
-	var err error
-	g.Edges(func(e graph.Edge) bool {
-		binary.LittleEndian.PutUint32(buf, e.Dst)
-		_, err = bw.Write(buf)
-		return err == nil
-	})
-	if err != nil {
-		return err
+	for v := 0; v < n; v++ {
+		buf = buf[:0]
+		for _, u := range g.Neighbors(graph.VertexID(v)) {
+			buf = binary.LittleEndian.AppendUint32(buf, u)
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
 	}
 	return bw.Flush()
 }
 
-// ReadBinary parses the compact binary format.
+// readChunk is how many 4-byte words ReadBinary decodes per read.
+const readChunk = 1 << 14
+
+// ReadBinary parses the compact binary format. The file is CSR already:
+// degrees prefix-sum into the offset array and targets are decoded in
+// chunks into the target array, which graph.FromCSR then adopts.
+//
+// The header's n and m are not trusted with memory: both arrays start one
+// chunk long and double only once the stream has filled them, so a forged
+// header must be backed by actual stream bytes before memory is committed
+// (found by FuzzReadBinary).
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("gio: magic: %w", err)
 	}
 	if string(magic) != binaryMagic {
 		return nil, fmt.Errorf("gio: bad magic %q, want %q", magic, binaryMagic)
 	}
 	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("gio: header: %w", err)
 	}
 	n := binary.LittleEndian.Uint64(hdr[0:])
@@ -140,45 +137,56 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if n > maxReasonable || m > maxReasonable {
 		return nil, fmt.Errorf("gio: implausible sizes n=%d m=%d", n, m)
 	}
-	// Grow incrementally instead of trusting the header's n: a forged
-	// header must be backed by actual stream bytes before memory is
-	// committed (found by FuzzReadBinary).
-	degrees := make([]uint32, 0, minU64(n, 1<<20))
-	buf := make([]byte, 4)
-	for v := uint64(0); v < n; v++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("gio: degree of %d: %w", v, err)
-		}
-		degrees = append(degrees, binary.LittleEndian.Uint32(buf))
-	}
+	buf := make([]byte, 4*readChunk)
+
+	offsets := make([]uint64, 1, min(n, readChunk)+1)
 	var sum uint64
-	for _, d := range degrees {
-		sum += uint64(d)
+	for v := uint64(0); v < n; {
+		c := min(n-v, readChunk)
+		if _, err := io.ReadFull(r, buf[:4*c]); err != nil {
+			return nil, fmt.Errorf("gio: degrees from %d: %w", v, err)
+		}
+		offsets = grown(offsets, c, n+1)
+		for i := uint64(0); i < c; i++ {
+			sum += uint64(binary.LittleEndian.Uint32(buf[4*i:]))
+			offsets = append(offsets, sum)
+		}
+		v += c
 	}
 	if sum != m {
 		return nil, fmt.Errorf("gio: degree sum %d != edge count %d", sum, m)
 	}
-	b := graph.NewBuilder(int(n))
-	for v, d := range degrees {
-		for i := uint32(0); i < d; i++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, fmt.Errorf("gio: targets of %d: %w", v, err)
-			}
-			dst := binary.LittleEndian.Uint32(buf)
-			if uint64(dst) >= n {
-				return nil, fmt.Errorf("gio: target %d out of range [0,%d)", dst, n)
-			}
-			b.AddEdge(graph.VertexID(v), dst)
+
+	targets := make([]graph.VertexID, 0, min(m, readChunk))
+	for e := uint64(0); e < m; {
+		c := min(m-e, readChunk)
+		if _, err := io.ReadFull(r, buf[:4*c]); err != nil {
+			return nil, fmt.Errorf("gio: targets from arc %d: %w", e, err)
 		}
+		targets = grown(targets, c, m)
+		for i := uint64(0); i < c; i++ {
+			targets = append(targets, binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		e += c
 	}
-	return b.Build(), nil
+	// FromCSR rejects any target outside [0,n).
+	g, err := graph.FromCSR(offsets, targets)
+	if err != nil {
+		return nil, fmt.Errorf("gio: %w", err)
+	}
+	return g, nil
 }
 
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
+// grown returns s with room for c more elements, at least doubling its
+// capacity (up to limit, the most it can ever hold) when it lacks the room —
+// append alone grows a large slice by a quarter, which copies a
+// multi-million-entry array many times over.
+func grown[T any](s []T, c, limit uint64) []T {
+	need := uint64(len(s)) + c
+	if need <= uint64(cap(s)) {
+		return s
 	}
-	return b
+	return append(make([]T, 0, min(max(2*uint64(cap(s)), need), limit)), s...)
 }
 
 // WriteFile writes g to path, choosing the format by extension:

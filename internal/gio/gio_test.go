@@ -2,9 +2,12 @@ package gio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -228,15 +231,119 @@ func TestQuickRoundTrips(t *testing.T) {
 	}
 }
 
-func BenchmarkBinaryWrite(b *testing.B) {
+// encodeBinary hand-assembles a binary graph file, so tests can state file
+// bytes (and forge them) independently of WriteBinary.
+func encodeBinary(n, m uint64, degrees, targets []uint32) []byte {
+	out := []byte(binaryMagic)
+	out = binary.LittleEndian.AppendUint64(out, n)
+	out = binary.LittleEndian.AppendUint64(out, m)
+	for _, w := range slices.Concat(degrees, targets) {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out
+}
+
+func TestWriteBinaryBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, sample()); err != nil {
+		t.Fatal(err)
+	}
+	want := encodeBinary(4, 4, []uint32{2, 1, 0, 1}, []uint32{1, 2, 3, 0})
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteBinary wrote\n%x, want\n%x", buf.Bytes(), want)
+	}
+}
+
+// A file whose rows are not in target order (written by another tool, or by
+// hand) loads as the graph a Builder makes of the same arcs: rows sorted.
+func TestBinaryUnsortedRowsLoadSorted(t *testing.T) {
+	data := encodeBinary(4, 6, []uint32{3, 0, 2, 1}, []uint32{3, 1, 1, 2, 0, 3})
+	g, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := graph.FromAdjacency([][]graph.VertexID{{3, 1, 1}, {}, {2, 0}, {3}})
+	if !equalGraphs(g, want) {
+		t.Fatalf("loaded %v, want %v", g.EdgeList(), want.EdgeList())
+	}
+}
+
+// A graph wider than one read chunk in both arrays exercises the growth of
+// the offset and target arrays across chunk boundaries.
+func TestBinaryRoundTripManyChunks(t *testing.T) {
+	g, err := gen.ChungLu(gen.Config{NumVertices: 3*readChunk + 17, AvgDegree: 4, Skew: 0.7, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalGraphs(g, back) {
+		t.Fatal("binary round trip changed graph")
+	}
+}
+
+// A forged header claiming n and m near 2^31 over a short body must fail
+// having allocated in proportion to the bytes supplied, not to the header.
+func TestBinaryForgedHeaderBoundedAlloc(t *testing.T) {
+	const claimed = 1<<31 - 1
+	for _, body := range []int{0, 10, 4 * readChunk, 1 << 20} {
+		data := append(encodeBinary(claimed, claimed, nil, nil), make([]byte, body)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := ReadBinary(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("body %d: forged header accepted: %v", body, g)
+		}
+		// Offsets are 8 bytes per 4-byte degree read and the array may
+		// double once past what has arrived: 8·body covers it with room;
+		// the constant covers the chunk buffer and the first chunk-long
+		// array.
+		limit := uint64(8*body + 1<<20)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("body %d: allocated %d bytes, want at most %d", body, got, limit)
+		}
+	}
+}
+
+func benchGraph(b *testing.B) *graph.Graph {
 	g, err := gen.ChungLu(gen.Config{NumVertices: 20000, AvgDegree: 16, Skew: 0.75, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g
+}
+
+func BenchmarkBinaryWrite(b *testing.B) {
+	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadBinary(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, benchGraph(b)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

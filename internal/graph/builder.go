@@ -1,14 +1,12 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder accumulates edges and produces an immutable CSR Graph.
 //
 // Build uses a two-pass counting-sort layout, so construction is O(|V|+|E|)
-// plus the per-vertex adjacency sort. A Builder may be reused after Build;
+// plus a sort of the adjacency rows that did not arrive in order. A Builder
+// may be reused after Build;
 // the built graph does not alias the builder's buffers.
 type Builder struct {
 	numVertices int
@@ -73,10 +71,7 @@ func (b *Builder) Build() *Graph {
 		cursor[s]++
 	}
 	g := &Graph{offsets: offsets, targets: targets}
-	for v := 0; v < n; v++ {
-		ns := g.targets[g.offsets[v]:g.offsets[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	}
+	g.sortRows()
 	return g
 }
 

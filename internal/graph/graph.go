@@ -12,7 +12,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexID identifies a vertex. Dense, zero-based.
@@ -27,8 +27,10 @@ type Edge struct {
 // Graph is an immutable directed graph in CSR form.
 //
 // The zero value is an empty graph with no vertices. Construct non-empty
-// graphs with a Builder or FromEdges. All methods are safe for concurrent
-// use because the structure is never mutated after construction.
+// graphs with a Builder, FromEdges or FromCSR. Every constructor leaves each
+// adjacency row sorted ascending (parallel arcs adjacent); Validate checks
+// it and HasEdge relies on it. All methods are safe for concurrent use
+// because the structure is never mutated after construction.
 type Graph struct {
 	offsets []uint64 // len = numVertices+1
 	targets []VertexID
@@ -66,23 +68,11 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(g.NumEdges()) / float64(n)
 }
 
-// HasEdge reports whether the arc (src, dst) exists. The adjacency list of
-// src is scanned with binary search when sorted, linearly otherwise; graphs
-// built by Builder.Build always have sorted adjacency.
+// HasEdge reports whether the arc (src, dst) exists, by binary search over
+// src's sorted adjacency row.
 func (g *Graph) HasEdge(src, dst VertexID) bool {
-	ns := g.Neighbors(src)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= dst })
-	if i < len(ns) && ns[i] == dst {
-		return true
-	}
-	// Fall back to a linear scan in case the adjacency is unsorted
-	// (e.g. a graph assembled by tests via FromEdgesUnsorted).
-	for _, u := range ns {
-		if u == dst {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(g.Neighbors(src), dst)
+	return ok
 }
 
 // Edges calls fn for every arc in vertex order. It stops early if fn
@@ -108,15 +98,55 @@ func (g *Graph) EdgeList() []Edge {
 }
 
 // Transpose returns the graph with every arc reversed. Used by pull-style
-// computations and by tests that need in-neighbor access.
+// computations and by every consumer that needs in-neighbor access.
+//
+// It is a direct counting sort over the target array: count in-degrees,
+// prefix-sum them into offsets, then scatter while scanning sources in
+// ascending order — which emits every in-row already sorted, parallel arcs
+// adjacent. It allocates the two CSR arrays and one cursor array.
 func (g *Graph) Transpose() *Graph {
 	n := g.NumVertices()
-	b := NewBuilder(n)
-	g.Edges(func(e Edge) bool {
-		b.AddEdge(e.Dst, e.Src)
-		return true
-	})
-	return b.Build()
+	offsets := make([]uint64, n+1)
+	for _, t := range g.targets {
+		offsets[t+1]++
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	targets := make([]VertexID, len(g.targets))
+	cursor := make([]uint64, n)
+	copy(cursor, offsets[:n])
+	for v := 0; v < n; v++ {
+		for _, t := range g.targets[g.offsets[v]:g.offsets[v+1]] {
+			targets[cursor[t]] = VertexID(v)
+			cursor[t]++
+		}
+	}
+	return &Graph{offsets: offsets, targets: targets}
+}
+
+// FromCSR adopts offsets and targets as a graph without copying them: the
+// caller must not use either slice afterwards. offsets must have one entry
+// per vertex plus one (nil or empty for the empty graph), start at 0, be
+// monotone and end at len(targets); every target must be below the vertex
+// count. Rows that are not already ascending are sorted in place.
+func FromCSR(offsets []uint64, targets []VertexID) (*Graph, error) {
+	//bpartlint:ignore aliasret adopting the arrays is the point: a loader hands over the CSR it just decoded instead of paying a second copy
+	g := &Graph{offsets: offsets, targets: targets}
+	if err := g.validateShape(); err != nil {
+		return nil, err
+	}
+	g.sortRows()
+	return g, nil
+}
+
+// sortRows sorts every adjacency row that is not already ascending.
+func (g *Graph) sortRows() {
+	for v := 0; v < g.NumVertices(); v++ {
+		if ns := g.Neighbors(VertexID(v)); !slices.IsSorted(ns) {
+			slices.Sort(ns)
+		}
+	}
 }
 
 // Degrees returns a freshly allocated slice of out-degrees.
@@ -128,9 +158,23 @@ func (g *Graph) Degrees() []int {
 	return d
 }
 
-// Validate checks structural invariants: monotone offsets and in-range
-// targets. It returns nil for a well-formed graph.
+// Validate checks structural invariants: monotone offsets, in-range targets
+// and sorted adjacency rows. It returns nil for a well-formed graph.
 func (g *Graph) Validate() error {
+	if err := g.validateShape(); err != nil {
+		return err
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		if !slices.IsSorted(g.Neighbors(VertexID(v))) {
+			return fmt.Errorf("graph: adjacency of vertex %d not sorted", v)
+		}
+	}
+	return nil
+}
+
+// validateShape checks everything Validate does except row order, so that
+// FromCSR can index rows safely before sorting them.
+func (g *Graph) validateShape() error {
 	n := g.NumVertices()
 	if n == 0 {
 		if len(g.targets) != 0 {

@@ -3,7 +3,10 @@ package graph
 import (
 	"bpart/internal/xrand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -403,15 +406,187 @@ func TestQuickCutConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkBuild100k(b *testing.B) {
+// randomMultigraph draws m arcs over n vertices with self-loops and parallel
+// arcs forced in, and only the lower half of the ID range as sources so the
+// upper half is isolated on the out side.
+func randomMultigraph(rng *xrand.RNG, n, m int) *Graph {
+	b := NewBuilder(n)
+	if n == 0 {
+		return b.Build()
+	}
+	for i := 0; i < m; i++ {
+		src, dst := VertexID(rng.Intn((n+1)/2)), VertexID(rng.Intn(n))
+		switch rng.Intn(4) {
+		case 0:
+			b.AddEdge(src, src)
+		case 1:
+			b.AddEdge(src, dst)
+			b.AddEdge(src, dst)
+		default:
+			b.AddEdge(src, dst)
+		}
+	}
+	return b.Build()
+}
+
+// transposeViaBuilder is the reference Transpose is checked against: every
+// arc replayed reversed through a Builder, whose Build sorts the rows.
+func transposeViaBuilder(g *Graph) *Graph {
+	b := NewBuilder(g.NumVertices())
+	g.Edges(func(e Edge) bool {
+		b.AddEdge(e.Dst, e.Src)
+		return true
+	})
+	return b.Build()
+}
+
+func sameCSR(a, b *Graph) bool {
+	return slices.Equal(a.offsets, b.offsets) && slices.Equal(a.targets, b.targets)
+}
+
+// Property: the counting-sort Transpose equals the Builder-built reference
+// array for array, and transposing twice gives back the original exactly.
+func TestTransposeMatchesBuilderReference(t *testing.T) {
+	rng := xrand.New(7)
+	sizes := [][2]int{{0, 0}, {1, 0}, {1, 5}, {2, 9}, {40, 0}}
+	for i := 0; i < 60; i++ {
+		sizes = append(sizes, [2]int{rng.Intn(120) + 2, rng.Intn(900)})
+	}
+	for _, nm := range sizes {
+		g := randomMultigraph(rng, nm[0], nm[1])
+		tr := g.Transpose()
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("n=%d m=%d: transpose invalid: %v", nm[0], nm[1], err)
+		}
+		if want := transposeViaBuilder(g); !sameCSR(tr, want) {
+			t.Fatalf("n=%d m=%d: transpose differs from the Builder reference", nm[0], nm[1])
+		}
+		if back := tr.Transpose(); !sameCSR(back, g) {
+			t.Fatalf("n=%d m=%d: double transpose differs from the original", nm[0], nm[1])
+		}
+	}
+}
+
+// TestTransposeAllocs pins Transpose to its three arrays: the two CSR arrays
+// and one cursor array, plus the Graph header. A return to replaying arcs
+// through a Builder allocates an order of magnitude more and fails here.
+func TestTransposeAllocs(t *testing.T) {
+	const n, m = 10000, 100000
+	g := randomMultigraph(xrand.New(3), n, m)
+	var sink *Graph
+	if allocs := testing.AllocsPerRun(5, func() { sink = g.Transpose() }); allocs > 4 {
+		t.Errorf("Transpose made %v allocations, want at most 4", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sink = g.Transpose()
+	runtime.ReadMemStats(&after)
+	const slack = 64 << 10 // size-class rounding of three large arrays
+	limit := uint64(4*g.NumEdges() + 16*(n+1) + slack)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("Transpose allocated %d bytes, want at most %d", got, limit)
+	}
+	_ = sink
+}
+
+func TestHasEdgeHubRow(t *testing.T) {
+	// A hub with parallel arcs to every even vertex: hits and misses at
+	// both ends and in the middle of the row.
+	const n = 200
+	b := NewBuilder(n)
+	for v := n - 2; v >= 2; v -= 2 {
+		b.AddEdge(0, VertexID(v))
+		b.AddEdge(0, VertexID(v))
+	}
+	g := b.Build()
+	for v := 0; v < n; v++ {
+		if got, want := g.HasEdge(0, VertexID(v)), v >= 2 && v%2 == 0; got != want {
+			t.Errorf("HasEdge(0,%d) = %v, want %v", v, got, want)
+		}
+	}
+	if g.HasEdge(1, 2) {
+		t.Error("HasEdge on an empty row")
+	}
+}
+
+func TestFromCSR(t *testing.T) {
+	// Row 0 arrives unsorted, row 2 sorted, rows 1 and 3 empty.
+	g, err := FromCSR([]uint64{0, 3, 3, 5, 5}, []VertexID{3, 1, 1, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FromEdges(4, []Edge{{0, 3}, {0, 1}, {0, 1}, {2, 0}, {2, 2}})
+	if !sameCSR(g, want) {
+		t.Fatalf("FromCSR = %v, want %v", g.EdgeList(), want.EdgeList())
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, offsets := range [][]uint64{nil, {}, {0}} {
+		g, err := FromCSR(offsets, nil)
+		if err != nil || g.NumVertices() != 0 || g.NumEdges() != 0 {
+			t.Errorf("FromCSR(%v, nil) = %v, %v, want the empty graph", offsets, g, err)
+		}
+	}
+}
+
+func TestFromCSRRejectsMalformed(t *testing.T) {
+	cases := []struct {
+		name    string
+		offsets []uint64
+		targets []VertexID
+		want    string
+	}{
+		{"non-monotone offsets", []uint64{0, 2, 1, 3}, []VertexID{0, 1, 2}, "not monotone"},
+		{"out-of-range target", []uint64{0, 1, 2}, []VertexID{1, 2}, "out of range"},
+		{"offsets[0] != 0", []uint64{1, 1, 2}, []VertexID{0, 1}, "offsets[0]"},
+		{"offsets[n] != m", []uint64{0, 1, 3}, []VertexID{0, 1}, "offsets[n]"},
+		{"offsets[n] below m", []uint64{0, 1, 1}, []VertexID{0, 1}, "offsets[n]"},
+		{"targets without vertices", nil, []VertexID{0}, "no vertices"},
+	}
+	for _, c := range cases {
+		g, err := FromCSR(c.offsets, c.targets)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: FromCSR = %v, %v, want an error mentioning %q", c.name, g, err, c.want)
+		}
+	}
+}
+
+func TestValidateRejectsUnsortedRow(t *testing.T) {
+	g := &Graph{offsets: []uint64{0, 2, 2}, targets: []VertexID{1, 0}}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "not sorted") {
+		t.Fatalf("Validate = %v, want a sorted-adjacency error", err)
+	}
+}
+
+// benchEdges is the input of the CSR construction benchmarks: 100k uniform
+// random arcs over 10k vertices.
+func benchEdges() (int, []Edge) {
 	rng := xrand.New(1)
 	const n, m = 10000, 100000
 	edges := make([]Edge, m)
 	for i := range edges {
 		edges[i] = Edge{VertexID(rng.Intn(n)), VertexID(rng.Intn(n))}
 	}
+	return n, edges
+}
+
+func BenchmarkBuild(b *testing.B) {
+	n, edges := benchEdges()
+	b.ReportAllocs()
+	b.SetBytes(int64(8 * len(edges)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = FromEdges(n, edges)
+	}
+}
+
+func BenchmarkTranspose(b *testing.B) {
+	g := FromEdges(benchEdges())
+	b.ReportAllocs()
+	b.SetBytes(int64(4 * g.NumEdges()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = g.Transpose()
 	}
 }

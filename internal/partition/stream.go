@@ -111,6 +111,23 @@ func (s *StreamStats) publish(opt *StreamOptions, sp telemetry.Span) {
 	}
 }
 
+// The scoring loop carries a candidate's capacity-skip reason as a small
+// integer; skipNames turns it into the partaudit string only when a sampled
+// decision records the candidate.
+const (
+	skipNone = iota
+	skipCapW
+	skipCapV
+	skipCapE
+)
+
+var skipNames = [...]string{
+	skipNone: "",
+	skipCapW: partaudit.SkipCapW,
+	skipCapV: partaudit.SkipCapV,
+	skipCapE: partaudit.SkipCapE,
+}
+
 // StreamResult is a partial assignment: Parts[v] is Unassigned for vertices
 // outside the streamed set.
 type StreamResult struct {
@@ -181,6 +198,13 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	w := make([]float64, opt.K)    // current W_i
 	affinity := make([]int, opt.K) // |V_i ∩ N(v)| scratch
 	gammaPow := powFunc(opt.Gamma - 1)
+	// pen[i] = α·γ·W_i^{γ−1}, the penalty half of the score. Only the part
+	// that just received a vertex has a new W_i, so one entry is refreshed
+	// per placement instead of K being recomputed per vertex.
+	pen := make([]float64, opt.K)
+	for i := range pen {
+		pen[i] = alpha * opt.Gamma * gammaPow(w[i])
+	}
 
 	if opt.In != nil &&
 		(opt.In.NumVertices() != g.NumVertices() || opt.In.NumEdges() != g.NumEdges()) {
@@ -224,29 +248,24 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		cause := partaudit.CauseGreedy
 		best, bestScore := -1, math.Inf(-1)
 		for i := 0; i < opt.K; i++ {
-			skip := ""
+			skip := skipNone
 			switch {
 			case w[i] >= capW:
 				capWSkips++
-				skip = partaudit.SkipCapW
+				skip = skipCapW
 			case opt.CapV > 0 && vCount[i]+1 > opt.CapV:
 				capVSkips++
-				skip = partaudit.SkipCapV
+				skip = skipCapV
 			case opt.CapE > 0 && eCount[i]+d > opt.CapE:
 				capESkips++
-				skip = partaudit.SkipCapE
+				skip = skipCapE
 			}
-			if skip != "" {
-				if dec != nil {
-					pen := alpha * opt.Gamma * gammaPow(w[i])
-					dec.Candidate(i, affinity[i], pen, float64(affinity[i])-pen, skip)
-				}
-				continue
-			}
-			pen := alpha * opt.Gamma * gammaPow(w[i])
-			score := float64(affinity[i]) - pen
+			score := float64(affinity[i]) - pen[i]
 			if dec != nil {
-				dec.Candidate(i, affinity[i], pen, score, "")
+				dec.Candidate(i, affinity[i], pen[i], score, skipNames[skip])
+			}
+			if skip != skipNone {
+				continue
 			}
 			if score > bestScore {
 				best, bestScore = i, score
@@ -273,6 +292,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		vCount[best]++
 		eCount[best] += d
 		w[best] += opt.C + (1-opt.C)*float64(d)/avgDeg
+		pen[best] = alpha * opt.Gamma * gammaPow(w[best])
 		opt.Audit.Place(v, d, best, cause, dec, parts)
 	}
 	opt.Audit.End()
@@ -301,8 +321,8 @@ func fillUnassigned(n int) []int {
 
 // powFunc returns a fast x^e evaluator for the common streaming exponents:
 // γ−1 = 0.5 (the default) uses math.Sqrt, e = 1 is the identity, everything
-// else falls back to math.Pow. The streaming inner loop evaluates this K
-// times per vertex, so this matters for large piece counts.
+// else falls back to math.Pow. The streaming loop evaluates this once per
+// placed vertex.
 func powFunc(e float64) func(float64) float64 {
 	switch e {
 	case 0.5:
