@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench benchcheck baselines
+.PHONY: all build lint test race fuzz bench benchsmoke benchcheck baselines
 
 all: build lint test
 
@@ -47,6 +47,12 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
+
+# benchsmoke runs every Benchmark* in the tree for one iteration: not a
+# measurement, only proof that none has rotted uncompiled or panicking
+# (bench above reaches the root package alone).
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # benchcheck vets and tests the nested bpart/benchmark module (see
 # BENCHMARK.json) against the packages in this tree; ./... above does not

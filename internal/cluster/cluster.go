@@ -84,7 +84,9 @@ type Cluster struct {
 	tr    telemetry.Tracer
 	reg   *telemetry.Registry
 	probe telemetry.PhaseProbe
-	iter  int // supersteps finished, for span numbering
+	// iter numbers finished supersteps for spans. Atomic because two runs
+	// on one engine may finish supersteps concurrently.
+	iter atomic.Int64
 
 	// workers sizes the bounded goroutine pool RunTasks executes superstep
 	// work on. 1 (the default) runs every task inline on the caller — the
@@ -509,8 +511,7 @@ func (c *Cluster) ChargePhaseWork(kind string, busy []float64, work *Counters) (
 // comm and waiting (simulated µs) plus the raw work counters. phase is ""
 // for an algorithm superstep, or the recovery phase kind from ChargePhase.
 func (c *Cluster) observe(st *IterationStats, phase string) {
-	iter := c.iter
-	c.iter++
+	iter := int(c.iter.Add(1)) - 1
 	if c.probe != nil {
 		attrs := []telemetry.Attr{telemetry.Int("iter", iter)}
 		if phase != "" {

@@ -103,12 +103,12 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 		degree[v] = int32(e.g.OutDegree(graph.VertexID(v)) + tr.OutDegree(graph.VertexID(v)))
 	}
 	res := &KCoreResult{}
+	tasks := e.tasks
 	for {
 		w := e.cl.NewCounters()
 		// Scan: find the sub-threshold survivors. Per-shard removed lists
 		// concatenate in fixed (machine, shard) order, so each machine's
 		// removed list comes out in ascending vertex order.
-		tasks := e.ownedShards()
 		tcs := newTaskCounters(len(tasks), k, false)
 		found := make([][]graph.VertexID, len(tasks))
 		e.cl.RunTasks(len(tasks), func(t int) {
@@ -135,36 +135,26 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 			res.Stats.Add(e.cl.FinishIteration(w))
 			break
 		}
-		// Peel: mark dead, decrement neighbor degrees, count the edge
+		// Peel: mark dead, decrement neighbor degrees, charge the edge
 		// scans and the cross-machine notifications.
 		for m := 0; m < k; m++ {
 			for _, v := range removed[m] {
 				alive[v] = false
 			}
 		}
-		lens := make([]int, k)
-		for m := range lens {
-			lens[m] = len(removed[m])
-		}
-		ptasks := shardLists(lens)
+		ptasks := shardLists(removed)
 		ptcs := newTaskCounters(len(ptasks), k, w.Pairs != nil)
+		acct := e.pushAccounting(w, tr)
 		e.cl.RunTasks(len(ptasks), func(t int) {
 			ts, tc := ptasks[t], &ptcs[t]
-			peel := func(v graph.VertexID, ns []graph.VertexID) {
-				for _, u := range ns {
-					tc.edges++
-					atomic.AddInt32(&degree[u], -1)
-					if o := e.cl.Owner(u); o != ts.m {
-						tc.msgs++
-						if tc.prow != nil {
-							tc.prow[o]++
-						}
-					}
-				}
-			}
 			for _, v := range removed[ts.m][ts.lo:ts.hi] {
-				peel(v, e.g.Neighbors(v))
-				peel(v, tr.Neighbors(v))
+				acct.charge(tc, ts.m, v)
+				for _, u := range e.g.Neighbors(v) {
+					atomic.AddInt32(&degree[u], -1)
+				}
+				for _, u := range tr.Neighbors(v) {
+					atomic.AddInt32(&degree[u], -1)
+				}
 			}
 		})
 		combineCounters(w, ptasks, ptcs)

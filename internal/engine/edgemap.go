@@ -54,11 +54,12 @@ type machineShard struct {
 }
 
 // shardLists flattens the fixed shard decomposition of every machine's
-// work list (lens[m] = list length) into tasks, machine-major. Empty lists
-// still yield one empty shard so per-machine counters are always written.
-func shardLists(lens []int) []machineShard {
+// work list into tasks, machine-major. Empty lists still yield one empty
+// shard so per-machine counters are always written.
+func shardLists(lists [][]graph.VertexID) []machineShard {
 	var tasks []machineShard
-	for m, n := range lens {
+	for m := range lists {
+		n := len(lists[m])
 		s := shardCount(n)
 		if n == 0 {
 			s = 1
@@ -204,11 +205,7 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 		// Pull: every owned vertex still lacking a value scans its
 		// in-edges for a frontier parent.
 		tr := e.transpose()
-		lens := make([]int, k)
-		for m := range lens {
-			lens[m] = len(e.owned[m])
-		}
-		tasks = shardLists(lens)
+		tasks = e.tasks
 		run = func(t machineShard, tc *taskCounters) {
 			scan := func(v graph.VertexID, ns []graph.VertexID) bool {
 				for _, u := range ns {
@@ -251,11 +248,12 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 		if s.undirected {
 			tr = e.transpose()
 		}
+		acct := e.pushAccounting(w, tr)
 		var member []bool
 		var lists [][]graph.VertexID
 		if frontier.IsDense() {
 			member = frontier.Bitmap()
-			lists = e.owned
+			lists, tasks = e.owned, e.tasks
 		} else {
 			for m := range st.byOwner {
 				st.byOwner[m] = st.byOwner[m][:0]
@@ -264,23 +262,11 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 				m := e.cl.Owner(v)
 				st.byOwner[m] = append(st.byOwner[m], v)
 			}
-			lists = st.byOwner
+			lists, tasks = st.byOwner, shardLists(st.byOwner)
 		}
-		lens := make([]int, k)
-		for m := range lens {
-			lens[m] = len(lists[m])
-		}
-		tasks = shardLists(lens)
 		run = func(t machineShard, tc *taskCounters) {
 			scatter := func(v graph.VertexID, ns []graph.VertexID) {
 				for _, u := range ns {
-					tc.edges++
-					if o := e.cl.Owner(u); o != t.m {
-						tc.msgs++
-						if tc.prow != nil {
-							tc.prow[o]++
-						}
-					}
 					if key := s.value(v, u); key < s.cur(u) {
 						atomicMinU64(&st.prop[u], key)
 					}
@@ -291,6 +277,7 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 					continue
 				}
 				tc.verts++
+				acct.charge(tc, t.m, v)
 				scatter(v, e.g.Neighbors(v))
 				if s.undirected {
 					scatter(v, tr.Neighbors(v))
@@ -344,16 +331,6 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 		frontierEdges: fe,
 		bottomUp:      bottomUp,
 	}
-}
-
-// ownedShards is the dense vertex-map decomposition: every machine's full
-// owned list, sharded.
-func (e *Engine) ownedShards() []machineShard {
-	lens := make([]int, e.cl.NumMachines())
-	for m := range lens {
-		lens[m] = len(e.owned[m])
-	}
-	return shardLists(lens)
 }
 
 // chunkMap runs fn over fixed chunks of [0, n) on the worker pool —

@@ -3,9 +3,10 @@
 // system running on the simulated cluster of internal/cluster.
 //
 // Per iteration, every machine processes the out-edges of the vertices it
-// owns in parallel (real goroutine parallelism, one goroutine per machine,
-// each writing only machine-private buffers), then buffers are merged and
-// the BSP barrier timing is settled by the cost model: an edge whose
+// owns: each machine's work list is cut into fixed shards that run on the
+// cluster's bounded worker pool (cluster.RunTasks), each shard writing only
+// shard-private counters that are combined in fixed order after the
+// barrier. The BSP timing is then settled by the cost model: an edge whose
 // endpoints live on different machines costs a message, and the iteration
 // lasts as long as its slowest machine. PageRank and Connected Components
 // are the two iteration-based applications the paper runs on Gemini (§4.1);
@@ -27,12 +28,19 @@ type Engine struct {
 	g     *graph.Graph
 	cl    *cluster.Cluster
 	owned [][]graph.VertexID  // vertices per machine
+	tasks []machineShard      // fixed shard decomposition of owned
 	tel   telemetry.Tracer    // run-level spans; supersteps come from cl
 	reg   *telemetry.Registry // run-level histograms; superstep metrics come from cl
 	flt   *fault.Controller   // nil = fault injection disabled
 
 	trMu sync.Mutex
 	tr   *graph.Graph // transpose, built on demand (CC uses both directions)
+
+	// Per-placement cut degrees (see accounting.go): cutOut[v] counts v's
+	// out-neighbors owned by another machine, cutIn[v] its in-neighbors.
+	// Built on demand like the transpose, dropped by reassign.
+	cutMu         sync.Mutex
+	cutOut, cutIn []int32
 }
 
 // New builds an engine for g with the given vertex→machine assignment.
@@ -47,12 +55,9 @@ func New(g *graph.Graph, assignment []int, machines int, model cluster.CostModel
 	if err != nil {
 		return nil, err
 	}
-	owned := make([][]graph.VertexID, machines)
-	for v := 0; v < g.NumVertices(); v++ {
-		m := assignment[v]
-		owned[m] = append(owned[m], graph.VertexID(v))
-	}
-	return &Engine{g: g, cl: cl, owned: owned, tel: telemetry.Nop()}, nil
+	e := &Engine{g: g, cl: cl, tel: telemetry.Nop()}
+	e.reassign(assignment)
+	return e, nil
 }
 
 // Cluster exposes the underlying simulated cluster.
@@ -74,14 +79,20 @@ func (e *Engine) SetFaults(ctl *fault.Controller) error {
 	return nil
 }
 
-// reassign rebuilds ownership-derived structures after degraded-mode
-// restreaming moved vertices off a dead machine.
+// reassign rebuilds every ownership-derived structure: at construction,
+// and after degraded-mode restreaming moved vertices off a dead machine.
+// The cut degrees describe the old placement, so they are dropped and
+// rebuilt on the next push superstep.
 func (e *Engine) reassign(assignment []int) {
 	owned := make([][]graph.VertexID, e.cl.NumMachines())
 	for v, m := range assignment {
 		owned[m] = append(owned[m], graph.VertexID(v))
 	}
 	e.owned = owned
+	e.tasks = shardLists(owned)
+	e.cutMu.Lock()
+	e.cutOut, e.cutIn = nil, nil
+	e.cutMu.Unlock()
 }
 
 // prSnap, ccSnap and bfsSnap capture each algorithm's complete mutable
@@ -241,24 +252,17 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 		}
 		base := (1-damping)/float64(n) + damping*danglingSum/float64(n)
 
-		// Push accounting scan: every owned vertex's out-edges, sharded on
-		// the worker pool, integer counters only.
+		// Push accounting: every owned vertex pushes along all its
+		// out-edges, sharded on the worker pool, integer counters only.
 		w := e.cl.NewCounters()
-		tasks := e.ownedShards()
+		acct := e.pushAccounting(w, nil)
+		tasks := e.tasks
 		tcs := newTaskCounters(len(tasks), k, w.Pairs != nil)
 		e.cl.RunTasks(len(tasks), func(t int) {
 			ts, tc := tasks[t], &tcs[t]
 			for _, v := range e.owned[ts.m][ts.lo:ts.hi] {
 				tc.verts++
-				for _, u := range e.g.Neighbors(v) {
-					tc.edges++
-					if o := e.cl.Owner(u); o != ts.m {
-						tc.msgs++
-						if tc.prow != nil {
-							tc.prow[o]++
-						}
-					}
-				}
+				acct.charge(tc, ts.m, v)
 			}
 		})
 		combineCounters(w, tasks, tcs)
@@ -377,11 +381,14 @@ func (e *Engine) ConnectedComponents(maxIters int) (*CCResult, error) {
 		res.Recovery = &rec
 	}
 	res.Labels = labels
-	seen := map[uint32]struct{}{}
+	// Labels are vertex IDs, so distinct labels count in a |V| bitmap.
+	seen := make([]bool, n)
 	for _, l := range labels {
-		seen[l] = struct{}{}
+		if !seen[l] {
+			seen[l] = true
+			res.Components++
+		}
 	}
-	res.Components = len(seen)
 	e.reg.Histogram("engine_run_sim_time_us").Observe(res.Stats.TotalTime())
 	sp.End(
 		telemetry.Int("iterations", len(res.Stats.Iterations)),

@@ -205,6 +205,16 @@ func TestConnectedComponentsMaxIters(t *testing.T) {
 	if len(res.Stats.Iterations) != 3 {
 		t.Fatalf("ran %d iterations, want capped at 3", len(res.Stats.Iterations))
 	}
+	// Not converged: after 3 supersteps a ring vertex carries the minimum
+	// ID within 3 hops, so 0..3 and 97..99 share label 0 and every other v
+	// is labelled v-3. Components counts the distinct labels as they stand.
+	distinct := map[uint32]bool{}
+	for _, l := range res.Labels {
+		distinct[l] = true
+	}
+	if res.Components != len(distinct) || res.Components != 94 {
+		t.Fatalf("Components = %d with %d distinct labels, want 94", res.Components, len(distinct))
+	}
 }
 
 func TestBFSRing(t *testing.T) {
@@ -298,4 +308,47 @@ func BenchmarkPageRank(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchMatrix times run on a BPart placement with comm-matrix capture off
+// and on, so the price of capture (per-arc accounting instead of cached cut
+// degrees) is a number. The lazy transpose and cut degrees are built by a
+// warm-up run outside the timer.
+func benchMatrix(b *testing.B, run func(e *Engine) error) {
+	g, err := gen.ChungLu(gen.Config{NumVertices: 20000, AvgDegree: 16, Skew: 0.75, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name   string
+		matrix bool
+	}{{"matrix=off", false}, {"matrix=on", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			e := schemeEngine(b, g, "BPart", 8)
+			e.Cluster().SetCommMatrix(mode.matrix)
+			if err := run(e); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := run(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkCC(b *testing.B) {
+	benchMatrix(b, func(e *Engine) error {
+		_, err := e.ConnectedComponents(0)
+		return err
+	})
+}
+
+func BenchmarkSSSP(b *testing.B) {
+	benchMatrix(b, func(e *Engine) error {
+		_, err := e.SSSP(0)
+		return err
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bpart/internal/cluster"
 	"bpart/internal/fault"
 	"bpart/internal/gen"
 	"bpart/internal/graph"
@@ -262,5 +263,88 @@ func TestSetFaultsValidation(t *testing.T) {
 	}
 	if res.Recovery != nil {
 		t.Fatal("detached engine still reports RecoveryStats")
+	}
+}
+
+// TestRestreamInvalidatesCutDegrees pins the cut-degree cache to the
+// placement: after a degraded-mode restream rehomes a dead machine's
+// vertices, every later superstep must be charged from the new placement.
+// The comm matrix stays off so supersteps are charged from the cache.
+// PageRank and CC states are placement-independent, so the faulted run's
+// post-crash supersteps must carry exactly the Work counters a fresh engine
+// built on the rehomed assignment records for the same logical supersteps.
+func TestRestreamInvalidatesCutDegrees(t *testing.T) {
+	const crashStep = 2
+	g := testGraph(t)
+	// algoSupersteps drops the zero-work recovery barriers from a run.
+	algoSupersteps := func(st cluster.RunStats) []cluster.Counters {
+		var out []cluster.Counters
+		for _, it := range st.Iterations {
+			var verts int64
+			for _, x := range it.Work.Vertices {
+				verts += x
+			}
+			if verts > 0 {
+				out = append(out, it.Work)
+			}
+		}
+		return out
+	}
+	for _, algo := range []struct {
+		name string
+		run  func(e *Engine) (cluster.RunStats, error)
+	}{
+		{"PageRank", func(e *Engine) (cluster.RunStats, error) {
+			r, err := e.PageRank(8, 0.85)
+			if err != nil {
+				return cluster.RunStats{}, err
+			}
+			return r.Stats, nil
+		}},
+		{"CC", func(e *Engine) (cluster.RunStats, error) {
+			r, err := e.ConnectedComponents(0)
+			if err != nil {
+				return cluster.RunStats{}, err
+			}
+			return r.Stats, nil
+		}},
+	} {
+		spec := &fault.Spec{
+			Policy:          fault.Restream,
+			CheckpointEvery: 1,
+			Events:          []fault.Event{{Kind: fault.Crash, Step: crashStep, Machine: 1}},
+		}
+		e := faultEngine(t, g, 4, spec)
+		stats, err := algo.run(e)
+		if err != nil {
+			t.Fatalf("%s: %v", algo.name, err)
+		}
+		if e.Cluster().LiveMachines() != 3 {
+			t.Fatalf("%s: LiveMachines = %d, want 3 after the restream", algo.name, e.Cluster().LiveMachines())
+		}
+		fresh, err := New(g, e.Cluster().Assignment(), 4, cluster.DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshStats, err := algo.run(fresh)
+		if err != nil {
+			t.Fatalf("%s fresh: %v", algo.name, err)
+		}
+		// The crash fires at the barrier of superstep crashStep, so the
+		// first crashStep+1 algorithm supersteps ran on the old placement;
+		// the rest replay from the checkpoint and run to the same final
+		// logical superstep as the fresh run.
+		post := algoSupersteps(stats)[crashStep+1:]
+		want := algoSupersteps(freshStats)
+		if len(post) == 0 || len(post) > len(want) {
+			t.Fatalf("%s: %d post-crash supersteps, fresh run has %d", algo.name, len(post), len(want))
+		}
+		want = want[len(want)-len(post):]
+		for i := range post {
+			if !reflect.DeepEqual(post[i], want[i]) {
+				t.Errorf("%s post-crash superstep %d: Work %+v, fresh engine on the rehomed assignment has %+v",
+					algo.name, i, post[i], want[i])
+			}
+		}
 	}
 }

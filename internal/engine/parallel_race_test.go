@@ -131,3 +131,39 @@ func TestParallelConcurrentEngines(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelConcurrentRunsShareEngine runs the same algorithm twice at
+// once on ONE engine that has built neither its transpose nor its cut
+// degrees, so both runs race to the lazy builders on their first push
+// superstep. The matrix stays off (the cut degrees are only built then);
+// CC needs both directions. Each run must match a sequential run on an
+// engine of its own.
+func TestParallelConcurrentRunsShareEngine(t *testing.T) {
+	g := testGraph(t)
+	run := func(e *Engine) ([]byte, error) { return marshalRun(e.ConnectedComponents(0)) }
+	ref, err := run(newEngine(t, g, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, g, 4)
+	e.Cluster().SetWorkers(2)
+	var wg sync.WaitGroup
+	var got [2][]byte
+	var errs [2]error
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run(e)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], ref) {
+			t.Errorf("run %d on the shared engine differs from a sequential run on its own engine", i)
+		}
+	}
+}

@@ -100,7 +100,7 @@ func (e *Engine) PageRankPull(iters int, damping float64) (*PRResult, error) {
 		base := (1-damping)/float64(n) + damping*danglingSum/float64(n)
 
 		w := e.cl.NewCounters()
-		tasks := e.ownedShards()
+		tasks := e.tasks
 		tcs := newTaskCounters(len(tasks), k, w.Pairs != nil)
 		e.cl.RunTasks(len(tasks), func(t int) {
 			ts, tc := tasks[t], &tcs[t]
