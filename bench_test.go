@@ -199,8 +199,8 @@ func BenchmarkPartitionProbeNop(b *testing.B) {
 // Fault-hook overhead: the iteration engine with no controller attached
 // (the default) versus one with an idle controller — empty schedule,
 // interval checkpoints disabled — so only the per-superstep protocol
-// branches (Disrupt consultation, EndSuperstep bookkeeping, the one free
-// initial snapshot) run. The idle variant must stay within noise (<5%) of
+// branches (Disrupt consultation, fault.Run's end-of-superstep
+// bookkeeping, the one free initial snapshot) run. The idle variant must stay within noise (<5%) of
 // the plain one. Compare with:
 //
 //	go test -bench 'PageRankPlain|PageRankFaultIdle' -count 10 .

@@ -523,28 +523,22 @@ func RandomFaultSpec(cfg FaultRandomConfig) (*FaultSpec, error) { return fault.R
 // engine its own controller; a controller is bound to its engine's
 // simulated cluster.
 func EnableFaults(component any, spec *FaultSpec) (*FaultController, error) {
-	switch e := component.(type) {
-	case *IterationEngine:
-		ctl, err := fault.NewController(e.Graph(), e.Cluster(), spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.SetFaults(ctl); err != nil {
-			return nil, err
-		}
-		return ctl, nil
-	case *WalkEngine:
-		ctl, err := fault.NewController(e.Graph(), e.Cluster(), spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.SetFaults(ctl); err != nil {
-			return nil, err
-		}
-		return ctl, nil
-	default:
+	e, ok := component.(interface {
+		Graph() *graph.Graph
+		Cluster() *cluster.Cluster
+		SetFaults(*fault.Controller) error
+	})
+	if !ok {
 		return nil, fmt.Errorf("bpart: %T does not support fault injection (IterationEngine and WalkEngine do)", component)
 	}
+	ctl, err := fault.NewController(e.Graph(), e.Cluster(), spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.SetFaults(ctl); err != nil {
+		return nil, err
+	}
+	return ctl, nil
 }
 
 // WalkEngine is the KnightKing-like random-walk engine.

@@ -373,10 +373,10 @@ type IterationStats struct {
 	Work Counters
 }
 
-// FinishIteration converts raw work counters into BSP timing.
-func (c *Cluster) FinishIteration(w *Counters) IterationStats {
-	k := c.numMachines
-	st := IterationStats{
+// newIterationStats returns zeroed per-machine timings around a deep copy
+// of w, so the record stays valid when the caller reuses its counters.
+func newIterationStats(k int, w *Counters) IterationStats {
+	return IterationStats{
 		Compute: make([]float64, k),
 		Comm:    make([]float64, k),
 		Waiting: make([]float64, k),
@@ -388,6 +388,12 @@ func (c *Cluster) FinishIteration(w *Counters) IterationStats {
 			Pairs:    clonePairs(w.Pairs),
 		},
 	}
+}
+
+// FinishIteration converts raw work counters into BSP timing.
+func (c *Cluster) FinishIteration(w *Counters) IterationStats {
+	k := c.numMachines
+	st := newIterationStats(k, w)
 	m := c.model
 	var d Disruption
 	if c.disrupter != nil {
@@ -448,23 +454,21 @@ func (c *Cluster) FinishIteration(w *Counters) IterationStats {
 	return st
 }
 
-// ChargePhase accounts a barrier-gated recovery phase — checkpoint write,
-// checkpoint restore, restream transfer — as one pseudo-iteration. busy[i]
-// is machine i's busy time in simulated µs (dead machines must be 0); the
-// phase lasts max(busy)+Latency, every faster live machine waits out the
-// slack, and the phase is observed through telemetry with its kind attached
-// so traces can separate recovery overhead from algorithm supersteps.
-func (c *Cluster) ChargePhase(kind string, busy []float64) (IterationStats, error) {
-	return c.ChargePhaseWork(kind, busy, nil)
-}
-
-// ChargePhaseWork is ChargePhase with explicit work counters attached to the
-// phase record. Fault recovery uses it to publish restream traffic — which
-// survivor received how many vertex states from the dead machine — so the
-// comm matrix shows recovery-induced shifts, not just algorithm messages.
-// work may be nil (a phase that moves no messages); when non-nil it is
-// deep-copied into the observed stats, and its Pairs matrix (if any) rides
-// along into the trace like any algorithm superstep's.
+// ChargePhaseWork accounts a barrier-gated recovery phase — checkpoint
+// write, checkpoint restore, restream transfer — as one pseudo-iteration.
+// busy[i] is machine i's busy time in simulated µs (dead machines must be
+// 0); the phase lasts max(busy)+Latency, every faster live machine waits out
+// the slack, and the phase is observed through telemetry with its kind
+// attached so traces can separate recovery overhead from algorithm
+// supersteps.
+//
+// work attaches explicit counters to the phase record. Fault recovery uses
+// it to publish restream traffic — which survivor received how many vertex
+// states from the dead machine — so the comm matrix shows recovery-induced
+// shifts, not just algorithm messages. work may be nil (a phase that moves
+// no messages); when non-nil it is deep-copied into the observed stats, and
+// its Pairs matrix (if any) rides along into the trace like any algorithm
+// superstep's.
 func (c *Cluster) ChargePhaseWork(kind string, busy []float64, work *Counters) (IterationStats, error) {
 	k := c.numMachines
 	if len(busy) != k {
@@ -473,18 +477,7 @@ func (c *Cluster) ChargePhaseWork(kind string, busy []float64, work *Counters) (
 	if work == nil {
 		work = c.NewCounters()
 	}
-	st := IterationStats{
-		Compute: make([]float64, k),
-		Comm:    make([]float64, k),
-		Waiting: make([]float64, k),
-		Work: Counters{
-			Steps:    append([]int64(nil), work.Steps...),
-			Edges:    append([]int64(nil), work.Edges...),
-			Vertices: append([]int64(nil), work.Vertices...),
-			Messages: append([]int64(nil), work.Messages...),
-			Pairs:    clonePairs(work.Pairs),
-		},
-	}
+	st := newIterationStats(k, work)
 	var max float64
 	for i := 0; i < k; i++ {
 		if c.Dead(i) {
@@ -509,7 +502,7 @@ func (c *Cluster) ChargePhaseWork(kind string, busy []float64, work *Counters) (
 // observe publishes one finished superstep to the attached telemetry. The
 // emitted record carries the IterationStats verbatim: per-machine compute,
 // comm and waiting (simulated µs) plus the raw work counters. phase is ""
-// for an algorithm superstep, or the recovery phase kind from ChargePhase.
+// for an algorithm superstep, or the recovery phase kind from ChargePhaseWork.
 func (c *Cluster) observe(st *IterationStats, phase string) {
 	iter := int(c.iter.Add(1)) - 1
 	if c.probe != nil {

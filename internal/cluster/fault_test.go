@@ -118,7 +118,7 @@ func TestChargePhase(t *testing.T) {
 	mem := telemetry.NewMemory()
 	reg := telemetry.NewRegistry()
 	c.SetTelemetry(mem, reg)
-	st, err := c.ChargePhase("checkpoint", []float64{10, 4, 0})
+	st, err := c.ChargePhaseWork("checkpoint", []float64{10, 4, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestChargePhase(t *testing.T) {
 	if st.Waiting[0] != 0 || st.Waiting[1] != 6 || st.Waiting[2] != 10 {
 		t.Fatalf("Waiting = %v", st.Waiting)
 	}
-	if _, err := c.ChargePhase("checkpoint", []float64{1}); err == nil {
-		t.Fatal("ChargePhase accepted wrong busy length")
+	if _, err := c.ChargePhaseWork("checkpoint", []float64{1}, nil); err == nil {
+		t.Fatal("ChargePhaseWork accepted wrong busy length")
 	}
 	// The phase event must carry its kind so traces can separate recovery
 	// barriers from algorithm supersteps.
@@ -144,7 +144,7 @@ func TestChargePhase(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("phase attr missing from ChargePhase event")
+		t.Fatal("phase attr missing from ChargePhaseWork event")
 	}
 	if got := reg.Counter("cluster_supersteps_total").Value(); got != 1 {
 		t.Fatalf("cluster_supersteps_total = %d", got)
@@ -159,7 +159,7 @@ func TestChargePhaseDeadMachineZero(t *testing.T) {
 	if err := c.MarkDead(1); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.ChargePhase("restore", []float64{3, 99})
+	st, err := c.ChargePhaseWork("restore", []float64{3, 99}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"bpart/internal/cluster"
+	"bpart/internal/fault"
 	"bpart/internal/graph"
 )
 
@@ -26,6 +28,8 @@ type SSSPResult struct {
 	Dist    []int64 // -1 = unreachable
 	Reached int
 	Stats   cluster.RunStats
+	// Recovery is set when the run executed under a fault controller.
+	Recovery *fault.RecoveryStats
 }
 
 // SSSP runs frontier-based Bellman–Ford over out-edges from source with
@@ -58,13 +62,20 @@ func (e *Engine) SSSP(source graph.VertexID) (*SSSPResult, error) {
 		},
 		apply: func(v graph.VertexID, key uint64) { dist[v] = int64(key) },
 	}
-	res := &SSSPResult{}
-	for frontier.Len() > 0 {
+	step := func(int) (cluster.IterationStats, bool) {
 		w := e.cl.NewCounters()
-		out := e.edgeMap(spec, st, frontier, 0, w)
-		frontier = out.frontier
-		res.Stats.Add(e.cl.FinishIteration(w))
+		frontier = e.edgeMap(spec, st, frontier, 0, w).frontier
+		return e.cl.FinishIteration(w), frontier.Len() == 0
 	}
+	checkpoint := func() func() {
+		saved, members := slices.Clone(dist), subsetMembers(frontier)
+		return func() {
+			copy(dist, saved)
+			frontier = SubsetFromVertices(n, slices.Clone(members))
+		}
+	}
+	res := &SSSPResult{}
+	res.Stats, res.Recovery = e.run(step, checkpoint)
 	res.Dist = dist
 	for _, d := range dist {
 		if d >= 0 {
@@ -81,6 +92,8 @@ type KCoreResult struct {
 	// CoreSize is the number of surviving vertices.
 	CoreSize int
 	Stats    cluster.RunStats
+	// Recovery is set when the run executed under a fault controller.
+	Recovery *fault.RecoveryStats
 }
 
 // KCore computes the k-core of the undirected closure by iterative
@@ -102,9 +115,9 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 		alive[v] = true
 		degree[v] = int32(e.g.OutDegree(graph.VertexID(v)) + tr.OutDegree(graph.VertexID(v)))
 	}
-	res := &KCoreResult{}
-	tasks := e.tasks
-	for {
+	step := func(int) (cluster.IterationStats, bool) {
+		// Read per superstep: a restream replaces the engine's shards.
+		tasks := e.tasks
 		w := e.cl.NewCounters()
 		// Scan: find the sub-threshold survivors. Per-shard removed lists
 		// concatenate in fixed (machine, shard) order, so each machine's
@@ -132,8 +145,7 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 			total += len(found[t])
 		}
 		if total == 0 {
-			res.Stats.Add(e.cl.FinishIteration(w))
-			break
+			return e.cl.FinishIteration(w), true
 		}
 		// Peel: mark dead, decrement neighbor degrees, charge the edge
 		// scans and the cross-machine notifications.
@@ -158,8 +170,17 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 			}
 		})
 		combineCounters(w, ptasks, ptcs)
-		res.Stats.Add(e.cl.FinishIteration(w))
+		return e.cl.FinishIteration(w), false
 	}
+	checkpoint := func() func() {
+		savedAlive, savedDegree := slices.Clone(alive), slices.Clone(degree)
+		return func() {
+			copy(alive, savedAlive)
+			copy(degree, savedDegree)
+		}
+	}
+	res := &KCoreResult{}
+	res.Stats, res.Recovery = e.run(step, checkpoint)
 	res.InCore = alive
 	for _, a := range alive {
 		if a {

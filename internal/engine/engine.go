@@ -15,6 +15,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"bpart/internal/cluster"
@@ -67,10 +68,12 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cl }
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // SetFaults attaches (or with nil detaches) a fault controller. The
-// controller must have been built on this engine's cluster; every
-// subsequent algorithm run then executes under its schedule: checkpoints
-// at interval barriers, crashes rolled back (or restreamed, per policy),
-// and the run's result structs carry the RecoveryStats.
+// controller must have been built on this engine's cluster. Every
+// algorithm drives its supersteps through run, so every subsequent run —
+// PageRank push and pull, ConnectedComponents, BFS, BFSDirectionOptimizing,
+// SSSP, KCore — executes under the schedule: checkpoints at interval
+// barriers, crashes rolled back (or restreamed, per policy), and the
+// result's Recovery field carries the RecoveryStats.
 func (e *Engine) SetFaults(ctl *fault.Controller) error {
 	if ctl != nil && ctl.Cluster() != e.cl {
 		return fmt.Errorf("engine: fault controller bound to a different cluster")
@@ -95,26 +98,16 @@ func (e *Engine) reassign(assignment []int) {
 	e.cutMu.Unlock()
 }
 
-// prSnap, ccSnap and bfsSnap capture each algorithm's complete mutable
-// state at a checkpoint barrier, including the loop position: restore puts
-// the loop variable back to the checkpointed superstep, and the loop's own
-// increment then re-executes the first lost superstep.
-type prSnap struct {
-	ranks []float64
-	delta float64
-	it    int
-}
-
-type ccSnap struct {
-	labels   []uint32
-	frontier []graph.VertexID
-	it       int
-}
-
-type bfsSnap struct {
-	dist     []int32
-	frontier []graph.VertexID
-	depth    int32
+// run drives one algorithm's supersteps through the fault package's BSP
+// loop — under the attached controller, or bare when there is none.
+// checkpoint captures the algorithm's mutable state and returns the closure
+// that copies it back; a restream's new placement is the engine's to absorb.
+func (e *Engine) run(step func(it int) (cluster.IterationStats, bool), checkpoint func() func()) (cluster.RunStats, *fault.RecoveryStats) {
+	return e.flt.Run(fault.Program{
+		Step:       step,
+		Checkpoint: checkpoint,
+		Reassign:   func(dead int, assignment []int) { e.reassign(assignment) },
+	})
 }
 
 // SetTelemetry implements telemetry.Instrumentable: the tracer receives one
@@ -147,6 +140,9 @@ func (e *Engine) transpose() *graph.Graph {
 // partitioning scheme, as the experiment harness does) share the expensive
 // reversed adjacency instead of rebuilding it per engine.
 func (e *Engine) SetTranspose(tr *graph.Graph) error {
+	if tr == nil {
+		return fmt.Errorf("engine: nil transpose")
+	}
 	if tr.NumVertices() != e.g.NumVertices() || tr.NumEdges() != e.g.NumEdges() {
 		return fmt.Errorf("engine: transpose shape %v does not match graph %v", tr, e.g)
 	}
@@ -182,6 +178,60 @@ func (e *Engine) PageRankUntil(maxIters int, damping, tol float64) (*PRResult, e
 	return e.pageRankPush(maxIters, damping, tol)
 }
 
+// pageRank is the state the push and pull modes share: the rank vector and
+// the per-iteration contribution pre-phase's buffers.
+type pageRank struct {
+	damping  float64
+	ranks    []float64
+	contrib  []float64 // ranks[v] / outdeg(v), refreshed by contributions
+	dangling []float64 // per-chunk dangling-mass partials
+}
+
+func (e *Engine) newPageRank(iters int, damping float64) (*pageRank, error) {
+	if iters <= 0 {
+		return nil, fmt.Errorf("engine: PageRank iters = %d", iters)
+	}
+	if damping < 0 || damping >= 1 {
+		return nil, fmt.Errorf("engine: damping = %v, want [0,1)", damping)
+	}
+	n := e.g.NumVertices()
+	pr := &pageRank{
+		damping:  damping,
+		ranks:    make([]float64, n),
+		contrib:  make([]float64, n),
+		dangling: make([]float64, shardCount(n)),
+	}
+	for v := range pr.ranks {
+		pr.ranks[v] = 1 / float64(n)
+	}
+	return pr, nil
+}
+
+// contributions is the pre-phase of an iteration: per-vertex contribution
+// and dangling mass, per-chunk partials reduced in chunk order. It returns
+// the rank every vertex receives before its in-neighbors' contributions.
+func (e *Engine) contributions(pr *pageRank) (base float64) {
+	n := e.g.NumVertices()
+	ranks, contrib := pr.ranks, pr.contrib
+	e.chunkMap(n, func(c, lo, hi int) {
+		var dang float64
+		for v := lo; v < hi; v++ {
+			if d := e.g.OutDegree(graph.VertexID(v)); d > 0 {
+				contrib[v] = ranks[v] / float64(d)
+			} else {
+				contrib[v] = 0
+				dang += ranks[v]
+			}
+		}
+		pr.dangling[c] = dang
+	})
+	var danglingSum float64
+	for _, d := range pr.dangling {
+		danglingSum += d
+	}
+	return (1-pr.damping)/float64(n) + pr.damping*danglingSum/float64(n)
+}
+
 // pageRankPush is push-mode PageRank on the parallel kernel. The
 // communication accounting is push-semantics exactly as before — every
 // out-edge is traversed and a cut out-edge costs its owner one message —
@@ -190,67 +240,19 @@ func (e *Engine) PageRankUntil(maxIters int, damping, tol float64) (*PRResult, e
 // exactly one chunk and the ranks are bit-identical at any worker count
 // (and across placements).
 func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error) {
-	if iters <= 0 {
-		return nil, fmt.Errorf("engine: PageRank iters = %d", iters)
-	}
-	if damping < 0 || damping >= 1 {
-		return nil, fmt.Errorf("engine: damping = %v, want [0,1)", damping)
+	pr, err := e.newPageRank(iters, damping)
+	if err != nil {
+		return nil, err
 	}
 	n := e.g.NumVertices()
 	k := e.cl.NumMachines()
 	tr := e.transpose()
-	ranks := make([]float64, n)
-	for v := range ranks {
-		ranks[v] = 1 / float64(n)
-	}
-	contrib := make([]float64, n)
-	chunks := shardCount(n)
-	dangling := make([]float64, chunks)
-	deltas := make([]float64, chunks)
+	ranks, contrib := pr.ranks, pr.contrib
+	deltas := make([]float64, len(pr.dangling))
 
 	res := &PRResult{}
-	it := -1 // the initial snapshot is "superstep -1": restore replays from 0
-	if e.flt != nil {
-		err := e.flt.BeginRun(fault.Hooks{
-			Save: func() any {
-				return &prSnap{ranks: append([]float64(nil), ranks...), delta: res.Delta, it: it}
-			},
-			Restore: func(s any) {
-				sn := s.(*prSnap)
-				copy(ranks, sn.ranks)
-				res.Delta = sn.delta
-				it = sn.it
-			},
-			Reassign: func(dead int, assignment []int) { e.reassign(assignment) },
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sp := e.tel.Span("engine.pagerank",
-		telemetry.Int("max_iters", iters),
-		telemetry.Float("damping", damping),
-		telemetry.Float("tol", tol))
-	for it = 0; it < iters; it++ {
-		// Pre-phase: per-vertex contribution and dangling mass, per-chunk
-		// partials reduced in chunk order.
-		e.chunkMap(n, func(c, lo, hi int) {
-			var dang float64
-			for v := lo; v < hi; v++ {
-				if d := e.g.OutDegree(graph.VertexID(v)); d > 0 {
-					contrib[v] = ranks[v] / float64(d)
-				} else {
-					contrib[v] = 0
-					dang += ranks[v]
-				}
-			}
-			dangling[c] = dang
-		})
-		var danglingSum float64
-		for _, d := range dangling {
-			danglingSum += d
-		}
-		base := (1-damping)/float64(n) + damping*danglingSum/float64(n)
+	step := func(it int) (cluster.IterationStats, bool) {
+		base := e.contributions(pr)
 
 		// Push accounting: every owned vertex pushes along all its
 		// out-edges, sharded on the worker pool, integer counters only.
@@ -289,18 +291,20 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 		for _, d := range deltas {
 			res.Delta += d
 		}
-		res.Stats.Add(e.cl.FinishIteration(w))
-		if e.flt != nil && e.flt.EndSuperstep(&res.Stats) == fault.Restored {
-			continue
-		}
-		if tol > 0 && res.Delta < tol {
-			break
+		return e.cl.FinishIteration(w), it+1 == iters || (tol > 0 && res.Delta < tol)
+	}
+	checkpoint := func() func() {
+		saved, delta := slices.Clone(ranks), res.Delta
+		return func() {
+			copy(ranks, saved)
+			res.Delta = delta
 		}
 	}
-	if e.flt != nil {
-		rec := e.flt.Finish(&res.Stats)
-		res.Recovery = &rec
-	}
+	sp := e.tel.Span("engine.pagerank",
+		telemetry.Int("max_iters", iters),
+		telemetry.Float("damping", damping),
+		telemetry.Float("tol", tol))
+	res.Stats, res.Recovery = e.run(step, checkpoint)
 	res.Ranks = ranks
 	e.reg.Histogram("engine_run_sim_time_us").Observe(res.Stats.TotalTime())
 	sp.End(
@@ -340,46 +344,21 @@ func (e *Engine) ConnectedComponents(maxIters int) (*CCResult, error) {
 		apply:      func(v graph.VertexID, key uint64) { labels[v] = uint32(key) },
 		undirected: true,
 	}
-	res := &CCResult{}
-	it := -1
-	if e.flt != nil {
-		err := e.flt.BeginRun(fault.Hooks{
-			Save: func() any {
-				return &ccSnap{
-					labels:   append([]uint32(nil), labels...),
-					frontier: subsetMembers(frontier),
-					it:       it,
-				}
-			},
-			Restore: func(s any) {
-				sn := s.(*ccSnap)
-				copy(labels, sn.labels)
-				frontier = SubsetFromVertices(n, append([]graph.VertexID(nil), sn.frontier...))
-				it = sn.it
-			},
-			Reassign: func(dead int, assignment []int) { e.reassign(assignment) },
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sp := e.tel.Span("engine.cc", telemetry.Int("max_iters", maxIters))
-	for it = 0; maxIters <= 0 || it < maxIters; it++ {
+	step := func(it int) (cluster.IterationStats, bool) {
 		w := e.cl.NewCounters()
-		out := e.edgeMap(spec, st, frontier, 0, w)
-		frontier = out.frontier
-		res.Stats.Add(e.cl.FinishIteration(w))
-		if e.flt != nil && e.flt.EndSuperstep(&res.Stats) == fault.Restored {
-			continue
-		}
-		if frontier.Len() == 0 {
-			break
+		frontier = e.edgeMap(spec, st, frontier, 0, w).frontier
+		return e.cl.FinishIteration(w), frontier.Len() == 0 || it+1 == maxIters
+	}
+	checkpoint := func() func() {
+		saved, members := slices.Clone(labels), subsetMembers(frontier)
+		return func() {
+			copy(labels, saved)
+			frontier = SubsetFromVertices(n, slices.Clone(members))
 		}
 	}
-	if e.flt != nil {
-		rec := e.flt.Finish(&res.Stats)
-		res.Recovery = &rec
-	}
+	res := &CCResult{}
+	sp := e.tel.Span("engine.cc", telemetry.Int("max_iters", maxIters))
+	res.Stats, res.Recovery = e.run(step, checkpoint)
 	res.Labels = labels
 	// Labels are vertex IDs, so distinct labels count in a |V| bitmap.
 	seen := make([]bool, n)
@@ -406,8 +385,30 @@ type BFSResult struct {
 	Recovery *fault.RecoveryStats
 }
 
-// BFS runs a BSP breadth-first search over out-edges from source.
+// BFS runs a BSP breadth-first search over out-edges from source, every
+// level a top-down push.
 func (e *Engine) BFS(source graph.VertexID) (*BFSResult, error) {
+	return e.bfs(source, false)
+}
+
+// BFSDirectionOptimizing runs Beamer-style direction-optimizing BFS: the
+// classic top-down frontier expansion switches to bottom-up (every
+// unvisited vertex scans its in-neighbors for a frontier parent) when the
+// frontier's out-edge volume crosses |E|/alpha, and back when the frontier
+// shrinks below |V|/beta. On small-world graphs the bottom-up phase skips
+// the bulk of the edge work in the two or three "fat" middle levels —
+// the same optimization Gemini's dense mode implements.
+//
+// Distances are identical to BFS; only the work (and therefore the
+// simulated time) differs.
+func (e *Engine) BFSDirectionOptimizing(source graph.VertexID) (*BFSResult, error) {
+	return e.bfs(source, true)
+}
+
+// bfs is the one breadth-first search behind both: one edge-map per level,
+// superstep it settling depth it+1. directionOptimizing is the kernel's
+// auto mode — direction switching with early-exit pull scans.
+func (e *Engine) bfs(source graph.VertexID, directionOptimizing bool) (*BFSResult, error) {
 	n := e.g.NumVertices()
 	if int(source) >= n {
 		return nil, fmt.Errorf("engine: BFS source %d out of range", source)
@@ -418,9 +419,10 @@ func (e *Engine) BFS(source graph.VertexID) (*BFSResult, error) {
 	}
 	dist[source] = 0
 	frontier := SubsetFromVertices(n, []graph.VertexID{source})
+	// The frontier's out-edge volume, the auto mode's switching input.
+	frontierEdges := int64(e.g.OutDegree(source))
 	st := e.newKernelState()
-	res := &BFSResult{}
-	depth := int32(0)
+	var depth int32
 	spec := &edgeMapSpec{
 		value: func(src, dst graph.VertexID) uint64 { return uint64(depth) },
 		cur: func(v graph.VertexID) uint64 {
@@ -429,44 +431,28 @@ func (e *Engine) BFS(source graph.VertexID) (*BFSResult, error) {
 			}
 			return uint64(dist[v])
 		},
-		apply: func(v graph.VertexID, key uint64) { dist[v] = int32(key) },
+		apply:     func(v graph.VertexID, key uint64) { dist[v] = int32(key) },
+		auto:      directionOptimizing,
+		stopEarly: directionOptimizing,
 	}
-	if e.flt != nil {
-		err := e.flt.BeginRun(fault.Hooks{
-			Save: func() any {
-				return &bfsSnap{
-					dist:     append([]int32(nil), dist...),
-					frontier: subsetMembers(frontier),
-					depth:    depth,
-				}
-			},
-			Restore: func(s any) {
-				sn := s.(*bfsSnap)
-				copy(dist, sn.dist)
-				frontier = SubsetFromVertices(n, append([]graph.VertexID(nil), sn.frontier...))
-				depth = sn.depth
-			},
-			Reassign: func(dead int, assignment []int) { e.reassign(assignment) },
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sp := e.tel.Span("engine.bfs", telemetry.Int("source", int(source)))
-	for depth = 1; frontier.Len() > 0; depth++ {
+	step := func(it int) (cluster.IterationStats, bool) {
+		depth = int32(it) + 1
 		e.reg.Histogram("engine_bfs_frontier_vertices").Observe(float64(frontier.Len()))
 		w := e.cl.NewCounters()
-		out := e.edgeMap(spec, st, frontier, 0, w)
-		frontier = out.frontier
-		res.Stats.Add(e.cl.FinishIteration(w))
-		if e.flt != nil && e.flt.EndSuperstep(&res.Stats) == fault.Restored {
-			continue
+		out := e.edgeMap(spec, st, frontier, frontierEdges, w)
+		frontier, frontierEdges = out.frontier, out.frontierEdges
+		return e.cl.FinishIteration(w), frontier.Len() == 0
+	}
+	checkpoint := func() func() {
+		saved, members, edges := slices.Clone(dist), subsetMembers(frontier), frontierEdges
+		return func() {
+			copy(dist, saved)
+			frontier, frontierEdges = SubsetFromVertices(n, slices.Clone(members)), edges
 		}
 	}
-	if e.flt != nil {
-		rec := e.flt.Finish(&res.Stats)
-		res.Recovery = &rec
-	}
+	res := &BFSResult{}
+	sp := e.tel.Span("engine.bfs", telemetry.Int("source", int(source)))
+	res.Stats, res.Recovery = e.run(step, checkpoint)
 	res.Dist = dist
 	for _, d := range dist {
 		if d >= 0 {

@@ -38,6 +38,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(g, []int{0, 0, 0, 9}, 2, cluster.DefaultCostModel()); err == nil {
 		t.Fatal("out-of-range machine accepted")
 	}
+	if err := newEngine(t, g, 2).SetTranspose(nil); err == nil {
+		t.Fatal("nil transpose accepted")
+	}
 }
 
 func TestPageRankArgs(t *testing.T) {

@@ -1,11 +1,10 @@
 package engine
 
 import (
-	"fmt"
+	"slices"
 	"sync/atomic"
 
-	"bpart/internal/fault"
-	"bpart/internal/graph"
+	"bpart/internal/cluster"
 )
 
 // PageRankPull runs PageRank in Gemini's pull mode: every machine computes
@@ -25,80 +24,32 @@ import (
 // The returned ranks are identical (up to float association order) to the
 // push-mode PageRank.
 func (e *Engine) PageRankPull(iters int, damping float64) (*PRResult, error) {
-	if iters <= 0 {
-		return nil, fmt.Errorf("engine: PageRankPull iters = %d", iters)
-	}
-	if damping < 0 || damping >= 1 {
-		return nil, fmt.Errorf("engine: damping = %v, want [0,1)", damping)
+	pr, err := e.newPageRank(iters, damping)
+	if err != nil {
+		return nil, err
 	}
 	n := e.g.NumVertices()
 	k := e.cl.NumMachines()
 	tr := e.transpose()
-	ranks := make([]float64, n)
-	for v := range ranks {
-		ranks[v] = 1 / float64(n)
-	}
-	contrib := make([]float64, n)
+	contrib := pr.contrib
 	next := make([]float64, n)
 	// Per-machine mirror stamps: stamp[m][u] == current iteration means
 	// u's value is already cached on machine m this iteration.
 	stamps := make([][]int32, k)
 	for m := range stamps {
 		stamps[m] = make([]int32, n)
-		for i := range stamps[m] {
-			stamps[m][i] = -1
-		}
 	}
-	chunks := shardCount(n)
-	dangling := make([]float64, chunks)
-
-	res := &PRResult{}
-	it := -1
-	if e.flt != nil {
-		err := e.flt.BeginRun(fault.Hooks{
-			Save: func() any {
-				return &prSnap{ranks: append([]float64(nil), ranks...), it: it}
-			},
-			Restore: func(s any) {
-				sn := s.(*prSnap)
-				copy(ranks, sn.ranks)
-				it = sn.it
-				// A restarted machine has lost its mirror caches, and a
-				// stale stamp equal to a replayed iteration number would
-				// silently suppress that mirror's message. Reset them all.
-				for m := range stamps {
-					for i := range stamps[m] {
-						stamps[m][i] = -1
-					}
-				}
-			},
-			Reassign: func(dead int, assignment []int) { e.reassign(assignment) },
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for it = 0; it < iters; it++ {
-		// Pre-phase: per-vertex contribution and dangling mass, per-chunk
-		// partials reduced in chunk order.
-		e.chunkMap(n, func(c, lo, hi int) {
-			var dang float64
-			for v := lo; v < hi; v++ {
-				if d := e.g.OutDegree(graph.VertexID(v)); d > 0 {
-					contrib[v] = ranks[v] / float64(d)
-				} else {
-					contrib[v] = 0
-					dang += ranks[v]
-				}
+	clearStamps := func() {
+		for m := range stamps {
+			for i := range stamps[m] {
+				stamps[m][i] = -1
 			}
-			dangling[c] = dang
-		})
-		var danglingSum float64
-		for _, d := range dangling {
-			danglingSum += d
 		}
-		base := (1-damping)/float64(n) + damping*danglingSum/float64(n)
+	}
+	clearStamps()
 
+	step := func(it int) (cluster.IterationStats, bool) {
+		base := e.contributions(pr)
 		w := e.cl.NewCounters()
 		tasks := e.tasks
 		tcs := newTaskCounters(len(tasks), k, w.Pairs != nil)
@@ -134,16 +85,21 @@ func (e *Engine) PageRankPull(iters int, damping float64) (*PRResult, error) {
 			}
 		})
 		combineCounters(w, tasks, tcs)
-		ranks, next = next, ranks
-		res.Stats.Add(e.cl.FinishIteration(w))
-		if e.flt != nil && e.flt.EndSuperstep(&res.Stats) == fault.Restored {
-			continue
+		pr.ranks, next = next, pr.ranks
+		return e.cl.FinishIteration(w), it+1 == iters
+	}
+	checkpoint := func() func() {
+		saved := slices.Clone(pr.ranks)
+		return func() {
+			copy(pr.ranks, saved)
+			// A restarted machine has lost its mirror caches, and a
+			// stale stamp equal to a replayed iteration number would
+			// silently suppress that mirror's message. Reset them all.
+			clearStamps()
 		}
 	}
-	if e.flt != nil {
-		rec := e.flt.Finish(&res.Stats)
-		res.Recovery = &rec
-	}
-	res.Ranks = ranks
+	res := &PRResult{}
+	res.Stats, res.Recovery = e.run(step, checkpoint)
+	res.Ranks = pr.ranks
 	return res, nil
 }

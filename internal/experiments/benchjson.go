@@ -239,41 +239,23 @@ func (a *BenchArtifact) collectRecovery(d gen.Dataset, opt Options) error {
 	base := opt
 	base.Faults = nil
 	for _, scheme := range allSchemes {
-		e, err := iterEngine(d, base, scheme, benchPartitionK)
+		free, err := recoveryPageRank(d, base, scheme, nil)
 		if err != nil {
 			return fmt.Errorf("bench artifact: %w", err)
 		}
-		free, err := e.PageRank(faultRecoveryIters, 0.85)
-		if err != nil {
-			return fmt.Errorf("bench artifact: %s pagerank: %w", scheme, err)
-		}
-		e, err = iterEngine(d, base, scheme, benchPartitionK)
+		ps := spec.Clone() // normalized by its controller: Policy is filled in
+		res, err := recoveryPageRank(d, base, scheme, ps)
 		if err != nil {
 			return fmt.Errorf("bench artifact: %w", err)
-		}
-		ctl, err := fault.NewController(e.Graph(), e.Cluster(), spec.Clone())
-		if err != nil {
-			return fmt.Errorf("bench artifact: %w", err)
-		}
-		if err := e.SetFaults(ctl); err != nil {
-			return fmt.Errorf("bench artifact: %w", err)
-		}
-		res, err := e.PageRank(faultRecoveryIters, 0.85)
-		if err != nil {
-			return fmt.Errorf("bench artifact: %s faulty pagerank: %w", scheme, err)
-		}
-		rec := res.Recovery
-		if rec == nil {
-			return fmt.Errorf("bench artifact: %s faulty run reported no RecoveryStats", scheme)
 		}
 		a.Recovery = append(a.Recovery, BenchRecovery{
 			Graph:              string(d),
 			Scheme:             scheme,
 			K:                  benchPartitionK,
-			Policy:             string(ctl.Spec().Policy),
+			Policy:             string(ps.Policy),
 			SimTimeUS:          res.Stats.TotalTime(),
 			FaultFreeSimTimeUS: free.Stats.TotalTime(),
-			RecoveryStats:      *rec,
+			RecoveryStats:      *res.Recovery,
 		})
 	}
 	return nil

@@ -312,7 +312,7 @@ func walkEngine(d gen.Dataset, opt Options, scheme string, k int) (*walk.Engine,
 	if opt.Probe != nil {
 		e.SetResourceProbe(opt.Probe)
 	}
-	if err := attachFaults(opt, g, e, k); err != nil {
+	if err := attachFaults(opt, e, opt.scheduleFor(k)); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -321,18 +321,20 @@ func walkEngine(d gen.Dataset, opt Options, scheme string, k int) (*walk.Engine,
 // faultable is the engine-side surface attachFaults needs; both the
 // iteration and walk engines satisfy it.
 type faultable interface {
+	Graph() *graph.Graph
 	Cluster() *cluster.Cluster
 	SetFaults(*fault.Controller) error
 }
 
-// attachFaults wires Options.Faults (when set) into a freshly built engine:
-// its own controller over a clone of the schedule projected onto k
-// machines. Clusters too small to lose a machine run fault-free.
-func attachFaults(opt Options, g *graph.Graph, e faultable, k int) error {
-	if opt.Faults == nil || k < 2 {
+// attachFaults is the harness's one way to put an engine under a fault
+// schedule: a controller of its own over spec (normalized in place — pass
+// a clone), instrumented like the engine. A nil spec leaves the engine
+// fault-free.
+func attachFaults(opt Options, e faultable, spec *fault.Spec) error {
+	if spec == nil {
 		return nil
 	}
-	ctl, err := fault.NewController(g, e.Cluster(), opt.Faults.ForMachines(k))
+	ctl, err := fault.NewController(e.Graph(), e.Cluster(), spec)
 	if err != nil {
 		return err
 	}
@@ -340,6 +342,16 @@ func attachFaults(opt Options, g *graph.Graph, e faultable, k int) error {
 		ctl.SetTelemetry(opt.Tracer, opt.Metrics)
 	}
 	return e.SetFaults(ctl)
+}
+
+// scheduleFor projects Options.Faults (when set) onto a k-machine cluster,
+// as a clone so every engine's controller owns its schedule. Clusters too
+// small to lose a machine run fault-free.
+func (o Options) scheduleFor(k int) *fault.Spec {
+	if o.Faults == nil || k < 2 {
+		return nil
+	}
+	return o.Faults.ForMachines(k)
 }
 
 func iterEngine(d gen.Dataset, opt Options, scheme string, k int) (*engine.Engine, error) {
@@ -369,7 +381,7 @@ func iterEngine(d gen.Dataset, opt Options, scheme string, k int) (*engine.Engin
 	if opt.Probe != nil {
 		e.SetResourceProbe(opt.Probe)
 	}
-	if err := attachFaults(opt, g, e, k); err != nil {
+	if err := attachFaults(opt, e, opt.scheduleFor(k)); err != nil {
 		return nil, err
 	}
 	return e, nil

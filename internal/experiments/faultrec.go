@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"bpart/internal/engine"
 	"bpart/internal/fault"
 	"bpart/internal/gen"
 )
@@ -21,6 +22,24 @@ func defaultFaultSpec() *fault.Spec {
 		CheckpointEvery: 2,
 		Events:          []fault.Event{{Kind: fault.Crash, Step: 5, Machine: 1}},
 	}
+}
+
+// recoveryPageRank runs the canonical PageRank workload for scheme on a
+// fresh benchPartitionK-machine engine under spec (nil = fault-free; a
+// non-nil spec is normalized in place, and the result carries Recovery).
+func recoveryPageRank(d gen.Dataset, base Options, scheme string, spec *fault.Spec) (*engine.PRResult, error) {
+	e, err := iterEngine(d, base, scheme, benchPartitionK)
+	if err != nil {
+		return nil, err
+	}
+	if err := attachFaults(base, e, spec); err != nil {
+		return nil, err
+	}
+	res, err := e.PageRank(faultRecoveryIters, 0.85)
+	if err != nil {
+		return nil, fmt.Errorf("%s pagerank: %w", scheme, err)
+	}
+	return res, nil
 }
 
 // FaultRecovery is an extension beyond the paper: it reruns the canonical
@@ -51,41 +70,20 @@ func FaultRecovery(opt Options) (*Table, error) {
 		Header: []string{"scheme", "policy", "sim time (us)", "overhead", "ckpts", "replayed", "restreamed", "added wait"},
 	}
 	for _, scheme := range compareSchemes {
-		e, err := iterEngine(d, base, scheme, k)
+		free, err := recoveryPageRank(d, base, scheme, nil)
 		if err != nil {
 			return nil, err
 		}
-		res, err := e.PageRank(faultRecoveryIters, 0.85)
-		if err != nil {
-			return nil, err
-		}
-		faultFree := res.Stats.TotalTime()
+		faultFree := free.Stats.TotalTime()
 		t.AddRow(scheme, "none", f2(faultFree), "-", "-", "-", "-", "-")
 		for _, policy := range []fault.Policy{fault.Rollback, fault.Restream} {
 			ps := spec.Clone()
 			ps.Policy = policy
-			e, err := iterEngine(d, base, scheme, k)
-			if err != nil {
-				return nil, err
-			}
-			ctl, err := fault.NewController(e.Graph(), e.Cluster(), ps)
-			if err != nil {
-				return nil, err
-			}
-			if opt.Tracer != nil || opt.Metrics != nil {
-				ctl.SetTelemetry(opt.Tracer, opt.Metrics)
-			}
-			if err := e.SetFaults(ctl); err != nil {
-				return nil, err
-			}
-			res, err := e.PageRank(faultRecoveryIters, 0.85)
+			res, err := recoveryPageRank(d, base, scheme, ps)
 			if err != nil {
 				return nil, err
 			}
 			rec := res.Recovery
-			if rec == nil {
-				return nil, fmt.Errorf("fault recovery: %s/%s run reported no RecoveryStats", scheme, policy)
-			}
 			simTime := res.Stats.TotalTime()
 			overhead := "-"
 			if faultFree > 0 {

@@ -38,39 +38,35 @@ type RecoveryStats struct {
 	AddedWaitRatio float64 `json:"added_wait_ratio"`
 }
 
-// Hooks are the engine-side callbacks a Controller drives. Save and Restore
-// move the algorithm's complete mutable state (ranks, frontiers, walker
-// positions, RNG streams) into and out of an opaque snapshot; Reassign is
-// called after a restream with the dead machine and the new placement so
-// the engine can rebuild ownership-derived structures.
-type Hooks struct {
-	Save     func() any
-	Restore  func(snapshot any)
+// Program is one bulk-synchronous computation as the run loop sees it: the
+// algorithm builds its state, hands Run these three closures over it, and
+// fills its result from what Run returns.
+type Program struct {
+	// Step executes logical superstep it (0-based; a replayed superstep is
+	// called again with the same it) and returns the stats
+	// cluster.FinishIteration settled for it, plus whether the computation
+	// is complete after it. A nil Step is a program with nothing to do (a
+	// walk with no walkers): no superstep is recorded.
+	Step func(it int) (st cluster.IterationStats, done bool)
+	// Checkpoint captures the algorithm's complete mutable state (ranks,
+	// frontiers, walker positions, RNG streams) and returns a closure that
+	// copies it back. The closure must leave the capture intact: two crashes
+	// can roll back to the same checkpoint. Only called under a controller.
+	Checkpoint func() (restore func())
+	// Reassign is called after a restream, once state is restored, with the
+	// dead machine and the new placement so the engine can rebuild
+	// ownership-derived structures. Required by the Restream policy.
 	Reassign func(dead int, assignment []int)
 }
-
-// Action tells the engine loop what happened at a superstep boundary.
-type Action int
-
-const (
-	// Continue: proceed to the next superstep normally.
-	Continue Action = iota
-	// Restored: a crash fired and state was rolled back. The engine's
-	// Restore hook has already rewound its loop variables; the loop body
-	// should just continue into the (replayed) next iteration.
-	Restored
-)
 
 // Controller orchestrates one engine run under a fault spec: it supplies
 // per-superstep disruptions to the cluster, checkpoints at interval
 // barriers, and on a crash rolls the run back (and, under Restream,
 // re-partitions the dead machine's vertices onto survivors).
 //
-// Protocol: the engine calls BeginRun once before its superstep loop, then
-// EndSuperstep after every cluster.FinishIteration, continuing the loop
-// when it returns Restored, and Finish once the loop exits. A Controller
-// may drive several consecutive runs; machines killed under Restream stay
-// dead across them.
+// Run is the only superstep loop that speaks the recovery protocol; engines
+// reach the controller through it alone. A Controller may drive several
+// consecutive runs; machines killed under Restream stay dead across them.
 type Controller struct {
 	g    *graph.Graph
 	cl   *cluster.Cluster
@@ -79,11 +75,11 @@ type Controller struct {
 	tr  telemetry.Tracer
 	reg *telemetry.Registry
 
-	hooks       Hooks
+	prog        Program
 	running     bool
-	step        int // logical superstep currently executing
-	lastCkpt    int // logical step of the newest checkpoint (-1 = initial)
-	snap        any
+	step        int     // logical superstep currently executing
+	lastCkpt    int     // logical step of the newest checkpoint (-1 = initial)
+	restore     func()  // copies the newest checkpoint back
 	consumed    []bool  // one-shot events (crash, msgloss) already fired
 	replayUntil int     // logical steps below this are replays
 	owned       []int64 // per-machine owned-vertex counts
@@ -123,19 +119,44 @@ func (c *Controller) Cluster() *cluster.Cluster { return c.cl }
 // Spec returns the (normalized) schedule being injected.
 func (c *Controller) Spec() *Spec { return c.spec }
 
-// BeginRun resets per-run state and takes the free initial snapshot.
-func (c *Controller) BeginRun(h Hooks) error {
-	if h.Save == nil || h.Restore == nil {
-		return fmt.Errorf("fault: BeginRun needs Save and Restore hooks")
+// Run drives p's supersteps to completion and returns their accumulated
+// stats. On a nil Controller it is the bare BSP loop and reports no
+// RecoveryStats. Under a controller every settled superstep passes through
+// the recovery protocol: replays are accounted, due crashes roll state back
+// through the newest checkpoint's restore closure (and, under Restream,
+// re-partition the dead machine's vertices), interval checkpoints are
+// written, and the run's RecoveryStats are returned — non-nil even when p
+// had nothing to do. A done reported by a superstep that was then rolled
+// back is ignored: the work that finished the run has just been lost.
+func (c *Controller) Run(p Program) (cluster.RunStats, *RecoveryStats) {
+	var stats cluster.RunStats
+	if c != nil {
+		c.begin(p)
 	}
-	if c.spec.Policy == Restream && h.Reassign == nil {
-		for _, ev := range c.spec.Events {
-			if ev.Kind == Crash {
-				return fmt.Errorf("fault: restream policy needs a Reassign hook")
-			}
+	for it, done := 0, p.Step == nil; !done; it++ {
+		var st cluster.IterationStats
+		st, done = p.Step(it)
+		stats.Add(st)
+		if c != nil && c.endSuperstep(&stats) {
+			// The loop's increment replays the first lost superstep.
+			it, done = c.step-1, false
 		}
 	}
-	c.hooks = h
+	if c == nil {
+		return stats, nil
+	}
+	rec := c.finish(&stats)
+	return stats, &rec
+}
+
+// begin resets per-run state and takes the free initial snapshot.
+func (c *Controller) begin(p Program) {
+	if p.Checkpoint == nil || (c.spec.Policy == Restream && p.Reassign == nil) {
+		// Only an engine bug gets here: no schedule or input decides which
+		// closures a program is built with.
+		panic("fault: Run under a controller needs Program.Checkpoint, and Program.Reassign to restream")
+	}
+	c.prog = p
 	c.running = true
 	c.step = 0
 	c.lastCkpt = -1
@@ -153,8 +174,7 @@ func (c *Controller) BeginRun(h Hooks) error {
 	c.recoveryWait = 0
 	// The initial state is always recoverable: loading the input is a
 	// startup cost every run pays, so this snapshot is not charged.
-	c.snap = c.hooks.Save()
-	return nil
+	c.restore = p.Checkpoint()
 }
 
 func (c *Controller) refreshOwned() {
@@ -213,14 +233,12 @@ func (c *Controller) Disrupt() cluster.Disruption {
 	return d
 }
 
-// EndSuperstep is called by the engine after every FinishIteration. It
-// accounts replays, fires due crashes (restoring state through the hooks),
-// and writes interval checkpoints. stats is the engine's RunStats — the
+// endSuperstep runs after every settled superstep. It accounts replays,
+// fires a due crash (restoring state through the checkpoint's closure, in
+// which case it reports true and c.step is the superstep to replay from),
+// and writes interval checkpoints. stats is the run's RunStats — the
 // recovery barriers this call charges are appended to it.
-func (c *Controller) EndSuperstep(stats *cluster.RunStats) Action {
-	if !c.running {
-		return Continue
-	}
+func (c *Controller) endSuperstep(stats *cluster.RunStats) (rolledBack bool) {
 	step := c.step
 	if step < c.replayUntil {
 		c.stats.SuperstepsReplayed++
@@ -246,16 +264,16 @@ func (c *Controller) EndSuperstep(stats *cluster.RunStats) Action {
 			c.restream(ev.Machine, stats)
 		}
 		c.chargePhase("restore", stats)
-		c.hooks.Restore(c.snap)
-		if c.spec.Policy == Restream && c.hooks.Reassign != nil {
-			c.hooks.Reassign(ev.Machine, c.cl.Assignment())
+		c.restore()
+		if c.spec.Policy == Restream {
+			c.prog.Reassign(ev.Machine, c.cl.Assignment())
 		}
 		c.replayUntil = step + 1
 		c.step = c.lastCkpt + 1
-		return Restored
+		return true
 	}
 	if c.spec.CheckpointEvery > 0 && step-c.lastCkpt >= c.spec.CheckpointEvery {
-		c.snap = c.hooks.Save()
+		c.restore = c.prog.Checkpoint()
 		c.chargePhase("checkpoint", stats)
 		c.lastCkpt = step
 		c.stats.Checkpoints++
@@ -272,7 +290,7 @@ func (c *Controller) EndSuperstep(stats *cluster.RunStats) Action {
 		)
 	}
 	c.step = step + 1
-	return Continue
+	return false
 }
 
 // pendingCrash returns the index of an unconsumed crash event at step, or
@@ -447,10 +465,11 @@ func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 	)
 }
 
-// Finish closes the run, derives AddedWaitRatio against the final RunStats,
+// finish closes the run, derives AddedWaitRatio against the final RunStats,
 // publishes fault_* registry totals, and returns the stats.
-func (c *Controller) Finish(stats *cluster.RunStats) RecoveryStats {
+func (c *Controller) finish(stats *cluster.RunStats) RecoveryStats {
 	c.running = false
+	c.prog, c.restore = Program{}, nil // drop the finished run's state
 	k := c.cl.NumMachines()
 	if total := stats.TotalTime() * float64(k); total > 0 {
 		c.stats.AddedWaitRatio = c.recoveryWait / total

@@ -10,11 +10,10 @@ import (
 	"bpart/internal/telemetry"
 )
 
-// toyEngine is a minimal BSP computation exercising the full controller
-// protocol: each superstep increments every vertex's value by 1 on its
-// owning machine. After S completed supersteps every value is exactly S —
-// so lost work, bad rollbacks or double-applied replays are all visible as
-// wrong values.
+// toyEngine is a minimal BSP computation driven by Run: each superstep
+// increments every vertex's value by 1 on its owning machine. After S
+// completed supersteps every value is exactly S — so lost work, bad
+// rollbacks or double-applied replays are all visible as wrong values.
 type toyEngine struct {
 	g     *graph.Graph
 	cl    *cluster.Cluster
@@ -23,18 +22,19 @@ type toyEngine struct {
 	stats cluster.RunStats
 }
 
-type toySnap struct {
-	state []int
-	it    int
-}
-
 func newToy(t *testing.T, n, k int, spec *Spec) *toyEngine {
 	t.Helper()
 	b := graph.NewBuilder(n)
 	for v := 0; v < n; v++ {
 		b.AddEdge(graph.VertexID(v), graph.VertexID((v+1)%n))
 	}
-	g := b.Build()
+	return newToyOn(t, b.Build(), k, spec)
+}
+
+// newToyOn builds the toy computation over g with a round-robin placement.
+func newToyOn(t *testing.T, g *graph.Graph, k int, spec *Spec) *toyEngine {
+	t.Helper()
+	n := g.NumVertices()
 	assign := make([]int, n)
 	for v := range assign {
 		assign[v] = v % k
@@ -50,41 +50,48 @@ func newToy(t *testing.T, n, k int, spec *Spec) *toyEngine {
 	return &toyEngine{g: g, cl: cl, ctl: ctl, state: make([]int, n)}
 }
 
+// program is the toy computation as Run sees it; done(it) decides whether
+// superstep it was the last, reassign (may be nil) observes restreams.
+func (e *toyEngine) program(done func(it int) bool, reassign func(dead int, assignment []int)) Program {
+	if reassign == nil {
+		reassign = func(int, []int) {}
+	}
+	return Program{
+		Step: func(it int) (cluster.IterationStats, bool) {
+			w := e.cl.NewCounters()
+			for v := range e.state {
+				m := e.cl.Owner(graph.VertexID(v))
+				if e.cl.Dead(m) {
+					continue
+				}
+				e.state[v]++
+				w.Vertices[m]++
+				w.Messages[m]++
+			}
+			return e.cl.FinishIteration(w), done(it)
+		},
+		Checkpoint: func() func() {
+			saved := append([]int(nil), e.state...)
+			return func() { copy(e.state, saved) }
+		},
+		Reassign: reassign,
+	}
+}
+
 // run executes S supersteps under the controller and returns RecoveryStats.
 func (e *toyEngine) run(t *testing.T, supersteps int) RecoveryStats {
 	t.Helper()
-	it := -1
-	err := e.ctl.BeginRun(Hooks{
-		Save: func() any {
-			return &toySnap{state: append([]int(nil), e.state...), it: it}
-		},
-		Restore: func(s any) {
-			sn := s.(*toySnap)
-			copy(e.state, sn.state)
-			it = sn.it
-		},
-		Reassign: func(dead int, assignment []int) {},
-	})
-	if err != nil {
-		t.Fatal(err)
+	return e.runProgram(t, e.program(func(it int) bool { return it+1 == supersteps }, nil))
+}
+
+func (e *toyEngine) runProgram(t *testing.T, p Program) RecoveryStats {
+	t.Helper()
+	stats, rec := e.ctl.Run(p)
+	if rec == nil {
+		t.Fatal("Run under a controller returned no RecoveryStats")
 	}
-	for it = 0; it < supersteps; it++ {
-		w := e.cl.NewCounters()
-		for v := range e.state {
-			m := e.cl.Owner(graph.VertexID(v))
-			if e.cl.Dead(m) {
-				continue
-			}
-			e.state[v]++
-			w.Vertices[m]++
-			w.Messages[m]++
-		}
-		e.stats.Add(e.cl.FinishIteration(w))
-		if e.ctl.EndSuperstep(&e.stats) == Restored {
-			continue
-		}
-	}
-	return e.ctl.Finish(&e.stats)
+	e.stats = stats
+	return *rec
 }
 
 func (e *toyEngine) checkState(t *testing.T, want int) {
@@ -126,6 +133,72 @@ func TestRollbackRecoversExactState(t *testing.T) {
 	}
 }
 
+// A superstep that reports done and then crashes has lost the work that
+// finished the run: Run must replay it, not stop on the stale done.
+func TestRunIgnoresDoneOfRolledBackSuperstep(t *testing.T) {
+	spec := &Spec{CheckpointEvery: 2, Events: []Event{{Kind: Crash, Step: 3, Machine: 1}}}
+	e := newToy(t, 12, 3, spec)
+	rs := e.run(t, 4) // superstep 3 is both the last and the crashing one
+	e.checkState(t, 4)
+	if rs.Crashes != 1 {
+		t.Fatalf("Crashes = %d", rs.Crashes)
+	}
+	// Checkpoint at step 1, crash at 3: supersteps 2 and 3 replay.
+	if rs.SuperstepsReplayed != 2 {
+		t.Fatalf("SuperstepsReplayed = %d, want 2", rs.SuperstepsReplayed)
+	}
+}
+
+// Two crashes with no checkpoint between them roll back to the same one:
+// its restore closure runs twice and must put back the exact state both
+// times.
+func TestRunRestoresSameCheckpointTwice(t *testing.T) {
+	spec := &Spec{CheckpointEvery: 4, Events: []Event{
+		{Kind: Crash, Step: 5, Machine: 0},
+		{Kind: Crash, Step: 6, Machine: 1},
+	}}
+	e := newToy(t, 12, 3, spec)
+	restores := 0
+	p := e.program(func(it int) bool { return it+1 == 10 }, nil)
+	checkpoint := p.Checkpoint
+	p.Checkpoint = func() func() {
+		restore := checkpoint()
+		return func() {
+			restores++
+			restore()
+			e.checkState(t, 4) // the step-3 checkpoint: four supersteps done
+		}
+	}
+	rs := e.runProgram(t, p)
+	e.checkState(t, 10)
+	if rs.Crashes != 2 || restores != 2 {
+		t.Fatalf("Crashes = %d, restores = %d, want 2 and 2", rs.Crashes, restores)
+	}
+	// Checkpoint at step 3: the first crash replays 4-5, the second 4-6.
+	if rs.SuperstepsReplayed != 5 {
+		t.Fatalf("SuperstepsReplayed = %d, want 5", rs.SuperstepsReplayed)
+	}
+}
+
+// Without a controller Run is the bare loop: no checkpoint is ever taken
+// and no RecoveryStats are reported.
+func TestRunWithoutController(t *testing.T) {
+	e := newToy(t, 8, 2, &Spec{})
+	p := e.program(func(it int) bool { return it+1 == 5 }, nil)
+	p.Checkpoint = func() func() {
+		t.Error("Checkpoint called without a controller")
+		return func() {}
+	}
+	stats, rec := (*Controller)(nil).Run(p)
+	if rec != nil {
+		t.Fatalf("RecoveryStats = %+v without a controller", rec)
+	}
+	e.checkState(t, 5)
+	if len(stats.Iterations) != 5 {
+		t.Fatalf("recorded %d supersteps, want 5", len(stats.Iterations))
+	}
+}
+
 func TestRollbackToInitialStateWithoutCheckpoints(t *testing.T) {
 	// CheckpointEvery < 0 disables interval checkpoints: a crash rolls all
 	// the way back to the initial snapshot and replays everything.
@@ -149,42 +222,17 @@ func TestRestreamDegradedMode(t *testing.T) {
 	}
 	e := newToy(t, 30, 3, spec)
 	reassigned := false
-	// Re-run with a Reassign hook that verifies the new placement.
-	it := -1
-	err := e.ctl.BeginRun(Hooks{
-		Save:    func() any { return &toySnap{state: append([]int(nil), e.state...), it: it} },
-		Restore: func(s any) { sn := s.(*toySnap); copy(e.state, sn.state); it = sn.it },
-		Reassign: func(dead int, assignment []int) {
-			reassigned = true
-			if dead != 2 {
-				t.Errorf("Reassign dead = %d", dead)
-			}
-			for v, m := range assignment {
-				if m == 2 {
-					t.Errorf("vertex %d still on dead machine", v)
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it = 0; it < 8; it++ {
-		w := e.cl.NewCounters()
-		for v := range e.state {
-			m := e.cl.Owner(graph.VertexID(v))
-			if e.cl.Dead(m) {
-				continue
-			}
-			e.state[v]++
-			w.Vertices[m]++
+	rs := e.runProgram(t, e.program(func(it int) bool { return it+1 == 8 }, func(dead int, assignment []int) {
+		reassigned = true
+		if dead != 2 {
+			t.Errorf("Reassign dead = %d", dead)
 		}
-		e.stats.Add(e.cl.FinishIteration(w))
-		if e.ctl.EndSuperstep(&e.stats) == Restored {
-			continue
+		for v, m := range assignment {
+			if m == 2 {
+				t.Errorf("vertex %d still on dead machine", v)
+			}
 		}
-	}
-	rs := e.ctl.Finish(&e.stats)
+	}))
 	e.checkState(t, 8)
 	if !reassigned {
 		t.Fatal("Reassign hook never called")
@@ -287,18 +335,25 @@ func TestControllerValidation(t *testing.T) {
 	if _, err := NewController(e.g, e.cl, bad); err == nil {
 		t.Fatal("out-of-range machine accepted")
 	}
-	if err := e.ctl.BeginRun(Hooks{}); err == nil {
-		t.Fatal("BeginRun without hooks accepted")
+	// A program that cannot be recovered is an engine bug, not an input:
+	// Run refuses it before any superstep runs.
+	mustPanic := func(what string, c *Controller, p Program) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s accepted", what)
+			}
+		}()
+		c.Run(p)
 	}
+	step := func(int) (cluster.IterationStats, bool) {
+		t.Error("superstep ran")
+		return cluster.IterationStats{}, true
+	}
+	mustPanic("Run without a Checkpoint", e.ctl, Program{Step: step})
 	restream := &Spec{Policy: Restream, Events: []Event{{Kind: Crash, Step: 0, Machine: 0}}}
-	e2 := newToy(t, 8, 2, restream)
-	err := e2.ctl.BeginRun(Hooks{
-		Save:    func() any { return nil },
-		Restore: func(any) {},
-	})
-	if err == nil {
-		t.Fatal("restream without Reassign hook accepted")
-	}
+	mustPanic("restream without a Reassign hook", newToy(t, 8, 2, restream).ctl,
+		Program{Step: step, Checkpoint: func() func() { return func() {} }})
 }
 
 // TestRestreamOnRealGraph sanity-checks degraded-mode balance on a skewed
@@ -309,51 +364,11 @@ func TestRestreamOnRealGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumVertices()
-	assign := make([]int, n)
-	for v := range assign {
-		assign[v] = v % 4
-	}
-	cl, err := cluster.New(assign, 4, cluster.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := &Spec{Policy: Restream, CheckpointEvery: 2, Events: []Event{{Kind: Crash, Step: 2, Machine: 3}}}
-	ctl, err := NewController(g, cl, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := make([]int, n)
-	var stats cluster.RunStats
-	it := -1
-	err = ctl.BeginRun(Hooks{
-		Save:     func() any { return &toySnap{state: append([]int(nil), state...), it: it} },
-		Restore:  func(s any) { sn := s.(*toySnap); copy(state, sn.state); it = sn.it },
-		Reassign: func(dead int, assignment []int) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it = 0; it < 6; it++ {
-		w := cl.NewCounters()
-		for v := range state {
-			m := cl.Owner(graph.VertexID(v))
-			if cl.Dead(m) {
-				continue
-			}
-			state[v]++
-			w.Vertices[m]++
-		}
-		stats.Add(cl.FinishIteration(w))
-		if ctl.EndSuperstep(&stats) == Restored {
-			continue
-		}
-	}
-	ctl.Finish(&stats)
-	for v, x := range state {
-		if x != 6 {
-			t.Fatalf("vertex %d = %d, want 6", v, x)
-		}
-	}
+	e := newToyOn(t, g, 4, spec)
+	e.run(t, 6)
+	e.checkState(t, 6)
+	cl := e.cl
 	// Post-restream vertex imbalance among survivors stays modest: no
 	// survivor carries more than 1.5× the mean.
 	counts := make([]int, 4)

@@ -9,6 +9,7 @@ import (
 	"bpart/internal/fault"
 	"bpart/internal/gen"
 	"bpart/internal/graph"
+	"bpart/internal/telemetry"
 )
 
 func faultWalkEngine(t *testing.T, g *graph.Graph, k int, spec *fault.Spec) *Engine {
@@ -171,5 +172,38 @@ func TestWalkSetFaultsValidation(t *testing.T) {
 	}
 	if err := e1.SetFaults(ctl); err == nil {
 		t.Fatal("controller for a different cluster accepted")
+	}
+}
+
+// TestWalkFaultNothingToDo: a walk with no walkers records no superstep,
+// and under a controller still reports a (zero) RecoveryStats and the
+// closing fault.run event — an empty run is still a run.
+func TestWalkFaultNothingToDo(t *testing.T) {
+	g := gen.Ring(12)
+	cfg := Config{Kind: Simple, Steps: 4, Seed: 1, Sources: []graph.VertexID{}}
+	res, err := faultWalkEngine(t, g, 2, nil).Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats.Iterations) != 0 || res.Recovery != nil {
+		t.Fatalf("fault-free empty walk: %d supersteps, Recovery %+v", len(res.Stats.Iterations), res.Recovery)
+	}
+
+	spec := &fault.Spec{CheckpointEvery: 1, Events: []fault.Event{{Kind: fault.Crash, Step: 0, Machine: 1}}}
+	e := faultWalkEngine(t, g, 2, spec)
+	mem := telemetry.NewMemory()
+	e.flt.SetTelemetry(mem, nil)
+	res, err = e.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats.Iterations) != 0 || res.TotalSteps != 0 {
+		t.Fatalf("empty walk recorded %d supersteps, %d steps", len(res.Stats.Iterations), res.TotalSteps)
+	}
+	if res.Recovery == nil || *res.Recovery != (fault.RecoveryStats{}) {
+		t.Fatalf("Recovery = %+v, want non-nil zero stats", res.Recovery)
+	}
+	if got := len(mem.Find("fault.run")); got != 1 {
+		t.Fatalf("fault.run events = %d, want 1", got)
 	}
 }

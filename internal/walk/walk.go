@@ -21,6 +21,7 @@ package walk
 
 import (
 	"fmt"
+	"slices"
 
 	"bpart/internal/cluster"
 	"bpart/internal/fault"
@@ -174,11 +175,19 @@ func New(g *graph.Graph, assignment []int, machines int, model cluster.CostModel
 	if err != nil {
 		return nil, err
 	}
-	owned := make([][]graph.VertexID, machines)
-	for v := 0; v < g.NumVertices(); v++ {
-		owned[assignment[v]] = append(owned[assignment[v]], graph.VertexID(v))
+	e := &Engine{g: g, cl: cl, alias: newAliasCache(g), tel: telemetry.Nop()}
+	e.reassign(assignment)
+	return e, nil
+}
+
+// reassign rebuilds the per-machine vertex lists: at construction, and
+// after degraded-mode restreaming moved vertices off a dead machine.
+func (e *Engine) reassign(assignment []int) {
+	owned := make([][]graph.VertexID, e.cl.NumMachines())
+	for v, m := range assignment {
+		owned[m] = append(owned[m], graph.VertexID(v))
 	}
-	return &Engine{g: g, cl: cl, owned: owned, alias: newAliasCache(g), tel: telemetry.Nop()}, nil
+	e.owned = owned
 }
 
 // Cluster exposes the underlying simulated cluster.
@@ -245,63 +254,16 @@ type Result struct {
 	Recovery *fault.RecoveryStats
 }
 
-// walkSnap is a deep checkpoint of a walk run's mutable state. Walker
-// paths and finished-path lists are cloned because walkers append to them
-// in place after the snapshot; RNGs are plain value structs, so copying
-// them freezes each machine's stream position exactly.
-type walkSnap struct {
-	active   [][]walker
-	finished [][][]graph.VertexID
-	rngs     []xrand.RNG
-	visits   []int64
-	paths    [][]graph.VertexID
-	traffic  [][]int64
-	iter     int
-}
-
-func clonePath(p []graph.VertexID) []graph.VertexID {
-	if p == nil {
-		return nil
-	}
-	return append(make([]graph.VertexID, 0, len(p)), p...)
-}
-
+// cloneWalkers deep-copies every machine's active list — the one part of a
+// walk checkpoint slices.Clone cannot express: a live walker appends to its
+// path in place, so each copy needs its own.
 func cloneWalkers(ws [][]walker) [][]walker {
 	out := make([][]walker, len(ws))
 	for m, list := range ws {
-		cp := make([]walker, len(list))
-		copy(cp, list)
-		for i := range cp {
-			cp[i].path = clonePath(cp[i].path)
+		out[m] = slices.Clone(list)
+		for i := range out[m] {
+			out[m][i].path = slices.Clone(out[m][i].path)
 		}
-		out[m] = cp
-	}
-	return out
-}
-
-func clonePaths(ps [][]graph.VertexID) [][]graph.VertexID {
-	if ps == nil {
-		return nil
-	}
-	out := make([][]graph.VertexID, len(ps))
-	for i, p := range ps {
-		out[i] = clonePath(p)
-	}
-	return out
-}
-
-func clonePathLists(fs [][][]graph.VertexID) [][][]graph.VertexID {
-	out := make([][][]graph.VertexID, len(fs))
-	for m, list := range fs {
-		out[m] = clonePaths(list)
-	}
-	return out
-}
-
-func cloneTraffic(t [][]int64) [][]int64 {
-	out := make([][]int64, len(t))
-	for i, row := range t {
-		out[i] = append([]int64(nil), row...)
 	}
 	return out
 }
@@ -359,80 +321,14 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		outbox[m] = make([][]walker, k)
 	}
 
+	// One backing array under the k×k traffic rows, so a checkpoint is a
+	// single slice copy.
+	traffic := make([]int64, k*k)
 	res := &Result{Visits: visits, Traffic: make([][]int64, k)}
 	for m := range res.Traffic {
-		res.Traffic[m] = make([]int64, k)
+		res.Traffic[m] = traffic[m*k : (m+1)*k : (m+1)*k]
 	}
-	iter := -1
-	if e.flt != nil {
-		err := e.flt.BeginRun(fault.Hooks{
-			Save: func() any {
-				sn := &walkSnap{
-					active:   cloneWalkers(active),
-					finished: clonePathLists(finished),
-					rngs:     make([]xrand.RNG, k),
-					paths:    clonePaths(res.Paths),
-					traffic:  cloneTraffic(res.Traffic),
-					iter:     iter,
-				}
-				for m := range rngs {
-					sn.rngs[m] = *rngs[m]
-				}
-				if visits != nil {
-					sn.visits = append([]int64(nil), visits...)
-				}
-				return sn
-			},
-			Restore: func(s any) {
-				sn := s.(*walkSnap)
-				active = cloneWalkers(sn.active)
-				finished = clonePathLists(sn.finished)
-				for m := range rngs {
-					*rngs[m] = sn.rngs[m]
-				}
-				if visits != nil {
-					copy(visits, sn.visits)
-				}
-				res.Paths = clonePaths(sn.paths)
-				for i := range res.Traffic {
-					copy(res.Traffic[i], sn.traffic[i])
-				}
-				iter = sn.iter
-			},
-			Reassign: func(dead int, assignment []int) {
-				// Rebuild ownership and migrate stranded walkers onto
-				// their vertices' new owners, machine by machine in
-				// order, so the re-bucketing is deterministic.
-				owned := make([][]graph.VertexID, k)
-				for v, m := range assignment {
-					owned[m] = append(owned[m], graph.VertexID(v))
-				}
-				e.owned = owned
-				rebucketed := make([][]walker, k)
-				for m := 0; m < k; m++ {
-					for _, wk := range active[m] {
-						rebucketed[e.cl.Owner(wk.cur)] = append(rebucketed[e.cl.Owner(wk.cur)], wk)
-					}
-				}
-				active = rebucketed
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sp := e.tel.Span("walk.run",
-		telemetry.String("kind", cfg.Kind.String()),
-		telemetry.Int("walkers", totalWalkers),
-		telemetry.Int("steps", cfg.Steps))
-	for iter = 0; ; iter++ {
-		total := 0
-		for m := 0; m < k; m++ {
-			total += len(active[m])
-		}
-		if total == 0 {
-			break
-		}
+	step := func(int) (cluster.IterationStats, bool) {
 		w := e.cl.NewCounters()
 		e.cl.Parallel(func(m int) {
 			rng := rngs[m]
@@ -515,15 +411,61 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 				outbox[from][to] = outbox[from][to][:0]
 			}
 		}
-		res.Stats.Add(e.cl.FinishIteration(w))
-		if e.flt != nil && e.flt.EndSuperstep(&res.Stats) == fault.Restored {
-			continue
+		remaining := 0
+		for m := range active {
+			remaining += len(active[m])
 		}
+		return e.cl.FinishIteration(w), remaining == 0
 	}
-	if e.flt != nil {
-		rec := e.flt.Finish(&res.Stats)
-		res.Recovery = &rec
+	prog := fault.Program{
+		Step: step,
+		// Active lists are rewritten in place every superstep, so they are
+		// deep-copied both ways. RNGs are plain value structs: copying one
+		// freezes its machine's stream position exactly. The finished-path
+		// lists only ever grow, by appending paths nothing writes again, so
+		// their lengths are their checkpoint.
+		Checkpoint: func() func() {
+			savedActive := cloneWalkers(active)
+			savedRNGs := make([]xrand.RNG, k)
+			finishedLen := make([]int, k)
+			for m := range rngs {
+				savedRNGs[m] = *rngs[m]
+				finishedLen[m] = len(finished[m])
+			}
+			savedVisits, savedTraffic, pathsLen := slices.Clone(visits), slices.Clone(traffic), len(res.Paths)
+			return func() {
+				active = cloneWalkers(savedActive)
+				for m := range rngs {
+					*rngs[m] = savedRNGs[m]
+					finished[m] = finished[m][:finishedLen[m]]
+				}
+				copy(visits, savedVisits)
+				copy(traffic, savedTraffic)
+				res.Paths = res.Paths[:pathsLen]
+			}
+		},
+		// Rebuild ownership and migrate stranded walkers onto their
+		// vertices' new owners, machine by machine in order, so the
+		// re-bucketing is deterministic.
+		Reassign: func(dead int, assignment []int) {
+			e.reassign(assignment)
+			rebucketed := make([][]walker, k)
+			for m := 0; m < k; m++ {
+				for _, wk := range active[m] {
+					rebucketed[e.cl.Owner(wk.cur)] = append(rebucketed[e.cl.Owner(wk.cur)], wk)
+				}
+			}
+			active = rebucketed
+		},
 	}
+	if totalWalkers == 0 {
+		prog.Step = nil // nothing to do: no superstep is recorded
+	}
+	sp := e.tel.Span("walk.run",
+		telemetry.String("kind", cfg.Kind.String()),
+		telemetry.Int("walkers", totalWalkers),
+		telemetry.Int("steps", cfg.Steps))
+	res.Stats, res.Recovery = e.flt.Run(prog)
 	if cfg.CollectPaths {
 		for m := 0; m < k; m++ {
 			res.Paths = append(res.Paths, finished[m]...)
