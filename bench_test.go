@@ -167,35 +167,6 @@ func BenchmarkPartitionAudited(b *testing.B) {
 	}
 }
 
-// Resource-probe overhead: BPart with the phase hooks compiled in and a
-// no-op probe attached — the worst case for a disabled-but-wired hook
-// site, since hooks fire per phase (layers, streams, combine rounds),
-// never per vertex. Must stay within noise (<5%) of
-// BenchmarkPartitionBPart, the same gate as the audit and fault hooks
-// (TestIdleProbeOverheadGate in internal/partition asserts it). Compare
-// with:
-//
-//	go test -bench 'PartitionBPart$|PartitionProbeNop' -count 10 .
-func BenchmarkPartitionProbeNop(b *testing.B) {
-	g, err := Preset(TwitterSim, benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := New(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !InstrumentResources(p, NopResourceProbe()) {
-		b.Fatal("BPart did not accept the resource probe")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Partition(g, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Fault-hook overhead: the iteration engine with no controller attached
 // (the default) versus one with an idle controller — empty schedule,
 // interval checkpoints disabled — so only the per-superstep protocol

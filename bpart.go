@@ -204,6 +204,12 @@ func NewMemoryTrace() *MemoryTracer { return telemetry.NewMemory() }
 // w. Call Flush (or Close) when done.
 func NewJSONLTrace(w io.Writer) *JSONLTracer { return telemetry.NewJSONL(w) }
 
+// TeeTrace returns a tracer forwarding every span and event to each of
+// tracers in order — how one Instrument call feeds both a JSONL trace and
+// a ResourceProbe. nil and disabled tracers are dropped; none left is the
+// no-op tracer.
+func TeeTrace(tracers ...Tracer) Tracer { return telemetry.Tee(tracers...) }
+
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
@@ -266,17 +272,12 @@ func ReadAuditLog(r io.Reader) (*AuditLog, error) { return partaudit.ReadLog(r) 
 
 // ---- runtime resource observability ----
 
-// PhaseProbe receives resource phase hooks (begin/end spans around named
-// phases, laps at iteration boundaries) from instrumented components. The
-// concrete capture is ResourceProbe; components hold only this interface.
-type PhaseProbe = telemetry.PhaseProbe
-
-// PhaseEnd closes one PhaseProbe.BeginPhase observation.
-type PhaseEnd = telemetry.PhaseEnd
-
 // ResourceProbe captures wall-clock self-time, allocation/GC deltas and
 // goroutine counts around named phases and writes one versioned JSONL
-// `resource` record per phase. A nil *ResourceProbe is a valid no-op.
+// `resource` record per phase. It is a Tracer: every span becomes a span
+// record, every event a lap since the previous event of that name — attach
+// it with Instrument, beside a trace through TeeTrace. A nil
+// *ResourceProbe is a valid no-op.
 type ResourceProbe = resview.Probe
 
 // ResourceLog is a parsed resource log (see ReadResourceLog).
@@ -285,27 +286,11 @@ type ResourceLog = resview.Log
 // ResourceRecord is one parsed resource record.
 type ResourceRecord = resview.Record
 
-// NopResourceProbe returns the no-op phase probe — the zero-cost default
-// behind every hook site, and the baseline for the probe-overhead gates.
-func NopResourceProbe() PhaseProbe { return telemetry.NopProbe() }
-
 // NewResourceProbe returns a probe writing resource records to w. Call
 // Close (or Flush) when done; it surfaces the first write error. Probing
 // is pure observation: a probed run's deterministic artifacts are
 // byte-identical to an unprobed run's.
 func NewResourceProbe(w io.Writer) *ResourceProbe { return resview.NewProbe(w) }
-
-// InstrumentResources attaches a resource probe to any component that
-// supports resource phases (BPart, IterationEngine, WalkEngine). It
-// reports whether the component accepted the probe; nil detaches.
-func InstrumentResources(component any, p PhaseProbe) bool {
-	pr, ok := component.(telemetry.Probeable)
-	if !ok {
-		return false
-	}
-	pr.SetResourceProbe(p)
-	return true
-}
 
 // ReadResourceLog parses a JSONL resource log. A torn final line (crashed
 // run) is tolerated and flagged via ResourceLog.Truncated; interior damage
@@ -512,6 +497,11 @@ func ReadFaultSpec(r io.Reader) (*FaultSpec, error) { return fault.ReadSpec(r) }
 
 // ReadFaultSpecFile reads a fault schedule from path.
 func ReadFaultSpecFile(path string) (*FaultSpec, error) { return fault.ReadSpecFile(path) }
+
+// LoadFaultSpec resolves the CLIs' -fault / -checkpoint-every pair: the
+// schedule at path (may be empty) with its interval overridden when
+// every != 0; every alone is an empty schedule at that interval; neither, nil.
+func LoadFaultSpec(path string, every int) (*FaultSpec, error) { return fault.LoadSpec(path, every) }
 
 // RandomFaultSpec draws a replayable schedule: the same config always
 // yields the same spec.

@@ -27,15 +27,17 @@
 // -checkpoint-every overrides (or, without -fault, enables) superstep
 // checkpointing. With -pprof, /debug/pprof/*, /metrics and /debug/vars
 // are served on the given address while the benchmark runs — profile the
-// harness live. With -resources, one JSONL resource record per phase
-// (experiments, partition streams, BPart layers, cluster supersteps,
-// Parallel Speedup repetitions) is written for cmd/tracestat's
-// `resources` subcommand.
-// With -workers N, every iteration engine runs its supersteps on an
-// N-worker goroutine pool; outputs and every deterministic artifact are
-// bit-identical at any setting, so the flag changes wall time only. The
-// "Parallel Speedup" experiment sweeps its own -widths ladder (and the
-// artifact's parallel section a fixed 1,2,4 one) regardless of -workers.
+// harness live. With -resources, the same spans and superstep records
+// that -trace writes are also measured: one JSONL resource record per span
+// (experiments, partition streams, BPart layers, engine and walk runs,
+// Parallel Speedup repetitions) and per cluster superstep is written for
+// cmd/tracestat's `resources` subcommand.
+// With -workers N, every engine runs its supersteps on an N-worker
+// goroutine pool (default min(GOMAXPROCS, machines)); outputs and every
+// deterministic artifact are bit-identical at any setting, so the flag
+// changes wall time only. The "Parallel Speedup" experiment sweeps its own
+// -widths ladder (and the artifact's parallel section a fixed 1,2,4 one)
+// regardless of -workers.
 package main
 
 import (
@@ -51,6 +53,7 @@ import (
 	"time"
 
 	"bpart"
+	"bpart/internal/resview"
 )
 
 type idList []string
@@ -80,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address")
 	resPath := fs.String("resources", "", "write runtime resource records (JSONL, see cmd/tracestat resources) to this file")
 	widthsFlag := fs.String("widths", "", "comma-separated Parallel Speedup worker ladder (default with -resources: powers of two up to NumCPU; otherwise 1,2,4)")
-	workers := fs.Int("workers", 0, "superstep worker-pool size for every iteration engine (0 or 1 = sequential supersteps; outputs are bit-identical at any setting)")
+	workers := fs.Int("workers", 0, "superstep worker-pool size for every engine (0 = min(GOMAXPROCS, machines); outputs are bit-identical at any setting)")
 	fs.Var(&ids, "id", "experiment ID to run (repeatable; default all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -93,59 +96,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var faults *bpart.FaultSpec
-	if *faultPath != "" {
-		s, err := bpart.ReadFaultSpecFile(*faultPath)
-		if err != nil {
+	faults, err := bpart.LoadFaultSpec(*faultPath, *ckptEvery)
+	if err != nil {
+		fmt.Fprintln(stderr, "bench:", err)
+		return 1
+	}
+	// One tracer feeds both logs; with neither flag it is the no-op tracer
+	// and the run stays on the byte-identical disabled path. The deferred
+	// close runs on every return below, so an early exit still leaves
+	// complete logs.
+	tracer, closeLogs, err := resview.OpenSinks(*tracePath, *resPath)
+	if err != nil {
+		fmt.Fprintln(stderr, "bench:", err)
+		return 1
+	}
+	defer func() {
+		if err := closeLogs(); err != nil {
 			fmt.Fprintln(stderr, "bench:", err)
-			return 1
 		}
-		faults = s
-	} else if *ckptEvery != 0 {
-		// Checkpointing without faults: measure pure checkpoint overhead.
-		faults = &bpart.FaultSpec{}
-	}
-	if faults != nil && *ckptEvery != 0 {
-		faults.CheckpointEvery = *ckptEvery
-	}
-
-	tracer := bpart.NopTrace()
+	}()
 	reg := bpart.NewMetrics()
-	var traceClose func()
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "bench:", err)
-			return 1
-		}
-		jl := bpart.NewJSONLTrace(f)
-		tracer = jl
-		traceClose = func() {
-			if err := jl.Close(); err != nil {
-				fmt.Fprintln(stderr, "bench: trace flush:", err)
-			}
-			f.Close()
-		}
-	}
-	// The probe is declared as the concrete nil-safe type: with no
-	// -resources flag every hook below is a nil-receiver no-op, and the run
-	// stays on the byte-identical disabled path.
-	var probe *bpart.ResourceProbe
-	var resClose func()
-	if *resPath != "" {
-		f, err := os.Create(*resPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "bench:", err)
-			return 1
-		}
-		probe = bpart.NewResourceProbe(f)
-		resClose = func() {
-			if err := probe.Close(); err != nil {
-				fmt.Fprintln(stderr, "bench: resources flush:", err)
-			}
-			f.Close()
-		}
-	}
 	widths, err := parseWidths(*widthsFlag, *resPath != "")
 	if err != nil {
 		fmt.Fprintln(stderr, "bench:", err)
@@ -165,9 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		selected[id] = true
 	}
 	opt := bpart.ExperimentOptions{Scale: *scale, Walkers: *walkers, Tracer: tracer, Metrics: reg, Faults: faults, Widths: widths, Workers: *workers}
-	if probe != nil {
-		opt.Probe = probe
-	}
 	artifact := bpart.NewBenchArtifact(opt)
 	fmt.Fprintf(stdout, "# bpart experiment run: scale=%.2f\n\n", *scale)
 	failed := 0
@@ -180,9 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sp := tracer.Span("bench.experiment",
 			bpart.TraceString("id", id),
 			bpart.TraceFloat("scale", *scale))
-		pe := probe.BeginPhase("bench.experiment", bpart.TraceString("id", id))
 		tbl, err := bpart.RunExperiment(id, opt)
-		pe.EndPhase()
 		if err != nil {
 			sp.End(bpart.TraceString("error", err.Error()))
 			artifact.RecordExperiment(id, time.Since(start).Seconds(), 0, err)
@@ -226,11 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if traceClose != nil {
-		traceClose()
-	}
-	if resClose != nil {
-		resClose()
+	if *resPath != "" {
 		fmt.Fprintf(stdout, "# wrote %s\n", *resPath)
 	}
 	if failed > 0 {

@@ -298,6 +298,35 @@ func TestBenchBadWidths(t *testing.T) {
 	}
 }
 
+// An early exit after the logs are open (here the -widths parse error)
+// must still close them: the deferred close runs on every return. A leaked
+// handle shows as a /proc/self/fd entry still pointing into the test's
+// directory.
+func TestBenchEarlyExitClosesLogs(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, resPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "r.jsonl")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-trace", tracePath, "-resources", resPath, "-widths", "1,zero"}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("bad -widths exited %d, want 2", code)
+	}
+	if l, err := bpart.ReadResourceLogFile(resPath); err != nil || l.Truncated || len(l.Records) != 0 {
+		t.Fatalf("resource log after early exit: %+v, %v", l, err)
+	}
+	if _, err := os.Stat(tracePath); err != nil {
+		t.Fatal(err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skip("no /proc/self/fd on this platform:", err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			t.Errorf("fd %s still open on %s after run returned", fd.Name(), target)
+		}
+	}
+}
+
 // The -workers flag changes scheduling only: a deterministic artifact
 // written at any worker-pool size is byte-identical to the sequential
 // one, and the artifact's parallel section (its own fixed ladder) proves

@@ -22,18 +22,20 @@
 // cmd/partstat); -metrics prints the counter/gauge registry in Prometheus
 // text format on exit; -pprof ADDR serves /debug/pprof/*, /metrics and
 // /debug/vars on ADDR for the run's duration; -resources out.jsonl writes
-// one runtime resource record per phase (partition streams, BPart layers,
-// BSP supersteps — feed it to `tracestat resources`). All observability is
-// observation-only: the partition and every simulated result are
-// byte-identical with or without it.
+// one runtime resource record per trace span and per BSP superstep
+// (partition streams, BPart layers, engine and walk runs — feed it to
+// `tracestat resources`). All observability is observation-only: the
+// partition and every simulated result are byte-identical with or without
+// it.
 //
 // Fault injection: -fault sched.json loads a JSON fault schedule (see
 // FaultSpec; cmd/bench shares the format) and injects it into the engine
 // runs — a PageRank recovery demo over the fresh partition, and the
 // -timeline walk when requested — then prints each run's RecoveryStats;
 // -checkpoint-every overrides (or, without -fault, enables) superstep
-// checkpointing. -workers N runs the engine supersteps on an N-worker
-// goroutine pool; results are bit-identical to the sequential run.
+// checkpointing. -workers N runs the engine and walk supersteps on an
+// N-worker goroutine pool (default min(GOMAXPROCS, machines)); results are
+// bit-identical to the sequential run.
 package main
 
 import (
@@ -46,6 +48,7 @@ import (
 	"time"
 
 	"bpart"
+	"bpart/internal/resview"
 )
 
 // errUsage reports a flag error the flag package has already printed.
@@ -87,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		metrics   = fs.Bool("metrics", false, "print telemetry counters (Prometheus text format) on exit")
 		pprofAddr = fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address (e.g. localhost:6060)")
 		resPath   = fs.String("resources", "", "write runtime resource records (JSONL, see `tracestat resources`) to this file")
-		workers   = fs.Int("workers", 0, "superstep worker-pool size for the engine runs (0 or 1 = sequential; results are bit-identical at any setting)")
+		workers   = fs.Int("workers", 0, "superstep worker-pool size for the engine runs (0 = min(GOMAXPROCS, machines); results are bit-identical at any setting)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -101,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer tel.finish()
-	faults, err := loadFaultSpec(*faultPath, *ckptEvery)
+	faults, err := bpart.LoadFaultSpec(*faultPath, *ckptEvery)
 	if err != nil {
 		return err
 	}
@@ -135,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, p := range []bpart.VertexCutPartitioner{
 			bpart.NewRandomEdgeCut(), bpart.NewDBH(), bpart.NewGreedyCut(), bpart.NewHDRF(),
 		} {
-			tel.instrument(p)
+			bpart.Instrument(p, tel.tracer, tel.reg)
 			ea, err := p.Partition(g, *k)
 			if err != nil {
 				return err
@@ -167,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tel.instrument(p)
+	bpart.Instrument(p, tel.tracer, tel.reg)
 	if *auditPath != "" {
 		f, err := os.Create(*auditPath)
 		if err != nil {
@@ -215,33 +218,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *timeline != "" {
-		if err := writeWalkTimeline(stdout, *timeline, g, a, faults, *k, tel); err != nil {
+		if err := writeWalkTimeline(stdout, *timeline, g, a, faults, *k, *workers, tel); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "BSP timeline written to %s\n", *timeline)
 	}
 	return nil
-}
-
-// loadFaultSpec resolves the -fault / -checkpoint-every pair the same way
-// cmd/bench does: a schedule file, optionally with its checkpoint interval
-// overridden, or — with -checkpoint-every alone — an empty schedule that
-// measures pure checkpoint overhead.
-func loadFaultSpec(path string, every int) (*bpart.FaultSpec, error) {
-	var spec *bpart.FaultSpec
-	if path != "" {
-		s, err := bpart.ReadFaultSpecFile(path)
-		if err != nil {
-			return nil, err
-		}
-		spec = s
-	} else if every != 0 {
-		spec = &bpart.FaultSpec{}
-	}
-	if spec != nil && every != 0 {
-		spec.CheckpointEvery = every
-	}
-	return spec, nil
 }
 
 // runFaulted replays the schedule against a PageRank run on the fresh
@@ -254,13 +236,13 @@ func runFaulted(stdout io.Writer, g *bpart.Graph, a *bpart.Assignment, spec *bpa
 		return err
 	}
 	e.Cluster().SetWorkers(workers)
-	tel.instrument(e)
+	bpart.Instrument(e, tel.tracer, tel.reg)
 	proj := spec.ForMachines(k)
 	ctl, err := bpart.EnableFaults(e, proj)
 	if err != nil {
 		return err
 	}
-	tel.instrument(ctl)
+	bpart.Instrument(ctl, tel.tracer, tel.reg)
 	res, err := e.PageRank(10, 0.85)
 	if err != nil {
 		return err
@@ -280,28 +262,16 @@ func printRecovery(stdout io.Writer, label string, policy bpart.FaultPolicy, rs 
 		rs.RecoverySimTimeUS, 100*rs.AddedWaitRatio)
 }
 
-// telemetryState bundles the optional tracer, metrics registry and
-// diagnostics listener for the run.
+// telemetryState bundles the run's tracer (feeding the -trace and
+// -resources logs), metrics registry and diagnostics listener.
 type telemetryState struct {
 	tracer    bpart.Tracer
+	closeLogs func() error
 	reg       *bpart.Metrics
-	jsonl     *bpart.JSONLTracer
-	traceFile *os.File
-	probe     *bpart.ResourceProbe
-	resFile   *os.File
 	resPath   string
 	metrics   bool
 	stdout    io.Writer
 	stderr    io.Writer
-}
-
-// instrument attaches everything the flags requested to one component:
-// tracer + metrics, and the resource probe when -resources is set.
-func (t *telemetryState) instrument(component any) {
-	bpart.Instrument(component, t.tracer, t.reg)
-	if t.probe != nil {
-		bpart.InstrumentResources(component, t.probe)
-	}
 }
 
 // setupTelemetry wires -trace, -metrics, -pprof and -resources. The
@@ -312,22 +282,9 @@ func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string, s
 	if tracePath != "" || metrics || pprofAddr != "" {
 		t.reg = bpart.NewMetrics()
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		t.traceFile = f
-		t.jsonl = bpart.NewJSONLTrace(f)
-		t.tracer = t.jsonl
-	}
-	if resPath != "" {
-		f, err := os.Create(resPath)
-		if err != nil {
-			return nil, err
-		}
-		t.resFile = f
-		t.probe = bpart.NewResourceProbe(f)
+	var err error
+	if t.tracer, t.closeLogs, err = resview.OpenSinks(tracePath, resPath); err != nil {
+		return nil, err
 	}
 	if pprofAddr != "" {
 		ln := pprofAddr
@@ -341,19 +298,12 @@ func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string, s
 	return t, nil
 }
 
-// finish flushes the trace file and prints the metrics dump.
+// finish flushes and closes the logs and prints the metrics dump.
 func (t *telemetryState) finish() {
-	if t.jsonl != nil {
-		if err := t.jsonl.Close(); err != nil {
-			fmt.Fprintln(t.stderr, "bpart: trace flush:", err)
-		}
-		t.traceFile.Close()
+	if err := t.closeLogs(); err != nil {
+		fmt.Fprintln(t.stderr, "bpart:", err)
 	}
-	if t.probe != nil {
-		if err := t.probe.Close(); err != nil {
-			fmt.Fprintln(t.stderr, "bpart: resources flush:", err)
-		}
-		t.resFile.Close()
+	if t.resPath != "" {
 		fmt.Fprintf(t.stdout, "resource log written to %s\n", t.resPath)
 	}
 	if t.metrics && t.reg != nil {
@@ -368,12 +318,13 @@ func (t *telemetryState) finish() {
 // placement and dumps the per-machine, per-iteration timing as CSV. With a
 // fault schedule, the walk runs under injection so the timeline shows the
 // recovery barriers.
-func writeWalkTimeline(stdout io.Writer, path string, g *bpart.Graph, a *bpart.Assignment, faults *bpart.FaultSpec, k int, tel *telemetryState) error {
+func writeWalkTimeline(stdout io.Writer, path string, g *bpart.Graph, a *bpart.Assignment, faults *bpart.FaultSpec, k, workers int, tel *telemetryState) error {
 	eng, err := bpart.NewWalkEngine(g, a, bpart.DefaultCostModel())
 	if err != nil {
 		return err
 	}
-	tel.instrument(eng)
+	eng.Cluster().SetWorkers(workers)
+	bpart.Instrument(eng, tel.tracer, tel.reg)
 	var policy bpart.FaultPolicy
 	if faults != nil {
 		proj := faults.ForMachines(k)
@@ -381,7 +332,7 @@ func writeWalkTimeline(stdout io.Writer, path string, g *bpart.Graph, a *bpart.A
 		if err != nil {
 			return err
 		}
-		tel.instrument(ctl)
+		bpart.Instrument(ctl, tel.tracer, tel.reg)
 		policy = proj.Policy
 	}
 	res, err := eng.Run(bpart.WalkConfig{Kind: bpart.SimpleWalk, WalkersPerVertex: 5, Steps: 4, Seed: 1})
@@ -418,7 +369,7 @@ func runScheme(g *bpart.Graph, scheme string, k int, tel *telemetryState) (bpart
 	if err != nil {
 		return bpart.Report{}, 0, err
 	}
-	tel.instrument(p)
+	bpart.Instrument(p, tel.tracer, tel.reg)
 	start := time.Now()
 	a, err := p.Partition(g, k)
 	if err != nil {

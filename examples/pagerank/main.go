@@ -22,7 +22,7 @@ import (
 
 func main() {
 	tracePath := flag.String("trace", "", "write a JSONL telemetry trace to this file")
-	workers := flag.Int("workers", 0, "superstep worker-pool size (0 or 1 = sequential; results are bit-identical at any setting)")
+	workers := flag.Int("workers", 0, "superstep worker-pool size (0 = min(GOMAXPROCS, machines); results are bit-identical at any setting)")
 	flag.Parse()
 
 	tracer := bpart.NopTrace()

@@ -16,7 +16,8 @@
 // observability boundary, exempt by construction — via
 // telemetry.NewStopwatch; runtime resource capture likewise lives in the
 // exempt internal/resview, which the deterministic packages reach only
-// through the telemetry.PhaseProbe interface; request-latency capture for
+// through the telemetry.Tracer interface (the probe is a tracer sink);
+// request-latency capture for
 // the serving layer lives in the exempt internal/servestats, whose clock
 // reads are the feature (the BENCH serving section stays deterministic
 // because StripWallClock zeroes the latency columns, and experiments

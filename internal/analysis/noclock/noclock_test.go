@@ -25,7 +25,7 @@ func TestOutOfScopePackageIsExempt(t *testing.T) {
 
 // TestResviewIsExempt pins the observability boundary: resview is the
 // package that reads the clock on the deterministic packages' behalf
-// (through telemetry.PhaseProbe), so it must stay outside noclock's scope.
+// (as a telemetry.Tracer sink), so it must stay outside noclock's scope.
 func TestResviewIsExempt(t *testing.T) {
 	analysistest.Run(t, "../testdata/noclock/resview", noclock.Analyzer)
 }

@@ -3,7 +3,7 @@
 // telemetry, it sits outside the deterministic set — wall-clock reads here
 // are the feature, not a leak — so nothing may be flagged. The boundary
 // holds in the other direction: the deterministic packages never import
-// resview, they only hold telemetry.PhaseProbe.
+// resview, they only hold telemetry.Tracer (the probe is one of its sinks).
 package resview
 
 import "time"

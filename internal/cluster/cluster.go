@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -81,17 +82,16 @@ type Cluster struct {
 	dead        []bool // machine -> permanently failed
 	disrupter   Disrupter
 
-	tr    telemetry.Tracer
-	reg   *telemetry.Registry
-	probe telemetry.PhaseProbe
+	tr  telemetry.Tracer
+	reg *telemetry.Registry
 	// iter numbers finished supersteps for spans. Atomic because two runs
 	// on one engine may finish supersteps concurrently.
 	iter atomic.Int64
 
 	// workers sizes the bounded goroutine pool RunTasks executes superstep
-	// work on. 1 (the default) runs every task inline on the caller — the
-	// sequential mode whose outputs every parallel run must reproduce
-	// bit-for-bit.
+	// work on; < 1 (the default) means min(GOMAXPROCS, machines). 1 runs
+	// every task inline on the caller — the sequential mode whose outputs
+	// every parallel run must reproduce bit-for-bit.
 	workers int
 
 	// commMatrix enables per-superstep src→dst message matrix capture
@@ -163,14 +163,6 @@ func (c *Cluster) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 	c.reg = reg
 }
 
-// SetResourceProbe attaches (or with nil detaches) a resource probe: every
-// observed superstep or recovery phase then emits one "cluster.superstep"
-// lap covering the real host time and alloc/GC activity since the previous
-// superstep (the first lap measures from probe creation, so it includes
-// setup). Simulated time in the traces is untouched — the probe reports
-// what the simulation itself costs to run, not what it models.
-func (c *Cluster) SetResourceProbe(p telemetry.PhaseProbe) { c.probe = p }
-
 // SetCommMatrix enables (or disables) per-superstep src→dst message matrix
 // capture. When on, NewCounters allocates Counters.Pairs and the engines
 // record each cross-machine message's destination alongside the existing
@@ -182,23 +174,18 @@ func (c *Cluster) SetCommMatrix(on bool) { c.commMatrix = on }
 // CommMatrixEnabled reports whether src→dst matrix capture is on.
 func (c *Cluster) CommMatrixEnabled() bool { return c.commMatrix }
 
-// SetWorkers sizes the bounded worker pool each superstep's vertex work
-// runs on (RunTasks). w < 1 is clamped to 1, the sequential default. The
+// SetWorkers sizes the bounded worker pool each superstep's work runs on
+// (RunTasks). w < 1 selects the default, min(GOMAXPROCS, machines). The
 // pool size is an execution detail, never an output: engines must combine
 // per-task results in fixed task order, so every result and every counter
 // is bit-identical at any worker count. Set it before a run starts; the
 // engines read it once per superstep phase.
-func (c *Cluster) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	c.workers = w
-}
+func (c *Cluster) SetWorkers(w int) { c.workers = w }
 
 // Workers returns the worker-pool size (>= 1).
 func (c *Cluster) Workers() int {
 	if c.workers < 1 {
-		return 1
+		return min(runtime.GOMAXPROCS(0), c.numMachines)
 	}
 	return c.workers
 }
@@ -305,8 +292,9 @@ func (c *Cluster) Rehome(assignment []int) error {
 }
 
 // Counters accumulates one iteration's per-machine work. Engines fill it
-// during a superstep (each machine writes only its own slot, so concurrent
-// machine goroutines need no locking) and pass it to FinishIteration.
+// during a superstep (each machine's slot is written by one task at a
+// time, so concurrent pool workers need no locking) and pass it to
+// FinishIteration.
 type Counters struct {
 	Steps    []int64 // walk steps executed
 	Edges    []int64 // edges traversed
@@ -505,13 +493,6 @@ func (c *Cluster) ChargePhaseWork(kind string, busy []float64, work *Counters) (
 // for an algorithm superstep, or the recovery phase kind from ChargePhaseWork.
 func (c *Cluster) observe(st *IterationStats, phase string) {
 	iter := int(c.iter.Add(1)) - 1
-	if c.probe != nil {
-		attrs := []telemetry.Attr{telemetry.Int("iter", iter)}
-		if phase != "" {
-			attrs = append(attrs, telemetry.String("kind", phase))
-		}
-		c.probe.Lap("cluster.superstep", attrs...)
-	}
 	if c.reg != nil {
 		var msgs int64
 		for _, x := range st.Work.Messages {
@@ -559,14 +540,6 @@ func (c *Cluster) observe(st *IterationStats, phase string) {
 		attrs := []telemetry.Attr{
 			telemetry.Int("iteration", iter),
 			telemetry.Int("machines", c.numMachines),
-		}
-		// The worker count is attached only when the pool is real, so a
-		// sequential run's trace stays byte-identical to one recorded
-		// before the parallel mode existed (the committed baselines).
-		if c.Workers() > 1 {
-			attrs = append(attrs, telemetry.Int("workers", c.Workers()))
-		}
-		attrs = append(attrs,
 			telemetry.Float("time_us", st.Time),
 			telemetry.Float("waiting_us_total", waiting),
 			telemetry.Any("compute", st.Compute),
@@ -576,7 +549,7 @@ func (c *Cluster) observe(st *IterationStats, phase string) {
 			telemetry.Any("edges", st.Work.Edges),
 			telemetry.Any("vertices", st.Work.Vertices),
 			telemetry.Any("messages", st.Work.Messages),
-		)
+		}
 		if st.Work.Pairs != nil {
 			attrs = append(attrs, telemetry.Any("pairs", st.Work.Pairs))
 		}
@@ -688,19 +661,4 @@ func (r *RunStats) WriteTimeline(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Parallel runs fn(machine) concurrently for every machine and waits for
-// all of them — one BSP phase. Machines must confine their writes to their
-// own counter slots and per-machine state.
-func (c *Cluster) Parallel(fn func(machine int)) {
-	var wg sync.WaitGroup
-	wg.Add(c.numMachines)
-	for i := 0; i < c.numMachines; i++ {
-		go func(machine int) {
-			defer wg.Done()
-			fn(machine)
-		}(i)
-	}
-	wg.Wait()
 }

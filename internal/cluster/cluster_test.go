@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -219,17 +218,6 @@ func TestWriteTimeline(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "0,0,") || !strings.HasPrefix(lines[2], "0,1,") {
 		t.Fatalf("rows wrong:\n%s", buf.String())
-	}
-}
-
-func TestParallelRunsAllMachines(t *testing.T) {
-	c := mustNew(t, []int{0, 0, 1, 2}, 3)
-	var ran int64
-	c.Parallel(func(machine int) {
-		atomic.AddInt64(&ran, 1<<machine)
-	})
-	if ran != 1+2+4 {
-		t.Fatalf("machines run mask = %b", ran)
 	}
 }
 

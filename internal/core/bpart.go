@@ -93,11 +93,10 @@ func Default() Config {
 // BPart is the two-dimensional balanced partitioner. It implements
 // partition.Partitioner and telemetry.Instrumentable.
 type BPart struct {
-	cfg   Config
-	tr    telemetry.Tracer
-	reg   *telemetry.Registry
-	aud   *partaudit.Auditor
-	probe telemetry.PhaseProbe
+	cfg Config
+	tr  telemetry.Tracer
+	reg *telemetry.Registry
+	aud *partaudit.Auditor
 }
 
 // New returns a BPart with the given configuration. An all-zero Config
@@ -123,14 +122,6 @@ func (b *BPart) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 // audit tree of every subsequent Partition call. Auditing is pure
 // observation — the audited assignment is identical to an unaudited one.
 func (b *BPart) SetAudit(a *partaudit.Auditor) { b.aud = a }
-
-// SetResourceProbe implements telemetry.Probeable: p (may be nil,
-// detaching) observes wall-clock and runtime alloc/GC deltas of every
-// subsequent Partition call — the whole run ("bpart.partition"), each
-// layer, each combining round and the refine pass. Like auditing, probing
-// is pure observation: the probed assignment is byte-identical to an
-// unprobed one.
-func (b *BPart) SetResourceProbe(p telemetry.PhaseProbe) { b.probe = p }
 
 // Name implements partition.Partitioner.
 func (*BPart) Name() string { return "BPart" }
@@ -192,9 +183,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		telemetry.Int("k", k),
 		telemetry.Int("vertices", n),
 		telemetry.Int("edges", g.NumEdges()))
-	pr := telemetry.SafeProbe(b.probe)
-	runEnd := pr.BeginPhase("bpart.partition", telemetry.Int("k", k))
-	defer runEnd.EndPhase()
 	// Undirected affinity (Fennel's N(v)) needs the reversed adjacency;
 	// build it once and reuse it across every layer's stream.
 	in := g.Transpose()
@@ -243,9 +231,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			telemetry.Int("oversplit", pieces/nr),
 			telemetry.Int("remaining_vertices", len(remaining)),
 			telemetry.Int("parts_wanted", nr))
-		layerEnd := pr.BeginPhase("bpart.layer",
-			telemetry.Int("layer", layer),
-			telemetry.Int("pieces", pieces))
 		res, err := partition.Stream(g, partition.StreamOptions{
 			K:        pieces,
 			C:        b.cfg.C,
@@ -259,10 +244,8 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			Tracer:   b.tr,
 			Metrics:  b.reg,
 			Audit:    b.aud.Stream(layer, g, in, pieces),
-			Probe:    b.probe,
 		})
 		if err != nil {
-			layerEnd.EndPhase()
 			layerSpan.End(telemetry.String("error", err.Error()))
 			runSpan.End(telemetry.String("error", err.Error()))
 			return nil, nil, fmt.Errorf("core: layer %d stream: %w", layer, err)
@@ -284,9 +267,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		// takes layer·log2(SplitFactor) rounds.
 		round := 0
 		for len(groups) > nr {
-			roundEnd := pr.BeginPhase("bpart.combine.round",
-				telemetry.Int("layer", layer),
-				telemetry.Int("round", round))
 			target := (len(groups) + 1) / 2
 			if target < nr {
 				target = nr
@@ -306,7 +286,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 				}
 			}
 			groups = combineRound(groups, target, emit)
-			roundEnd.EndPhase(telemetry.Int("groups", len(groups)))
 			round++
 		}
 
@@ -383,7 +362,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		// global per-part means: the quantity that decides which groups
 		// froze (Fig 9's convergence criterion).
 		vBias, eBias := residualBias(lt.CombinedV, lt.CombinedE, targetV, targetE)
-		layerEnd.EndPhase(telemetry.Int("groups_frozen", lt.Finalized))
 		layerSpan.End(
 			telemetry.Int("pieces_frozen", pieces-pieceCount(nextRemainingGroups)),
 			telemetry.Int("groups_frozen", lt.Finalized),
@@ -404,9 +382,7 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	var moves refineMoves
 	if !b.cfg.DisableRefine {
 		refineSpan := tr.Span("bpart.refine", telemetry.Int("k", k))
-		refineEnd := pr.BeginPhase("bpart.refine", telemetry.Int("k", k))
 		moves = rebalance(g, final, k, b.cfg.Epsilon)
-		refineEnd.EndPhase(telemetry.Int("moves", moves.Shed+moves.Pulled))
 		refineSpan.End(
 			telemetry.Int("shed_moves", moves.Shed),
 			telemetry.Int("pull_moves", moves.Pulled))

@@ -113,18 +113,13 @@ func (e *Engine) run(step func(it int) (cluster.IterationStats, bool), checkpoin
 // SetTelemetry implements telemetry.Instrumentable: the tracer receives one
 // run-level span per algorithm invocation and — via the underlying cluster
 // — one "cluster.superstep" record per BSP iteration carrying the
-// IterationStats.
+// IterationStats (a resource probe, being a tracer, measures the same runs
+// and supersteps in host time and alloc/GC activity).
 func (e *Engine) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 	e.tel = telemetry.Safe(tr)
 	e.reg = reg
 	e.cl.SetTelemetry(tr, reg)
 }
-
-// SetResourceProbe implements telemetry.Probeable by forwarding to the
-// underlying cluster: every BSP superstep then emits one
-// "cluster.superstep" resource lap (real host time and alloc/GC activity,
-// not simulated time).
-func (e *Engine) SetResourceProbe(p telemetry.PhaseProbe) { e.cl.SetResourceProbe(p) }
 
 func (e *Engine) transpose() *graph.Graph {
 	e.trMu.Lock()

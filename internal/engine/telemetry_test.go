@@ -65,7 +65,7 @@ func TestPageRankTelemetry(t *testing.T) {
 }
 
 // Two engines sharing one tracer and registry, run concurrently: the
-// machine goroutines of Cluster.Parallel and the telemetry counters must be
+// worker goroutines of Cluster.RunTasks and the telemetry counters must be
 // race-free (this test is the -race coverage the telemetry layer needs).
 func TestTelemetrySharedAcrossEnginesConcurrently(t *testing.T) {
 	g, err := gen.ChungLu(gen.Config{NumVertices: 1500, AvgDegree: 6, Skew: 0.7, Seed: 9})

@@ -40,8 +40,10 @@ type Options struct {
 	// application-time figures).
 	Walkers int
 	// Tracer, when non-nil, is attached to every engine an experiment
-	// builds, so a `bench -trace` run captures cluster.superstep records
-	// for tracestat to analyze.
+	// builds and receives the Parallel Speedup sweep's per-repetition
+	// spans; `bench -trace` and `bench -resources` (whose probe is a tracer
+	// sink) both arrive here. Observation-only — results are identical
+	// with or without it.
 	Tracer telemetry.Tracer
 	// Metrics, when non-nil, collects the engines' counters and
 	// histograms; its summaries feed the BENCH artifact.
@@ -52,24 +54,18 @@ type Options struct {
 	// machine count. The Fault Recovery experiment and the BENCH
 	// artifact's recovery section also honor it.
 	Faults *fault.Spec
-	// Probe, when non-nil, receives resource phases from everything a run
-	// builds (bench -resources): one "cluster.superstep" lap per BSP
-	// iteration of every engine, plus the Parallel Speedup sweep's
-	// per-repetition spans. Observation-only — results are identical with
-	// or without it.
-	Probe telemetry.PhaseProbe
 	// Widths is the Parallel Speedup worker-count ladder. nil selects the
 	// host-independent default {1, 2, 4}; cmd/bench fills the host's
 	// power-of-two ladder up to NumCPU. Every width must be >= 1, and the
 	// speedup/efficiency columns need width 1 as their baseline.
 	Widths []int
-	// Workers is the superstep worker-pool size for every iteration engine
-	// an experiment builds (cmd/bench -workers). 0 or 1 run supersteps
-	// inline on the machine goroutine — today's behavior. The engines'
-	// outputs and counters are bit-identical at any setting; only host wall
-	// time changes, so every deterministic table and artifact section is
-	// unaffected. The Parallel Speedup experiment sweeps its own ladder and
-	// ignores this.
+	// Workers is the superstep worker-pool size for every iteration and
+	// walk engine an experiment builds (cmd/bench -workers); 0 selects the
+	// cluster's default, min(GOMAXPROCS, machines), and 1 runs supersteps
+	// inline on the calling goroutine. The engines' outputs and counters
+	// are bit-identical at any setting; only host wall time changes, so
+	// every deterministic table and artifact section is unaffected. The
+	// Parallel Speedup experiment sweeps its own ladder and ignores this.
 	Workers int
 }
 
@@ -306,12 +302,8 @@ func walkEngine(d gen.Dataset, opt Options, scheme string, k int) (*walk.Engine,
 	if err != nil {
 		return nil, err
 	}
-	if opt.Tracer != nil || opt.Metrics != nil {
-		e.SetTelemetry(opt.Tracer, opt.Metrics)
-	}
-	if opt.Probe != nil {
-		e.SetResourceProbe(opt.Probe)
-	}
+	e.Cluster().SetWorkers(opt.Workers)
+	e.SetTelemetry(opt.Tracer, opt.Metrics)
 	if err := attachFaults(opt, e, opt.scheduleFor(k)); err != nil {
 		return nil, err
 	}
@@ -338,9 +330,7 @@ func attachFaults(opt Options, e faultable, spec *fault.Spec) error {
 	if err != nil {
 		return err
 	}
-	if opt.Tracer != nil || opt.Metrics != nil {
-		ctl.SetTelemetry(opt.Tracer, opt.Metrics)
-	}
+	ctl.SetTelemetry(opt.Tracer, opt.Metrics)
 	return e.SetFaults(ctl)
 }
 
@@ -375,12 +365,7 @@ func iterEngine(d gen.Dataset, opt Options, scheme string, k int) (*engine.Engin
 	if err := e.SetTranspose(tr); err != nil {
 		return nil, err
 	}
-	if opt.Tracer != nil || opt.Metrics != nil {
-		e.SetTelemetry(opt.Tracer, opt.Metrics)
-	}
-	if opt.Probe != nil {
-		e.SetResourceProbe(opt.Probe)
-	}
+	e.SetTelemetry(opt.Tracer, opt.Metrics)
 	if err := attachFaults(opt, e, opt.scheduleFor(k)); err != nil {
 		return nil, err
 	}

@@ -98,15 +98,14 @@ type ParallelMeasurement struct {
 }
 
 // runParallel sweeps engines × schemes × widths on parallelDataset.
-// Engines are built quiet (no tracer, metrics, probe, or faults): the
-// sweep re-runs each workload many times, and feeding those repetitions
-// into the run's trace or histograms would make every observability
-// artifact depend on the ladder. The harness instead emits one resview
-// ScalingPhase span per repetition through opt.Probe.
-func runParallel(opt Options, schemes []string, widths []int) ([]ParallelMeasurement, error) {
+// Engines are built quiet (no tracer, metrics, or faults): the sweep
+// re-runs each workload many times, and feeding those repetitions'
+// supersteps into the run's trace or histograms would make every
+// observability artifact depend on the ladder. The harness instead emits
+// one resview ScalingPhase span per repetition to tr.
+func runParallel(opt Options, tr telemetry.Tracer, schemes []string, widths []int) ([]ParallelMeasurement, error) {
 	quiet := opt
-	quiet.Tracer, quiet.Metrics, quiet.Probe, quiet.Faults = nil, nil, nil, nil
-	quiet.Workers = 0
+	quiet.Tracer, quiet.Metrics, quiet.Faults = nil, nil, nil
 	var out []ParallelMeasurement
 	for _, scheme := range schemes {
 		e, err := iterEngine(parallelDataset, quiet, scheme, benchPartitionK)
@@ -128,18 +127,13 @@ func runParallel(opt Options, schemes []string, widths []int) ([]ParallelMeasure
 				e.Cluster().SetWorkers(wk)
 				m := ParallelMeasurement{Engine: spec.name, Scheme: scheme, Workers: wk, WallUS: -1, Identical: true}
 				for rep := 0; rep < parallelReps; rep++ {
-					var pe telemetry.PhaseEnd
-					if opt.Probe != nil {
-						pe = opt.Probe.BeginPhase(resview.ScalingPhase,
-							telemetry.String("scheme", spec.name+"/"+scheme),
-							telemetry.Int("workers", wk))
-					}
+					sp := tr.Span(resview.ScalingPhase,
+						telemetry.String("scheme", spec.name+"/"+scheme),
+						telemetry.Int("workers", wk))
 					sw := telemetry.NewStopwatch()
 					b, sim, err := spec.run(e)
 					us := sw.Seconds() * 1e6
-					if pe != nil {
-						pe.EndPhase()
-					}
+					sp.End()
 					if err != nil {
 						return nil, fmt.Errorf("parallel speedup: %s/%s at %d workers: %w", spec.name, scheme, wk, err)
 					}
@@ -159,7 +153,7 @@ func runParallel(opt Options, schemes []string, widths []int) ([]ParallelMeasure
 // RunParallelSpeedup measures every compare scheme's engines at every
 // width of opt.widths().
 func RunParallelSpeedup(opt Options) ([]ParallelMeasurement, error) {
-	return runParallel(opt, compareSchemes, opt.widths())
+	return runParallel(opt, telemetry.Safe(opt.Tracer), compareSchemes, opt.widths())
 }
 
 // ParallelSpeedup is the experiment wrapper: the measured superstep
@@ -204,12 +198,10 @@ func ParallelSpeedup(opt Options) (*Table, error) {
 // identity verdicts, which are independent of the ladder and of
 // Options.Workers.
 func (a *BenchArtifact) CollectParallel(opt Options) error {
-	// The section's sweep is an internal fixed ladder; the resource log's
-	// scaling spans reflect the user-requested -widths ladder only, so the
-	// probe stays out of this run (the Parallel Speedup experiment emits
-	// the observable spans).
-	opt.Probe = nil
-	ms, err := runParallel(opt, benchParallelSchemes, benchParallelWidths)
+	// The section's sweep is an internal fixed ladder; the logs' scaling
+	// spans reflect the user-requested -widths ladder only, so this run is
+	// untraced (the Parallel Speedup experiment emits the observable spans).
+	ms, err := runParallel(opt, telemetry.Nop(), benchParallelSchemes, benchParallelWidths)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bpart/internal/resview"
+	"bpart/internal/telemetry"
 )
 
 func TestWidthsDefaultHostIndependent(t *testing.T) {
@@ -19,8 +20,7 @@ func TestWidthsDefaultHostIndependent(t *testing.T) {
 func TestParallelSweepFeedsResourceCurves(t *testing.T) {
 	var buf bytes.Buffer
 	probe := resview.NewProbe(&buf)
-	opt := Options{Scale: testScale, Probe: probe}
-	ms, err := runParallel(opt, []string{"Chunk-V"}, []int{1, 2})
+	ms, err := runParallel(Options{Scale: testScale}, probe, []string{"Chunk-V"}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestParallelSweepFeedsResourceCurves(t *testing.T) {
 }
 
 func TestParallelSweepRejectsBadWidth(t *testing.T) {
-	if _, err := runParallel(Options{Scale: testScale}, []string{"Chunk-V"}, []int{0}); err == nil {
+	if _, err := runParallel(Options{Scale: testScale}, telemetry.Nop(), []string{"Chunk-V"}, []int{0}); err == nil {
 		t.Fatal("accepted width 0")
 	}
 }

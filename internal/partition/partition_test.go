@@ -359,3 +359,16 @@ func BenchmarkHash20k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStream20k is the bare streaming loop (no tracer, audit or
+// metrics attached — the default everywhere).
+func BenchmarkStream20k(b *testing.B) {
+	g := twitterish(b)
+	opt := StreamOptions{K: 8, C: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Stream(g, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -61,12 +61,6 @@ type StreamOptions struct {
 	// for this stream. The audited run's assignment is byte-identical to
 	// an unaudited one: auditing only observes scores, never alters them.
 	Audit *partaudit.StreamRecorder
-	// Probe, when non-nil, observes one "partition.stream" resource phase
-	// per call: wall-clock self-time and runtime alloc/GC deltas over the
-	// scoring loop. Like Audit, it is pure observation — the probed run's
-	// assignment is byte-identical — and the disabled path costs one nil
-	// check per stream, not per vertex.
-	Probe telemetry.PhaseProbe
 }
 
 // StreamStats counts what the streaming loop did — the introspection knobs
@@ -221,12 +215,6 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 			telemetry.Int("streamed", ns),
 			telemetry.Int("edges", ms))
 	}
-	var pe telemetry.PhaseEnd
-	if opt.Probe != nil {
-		pe = opt.Probe.BeginPhase("partition.stream",
-			telemetry.Int("k", opt.K),
-			telemetry.Int("streamed", ns))
-	}
 	for _, v := range stream {
 		for i := range affinity {
 			affinity[i] = 0
@@ -296,9 +284,6 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		opt.Audit.Place(v, d, best, cause, dec, parts)
 	}
 	opt.Audit.End()
-	if pe != nil {
-		pe.EndPhase(telemetry.Int("placed", ns))
-	}
 	stats := StreamStats{
 		Placed:    int64(ns),
 		CapWSkips: capWSkips,

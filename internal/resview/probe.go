@@ -17,10 +17,11 @@ import (
 const gcCPUMetric = "/cpu/classes/gc/total:cpu-seconds"
 
 // Probe captures runtime resource deltas around named phases and writes
-// one versioned JSONL `resource` record per phase to its sink. It
-// implements telemetry.PhaseProbe, so it attaches to every hook site
-// (partition streams, BPart layers, cluster supersteps, bench experiments)
-// without those packages importing resview.
+// one versioned JSONL `resource` record per phase to its sink. It is a
+// telemetry.Tracer sink: every span a component opens becomes one span
+// record and every event one lap record, so it attaches wherever a tracer
+// does (alone, or beside the JSONL trace through telemetry.Tee) and the
+// resource log's phase names are the trace's span and event names.
 //
 // Capture is observation-only: a probed run's deterministic artifacts
 // (assignments, traces, audit logs, BENCH sections) are byte-identical to
@@ -96,38 +97,53 @@ func (p *Probe) takeLocked() snap {
 	return s
 }
 
-// BeginPhase implements telemetry.PhaseProbe.
-func (p *Probe) BeginPhase(name string, attrs ...telemetry.Attr) telemetry.PhaseEnd {
+// Enabled implements telemetry.Tracer; a nil probe records nothing.
+func (p *Probe) Enabled() bool { return p != nil }
+
+// Span implements telemetry.Tracer: the begin snapshot is taken now, and
+// End emits one KindSpan record under the span's name.
+func (p *Probe) Span(name string, attrs ...telemetry.Attr) telemetry.Span {
 	if p == nil {
-		return telemetry.NopProbe().BeginPhase(name)
+		return telemetry.Nop().Span(name)
 	}
 	p.mu.Lock()
 	begin := p.takeLocked()
 	p.mu.Unlock()
-	return &phaseEnd{p: p, name: name, begin: begin, attrs: append([]telemetry.Attr(nil), attrs...)}
+	return &span{p: p, name: name, begin: begin, attrs: append([]telemetry.Attr(nil), attrs...)}
 }
 
-// phaseEnd closes one BeginPhase observation.
-type phaseEnd struct {
+// span is one open Span observation.
+type span struct {
 	p     *Probe
 	name  string
 	begin snap
+	mu    sync.Mutex // guards attrs; Annotate may race with End
 	attrs []telemetry.Attr
 }
 
-// EndPhase implements telemetry.PhaseEnd.
-func (e *phaseEnd) EndPhase(attrs ...telemetry.Attr) {
-	p := e.p
+// Annotate implements telemetry.Span.
+func (s *span) Annotate(attrs ...telemetry.Attr) {
+	s.mu.Lock()
+	s.attrs = append(s.attrs, attrs...)
+	s.mu.Unlock()
+}
+
+// End implements telemetry.Span.
+func (s *span) End(attrs ...telemetry.Attr) {
+	s.Annotate(attrs...)
+	p := s.p
 	p.mu.Lock()
 	end := p.takeLocked()
-	p.emitLocked(KindSpan, e.name, e.begin, end, append(e.attrs, attrs...))
+	p.emitLocked(KindSpan, s.name, s.begin, end, s.attrs)
 	p.mu.Unlock()
 }
 
-// Lap implements telemetry.PhaseProbe: one record covering everything
-// since the previous Lap with the same name, or since the probe's creation
-// for the first.
-func (p *Probe) Lap(name string, attrs ...telemetry.Attr) {
+// Event implements telemetry.Tracer: one KindLap record covering
+// everything since the previous event with the same name, or since the
+// probe's creation for the first. Baselines are kept per name, so the laps
+// of one stream (cluster supersteps) interleaving with spans or with
+// another stream do not corrupt each other.
+func (p *Probe) Event(name string, attrs ...telemetry.Attr) {
 	if p == nil {
 		return
 	}
@@ -143,7 +159,10 @@ func (p *Probe) Lap(name string, attrs ...telemetry.Attr) {
 }
 
 // emitLocked writes one record. Callers hold p.mu. The end snapshot's
-// MemStats still sit in p.ms, so HeapAlloc is read from there.
+// MemStats still sit in p.ms, so HeapAlloc is read from there. Only scalar
+// attrs are kept: a trace event's structured payloads (a superstep's
+// per-machine arrays and pairs matrix) belong to the trace, not to a log
+// whose records are resource deltas.
 func (p *Probe) emitLocked(kind, phase string, begin, end snap, attrs []telemetry.Attr) {
 	jr := jsonRecord{
 		V:          SchemaVersion,
@@ -166,13 +185,15 @@ func (p *Probe) emitLocked(kind, phase string, begin, end snap, attrs []telemetr
 	if len(attrs) > 0 {
 		jr.Attrs = make(map[string]any, len(attrs))
 		for _, a := range attrs {
-			jr.Attrs[a.Key] = a.Value()
+			if a.Scalar() {
+				jr.Attrs[a.Key] = a.Value()
+			}
 		}
 	}
 	line, err := json.Marshal(jr)
 	if err != nil {
-		// An unencodable attr payload should not kill the probed run;
-		// degrade to a minimal record that keeps the stream parseable.
+		// An unencodable attr (a NaN float) should not kill the probed
+		// run; degrade to a minimal record that keeps the stream parseable.
 		jr.Attrs = nil
 		if line, err = json.Marshal(jr); err != nil {
 			p.log.Fail(err)
@@ -194,4 +215,4 @@ func (p *Probe) Flush() error {
 // Close flushes; the underlying writer is the caller's to close.
 func (p *Probe) Close() error { return p.Flush() }
 
-var _ telemetry.PhaseProbe = (*Probe)(nil)
+var _ telemetry.Tracer = (*Probe)(nil)

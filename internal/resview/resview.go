@@ -1,17 +1,18 @@
 // Package resview is the runtime-resource half of the repo's
-// observability story: a Probe (attached through telemetry.PhaseProbe, the
-// hook interface the deterministic packages hold) snapshots real machine
+// observability story: a Probe (a telemetry.Tracer sink, the one hook
+// interface the deterministic packages hold) snapshots real machine
 // state — wall clock, allocations, live heap, GC cycles and pauses,
-// goroutine counts — around named phases (partition streams, BPart
-// combining layers, cluster supersteps, bench experiments) and streams the
+// goroutine counts — around every trace span (partition streams, BPart
+// combining layers, engine and walk runs, bench experiments) and between
+// consecutive events of one name (cluster supersteps) and streams the
 // deltas as versioned JSONL `resource` records; this package reads them
 // back and derives the phase self-time breakdown, alloc/GC attribution and
 // the Parallel Speedup curves. cmd/tracestat's `resources` subcommand
 // is the CLI over it.
 //
 // Everything here is host-dependent by nature and therefore lives outside
-// the determinism boundary: capture is strictly opt-in, the hook sites are
-// one nil check when disabled, and no resource record ever flows into the
+// the determinism boundary: capture is strictly opt-in, an unobserved run
+// holds the no-op tracer, and no resource record ever flows into the
 // trace, audit or BENCH byte-identity paths. For tests that compare probed
 // runs, Log.StripWallClock zeroes every host-dependent field, mirroring
 // the BENCH artifact's -deterministic normalization.
@@ -30,8 +31,8 @@ import (
 // handle. The schema itself is documented in EXPERIMENTS.md.
 const SchemaVersion = 1
 
-// Record kinds: a span covers one BeginPhase/EndPhase pair; a lap covers
-// everything since the previous lap of the same phase name.
+// Record kinds: a span covers one Tracer.Span/End pair; a lap covers
+// everything since the previous Tracer.Event of the same name.
 const (
 	KindSpan = "span"
 	KindLap  = "lap"

@@ -13,12 +13,12 @@ import (
 func TestProbeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProbe(&buf)
-	pe := p.BeginPhase("partition.stream", telemetry.Int("k", 8))
+	pe := p.Span("partition.stream", telemetry.Int("k", 8))
 	waste := make([]byte, 1<<20)
 	_ = waste
-	pe.EndPhase(telemetry.Int("placed", 100))
-	p.Lap("cluster.superstep", telemetry.Int("iter", 0))
-	p.Lap("cluster.superstep", telemetry.Int("iter", 1))
+	pe.End(telemetry.Int("placed", 100))
+	p.Event("cluster.superstep", telemetry.Int("iter", 0))
+	p.Event("cluster.superstep", telemetry.Int("iter", 1))
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestProbeRoundTrip(t *testing.T) {
 		t.Fatalf("k attr: %v %v", k, ok)
 	}
 	if placed, ok := r.Int("placed"); !ok || placed != 100 {
-		t.Fatalf("EndPhase attr lost: %v %v", placed, ok)
+		t.Fatalf("End attr lost: %v %v", placed, ok)
 	}
 	if r.Goroutines < 1 {
 		t.Fatalf("goroutines %d, want >= 1", r.Goroutines)
@@ -60,9 +60,9 @@ func TestProbeRoundTrip(t *testing.T) {
 
 func TestProbeNilSafe(t *testing.T) {
 	var p *Probe
-	pe := p.BeginPhase("x")
-	pe.EndPhase()
-	p.Lap("y")
+	pe := p.Span("x")
+	pe.End()
+	p.Event("y")
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func (w *failWriter) Write(b []byte) (int, error) {
 func TestProbeWriteErrorSticky(t *testing.T) {
 	p := NewProbe(&failWriter{n: 10})
 	for i := 0; i < 4; i++ {
-		p.BeginPhase("x").EndPhase()
+		p.Span("x").End()
 	}
 	if err := p.Close(); err == nil {
 		t.Fatal("Close hid the write failure")
@@ -103,8 +103,8 @@ func TestProbeWriteErrorSticky(t *testing.T) {
 func TestStripWallClock(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProbe(&buf)
-	p.BeginPhase("a", telemetry.String("scheme", "Fennel")).EndPhase()
-	p.Lap("b")
+	p.Span("a", telemetry.String("scheme", "Fennel")).End()
+	p.Event("b")
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -209,18 +209,13 @@ func (e *Engine) SetFaults(ctl *fault.Controller) error {
 // SetTelemetry implements telemetry.Instrumentable: the tracer receives one
 // "walk.run" span per Run and — via the underlying cluster — one
 // "cluster.superstep" record per BSP iteration, so a DeepWalk run produces
-// the full machine-level timeline of Figs 12/13.
+// the full machine-level timeline of Figs 12/13 (a resource probe, being
+// a tracer, measures the same run and supersteps in host time).
 func (e *Engine) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 	e.tel = telemetry.Safe(tr)
 	e.reg = reg
 	e.cl.SetTelemetry(tr, reg)
 }
-
-// SetResourceProbe implements telemetry.Probeable by forwarding to the
-// underlying cluster: every walk superstep then emits one
-// "cluster.superstep" resource lap (real host time and alloc/GC activity,
-// not simulated time).
-func (e *Engine) SetResourceProbe(p telemetry.PhaseProbe) { e.cl.SetResourceProbe(p) }
 
 // walker is one active random walk.
 type walker struct {
@@ -330,8 +325,12 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	}
 	step := func(int) (cluster.IterationStats, bool) {
 		w := e.cl.NewCounters()
-		e.cl.Parallel(func(m int) {
-			rng := rngs[m]
+		// One task per machine, each confined to its own RNG stream, active
+		// list, outbox row and counter slots: bit-identical at any width.
+		e.cl.RunTasks(k, func(m int) {
+			// A task-local copy, stored back below: the k states are 8-byte
+			// neighbours, and stepping on them in place shares a cache line.
+			rng := *rngs[m]
 			out := outbox[m]
 			var steps, msgs, verts int64
 			var prow []int64
@@ -340,7 +339,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			}
 			kept := active[m][:0]
 			for _, wk := range active[m] {
-				next, done := e.step(&wk, cfg, rng)
+				next, done := e.step(&wk, cfg, &rng)
 				steps++
 				if cfg.Kind == RWD {
 					// Domination marking is an extra vertex update.
@@ -383,6 +382,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 					out[dst] = append(out[dst], wk)
 				}
 			}
+			*rngs[m] = rng
 			active[m] = kept
 			w.Steps[m] = steps
 			w.Messages[m] = msgs
