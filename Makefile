@@ -24,10 +24,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs every reader fuzz target for 10 s each: the graph and
-# assignment file readers, the record-log substrate's framing target, then
-# the family parsers and summarizers on top of it. One target per line as
-# package:Target.
+# fuzz runs every fuzz target for 10 s each: the graph and assignment file
+# readers, the record-log substrate's framing target, the family parsers
+# and summarizers on top of it, then the serving handlers' query parsing.
+# One target per line as package:Target.
 FUZZ_TARGETS = \
 	internal/gio:FuzzReadBinary \
 	internal/gio:FuzzReadEdgeList \
@@ -37,7 +37,8 @@ FUZZ_TARGETS = \
 	internal/partaudit:FuzzReadLog \
 	internal/commview:FuzzRead \
 	internal/resview:FuzzRead \
-	internal/servestats:FuzzRead
+	internal/servestats:FuzzRead \
+	internal/servestats:FuzzHandlers
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

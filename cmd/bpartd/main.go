@@ -103,7 +103,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		g.NumVertices(), g.NumEdges(), d.srv.B.View().K(), lis.Addr())
 	d.health.SetReady(true)
 
-	httpSrv := &http.Server{Handler: d.mux}
+	// No WriteTimeout: /v1/swapz?scheme= legitimately runs a partitioner for
+	// seconds. The other two stop a client that never finishes its headers,
+	// or never sends another request, from holding a connection forever:
+	// 5 s is generous for a header block, and 2 min outlasts the pauses of
+	// a keep-alive load generator between runs.
+	httpSrv := &http.Server{
+		Handler:           d.mux,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(lis) }()
 	sigc := make(chan os.Signal, 1)

@@ -34,8 +34,9 @@ func WriteAssignment(w io.Writer, parts []int, k int) error {
 
 // ReadAssignment parses an assignment stream, returning the parts and k.
 func ReadAssignment(r io.Reader) ([]int, int, error) {
+	const scanBuf = 1 << 20
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, scanBuf), scanBuf)
 	if !sc.Scan() {
 		return nil, 0, fmt.Errorf("gio: empty assignment file")
 	}
@@ -47,7 +48,12 @@ func ReadAssignment(r io.Reader) ([]int, int, error) {
 	if k <= 0 || n < 0 {
 		return nil, 0, fmt.Errorf("gio: bad assignment header values k=%d n=%d", k, n)
 	}
-	parts := make([]int, 0, n)
+	// The header's n is a claim, not evidence: an uploaded file may say
+	// n=4000000000000000 and carry one line. Preallocate no more than one
+	// scan buffer of input could hold (a part line is at least a digit and
+	// a newline) and let append follow the lines that actually arrive; the
+	// length check below rejects the lie.
+	parts := make([]int, 0, min(n, scanBuf/2))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || line[0] == '#' {

@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -57,10 +58,18 @@ func FuzzReadAssignment(f *testing.F) {
 	f.Add([]byte("# bpart assignment k=2 n=2\n0\n1\n"))
 	f.Add([]byte("# bpart assignment k=1 n=0\n"))
 	f.Add([]byte("junk"))
+	// Headers that lie about n: the first overflows make's capacity, the
+	// second asks for 16 GB. Neither may cost more than the lines present.
+	f.Add([]byte("# bpart assignment k=1 n=4000000000000000\n0\n"))
+	f.Add([]byte("# bpart assignment k=1 n=2000000000\n0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parts, k, err := ReadAssignment(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		var hk, hn int
+		if _, err := fmt.Sscanf(string(data), "# bpart assignment k=%d n=%d", &hk, &hn); err != nil || hk != k || hn != len(parts) {
+			t.Fatalf("accepted %d parts over k=%d under a header saying k=%d n=%d (%v)", len(parts), k, hk, hn, err)
 		}
 		for _, p := range parts {
 			if p < 0 || p >= k {

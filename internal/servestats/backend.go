@@ -20,6 +20,7 @@ package servestats
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"bpart/internal/graph"
@@ -60,8 +61,9 @@ func (v *View) Parts() []int {
 // safe for concurrent use; Swap publishes a new view without blocking
 // in-flight readers.
 type Backend struct {
-	g    *graph.Graph
-	view atomic.Pointer[View]
+	g       *graph.Graph
+	view    atomic.Pointer[View]
+	scratch sync.Pool // of *khopScratch, filled on first use; see KHop
 }
 
 // NewBackend wraps g with assignment parts over k parts (version 1). The
@@ -115,33 +117,62 @@ func (b *Backend) Swap(parts []int, k int) (*View, error) {
 	}
 }
 
+// khopScratch is one KHop call's working memory. Between calls every bit
+// of visited is zero.
+type khopScratch struct {
+	visited []uint64         // one bit per vertex of the served graph
+	queue   []graph.VertexID // src, then every vertex reached, in discovery order
+}
+
 // KHop runs a bounded BFS from src and reports the number of vertices
 // within hops hops (src excluded) plus up to limit of them in
-// deterministic CSR discovery order. The per-request visited map keeps the
-// backend state read-only and therefore swap- and race-safe.
+// deterministic CSR discovery order.
+//
+// Its working memory is a khopScratch drawn from the backend's pool: a
+// visited bitset sized once from the served graph and a single BFS queue
+// that doubles as the discovery-order record the sample is copied from, so
+// a query costs the arcs it scans and allocates only the sample it returns.
+// The scratch depends on the graph alone, which never changes under a
+// Backend — only the assignment view does, and KHop never reads it — so a
+// pooled scratch is swap-safe by construction, and a call holds its scratch
+// exclusively between Get and Put, so KHop still reads no shared mutable
+// state. Before the scratch goes back, the bits this call set are cleared
+// by walking the queue: O(visited), with no epoch counter to wrap. The pool
+// is bounded by the requests in flight and drained by the GC, so a queue
+// that grew for one hops=8 hub query is retained until the next GC at most.
 func (b *Backend) KHop(src graph.VertexID, hops, limit int) (count int, sample []graph.VertexID) {
-	if int(src) >= b.g.NumVertices() || hops <= 0 {
+	n := b.g.NumVertices()
+	if int(src) >= n || hops <= 0 {
 		return 0, nil
 	}
-	visited := map[graph.VertexID]bool{src: true}
-	frontier := []graph.VertexID{src}
-	for d := 0; d < hops && len(frontier) > 0; d++ {
-		var next []graph.VertexID
-		for _, u := range frontier {
-			for _, w := range b.g.Neighbors(u) {
-				if visited[w] {
-					continue
-				}
-				visited[w] = true
-				next = append(next, w)
-				count++
-				if len(sample) < limit {
-					sample = append(sample, w)
+	s, _ := b.scratch.Get().(*khopScratch)
+	if s == nil {
+		s = &khopScratch{visited: make([]uint64, (n+63)/64)}
+	}
+	visited, queue := s.visited, append(s.queue[:0], src)
+	visited[src>>6] |= uint64(1) << (src & 63)
+	// queue[head:levelEnd] is the frontier at depth d; what it discovers
+	// is appended past levelEnd and becomes the next one.
+	for d, head := 0, 0; d < hops && head < len(queue); d++ {
+		for levelEnd := len(queue); head < levelEnd; head++ {
+			for _, w := range b.g.Neighbors(queue[head]) {
+				word, bit := w>>6, uint64(1)<<(w&63)
+				if visited[word]&bit == 0 {
+					visited[word] |= bit
+					queue = append(queue, w)
 				}
 			}
 		}
-		frontier = next
 	}
+	count = len(queue) - 1
+	if m := min(limit, count); m > 0 {
+		sample = append(sample, queue[1:1+m]...)
+	}
+	for _, v := range queue {
+		visited[v>>6] = 0
+	}
+	s.queue = queue
+	b.scratch.Put(s)
 	return count, sample
 }
 

@@ -2,6 +2,8 @@ package servestats
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -57,6 +59,61 @@ func FuzzRead(f *testing.F) {
 			case EndpointLookup, EndpointKHop, EndpointWalk:
 			default:
 				t.Fatalf("unknown endpoint escaped validation: %+v", r)
+			}
+		}
+	})
+}
+
+// FuzzHandlers throws arbitrary raw query strings at the three GET
+// handlers over a small fixed graph. The query string is the one input the
+// serving path takes from strangers, so the contract is as precise as the
+// reader's above: never a panic, the status is 200 or 400, a 200 body
+// decodes and echoes a vertex of the graph, and a 400 body is
+// {"error": "..."} and nothing else.
+func FuzzHandlers(f *testing.F) {
+	f.Add("v=3")
+	f.Add("v=3&hops=2&limit=4")
+	f.Add("v=3&steps=20&alpha=0.1&seed=9")
+	f.Add("")
+	f.Add("v=banana")
+	f.Add("v=16")
+	f.Add("v=-1&hops=9")
+	f.Add("v=1&v=2&hops=&limit=1025")
+	f.Add("v=1&alpha=1&seed=x")
+	f.Add("v=1;hops=2")
+	f.Add("v=%zz&steps=1048577")
+	f.Add("v=0&alpha=NaN&seed=18446744073709551616")
+
+	const n = 16
+	b, err := NewBackend(ringGraph(n), blockAssignment(n, 4), 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mux := (&Server{B: b}).Mux()
+	f.Fuzz(func(t *testing.T, query string) {
+		for _, path := range []string{"/v1/lookup", "/v1/khop", "/v1/walk"} {
+			req := httptest.NewRequest("GET", path, nil)
+			req.URL.RawQuery = query // NewRequest would reject what a socket can carry
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, req)
+			switch rec.Code {
+			case 200:
+				var reply struct {
+					Vertex *int64 `json:"vertex"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.Vertex == nil {
+					t.Fatalf("%s?%s: 200 body %q does not echo a vertex (%v)", path, query, rec.Body.String(), err)
+				}
+				if *reply.Vertex < 0 || *reply.Vertex >= n {
+					t.Fatalf("%s?%s: 200 for vertex %d of a %d-vertex graph", path, query, *reply.Vertex, n)
+				}
+			case 400:
+				var reply map[string]string
+				if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || len(reply) != 1 || reply["error"] == "" {
+					t.Fatalf("%s?%s: 400 body %q is not {\"error\": ...} (%v)", path, query, rec.Body.String(), err)
+				}
+			default:
+				t.Fatalf("%s?%s: status %d, want 200 or 400", path, query, rec.Code)
 			}
 		}
 	})

@@ -2,8 +2,10 @@ package servestats
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"bpart/internal/gio"
@@ -107,9 +109,11 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// vertexParam parses ?v= against the backend's vertex range.
-func (s *Server) vertexParam(r *http.Request) (graph.VertexID, error) {
-	raw := r.URL.Query().Get("v")
+// vertexParam parses ?v= against the backend's vertex range. Like the other
+// helpers it takes the parsed query, which each handler builds once:
+// r.URL.Query() is a full url.ParseQuery with a fresh map per call.
+func (s *Server) vertexParam(q url.Values) (graph.VertexID, error) {
+	raw := q.Get("v")
 	if raw == "" {
 		return 0, fmt.Errorf("missing vertex parameter v")
 	}
@@ -123,8 +127,8 @@ func (s *Server) vertexParam(r *http.Request) (graph.VertexID, error) {
 	return graph.VertexID(id), nil
 }
 
-func intParam(r *http.Request, name string, def, min, max int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func intParam(q url.Values, name string, def, min, max int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -141,10 +145,11 @@ func intParam(r *http.Request, name string, def, min, max int) (int, error) {
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	start := s.R.Start()
 	view := s.B.View()
-	v, err := s.vertexParam(r)
+	q := r.URL.Query()
+	v, err := s.vertexParam(q)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		s.R.End(start, EndpointLookup, badVertex(r), -1, view.Version(), http.StatusBadRequest)
+		s.R.End(start, EndpointLookup, badVertex(q), -1, view.Version(), http.StatusBadRequest)
 		return
 	}
 	part := view.Part(v)
@@ -155,22 +160,24 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleKHop(w http.ResponseWriter, r *http.Request) {
 	start := s.R.Start()
 	view := s.B.View()
-	v, err := s.vertexParam(r)
+	q := r.URL.Query()
+	v, err := s.vertexParam(q)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		s.R.End(start, EndpointKHop, badVertex(r), -1, view.Version(), http.StatusBadRequest)
+		s.R.End(start, EndpointKHop, badVertex(q), -1, view.Version(), http.StatusBadRequest)
 		return
 	}
-	hops, err := intParam(r, "hops", 2, 1, 8)
+	hops, err := intParam(q, "hops", 2, 1, 8)
 	if err == nil {
 		var limit int
-		limit, err = intParam(r, "limit", 0, 0, 1024)
+		limit, err = intParam(q, "limit", 0, 0, 1024)
 		if err == nil {
 			count, sample := s.B.KHop(v, hops, limit)
 			part := view.Part(v)
 			resp := KHopResponse{Vertex: int64(v), Hops: hops, Count: count, Part: part, Version: view.Version()}
-			for _, u := range sample {
-				resp.Sample = append(resp.Sample, int64(u))
+			resp.Sample = make([]int64, len(sample))
+			for i, u := range sample {
+				resp.Sample[i] = int64(u)
 			}
 			writeJSON(w, http.StatusOK, resp)
 			s.R.End(start, EndpointKHop, v, part, view.Version(), http.StatusOK)
@@ -184,20 +191,21 @@ func (s *Server) handleKHop(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 	start := s.R.Start()
 	view := s.B.View()
-	v, err := s.vertexParam(r)
+	q := r.URL.Query()
+	v, err := s.vertexParam(q)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		s.R.End(start, EndpointWalk, badVertex(r), -1, view.Version(), http.StatusBadRequest)
+		s.R.End(start, EndpointWalk, badVertex(q), -1, view.Version(), http.StatusBadRequest)
 		return
 	}
-	steps, err := intParam(r, "steps", 16, 1, 1<<20)
+	steps, err := intParam(q, "steps", 16, 1, 1<<20)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		s.R.End(start, EndpointWalk, v, -1, view.Version(), http.StatusBadRequest)
 		return
 	}
 	alpha := 0.0
-	if raw := r.URL.Query().Get("alpha"); raw != "" {
+	if raw := q.Get("alpha"); raw != "" {
 		alpha, err = strconv.ParseFloat(raw, 64)
 		if err != nil || alpha < 0 || alpha >= 1 {
 			httpError(w, http.StatusBadRequest, "bad alpha %q, want [0,1)", raw)
@@ -206,7 +214,7 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var seed uint64
-	if raw := r.URL.Query().Get("seed"); raw != "" {
+	if raw := q.Get("seed"); raw != "" {
 		seed, err = strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad seed %q: %v", raw, err)
@@ -238,7 +246,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "no repartitioner installed; upload an assignment body instead")
 			return
 		}
-		k, err = intParam(r, "k", s.B.View().K(), 1, 1<<20)
+		k, err = intParam(q, "k", s.B.View().K(), 1, 1<<20)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -249,9 +257,19 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		parts, k, err = gio.ReadAssignment(r.Body)
+		// Swap accepts only an assignment covering the served graph, so
+		// that graph bounds the upload: one line per vertex of at most 20
+		// characters (any int64) and a newline, doubled to leave room for
+		// the header, CRLF endings and comment lines.
+		body := http.MaxBytesReader(w, r.Body, 2*21*int64(s.B.Graph().NumVertices()+1))
+		parts, k, err = gio.ReadAssignment(body)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "assignment body: %v", err)
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, "assignment body: %v", err)
 			return
 		}
 	}
@@ -275,8 +293,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 
 // badVertex best-effort parses the vertex parameter for error-path
 // logging; -1 when absent or unparseable.
-func badVertex(r *http.Request) graph.VertexID {
-	if id, err := strconv.ParseUint(r.URL.Query().Get("v"), 10, 32); err == nil {
+func badVertex(q url.Values) graph.VertexID {
+	if id, err := strconv.ParseUint(q.Get("v"), 10, 32); err == nil {
 		return graph.VertexID(id)
 	}
 	return graph.VertexID(^uint32(0))

@@ -2,8 +2,11 @@ package servestats
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,6 +14,8 @@ import (
 	"sync"
 	"testing"
 
+	"bpart/internal/core"
+	"bpart/internal/gen"
 	"bpart/internal/gio"
 )
 
@@ -157,6 +162,54 @@ func TestServerSwapByBodyAndScheme(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/swapz", strings.NewReader("junk")))
 	if rec.Code != 400 {
 		t.Fatalf("junk swap body = %d", rec.Code)
+	}
+}
+
+// TestSwapRejectsHostileBodies posts assignment bodies built to hurt — a
+// header whose n overflows make's capacity, one that asks for 16 GB, and a
+// body far longer than the served graph could need — over a real
+// connection: each gets a 4xx, nothing panics, and the old view keeps
+// serving at the old version.
+func TestSwapRejectsHostileBodies(t *testing.T) {
+	s, _ := newTestServer(t, 12, 2, nil)
+	var errLog bytes.Buffer // written by the server until ts.Close returns
+	ts := httptest.NewUnstartedServer(s.Mux())
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Start()
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"n overflows make", "# bpart assignment k=1 n=4000000000000000\n0\n", 400},
+		{"n asks for 16 GB", "# bpart assignment k=1 n=2000000000\n0\n", 400},
+		{"over-long", "# bpart assignment k=2 n=12\n" + strings.Repeat("# padding\n", 200) + strings.Repeat("1\n", 12), 413},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/swapz", "text/plain", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("swap: %v", err)
+			}
+			var reply map[string]string
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status || err != nil || reply["error"] == "" {
+				t.Fatalf("swap = %d %v (decode: %v), want %d with an error body", resp.StatusCode, reply, err, tc.status)
+			}
+			resp, err = http.Get(ts.URL + "/v1/lookup?v=11")
+			if err != nil {
+				t.Fatalf("lookup after rejected swap: %v", err)
+			}
+			var lr LookupResponse
+			err = json.NewDecoder(resp.Body).Decode(&lr)
+			resp.Body.Close()
+			if err != nil || lr.Version != 1 || lr.Part != 1 {
+				t.Fatalf("lookup after rejected swap = %+v (%v), want part 1 at version 1", lr, err)
+			}
+		})
+	}
+	ts.Close()
+	if errLog.Len() != 0 {
+		t.Fatalf("server logged:\n%s", errLog.String())
 	}
 }
 
@@ -321,5 +374,90 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	rep := Summarize(l)
 	if len(rep.Versions) != 2 {
 		t.Fatalf("version census = %+v", rep.Versions)
+	}
+}
+
+// pinnedReplySHA256 is the SHA-256 TestReplyBytesPinned computes. It was
+// recorded on commit 07d98e5 — the last one whose KHop kept a per-request
+// visited map and whose handlers re-parsed the query string per parameter —
+// so every later change to the serving path proves its replies, error
+// strings and request-log records byte-identical to that implementation's.
+const pinnedReplySHA256 = "37802ca9e6b2275a64f2654c6b28b7860d8e0b498341281620853dbb92457271"
+
+// TestReplyBytesPinned drives a seeded 2:1:1 stream (k-hops with limit=16,
+// so samples are covered) plus every 400 path through the mux and hashes
+// each reply's status and body, then the wall-clock-stripped request log
+// (the vertex Recorder.End saw on each error path included).
+func TestReplyBytesPinned(t *testing.T) {
+	g, err := gen.Preset(gen.LJSim, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := core.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := bp.Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBackend(g, a.Parts, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logBuf bytes.Buffer
+	s := &Server{B: b, R: NewRecorder(8, &logBuf, nil)}
+	mux := s.Mux()
+	reqs, err := Workload{
+		Seed: 21, Vertices: g.NumVertices(), Requests: 3000, ZipfS: 1.0,
+		LookupW: 2, KHopW: 1, WalkW: 1,
+	}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []string{
+		"/v1/lookup", "/v1/khop", "/v1/walk",
+		"/v1/lookup?v=banana", "/v1/khop?v=-1&hops=2", "/v1/walk?v=&steps=4",
+		fmt.Sprintf("/v1/lookup?v=%d", g.NumVertices()),
+		fmt.Sprintf("/v1/khop?v=%d&limit=x", g.NumVertices()+7),
+		"/v1/walk?v=4294967296",
+		"/v1/khop?v=3&hops=9", "/v1/khop?v=3&hops=two", "/v1/khop?v=3&limit=1025",
+		"/v1/walk?v=5&steps=0", "/v1/walk?v=5&alpha=1", "/v1/walk?v=5&alpha=x&seed=y",
+		"/v1/walk?v=5&seed=x", "/v1/walk?v=5&seed=-1",
+		"/v1/lookup?v=7;hops=2", "/v1/khop?v=7&v=8&hops=1&hops=99&limit=16",
+	}
+	var replies bytes.Buffer // every status, body and log record, hashed at the end
+	play := func(path string) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		fmt.Fprintf(&replies, "%d\n%s", rec.Code, rec.Body.Bytes())
+	}
+	for i, r := range reqs {
+		path := RequestPath(r)
+		if r.Endpoint == EndpointKHop {
+			path += "&limit=16"
+		}
+		play(path)
+		if i%150 == 0 {
+			play(bad[i/150%len(bad)])
+		}
+	}
+	if err := s.R.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Read(&logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.StripWallClock()
+	if want := len(reqs) + len(reqs)/150; len(l.Records) != want {
+		t.Fatalf("request log has %d records, want %d", len(l.Records), want)
+	}
+	for _, r := range l.Records {
+		fmt.Fprintf(&replies, "%+v\n", r)
+	}
+	sum := sha256.Sum256(replies.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != pinnedReplySHA256 {
+		t.Fatalf("reply bytes changed: sha256 = %s, pinned %s", got, pinnedReplySHA256)
 	}
 }
