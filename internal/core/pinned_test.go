@@ -1,0 +1,54 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"bpart/internal/partition"
+)
+
+// pinnedAssignments holds SHA-256 of each scheme's assignment (parts as
+// little-endian uint32, in vertex order) on twitterish(), recorded from the
+// commit before partition.Stream's candidate loop, LDG's tally and rebalance
+// were rewritten (PR 23). A changed hash is a changed placement.
+var pinnedAssignments = map[string]string{
+	"BPart/k=2":    "196af221c98fb332ee7697e7829895b4a5301584cdb0645c0161715992e0235e",
+	"BPart/k=8":    "10babebc6e5c4216dbb88779055078d69f87237d04b180caea6f4fa8e841d8ce",
+	"BPart/k=128":  "5be5e8f802d401b225c62f2601e907897f9f76e3352b0d585c39d4aadc0dcecf",
+	"BPart/k=512":  "fbf92069ff304c0642b690715ec5d66f1680352f0f80f61a0e55713cad0c66dc",
+	"Fennel/k=2":   "d3a60274225a04d428b91ae1a8f01ef9518d47d3f58435d33c9980887d2ce8a9",
+	"Fennel/k=8":   "e16fb89b73edfb3b2b3e8d8dd8c30f55da22f3f9467a43f1092b809d3372c8ff",
+	"Fennel/k=128": "c0dddcf4c5930fadab4e2d0b6f04959396e1c01edb25b54c1823a262701efc05",
+	"Fennel/k=512": "1189484098d7a5f99f0e648c6d14cc9efd78bd3bb9d00d480491a7851f7dd019",
+	"LDG/k=2":      "a8a1f972dd2775e28975b66c1d593dad8531df6066249c1e688ecf0952652078",
+	"LDG/k=8":      "fbd0f6db96562eddab23550f001334784628a9f1f43e7f269e07fe7b717ecb02",
+	"LDG/k=128":    "ef6d25e8781ea3a6edb85432365d540a74ab96115e55478fe8e3907b40ecfdf5",
+	"LDG/k=512":    "169844bc9d0d4b9bba95b197ec80e3619bfdc78aa8de1afebbe854a1a7509ddf",
+}
+
+func TestAssignmentBytesPinned(t *testing.T) {
+	g := twitterish(t)
+	schemes := []partition.Partitioner{defaultBPart(t), partition.Fennel{}, partition.LDG{}}
+	for _, p := range schemes {
+		for _, k := range []int{2, 8, 128, 512} {
+			name := fmt.Sprintf("%s/k=%d", p.Name(), k)
+			a, err := p.Partition(g, k)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			h := sha256.New()
+			var buf [4]byte
+			for _, part := range a.Parts {
+				binary.LittleEndian.PutUint32(buf[:], uint32(part))
+				h.Write(buf[:])
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			if want := pinnedAssignments[name]; got != want {
+				t.Errorf("%s: assignment hash %s, pinned %s", name, got, want)
+			}
+		}
+	}
+}

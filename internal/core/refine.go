@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"bpart/internal/graph"
@@ -38,23 +39,14 @@ func rebalance(g *graph.Graph, parts []int, k int, eps float64) refineMoves {
 
 	vCount := make([]int, k)
 	eCount := make([]int, k)
-	members := make([][]graph.VertexID, k) // sorted by out-degree ascending
 	for v := 0; v < n; v++ {
-		p := parts[v]
-		vCount[p]++
-		eCount[p] += g.OutDegree(graph.VertexID(v))
-		members[p] = append(members[p], graph.VertexID(v))
+		vCount[parts[v]]++
+		eCount[parts[v]] += g.OutDegree(graph.VertexID(v))
 	}
-	for p := range members {
-		ms := members[p]
-		sort.Slice(ms, func(i, j int) bool {
-			di, dj := g.OutDegree(ms[i]), g.OutDegree(ms[j])
-			if di != dj {
-				return di < dj
-			}
-			return ms[i] < ms[j]
-		})
-	}
+	// Both phases below find no violator and never ask for a member list
+	// when every part is already within (1±ε), which is the common case
+	// after combining at large k.
+	members := &memberLists{g: g, parts: parts, vCount: vCount, eCount: eCount}
 
 	overV := func(p int) float64 { return float64(vCount[p]) - targetV }
 	overE := func(p int) float64 {
@@ -90,7 +82,7 @@ func rebalance(g *graph.Graph, parts []int, k int, eps float64) refineMoves {
 		if worst == -1 {
 			break
 		}
-		if !moveOne(g, parts, worst, worstDim, vCount, eCount, members, capV, capE) {
+		if !moveOne(worst, worstDim, vCount, eCount, members, capV, capE) {
 			stuck[worst] = true
 			continue
 		}
@@ -131,7 +123,7 @@ func rebalance(g *graph.Graph, parts []int, k int, eps float64) refineMoves {
 		if worst == -1 {
 			return done
 		}
-		if !pullOne(g, parts, worst, worstDim, vCount, eCount, members, capV, capE, floorV, floorE) {
+		if !pullOne(worst, worstDim, vCount, eCount, members, capV, capE, floorV, floorE) {
 			stuck[worst] = true
 			continue
 		}
@@ -143,12 +135,92 @@ func rebalance(g *graph.Graph, parts []int, k int, eps float64) refineMoves {
 	return done
 }
 
+// memberLists holds, per part, its vertices by out-degree descending (equal
+// degrees by ID descending): the lowest-degree member, which a vertex-count
+// move takes, is the last element, and a low-degree arrival lands near the
+// tail, so both are short moves. Nothing is built until a move first asks for
+// a list, and a part is sorted only when it first gives or receives a vertex.
+type memberLists struct {
+	g              *graph.Graph
+	parts          []int
+	vCount, eCount []int // kept current by transfer
+	lists          [][]graph.VertexID
+	sorted         []bool
+}
+
+// before is the list order: higher degree first, then higher ID.
+func (m *memberLists) before(a, b graph.VertexID) bool {
+	if da, db := m.g.OutDegree(a), m.g.OutDegree(b); da != db {
+		return da > db
+	}
+	return a > b
+}
+
+// of returns part p's sorted list.
+func (m *memberLists) of(p int) []graph.VertexID {
+	if m.lists == nil {
+		m.lists = make([][]graph.VertexID, len(m.vCount))
+		m.sorted = make([]bool, len(m.vCount))
+		for q, c := range m.vCount {
+			m.lists[q] = make([]graph.VertexID, 0, c)
+		}
+		for v, q := range m.parts {
+			m.lists[q] = append(m.lists[q], graph.VertexID(v))
+		}
+	}
+	if !m.sorted[p] {
+		m.sorted[p] = true
+		slices.SortFunc(m.lists[p], func(a, b graph.VertexID) int {
+			if m.before(a, b) {
+				return -1
+			}
+			return 1 // IDs are distinct, so no two members compare equal
+		})
+	}
+	return m.lists[p]
+}
+
+// lowest returns the index and degree of part p's lowest-degree member.
+func (m *memberLists) lowest(p int) (idx, degree int) {
+	ms := m.of(p)
+	return len(ms) - 1, m.g.OutDegree(ms[len(ms)-1])
+}
+
+// firstWithin returns the index in part p's list of its highest-degree member
+// whose degree is at most budget, or -1 if there is none.
+func (m *memberLists) firstWithin(p, budget int) int {
+	ms := m.of(p)
+	idx := sort.Search(len(ms), func(i int) bool { return m.g.OutDegree(ms[i]) <= budget })
+	if idx == len(ms) {
+		return -1
+	}
+	return idx
+}
+
+// transfer moves member idx of part from into part to, keeping both lists
+// sorted and the assignment and per-part counts current.
+func (m *memberLists) transfer(from, idx, to int) {
+	src := m.of(from)
+	v := src[idx]
+	m.lists[from] = append(src[:idx], src[idx+1:]...)
+	dst := m.of(to)
+	ins := sort.Search(len(dst), func(i int) bool { return m.before(v, dst[i]) })
+	m.lists[to] = slices.Insert(dst, ins, v)
+
+	d := m.g.OutDegree(v)
+	m.parts[v] = to
+	m.vCount[from]--
+	m.vCount[to]++
+	m.eCount[from] -= d
+	m.eCount[to] += d
+}
+
 // pullOne moves a single vertex from the heaviest suitable donor into the
 // deficient part p. A donor is suitable when it stays at or above the
 // (1−ε) floors after the move, so pulling never creates a new deficit; the
 // receiver is capped at (1+ε) so it cannot become a violator either.
-func pullOne(g *graph.Graph, parts []int, p int, dim rune,
-	vCount, eCount []int, members [][]graph.VertexID, capV, capE, floorV, floorE float64) bool {
+func pullOne(p int, dim rune, vCount, eCount []int, members *memberLists,
+	capV, capE, floorV, floorE float64) bool {
 	k := len(vCount)
 	if float64(vCount[p]+1) > capV {
 		return false
@@ -174,10 +246,9 @@ func pullOne(g *graph.Graph, parts []int, p int, dim rune,
 	})
 	headroomE := int(capE) - eCount[p]
 	for _, q := range order {
-		if len(members[q]) <= 1 || float64(vCount[q]-1) < floorV {
+		if vCount[q] <= 1 || float64(vCount[q]-1) < floorV {
 			continue
 		}
-		ms := members[q]
 		var idx int
 		if dim == 'E' {
 			// Largest donor vertex that fits p and keeps q above its
@@ -186,12 +257,10 @@ func pullOne(g *graph.Graph, parts []int, p int, dim rune,
 			if keep := eCount[q] - int(floorE); keep < budget {
 				budget = keep
 			}
-			idx = sort.Search(len(ms), func(i int) bool {
-				return g.OutDegree(ms[i]) > budget
-			}) - 1
+			idx = members.firstWithin(q, budget)
 		} else {
-			idx = 0
-			d := g.OutDegree(ms[0])
+			var d int
+			idx, d = members.lowest(q)
 			if d > headroomE || float64(eCount[q]-d) < floorE {
 				idx = -1
 			}
@@ -199,24 +268,7 @@ func pullOne(g *graph.Graph, parts []int, p int, dim rune,
 		if idx < 0 {
 			continue
 		}
-		v := ms[idx]
-		d := g.OutDegree(v)
-		members[q] = append(ms[:idx], ms[idx+1:]...)
-		ins := sort.Search(len(members[p]), func(i int) bool {
-			di := g.OutDegree(members[p][i])
-			if di != d {
-				return di > d
-			}
-			return members[p][i] >= v
-		})
-		members[p] = append(members[p], 0)
-		copy(members[p][ins+1:], members[p][ins:])
-		members[p][ins] = v
-		parts[v] = p
-		vCount[q]--
-		vCount[p]++
-		eCount[q] -= d
-		eCount[p] += d
+		members.transfer(q, idx, p)
 		return true
 	}
 	return false
@@ -224,9 +276,8 @@ func pullOne(g *graph.Graph, parts []int, p int, dim rune,
 
 // moveOne moves a single vertex out of part p to relieve dimension dim.
 // It reports whether a move happened.
-func moveOne(g *graph.Graph, parts []int, p int, dim rune,
-	vCount, eCount []int, members [][]graph.VertexID, capV, capE float64) bool {
-	if len(members[p]) <= 1 {
+func moveOne(p int, dim rune, vCount, eCount []int, members *memberLists, capV, capE float64) bool {
+	if vCount[p] <= 1 {
 		return false // never empty a part
 	}
 	k := len(vCount)
@@ -255,42 +306,21 @@ func moveOne(g *graph.Graph, parts []int, p int, dim rune,
 			continue
 		}
 		headroomE := int(capE) - eCount[q]
-		ms := members[p]
 		var idx int
 		if dim == 'E' {
 			// Largest-degree vertex whose degree fits the receiver.
-			idx = sort.Search(len(ms), func(i int) bool {
-				return g.OutDegree(ms[i]) > headroomE
-			}) - 1
+			idx = members.firstWithin(p, headroomE)
 		} else {
 			// Smallest-degree vertex; it must still fit the receiver.
-			idx = 0
-			if g.OutDegree(ms[0]) > headroomE {
+			var d int
+			if idx, d = members.lowest(p); d > headroomE {
 				idx = -1
 			}
 		}
 		if idx < 0 {
 			continue
 		}
-		v := ms[idx]
-		d := g.OutDegree(v)
-		// Execute the move.
-		members[p] = append(ms[:idx], ms[idx+1:]...)
-		ins := sort.Search(len(members[q]), func(i int) bool {
-			di := g.OutDegree(members[q][i])
-			if di != d {
-				return di > d
-			}
-			return members[q][i] >= v
-		})
-		members[q] = append(members[q], 0)
-		copy(members[q][ins+1:], members[q][ins:])
-		members[q][ins] = v
-		parts[v] = q
-		vCount[p]--
-		vCount[q]++
-		eCount[p] -= d
-		eCount[q] += d
+		members.transfer(p, idx, q)
 		return true
 	}
 	return false

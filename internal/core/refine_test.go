@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -149,5 +150,32 @@ func TestQuickRebalanceInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkRebalance times the refine pass alone on what combining hands it:
+// at k=8 it pulls a few hundred low-degree vertices into deficient parts, at
+// k=128 nearly every part is already within (1±ε) and the pass should cost
+// little more than counting.
+func BenchmarkRebalance(b *testing.B) {
+	g := twitterish(b)
+	unrefined, err := New(Config{C: 0.5, DisableRefine: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{8, 128} {
+		a, err := unrefined.Partition(g, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts := make([]int, len(a.Parts))
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			var moves refineMoves
+			for i := 0; i < b.N; i++ {
+				copy(parts, a.Parts)
+				moves = rebalance(g, parts, k, 0.1)
+			}
+			b.ReportMetric(float64(moves.Shed+moves.Pulled), "moves")
+		})
 	}
 }

@@ -51,19 +51,10 @@ func (l LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	}
 	size := make([]int, k)
 	affinity := make([]int, k)
+	touched := make([]int, k+1) // parts with affinity > 0, see tally
 	for v := 0; v < n; v++ {
-		for i := range affinity {
-			affinity[i] = 0
-		}
-		count := func(ns []graph.VertexID) {
-			for _, u := range ns {
-				if p := parts[u]; p != Unassigned {
-					affinity[p]++
-				}
-			}
-		}
-		count(g.Neighbors(graph.VertexID(v)))
-		count(in.Neighbors(graph.VertexID(v)))
+		nt := tally(g.Neighbors(graph.VertexID(v)), parts, affinity, touched, 0)
+		nt = tally(in.Neighbors(graph.VertexID(v)), parts, affinity, touched, nt)
 		d := g.OutDegree(graph.VertexID(v))
 		dec := rec.SampleDecision(graph.VertexID(v), d)
 		cause := partaudit.CauseGreedy
@@ -73,12 +64,16 @@ func (l LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
 			// aff·(1−size/cap) = aff − aff·size/cap, so the audit's
 			// affinity/penalty split stays meaningful.
 			if float64(size[i]) >= capacity {
-				pen := float64(affinity[i]) * float64(size[i]) / capacity
-				dec.Candidate(i, affinity[i], pen, float64(affinity[i])-pen, partaudit.SkipCapV)
+				if dec != nil {
+					pen := float64(affinity[i]) * float64(size[i]) / capacity
+					dec.Candidate(i, affinity[i], pen, float64(affinity[i])-pen, partaudit.SkipCapV)
+				}
 				continue
 			}
 			score := float64(affinity[i]) * (1 - float64(size[i])/capacity)
-			dec.Candidate(i, affinity[i], float64(affinity[i])*float64(size[i])/capacity, score, "")
+			if dec != nil {
+				dec.Candidate(i, affinity[i], float64(affinity[i])*float64(size[i])/capacity, score, "")
+			}
 			if score > bestScore {
 				best, bestScore = i, score
 				cause = partaudit.CauseGreedy
@@ -86,6 +81,9 @@ func (l LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
 				best, bestScore = i, score
 				cause = partaudit.CauseTieBreak
 			}
+		}
+		for _, i := range touched[:nt] {
+			affinity[i] = 0
 		}
 		if best == -1 {
 			cause = partaudit.CauseFallback

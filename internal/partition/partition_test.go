@@ -2,12 +2,14 @@ package partition
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"bpart/internal/gen"
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
+	"bpart/internal/telemetry"
 )
 
 func twitterish(t testing.TB) *graph.Graph {
@@ -189,14 +191,35 @@ func TestStreamEmptySubset(t *testing.T) {
 
 func TestStreamBadOptions(t *testing.T) {
 	g := gen.Ring(5)
-	if _, err := Stream(g, StreamOptions{K: 0}); err == nil {
-		t.Fatal("K=0 accepted")
+	tr := telemetry.NewMemory()
+	for _, tc := range []struct {
+		name string
+		opt  StreamOptions
+		want string // substring of the error
+	}{
+		{"K=0", StreamOptions{K: 0}, "k = 0"},
+		{"C above 1", StreamOptions{K: 2, C: 1.5}, "C = 1.5"},
+		{"negative C", StreamOptions{K: 2, C: -0.5}, "C = -0.5"},
+		{"Gamma below 1", StreamOptions{K: 2, Gamma: 0.5}, "Gamma = 0.5"},
+		{"In of another graph", StreamOptions{K: 2, In: gen.Ring(6)}, "does not match"},
+		{"vertex ID past |V|", StreamOptions{K: 2, Vertices: []graph.VertexID{0, 5}}, "Vertices[1] = 5"},
+		{"vertex streamed twice", StreamOptions{K: 2, Vertices: []graph.VertexID{3, 1, 3}, Tracer: tr}, "Vertices[2] = 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Stream(g, tc.opt)
+			if err == nil {
+				t.Fatalf("accepted, placed %d", res.Stats.Placed)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
 	}
-	if _, err := Stream(g, StreamOptions{K: 2, C: 1.5}); err == nil {
-		t.Fatal("C out of range accepted")
-	}
-	if _, err := Stream(g, StreamOptions{K: 2, C: -0.5}); err == nil {
-		t.Fatal("negative C accepted")
+	// The duplicate is found mid-stream, after the span was opened: it must
+	// still be closed, carrying the error.
+	spans := tr.Find("partition.stream")
+	if len(spans) != 1 || !spans[0].Span || spans[0].Attr("error") == nil {
+		t.Fatalf("failed stream left spans %+v, want one closed span with an error attribute", spans)
 	}
 }
 

@@ -28,7 +28,7 @@ type StreamOptions struct {
 	// Alpha is Fennel's α; <= 0 selects the standard
 	// α = m·k^{γ−1}/n^γ computed over the streamed vertex set.
 	Alpha float64
-	// Gamma is Fennel's γ; <= 0 selects the standard 1.5.
+	// Gamma is Fennel's γ ≥ 1; <= 0 selects the standard 1.5.
 	Gamma float64
 	// Slack ν bounds each part: W_i may not exceed ν·n_s/k (n_s = number
 	// of streamed vertices, which equals Σ W_i at completion). <= 0
@@ -76,7 +76,10 @@ type StreamStats struct {
 	CapVSkips int64
 	// CapESkips counts part candidacies rejected by the hard |E_i| cap.
 	CapESkips int64
-	// TieBreaks counts score ties resolved by picking the lighter part.
+	// TieBreaks counts placements decided by a tie-break: the winner shares
+	// the best score with a lower-index part and won on lower W_i. It equals
+	// the number of placements whose audit cause is "tie_break" — at most
+	// one per placement, however many parts tied along the way.
 	TieBreaks int64
 	// Fallbacks counts vertices placed by the all-parts-full fallback.
 	Fallbacks int64
@@ -105,11 +108,12 @@ func (s *StreamStats) publish(opt *StreamOptions, sp telemetry.Span) {
 	}
 }
 
-// The scoring loop carries a candidate's capacity-skip reason as a small
-// integer; skipNames turns it into the partaudit string only when a sampled
-// decision records the candidate.
+// A candidate's capacity-skip reason is carried as a small integer; skipNames
+// turns it into the partaudit string only when a sampled decision records the
+// candidate. skipNone, skipCapW and skipCapV double as a part's cached class
+// (open, W-full, V-full): they do not depend on the vertex being placed.
 const (
-	skipNone = iota
+	skipNone uint8 = iota
 	skipCapW
 	skipCapV
 	skipCapE
@@ -136,6 +140,22 @@ type StreamResult struct {
 }
 
 // Stream runs the weighted greedy streaming partitioner over g.
+//
+// A placement costs the arcs of its vertex plus the parts those arcs touch,
+// not K. Three facts make that exact rather than approximate:
+//
+//   - A part no neighbour sits in scores −pen, and pen does not shrink as W
+//     grows (γ ≥ 1), so the best of them under "max score, then lower W,
+//     then lower index" is the first eligible one in an order of the open
+//     parts by (W, index). Only the part that just received a vertex has a
+//     new W, so the order is repaired by moving that one part.
+//   - Whether a part is closed by the W slack or the |V_i| cap does not
+//     depend on the vertex, so it is cached per part, re-derived for the
+//     receiver alone, and counted into CapWSkips/CapVSkips from two running
+//     totals. A closed part never reopens: W_i and |V_i| only grow.
+//   - The |E_i| cap does depend on the vertex's degree d; the open parts it
+//     rejects are the tail of a second order by |E_i|, walked from the
+//     heavy end.
 func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	if err := checkArgs(g, opt.K); err != nil {
 		return nil, err
@@ -143,15 +163,24 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	if opt.C < 0 || opt.C > 1 {
 		return nil, fmt.Errorf("partition: C = %v, want in [0,1]", opt.C)
 	}
+	n := g.NumVertices()
+	if opt.In != nil && (opt.In.NumVertices() != n || opt.In.NumEdges() != g.NumEdges()) {
+		return nil, fmt.Errorf("partition: In graph shape %v does not match %v", opt.In, g)
+	}
 	if opt.Gamma <= 0 {
 		opt.Gamma = 1.5
+	}
+	if opt.Gamma < 1 {
+		// The penalty α·γ·W^{γ−1} must not shrink as a part fills: that is
+		// what makes the lightest open part the best untouched candidate.
+		return nil, fmt.Errorf("partition: Gamma = %v, want >= 1", opt.Gamma)
 	}
 	if opt.Slack <= 0 {
 		opt.Slack = 1.1
 	}
 	stream := opt.Vertices
 	if stream == nil {
-		stream = make([]graph.VertexID, g.NumVertices())
+		stream = make([]graph.VertexID, n)
 		for v := range stream {
 			stream[v] = graph.VertexID(v)
 		}
@@ -159,14 +188,17 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	ns := len(stream)
 	if ns == 0 {
 		return &StreamResult{
-			Parts:       fillUnassigned(g.NumVertices()),
+			Parts:       fillUnassigned(n),
 			K:           opt.K,
 			VertexCount: make([]int, opt.K),
 			EdgeCount:   make([]int, opt.K),
 		}, nil
 	}
 	var ms int
-	for _, v := range stream {
+	for pos, v := range stream {
+		if int(v) >= n {
+			return nil, fmt.Errorf("partition: Vertices[%d] = %d, want < %d", pos, v, n)
+		}
 		ms += g.OutDegree(v)
 	}
 	avgDeg := float64(ms) / float64(ns)
@@ -185,12 +217,19 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	// ΣW_i = C·n_s + (1−C)·m_s/d̄ = n_s, so the per-part cap is in
 	// "vertex equivalents" regardless of C.
 	capW := opt.Slack * float64(ns) / float64(opt.K)
+	// No |E_i| ceiling is a ceiling no part can reach, so the per-candidate
+	// test below needs no "is it set" branch.
+	capE := math.MaxInt
+	if opt.CapE > 0 {
+		capE = opt.CapE
+	}
 
-	parts := fillUnassigned(g.NumVertices())
+	parts := fillUnassigned(n)
 	vCount := make([]int, opt.K)
 	eCount := make([]int, opt.K)
-	w := make([]float64, opt.K)    // current W_i
-	affinity := make([]int, opt.K) // |V_i ∩ N(v)| scratch
+	w := make([]float64, opt.K)     // current W_i
+	affinity := make([]int, opt.K)  // |V_i ∩ N(v)| scratch, zero between vertices
+	touched := make([]int, opt.K+1) // parts with affinity > 0, see tally
 	gammaPow := powFunc(opt.Gamma - 1)
 	// pen[i] = α·γ·W_i^{γ−1}, the penalty half of the score. Only the part
 	// that just received a vertex has a new W_i, so one entry is refreshed
@@ -199,11 +238,35 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	for i := range pen {
 		pen[i] = alpha * opt.Gamma * gammaPow(w[i])
 	}
-
-	if opt.In != nil &&
-		(opt.In.NumVertices() != g.NumVertices() || opt.In.NumEdges() != g.NumEdges()) {
-		return nil, fmt.Errorf("partition: In graph shape %v does not match %v", opt.In, g)
+	// class[i] is part i's vertex-independent skip reason, in the precedence
+	// W slack, then |V_i| cap; inClass[c] counts the parts of class c. Every
+	// part starts open (W_i = 0 < capW, |V_i| = 0 < CapV).
+	classOf := func(i int) uint8 {
+		switch {
+		case w[i] >= capW:
+			return skipCapW
+		case opt.CapV > 0 && vCount[i]+1 > opt.CapV:
+			return skipCapV
+		}
+		return skipNone
 	}
+	class := make([]uint8, opt.K)
+	inClass := [skipCapE]int64{skipNone: int64(opt.K)}
+	// lighter is the order untouched parts are preferred in: a part with no
+	// neighbour of v scores −pen, which does not grow with W, and equal
+	// scores go to the lower W, then the lower index.
+	lighter := func(a, b int) bool {
+		return w[a] < w[b] || (metrics.TieEq(w[a], w[b]) && a < b)
+	}
+	lighterE := func(a, b int) bool { return eCount[a] < eCount[b] }
+	// The open parts in both orders; byE stays empty, and is never repaired,
+	// without an |E_i| cap.
+	byW := newPartOrder(opt.K)
+	var byE partOrder
+	if opt.CapE > 0 {
+		byE = newPartOrder(opt.K)
+	}
+
 	// Stats accumulate in plain locals — the inner loop pays a handful of
 	// integer increments whether or not telemetry is attached — and are
 	// published once per stream.
@@ -215,56 +278,63 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 			telemetry.Int("streamed", ns),
 			telemetry.Int("edges", ms))
 	}
-	for _, v := range stream {
-		for i := range affinity {
-			affinity[i] = 0
-		}
-		for _, u := range g.Neighbors(v) {
-			if p := parts[u]; p != Unassigned {
-				affinity[p]++
+	for pos, v := range stream {
+		if parts[v] != Unassigned {
+			err := fmt.Errorf("partition: Vertices[%d] = %d is streamed twice", pos, v)
+			if sp != nil {
+				sp.End(telemetry.String("error", err.Error()))
 			}
+			return nil, err
 		}
+		nt := tally(g.Neighbors(v), parts, affinity, touched, 0)
 		if opt.In != nil {
-			for _, u := range opt.In.Neighbors(v) {
-				if p := parts[u]; p != Unassigned {
-					affinity[p]++
+			nt = tally(opt.In.Neighbors(v), parts, affinity, touched, nt)
+		}
+		d := g.OutDegree(v)
+		capWSkips += inClass[skipCapW]
+		capVSkips += inClass[skipCapV]
+		for j := len(byE.list) - 1; j >= 0 && eCount[byE.list[j]]+d > capE; j-- {
+			capESkips++
+		}
+
+		// best is the winner under "max score, then lower W, then lower
+		// index"; first is the lowest index among the parts that share the
+		// winning score, which is where an index-order scan would have
+		// stopped had it not preferred a lighter part.
+		best, first, bestScore := -1, -1, math.Inf(-1)
+		offer := func(i int, score float64) {
+			switch {
+			case score > bestScore:
+				best, first, bestScore = i, i, score
+			case metrics.TieEq(score, bestScore) && best >= 0:
+				if i < first {
+					first = i
+				}
+				if lighter(i, best) {
+					best = i
 				}
 			}
 		}
-		d := g.OutDegree(v)
-		dec := opt.Audit.SampleDecision(v, d)
-		cause := partaudit.CauseGreedy
-		best, bestScore := -1, math.Inf(-1)
-		for i := 0; i < opt.K; i++ {
-			skip := skipNone
-			switch {
-			case w[i] >= capW:
-				capWSkips++
-				skip = skipCapW
-			case opt.CapV > 0 && vCount[i]+1 > opt.CapV:
-				capVSkips++
-				skip = skipCapV
-			case opt.CapE > 0 && eCount[i]+d > opt.CapE:
-				capESkips++
-				skip = skipCapE
-			}
-			score := float64(affinity[i]) - pen[i]
-			if dec != nil {
-				dec.Candidate(i, affinity[i], pen[i], score, skipNames[skip])
-			}
-			if skip != skipNone {
-				continue
-			}
-			if score > bestScore {
-				best, bestScore = i, score
-				cause = partaudit.CauseGreedy
-			} else if metrics.TieEq(score, bestScore) && best >= 0 && w[i] < w[best] {
-				best = i
-				tieBreaks++
-				cause = partaudit.CauseTieBreak
+		for _, i := range touched[:nt] {
+			if class[i] == skipNone && eCount[i]+d <= capE {
+				offer(i, float64(affinity[i])-pen[i])
 			}
 		}
-		if best == -1 {
+		// Untouched parts score −pen: nothing past the first one below the
+		// best score so far can win or tie, and the ones that tie are its
+		// bit-equal-pen neighbours in the order.
+		for _, i := range byW.list {
+			score := -pen[i]
+			if score < bestScore {
+				break
+			}
+			if affinity[i] == 0 && eCount[i]+d <= capE {
+				offer(i, score)
+			}
+		}
+		cause := partaudit.CauseGreedy
+		switch {
+		case best == -1:
 			// All parts at capacity (possible only through rounding):
 			// fall back to the lightest part.
 			fallbacks++
@@ -275,12 +345,48 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 					best = i
 				}
 			}
+		case best != first:
+			tieBreaks++
+			cause = partaudit.CauseTieBreak
 		}
+		dec := opt.Audit.SampleDecision(v, d)
+		if dec != nil {
+			// A sampled decision reports all K candidates in index order;
+			// the selection above has no per-candidate hook.
+			for i := 0; i < opt.K; i++ {
+				skip := class[i]
+				if skip == skipNone && eCount[i]+d > capE {
+					skip = skipCapE
+				}
+				dec.Candidate(i, affinity[i], pen[i], float64(affinity[i])-pen[i], skipNames[skip])
+			}
+		}
+		for _, i := range touched[:nt] {
+			affinity[i] = 0
+		}
+
 		parts[v] = best
 		vCount[best]++
 		eCount[best] += d
 		w[best] += opt.C + (1-opt.C)*float64(d)/avgDeg
 		pen[best] = alpha * opt.Gamma * gammaPow(w[best])
+		// Only the receiver's class and keys changed. W_i and |V_i| never
+		// shrink, so a part only ever closes; the fallback can place into a
+		// closed part, which may take it from V-full to W-full.
+		if was, now := class[best], classOf(best); was != now {
+			class[best] = now
+			inClass[was]--
+			inClass[now]++
+			byW.remove(best)
+			if opt.CapE > 0 {
+				byE.remove(best)
+			}
+		} else if now == skipNone {
+			byW.sink(best, lighter)
+			if opt.CapE > 0 {
+				byE.sink(best, lighterE)
+			}
+		}
 		opt.Audit.Place(v, d, best, cause, dec, parts)
 	}
 	opt.Audit.End()
@@ -294,6 +400,69 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	}
 	stats.publish(&opt, sp)
 	return &StreamResult{Parts: parts, K: opt.K, VertexCount: vCount, EdgeCount: eCount, Stats: stats}, nil
+}
+
+// tally adds one adjacency row of the vertex being placed to affinity and
+// lists each part on its first increment in touched[nt:], returning the new
+// count. The store is unconditional and nt advances by a conditional move, so
+// the loop has no branch on affinity; touched has one slot beyond K for the
+// store made when every part is already listed.
+func tally(row []graph.VertexID, parts, affinity, touched []int, nt int) int {
+	for _, u := range row {
+		if p := parts[u]; p != Unassigned {
+			a := affinity[p]
+			touched[nt] = p
+			if a == 0 {
+				nt++
+			}
+			affinity[p] = a + 1
+		}
+	}
+	return nt
+}
+
+// partOrder is a subset of the parts kept sorted by a key that changes for
+// one part at a time: list holds the members in ascending key order and
+// pos[p] is p's index in list, or -1 once p has been removed.
+type partOrder struct {
+	list []int
+	pos  []int
+}
+
+// newPartOrder returns the order 0..k-1, which is sorted for any key that
+// starts equal on every part and breaks ties by index.
+func newPartOrder(k int) partOrder {
+	o := partOrder{list: make([]int, k), pos: make([]int, k)}
+	for i := range o.list {
+		o.list[i], o.pos[i] = i, i
+	}
+	return o
+}
+
+// remove drops p from the order if it is in it.
+func (o *partOrder) remove(p int) {
+	j := o.pos[p]
+	if j < 0 {
+		return
+	}
+	copy(o.list[j:], o.list[j+1:])
+	o.list = o.list[:len(o.list)-1]
+	for ; j < len(o.list); j++ {
+		o.pos[o.list[j]] = j
+	}
+	o.pos[p] = -1
+}
+
+// sink moves p, whose key just grew, toward the heavy end until the order is
+// sorted again. It is small enough to inline together with the less it is
+// handed.
+func (o *partOrder) sink(p int, less func(a, b int) bool) {
+	j := o.pos[p]
+	for ; j+1 < len(o.list) && less(o.list[j+1], p); j++ {
+		q := o.list[j+1]
+		o.list[j], o.pos[q] = q, j
+	}
+	o.list[j], o.pos[p] = p, j
 }
 
 func fillUnassigned(n int) []int {

@@ -14,11 +14,21 @@ import (
 )
 
 // referenceStream is the scorer Stream is checked against: the same greedy
-// rule written the slow, obvious way — the penalty α·γ·W_i^{γ−1} recomputed
-// with math.Pow for every candidate of every vertex, and the skip reason
-// carried as the audit string. It streams every vertex in ID order.
+// rule written the slow, obvious way — every candidate of every vertex
+// visited in index order, the penalty α·γ·W_i^{γ−1} recomputed with math.Pow
+// each time, and the skip reason carried as the audit string. It honours
+// K, C, Gamma, Slack, Vertices, CapV, CapE, In and Audit.
 func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
-	n, m := g.NumVertices(), g.NumEdges()
+	stream := opt.Vertices
+	if stream == nil {
+		for v := 0; v < g.NumVertices(); v++ {
+			stream = append(stream, graph.VertexID(v))
+		}
+	}
+	n, m := len(stream), 0
+	for _, v := range stream {
+		m += g.OutDegree(v)
+	}
 	avgDeg := float64(m) / float64(n)
 	if metrics.IsZero(avgDeg) {
 		avgDeg = 1
@@ -27,14 +37,18 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	if alpha <= 0 {
 		alpha = 1
 	}
-	capW := 1.1 * float64(n) / float64(opt.K)
+	slack := opt.Slack
+	if slack <= 0 {
+		slack = 1.1
+	}
+	capW := slack * float64(n) / float64(opt.K)
 
-	parts := fillUnassigned(n)
+	parts := fillUnassigned(g.NumVertices())
 	vCount := make([]int, opt.K)
 	eCount := make([]int, opt.K)
 	w := make([]float64, opt.K)
 	stats := StreamStats{Placed: int64(n)}
-	for v := graph.VertexID(0); int(v) < n; v++ {
+	for _, v := range stream {
 		affinity := make([]int, opt.K)
 		rows := [][]graph.VertexID{g.Neighbors(v)}
 		if opt.In != nil {
@@ -77,9 +91,11 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 				cause = partaudit.CauseGreedy
 			} else if metrics.TieEq(score, bestScore) && best >= 0 && w[i] < w[best] {
 				best = i
-				stats.TieBreaks++
 				cause = partaudit.CauseTieBreak
 			}
+		}
+		if cause == partaudit.CauseTieBreak {
+			stats.TieBreaks++
 		}
 		if best == -1 {
 			stats.Fallbacks++
@@ -101,25 +117,17 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	return parts, stats
 }
 
-// TestStreamMatchesReferenceScorer holds the cached-penalty loop to the
-// per-candidate reference: same assignment, same stats and, when audited,
-// the same audit log byte for byte.
-func TestStreamMatchesReferenceScorer(t *testing.T) {
-	g, err := gen.ChungLu(gen.Config{
-		NumVertices: 3000, AvgDegree: 12, Skew: 0.78, Locality: 0.45, Window: 256, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := g.Transpose()
-	n, m := g.NumVertices(), g.NumEdges()
-
+// matchReference runs opt through Stream and referenceStream, unaudited and
+// audited, and fails unless assignment, stats and audit log bytes agree. It
+// returns the stats.
+func matchReference(t *testing.T, name string, g, in *graph.Graph, opt StreamOptions) StreamStats {
+	t.Helper()
 	type scorer func(StreamOptions) ([]int, StreamStats)
 	reference := func(o StreamOptions) ([]int, StreamStats) { return referenceStream(g, o) }
 	product := func(o StreamOptions) ([]int, StreamStats) {
 		res, err := Stream(g, o)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		return res.Parts, res.Stats
 	}
@@ -138,7 +146,44 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 		return parts, stats, log.Bytes()
 	}
 
-	var sawSkips, sawTies bool
+	wantParts, wantStats := reference(opt)
+	_, _, wantLog := audited(reference, opt)
+	gotParts, gotStats := product(opt)
+	if !reflect.DeepEqual(gotParts, wantParts) || gotStats != wantStats {
+		t.Fatalf("%s: stream differs from the reference scorer: stats %+v, reference %+v",
+			name, gotStats, wantStats)
+	}
+	gotParts, gotStats, gotLog := audited(product, opt)
+	if !reflect.DeepEqual(gotParts, wantParts) || gotStats != wantStats {
+		t.Fatalf("%s: audited stream differs from the unaudited reference", name)
+	}
+	if !bytes.Equal(gotLog, wantLog) {
+		t.Fatalf("%s: audit log differs from the reference scorer's", name)
+	}
+	return wantStats
+}
+
+// TestStreamMatchesReferenceScorer holds the sparse candidate scorer to the
+// index-order reference: same assignment, same stats and, when audited, the
+// same audit log byte for byte.
+func TestStreamMatchesReferenceScorer(t *testing.T) {
+	g, err := gen.ChungLu(gen.Config{
+		NumVertices: 3000, AvgDegree: 12, Skew: 0.78, Locality: 0.45, Window: 256, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := g.Transpose()
+	n, m := g.NumVertices(), g.NumEdges()
+
+	var sawSkips, sawTies, sawFallbacks bool
+	saw := func(s StreamStats) {
+		sawSkips = sawSkips || s.CapWSkips+s.CapVSkips+s.CapESkips > 0
+		sawTies = sawTies || s.TieBreaks > 0
+		sawFallbacks = sawFallbacks || s.Fallbacks > 0
+	}
+	// c=0, γ=1.2 is the cell whose penalties collide at ulp level: distinct
+	// W_i whose math.Pow results are bit-equal.
 	for _, k := range []int{2, 16, 256} {
 		for _, c := range []float64{0, 0.5, 1} {
 			for _, gamma := range []float64{1.2, 1.5, 2} {
@@ -151,29 +196,109 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 					if variant.in {
 						opt.In = in
 					}
-					name := fmt.Sprintf("k=%d c=%v gamma=%v %+v", k, c, gamma, variant)
-
-					wantParts, wantStats := reference(opt)
-					_, _, wantLog := audited(reference, opt)
-					gotParts, gotStats := product(opt)
-					if !reflect.DeepEqual(gotParts, wantParts) || gotStats != wantStats {
-						t.Fatalf("%s: stream differs from the reference scorer: stats %+v, reference %+v",
-							name, gotStats, wantStats)
-					}
-					gotParts, gotStats, gotLog := audited(product, opt)
-					if !reflect.DeepEqual(gotParts, wantParts) || gotStats != wantStats {
-						t.Fatalf("%s: audited stream differs from the unaudited reference", name)
-					}
-					if !bytes.Equal(gotLog, wantLog) {
-						t.Fatalf("%s: audit log differs from the reference scorer's", name)
-					}
-					sawSkips = sawSkips || wantStats.CapWSkips+wantStats.CapVSkips+wantStats.CapESkips > 0
-					sawTies = sawTies || wantStats.TieBreaks > 0
+					stats := matchReference(t, fmt.Sprintf("k=%d c=%v gamma=%v %+v", k, c, gamma, variant), g, in, opt)
+					saw(stats)
 				}
 			}
 		}
 	}
-	if !sawSkips || !sawTies {
-		t.Fatalf("grid never exercised cap skips (%v) or tie-breaks (%v)", sawSkips, sawTies)
+
+	// The call BPart makes from layer 2 on: a subset of the vertices, in ID
+	// order, under hard caps at the slack.
+	var subset []graph.VertexID
+	subsetEdges := 0
+	for v := 0; v < n; v++ {
+		if v%3 != 1 {
+			subset = append(subset, graph.VertexID(v))
+			subsetEdges += g.OutDegree(graph.VertexID(v))
+		}
+	}
+	for _, k := range []int{16, 256} {
+		stats := matchReference(t, fmt.Sprintf("restricted k=%d", k), g, in, StreamOptions{
+			K: k, C: 0.5, Gamma: 1.5, In: in, Vertices: subset,
+			CapV: int(1.1*float64(len(subset))/float64(k)) + 1,
+			CapE: int(1.1*float64(subsetEdges)/float64(k)) + 1,
+		})
+		saw(stats)
+	}
+	// A slack under 1 leaves less room than there are vertices, so the
+	// all-parts-full fallback must fire, into parts that are already closed.
+	for _, caps := range []bool{false, true} {
+		opt := StreamOptions{K: 16, C: 0.5, Gamma: 1.5, In: in, Slack: 0.9}
+		if caps {
+			opt.CapV = n / 16
+			opt.CapE = m / 16
+		}
+		stats := matchReference(t, fmt.Sprintf("slack=0.9 caps=%v", caps), g, in, opt)
+		if stats.Fallbacks == 0 {
+			t.Fatalf("slack=0.9 caps=%v: no fallbacks", caps)
+		}
+		saw(stats)
+	}
+	// As many parts as vertices, and more.
+	small, err := gen.ChungLu(gen.Config{NumVertices: 200, AvgDegree: 6, Skew: 0.7, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallIn := small.Transpose()
+	for _, k := range []int{200, 333} {
+		stats := matchReference(t, fmt.Sprintf("n=200 k=%d", k), small, smallIn,
+			StreamOptions{K: k, C: 0.5, Gamma: 1.5, In: smallIn, CapV: 2, CapE: 40})
+		saw(stats)
+	}
+
+	if !sawSkips || !sawTies || !sawFallbacks {
+		t.Fatalf("grid never exercised cap skips (%v), tie-breaks (%v) or fallbacks (%v)", sawSkips, sawTies, sawFallbacks)
+	}
+}
+
+// Stats.TieBreaks counts placements, not candidate replacements: it must
+// equal the number of tie_break causes in a log that samples every placement.
+func TestTieBreaksEqualAuditCauses(t *testing.T) {
+	g, err := gen.ChungLu(gen.Config{
+		NumVertices: 3000, AvgDegree: 12, Skew: 0.78, Locality: 0.45, Window: 256, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := g.Transpose()
+	var total int64
+	for _, opt := range []StreamOptions{
+		{K: 16, C: 0, Gamma: 1.2},
+		{K: 64, C: 1, Gamma: 2, In: in},
+		{K: 16, C: 0.5, In: in, CapV: 3000/16 + 1, CapE: g.NumEdges()/16 + 1},
+	} {
+		var buf bytes.Buffer
+		aud, err := partaudit.New(&buf, partaudit.Config{SampleEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		aud.Begin("stream", g, opt.K)
+		opt.Audit = aud.Stream(0, g, in, opt.K)
+		res, err := Stream(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := aud.Close(); err != nil {
+			t.Fatal(err)
+		}
+		log, err := partaudit.ReadLog(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var causes int64
+		for _, d := range log.Decisions {
+			if d.Cause == partaudit.CauseTieBreak {
+				causes++
+			}
+		}
+		if len(log.Decisions) != g.NumVertices() || res.Stats.TieBreaks != causes {
+			t.Fatalf("K=%d: TieBreaks = %d, audit log has %d tie_break causes in %d decisions",
+				opt.K, res.Stats.TieBreaks, causes, len(log.Decisions))
+		}
+		total += causes
+	}
+	if total == 0 {
+		t.Fatal("no tie-break placement in any stream")
 	}
 }
