@@ -24,10 +24,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs every fuzz target for 10 s each: the graph and assignment file
-# readers, the record-log substrate's framing target, the family parsers
-# and summarizers on top of it, then the serving handlers' query parsing.
-# One target per line as package:Target.
+# fuzz runs every fuzz target for 10 s each. Seven parse bytes: the three
+# gio file readers, the record-log substrate's framing (FuzzScan), the
+# three format parsers on it (traceview, partaudit, servestats FuzzRead)
+# and the serving handlers' query strings (FuzzHandlers). Two only
+# summarize: commview and resview FuzzRead have no parser of their own —
+# they feed whatever traceview.Read accepts through the superstep/res_*
+# decode, the summarizers and both renderers. One target per line as
+# package:Target.
 FUZZ_TARGETS = \
 	internal/gio:FuzzReadBinary \
 	internal/gio:FuzzReadEdgeList \

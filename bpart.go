@@ -35,6 +35,7 @@ import (
 	"bpart/internal/resview"
 	"bpart/internal/servestats"
 	"bpart/internal/telemetry"
+	"bpart/internal/traceview"
 	"bpart/internal/vcut"
 	"bpart/internal/walk"
 )
@@ -273,32 +274,32 @@ func ReadAuditLog(r io.Reader) (*AuditLog, error) { return partaudit.ReadLog(r) 
 // ---- runtime resource observability ----
 
 // ResourceProbe captures wall-clock self-time, allocation/GC deltas and
-// goroutine counts around named phases and writes one versioned JSONL
-// `resource` record per phase. It is a Tracer: every span becomes a span
-// record, every event a lap since the previous event of that name — attach
-// it with Instrument, beside a trace through TeeTrace. A nil
-// *ResourceProbe is a valid no-op.
+// goroutine counts around named phases. It is a Tracer writing a JSONL
+// trace of its own: every span and event becomes that trace record with
+// its scalar attrs plus the deltas as res_* attrs (an event's cover the lap
+// since the previous event of its name) — attach it with Instrument,
+// beside a trace through TeeTrace. A nil *ResourceProbe is a valid no-op.
 type ResourceProbe = resview.Probe
 
-// ResourceLog is a parsed resource log (see ReadResourceLog).
-type ResourceLog = resview.Log
+// ResourceLog is a parsed resource log (see ReadResourceLog): a trace.
+type ResourceLog = traceview.Trace
 
-// ResourceRecord is one parsed resource record.
-type ResourceRecord = resview.Record
+// ResourceRecord is one parsed record of a resource log.
+type ResourceRecord = traceview.Record
 
-// NewResourceProbe returns a probe writing resource records to w. Call
+// NewResourceProbe returns a probe writing its resource trace to w. Call
 // Close (or Flush) when done; it surfaces the first write error. Probing
 // is pure observation: a probed run's deterministic artifacts are
 // byte-identical to an unprobed run's.
 func NewResourceProbe(w io.Writer) *ResourceProbe { return resview.NewProbe(w) }
 
-// ReadResourceLog parses a JSONL resource log. A torn final line (crashed
-// run) is tolerated and flagged via ResourceLog.Truncated; interior damage
-// is a hard error.
-func ReadResourceLog(r io.Reader) (*ResourceLog, error) { return resview.Read(r) }
+// ReadResourceLog parses a JSONL resource log (or any trace). A torn final
+// line (crashed run) is tolerated and flagged via ResourceLog.Truncated;
+// interior damage is a hard error.
+func ReadResourceLog(r io.Reader) (*ResourceLog, error) { return traceview.Read(r) }
 
 // ReadResourceLogFile parses the JSONL resource log at path.
-func ReadResourceLogFile(path string) (*ResourceLog, error) { return resview.ReadFile(path) }
+func ReadResourceLogFile(path string) (*ResourceLog, error) { return traceview.ReadFile(path) }
 
 // ---- serving-layer observability ----
 

@@ -1,7 +1,9 @@
 package bpart
 
 import (
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -449,5 +451,61 @@ func TestFacadeServing(t *testing.T) {
 	}
 	if routed != 50 {
 		t.Fatalf("attribution covers %d of 50 requests", routed)
+	}
+}
+
+// The degenerate-input grid (ROADMAP item 1(c), first slice): every
+// registered scheme and the four vertex-cut schemes, over graphs with
+// nothing to balance, at part counts from one to more than the vertices.
+// Each cell must return an assignment that validates and evaluates, and on
+// each graph transposing twice must give the graph back arc for arc.
+func TestDegenerateGraphGrid(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"empty", FromEdges(0, nil)},
+		{"single vertex", FromEdges(1, nil)},
+		{"isolated vertices", FromEdges(10, nil)},
+		{"self-loops", FromEdges(4, []Edge{{Src: 0, Dst: 0}, {Src: 1, Dst: 1}, {Src: 2, Dst: 3}, {Src: 3, Dst: 3}})},
+		{"duplicate arcs", FromEdges(3, []Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 1}, {Src: 2, Dst: 0}})},
+	}
+	vertexCuts := map[string]func() VertexCutPartitioner{
+		"RandomEdgeCut": NewRandomEdgeCut, "DBH": NewDBH, "GreedyCut": NewGreedyCut, "HDRF": NewHDRF,
+	}
+	for _, tg := range graphs {
+		t.Run(tg.name+"/transpose", func(t *testing.T) {
+			back := tg.g.Transpose().Transpose()
+			if back.NumVertices() != tg.g.NumVertices() || !reflect.DeepEqual(back.EdgeList(), tg.g.EdgeList()) {
+				t.Fatalf("Transpose(Transpose(g)) = %v, want %v", back.EdgeList(), tg.g.EdgeList())
+			}
+		})
+		for _, k := range []int{1, 2, 4, 16} {
+			for _, scheme := range Schemes() {
+				t.Run(fmt.Sprintf("%s/%s/k=%d", tg.name, scheme, k), func(t *testing.T) {
+					a, err := Partition(tg.g, scheme, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a.K != k || len(a.Parts) != tg.g.NumVertices() {
+						t.Fatalf("assignment has K = %d and %d entries, want %d and %d", a.K, len(a.Parts), k, tg.g.NumVertices())
+					}
+					if r, err := Evaluate(tg.g, a); err != nil || r.K != k {
+						t.Fatalf("Evaluate: K = %d, %v", r.K, err)
+					}
+				})
+			}
+			for name, mk := range vertexCuts {
+				t.Run(fmt.Sprintf("%s/%s/k=%d", tg.name, name, k), func(t *testing.T) {
+					a, err := mk().Partition(tg.g, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r, err := EvaluateVertexCut(tg.g, a); err != nil || (tg.g.NumEdges() > 0 && r.ReplicationFactor < 1) {
+						t.Fatalf("EvaluateVertexCut: %+v, %v", r, err)
+					}
+				})
+			}
+		}
 	}
 }

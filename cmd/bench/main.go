@@ -28,10 +28,11 @@
 // checkpointing. With -pprof, /debug/pprof/*, /metrics and /debug/vars
 // are served on the given address while the benchmark runs — profile the
 // harness live. With -resources, the same spans and superstep records
-// that -trace writes are also measured: one JSONL resource record per span
+// that -trace writes are also measured: the same trace record per span
 // (experiments, partition streams, BPart layers, engine and walk runs,
-// Parallel Speedup repetitions) and per cluster superstep is written for
-// cmd/tracestat's `resources` subcommand.
+// Parallel Speedup repetitions) and per cluster superstep is written again,
+// with its resource deltas as res_* attrs, for cmd/tracestat's `resources`
+// subcommand.
 // With -workers N, every engine runs its supersteps on an N-worker
 // goroutine pool (default min(GOMAXPROCS, machines)); outputs and every
 // deterministic artifact are bit-identical at any setting, so the flag
@@ -81,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ckptEvery := fs.Int("checkpoint-every", 0, "override the schedule's checkpoint interval; without -fault, >0 enables checkpointing with no faults (0 = schedule default, negative disables)")
 	deterministic := fs.Bool("deterministic", false, "zero the artifact's wall-clock fields so identical flags yield byte-identical output")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address")
-	resPath := fs.String("resources", "", "write runtime resource records (JSONL, see cmd/tracestat resources) to this file")
+	resPath := fs.String("resources", "", "write the trace again with runtime resource deltas as res_* attrs (JSONL, see cmd/tracestat resources) to this file")
 	widthsFlag := fs.String("widths", "", "comma-separated Parallel Speedup worker ladder (default with -resources: powers of two up to NumCPU; otherwise 1,2,4)")
 	workers := fs.Int("workers", 0, "superstep worker-pool size for every engine (0 = min(GOMAXPROCS, machines); outputs are bit-identical at any setting)")
 	fs.Var(&ids, "id", "experiment ID to run (repeatable; default all)")

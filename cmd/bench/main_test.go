@@ -271,7 +271,7 @@ func TestBenchResourcesFlag(t *testing.T) {
 	widths := map[int]bool{}
 	experiments := 0
 	for _, r := range l.Records {
-		switch r.Phase {
+		switch r.Name {
 		case "scaling.replay":
 			if w, ok := r.Int("workers"); ok {
 				widths[w] = true

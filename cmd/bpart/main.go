@@ -22,11 +22,15 @@
 // cmd/partstat); -metrics prints the counter/gauge registry in Prometheus
 // text format on exit; -pprof ADDR serves /debug/pprof/*, /metrics and
 // /debug/vars on ADDR for the run's duration; -resources out.jsonl writes
-// one runtime resource record per trace span and per BSP superstep
-// (partition streams, BPart layers, engine and walk runs — feed it to
-// `tracestat resources`). All observability is observation-only: the
-// partition and every simulated result are byte-identical with or without
-// it.
+// the same trace records again, to a file of their own, with the runtime
+// resource deltas of each span and BSP superstep as res_* attrs (partition
+// streams, BPart layers, engine and walk runs — feed it to `tracestat
+// resources`). All observability is observation-only: the partition and
+// every simulated result are byte-identical with or without it.
+//
+// -out, -audit, -timeline, -fault and -checkpoint-every act on the one
+// assignment a single -scheme run produces; with -list, -eval, -vcut or
+// -all they are usage errors rather than silently ignored.
 //
 // Fault injection: -fault sched.json loads a JSON fault schedule (see
 // FaultSpec; cmd/bench shares the format) and injects it into the engine
@@ -45,6 +49,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"bpart"
@@ -89,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		auditPath = fs.String("audit", "", "write the partition decision audit log (JSONL, see cmd/partstat) to this file")
 		metrics   = fs.Bool("metrics", false, "print telemetry counters (Prometheus text format) on exit")
 		pprofAddr = fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address (e.g. localhost:6060)")
-		resPath   = fs.String("resources", "", "write runtime resource records (JSONL, see `tracestat resources`) to this file")
+		resPath   = fs.String("resources", "", "write the trace again with runtime resource deltas as res_* attrs (JSONL, see `tracestat resources`) to this file")
 		workers   = fs.Int("workers", 0, "superstep worker-pool size for the engine runs (0 = min(GOMAXPROCS, machines); results are bit-identical at any setting)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -97,6 +102,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return nil
 		}
 		return errUsage
+	}
+	if err := checkModeFlags(fs, stderr, *list, *evalPath != "", *vcutMode, *all); err != nil {
+		return err
 	}
 
 	tel, err := setupTelemetry(*tracePath, *metrics, *pprofAddr, *resPath, stdout, stderr)
@@ -222,6 +230,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "BSP timeline written to %s\n", *timeline)
+	}
+	return nil
+}
+
+// checkModeFlags makes a flag the selected mode would silently ignore a
+// usage error: -out, -audit, -timeline, -fault and -checkpoint-every act on
+// the one assignment a single -scheme run produces, which -list, -eval,
+// -vcut and -all never have. Checked before any file is created.
+func checkModeFlags(fs *flag.FlagSet, stderr io.Writer, list, eval, vcut, all bool) error {
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "out", "audit", "timeline", "fault", "checkpoint-every":
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	for _, mode := range []struct {
+		on   bool
+		name string
+	}{{list, "-list"}, {eval, "-eval"}, {vcut, "-vcut"}, {all, "-all"}} { // in the order run dispatches
+		if mode.on && len(ignored) > 0 {
+			fmt.Fprintf(stderr, "bpart: %s does not honour %s (single -scheme runs only)\n", mode.name, strings.Join(ignored, ", "))
+			return errUsage
+		}
 	}
 	return nil
 }

@@ -51,7 +51,7 @@ func TestErrorExitKeepsLogs(t *testing.T) {
 	if al.Truncated || al.Header == nil || al.Final == nil {
 		t.Fatalf("audit log incomplete: truncated=%v header=%v final=%v", al.Truncated, al.Header, al.Final)
 	}
-	rl, err := resview.ReadFile(resPath)
+	rl, err := traceview.ReadFile(resPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,66 @@ func TestBadFlagIsUsageError(t *testing.T) {
 	}
 }
 
-// One hook, two logs: every trace span is a resource span record and every
-// trace event a resource lap, because -trace and -resources are two sinks
-// of the one Span/Event call each phase makes. And both are observation
-// only: the assignment and the timeline are the bytes an unobserved run
-// writes.
+// A flag the selected mode would silently ignore is a usage error naming
+// the flag, raised before any output file is created.
+func TestIgnoredFlagIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := filepath.Abs(filepath.Join("..", "..", "internal", "fault", "testdata", "crash5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := map[string][]string{
+		"-list": {"-list"},
+		"-eval": {"-eval", filepath.Join(dir, "stored.txt")},
+		"-vcut": {"-vcut"},
+		"-all":  {"-all"},
+	}
+	flags := map[string]string{
+		"-out": filepath.Join(dir, "o.txt"), "-audit": filepath.Join(dir, "a.jsonl"),
+		"-timeline": filepath.Join(dir, "tl.csv"), "-fault": spec, "-checkpoint-every": "2",
+	}
+	for mode, modeArgs := range modes {
+		for name, value := range flags {
+			t.Run(mode+" "+name, func(t *testing.T) {
+				args := append([]string{"-dataset", "lj-sim", "-scale", "0.02", "-k", "4", name, value}, modeArgs...)
+				var stdout, stderr bytes.Buffer
+				if err := run(args, &stdout, &stderr); err != errUsage {
+					t.Fatalf("run = %v, want errUsage\n%s", err, stdout.String())
+				}
+				if diag := stderr.String(); !strings.Contains(diag, mode) || !strings.Contains(diag, name) {
+					t.Fatalf("diagnostic names neither %s nor %s: %q", mode, name, diag)
+				}
+				if stdout.Len() != 0 {
+					t.Fatalf("the mode ran before the flag was refused:\n%s", stdout.String())
+				}
+			})
+		}
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("a refused run left files behind: %v, %v", left, err)
+	}
+	// Every refused flag is named at once, and the flags a mode does honour
+	// still work with it.
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-dataset", "lj-sim", "-scale", "0.02", "-all", "-out", "o", "-audit", "a"}, &stdout, &stderr); err != errUsage ||
+		!strings.Contains(stderr.String(), "-audit, -out") {
+		t.Fatalf("run = %v, stderr %q", err, stderr.String())
+	}
+	tracePath := filepath.Join(dir, "t.jsonl")
+	if err := run([]string{"-dataset", "lj-sim", "-scale", "0.02", "-k", "4", "-vcut", "-trace", tracePath, "-workers", "2"}, &stdout, &stderr); err != nil {
+		t.Fatalf("-vcut -trace: %v", err)
+	}
+	if tr, err := traceview.ReadFile(tracePath); err != nil || len(tr.Spans("vcut.partition")) != 4 {
+		t.Fatalf("-vcut -trace wrote %v, %v", tr, err)
+	}
+}
+
+// One hook, one format, two files: -trace and -resources are two sinks of
+// the one Span/Event call each phase makes and both write the trace schema,
+// so the resource file is the trace file record for record — same types
+// and names in the same order, same scalar attrs — plus the res_* attrs,
+// which never enter the trace. And both are observation only: the
+// assignment and the timeline are the bytes an unobserved run writes.
 func TestTraceAndResourceLogsJoin(t *testing.T) {
 	dir := t.TempDir()
 	runOnce := func(tag string, extra ...string) (parts, timeline []byte) {
@@ -114,56 +169,79 @@ func TestTraceAndResourceLogsJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := resview.ReadFile(resPath)
+	rl, err := traceview.ReadFile(resPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// In emission order, each log restricted to one record type is the
-	// same sequence of names — a stronger statement than multiset equality.
-	names := func(typ string) (trace, res []string) {
-		for _, r := range tr.Records {
-			if r.Type == typ {
-				trace = append(trace, r.Name)
+	if len(tr.Records) == 0 || len(tr.Records) != len(rl.Records) {
+		t.Fatalf("%d trace records, %d resource records", len(tr.Records), len(rl.Records))
+	}
+	var spans []string
+	supersteps := 0
+	for i := range tr.Records {
+		a, b := &tr.Records[i], &rl.Records[i]
+		if a.Type != b.Type || a.Name != b.Name {
+			t.Fatalf("record %d: trace has %s %q, resources %s %q", i, a.Type, a.Name, b.Type, b.Name)
+		}
+		if a.Type == "span" {
+			spans = append(spans, a.Name)
+		}
+		// The resource record keeps the trace record's scalar attrs and
+		// drops its structured ones (a superstep's per-machine arrays).
+		scalars := map[string]any{}
+		for k, v := range a.Attrs {
+			if strings.HasPrefix(k, "res_") {
+				t.Fatalf("record %d (%s): %s entered the trace", i, a.Name, k)
+			}
+			if _, structured := v.([]any); !structured {
+				scalars[k] = v
 			}
 		}
-		kind := map[string]string{"span": resview.KindSpan, "event": resview.KindLap}[typ]
-		for _, r := range rl.Records {
-			if r.Kind == kind {
-				res = append(res, r.Phase)
+		probed := map[string]any{}
+		res := 0
+		for k, v := range b.Attrs {
+			if strings.HasPrefix(k, "res_") {
+				res++
+			} else {
+				probed[k] = v
 			}
 		}
-		return trace, res
-	}
-	for _, typ := range []string{"span", "event"} {
-		trace, res := names(typ)
-		if len(trace) == 0 || !reflect.DeepEqual(trace, res) {
-			t.Errorf("%s names differ between the logs:\n trace     %v\n resources %v", typ, trace, res)
+		if !reflect.DeepEqual(scalars, probed) {
+			t.Fatalf("record %d (%s): scalar attrs differ:\n trace     %v\n resources %v", i, a.Name, scalars, probed)
+		}
+		if _, lap := b.Float("res_wall_us"); res < 6 || lap != (b.Type == "event") {
+			t.Fatalf("record %d (%s %s): %d res_* attrs, res_wall_us present = %v", i, b.Type, b.Name, res, lap)
+		}
+		if a.Name == "cluster.superstep" {
+			if it, ok := b.Int("iteration"); !ok || it != supersteps {
+				t.Fatalf("superstep %d: resource record carries iteration %d (%v)", supersteps, it, ok)
+			}
+			if _, ok := a.Attrs["compute"]; !ok {
+				t.Fatal("the trace lost its per-machine arrays")
+			}
+			supersteps++
 		}
 	}
-	spans, _ := names("span")
 	for _, want := range []string{"bpart.partition", "bpart.layer", "partition.stream", "bpart.refine", "walk.run"} {
 		if !slices.Contains(spans, want) {
 			t.Errorf("no %q span in either log: %v", want, spans)
 		}
 	}
-	events := tr.Events("cluster.superstep")
-	var laps []resview.Record
-	for _, r := range rl.Records {
-		if r.Kind == resview.KindLap && r.Phase == "cluster.superstep" {
-			laps = append(laps, r)
-		}
+	if supersteps == 0 {
+		t.Fatal("no cluster.superstep events")
 	}
-	if len(events) == 0 || len(events) != len(laps) {
-		t.Fatalf("%d cluster.superstep events, %d laps", len(events), len(laps))
+	// The resource file is a trace: every trace view reads it, and the
+	// resource view reads the plain trace as "nothing captured".
+	if s, err := resview.Summarize(rl); err != nil || len(s) == 0 {
+		t.Fatalf("resource file summary: %v, %v", s, err)
 	}
-	for i := range events {
-		ei, eok := events[i].Int("iteration")
-		li, lok := laps[i].Int("iteration")
-		if !eok || !lok || ei != li || ei != i {
-			t.Fatalf("superstep %d: trace iteration %d (%v), lap iteration %d (%v)", i, ei, eok, li, lok)
-		}
-		if _, ok := laps[i].Attrs["compute"]; ok {
-			t.Fatal("per-machine arrays entered the resource log")
-		}
+	if s, err := resview.Summarize(tr); err != nil || len(s) != 0 {
+		t.Fatalf("plain trace summary: %v, %v", s, err)
+	}
+	if steps, err := traceview.Supersteps(rl); err != nil || len(steps) != 0 {
+		t.Fatalf("the resource file's scalar-only supersteps: %d decoded, %v", len(steps), err)
+	}
+	if err := traceview.WriteReport(&bytes.Buffer{}, rl, traceview.ReportOptions{}); err != nil {
+		t.Fatalf("trace report of the resource file: %v", err)
 	}
 }

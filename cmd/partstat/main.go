@@ -25,6 +25,7 @@ import (
 	"os"
 	"strconv"
 
+	"bpart/internal/htmlpage"
 	"bpart/internal/partaudit"
 )
 
@@ -104,15 +105,8 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	if *htmlPath != "" {
-		f, err := os.Create(*htmlPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := partaudit.WriteTimelineHTML(f, log); err != nil {
-			f.Close()
-			return fail(stderr, err)
-		}
-		if err := f.Close(); err != nil {
+		render := func(w io.Writer) error { return partaudit.WriteTimelineHTML(w, log) }
+		if err := htmlpage.WriteFile(*htmlPath, render); err != nil {
 			return fail(stderr, err)
 		}
 		fmt.Fprintf(stdout, "\nwrote %s\n", *htmlPath)

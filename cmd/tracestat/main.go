@@ -19,8 +19,9 @@
 // (Cluster.SetCommMatrix): the summed matrix, in/out skew, hot-pair
 // attribution and per-superstep evolution, with -audit adding the
 // predicted-vs-observed cut reconciliation and -html a heatmap page.
-// resources analyzes the resource records of a probed run (bench
-// -resources): phase self-time breakdown, alloc/GC attribution and the
+// resources analyzes the res_* attrs of a probed run's trace (bench
+// -resources; every other subcommand reads that file too): phase
+// self-time breakdown, alloc/GC attribution and the
 // Parallel Speedup curves, with -html a chart page. serve analyzes
 // a bpartd request log: per-endpoint and per-part latency percentiles and
 // the version census; -assign adds the per-part tail attribution
@@ -41,6 +42,7 @@ import (
 
 	"bpart/internal/commview"
 	"bpart/internal/gio"
+	"bpart/internal/htmlpage"
 	"bpart/internal/partaudit"
 	"bpart/internal/resview"
 	"bpart/internal/servestats"
@@ -115,15 +117,8 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	if *htmlPath != "" {
-		f, err := os.Create(*htmlPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := traceview.WriteHTML(f, tr); err != nil {
-			f.Close()
-			return fail(stderr, err)
-		}
-		if err := f.Close(); err != nil {
+		render := func(w io.Writer) error { return traceview.WriteHTML(w, tr) }
+		if err := htmlpage.WriteFile(*htmlPath, render); err != nil {
 			return fail(stderr, err)
 		}
 		fmt.Fprintf(stdout, "\nwrote %s\n", *htmlPath)
@@ -184,7 +179,11 @@ func cmdComm(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() != 1 {
 		return usage(stderr)
 	}
-	log, err := commview.ReadFile(fs.Arg(0))
+	tr, err := traceview.ReadFile(fs.Arg(0))
+	if err != nil {
+		return fail(stderr, err)
+	}
+	steps, err := traceview.Supersteps(tr)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -199,22 +198,15 @@ func cmdComm(args []string, stdout, stderr io.Writer) int {
 	// The reconciliation invariant is checked on every read: a trace whose
 	// matrices disagree with the flat counters is corrupted, and analyzing
 	// it would dress broken instrumentation up as a topology finding.
-	if err := commview.CheckMessages(log.Steps); err != nil {
+	if err := commview.CheckMessages(steps); err != nil {
 		return fail(stderr, err)
 	}
-	if err := commview.WriteReport(stdout, log, opt); err != nil {
+	if err := commview.WriteReport(stdout, steps, tr.Truncated, opt); err != nil {
 		return fail(stderr, err)
 	}
 	if *htmlPath != "" {
-		f, err := os.Create(*htmlPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := commview.WriteHTML(f, log, "bpart comm topology"); err != nil {
-			f.Close()
-			return fail(stderr, err)
-		}
-		if err := f.Close(); err != nil {
+		render := func(w io.Writer) error { return commview.WriteHTML(w, steps, tr.Truncated, "bpart comm topology") }
+		if err := htmlpage.WriteFile(*htmlPath, render); err != nil {
 			return fail(stderr, err)
 		}
 		fmt.Fprintf(stdout, "\nwrote %s\n", *htmlPath)
@@ -233,23 +225,16 @@ func cmdResources(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() != 1 {
 		return usage(stderr)
 	}
-	log, err := resview.ReadFile(fs.Arg(0))
+	tr, err := traceview.ReadFile(fs.Arg(0))
 	if err != nil {
 		return fail(stderr, err)
 	}
-	if err := resview.WriteReport(stdout, log, resview.ReportOptions{MaxPhases: *maxPhases}); err != nil {
+	if err := resview.WriteReport(stdout, tr, resview.ReportOptions{MaxPhases: *maxPhases}); err != nil {
 		return fail(stderr, err)
 	}
 	if *htmlPath != "" {
-		f, err := os.Create(*htmlPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := resview.WriteHTML(f, log, "bpart runtime resources"); err != nil {
-			f.Close()
-			return fail(stderr, err)
-		}
-		if err := f.Close(); err != nil {
+		render := func(w io.Writer) error { return resview.WriteHTML(w, tr, "bpart runtime resources") }
+		if err := htmlpage.WriteFile(*htmlPath, render); err != nil {
 			return fail(stderr, err)
 		}
 		fmt.Fprintf(stdout, "\nwrote %s\n", *htmlPath)
@@ -289,15 +274,8 @@ func cmdServe(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	if *htmlPath != "" {
-		f, err := os.Create(*htmlPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := servestats.WriteHTML(f, rep, attrib); err != nil {
-			f.Close()
-			return fail(stderr, err)
-		}
-		if err := f.Close(); err != nil {
+		render := func(w io.Writer) error { return servestats.WriteHTML(w, rep, attrib) }
+		if err := htmlpage.WriteFile(*htmlPath, render); err != nil {
 			return fail(stderr, err)
 		}
 		fmt.Fprintf(stdout, "\nwrote %s\n", *htmlPath)

@@ -259,9 +259,12 @@ func TestTruncatedTraceStillReports(t *testing.T) {
 	}
 }
 
-const sampleResources = `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":2500,"allocs":100,"alloc_bytes":8192,"heap_bytes":4096,"gc_cycles":1,"gc_pause_us":10,"goroutines":2,"attrs":{"k":8}}
-{"v":1,"type":"resource","seq":1,"kind":"span","phase":"scaling.replay","wall_us":1000,"allocs":10,"alloc_bytes":512,"heap_bytes":4096,"gc_cycles":0,"gc_pause_us":0,"goroutines":3,"attrs":{"scheme":"Fennel","workers":1}}
-{"v":1,"type":"resource","seq":2,"kind":"span","phase":"scaling.replay","wall_us":600,"allocs":10,"alloc_bytes":512,"heap_bytes":4096,"gc_cycles":0,"gc_pause_us":0,"goroutines":4,"attrs":{"scheme":"Fennel","workers":2}}
+// sampleResources is a -resources file: a trace whose records carry the
+// probe's res_* attrs (and, for the superstep event, only its scalars).
+const sampleResources = `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"partition.stream","dur_us":2500,"attrs":{"k":8,"res_allocs":100,"res_alloc_bytes":8192,"res_heap_bytes":4096,"res_gc_cycles":1,"res_gc_pause_us":10,"res_goroutines":2}}
+{"ts":"2026-08-06T10:00:01Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":5,"res_wall_us":40,"res_allocs":1,"res_alloc_bytes":64,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":2}}
+{"ts":"2026-08-06T10:00:02Z","type":"span","name":"scaling.replay","dur_us":1000,"attrs":{"scheme":"Fennel","workers":1,"res_allocs":10,"res_alloc_bytes":512,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":3}}
+{"ts":"2026-08-06T10:00:03Z","type":"span","name":"scaling.replay","dur_us":600,"attrs":{"scheme":"Fennel","workers":2,"res_allocs":10,"res_alloc_bytes":512,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":4}}
 `
 
 func TestResourcesSubcommand(t *testing.T) {
@@ -293,6 +296,37 @@ func TestResourcesHTMLFlag(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "<svg") || !strings.Contains(string(data), "Fennel") {
 		t.Errorf("HTML page missing chart content")
+	}
+}
+
+// A resource file is a trace and a trace is a resource file with nothing
+// captured: each subcommand reads the other's file, and only a schema-v1
+// resource log (written before the two formats became one) is refused —
+// with a message that says what to do, not `bad ts ""`.
+func TestResourceFileIsATrace(t *testing.T) {
+	res := writeTrace(t, "res.jsonl", sampleResources)
+	for _, sub := range []string{"report", "stragglers", "critpath", "comm"} {
+		if code, out, errb := runCLI(t, sub, res); code != 0 || out == "" {
+			t.Errorf("%s on a -resources file: exit %d, stderr %q", sub, code, errb)
+		}
+	}
+	if _, out, _ := runCLI(t, "report", res); !strings.Contains(out, "scaling.replay") || !strings.Contains(out, "No cluster.superstep records") {
+		t.Errorf("report on a -resources file:\n%s", out)
+	}
+	plain := writeTrace(t, "plain.jsonl", sampleTrace)
+	if code, out, errb := runCLI(t, "resources", plain); code != 0 || !strings.HasPrefix(out, "No resource records: capture was off") {
+		t.Errorf("resources on a plain trace: exit %d, stdout %q, stderr %q", code, out, errb)
+	}
+	v1 := writeTrace(t, "v1.jsonl", `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":2500,"allocs":100,"alloc_bytes":8192,"heap_bytes":4096,"gc_cycles":1,"gc_pause_us":10,"goroutines":2,"attrs":{"k":8}}`+"\n")
+	for _, sub := range []string{"resources", "report"} {
+		code, _, errb := runCLI(t, sub, v1)
+		if code != 1 || !strings.Contains(errb, "line 1: schema-v1 resource log") || !strings.Contains(errb, "re-record with -resources") {
+			t.Errorf("%s on a schema-v1 log: exit %d, stderr %q", sub, code, errb)
+		}
+	}
+	bad := writeTrace(t, "bad.jsonl", `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"a","dur_us":1,"attrs":{"res_allocs":-1}}`+"\n")
+	if code, out, errb := runCLI(t, "resources", bad); code != 1 || out != "" || !strings.Contains(errb, "res_allocs") {
+		t.Errorf("resources on a negative count: exit %d, stdout %q, stderr %q", code, out, errb)
 	}
 }
 

@@ -16,7 +16,8 @@
 // observability boundary, exempt by construction — via
 // telemetry.NewStopwatch; runtime resource capture likewise lives in the
 // exempt internal/resview, which the deterministic packages reach only
-// through the telemetry.Tracer interface (the probe is a tracer sink);
+// through the telemetry.Tracer interface (the probe is a tracer sink that
+// writes its own trace file, so nothing it reads enters -trace output);
 // request-latency capture for
 // the serving layer lives in the exempt internal/servestats, whose clock
 // reads are the feature (the BENCH serving section stays deterministic

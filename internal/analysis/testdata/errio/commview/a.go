@@ -1,7 +1,9 @@
 // Package commview seeds errio violations in the comm-matrix report
 // idiom; its path ends in /commview so it is in the analyzer's I/O scope,
-// like bpart/internal/commview. A heatmap or matrix report that silently
-// truncates on a full disk misreports the communication topology.
+// like bpart/internal/commview, which reads nothing itself (the matrices
+// arrive decoded, as traceview.Superstep.Pairs) and only renders. A heatmap
+// or matrix report that silently truncates on a full disk misreports the
+// communication topology.
 package commview
 
 import (

@@ -1,8 +1,9 @@
 // Package resview seeds errio violations in the resource-probe idiom; its
 // path ends in /resview so it is in the analyzer's I/O scope, like
-// bpart/internal/resview. A resource log that silently truncates on a full
-// disk turns a real measurement into a partial one with no warning — the
-// probe's whole contract is that write failures are sticky and surfaced.
+// bpart/internal/resview. The probe writes a trace (it decorates the trace
+// writer and flushes after every record); a file that silently truncates on
+// a full disk turns a real measurement into a partial one with no warning —
+// the probe's whole contract is that write failures are sticky and surfaced.
 package resview
 
 import (
@@ -11,7 +12,7 @@ import (
 	"io"
 )
 
-// EmitUnchecked streams resource records without checking the sink — a
+// EmitUnchecked streams probed records without checking the sink — a
 // crashed flush loses the tail of the measurement silently.
 func EmitUnchecked(w *bufio.Writer, phase string, wallUS float64) {
 	fmt.Fprintf(w, `{"phase":%q,"wall_us":%v}`+"\n", phase, wallUS) // want `error from Fprintf discarded`

@@ -3,7 +3,8 @@
 // telemetry, it sits outside the deterministic set — wall-clock reads here
 // are the feature, not a leak — so nothing may be flagged. The boundary
 // holds in the other direction: the deterministic packages never import
-// resview, they only hold telemetry.Tracer (the probe is one of its sinks).
+// resview, they only hold telemetry.Tracer (the probe is one of its sinks,
+// writing the spans it sees as a trace of its own with res_* attrs).
 package resview
 
 import "time"

@@ -1,11 +1,39 @@
 package commview
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"bpart/internal/partaudit"
+	"bpart/internal/traceview"
 )
+
+// Superstep is the one decoded superstep; the alias keeps the table
+// literals below short.
+type Superstep = traceview.Superstep
+
+// decode is the read path cmd/tracestat comm uses: traceview.Read, then
+// traceview.Supersteps.
+func decode(trace string) ([]Superstep, bool, error) {
+	tr, err := traceview.Read(strings.NewReader(trace))
+	if err != nil {
+		return nil, false, err
+	}
+	steps, err := traceview.Supersteps(tr)
+	return steps, tr.Truncated, err
+}
+
+func mustDecode(t *testing.T, trace string) []Superstep {
+	t.Helper()
+	steps, _, err := decode(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return steps
+}
 
 // sampleTrace is a two-superstep, two-machine trace with pairs matrices,
 // plus one pre-commview superstep (no pairs attr) that must be skipped.
@@ -15,24 +43,22 @@ const sampleTrace = `{"ts":"2026-08-07T12:00:00Z","type":"event","name":"cluster
 `
 
 func TestReadDecodesPairs(t *testing.T) {
-	l, err := Read(strings.NewReader(sampleTrace))
-	if err != nil {
-		t.Fatal(err)
+	all := mustDecode(t, sampleTrace)
+	steps := withMatrix(all)
+	if len(all) != 3 || len(steps) != 2 {
+		t.Fatalf("decoded %d steps, %d with a matrix, want 3 and 2 (pairs-less superstep skipped)", len(all), len(steps))
 	}
-	if len(l.Steps) != 2 {
-		t.Fatalf("decoded %d steps, want 2 (pairs-less superstep skipped)", len(l.Steps))
-	}
-	st := l.Steps[0]
+	st := steps[0]
 	if st.Iteration != 0 || st.Machines != 2 || st.Phase != "" {
 		t.Fatalf("step 0 = %+v", st)
 	}
 	if st.Pairs[0][1] != 3 || st.Pairs[1][0] != 1 {
 		t.Fatalf("step 0 pairs = %v", st.Pairs)
 	}
-	if l.Steps[1].Phase != "restream" {
-		t.Fatalf("step 1 phase = %q, want restream", l.Steps[1].Phase)
+	if steps[1].Phase != "restream" {
+		t.Fatalf("step 1 phase = %q, want restream", steps[1].Phase)
 	}
-	if err := CheckMessages(l.Steps); err != nil {
+	if err := CheckMessages(all); err != nil {
 		t.Fatalf("CheckMessages: %v", err)
 	}
 }
@@ -43,29 +69,30 @@ func TestReadRejectsMalformedPairs(t *testing.T) {
 		"non-numeric":      `{"ts":"2026-08-07T12:00:00Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":1,"compute":[1,1],"comm":[1,1],"waiting":[0,0],"steps":[0,0],"edges":[1,1],"vertices":[1,1],"messages":[0,0],"pairs":[[0,"x"],[0,0]]}}` + "\n",
 		"missing messages": `{"ts":"2026-08-07T12:00:00Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":1,"compute":[1,1],"comm":[1,1],"waiting":[0,0],"pairs":[[0,0],[0,0]]}}` + "\n",
 	} {
-		if _, err := Read(strings.NewReader(trace)); err == nil {
-			t.Errorf("%s: Read accepted a malformed matrix", name)
+		if _, _, err := decode(trace); err == nil {
+			t.Errorf("%s: a malformed matrix decoded", name)
 		}
 	}
 }
 
-func TestReadAllGarbageHardError(t *testing.T) {
-	if _, err := Read(strings.NewReader("not json at all\n")); err == nil {
-		t.Fatal("Read accepted all-garbage input")
-	}
-}
-
+// A crashed run's torn final line is traceview.Read's to tolerate; both
+// renderers say so and cover the intact prefix.
 func TestReadTornTail(t *testing.T) {
-	torn := sampleTrace + `{"ts":"2026-08-07T12:0`
-	l, err := Read(strings.NewReader(torn))
-	if err != nil {
+	steps, truncated, err := decode(sampleTrace + `{"ts":"2026-08-07T12:0`)
+	if err != nil || !truncated || len(withMatrix(steps)) != 2 {
+		t.Fatalf("torn trace: %d matrix steps, truncated=%v, %v", len(withMatrix(steps)), truncated, err)
+	}
+	var text, page strings.Builder
+	if err := WriteReport(&text, steps, truncated, ReportOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if !l.Truncated {
-		t.Fatal("torn tail not flagged")
+	if err := WriteHTML(&page, steps, truncated, "torn"); err != nil {
+		t.Fatal(err)
 	}
-	if len(l.Steps) != 2 {
-		t.Fatalf("decoded %d steps from intact prefix, want 2", len(l.Steps))
+	for _, out := range []string{text.String(), page.String()} {
+		if !strings.Contains(out, "final trace line torn") || !strings.Contains(strings.ToUpper(out), "RUN 1") {
+			t.Fatalf("torn-trace output lacks the warning or the run:\n%s", out)
+		}
 	}
 }
 
@@ -98,18 +125,6 @@ func TestCheckMessagesViolations(t *testing.T) {
 	badNeg[0].Pairs[0][1] = -2
 	if err := CheckMessages(badNeg); err == nil {
 		t.Fatal("negative pair count accepted")
-	}
-}
-
-func TestGroupRunsSplitsOnReset(t *testing.T) {
-	steps := []Superstep{
-		{Iteration: 0, Machines: 2}, {Iteration: 1, Machines: 2},
-		{Iteration: 0, Machines: 2}, // new cluster: counter reset
-		{Iteration: 1, Machines: 3}, // machine-count change
-	}
-	runs := GroupRuns(steps)
-	if len(runs) != 3 || len(runs[0]) != 2 || len(runs[1]) != 1 || len(runs[2]) != 1 {
-		t.Fatalf("runs = %v", runs)
 	}
 }
 
@@ -220,13 +235,10 @@ func TestReconcile(t *testing.T) {
 }
 
 func TestWriteReportDeterministic(t *testing.T) {
-	l, err := Read(strings.NewReader(sampleTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
+	steps := mustDecode(t, sampleTrace)
 	render := func() string {
 		var b strings.Builder
-		if err := WriteReport(&b, l, ReportOptions{Audit: &partaudit.Log{Final: &partaudit.Final{CutRatio: 0.2}}}); err != nil {
+		if err := WriteReport(&b, steps, false, ReportOptions{Audit: &partaudit.Log{Final: &partaudit.Final{CutRatio: 0.2}}}); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -247,7 +259,7 @@ func TestWriteReportDeterministic(t *testing.T) {
 
 func TestWriteReportNoMatrices(t *testing.T) {
 	var b strings.Builder
-	if err := WriteReport(&b, &Log{}, ReportOptions{}); err != nil {
+	if err := WriteReport(&b, nil, false, ReportOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "matrix capture was off") {
@@ -256,13 +268,10 @@ func TestWriteReportNoMatrices(t *testing.T) {
 }
 
 func TestWriteHTMLDeterministic(t *testing.T) {
-	l, err := Read(strings.NewReader(sampleTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
+	steps := mustDecode(t, sampleTrace)
 	render := func() string {
 		var b strings.Builder
-		if err := WriteHTML(&b, l, "comm heatmap"); err != nil {
+		if err := WriteHTML(&b, steps, false, "comm heatmap"); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -278,16 +287,52 @@ func TestWriteHTMLDeterministic(t *testing.T) {
 	}
 }
 
-// Writer errors must surface, not vanish — the errio discipline.
-func TestWriteReportWriterError(t *testing.T) {
-	l, err := Read(strings.NewReader(sampleTrace))
+// The text and HTML the parent commit's `tracestat comm [-html]` printed for
+// testdata/crash5_restream.trace.jsonl (two runs of `bench -scale 0.05 -id
+// "Comm Matrix" -fault internal/fault/testdata/crash5_restream.json -trace`:
+// a walk with checkpoints, then a PageRank with a restream and a restore),
+// recorded before the superstep decode moved to traceview.
+func TestGoldenReportAndHTML(t *testing.T) {
+	tr, err := traceview.ReadFile(filepath.Join("testdata", "crash5_restream.trace.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteReport(failWriter{}, l, ReportOptions{}); err == nil {
+	steps, err := traceview.Supersteps(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckMessages(steps); err != nil {
+		t.Fatal(err)
+	}
+	for golden, render := range map[string]func(*bytes.Buffer) error{
+		"crash5_restream.comm.txt": func(b *bytes.Buffer) error {
+			return WriteReport(b, steps, tr.Truncated, ReportOptions{})
+		},
+		"crash5_restream.comm.html": func(b *bytes.Buffer) error {
+			return WriteHTML(b, steps, tr.Truncated, "bpart comm topology")
+		},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := render(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s drifted from the parent's bytes:\n%s", golden, got.Bytes())
+		}
+	}
+}
+
+// Writer errors must surface, not vanish — the errio discipline.
+func TestWriteReportWriterError(t *testing.T) {
+	steps := mustDecode(t, sampleTrace)
+	if err := WriteReport(failWriter{}, steps, false, ReportOptions{}); err == nil {
 		t.Fatal("WriteReport swallowed the writer error")
 	}
-	if err := WriteHTML(failWriter{}, l, "x"); err == nil {
+	if err := WriteHTML(failWriter{}, steps, false, "x"); err == nil {
 		t.Fatal("WriteHTML swallowed the writer error")
 	}
 }

@@ -3,14 +3,16 @@ package commview
 import (
 	"bytes"
 	"testing"
+
+	"bpart/internal/traceview"
 )
 
-// FuzzRead throws arbitrary byte streams at the comm-matrix reader. It
-// inherits traceview.Read's tolerance contract — only a torn final line
-// may be damaged, all-garbage input is a hard error — and layers the
-// matrix decode on top, so it must never panic, must parse the same bytes
-// to the same steps twice, and every accepted matrix must be square and
-// shaped to its machine count.
+// FuzzRead throws arbitrary byte streams at the read path of `tracestat
+// comm` — traceview.Read, then traceview.Supersteps — and feeds whatever
+// that accepts to this package: it must never panic, must decode the same
+// bytes to the same steps twice, every accepted matrix must be square and
+// shaped to its machine count, and anything accepted must summarize and
+// render.
 func FuzzRead(f *testing.F) {
 	valid := `{"ts":"2026-08-07T12:00:00Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":1,"compute":[1,1],"comm":[1,1],"waiting":[0,0],"steps":[0,0],"edges":[4,4],"vertices":[1,1],"messages":[1,0],"pairs":[[0,1],[0,0]]}}` + "\n"
 	f.Add([]byte(valid))
@@ -29,22 +31,20 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{0xff, 0xfe, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := Read(bytes.NewReader(data))
+		all, truncated, err := decode(string(data))
 		if err != nil {
 			return
 		}
-		if l == nil {
-			t.Fatal("Read returned nil log with nil error")
-		}
-		l2, err2 := Read(bytes.NewReader(data))
+		all2, truncated2, err2 := decode(string(data))
 		if err2 != nil {
-			t.Fatalf("second Read of identical bytes failed: %v", err2)
+			t.Fatalf("second decode of identical bytes failed: %v", err2)
 		}
-		if len(l2.Steps) != len(l.Steps) || l2.Truncated != l.Truncated {
-			t.Fatalf("non-deterministic parse: %d/%v then %d/%v",
-				len(l.Steps), l.Truncated, len(l2.Steps), l2.Truncated)
+		if len(all2) != len(all) || truncated2 != truncated {
+			t.Fatalf("non-deterministic decode: %d/%v then %d/%v",
+				len(all), truncated, len(all2), truncated2)
 		}
-		for i, st := range l.Steps {
+		steps := withMatrix(all)
+		for i, st := range steps {
 			if len(st.Pairs) != st.Machines {
 				t.Fatalf("step %d: %d rows for %d machines", i, len(st.Pairs), st.Machines)
 			}
@@ -57,10 +57,10 @@ func FuzzRead(f *testing.F) {
 				t.Fatalf("step %d: flat counter shape mismatch", i)
 			}
 		}
-		// The derived views must hold up on anything Read accepts.
+		// The derived views must hold up on anything the decode accepts.
 		// (CheckMessages may legitimately reject a fuzzer-built matrix —
 		// its invariant is about our writers — but it must not panic.)
-		for _, run := range GroupRuns(l.Steps) {
+		for _, run := range traceview.GroupRuns(steps) {
 			s := Summarize(run)
 			if s.Messages < 0 {
 				// int64 overflow from adversarial cell values: the sum
@@ -72,6 +72,14 @@ func FuzzRead(f *testing.F) {
 				t.Fatalf("ActivePairs %d exceeds matrix size", s.ActivePairs)
 			}
 		}
-		_ = CheckMessages(l.Steps)
+		_ = CheckMessages(all)
+		var buf bytes.Buffer
+		if err := WriteReport(&buf, all, truncated, ReportOptions{}); err != nil {
+			t.Fatalf("report on accepted steps: %v", err)
+		}
+		buf.Reset()
+		if err := WriteHTML(&buf, all, truncated, "fuzz"); err != nil {
+			t.Fatalf("html on accepted steps: %v", err)
+		}
 	})
 }

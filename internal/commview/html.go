@@ -6,6 +6,7 @@ import (
 
 	"bpart/internal/htmlpage"
 	"bpart/internal/recordlog"
+	"bpart/internal/traceview"
 )
 
 // WriteHTML renders the self-contained comm-topology page: per run, an SVG
@@ -13,15 +14,15 @@ import (
 // evolution strip. Same chrome as the trace and audit timelines
 // (internal/htmlpage), no external assets, byte-deterministic for a
 // deterministic trace.
-func WriteHTML(w io.Writer, log *Log, title string) error {
+func WriteHTML(w io.Writer, steps []traceview.Superstep, truncated bool, title string) error {
 	if err := htmlpage.Start(w, title); err != nil {
 		return err
 	}
 	ew := &recordlog.Printer{W: w}
-	if log.Truncated {
+	if truncated {
 		ew.Printf("<p class=\"warn\">final trace line torn; analyzing the intact prefix</p>\n")
 	}
-	runs := GroupRuns(log.Steps)
+	runs := traceview.GroupRuns(withMatrix(steps))
 	if len(runs) == 0 {
 		ew.Printf("<p class=\"meta\">No comm matrices in trace: matrix capture was off (enable with Cluster.SetCommMatrix).</p>\n")
 	}
@@ -34,7 +35,7 @@ func WriteHTML(w io.Writer, log *Log, title string) error {
 	return htmlpage.End(w)
 }
 
-func writeRunHTML(ew *recordlog.Printer, idx int, run []Superstep) {
+func writeRunHTML(ew *recordlog.Printer, idx int, run []traceview.Superstep) {
 	s := Summarize(run)
 	ew.Printf("<h2>Run %d</h2>\n", idx)
 	ew.Printf("<p class=\"meta\">%d machines, %d supersteps, %d messages — imbalance %.4f, pair Jain %.4f",
@@ -87,7 +88,7 @@ func writeHeatmap(ew *recordlog.Printer, s *Summary) {
 
 // writeEvolutionSVG draws per-superstep total traffic as a bar strip;
 // recovery-phase bars are outlined darker so restream spikes stand out.
-func writeEvolutionSVG(ew *recordlog.Printer, run []Superstep, s *Summary) {
+func writeEvolutionSVG(ew *recordlog.Printer, run []traceview.Superstep, s *Summary) {
 	const barW, maxH, base = 6, 60, 14
 	var max int64
 	for _, m := range s.PerStepMessages {

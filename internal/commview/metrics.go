@@ -1,5 +1,7 @@
 package commview
 
+import "bpart/internal/traceview"
+
 // Summary is the derived communication topology of one run: the matrix
 // summed over its supersteps plus the balance metrics the paper's 2D-claim
 // is judged on.
@@ -39,9 +41,9 @@ type Summary struct {
 	PerStepActivePairs []int
 }
 
-// Summarize derives the Summary of one run (as split by GroupRuns). An
+// Summarize derives the Summary of one run (as split by traceview.GroupRuns). An
 // empty run yields a zero Summary.
-func Summarize(run []Superstep) Summary {
+func Summarize(run []traceview.Superstep) Summary {
 	s := Summary{Supersteps: len(run)}
 	if len(run) == 0 {
 		return s

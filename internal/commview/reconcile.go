@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bpart/internal/partaudit"
+	"bpart/internal/traceview"
 )
 
 // Reconciliation correlates the traffic a run actually generated against
@@ -39,7 +40,7 @@ type Reconciliation struct {
 // would skew the cut-share estimate they exist to explain. Errors: a run
 // with no message opportunities, or a log carrying neither a final record
 // nor any window.
-func Reconcile(run []Superstep, log *partaudit.Log) (Reconciliation, error) {
+func Reconcile(run []traceview.Superstep, log *partaudit.Log) (Reconciliation, error) {
 	var r Reconciliation
 	for _, st := range run {
 		if st.Phase != "" {

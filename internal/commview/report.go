@@ -6,6 +6,7 @@ import (
 
 	"bpart/internal/partaudit"
 	"bpart/internal/recordlog"
+	"bpart/internal/traceview"
 )
 
 // ReportOptions tunes the terminal report.
@@ -40,22 +41,26 @@ func (o ReportOptions) maxSupersteps() int {
 // summed src→dst matrix, per-machine in/out skew, hot-pair attribution
 // with runner-up slack, the per-superstep evolution, and (with an audit
 // log attached) the predicted-vs-observed reconciliation.
-func WriteReport(w io.Writer, log *Log, opt ReportOptions) error {
+//
+// steps is what traceview.Supersteps decoded (supersteps without a matrix
+// are skipped) and truncated is that trace's Truncated flag.
+func WriteReport(w io.Writer, steps []traceview.Superstep, truncated bool, opt ReportOptions) error {
 	ew := &recordlog.Printer{W: w}
-	if log.Truncated {
+	steps = withMatrix(steps)
+	if truncated {
 		ew.Printf("WARNING: final trace line torn (run crashed mid-write); analyzing the intact prefix\n")
 	}
-	if len(log.Steps) == 0 {
+	if len(steps) == 0 {
 		ew.Printf("No comm matrices in trace: matrix capture was off (enable with Cluster.SetCommMatrix).\n")
 		return ew.Err
 	}
-	for i, run := range GroupRuns(log.Steps) {
+	for i, run := range traceview.GroupRuns(steps) {
 		writeRun(ew, i+1, run, opt)
 	}
 	return ew.Err
 }
 
-func writeRun(ew *recordlog.Printer, idx int, run []Superstep, opt ReportOptions) {
+func writeRun(ew *recordlog.Printer, idx int, run []traceview.Superstep, opt ReportOptions) {
 	s := Summarize(run)
 	recovery := 0
 	for _, st := range run {
@@ -128,7 +133,7 @@ func writeSkew(ew *recordlog.Printer, s *Summary) {
 	}
 }
 
-func writeEvolution(ew *recordlog.Printer, run []Superstep, s *Summary, opt ReportOptions) {
+func writeEvolution(ew *recordlog.Printer, run []traceview.Superstep, s *Summary, opt ReportOptions) {
 	var max int64
 	for _, m := range s.PerStepMessages {
 		if m > max {
@@ -153,7 +158,7 @@ func writeEvolution(ew *recordlog.Printer, run []Superstep, s *Summary, opt Repo
 	}
 }
 
-func writeReconcile(ew *recordlog.Printer, run []Superstep, audit *partaudit.Log) {
+func writeReconcile(ew *recordlog.Printer, run []traceview.Superstep, audit *partaudit.Log) {
 	r, err := Reconcile(run, audit)
 	if err != nil {
 		ew.Printf("  reconciliation vs partitioner: %v\n", err)

@@ -168,11 +168,13 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	for i := range final {
 		final[i] = partition.Unassigned
 	}
-	if k == 1 {
+	if k == 1 || n == 0 {
+		// Nothing to balance: one part, or (as every other scheme answers
+		// the empty graph) the empty k-part assignment.
 		for i := range final {
 			final[i] = 0
 		}
-		return &partition.Assignment{Parts: final, K: 1}, &Trace{}, nil
+		return &partition.Assignment{Parts: final, K: k}, &Trace{}, nil
 	}
 
 	targetV := float64(n) / float64(k)

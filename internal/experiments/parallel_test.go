@@ -7,6 +7,7 @@ import (
 
 	"bpart/internal/resview"
 	"bpart/internal/telemetry"
+	"bpart/internal/traceview"
 )
 
 func TestWidthsDefaultHostIndependent(t *testing.T) {
@@ -36,7 +37,7 @@ func TestParallelSweepFeedsResourceCurves(t *testing.T) {
 			t.Fatalf("bad measurement %+v", m)
 		}
 	}
-	l, err := resview.Read(&buf)
+	l, err := traceview.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestParallelSweepFeedsResourceCurves(t *testing.T) {
 		t.Fatalf("got %d resource records, want %d", len(l.Records), want)
 	}
 	for _, r := range l.Records {
-		if r.Phase != resview.ScalingPhase {
-			t.Fatalf("unexpected phase %q", r.Phase)
+		if r.Name != resview.ScalingPhase {
+			t.Fatalf("unexpected phase %q", r.Name)
 		}
 	}
-	curves := resview.Curves(l.Records)
+	curves := resview.Curves(l)
 	if len(curves) != engines {
 		t.Fatalf("got %d curves, want %d", len(curves), engines)
 	}

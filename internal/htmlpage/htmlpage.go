@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"html"
 	"io"
+	"os"
 )
 
 const style = `<style>
@@ -33,4 +34,19 @@ func Start(w io.Writer, title string) error {
 func End(w io.Writer) error {
 	_, err := io.WriteString(w, "</body></html>\n")
 	return err
+}
+
+// WriteFile creates path and renders a page into it: the -html flag of
+// every CLI. A failed render still closes the file, and a failed close —
+// the write that a full disk refuses — is reported.
+func WriteFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -16,6 +16,7 @@ import (
 // records it kept, whether it flagged a torn tail, or the error.
 type family struct {
 	name string // the error prefix
+	view string // the subtest name, when it is not the error prefix
 	what string // the records' name in the all-garbage error
 	good string // one valid line
 	read func(io.Reader) (records int, truncated bool, err error)
@@ -45,14 +46,21 @@ var families = []family{
 		},
 	},
 	{
-		name: "resview", what: "resource",
-		good: `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":123.5,"allocs":10,"alloc_bytes":4096,"heap_bytes":1000,"gc_cycles":1,"gc_pause_us":5,"goroutines":2}`,
+		// Not a format: a -resources file is a trace whose records carry
+		// res_* attrs. The row pins that the resource view adds no
+		// tolerance of its own to the trace reader's verdict.
+		name: "traceview", view: "resview", what: "trace",
+		good: `{"ts":"2026-08-06T10:11:12.13Z","type":"span","name":"partition.stream","dur_us":123.5,"attrs":{"res_allocs":10,"res_alloc_bytes":4096,"res_heap_bytes":1000,"res_gc_cycles":1,"res_gc_pause_us":5,"res_goroutines":2}}`,
 		read: func(r io.Reader) (int, bool, error) {
-			l, err := resview.Read(r)
+			tr, err := traceview.Read(r)
 			if err != nil {
 				return 0, false, err
 			}
-			return len(l.Records), l.Truncated, nil
+			phases, err := resview.Summarize(tr)
+			if err != nil || len(phases) == 0 {
+				return 0, tr.Truncated, err
+			}
+			return phases[0].Count, tr.Truncated, nil
 		},
 	},
 	{
@@ -68,8 +76,8 @@ var families = []family{
 	},
 }
 
-// The four readers sit on one Scan, so the same damage must draw the same
-// verdict from each — and the error strings the CLIs print (pinned by the
+// The three formats' readers sit on one Scan, so the same damage must draw
+// the same verdict from each — and the error strings the CLIs print (pinned by the
 // cmd/tracestat and cmd/partstat diagnostics tests) must not drift.
 func TestFamiliesShareOneVerdict(t *testing.T) {
 	const (
@@ -103,7 +111,11 @@ func TestFamiliesShareOneVerdict(t *testing.T) {
 			{name: "over-long line", in: good + "\n" + long + "\n",
 				err: fam.name + ": read: bufio.Scanner: token too long"},
 		} {
-			t.Run(fam.name+"/"+tc.name, func(t *testing.T) {
+			label := fam.view
+			if label == "" {
+				label = fam.name
+			}
+			t.Run(label+"/"+tc.name, func(t *testing.T) {
 				records, truncated, err := fam.read(strings.NewReader(tc.in))
 				if tc.err != "" {
 					if err == nil || err.Error() != tc.err {

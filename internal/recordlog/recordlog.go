@@ -1,7 +1,7 @@
-// Package recordlog is the JSONL record-log substrate under the repo's log
-// families (trace, audit, comm, resource, request): the one writer and the
-// one reader every family's framing contract comes from, plus the text
-// helpers their reports share. It knows nothing about any family's schema —
+// Package recordlog is the JSONL record-log substrate under the repo's three
+// log formats (trace, which the resource probe also writes; audit; request):
+// the one writer and the one reader every family's framing contract comes
+// from, plus the text helpers their reports share. It knows nothing about any family's schema —
 // families marshal and parse their own records — and imports only the
 // standard library.
 //

@@ -3,79 +3,85 @@ package resview
 import (
 	"bytes"
 	"testing"
+
+	"bpart/internal/traceview"
 )
 
-// FuzzRead throws arbitrary byte streams at the resource-log reader. It
-// inherits traceview.Read's tolerance contract — only a torn final line may
-// be damaged, all-garbage input is a hard error — so it must never panic,
-// must parse the same bytes identically twice, and every accepted record
-// must satisfy the schema invariants the parser promises (known kind,
-// non-empty phase, non-negative wall clock).
+// FuzzRead throws arbitrary byte streams at the read path of `tracestat
+// resources` — traceview.Read, then this package's decode of the res_*
+// attrs. It must never panic, must derive the same views from the same
+// bytes twice, every decoded number must be one a Probe could have written
+// (non-negative), and anything the decode accepts must render.
 func FuzzRead(f *testing.F) {
-	valid := `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":123.5,"allocs":10,"alloc_bytes":4096,"heap_bytes":1000,"gc_cycles":1,"gc_pause_us":5,"goroutines":2,"attrs":{"k":8}}` + "\n"
-	lap := `{"v":1,"type":"resource","seq":1,"kind":"lap","phase":"cluster.superstep","wall_us":10,"allocs":0,"alloc_bytes":0,"heap_bytes":500,"gc_cycles":0,"gc_pause_us":0,"goroutines":3,"attrs":{"iter":0}}` + "\n"
-	scaling := `{"v":1,"type":"resource","seq":2,"kind":"span","phase":"scaling.replay","wall_us":50,"attrs":{"scheme":"Fennel","workers":2}}` + "\n"
+	valid := validLine(0, "partition.stream", 123.5, `"k":8,`)
+	lap := `{"ts":"2026-08-20T12:00:01Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"res_wall_us":10,` + resAttrs + `}}` + "\n"
+	scaling := scalingLine(2, "Fennel", 2, 50)
 	f.Add([]byte(valid))
 	f.Add([]byte(valid + lap + scaling))
 	// Torn final line after a valid prefix: tolerated.
-	f.Add([]byte(valid + `{"v":1,"type":"resou`))
+	f.Add([]byte(valid + `{"ts":"2026-08-20T12:0`))
 	// Interior damage and all-garbage first lines: hard errors.
 	f.Add([]byte("garbage\n" + valid))
 	f.Add([]byte("garbage\n"))
-	// Schema violations: wrong version, wrong type, bad kind, negative wall.
-	f.Add([]byte(`{"v":2,"type":"resource","seq":0,"kind":"span","phase":"a","wall_us":1}` + "\n"))
-	f.Add([]byte(`{"v":1,"type":"span","seq":0,"kind":"span","phase":"a","wall_us":1}` + "\n"))
-	f.Add([]byte(`{"v":1,"type":"resource","seq":0,"kind":"x","phase":"a","wall_us":1}` + "\n"))
-	f.Add([]byte(`{"v":1,"type":"resource","seq":0,"kind":"span","phase":"a","wall_us":-1}` + "\n"))
+	// What a Probe never writes: a schema-v1 line, a string for a number,
+	// a negative lap, a negative span; and a plain trace record.
+	f.Add([]byte(`{"v":1,"type":"resource","seq":0,"kind":"span","phase":"a","wall_us":1}` + "\n"))
+	f.Add([]byte(`{"ts":"2026-08-20T12:00:00Z","type":"span","name":"a","dur_us":1,"attrs":{"res_allocs":"1"}}` + "\n"))
+	f.Add([]byte(`{"ts":"2026-08-20T12:00:00Z","type":"event","name":"a","attrs":{"res_wall_us":-1}}` + "\n"))
+	f.Add([]byte(`{"ts":"2026-08-20T12:00:00Z","type":"span","name":"a","dur_us":-1,"attrs":{"res_allocs":1}}` + "\n"))
+	f.Add([]byte(`{"ts":"2026-08-20T12:00:00Z","type":"span","name":"a","dur_us":1,"attrs":{"k":8}}` + "\n"))
 	f.Add([]byte("\n\n"))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xfe, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := Read(bytes.NewReader(data))
+		tr, err := traceview.Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if l == nil {
-			t.Fatal("Read returned nil log with nil error")
-		}
-		l2, err2 := Read(bytes.NewReader(data))
-		if err2 != nil {
-			t.Fatalf("second Read of identical bytes failed: %v", err2)
-		}
-		if len(l2.Records) != len(l.Records) || l2.Truncated != l.Truncated {
-			t.Fatalf("non-deterministic parse: %d/%v then %d/%v",
-				len(l.Records), l.Truncated, len(l2.Records), l2.Truncated)
-		}
-		for i, r := range l.Records {
-			if r.Kind != KindSpan && r.Kind != KindLap {
-				t.Fatalf("record %d: unvalidated kind %q", i, r.Kind)
+		probed := 0
+		for i := range tr.Records {
+			u, err := decode(&tr.Records[i])
+			if err != nil {
+				if _, err := Summarize(tr); err == nil {
+					t.Fatalf("record %d fails the decode but the log summarizes", i)
+				}
+				return
 			}
-			if r.Phase == "" {
-				t.Fatalf("record %d: empty phase escaped the parser", i)
+			if u == nil {
+				continue
 			}
-			if r.WallUS < 0 {
-				t.Fatalf("record %d: negative wall %v", i, r.WallUS)
+			probed++
+			for key, v := range u {
+				if v < 0 {
+					t.Fatalf("record %d: negative %s %v escaped the decode", i, key, v)
+				}
 			}
 		}
-		// The derived views must hold up on anything Read accepts.
-		s := Summarize(l.Records)
-		if len(s) > len(l.Records) {
-			t.Fatalf("%d summaries from %d records", len(s), len(l.Records))
+		// The derived views must hold up on anything the decode accepts.
+		s, err := Summarize(tr)
+		if err != nil {
+			t.Fatalf("every record decodes but Summarize fails: %v", err)
 		}
-		for _, c := range Curves(l.Records) {
+		if records(s) != probed || len(s) > probed {
+			t.Fatalf("%d summaries over %d records from %d probed records", len(s), records(s), probed)
+		}
+		curves := Curves(tr)
+		for _, c := range curves {
 			for j := 1; j < len(c.Points); j++ {
 				if c.Points[j].Workers <= c.Points[j-1].Workers {
 					t.Fatalf("curve %s: unsorted or duplicate widths", c.Scheme)
 				}
 			}
 		}
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, l, ReportOptions{}); err != nil {
+		var text, text2, page bytes.Buffer
+		if err := WriteReport(&text, tr, ReportOptions{}); err != nil {
 			t.Fatalf("report on accepted log: %v", err)
 		}
-		buf.Reset()
-		if err := WriteHTML(&buf, l, "fuzz"); err != nil {
+		if err := WriteReport(&text2, tr, ReportOptions{}); err != nil || !bytes.Equal(text.Bytes(), text2.Bytes()) {
+			t.Fatalf("second report of the same trace differs (%v)", err)
+		}
+		if err := WriteHTML(&page, tr, "fuzz"); err != nil {
 			t.Fatalf("html on accepted log: %v", err)
 		}
 	})

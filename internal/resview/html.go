@@ -6,6 +6,7 @@ import (
 
 	"bpart/internal/htmlpage"
 	"bpart/internal/recordlog"
+	"bpart/internal/traceview"
 )
 
 // WriteHTML renders the self-contained resource page: horizontal bar
@@ -13,27 +14,29 @@ import (
 // log carries Parallel Speedup records — one speedup-curve SVG per scheme
 // with the ideal linear-scaling diagonal for reference. Same chrome as the
 // trace, audit and comm pages (internal/htmlpage), no external assets.
-func WriteHTML(w io.Writer, log *Log, title string) error {
+func WriteHTML(w io.Writer, tr *traceview.Trace, title string) error {
+	phases, err := Summarize(tr)
+	if err != nil {
+		return err
+	}
 	if err := htmlpage.Start(w, title); err != nil {
 		return err
 	}
 	ew := &recordlog.Printer{W: w}
-	if log.Truncated {
+	if tr.Truncated {
 		ew.Printf("<p class=\"warn\">final log line torn; analyzing the intact prefix</p>\n")
 	}
-	if len(log.Records) == 0 {
+	if len(phases) == 0 {
 		ew.Printf("<p class=\"meta\">No resource records: capture was off (enable with -resources / resview.NewProbe).</p>\n")
 	} else {
-		phases := Summarize(log.Records)
-		ew.Printf("<p class=\"meta\">%d records across %d phases (schema v%d)</p>\n",
-			len(log.Records), len(phases), SchemaVersion)
+		ew.Printf("<p class=\"meta\">%d records across %d phases (schema v1)</p>\n", records(phases), len(phases))
 		writeBarsHTML(ew, "Phase self-time", phases, func(s *PhaseSummary) (float64, string) {
 			return s.WallUS, fmtUS(s.WallUS)
 		})
 		writeBarsHTML(ew, "Allocation attribution", phases, func(s *PhaseSummary) (float64, string) {
 			return float64(s.AllocBytes), fmtBytes(s.AllocBytes)
 		})
-		for _, c := range Curves(log.Records) {
+		for _, c := range Curves(tr) {
 			writeCurveSVG(ew, c)
 		}
 	}

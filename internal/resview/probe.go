@@ -1,13 +1,11 @@
 package resview
 
 import (
-	"encoding/json"
 	"io"
 	"runtime"
 	rmetrics "runtime/metrics"
 	"sync"
 
-	"bpart/internal/recordlog"
 	"bpart/internal/telemetry"
 )
 
@@ -16,35 +14,30 @@ import (
 // export it; the probe degrades to omitting the field.
 const gcCPUMetric = "/cpu/classes/gc/total:cpu-seconds"
 
-// Probe captures runtime resource deltas around named phases and writes
-// one versioned JSONL `resource` record per phase to its sink. It is a
-// telemetry.Tracer sink: every span a component opens becomes one span
-// record and every event one lap record, so it attaches wherever a tracer
-// does (alone, or beside the JSONL trace through telemetry.Tee) and the
-// resource log's phase names are the trace's span and event names.
+// Probe captures runtime resource deltas around named phases. It is a
+// telemetry.Tracer decorating the one trace writer, telemetry.JSONL: every
+// span and event a component emits is written as that trace record with
+// its scalar attrs plus the deltas as res_* attrs, so the probe attaches
+// wherever a tracer does (alone, or beside the -trace file through
+// telemetry.Tee) and its output is a trace.
 //
 // Capture is observation-only: a probed run's deterministic artifacts
 // (assignments, traces, audit logs, BENCH sections) are byte-identical to
-// an unprobed run's. Each record is written as one complete line and
-// flushed, so a crashed run leaves at worst a torn final line — exactly
-// what Read tolerates. Write and flush errors are sticky and surfaced by
+// an unprobed run's. Write and flush errors are sticky and surfaced by
 // Flush/Close, never silently dropped.
 //
 // A nil *Probe is safe: every method is a no-op, so callers can thread an
 // optional probe without guarding.
 type Probe struct {
-	mu   sync.Mutex
-	log  *recordlog.Writer
-	seq  int64
+	mu   sync.Mutex // serializes snapshots and emission: records land in snapshot order
+	out  *telemetry.JSONL
 	ms   runtime.MemStats // scratch, reused under mu
 	laps map[string]snap  // per-name lap baselines
 	// origin is the probe's creation snapshot: the baseline of the first
 	// lap of every name.
 	origin snap
-	// cpu holds the runtime/metrics sample buffer; gcCPUOK degrades to
-	// false the first time the runtime reports the metric unsupported.
-	cpu     []rmetrics.Sample
-	gcCPUOK bool
+	cpu    []rmetrics.Sample // the runtime/metrics sample buffer for gcCPUMetric
+	failed bool              // a flush failed: the log is lost, so takeLocked stops stopping the world for it
 }
 
 // snap is one point-in-time resource snapshot.
@@ -57,18 +50,14 @@ type snap struct {
 	gcCPU      float64 // cumulative seconds; -1 when unsupported
 }
 
-// NewProbe returns a probe writing resource records to w. The caller owns
+// NewProbe returns a probe writing a resource trace to w. The caller owns
 // w; call Close (or Flush) before reading the output, and check its error —
 // a full disk must not silently truncate the log.
 func NewProbe(w io.Writer) *Probe {
 	p := &Probe{
-		// Flush per record: resource records are per-phase, not
-		// per-vertex, so the cost is negligible and a crashed run keeps its
-		// whole prefix.
-		log:     recordlog.NewWriter(w, 1),
-		laps:    map[string]snap{},
-		cpu:     []rmetrics.Sample{{Name: gcCPUMetric}},
-		gcCPUOK: true,
+		out:  telemetry.NewJSONL(w),
+		laps: map[string]snap{},
+		cpu:  []rmetrics.Sample{{Name: gcCPUMetric}},
 	}
 	p.origin = p.takeLocked()
 	return p
@@ -77,6 +66,9 @@ func NewProbe(w io.Writer) *Probe {
 // takeLocked snapshots the runtime. Callers hold p.mu (or, in NewProbe,
 // have exclusive access).
 func (p *Probe) takeLocked() snap {
+	if p.failed {
+		return p.origin
+	}
 	runtime.ReadMemStats(&p.ms)
 	s := snap{
 		sw:         telemetry.NewStopwatch(),
@@ -86,13 +78,8 @@ func (p *Probe) takeLocked() snap {
 		pauseNs:    p.ms.PauseTotalNs,
 		gcCPU:      -1,
 	}
-	if p.gcCPUOK {
-		rmetrics.Read(p.cpu)
-		if p.cpu[0].Value.Kind() == rmetrics.KindFloat64 {
-			s.gcCPU = p.cpu[0].Value.Float64()
-		} else {
-			p.gcCPUOK = false
-		}
+	if rmetrics.Read(p.cpu); p.cpu[0].Value.Kind() == rmetrics.KindFloat64 {
+		s.gcCPU = p.cpu[0].Value.Float64()
 	}
 	return s
 }
@@ -101,106 +88,94 @@ func (p *Probe) takeLocked() snap {
 func (p *Probe) Enabled() bool { return p != nil }
 
 // Span implements telemetry.Tracer: the begin snapshot is taken now, and
-// End emits one KindSpan record under the span's name.
+// End closes the inner span with the deltas since.
 func (p *Probe) Span(name string, attrs ...telemetry.Attr) telemetry.Span {
 	if p == nil {
 		return telemetry.Nop().Span(name)
 	}
 	p.mu.Lock()
-	begin := p.takeLocked()
-	p.mu.Unlock()
-	return &span{p: p, name: name, begin: begin, attrs: append([]telemetry.Attr(nil), attrs...)}
+	defer p.mu.Unlock()
+	return &span{p: p, begin: p.takeLocked(), inner: p.out.Span(name, scalars(attrs)...)}
 }
 
-// span is one open Span observation.
+// span is one open Span observation over the inner trace span.
 type span struct {
 	p     *Probe
-	name  string
 	begin snap
-	mu    sync.Mutex // guards attrs; Annotate may race with End
-	attrs []telemetry.Attr
+	inner telemetry.Span
 }
 
 // Annotate implements telemetry.Span.
-func (s *span) Annotate(attrs ...telemetry.Attr) {
-	s.mu.Lock()
-	s.attrs = append(s.attrs, attrs...)
-	s.mu.Unlock()
-}
+func (s *span) Annotate(attrs ...telemetry.Attr) { s.inner.Annotate(scalars(attrs)...) }
 
-// End implements telemetry.Span.
+// End implements telemetry.Span. The span's wall time is the record's own
+// dur_us, so it is not written a second time.
 func (s *span) End(attrs ...telemetry.Attr) {
-	s.Annotate(attrs...)
 	p := s.p
 	p.mu.Lock()
-	end := p.takeLocked()
-	p.emitLocked(KindSpan, s.name, s.begin, end, s.attrs)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	s.inner.End(p.deltasLocked(scalars(attrs), s.begin, p.takeLocked())...)
+	p.flushLocked()
 }
 
-// Event implements telemetry.Tracer: one KindLap record covering
-// everything since the previous event with the same name, or since the
-// probe's creation for the first. Baselines are kept per name, so the laps
-// of one stream (cluster supersteps) interleaving with spans or with
-// another stream do not corrupt each other.
+// Event implements telemetry.Tracer: the inner event plus the deltas of
+// the lap it closes — everything since the previous event with the same
+// name, or since the probe's creation for the first. Baselines are kept
+// per name, so the laps of one stream (cluster supersteps) interleaving
+// with spans or with another stream do not corrupt each other.
 func (p *Probe) Event(name string, attrs ...telemetry.Attr) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	begin, ok := p.laps[name]
 	if !ok {
 		begin = p.origin
 	}
 	end := p.takeLocked()
 	p.laps[name] = end
-	p.emitLocked(KindLap, name, begin, end, attrs)
-	p.mu.Unlock()
+	out := append(scalars(attrs), telemetry.Float("res_wall_us", begin.sw.Seconds()*1e6))
+	p.out.Event(name, p.deltasLocked(out, begin, end)...)
+	p.flushLocked()
 }
 
-// emitLocked writes one record. Callers hold p.mu. The end snapshot's
-// MemStats still sit in p.ms, so HeapAlloc is read from there. Only scalar
-// attrs are kept: a trace event's structured payloads (a superstep's
-// per-machine arrays and pairs matrix) belong to the trace, not to a log
-// whose records are resource deltas.
-func (p *Probe) emitLocked(kind, phase string, begin, end snap, attrs []telemetry.Attr) {
-	jr := jsonRecord{
-		V:          SchemaVersion,
-		Type:       "resource",
-		Seq:        p.seq,
-		Kind:       kind,
-		Phase:      phase,
-		WallUS:     begin.sw.Seconds() * 1e6,
-		Allocs:     int64(end.mallocs - begin.mallocs),
-		AllocBytes: int64(end.totalAlloc - begin.totalAlloc),
-		HeapBytes:  int64(p.ms.HeapAlloc),
-		GCCycles:   int64(end.numGC - begin.numGC),
-		GCPauseUS:  float64(end.pauseNs-begin.pauseNs) / 1e3,
-		Goroutines: runtime.NumGoroutine(),
+// flushLocked pushes the record just written through to the file. Records
+// are per-phase, not per-vertex, so unlike the trace's 256-record cadence
+// the cost is negligible and a crashed run keeps its whole prefix, with at
+// worst a torn final line. The writer keeps its first failure and returns
+// it from every later Flush, the caller's included.
+func (p *Probe) flushLocked() { p.failed = p.out.Flush() != nil }
+
+// scalars copies the scalar attrs, with room for the eight res_* attrs. A
+// trace event's structured payloads (a superstep's per-machine arrays and
+// pairs matrix) belong to the trace, not to a log whose records are
+// resource deltas.
+func scalars(attrs []telemetry.Attr) []telemetry.Attr {
+	out := make([]telemetry.Attr, 0, len(attrs)+8)
+	for _, a := range attrs {
+		if a.Scalar() {
+			out = append(out, a)
+		}
 	}
-	p.seq++
+	return out
+}
+
+// deltasLocked appends the res_* attrs of the interval begin→end to attrs.
+// Callers hold p.mu and have just taken end, so its MemStats still sit in
+// p.ms and HeapAlloc is read from there.
+func (p *Probe) deltasLocked(attrs []telemetry.Attr, begin, end snap) []telemetry.Attr {
+	attrs = append(attrs,
+		telemetry.Int64("res_allocs", int64(end.mallocs-begin.mallocs)),
+		telemetry.Int64("res_alloc_bytes", int64(end.totalAlloc-begin.totalAlloc)),
+		telemetry.Int64("res_heap_bytes", int64(p.ms.HeapAlloc)),
+		telemetry.Int64("res_gc_cycles", int64(end.numGC-begin.numGC)),
+		telemetry.Float("res_gc_pause_us", float64(end.pauseNs-begin.pauseNs)/1e3),
+		telemetry.Int("res_goroutines", runtime.NumGoroutine()))
 	if begin.gcCPU >= 0 && end.gcCPU >= 0 {
-		jr.GCCPUUS = (end.gcCPU - begin.gcCPU) * 1e6
+		attrs = append(attrs, telemetry.Float("res_gc_cpu_us", (end.gcCPU-begin.gcCPU)*1e6))
 	}
-	if len(attrs) > 0 {
-		jr.Attrs = make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			if a.Scalar() {
-				jr.Attrs[a.Key] = a.Value()
-			}
-		}
-	}
-	line, err := json.Marshal(jr)
-	if err != nil {
-		// An unencodable attr (a NaN float) should not kill the probed
-		// run; degrade to a minimal record that keeps the stream parseable.
-		jr.Attrs = nil
-		if line, err = json.Marshal(jr); err != nil {
-			p.log.Fail(err)
-			return
-		}
-	}
-	p.log.Line(line)
+	return attrs
 }
 
 // Flush drains buffered records to the underlying writer. It returns the
@@ -209,7 +184,7 @@ func (p *Probe) Flush() error {
 	if p == nil {
 		return nil
 	}
-	return p.log.Flush()
+	return p.out.Flush()
 }
 
 // Close flushes; the underlying writer is the caller's to close.

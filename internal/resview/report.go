@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"bpart/internal/recordlog"
+	"bpart/internal/traceview"
 )
 
 // ReportOptions tunes the terminal report.
@@ -47,25 +48,37 @@ func fmtUS(us float64) string {
 	}
 }
 
-// WriteReport renders the terminal resource report: the phase self-time
+// records is the number of probed records behind phases.
+func records(phases []PhaseSummary) (n int) {
+	for _, s := range phases {
+		n += s.Count
+	}
+	return n
+}
+
+// WriteReport renders the terminal resource report of tr (what
+// traceview.Read returned for a -resources file): the phase self-time
 // breakdown, alloc/GC attribution, and — when the log carries
 // Parallel Speedup records — the measured speedup curve per scheme with its
-// efficiency against ideal linear scaling.
-func WriteReport(w io.Writer, log *Log, opt ReportOptions) error {
+// efficiency against ideal linear scaling. The "schema v1" in the header
+// names the res_* attr set; the line is pinned by the golden reports.
+func WriteReport(w io.Writer, tr *traceview.Trace, opt ReportOptions) error {
+	phases, err := Summarize(tr) // before the first byte: bad input fails the command, not half a report
+	if err != nil {
+		return err
+	}
 	ew := &recordlog.Printer{W: w}
-	if log.Truncated {
+	if tr.Truncated {
 		ew.Printf("WARNING: final log line torn (run crashed mid-write); analyzing the intact prefix\n")
 	}
-	if len(log.Records) == 0 {
+	if len(phases) == 0 {
 		ew.Printf("No resource records: capture was off (enable with -resources / resview.NewProbe).\n")
 		return ew.Err
 	}
-	phases := Summarize(log.Records)
-	ew.Printf("RESOURCES: %d records across %d phases (schema v%d)\n",
-		len(log.Records), len(phases), SchemaVersion)
+	ew.Printf("RESOURCES: %d records across %d phases (schema v1)\n", records(phases), len(phases))
 	writePhases(ew, phases, opt)
 	writeAllocs(ew, phases, opt)
-	if curves := Curves(log.Records); len(curves) > 0 {
+	if curves := Curves(tr); len(curves) > 0 {
 		writeScaling(ew, curves)
 	}
 	return ew.Err

@@ -8,7 +8,18 @@ import (
 	"testing"
 
 	"bpart/internal/telemetry"
+	"bpart/internal/traceview"
 )
+
+// read parses a resource log the way every consumer does: it is a trace.
+func read(t *testing.T, in string) *traceview.Trace {
+	t.Helper()
+	tr, err := traceview.Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
 func TestProbeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -22,22 +33,16 @@ func TestProbeRoundTrip(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Truncated {
+	tr := read(t, buf.String())
+	if tr.Truncated {
 		t.Fatal("clean log flagged truncated")
 	}
-	if len(l.Records) != 3 {
-		t.Fatalf("got %d records, want 3", len(l.Records))
+	if len(tr.Records) != 3 {
+		t.Fatalf("got %d records, want 3", len(tr.Records))
 	}
-	r := l.Records[0]
-	if r.Kind != KindSpan || r.Phase != "partition.stream" || r.Seq != 0 {
+	r := &tr.Records[0]
+	if r.Type != "span" || r.Name != "partition.stream" || r.DurUS < 0 {
 		t.Fatalf("record 0: %+v", r)
-	}
-	if r.WallUS < 0 {
-		t.Fatalf("negative wall: %v", r.WallUS)
 	}
 	if k, ok := r.Int("k"); !ok || k != 8 {
 		t.Fatalf("k attr: %v %v", k, ok)
@@ -45,16 +50,28 @@ func TestProbeRoundTrip(t *testing.T) {
 	if placed, ok := r.Int("placed"); !ok || placed != 100 {
 		t.Fatalf("End attr lost: %v %v", placed, ok)
 	}
-	if r.Goroutines < 1 {
-		t.Fatalf("goroutines %d, want >= 1", r.Goroutines)
+	u, err := decode(r)
+	if err != nil || u == nil {
+		t.Fatalf("span carries no resource numbers: %v %v", u, err)
 	}
-	for i, r := range l.Records {
-		if r.Seq != int64(i) {
-			t.Fatalf("record %d has seq %d", i, r.Seq)
+	if u["res_alloc_bytes"] < 1<<20 || u["res_goroutines"] < 1 || u["res_wall_us"] != r.DurUS {
+		t.Fatalf("span usage %v: want the 1 MiB allocation, a goroutine, and dur_us as the wall time", u)
+	}
+	for _, key := range []string{"res_allocs", "res_heap_bytes", "res_gc_cycles", "res_gc_pause_us"} {
+		if _, ok := u[key]; !ok {
+			t.Fatalf("span without %s: %v", key, u)
 		}
 	}
-	if l.Records[1].Kind != KindLap || l.Records[2].Kind != KindLap {
-		t.Fatal("laps not recorded as laps")
+	if _, twice := r.Attrs["res_wall_us"]; twice {
+		t.Fatal("a span's wall time is written twice")
+	}
+	for _, lap := range tr.Records[1:] {
+		if lap.Type != "event" || lap.Name != "cluster.superstep" {
+			t.Fatalf("lap not recorded as an event: %+v", lap)
+		}
+		if _, ok := lap.Float("res_wall_us"); !ok {
+			t.Fatalf("lap without res_wall_us: %+v", lap)
+		}
 	}
 }
 
@@ -100,89 +117,99 @@ func TestProbeWriteErrorSticky(t *testing.T) {
 	}
 }
 
-func TestStripWallClock(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProbe(&buf)
-	p.Span("a", telemetry.String("scheme", "Fennel")).End()
-	p.Event("b")
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.StripWallClock()
-	for i, r := range l.Records {
-		if r.WallUS != 0 || r.Allocs != 0 || r.AllocBytes != 0 || r.HeapBytes != 0 ||
-			r.GCCycles != 0 || r.GCPauseUS != 0 || r.GCCPUUS != 0 || r.Goroutines != 0 {
-			t.Fatalf("record %d kept host-dependent fields: %+v", i, r)
-		}
-	}
-	// Deterministic structure survives.
-	if l.Records[0].Phase != "a" || l.Records[1].Phase != "b" {
-		t.Fatal("strip damaged phases")
-	}
-	if s, ok := l.Records[0].Str("scheme"); !ok || s != "Fennel" {
-		t.Fatal("strip damaged attrs")
-	}
-}
+// resAttrs is the res_* attr object of the fixtures below.
+const resAttrs = `"res_allocs":10,"res_alloc_bytes":4096,"res_heap_bytes":1000,"res_gc_cycles":1,"res_gc_pause_us":5,"res_goroutines":2`
 
 func validLine(seq int, phase string, wall float64, attrs string) string {
-	a := ""
-	if attrs != "" {
-		a = `,"attrs":` + attrs
-	}
-	return fmt.Sprintf(`{"v":1,"type":"resource","seq":%d,"kind":"span","phase":%q,"wall_us":%v,"allocs":10,"alloc_bytes":4096,"heap_bytes":1000,"gc_cycles":1,"gc_pause_us":5,"goroutines":2%s}`,
-		seq, phase, wall, a) + "\n"
+	return fmt.Sprintf(`{"ts":"2026-08-20T12:00:%02dZ","type":"span","name":%q,"dur_us":%v,"attrs":{%s%s}}`,
+		seq, phase, wall, attrs, resAttrs) + "\n"
 }
 
-func TestReadTornTail(t *testing.T) {
-	in := validLine(0, "a", 100, "") + `{"v":1,"type":"resou`
-	l, err := Read(strings.NewReader(in))
-	if err != nil {
+func report(t *testing.T, tr *traceview.Trace, opt ReportOptions) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, tr, opt); err != nil {
 		t.Fatal(err)
 	}
-	if !l.Truncated || len(l.Records) != 1 {
-		t.Fatalf("torn tail: %d records, truncated=%v", len(l.Records), l.Truncated)
-	}
+	return buf.String()
 }
 
-func TestReadHardErrors(t *testing.T) {
-	cases := map[string]string{
-		"interior damage":  validLine(0, "a", 100, "") + "garbage\n" + validLine(1, "b", 50, ""),
-		"garbage first":    "garbage\n",
-		"wrong type":       `{"v":1,"type":"span","seq":0,"kind":"span","phase":"a","wall_us":1}` + "\n",
-		"future schema":    `{"v":99,"type":"resource","seq":0,"kind":"span","phase":"a","wall_us":1}` + "\n",
-		"unknown kind":     `{"v":1,"type":"resource","seq":0,"kind":"interval","phase":"a","wall_us":1}` + "\n",
-		"empty phase":      `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"","wall_us":1}` + "\n",
-		"negative wall_us": `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"a","wall_us":-1}` + "\n",
-	}
-	for name, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
+// A crashed run's torn final line is traceview.Read's to tolerate; the
+// report says so and covers the intact prefix.
+func TestReadTornTail(t *testing.T) {
+	out := report(t, read(t, validLine(0, "a", 100, "")+`{"ts":"2026-08-20T12:0`), ReportOptions{})
+	for _, want := range []string{"WARNING: final log line torn", "RESOURCES: 1 records across 1 phases"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func TestReadEmptyAndBlankLines(t *testing.T) {
-	l, err := Read(strings.NewReader(""))
-	if err != nil || len(l.Records) != 0 || l.Truncated {
-		t.Fatalf("empty input: %v %+v", err, l)
+// What a Probe never writes is rejected, not summed: the file is outside
+// input. A schema-v1 resource log (any commit before the resource log
+// became a trace) is refused by the one reader with a message that says
+// what to do.
+func TestReadHardErrors(t *testing.T) {
+	line := func(typ, dur, attrs string) string {
+		return `{"ts":"2026-08-20T12:00:00Z","type":"` + typ + `","name":"a"` + dur + `,"attrs":{` + attrs + `}}` + "\n"
 	}
-	l, err = Read(strings.NewReader("\n\n" + validLine(0, "a", 1, "") + "\n"))
-	if err != nil || len(l.Records) != 1 {
-		t.Fatalf("blank lines: %v, %d records", err, len(l.Records))
+	for name, in := range map[string]string{
+		"negative dur_us":   line("span", `,"dur_us":-1`, `"res_allocs":1`),
+		"negative lap":      line("event", "", `"res_wall_us":-1`),
+		"negative allocs":   line("span", `,"dur_us":1`, `"res_allocs":-1`),
+		"string number":     line("span", `,"dur_us":1`, `"res_alloc_bytes":"4096"`),
+		"array number":      line("event", "", `"res_wall_us":1,"res_goroutines":[2]`),
+		"null number":       line("span", `,"dur_us":1`, `"res_gc_pause_us":null`),
+		"bad after good":    validLine(0, "a", 1, "") + line("span", `,"dur_us":1`, `"res_gc_cycles":true`),
+		"bad scaling point": line("span", `,"dur_us":1`, `"scheme":"X","workers":1,"res_heap_bytes":-5`),
+	} {
+		tr := read(t, in)
+		if _, err := Summarize(tr); err == nil {
+			t.Errorf("%s: summarized", name)
+		}
+		if err := WriteReport(&bytes.Buffer{}, tr, ReportOptions{}); err == nil {
+			t.Errorf("%s: reported", name)
+		}
+		var page bytes.Buffer
+		if err := WriteHTML(&page, tr, "x"); err == nil || page.Len() != 0 {
+			t.Errorf("%s: WriteHTML err %v after %d bytes, want an error before the first", name, err, page.Len())
+		}
+	}
+	v1 := `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":123.5,"allocs":10,"alloc_bytes":4096,"heap_bytes":1000,"gc_cycles":1,"gc_pause_us":5,"goroutines":2}` + "\n"
+	for name, in := range map[string]string{"v1 log": v1 + v1, "v1 line in a trace": validLine(0, "a", 1, "") + v1 + validLine(1, "b", 1, "")} {
+		_, err := traceview.Read(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "schema-v1 resource log") || !strings.Contains(err.Error(), "re-record with -resources") {
+			t.Errorf("%s: err = %v, want the re-record message", name, err)
+		}
+	}
+}
+
+// No record with res_* attrs — an empty file, or a plain -trace file — is
+// "capture was off", not a parse error.
+func TestReadEmptyAndBlankLines(t *testing.T) {
+	plain := `{"ts":"2026-08-20T12:00:00Z","type":"span","name":"partition.stream","dur_us":12,"attrs":{"k":8}}` + "\n" +
+		`{"ts":"2026-08-20T12:00:01Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0}}` + "\n"
+	for name, in := range map[string]string{"empty": "", "blank lines": "\n\n", "plain trace": plain} {
+		tr := read(t, in)
+		if s, err := Summarize(tr); err != nil || len(s) != 0 {
+			t.Errorf("%s: Summarize = %v, %v", name, s, err)
+		}
+		if out := report(t, tr, ReportOptions{}); !strings.HasPrefix(out, "No resource records: capture was off") {
+			t.Errorf("%s: report = %q", name, out)
+		}
+	}
+	// Probed and plain records mix: only the probed ones count.
+	if s, err := Summarize(read(t, plain+validLine(2, "a", 1, ""))); err != nil || len(s) != 1 || s[0].Count != 1 {
+		t.Errorf("mixed file: %v, %v", s, err)
 	}
 }
 
 func TestSummarize(t *testing.T) {
 	in := validLine(0, "slow", 1000, "") + validLine(1, "fast", 10, "") + validLine(2, "slow", 500, "")
-	l, err := Read(strings.NewReader(in))
+	s, err := Summarize(read(t, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Summarize(l.Records)
 	if len(s) != 2 {
 		t.Fatalf("got %d summaries, want 2", len(s))
 	}
@@ -198,8 +225,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func scalingLine(seq int, scheme string, workers int, wall float64) string {
-	return fmt.Sprintf(`{"v":1,"type":"resource","seq":%d,"kind":"span","phase":%q,"wall_us":%v,"attrs":{"scheme":%q,"workers":%d}}`,
-		seq, ScalingPhase, wall, scheme, workers) + "\n"
+	return validLine(seq, ScalingPhase, wall, fmt.Sprintf(`"scheme":%q,"workers":%d,`, scheme, workers))
 }
 
 func TestCurves(t *testing.T) {
@@ -210,11 +236,7 @@ func TestCurves(t *testing.T) {
 		scalingLine(4, "LDG", 1, 600) +
 		scalingLine(5, "LDG", 2, 300) +
 		validLine(6, "partition.stream", 123, "") // unrelated phase ignored
-	l, err := Read(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves := Curves(l.Records)
+	curves := Curves(read(t, in))
 	if len(curves) != 2 {
 		t.Fatalf("got %d curves, want 2", len(curves))
 	}
@@ -235,11 +257,7 @@ func TestCurves(t *testing.T) {
 		t.Fatalf("base point: %+v", f[0])
 	}
 	// Without a 1-worker base the derived columns stay zero.
-	l2, err := Read(strings.NewReader(scalingLine(0, "X", 2, 100)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := Curves(l2.Records)
+	c2 := Curves(read(t, scalingLine(0, "X", 2, 100)))
 	if len(c2) != 1 || c2[0].Points[0].Speedup != 0 {
 		t.Fatalf("baseless curve: %+v", c2)
 	}
@@ -247,17 +265,8 @@ func TestCurves(t *testing.T) {
 
 func TestWriteReport(t *testing.T) {
 	in := validLine(0, "partition.stream", 2500, "") + scalingLine(1, "Fennel", 1, 1000) + scalingLine(2, "Fennel", 2, 600)
-	l, err := Read(strings.NewReader(in + `{"torn`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, l, ReportOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := report(t, read(t, in), ReportOptions{})
 	for _, want := range []string{
-		"WARNING: final log line torn",
 		"RESOURCES: 3 records across 2 phases",
 		"partition.stream",
 		"parallel speedup",
@@ -269,37 +278,17 @@ func TestWriteReport(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	// Empty log gets the how-to-enable hint, not a crash.
-	buf.Reset()
-	if err := WriteReport(&buf, &Log{}, ReportOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "capture was off") {
-		t.Errorf("empty-log hint missing:\n%s", buf.String())
-	}
 	// MaxPhases elides.
-	buf.Reset()
 	many := validLine(0, "a", 3, "") + validLine(1, "b", 2, "") + validLine(2, "c", 1, "")
-	l3, err := Read(strings.NewReader(many))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteReport(&buf, l3, ReportOptions{MaxPhases: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "more phases elided") {
-		t.Errorf("MaxPhases did not elide:\n%s", buf.String())
+	if out := report(t, read(t, many), ReportOptions{MaxPhases: 2}); !strings.Contains(out, "more phases elided") {
+		t.Errorf("MaxPhases did not elide:\n%s", out)
 	}
 }
 
 func TestWriteHTML(t *testing.T) {
 	in := validLine(0, "partition.stream", 2500, "") + scalingLine(1, "Fennel", 1, 1000) + scalingLine(2, "Fennel", 4, 400)
-	l, err := Read(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := WriteHTML(&buf, l, "test resources"); err != nil {
+	if err := WriteHTML(&buf, read(t, in), "test resources"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -307,11 +296,5 @@ func TestWriteHTML(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("html missing %q", want)
 		}
-	}
-}
-
-func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile("/nonexistent/resources.jsonl"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }

@@ -1,8 +1,12 @@
 package resview
 
-import "sort"
+import (
+	"sort"
 
-// PhaseSummary aggregates every record of one phase name.
+	"bpart/internal/traceview"
+)
+
+// PhaseSummary aggregates every probed record of one name.
 type PhaseSummary struct {
 	Phase string
 	// Count is the number of records (spans + laps) under the name.
@@ -20,42 +24,51 @@ type PhaseSummary struct {
 	MaxGoroutines int
 }
 
-// Summarize groups records by phase name and sums their deltas, sorted by
-// total wall time descending (name ascending on ties), so the heaviest
-// phases lead the report deterministically.
-func Summarize(records []Record) []PhaseSummary {
+// Summarize groups the probed records of tr (what traceview.Read returned
+// for a -resources file) by name and sums their deltas, sorted by total
+// wall time descending (name ascending on ties), so the heaviest phases
+// lead the report deterministically. Records without res_* attrs are
+// skipped, so a plain trace summarizes to nothing; a malformed res_* attr
+// is an error.
+func Summarize(tr *traceview.Trace) ([]PhaseSummary, error) {
 	byName := map[string]*PhaseSummary{}
-	var names []string
-	for i := range records {
-		r := &records[i]
-		s, ok := byName[r.Phase]
+	for i := range tr.Records {
+		r := &tr.Records[i]
+		u, err := decode(r)
+		if err != nil {
+			return nil, err
+		}
+		if u == nil {
+			continue
+		}
+		s, ok := byName[r.Name]
 		if !ok {
-			s = &PhaseSummary{Phase: r.Phase}
-			byName[r.Phase] = s
-			names = append(names, r.Phase)
+			s = &PhaseSummary{Phase: r.Name}
+			byName[r.Name] = s
 		}
 		s.Count++
-		s.WallUS += r.WallUS
-		s.Allocs += r.Allocs
-		s.AllocBytes += r.AllocBytes
-		s.GCCycles += r.GCCycles
-		s.GCPauseUS += r.GCPauseUS
-		s.GCCPUUS += r.GCCPUUS
-		if r.Goroutines > s.MaxGoroutines {
-			s.MaxGoroutines = r.Goroutines
+		s.WallUS += u["res_wall_us"]
+		s.Allocs += int64(u["res_allocs"])
+		s.AllocBytes += int64(u["res_alloc_bytes"])
+		s.GCCycles += int64(u["res_gc_cycles"])
+		s.GCPauseUS += u["res_gc_pause_us"]
+		s.GCCPUUS += u["res_gc_cpu_us"]
+		if g := int(u["res_goroutines"]); g > s.MaxGoroutines {
+			s.MaxGoroutines = g
 		}
 	}
-	out := make([]PhaseSummary, 0, len(names))
-	for _, n := range names {
-		out = append(out, *byName[n])
+	out := make([]PhaseSummary, 0, len(byName))
+	for _, s := range byName {
+		out = append(out, *s)
 	}
+	// Names are unique, so this order is total and the map's is immaterial.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].WallUS != out[j].WallUS {
 			return out[i].WallUS > out[j].WallUS
 		}
 		return out[i].Phase < out[j].Phase
 	})
-	return out
+	return out, nil
 }
 
 // ScalingPoint is one (workers → wall time) measurement of a scaling
@@ -74,63 +87,42 @@ type ScalingCurve struct {
 	Points []ScalingPoint
 }
 
-// Curves extracts the Parallel Speedup measurements: records with phase
-// ScalingPhase and "scheme"/"workers" attrs, grouped by scheme (sorted by
-// name) with points sorted by workers. Repeated measurements of the same
+// Curves extracts the Parallel Speedup measurements of tr: spans named
+// ScalingPhase with "scheme"/"workers" attrs, grouped by scheme (sorted by
+// name) with points sorted by workers. A span's wall time is its own
+// dur_us, so no res_* attr is read. Repeated measurements of the same
 // width keep the fastest (the conventional best-of-N timing); speedup and
 // efficiency are derived from the 1-worker point and left zero when it is
 // absent.
-func Curves(records []Record) []ScalingCurve {
-	type key struct {
-		scheme  string
-		workers int
-	}
-	best := map[key]float64{}
-	var schemes []string
-	seen := map[string]bool{}
-	for i := range records {
-		r := &records[i]
-		if r.Phase != ScalingPhase {
+func Curves(tr *traceview.Trace) []ScalingCurve {
+	best := map[string]map[int]float64{} // scheme → workers → fastest dur_us
+	for _, r := range tr.Spans(ScalingPhase) {
+		scheme, hasScheme := r.Str("scheme")
+		workers, hasWorkers := r.Int("workers")
+		if !hasScheme || !hasWorkers || workers <= 0 {
 			continue
 		}
-		scheme, ok := r.Str("scheme")
-		if !ok {
-			continue
+		if best[scheme] == nil {
+			best[scheme] = map[int]float64{}
 		}
-		workers, ok := r.Int("workers")
-		if !ok || workers <= 0 {
-			continue
-		}
-		k := key{scheme, workers}
-		if w, ok := best[k]; !ok || r.WallUS < w {
-			best[k] = r.WallUS
-		}
-		if !seen[scheme] {
-			seen[scheme] = true
-			schemes = append(schemes, scheme)
+		if w, ok := best[scheme][workers]; !ok || r.DurUS < w {
+			best[scheme][workers] = r.DurUS
 		}
 	}
-	sort.Strings(schemes)
 	var out []ScalingCurve
-	for _, scheme := range schemes {
-		var widths []int
-		for k := range best {
-			if k.scheme == scheme {
-				widths = append(widths, k.workers)
-			}
-		}
-		sort.Ints(widths)
-		base := best[key{scheme, 1}]
+	for scheme, byWidth := range best {
 		c := ScalingCurve{Scheme: scheme}
-		for _, w := range widths {
-			pt := ScalingPoint{Workers: w, WallUS: best[key{scheme, w}]}
-			if base > 0 && pt.WallUS > 0 {
-				pt.Speedup = base / pt.WallUS
+		for w, wall := range byWidth {
+			pt := ScalingPoint{Workers: w, WallUS: wall}
+			if base := byWidth[1]; base > 0 && wall > 0 {
+				pt.Speedup = base / wall
 				pt.Efficiency = pt.Speedup / float64(w)
 			}
 			c.Points = append(c.Points, pt)
 		}
+		sort.Slice(c.Points, func(i, j int) bool { return c.Points[i].Workers < c.Points[j].Workers })
 		out = append(out, c)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Scheme < out[j].Scheme })
 	return out
 }

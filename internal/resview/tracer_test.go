@@ -9,10 +9,11 @@ import (
 	"testing"
 
 	"bpart/internal/telemetry"
+	"bpart/internal/traceview"
 )
 
 // The probe is a telemetry.Tracer sink: span attrs from Span, Annotate and
-// End all land on the span record, an event becomes a lap, and structured
+// End all land on the span record, an event carries its lap, and structured
 // (Any) payloads — a superstep's per-machine arrays — stay out of the log.
 func TestProbeIsTracerSink(t *testing.T) {
 	var buf bytes.Buffer
@@ -35,20 +36,17 @@ func TestProbeIsTracerSink(t *testing.T) {
 	if strings.Contains(buf.String(), "compute") || strings.Contains(buf.String(), "pairs") {
 		t.Fatalf("structured attrs entered the resource log:\n%s", buf.String())
 	}
-	l, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+	log := read(t, buf.String())
+	if len(log.Records) != 2 {
+		t.Fatalf("got %d records, want 2", len(log.Records))
 	}
-	if len(l.Records) != 2 {
-		t.Fatalf("got %d records, want 2", len(l.Records))
-	}
-	// The NaN attr is unencodable: the span degrades to an attr-less record
-	// instead of failing the log.
-	if r := l.Records[0]; r.Kind != KindSpan || r.Phase != "bpart.layer" || len(r.Attrs) != 0 {
+	// The NaN attr is unencodable: the inner writer degrades the span to an
+	// attr-less error record instead of failing the log.
+	if r := log.Records[0]; r.Type != "error" || r.Name != "bpart.layer" || len(r.Attrs) != 0 {
 		t.Fatalf("degraded span record: %+v", r)
 	}
-	lap := l.Records[1]
-	if lap.Kind != KindLap || lap.Phase != "cluster.superstep" {
+	lap := log.Records[1]
+	if lap.Type != "event" || lap.Name != "cluster.superstep" {
 		t.Fatalf("lap record: %+v", lap)
 	}
 	if it, ok := lap.Int("iteration"); !ok || it != 0 {
@@ -56,6 +54,9 @@ func TestProbeIsTracerSink(t *testing.T) {
 	}
 	if s, ok := lap.Str("phase"); !ok || s != "checkpoint" {
 		t.Fatalf("lap phase attr: %q %v", s, ok)
+	}
+	if s, err := Summarize(log); err != nil || len(s) != 1 || s[0].Phase != "cluster.superstep" {
+		t.Fatalf("summary of a log with a degraded record: %+v, %v", s, err)
 	}
 
 	var nilProbe *Probe
@@ -76,12 +77,9 @@ func TestSpanAttrsAccumulate(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := read(t, buf.String())
 	for key, want := range map[string]int{"layer": 1, "pieces": 16, "groups_frozen": 3} {
-		if got, ok := l.Records[0].Int(key); !ok || got != want {
+		if got, ok := tr.Records[0].Int(key); !ok || got != want {
 			t.Fatalf("attr %q = %v (%v), want %d", key, got, ok, want)
 		}
 	}
@@ -89,24 +87,31 @@ func TestSpanAttrsAccumulate(t *testing.T) {
 
 // A resource log recorded by the commit before the probe became a Tracer
 // sink (bpart -timeline -resources plus bench -id "Parallel Speedup"
-// -resources, schema v1, including the since-dropped bpart.combine.round
-// phase and the old iter/kind lap attrs) must render byte for byte as that
-// commit's `tracestat resources` rendered it.
+// -resources, including the since-dropped bpart.combine.round phase and
+// the old iter/kind lap attrs), re-encoded once from schema v1 into the
+// trace schema with the same numbers, must render byte for byte as the
+// commits that still read v1 rendered it: the text as PR 15's `tracestat
+// resources` printed it, the page as PR 23's `-html` wrote it.
 func TestParentRecordedLogRendersIdentically(t *testing.T) {
-	l, err := ReadFile(filepath.Join("testdata", "parent_pr15.jsonl"))
+	tr, err := traceview.ReadFile(filepath.Join("testdata", "parent_pr15.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "parent_pr15.report.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := WriteReport(&got, l, ReportOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("report drifted from the parent's bytes:\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
+	for golden, render := range map[string]func(*bytes.Buffer) error{
+		"parent_pr15.report.txt":     func(b *bytes.Buffer) error { return WriteReport(b, tr, ReportOptions{}) },
+		"parent_pr15.resources.html": func(b *bytes.Buffer) error { return WriteHTML(b, tr, "bpart runtime resources") },
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := render(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s drifted from the parent's bytes:\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
+		}
 	}
 }
 
@@ -137,12 +142,15 @@ func TestOpenSinks(t *testing.T) {
 	if n := strings.Count(string(trace), "\n"); n != 2 {
 		t.Fatalf("trace has %d lines, want 2:\n%s", n, trace)
 	}
-	l, err := ReadFile(resPath)
+	res, err := traceview.ReadFile(resPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Records) != 2 || l.Records[0].Kind != KindSpan || l.Records[1].Kind != KindLap {
-		t.Fatalf("resource records: %+v", l.Records)
+	if len(res.Records) != 2 || res.Records[0].Type != "span" || res.Records[1].Type != "event" {
+		t.Fatalf("resource records: %+v", res.Records)
+	}
+	if s, err := Summarize(res); err != nil || len(s) != 2 {
+		t.Fatalf("resource file summary: %+v, %v", s, err)
 	}
 
 	// The second file failing to open must not leak the first: its handle is

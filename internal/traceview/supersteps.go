@@ -7,6 +7,7 @@ import "fmt"
 type Superstep struct {
 	Iteration int
 	Machines  int
+	Phase     string // "" or the fault controller's barrier: checkpoint, restore, restream
 	TimeUS    float64
 	Compute   []float64 // per-machine compute time (simulated µs)
 	Comm      []float64 // per-machine communication time
@@ -15,14 +16,21 @@ type Superstep struct {
 	Edges     []int64
 	Vertices  []int64
 	Messages  []int64
+	// Pairs[i][j] counts machine i's messages whose remote peer is j (row i
+	// sums to Messages[i]); nil when Cluster.SetCommMatrix was off.
+	Pairs [][]int64
 }
 
-// Supersteps decodes every cluster.superstep event in trace order. A
-// record missing the per-machine arrays is an error: it means the trace
-// came from an incompatible writer, not from PR-1's cluster.
+// Supersteps decodes every cluster.superstep event in trace order. One
+// with none of the per-machine arrays is the resource probe's scalar-only
+// copy (a -resources file) and is skipped; one missing some of them is an
+// error: the trace came from an incompatible writer, not PR-1's cluster.
 func Supersteps(tr *Trace) ([]Superstep, error) {
 	var out []Superstep
 	for _, r := range tr.Events("cluster.superstep") {
+		if scalarOnly(r) {
+			continue
+		}
 		st, err := decodeSuperstep(r)
 		if err != nil {
 			return nil, err
@@ -30,6 +38,15 @@ func Supersteps(tr *Trace) ([]Superstep, error) {
 		out = append(out, st)
 	}
 	return out, nil
+}
+
+func scalarOnly(r *Record) bool {
+	for _, key := range []string{"compute", "comm", "waiting", "steps", "edges", "vertices", "messages", "pairs"} {
+		if _, ok := r.Attrs[key]; ok {
+			return false
+		}
+	}
+	return true
 }
 
 func decodeSuperstep(r *Record) (Superstep, error) {
@@ -64,7 +81,30 @@ func decodeSuperstep(r *Record) (Superstep, error) {
 		}
 		*f.dst = v
 	}
+	st.Phase, _ = r.Str("phase")
+	// Present but malformed is a hard error: dropping it would skew commview.
+	if raw, present := r.Attrs["pairs"]; present {
+		if st.Pairs, ok = decodePairs(raw, st.Machines); !ok {
+			return st, fmt.Errorf("traceview: superstep %d: bad pairs matrix (want %d×%d numbers)", st.Iteration, st.Machines, st.Machines)
+		}
+	}
 	return st, nil
+}
+
+// decodePairs converts the JSON-decoded pairs attr (an array of k arrays
+// of k numbers) into a k×k matrix.
+func decodePairs(raw any, k int) ([][]int64, bool) {
+	rows, ok := raw.([]any)
+	if !ok || len(rows) != k {
+		return nil, false
+	}
+	out := make([][]int64, k)
+	for i, row := range rows {
+		if out[i], ok = ints(row); !ok || len(out[i]) != k {
+			return nil, false
+		}
+	}
+	return out, true
 }
 
 // GroupRuns splits a superstep stream into runs. The cluster numbers

@@ -2,6 +2,9 @@ package traceview
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"bpart/internal/cluster"
@@ -239,5 +242,78 @@ func TestCriticalPathPipelinedInference(t *testing.T) {
 	}
 	if cp.OnPathUS[0] != 100 || cp.OnPathUS[1] != 0 {
 		t.Fatalf("on-path = %v", cp.OnPathUS)
+	}
+}
+
+// superstepLine is one two-machine cluster.superstep event with the given
+// extra attrs (leading comma included).
+func superstepLine(iter int, extra string) string {
+	return `{"ts":"2026-08-07T12:00:00Z","type":"event","name":"cluster.superstep","attrs":{"iteration":` + strconv.Itoa(iter) +
+		`,"machines":2,"time_us":100,"compute":[1,1],"comm":[1,1],"waiting":[0,0],"steps":[0,0],"edges":[8,4],"vertices":[2,2],"messages":[3,1]` + extra + `}}` + "\n"
+}
+
+// Phase and Pairs are decoded with the rest of the superstep: absent means
+// "" and nil (an algorithm superstep, matrix capture off), a present but
+// malformed matrix is an error naming the superstep, and the resource
+// probe's scalar-only copy of the event is skipped, not an error.
+func TestSuperstepPhaseAndPairs(t *testing.T) {
+	scalarOnly := `{"ts":"2026-08-07T12:00:00Z","type":"event","name":"cluster.superstep","attrs":{"iteration":5,"machines":2,"time_us":100,"phase":"restore","res_wall_us":12}}` + "\n"
+	tr, err := Read(strings.NewReader(superstepLine(0, "") + scalarOnly +
+		superstepLine(1, `,"pairs":[[0,3],[1,0]],"phase":"restream"`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, err := Supersteps(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) != 2 {
+		t.Fatalf("decoded %d supersteps, want 2 (the scalar-only copy skipped)", len(steps))
+	}
+	if steps[0].Phase != "" || steps[0].Pairs != nil {
+		t.Fatalf("superstep without phase/pairs attrs: %+v", steps[0])
+	}
+	if steps[1].Phase != "restream" || !reflect.DeepEqual(steps[1].Pairs, [][]int64{{0, 3}, {1, 0}}) {
+		t.Fatalf("superstep with phase/pairs attrs: %+v", steps[1])
+	}
+	for name, pairs := range map[string]string{
+		"too few rows":  `[[0,3]]`,
+		"ragged row":    `[[0,3],[1]]`,
+		"non-numeric":   `[[0,"x"],[1,0]]`,
+		"not a matrix":  `"garbage"`,
+		"flat array":    `[0,3,1,0]`,
+		"null":          `null`,
+		"nested object": `[[0,3],{"a":1}]`,
+	} {
+		tr, err := Read(strings.NewReader(superstepLine(7, `,"pairs":`+pairs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Supersteps(tr); err == nil || !strings.Contains(err.Error(), "superstep 7: bad pairs matrix") {
+			t.Errorf("%s: err = %v, want one naming superstep 7's matrix", name, err)
+		}
+	}
+	// Some per-machine arrays but not all: an incompatible writer, an error.
+	partial := `{"ts":"2026-08-07T12:00:00Z","type":"event","name":"cluster.superstep","attrs":{"iteration":3,"machines":2,"time_us":1,"compute":[1,1]}}` + "\n"
+	tr, err = Read(strings.NewReader(partial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Supersteps(tr); err == nil {
+		t.Error("a superstep with only a compute array decoded")
+	}
+}
+
+// A machine-count change splits a run even when the iteration counter
+// keeps climbing, and a reset splits it at equal size.
+func TestGroupRunsSplitsOnReset(t *testing.T) {
+	steps := []Superstep{
+		{Iteration: 0, Machines: 2}, {Iteration: 1, Machines: 2},
+		{Iteration: 0, Machines: 2}, // new cluster: counter reset
+		{Iteration: 1, Machines: 3}, // machine-count change
+	}
+	runs := GroupRuns(steps)
+	if len(runs) != 3 || len(runs[0]) != 2 || len(runs[1]) != 1 || len(runs[2]) != 1 {
+		t.Fatalf("runs = %v", runs)
 	}
 }

@@ -1,5 +1,6 @@
 // Package traceview is the read/analyze half of the repo's observability
-// story: internal/telemetry writes JSONL traces, traceview consumes them.
+// story: internal/telemetry writes JSONL traces (-trace, and -resources
+// through the resource probe) and traceview is their one reader.
 //
 // It parses the JSONL schema back into typed records, reconstructs span
 // nesting from wall-clock containment, decodes the per-superstep
@@ -36,10 +37,16 @@ func (r *Record) End() time.Time {
 	return r.Time.Add(time.Duration(r.DurUS * float64(time.Microsecond)))
 }
 
-// Floats returns the named attribute as a float slice (JSON arrays decode
-// to []any; non-numeric elements fail the decode).
-func (r *Record) Floats(key string) ([]float64, bool) {
-	raw, ok := r.Attrs[key].([]any)
+// Floats returns the named attribute as a float slice.
+func (r *Record) Floats(key string) ([]float64, bool) { return floats(r.Attrs[key]) }
+
+// Ints returns the named attribute as an int64 slice.
+func (r *Record) Ints(key string) ([]int64, bool) { return ints(r.Attrs[key]) }
+
+// floats converts a decoded JSON array ([]any) of numbers; a non-array or
+// a non-numeric element fails the decode.
+func floats(v any) ([]float64, bool) {
+	raw, ok := v.([]any)
 	if !ok {
 		return nil, false
 	}
@@ -54,9 +61,9 @@ func (r *Record) Floats(key string) ([]float64, bool) {
 	return out, true
 }
 
-// Ints returns the named attribute as an int64 slice.
-func (r *Record) Ints(key string) ([]int64, bool) {
-	fs, ok := r.Floats(key)
+// ints is floats truncated to int64.
+func ints(v any) ([]int64, bool) {
+	fs, ok := floats(v)
 	if !ok {
 		return nil, false
 	}
@@ -139,14 +146,17 @@ func parseLine(line []byte) (Record, error) {
 	if err := json.Unmarshal(line, &jr); err != nil {
 		return Record{}, err
 	}
+	switch jr.Type {
+	case "span", "event", "error":
+	case "resource":
+		// The pre-trace -resources format: say so, not `bad ts ""`.
+		return Record{}, fmt.Errorf("schema-v1 resource log from before the resource log became a trace; re-record with -resources")
+	default:
+		return Record{}, fmt.Errorf("unknown record type %q", jr.Type)
+	}
 	ts, err := time.Parse(time.RFC3339Nano, jr.TS)
 	if err != nil {
 		return Record{}, fmt.Errorf("bad ts %q: %w", jr.TS, err)
-	}
-	switch jr.Type {
-	case "span", "event", "error":
-	default:
-		return Record{}, fmt.Errorf("unknown record type %q", jr.Type)
 	}
 	rec := Record{Time: ts, Type: jr.Type, Name: jr.Name, Attrs: jr.Attrs}
 	if jr.DurUS != nil {

@@ -96,6 +96,12 @@ func TestReadRejectsUnknownType(t *testing.T) {
 	if _, err := Read(strings.NewReader(line)); err == nil {
 		t.Fatal("unknown record type accepted as interior line")
 	}
+	// A schema-v1 resource record (the -resources format before it became
+	// a trace) has no ts; the error names the format, not the timestamp.
+	v1 := `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"a","wall_us":1}` + "\n"
+	if _, err := Read(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "re-record with -resources") || strings.Contains(err.Error(), "bad ts") {
+		t.Fatalf("schema-v1 resource line: %v", err)
+	}
 }
 
 // A file whose only line is garbage is not a truncated trace — it is not
