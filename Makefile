@@ -7,13 +7,17 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# lint mirrors the CI lint job exactly: formatting, go vet, then the
+# lint mirrors the CI lint job exactly: formatting, go vet, the one-reverse
+# check (graph.Graph.In is the only non-test caller of Transpose), then the
 # repo's own analyzer suite (see internal/analysis and README "Static
 # analysis").
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	@out=$$(grep -rn '\.Transpose()' --include='*.go' internal cmd examples bpart.go | \
+		grep -v '_test.go' | grep -v '^internal/graph/'); if [ -n "$$out" ]; then \
+		echo "build the reverse with g.In(), not Transpose():"; echo "$$out"; exit 1; fi
 	@echo "bpartlint analyzers:"
 	@$(GO) run ./cmd/bpartlint -list
 	$(GO) run ./cmd/bpartlint ./...

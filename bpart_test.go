@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"bpart/internal/gen"
+	"bpart/internal/vcut"
 )
 
 func smallTwitter(t testing.TB) *Graph {
@@ -454,36 +458,61 @@ func TestFacadeServing(t *testing.T) {
 	}
 }
 
-// The degenerate-input grid (ROADMAP item 1(c), first slice): every
-// registered scheme and the four vertex-cut schemes, over graphs with
-// nothing to balance, at part counts from one to more than the vertices.
-// Each cell must return an assignment that validates and evaluates, and on
-// each graph transposing twice must give the graph back arc for arc.
+// The degenerate-input grid (ROADMAP item 1(c)): every registered scheme
+// and the four vertex-cut schemes, over graphs with nothing to balance at
+// part counts from one to more than the vertices, and over a ring and a
+// ChungLu graph at part counts around their vertex count. Each cell must
+// return an assignment that validates and evaluates; the one accepted
+// error is GD refusing a part count that is not a power of two. On each
+// graph transposing twice must give the graph back arc for arc, and the
+// graph's own reverse must equal its transpose.
 func TestDegenerateGraphGrid(t *testing.T) {
+	chungLu, err := Generate(GenConfig{NumVertices: 40, AvgDegree: 4, Skew: 0.7, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aroundN := func(n int) []int { return slices.Compact([]int{n - 1, n, n + 1, n + n/10, 2 * n}) }
+	small := []int{1, 2, 4, 16}
 	graphs := []struct {
 		name string
 		g    *Graph
+		ks   []int
 	}{
-		{"empty", FromEdges(0, nil)},
-		{"single vertex", FromEdges(1, nil)},
-		{"isolated vertices", FromEdges(10, nil)},
-		{"self-loops", FromEdges(4, []Edge{{Src: 0, Dst: 0}, {Src: 1, Dst: 1}, {Src: 2, Dst: 3}, {Src: 3, Dst: 3}})},
-		{"duplicate arcs", FromEdges(3, []Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 1}, {Src: 2, Dst: 0}})},
+		{"empty", FromEdges(0, nil), small},
+		{"single vertex", FromEdges(1, nil), small},
+		{"isolated vertices", FromEdges(10, nil), small},
+		{"self-loops", FromEdges(4, []Edge{{Src: 0, Dst: 0}, {Src: 1, Dst: 1}, {Src: 2, Dst: 3}, {Src: 3, Dst: 3}}), small},
+		{"duplicate arcs", FromEdges(3, []Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 1}, {Src: 2, Dst: 0}}), small},
+		{"ring", gen.Ring(12), aroundN(12)},
+		{"chung-lu", chungLu, aroundN(40)},
 	}
 	vertexCuts := map[string]func() VertexCutPartitioner{
 		"RandomEdgeCut": NewRandomEdgeCut, "DBH": NewDBH, "GreedyCut": NewGreedyCut, "HDRF": NewHDRF,
 	}
 	for _, tg := range graphs {
 		t.Run(tg.name+"/transpose", func(t *testing.T) {
-			back := tg.g.Transpose().Transpose()
-			if back.NumVertices() != tg.g.NumVertices() || !reflect.DeepEqual(back.EdgeList(), tg.g.EdgeList()) {
-				t.Fatalf("Transpose(Transpose(g)) = %v, want %v", back.EdgeList(), tg.g.EdgeList())
+			for _, c := range []struct {
+				what      string
+				got, want *Graph
+			}{
+				{"Transpose(Transpose(g))", tg.g.Transpose().Transpose(), tg.g},
+				{"g.In()", tg.g.In(), tg.g.Transpose()},
+			} {
+				if c.got.NumVertices() != c.want.NumVertices() || !reflect.DeepEqual(c.got.EdgeList(), c.want.EdgeList()) {
+					t.Fatalf("%s = %v, want %v", c.what, c.got.EdgeList(), c.want.EdgeList())
+				}
 			}
 		})
-		for _, k := range []int{1, 2, 4, 16} {
+		for _, k := range tg.ks {
 			for _, scheme := range Schemes() {
 				t.Run(fmt.Sprintf("%s/%s/k=%d", tg.name, scheme, k), func(t *testing.T) {
 					a, err := Partition(tg.g, scheme, k)
+					if scheme == "GD" && k&(k-1) != 0 {
+						if err == nil || !strings.Contains(err.Error(), "power-of-two") {
+							t.Fatalf("GD at k=%d: err = %v, want the power-of-two refusal", k, err)
+						}
+						return
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -494,6 +523,9 @@ func TestDegenerateGraphGrid(t *testing.T) {
 						t.Fatalf("Evaluate: K = %d, %v", r.K, err)
 					}
 				})
+			}
+			if k > vcut.MaxParts {
+				continue // a vertex cut's replica mask has one bit per part
 			}
 			for name, mk := range vertexCuts {
 				t.Run(fmt.Sprintf("%s/%s/k=%d", tg.name, name, k), func(t *testing.T) {

@@ -185,9 +185,9 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		telemetry.Int("k", k),
 		telemetry.Int("vertices", n),
 		telemetry.Int("edges", g.NumEdges()))
-	// Undirected affinity (Fennel's N(v)) needs the reversed adjacency;
-	// build it once and reuse it across every layer's stream.
-	in := g.Transpose()
+	// Undirected affinity (Fennel's N(v)) reads the graph's own reverse. A
+	// first In call builds it, here, outside every layer span.
+	in := g.In()
 	b.aud.Begin("BPart", g, k)
 	// Per-part sizes predicted at combining freeze time, for the audit's
 	// predicted-vs-actual comparison (the gap is what refine repaired).
@@ -204,12 +204,10 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	nr := k        // parts still to produce
 	nextFinal := 0 // next final part id
 
-	for layer := 1; nr > 0; layer++ {
-		if len(remaining) == 0 {
-			err := fmt.Errorf("core: %d parts still to produce but no vertices remain", nr)
-			runSpan.End(telemetry.String("error", err.Error()))
-			return nil, nil, err
-		}
+	// Parts still wanted once every vertex is frozen stay empty: with more
+	// parts than vertices (k > n) the one-vertex groups freeze and the empty
+	// ones never can, the shape every other scheme gives.
+	for layer := 1; nr > 0 && len(remaining) > 0; layer++ {
 		last := layer >= b.cfg.MaxLayers || nr == 1
 		pieces := nr * pow(b.cfg.SplitFactor, layer)
 		// Never use more pieces than remaining vertices.
@@ -245,7 +243,7 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			In:       in,
 			Tracer:   b.tr,
 			Metrics:  b.reg,
-			Audit:    b.aud.Stream(layer, g, in, pieces),
+			Audit:    b.aud.Stream(layer, g, pieces),
 		})
 		if err != nil {
 			layerSpan.End(telemetry.String("error", err.Error()))
@@ -376,10 +374,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			b.reg.Gauge("bpart_last_residual_v_bias").Set(vBias)
 			b.reg.Gauge("bpart_last_residual_e_bias").Set(eBias)
 		}
-	}
-	if nextFinal != k {
-		runSpan.End(telemetry.String("error", "part count mismatch"))
-		return nil, nil, fmt.Errorf("core: produced %d parts, want %d", nextFinal, k)
 	}
 	var moves refineMoves
 	if !b.cfg.DisableRefine {

@@ -27,7 +27,7 @@ type pushAccounting struct {
 }
 
 // pushAccounting returns the superstep's accounting for the current
-// placement. A non-nil tr (the engine's transpose) makes it cover the
+// placement. A non-nil tr (the graph's reverse, g.In()) makes it cover the
 // undirected closure. Fetch it once per superstep, never across a barrier:
 // a restream crash at the barrier replaces the placement.
 func (e *Engine) pushAccounting(w *cluster.Counters, tr *graph.Graph) pushAccounting {

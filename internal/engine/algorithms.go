@@ -108,7 +108,7 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 	}
 	n := e.g.NumVertices()
 	k := e.cl.NumMachines()
-	tr := e.transpose()
+	tr := e.g.In()
 	alive := make([]bool, n)
 	degree := make([]int32, n)
 	for v := 0; v < n; v++ {

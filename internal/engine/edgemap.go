@@ -204,7 +204,7 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 	if bottomUp {
 		// Pull: every owned vertex still lacking a value scans its
 		// in-edges for a frontier parent.
-		tr := e.transpose()
+		tr := e.g.In()
 		tasks = e.tasks
 		run = func(t machineShard, tc *taskCounters) {
 			scan := func(v graph.VertexID, ns []graph.VertexID) bool {
@@ -246,7 +246,7 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 		// so the representation never changes a counter.
 		var tr *graph.Graph
 		if s.undirected {
-			tr = e.transpose()
+			tr = e.g.In()
 		}
 		acct := e.pushAccounting(w, tr)
 		var member []bool

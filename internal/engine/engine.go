@@ -34,12 +34,10 @@ type Engine struct {
 	reg   *telemetry.Registry // run-level histograms; superstep metrics come from cl
 	flt   *fault.Controller   // nil = fault injection disabled
 
-	trMu sync.Mutex
-	tr   *graph.Graph // transpose, built on demand (CC uses both directions)
-
 	// Per-placement cut degrees (see accounting.go): cutOut[v] counts v's
-	// out-neighbors owned by another machine, cutIn[v] its in-neighbors.
-	// Built on demand like the transpose, dropped by reassign.
+	// out-neighbors owned by another machine, cutIn[v] its in-neighbors
+	// (over g.In(), the graph's own reverse). Built on demand, dropped by
+	// reassign.
 	cutMu         sync.Mutex
 	cutOut, cutIn []int32
 }
@@ -121,19 +119,12 @@ func (e *Engine) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 	e.cl.SetTelemetry(tr, reg)
 }
 
-func (e *Engine) transpose() *graph.Graph {
-	e.trMu.Lock()
-	defer e.trMu.Unlock()
-	if e.tr == nil {
-		e.tr = e.g.Transpose()
-	}
-	return e.tr
-}
-
-// SetTranspose installs a precomputed transpose of the engine's graph,
-// letting callers that build many engines over the same graph (one per
-// partitioning scheme, as the experiment harness does) share the expensive
-// reversed adjacency instead of rebuilding it per engine.
+// SetTranspose checks tr's shape against the engine's graph and installs
+// nothing: every engine reads the graph's own reverse, g.In(), which every
+// engine over the same graph already shares.
+//
+// Deprecated: the engine needs no transpose. ROADMAP item 7(a) deletes this
+// method together with its last caller.
 func (e *Engine) SetTranspose(tr *graph.Graph) error {
 	if tr == nil {
 		return fmt.Errorf("engine: nil transpose")
@@ -141,9 +132,6 @@ func (e *Engine) SetTranspose(tr *graph.Graph) error {
 	if tr.NumVertices() != e.g.NumVertices() || tr.NumEdges() != e.g.NumEdges() {
 		return fmt.Errorf("engine: transpose shape %v does not match graph %v", tr, e.g)
 	}
-	e.trMu.Lock()
-	defer e.trMu.Unlock()
-	e.tr = tr
 	return nil
 }
 
@@ -241,7 +229,7 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 	}
 	n := e.g.NumVertices()
 	k := e.cl.NumMachines()
-	tr := e.transpose()
+	tr := e.g.In()
 	ranks, contrib := pr.ranks, pr.contrib
 	deltas := make([]float64, len(pr.dangling))
 

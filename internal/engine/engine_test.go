@@ -41,6 +41,9 @@ func TestNewValidation(t *testing.T) {
 	if err := newEngine(t, g, 2).SetTranspose(nil); err == nil {
 		t.Fatal("nil transpose accepted")
 	}
+	if err := newEngine(t, g, 2).SetTranspose(gen.Ring(5)); err == nil {
+		t.Fatal("transpose of another shape accepted")
+	}
 }
 
 func TestPageRankArgs(t *testing.T) {

@@ -191,7 +191,7 @@ func TestCutDegreesMatchPerArcReference(t *testing.T) {
 				}
 			}
 		}
-		acct := e.pushAccounting(e.Cluster().NewCounters(), e.transpose())
+		acct := e.pushAccounting(e.Cluster().NewCounters(), g.In())
 		if !reflect.DeepEqual(acct.cutOut, cutOut) {
 			t.Errorf("%s: cutOut differs from the per-arc reference", scheme)
 		}

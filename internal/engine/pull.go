@@ -30,7 +30,7 @@ func (e *Engine) PageRankPull(iters int, damping float64) (*PRResult, error) {
 	}
 	n := e.g.NumVertices()
 	k := e.cl.NumMachines()
-	tr := e.transpose()
+	tr := e.g.In()
 	contrib := pr.contrib
 	next := make([]float64, n)
 	// Per-machine mirror stamps: stamp[m][u] == current iteration means

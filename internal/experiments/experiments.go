@@ -5,9 +5,10 @@
 // so the same code backs cmd/bench, the testing.B benchmarks in
 // bench_test.go, and EXPERIMENTS.md.
 //
-// Graphs, partitions and transposes are memoized per (dataset, scale) so
-// that a full run does not regenerate the synthetic datasets dozens of
-// times; everything except the wall-clock timings of Table 2 is
+// Graphs and partitions are memoized per (dataset, scale) so that a full
+// run does not regenerate the synthetic datasets dozens of times; a
+// memoized graph carries its reverse (graph.Graph.In) to every engine and
+// stream over it. Everything except the wall-clock timings of Table 2 is
 // deterministic.
 package experiments
 
@@ -197,7 +198,6 @@ type partKey struct {
 var (
 	memoMu     sync.Mutex
 	graphMemo  = map[graphKey]*graph.Graph{}
-	transMemo  = map[graphKey]*graph.Graph{}
 	assignMemo = map[partKey][]int{}
 )
 
@@ -218,25 +218,6 @@ func dataset(d gen.Dataset, opt Options) (*graph.Graph, error) {
 	graphMemo[key] = g
 	memoMu.Unlock()
 	return g, nil
-}
-
-func transposeOf(d gen.Dataset, opt Options) (*graph.Graph, error) {
-	key := graphKey{d, opt.scale()}
-	memoMu.Lock()
-	tr, ok := transMemo[key]
-	memoMu.Unlock()
-	if ok {
-		return tr, nil
-	}
-	g, err := dataset(d, opt)
-	if err != nil {
-		return nil, err
-	}
-	tr = g.Transpose()
-	memoMu.Lock()
-	transMemo[key] = tr
-	memoMu.Unlock()
-	return tr, nil
 }
 
 // assignment returns the memoized partition of dataset d by the named
@@ -273,7 +254,6 @@ func ResetMemo() {
 	memoMu.Lock()
 	defer memoMu.Unlock()
 	graphMemo = map[graphKey]*graph.Graph{}
-	transMemo = map[graphKey]*graph.Graph{}
 	assignMemo = map[partKey][]int{}
 }
 
@@ -358,13 +338,6 @@ func iterEngine(d gen.Dataset, opt Options, scheme string, k int) (*engine.Engin
 		return nil, err
 	}
 	e.Cluster().SetWorkers(opt.Workers)
-	tr, err := transposeOf(d, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.SetTranspose(tr); err != nil {
-		return nil, err
-	}
 	e.SetTelemetry(opt.Tracer, opt.Metrics)
 	if err := attachFaults(opt, e, opt.scheduleFor(k)); err != nil {
 		return nil, err

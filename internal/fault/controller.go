@@ -83,7 +83,6 @@ type Controller struct {
 	consumed    []bool  // one-shot events (crash, msgloss) already fired
 	replayUntil int     // logical steps below this are replays
 	owned       []int64 // per-machine owned-vertex counts
-	transpose   *graph.Graph
 
 	stats        RecoveryStats
 	recoveryWait float64
@@ -380,12 +379,8 @@ func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		alpha = 1
 	}
-	if c.transpose == nil {
-		// In-neighbours matter to affinity as much as out-neighbours;
-		// build the reverse adjacency once per controller and reuse it
-		// across crashes.
-		c.transpose = c.g.Transpose()
-	}
+	// In-neighbours matter to affinity as much as out-neighbours.
+	in := c.g.In()
 	received := make([]float64, k)
 	receivedEdges := make([]float64, k)
 	weight := func(i int) float64 { return cmix*vCnt[i] + (1-cmix)*eCnt[i]/avgDeg }
@@ -399,7 +394,7 @@ func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 				aff[m]++
 			}
 		}
-		for _, u := range c.transpose.Neighbors(v) {
+		for _, u := range in.Neighbors(v) {
 			if m := owner[u]; m != dead {
 				aff[m]++
 			}

@@ -13,6 +13,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // VertexID identifies a vertex. Dense, zero-based.
@@ -30,10 +31,15 @@ type Edge struct {
 // graphs with a Builder, FromEdges or FromCSR. Every constructor leaves each
 // adjacency row sorted ascending (parallel arcs adjacent); Validate checks
 // it and HasEdge relies on it. All methods are safe for concurrent use
-// because the structure is never mutated after construction.
+// because the structure is never mutated after construction; the one lazy
+// field, the reverse In builds, is published under a sync.Once. A Graph is
+// handled by pointer and never copied.
 type Graph struct {
 	offsets []uint64 // len = numVertices+1
 	targets []VertexID
+
+	inOnce sync.Once
+	in     *Graph // the reverse, built by the first In call
 }
 
 // NumVertices returns the number of vertices.
@@ -97,8 +103,8 @@ func (g *Graph) EdgeList() []Edge {
 	return out
 }
 
-// Transpose returns the graph with every arc reversed. Used by pull-style
-// computations and by every consumer that needs in-neighbor access.
+// Transpose returns a fresh graph with every arc reversed. It is the
+// uncached builder behind In, which is what consumers of in-neighbors call.
 //
 // It is a direct counting sort over the target array: count in-degrees,
 // prefix-sum them into offsets, then scatter while scanning sources in
@@ -123,6 +129,22 @@ func (g *Graph) Transpose() *Graph {
 		}
 	}
 	return &Graph{offsets: offsets, targets: targets}
+}
+
+// In returns the reverse of g, whose row v lists v's in-neighbors: the
+// graph's one shared reverse adjacency, for every consumer of the
+// undirected neighborhood or of pull-style access. The first call builds it
+// with Transpose; it then lives as long as g (4·|E| + 8·(|V|+1) bytes) and
+// every later call, from any goroutine, returns the same pointer. The
+// reverse's own In is g, so g.In().In() == g with no second build.
+func (g *Graph) In() *Graph {
+	g.inOnce.Do(func() {
+		if g.in == nil { // nil unless g is itself a reverse In built
+			g.in = g.Transpose()
+			g.in.in = g
+		}
+	})
+	return g.in
 }
 
 // FromCSR adopts offsets and targets as a graph without copying them: the

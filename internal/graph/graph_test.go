@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -487,6 +488,50 @@ func TestTransposeAllocs(t *testing.T) {
 		t.Errorf("Transpose allocated %d bytes, want at most %d", got, limit)
 	}
 	_ = sink
+}
+
+// In is the graph's one reverse: built on the first call, the same pointer
+// on every later one, equal to Transpose arc for arc, and reversed back to
+// the graph itself without a second build — on the zero value and the
+// empty graph too.
+func TestInIsTheGraphsOneReverse(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		"zero value": {}, "empty": FromEdges(0, nil), "isolated": FromEdges(3, nil),
+		"diamond": diamond(), "multigraph": randomMultigraph(xrand.New(5), 50, 400),
+	} {
+		in := g.In()
+		if g.In() != in {
+			t.Errorf("%s: a second In call returned another graph", name)
+		}
+		if in.In() != g {
+			t.Errorf("%s: In().In() is not the graph", name)
+		}
+		if !sameCSR(in, g.Transpose()) {
+			t.Errorf("%s: In differs from Transpose", name)
+		}
+	}
+}
+
+// Goroutines racing on the first In call all get the one reverse (run
+// under -race to check the publication).
+func TestInConcurrentFirstCall(t *testing.T) {
+	g := randomMultigraph(xrand.New(9), 2000, 20000)
+	const racers = 8
+	got := make([]*Graph, racers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.In()
+		}()
+	}
+	wg.Wait()
+	for i, in := range got {
+		if in != got[0] || in.In() != g {
+			t.Fatalf("racer %d got reverse %p, racer 0 got %p", i, in, got[0])
+		}
+	}
 }
 
 func TestHasEdgeHubRow(t *testing.T) {

@@ -46,7 +46,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil Auditor Close = %v", err)
 	}
 
-	r := a.Stream(0, g, nil, 4)
+	r := a.Stream(0, g, 4)
 	if r != nil {
 		t.Fatal("nil Auditor Stream returned a recorder")
 	}
@@ -83,7 +83,7 @@ func TestStreamWindowAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Begin("Test", g, 2)
-	r := a.Stream(0, g, nil, 2)
+	r := a.Stream(0, g, 2)
 	parts := []int{-1, -1, -1, -1}
 	// Pieces: 0,1 → piece 0; 2,3 → piece 1. Cut arc: 1→2.
 	for v, piece := range []int{0, 0, 1, 1} {
@@ -139,7 +139,7 @@ func TestStreamSelfLoopResolvesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Begin("Test", g, 2)
-	r := a.Stream(0, g, nil, 2)
+	r := a.Stream(0, g, 2)
 	parts := []int{-1, -1}
 	parts[0] = 0
 	r.Place(0, 2, 0, CauseGreedy, nil, parts)
@@ -202,7 +202,7 @@ func TestDecisionSampling(t *testing.T) {
 	if a.hubDeg != 3 {
 		t.Fatalf("hub degree = %d, want 3", a.hubDeg)
 	}
-	r := a.Stream(0, g, nil, 2)
+	r := a.Stream(0, g, 2)
 	parts := make([]int, 8)
 	for v := 0; v < 8; v++ {
 		d := g.OutDegree(graph.VertexID(v))

@@ -16,7 +16,7 @@ type StreamRecorder struct {
 	a     *Auditor
 	layer int
 	g     *graph.Graph
-	in    *graph.Graph // transpose of g; arcs arriving at v
+	in    *graph.Graph // g.In(); arcs arriving at v
 
 	placed    int
 	windowIdx int
@@ -31,22 +31,18 @@ type StreamRecorder struct {
 }
 
 // Stream starts auditing one streaming pass over k pieces. layer is the
-// BPart over-split layer (0 for single-phase schemes). in must be the
-// transpose of g or nil, in which case it is built here; the cut timeline
-// needs arcs in both directions to resolve each arc exactly once, when
-// its second endpoint is placed.
-func (a *Auditor) Stream(layer int, g *graph.Graph, in *graph.Graph, k int) *StreamRecorder {
+// BPart over-split layer (0 for single-phase schemes). The cut timeline
+// reads g's reverse, g.In(): it needs arcs in both directions to resolve
+// each arc exactly once, when its second endpoint is placed.
+func (a *Auditor) Stream(layer int, g *graph.Graph, k int) *StreamRecorder {
 	if a == nil {
 		return nil
-	}
-	if in == nil {
-		in = g.Transpose()
 	}
 	return &StreamRecorder{
 		a:      a,
 		layer:  layer,
 		g:      g,
-		in:     in,
+		in:     g.In(),
 		pieceV: make([]int, k),
 		pieceE: make([]int, k),
 	}

@@ -57,7 +57,7 @@ func (gd GD) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if k == 1 || n == 0 {
 		return &Assignment{Parts: parts, K: k}, nil
 	}
-	in := g.Transpose()
+	in := g.In()
 	rng := xrand.New(gd.Seed ^ 0x6D)
 	all := make([]graph.VertexID, n)
 	for v := range all {

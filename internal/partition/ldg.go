@@ -42,9 +42,9 @@ func (l LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	in := g.Transpose()
+	in := g.In()
 	l.aud.Begin("LDG", g, k)
-	rec := l.aud.Stream(0, g, in, k)
+	rec := l.aud.Stream(0, g, k)
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = Unassigned

@@ -39,7 +39,7 @@ func (s Spinner) Partition(g *graph.Graph, k int) (*Assignment, error) {
 		s.Slack = 0.05
 	}
 	n := g.NumVertices()
-	in := g.Transpose()
+	in := g.In()
 	deg := make([]int, n) // undirected degree = balance weight
 	var totalDeg float64
 	for v := 0; v < n; v++ {

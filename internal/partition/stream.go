@@ -44,10 +44,10 @@ type StreamOptions struct {
 	// clusters) can push one piece past the final per-part edge target,
 	// which no amount of combining can repair.
 	CapV, CapE int
-	// In, when non-nil, must be the transpose of the streamed graph; the
-	// affinity term then counts in-neighbors as well, matching Fennel's
-	// undirected N(v). Without it only out-neighbors count, which halves
-	// the clustering signal on directed graphs.
+	// In, when non-nil, must be the transpose of the streamed graph: pass
+	// g.In(). The affinity term then counts in-neighbors as well, matching
+	// Fennel's undirected N(v). Without it only out-neighbors count, which
+	// halves the clustering signal on directed graphs.
 	In *graph.Graph
 	// Tracer, when non-nil, receives one "partition.stream" span per call
 	// carrying the StreamStats. Per-vertex work stays uninstrumented;
@@ -515,13 +515,12 @@ func (Fennel) Name() string { return "Fennel" }
 func (f *Fennel) SetAudit(a *partaudit.Auditor) { f.aud = a }
 
 // Partition implements Partitioner. Like the original Fennel, the
-// neighborhood N(v) is undirected: the transpose is built once so in-edges
-// contribute to affinity.
+// neighborhood N(v) is undirected: in-edges, read from g.In(), contribute
+// to affinity.
 func (f Fennel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if err := checkArgs(g, k); err != nil {
 		return nil, err
 	}
-	in := g.Transpose()
 	f.aud.Begin("Fennel", g, k)
 	res, err := Stream(g, StreamOptions{
 		K:     k,
@@ -529,8 +528,8 @@ func (f Fennel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 		Alpha: f.Alpha,
 		Gamma: f.Gamma,
 		Slack: f.Slack,
-		In:    in,
-		Audit: f.aud.Stream(0, g, in, k),
+		In:    g.In(),
+		Audit: f.aud.Stream(0, g, k),
 	})
 	if err != nil {
 		return nil, err

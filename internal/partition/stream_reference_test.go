@@ -120,7 +120,7 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 // matchReference runs opt through Stream and referenceStream, unaudited and
 // audited, and fails unless assignment, stats and audit log bytes agree. It
 // returns the stats.
-func matchReference(t *testing.T, name string, g, in *graph.Graph, opt StreamOptions) StreamStats {
+func matchReference(t *testing.T, name string, g *graph.Graph, opt StreamOptions) StreamStats {
 	t.Helper()
 	type scorer func(StreamOptions) ([]int, StreamStats)
 	reference := func(o StreamOptions) ([]int, StreamStats) { return referenceStream(g, o) }
@@ -138,7 +138,7 @@ func matchReference(t *testing.T, name string, g, in *graph.Graph, opt StreamOpt
 			t.Fatal(err)
 		}
 		aud.Begin("stream", g, o.K)
-		o.Audit = aud.Stream(0, g, in, o.K)
+		o.Audit = aud.Stream(0, g, o.K)
 		parts, stats := run(o)
 		if err := aud.Close(); err != nil {
 			t.Fatal(err)
@@ -196,7 +196,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 					if variant.in {
 						opt.In = in
 					}
-					stats := matchReference(t, fmt.Sprintf("k=%d c=%v gamma=%v %+v", k, c, gamma, variant), g, in, opt)
+					stats := matchReference(t, fmt.Sprintf("k=%d c=%v gamma=%v %+v", k, c, gamma, variant), g, opt)
 					saw(stats)
 				}
 			}
@@ -214,7 +214,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 		}
 	}
 	for _, k := range []int{16, 256} {
-		stats := matchReference(t, fmt.Sprintf("restricted k=%d", k), g, in, StreamOptions{
+		stats := matchReference(t, fmt.Sprintf("restricted k=%d", k), g, StreamOptions{
 			K: k, C: 0.5, Gamma: 1.5, In: in, Vertices: subset,
 			CapV: int(1.1*float64(len(subset))/float64(k)) + 1,
 			CapE: int(1.1*float64(subsetEdges)/float64(k)) + 1,
@@ -229,7 +229,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 			opt.CapV = n / 16
 			opt.CapE = m / 16
 		}
-		stats := matchReference(t, fmt.Sprintf("slack=0.9 caps=%v", caps), g, in, opt)
+		stats := matchReference(t, fmt.Sprintf("slack=0.9 caps=%v", caps), g, opt)
 		if stats.Fallbacks == 0 {
 			t.Fatalf("slack=0.9 caps=%v: no fallbacks", caps)
 		}
@@ -242,7 +242,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 	}
 	smallIn := small.Transpose()
 	for _, k := range []int{200, 333} {
-		stats := matchReference(t, fmt.Sprintf("n=200 k=%d", k), small, smallIn,
+		stats := matchReference(t, fmt.Sprintf("n=200 k=%d", k), small,
 			StreamOptions{K: k, C: 0.5, Gamma: 1.5, In: smallIn, CapV: 2, CapE: 40})
 		saw(stats)
 	}
@@ -274,7 +274,7 @@ func TestTieBreaksEqualAuditCauses(t *testing.T) {
 			t.Fatal(err)
 		}
 		aud.Begin("stream", g, opt.K)
-		opt.Audit = aud.Stream(0, g, in, opt.K)
+		opt.Audit = aud.Stream(0, g, opt.K)
 		res, err := Stream(g, opt)
 		if err != nil {
 			t.Fatal(err)
