@@ -519,8 +519,20 @@ func TestDegenerateGraphGrid(t *testing.T) {
 					if a.K != k || len(a.Parts) != tg.g.NumVertices() {
 						t.Fatalf("assignment has K = %d and %d entries, want %d and %d", a.K, len(a.Parts), k, tg.g.NumVertices())
 					}
-					if r, err := Evaluate(tg.g, a); err != nil || r.K != k {
+					r, err := Evaluate(tg.g, a)
+					if err != nil || r.K != k {
 						t.Fatalf("Evaluate: K = %d, %v", r.K, err)
+					}
+					// Conservation: every vertex and every arc is counted in
+					// exactly one part, and the cut is a fraction of the arcs.
+					var vs, es int
+					for i := range r.Vertices {
+						vs += r.Vertices[i]
+						es += r.Edges[i]
+					}
+					if vs != tg.g.NumVertices() || es != tg.g.NumEdges() || !(r.CutRatio >= 0 && r.CutRatio <= 1) {
+						t.Fatalf("Evaluate: Σ vertices %d, Σ edges %d, cut ratio %v; want %d, %d and in [0,1]",
+							vs, es, r.CutRatio, tg.g.NumVertices(), tg.g.NumEdges())
 					}
 				})
 			}

@@ -45,8 +45,8 @@ func recoveryPageRank(d gen.Dataset, base Options, scheme string, spec *fault.Sp
 // FaultRecovery is an extension beyond the paper: it reruns the canonical
 // PageRank workload under a crash schedule and compares what recovery
 // costs per partitioning scheme and policy. Rollback replays from the last
-// checkpoint on the full cluster; restream additionally Fennel-streams the
-// dead machine's vertices onto the survivors and finishes degraded. The
+// checkpoint on the full cluster; restream additionally streams the dead
+// machine's vertices onto the survivors' placement and finishes degraded. The
 // overhead column is simulated time relative to the scheme's fault-free
 // run — the fault-attributable slice of the paper's Fig 13 waiting
 // argument.
@@ -95,6 +95,6 @@ func FaultRecovery(opt Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("schedule: %d event(s), checkpoint every %d supersteps", len(spec.Events), spec.CheckpointEvery),
-		"rollback replays from the last checkpoint; restream retires the dead machine and Fennel-streams its vertices onto survivors")
+		"rollback replays from the last checkpoint; restream retires the dead machine and streams its vertices onto the survivors, continuing from their placement")
 	return t, nil
 }

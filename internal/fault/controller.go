@@ -7,6 +7,7 @@ import (
 
 	"bpart/internal/cluster"
 	"bpart/internal/graph"
+	"bpart/internal/partition"
 	"bpart/internal/telemetry"
 )
 
@@ -334,8 +335,9 @@ func (c *Controller) addPhase(kind string, busy []float64, work *cluster.Counter
 	}
 }
 
-// restream permanently retires machine dead and Fennel-streams its vertices
-// onto the survivors in out-degree order (prioritized restreaming): highest
+// restream permanently retires machine dead and moves its vertices onto the
+// survivors by partition.Stream continued from the survivors' placement. The
+// lost vertices go in out-degree order (prioritized restreaming): highest
 // degree first, the vertices whose placement matters most while survivor
 // loads are least constrained. The score is the Fennel objective over the
 // paper's two-dimensional weight W_i = C·|V_i| + (1−C)·|E_i|/d̄, so the
@@ -343,91 +345,58 @@ func (c *Controller) addPhase(kind string, busy []float64, work *cluster.Counter
 func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 	owner := c.cl.Assignment()
 	k := c.cl.NumMachines()
-	var lost []graph.VertexID
+	// The survivors, numbered 0…L−1 in machine order, are Stream's parts;
+	// dead machines are simply not parts.
+	var live []int
+	part := make([]int, k)
+	for m := range part {
+		part[m] = partition.Unassigned
+		if m != dead && !c.cl.Dead(m) {
+			part[m] = len(live)
+			live = append(live, m)
+		}
+	}
+	start := make([]int, len(owner))
+	lost := make([]graph.VertexID, 0, c.owned[dead]) // non-nil: nil streams every vertex
 	for v, m := range owner {
+		start[v] = part[m]
 		if m == dead {
 			lost = append(lost, graph.VertexID(v))
 		}
 	}
-	sort.Slice(lost, func(a, b int) bool {
-		da, db := c.g.OutDegree(lost[a]), c.g.OutDegree(lost[b])
-		if da != db {
-			return da > db
-		}
-		return lost[a] < lost[b]
+	sort.SliceStable(lost, func(a, b int) bool { return c.g.OutDegree(lost[a]) > c.g.OutDegree(lost[b]) })
+	// The recovery policy's own α (whole graph, every machine counted, dead
+	// ones included) and no W cap: Stream's defaults would move placements.
+	res, err := partition.Stream(c.g, partition.StreamOptions{
+		K:        len(live),
+		C:        0.5, // the paper's balance mix between vertices and edges
+		Alpha:    float64(c.g.NumEdges()) * math.Sqrt(float64(k)) / math.Pow(float64(c.g.NumVertices()), 1.5),
+		Slack:    math.Inf(1),
+		Vertices: lost,
+		Start:    start,
+		In:       c.g.In(),
 	})
-	// Survivor loads in both dimensions.
-	vCnt := make([]float64, k)
-	eCnt := make([]float64, k)
-	for v, m := range owner {
-		if m == dead {
-			continue
-		}
-		vCnt[m]++
-		eCnt[m] += float64(c.g.OutDegree(graph.VertexID(v)))
-	}
-	avgDeg := c.g.AvgDegree()
-	if avgDeg <= 0 {
-		avgDeg = 1
-	}
-	const (
-		gamma = 1.5
-		cmix  = 0.5 // paper's balance mix between vertices and edges
-	)
-	n, e := float64(c.g.NumVertices()), float64(c.g.NumEdges())
-	alpha := e * math.Pow(float64(k), gamma-1) / math.Pow(n, gamma)
-	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
-		alpha = 1
-	}
-	// In-neighbours matter to affinity as much as out-neighbours.
-	in := c.g.In()
-	received := make([]float64, k)
-	receivedEdges := make([]float64, k)
-	weight := func(i int) float64 { return cmix*vCnt[i] + (1-cmix)*eCnt[i]/avgDeg }
-	aff := make([]float64, k)
-	for _, v := range lost {
-		for i := range aff {
-			aff[i] = 0
-		}
-		for _, u := range c.g.Neighbors(v) {
-			if m := owner[u]; m != dead {
-				aff[m]++
-			}
-		}
-		for _, u := range in.Neighbors(v) {
-			if m := owner[u]; m != dead {
-				aff[m]++
-			}
-		}
-		best := -1
-		var bestScore, bestW float64
-		for i := 0; i < k; i++ {
-			if i == dead || c.cl.Dead(i) {
-				continue
-			}
-			w := weight(i)
-			score := aff[i] - alpha*gamma*math.Pow(w, gamma-1)
-			if best < 0 || score > bestScore || (score == bestScore && w < bestW) {
-				best, bestScore, bestW = i, score, w
-			}
-		}
-		owner[v] = best
-		vCnt[best]++
-		eCnt[best] += float64(c.g.OutDegree(v))
-		received[best]++
-		receivedEdges[best] += float64(c.g.OutDegree(v))
-	}
 	// Commit the new placement, retire the machine, and bill the transfer:
 	// each survivor ingests its received vertex states (checkpoint read +
 	// message) and rebuilds their adjacency (edge cost).
-	if err := c.cl.Rehome(owner); err != nil {
-		// owner was derived from this cluster's own assignment and only
-		// ever points at live survivors, so this is unreachable; a spec
-		// bug must not kill the run silently, though.
-		c.tr.Event("fault.error", telemetry.String("err", err.Error()))
-		return
+	received := make([]float64, k)
+	receivedEdges := make([]float64, k)
+	if err == nil {
+		for _, v := range lost {
+			m := live[res.Parts[v]]
+			owner[v] = m
+			received[m]++
+			receivedEdges[m] += float64(c.g.OutDegree(v))
+		}
+		err = c.cl.Rehome(owner)
 	}
-	if err := c.cl.MarkDead(dead); err != nil {
+	if err == nil {
+		err = c.cl.MarkDead(dead)
+	}
+	if err != nil {
+		// start, lost and owner come from this cluster's own assignment and
+		// only ever point at live survivors, so this is unreachable; a bug
+		// must not kill the run silently, though.
 		c.tr.Event("fault.error", telemetry.String("err", err.Error()))
 		return
 	}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"bpart/internal/gen"
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
+	"bpart/internal/partaudit"
 	"bpart/internal/telemetry"
 )
 
@@ -192,6 +194,11 @@ func TestStreamEmptySubset(t *testing.T) {
 func TestStreamBadOptions(t *testing.T) {
 	g := gen.Ring(5)
 	tr := telemetry.NewMemory()
+	aud, err := partaudit.New(io.Discard, partaudit.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aud.Begin("stream", g, 2)
 	for _, tc := range []struct {
 		name string
 		opt  StreamOptions
@@ -204,6 +211,11 @@ func TestStreamBadOptions(t *testing.T) {
 		{"In of another graph", StreamOptions{K: 2, In: gen.Ring(6)}, "does not match"},
 		{"vertex ID past |V|", StreamOptions{K: 2, Vertices: []graph.VertexID{0, 5}}, "Vertices[1] = 5"},
 		{"vertex streamed twice", StreamOptions{K: 2, Vertices: []graph.VertexID{3, 1, 3}, Tracer: tr}, "Vertices[2] = 3"},
+		{"Start of the wrong length", StreamOptions{K: 2, Start: []int{0, 1}}, "Start has 2 entries"},
+		{"Start part out of range", StreamOptions{K: 2, Start: []int{0, 1, 2, -1, -1}}, "Start[2] = 2"},
+		{"streamed vertex assigned in Start", StreamOptions{K: 2, Start: []int{0, -1, -1, -1, -1}, Vertices: []graph.VertexID{1, 0}},
+			"Vertices[1] = 0 is already assigned in Start"},
+		{"Start with Audit", StreamOptions{K: 2, Start: fillUnassigned(5), Audit: aud.Stream(0, g, 2)}, "Start cannot be audited"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Stream(g, tc.opt)

@@ -26,17 +26,22 @@ type StreamOptions struct {
 	// C is the weighting factor c ∈ [0,1] of Eq. 1.
 	C float64
 	// Alpha is Fennel's α; <= 0 selects the standard
-	// α = m·k^{γ−1}/n^γ computed over the streamed vertex set.
+	// α = m·k^{γ−1}/n^γ computed over Start's and the streamed vertices.
 	Alpha float64
 	// Gamma is Fennel's γ ≥ 1; <= 0 selects the standard 1.5.
 	Gamma float64
 	// Slack ν bounds each part: W_i may not exceed ν·n_s/k (n_s = number
-	// of streamed vertices, which equals Σ W_i at completion). <= 0
-	// selects 1.1.
+	// of placed vertices, Start's and the streamed ones, which equals Σ W_i
+	// at completion). <= 0 selects 1.1; +Inf means no cap.
 	Slack float64
 	// Vertices restricts the stream to a subset, in the given order.
 	// nil streams every vertex in ID order.
 	Vertices []graph.VertexID
+	// Start, when non-nil, is an assignment to extend (|V| entries, each a
+	// part in [0,K) or Unassigned, none streamed): its vertices count toward
+	// affinity, |V_i|, |E_i|, W_i and the default α, d̄ and slack cap from the
+	// start. It cannot be combined with Audit, which assumes empty parts.
+	Start []int
 	// CapV and CapE, when positive, are hard per-part ceilings on |V_i|
 	// and |E_i|. BPart's partitioning phase uses them to stop any single
 	// piece from exceeding its share of either dimension — without the
@@ -68,7 +73,7 @@ type StreamOptions struct {
 // greedy choice, how often ties were broken by load, and how often every
 // part was full and the lightest-part fallback fired.
 type StreamStats struct {
-	// Placed is the number of vertices assigned (= len of the stream set).
+	// Placed is the number of vertices streamed (Start's are not counted).
 	Placed int64
 	// CapWSkips counts part candidacies rejected by the W_i slack cap.
 	CapWSkips int64
@@ -127,12 +132,12 @@ var skipNames = [...]string{
 }
 
 // StreamResult is a partial assignment: Parts[v] is Unassigned for vertices
-// outside the streamed set.
+// outside the streamed set and Start.
 type StreamResult struct {
 	Parts []int
 	K     int
 	// VertexCount and EdgeCount are the per-part |V_i| and |E_i|
-	// (out-degree mass) over the streamed set.
+	// (out-degree mass) over Start's vertices and the streamed set.
 	VertexCount []int
 	EdgeCount   []int
 	// Stats counts cap hits, tie-breaks and fallbacks during the stream.
@@ -178,45 +183,64 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	if opt.Slack <= 0 {
 		opt.Slack = 1.1
 	}
+	if opt.Start != nil && len(opt.Start) != n {
+		return nil, fmt.Errorf("partition: Start has %d entries, want |V| = %d", len(opt.Start), n)
+	}
+	if opt.Start != nil && opt.Audit != nil {
+		return nil, fmt.Errorf("partition: Start cannot be audited: the audit recorder assumes empty parts")
+	}
+	parts := fillUnassigned(n)
+	copy(parts, opt.Start)
+	vCount := make([]int, opt.K)
+	eCount := make([]int, opt.K)
+	for v, p := range opt.Start {
+		if p < Unassigned || p >= opt.K {
+			return nil, fmt.Errorf("partition: Start[%d] = %d, want in [0,%d) or Unassigned", v, p, opt.K)
+		}
+		if p != Unassigned {
+			vCount[p]++
+			eCount[p] += g.OutDegree(graph.VertexID(v))
+		}
+	}
 	stream := opt.Vertices
 	if stream == nil {
-		stream = make([]graph.VertexID, n)
-		for v := range stream {
-			stream[v] = graph.VertexID(v)
-		}
+		stream = OrderByID(n)
 	}
 	ns := len(stream)
 	if ns == 0 {
-		return &StreamResult{
-			Parts:       fillUnassigned(n),
-			K:           opt.K,
-			VertexCount: make([]int, opt.K),
-			EdgeCount:   make([]int, opt.K),
-		}, nil
+		return &StreamResult{Parts: parts, K: opt.K, VertexCount: vCount, EdgeCount: eCount}, nil
 	}
 	var ms int
 	for pos, v := range stream {
 		if int(v) >= n {
 			return nil, fmt.Errorf("partition: Vertices[%d] = %d, want < %d", pos, v, n)
 		}
+		if parts[v] != Unassigned {
+			return nil, fmt.Errorf("partition: Vertices[%d] = %d is already assigned in Start", pos, v)
+		}
 		ms += g.OutDegree(v)
 	}
-	avgDeg := float64(ms) / float64(ns)
+	nAll, mAll := ns, ms // every vertex placed at the end, Start's and streamed
+	for i := range vCount {
+		nAll += vCount[i]
+		mAll += eCount[i]
+	}
+	avgDeg := float64(mAll) / float64(nAll)
 	if metrics.IsZero(avgDeg) {
-		avgDeg = 1 // edgeless stream set: W_i degenerates to C·|V_i|+(1−C)·0
+		avgDeg = 1 // edgeless vertex set: W_i degenerates to C·|V_i|+(1−C)·0
 	}
 	alpha := opt.Alpha
 	if alpha <= 0 {
-		alpha = float64(ms) * math.Pow(float64(opt.K), opt.Gamma-1) / math.Pow(float64(ns), opt.Gamma)
+		alpha = float64(mAll) * math.Pow(float64(opt.K), opt.Gamma-1) / math.Pow(float64(nAll), opt.Gamma)
 		if alpha <= 0 {
 			// Edgeless set: any positive constant makes the penalty
 			// strictly increasing in W and spreads vertices evenly.
 			alpha = 1
 		}
 	}
-	// ΣW_i = C·n_s + (1−C)·m_s/d̄ = n_s, so the per-part cap is in
-	// "vertex equivalents" regardless of C.
-	capW := opt.Slack * float64(ns) / float64(opt.K)
+	// ΣW_i = C·n + (1−C)·m/d̄ = n over the n placed vertices, so the per-part
+	// cap is in "vertex equivalents" regardless of C.
+	capW := opt.Slack * float64(nAll) / float64(opt.K)
 	// No |E_i| ceiling is a ceiling no part can reach, so the per-candidate
 	// test below needs no "is it set" branch.
 	capE := math.MaxInt
@@ -224,9 +248,6 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		capE = opt.CapE
 	}
 
-	parts := fillUnassigned(n)
-	vCount := make([]int, opt.K)
-	eCount := make([]int, opt.K)
 	w := make([]float64, opt.K)     // current W_i
 	affinity := make([]int, opt.K)  // |V_i ∩ N(v)| scratch, zero between vertices
 	touched := make([]int, opt.K+1) // parts with affinity > 0, see tally
@@ -235,12 +256,8 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	// that just received a vertex has a new W_i, so one entry is refreshed
 	// per placement instead of K being recomputed per vertex.
 	pen := make([]float64, opt.K)
-	for i := range pen {
-		pen[i] = alpha * opt.Gamma * gammaPow(w[i])
-	}
 	// class[i] is part i's vertex-independent skip reason, in the precedence
-	// W slack, then |V_i| cap; inClass[c] counts the parts of class c. Every
-	// part starts open (W_i = 0 < capW, |V_i| = 0 < CapV).
+	// W slack, then |V_i| cap; inClass[c] counts the parts of class c.
 	classOf := func(i int) uint8 {
 		switch {
 		case w[i] >= capW:
@@ -251,7 +268,13 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		return skipNone
 	}
 	class := make([]uint8, opt.K)
-	inClass := [skipCapE]int64{skipNone: int64(opt.K)}
+	var inClass [skipCapE]int64
+	for i := range pen {
+		w[i] = opt.C*float64(vCount[i]) + (1-opt.C)*float64(eCount[i])/avgDeg
+		pen[i] = alpha * opt.Gamma * gammaPow(w[i])
+		class[i] = classOf(i)
+		inClass[class[i]]++
+	}
 	// lighter is the order untouched parts are preferred in: a part with no
 	// neighbour of v scores −pen, which does not grow with W, and equal
 	// scores go to the lower W, then the lower index.
@@ -261,10 +284,10 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	lighterE := func(a, b int) bool { return eCount[a] < eCount[b] }
 	// The open parts in both orders; byE stays empty, and is never repaired,
 	// without an |E_i| cap.
-	byW := newPartOrder(opt.K)
+	byW := newPartOrder(class, lighter)
 	var byE partOrder
 	if opt.CapE > 0 {
-		byE = newPartOrder(opt.K)
+		byE = newPartOrder(class, lighterE)
 	}
 
 	// Stats accumulate in plain locals — the inner loop pays a handful of
@@ -429,12 +452,19 @@ type partOrder struct {
 	pos  []int
 }
 
-// newPartOrder returns the order 0..k-1, which is sorted for any key that
-// starts equal on every part and breaks ties by index.
-func newPartOrder(k int) partOrder {
-	o := partOrder{list: make([]int, k), pos: make([]int, k)}
-	for i := range o.list {
-		o.list[i], o.pos[i] = i, i
+// newPartOrder returns the open parts, those of class skipNone, sorted by less
+// and then by index, by sinking each into the sorted tail behind it.
+func newPartOrder(class []uint8, less func(a, b int) bool) partOrder {
+	o := partOrder{list: make([]int, 0, len(class)), pos: make([]int, len(class))}
+	for p := range o.pos {
+		o.pos[p] = -1
+		if class[p] == skipNone {
+			o.pos[p] = len(o.list)
+			o.list = append(o.list, p)
+		}
+	}
+	for j := len(o.list) - 1; j >= 0; j-- {
+		o.sink(o.list[j], less)
 	}
 	return o
 }

@@ -17,7 +17,7 @@ import (
 // rule written the slow, obvious way — every candidate of every vertex
 // visited in index order, the penalty α·γ·W_i^{γ−1} recomputed with math.Pow
 // each time, and the skip reason carried as the audit string. It honours
-// K, C, Gamma, Slack, Vertices, CapV, CapE, In and Audit.
+// K, C, Alpha, Gamma, Slack, Vertices, Start, CapV, CapE, In and Audit.
 func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	stream := opt.Vertices
 	if stream == nil {
@@ -25,7 +25,22 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 			stream = append(stream, graph.VertexID(v))
 		}
 	}
+	parts := fillUnassigned(g.NumVertices())
+	vCount := make([]int, opt.K)
+	eCount := make([]int, opt.K)
+	// Start's vertices are placed before the stream begins; α, d̄ and the
+	// slack cap count them with the streamed ones.
 	n, m := len(stream), 0
+	for v, p := range opt.Start {
+		if p != Unassigned {
+			d := g.OutDegree(graph.VertexID(v))
+			parts[v] = p
+			vCount[p]++
+			eCount[p] += d
+			n++
+			m += d
+		}
+	}
 	for _, v := range stream {
 		m += g.OutDegree(v)
 	}
@@ -33,7 +48,10 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	if metrics.IsZero(avgDeg) {
 		avgDeg = 1
 	}
-	alpha := float64(m) * math.Pow(float64(opt.K), opt.Gamma-1) / math.Pow(float64(n), opt.Gamma)
+	alpha := opt.Alpha
+	if alpha <= 0 {
+		alpha = float64(m) * math.Pow(float64(opt.K), opt.Gamma-1) / math.Pow(float64(n), opt.Gamma)
+	}
 	if alpha <= 0 {
 		alpha = 1
 	}
@@ -43,11 +61,11 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	}
 	capW := slack * float64(n) / float64(opt.K)
 
-	parts := fillUnassigned(g.NumVertices())
-	vCount := make([]int, opt.K)
-	eCount := make([]int, opt.K)
 	w := make([]float64, opt.K)
-	stats := StreamStats{Placed: int64(n)}
+	for i := range w {
+		w[i] = opt.C*float64(vCount[i]) + (1-opt.C)*float64(eCount[i])/avgDeg
+	}
+	stats := StreamStats{Placed: int64(len(stream))}
 	for _, v := range stream {
 		affinity := make([]int, opt.K)
 		rows := [][]graph.VertexID{g.Neighbors(v)}
@@ -117,9 +135,10 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	return parts, stats
 }
 
-// matchReference runs opt through Stream and referenceStream, unaudited and
-// audited, and fails unless assignment, stats and audit log bytes agree. It
-// returns the stats.
+// matchReference runs opt through Stream and referenceStream, unaudited and,
+// unless opt has a Start (which cannot be audited), audited, and fails unless
+// assignment, stats and audit log bytes agree and Stream's per-part counts
+// match its assignment. It returns the stats.
 func matchReference(t *testing.T, name string, g *graph.Graph, opt StreamOptions) StreamStats {
 	t.Helper()
 	type scorer func(StreamOptions) ([]int, StreamStats)
@@ -128,6 +147,17 @@ func matchReference(t *testing.T, name string, g *graph.Graph, opt StreamOptions
 		res, err := Stream(g, o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		// The per-part counts cover every assigned vertex, Start's included.
+		vCount, eCount := make([]int, o.K), make([]int, o.K)
+		for v, p := range res.Parts {
+			if p != Unassigned {
+				vCount[p]++
+				eCount[p] += g.OutDegree(graph.VertexID(v))
+			}
+		}
+		if !reflect.DeepEqual(res.VertexCount, vCount) || !reflect.DeepEqual(res.EdgeCount, eCount) {
+			t.Fatalf("%s: counts %v / %v, want %v / %v", name, res.VertexCount, res.EdgeCount, vCount, eCount)
 		}
 		return res.Parts, res.Stats
 	}
@@ -147,12 +177,15 @@ func matchReference(t *testing.T, name string, g *graph.Graph, opt StreamOptions
 	}
 
 	wantParts, wantStats := reference(opt)
-	_, _, wantLog := audited(reference, opt)
 	gotParts, gotStats := product(opt)
 	if !reflect.DeepEqual(gotParts, wantParts) || gotStats != wantStats {
 		t.Fatalf("%s: stream differs from the reference scorer: stats %+v, reference %+v",
 			name, gotStats, wantStats)
 	}
+	if opt.Start != nil {
+		return wantStats // Start cannot be audited
+	}
+	_, _, wantLog := audited(reference, opt)
 	gotParts, gotStats, gotLog := audited(product, opt)
 	if !reflect.DeepEqual(gotParts, wantParts) || gotStats != wantStats {
 		t.Fatalf("%s: audited stream differs from the unaudited reference", name)
@@ -235,6 +268,68 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 		}
 		saw(stats)
 	}
+	// Seeded streams. The restream a crash makes: eight machines holding
+	// contiguous ID ranges, machine 3 dead, its vertices streamed in degree
+	// order onto the seven survivors (numbered 0…6 in machine order) with
+	// the recovery policy's α and no W cap.
+	survivors := make([]int, n)
+	var lost []graph.VertexID
+	for v := range survivors {
+		switch machine := v * 8 / n; {
+		case machine == 3:
+			survivors[v] = Unassigned
+		case machine > 3:
+			survivors[v] = machine - 1
+		default:
+			survivors[v] = machine
+		}
+	}
+	for _, v := range OrderByDegree(g, false) {
+		if survivors[v] == Unassigned {
+			lost = append(lost, v)
+		}
+	}
+	saw(matchReference(t, "restream", g, StreamOptions{
+		K: 7, C: 0.5, Gamma: 1.5, In: in, Slack: math.Inf(1), Vertices: lost, Start: survivors,
+		Alpha: float64(m) * math.Sqrt(8) / math.Pow(float64(n), 1.5),
+	}))
+	// A Start that puts 300 vertices on each of parts 0–4 closes them
+	// before the first placement: by the slack, or by CapV once the slack is
+	// lifted. Parts 5–9 start with ≈ 94 vertices (603–610 edges) and 10–15
+	// with ≈ 47 (≈ 305), so the open parts' |E_i| order is not their index
+	// order, and CapE turns the heavy ones away from the first placement
+	// (streamed out-degrees are 5 and 6).
+	lopsided := fillUnassigned(n)
+	for v := 0; v < 3*n/4; v++ {
+		lopsided[v] = 5 + v%16%11
+		if v < n/2 {
+			lopsided[v] = v % 5
+		}
+	}
+	tail := OrderByID(n)[3*n/4:]
+	for _, tc := range []struct {
+		name   string
+		opt    StreamOptions
+		closed func(StreamStats) int64
+	}{
+		{"closed by slack", StreamOptions{K: 16, C: 0.5, Gamma: 1.5, In: in, Start: lopsided, Vertices: tail},
+			func(s StreamStats) int64 { return s.CapWSkips }},
+		{"closed by CapV", StreamOptions{K: 16, C: 0.5, Gamma: 1.5, In: in, Start: lopsided, Vertices: tail,
+			Slack: math.Inf(1), CapV: 300, CapE: 612},
+			func(s StreamStats) int64 { return s.CapVSkips }},
+	} {
+		stats := matchReference(t, tc.name, g, tc.opt)
+		if got, want := tc.closed(stats), int64(5*len(tail)); got < want {
+			t.Fatalf("%s: %d skips, want >= %d: parts 0-4 did not start closed", tc.name, got, want)
+		}
+		saw(stats)
+	}
+	// An empty stream returns Start with its counts; an all-Unassigned Start
+	// with nil Vertices streams every vertex in ID order, as no Start does.
+	matchReference(t, "empty stream", g, StreamOptions{
+		K: 16, C: 0.5, Gamma: 1.5, In: in, Start: lopsided, Vertices: []graph.VertexID{},
+	})
+	matchReference(t, "unassigned start", g, StreamOptions{K: 16, C: 0.5, Gamma: 1.5, In: in, Start: fillUnassigned(n)})
 	// As many parts as vertices, and more.
 	small, err := gen.ChungLu(gen.Config{NumVertices: 200, AvgDegree: 6, Skew: 0.7, Seed: 5})
 	if err != nil {

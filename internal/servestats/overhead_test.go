@@ -63,6 +63,12 @@ func TestDisabledStatsOverheadGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")
 	}
+	if raceEnabled {
+		// The race detector's instrumentation, not the stats path, sets the
+		// timing: the 5 % gate fails on about one -race run in five whether
+		// or not the code changed. Plain `go test` still runs it.
+		t.Skip("timing gate skipped under the race detector")
+	}
 	back, err := NewBackend(ringGraph(1024), blockAssignment(1024, 8), 8)
 	if err != nil {
 		t.Fatal(err)
