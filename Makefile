@@ -69,12 +69,11 @@ benchsmoke:
 benchcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# baselines regenerates the committed perf baselines CI diffs against
-# (see the observability job in .github/workflows/ci.yml). Run after an
-# intentional performance change and commit the result; the BENCH artifact
-# is -deterministic, so an unchanged simulation reproduces it byte for
-# byte.
+# baselines regenerates the committed BENCH artifact CI compares against
+# with cmp (see the observability job in .github/workflows/ci.yml). Run
+# after an intentional performance change and commit the result; the
+# artifact is -deterministic, so an unchanged simulation reproduces it byte
+# for byte.
 baselines:
 	$(GO) run ./cmd/bench -scale 0.05 -id "Fig 13" \
-		-trace baselines/trace_fig13.jsonl \
 		-json baselines/BENCH_bpart.json -deterministic

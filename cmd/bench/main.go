@@ -67,7 +67,7 @@ func main() {
 }
 
 // run is the testable entry point; it returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var ids idList
@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	csvDir := fs.String("csv", "", "also write each experiment as CSV into this directory")
 	tracePath := fs.String("trace", "", "write a JSONL trace (one span per experiment) to this file")
 	jsonPath := fs.String("json", "", "write a machine-readable BENCH artifact (schema in EXPERIMENTS.md) to this file, e.g. BENCH_bpart.json")
-	auditPath := fs.String("audit", "", "also run one audited BPart partition (twitter-sim at -scale, k=8) and write its decision audit log (JSONL, see cmd/partstat) here")
+	auditPath := fs.String("audit", "", "also run one audited BPart partition (twitter-sim at -scale, k=8) and write its decision audit log (JSONL, read by tracestat explain/timeline/combine) here")
 	faultPath := fs.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into every engine the experiments build")
 	ckptEvery := fs.Int("checkpoint-every", 0, "override the schedule's checkpoint interval; without -fault, >0 enables checkpointing with no faults (0 = schedule default, negative disables)")
 	deterministic := fs.Bool("deterministic", false, "zero the artifact's wall-clock fields so identical flags yield byte-identical output")
@@ -105,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// One tracer feeds both logs; with neither flag it is the no-op tracer
 	// and the run stays on the byte-identical disabled path. The deferred
 	// close runs on every return below, so an early exit still leaves
-	// complete logs.
+	// complete logs, and a close that fails turns exit 0 into 1.
 	tracer, closeLogs, err := resview.OpenSinks(*tracePath, *resPath)
 	if err != nil {
 		fmt.Fprintln(stderr, "bench:", err)
@@ -114,6 +114,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer func() {
 		if err := closeLogs(); err != nil {
 			fmt.Fprintln(stderr, "bench:", err)
+			code = max(code, 1)
+		} else if *resPath != "" {
+			fmt.Fprintf(stdout, "# wrote %s\n", *resPath)
 		}
 	}()
 	reg := bpart.NewMetrics()
@@ -192,9 +195,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if *resPath != "" {
-		fmt.Fprintf(stdout, "# wrote %s\n", *resPath)
-	}
 	if failed > 0 {
 		return 1
 	}
@@ -230,7 +230,7 @@ func parseWidths(s string, hostLadder bool) ([]int, error) {
 
 // runAudited performs one fully audited BPart partition of the paper's
 // main dataset and writes the decision audit log — the artifact the CI
-// observability job feeds to cmd/partstat.
+// observability job feeds to tracestat explain/timeline/combine.
 func runAudited(path string, scale float64) error {
 	g, err := bpart.Preset(bpart.TwitterSim, scale)
 	if err != nil {

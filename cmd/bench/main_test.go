@@ -327,6 +327,28 @@ func TestBenchEarlyExitClosesLogs(t *testing.T) {
 	}
 }
 
+// A log that cannot be flushed (a full disk) fails the run, and no
+// "# wrote" line claims otherwise.
+func TestBenchFullDiskFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform:", err)
+	}
+	for _, flag := range []string{"-trace", "-resources", "-audit"} {
+		t.Run(flag, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-scale", "0.02", "-id", "Table 1", flag, "/dev/full"}, &stdout, &stderr); code != 1 {
+				t.Fatalf("bench %s /dev/full exited %d, want 1; stderr %q", flag, code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "no space left on device") {
+				t.Errorf("stderr does not report the failed flush: %q", stderr.String())
+			}
+			if strings.Contains(stdout.String(), "/dev/full") {
+				t.Errorf("stdout claims the log was written:\n%s", stdout.String())
+			}
+		})
+	}
+}
+
 // The -workers flag changes scheduling only: a deterministic artifact
 // written at any worker-pool size is byte-identical to the sequential
 // one, and the artifact's parallel section (its own fixed ladder) proves

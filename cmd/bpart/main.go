@@ -19,13 +19,14 @@
 // superstep when -timeline runs) as JSON lines; -audit out.jsonl writes
 // the partition decision audit log (sampled score decompositions, the
 // streaming quality timeline and the combining audit tree — feed it to
-// cmd/partstat); -metrics prints the counter/gauge registry in Prometheus
-// text format on exit; -pprof ADDR serves /debug/pprof/*, /metrics and
-// /debug/vars on ADDR for the run's duration; -resources out.jsonl writes
-// the same trace records again, to a file of their own, with the runtime
-// resource deltas of each span and BSP superstep as res_* attrs (partition
-// streams, BPart layers, engine and walk runs — feed it to `tracestat
-// resources`). All observability is observation-only: the partition and
+// `tracestat explain|timeline|combine`); -metrics prints the counter/gauge
+// registry in Prometheus text format on exit; -pprof ADDR serves
+// /debug/pprof/*, /metrics and /debug/vars on ADDR for the run's duration;
+// -resources out.jsonl writes the same trace records again, to a file of
+// their own, with the runtime resource deltas of each span and BSP
+// superstep as res_* attrs (partition streams, BPart layers, engine and
+// walk runs — feed it to `tracestat resources`). A log that fails to flush
+// fails the run. All observability is observation-only: the partition and
 // every simulated result are byte-identical with or without it.
 //
 // -out, -audit, -timeline, -fault and -checkpoint-every act on the one
@@ -61,7 +62,7 @@ var errUsage = errors.New("usage")
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if err == errUsage {
+		if errors.Is(err, errUsage) {
 			os.Exit(2)
 		}
 		fmt.Fprintln(os.Stderr, "bpart:", err)
@@ -72,8 +73,9 @@ func main() {
 // run is the whole command. It returns instead of exiting so the deferred
 // trace, resource-log and audit flushes run on every path: an error raised
 // after those files were opened still leaves everything recorded so far on
-// disk, which is when the logs are wanted most.
-func run(args []string, stdout, stderr io.Writer) error {
+// disk, which is when the logs are wanted most. A flush that fails is part
+// of the returned error, so a truncated log never exits 0.
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("bpart", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -91,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		faultPath = fs.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into the engine runs and print their RecoveryStats")
 		ckptEvery = fs.Int("checkpoint-every", 0, "override the schedule's checkpoint interval; without -fault, >0 enables checkpointing with no faults (0 = schedule default, negative disables)")
 		tracePath = fs.String("trace", "", "write a JSONL span/event trace of the run to this file")
-		auditPath = fs.String("audit", "", "write the partition decision audit log (JSONL, see cmd/partstat) to this file")
+		auditPath = fs.String("audit", "", "write the partition decision audit log (JSONL, read by tracestat explain/timeline/combine) to this file")
 		metrics   = fs.Bool("metrics", false, "print telemetry counters (Prometheus text format) on exit")
 		pprofAddr = fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address (e.g. localhost:6060)")
 		resPath   = fs.String("resources", "", "write the trace again with runtime resource deltas as res_* attrs (JSONL, see `tracestat resources`) to this file")
@@ -111,7 +113,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer tel.finish()
+	defer func() {
+		if ferr := tel.finish(); ferr != nil {
+			err = errors.Join(err, ferr)
+		}
+	}()
 	faults, err := bpart.LoadFaultSpec(*faultPath, *ckptEvery)
 	if err != nil {
 		return err
@@ -180,25 +186,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	bpart.Instrument(p, tel.tracer, tel.reg)
 	if *auditPath != "" {
-		f, err := os.Create(*auditPath)
-		if err != nil {
-			return err
+		// ferr/aerr, not err: the deferred close below sets run's result.
+		f, ferr := os.Create(*auditPath)
+		if ferr != nil {
+			return ferr
 		}
-		aud, err := bpart.NewAuditor(f, bpart.AuditConfig{})
-		if err == nil && !bpart.Audit(p, aud) {
-			err = fmt.Errorf("scheme %s does not support decision auditing (BPart, Fennel and LDG do)", *scheme)
+		aud, aerr := bpart.NewAuditor(f, bpart.AuditConfig{})
+		if aerr == nil && !bpart.Audit(p, aud) {
+			aerr = fmt.Errorf("scheme %s does not support decision auditing (BPart, Fennel and LDG do)", *scheme)
 		}
-		if err != nil {
+		if aerr != nil {
 			f.Close()
-			return err
+			return aerr
 		}
 		defer func() {
-			err := aud.Close()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "bpart: audit flush:", err)
+			if cerr := errors.Join(aud.Close(), f.Close()); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("audit flush: %w", cerr))
+				return
 			}
 			fmt.Fprintf(stdout, "audit log written to %s\n", *auditPath)
 		}()
@@ -330,12 +334,12 @@ func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string, s
 	return t, nil
 }
 
-// finish flushes and closes the logs and prints the metrics dump.
-func (t *telemetryState) finish() {
-	if err := t.closeLogs(); err != nil {
-		fmt.Fprintln(t.stderr, "bpart:", err)
-	}
-	if t.resPath != "" {
+// finish flushes and closes the logs, returning a failed close, and
+// prints the metrics dump. The resource log is reported written only after
+// a clean close.
+func (t *telemetryState) finish() error {
+	err := t.closeLogs()
+	if err == nil && t.resPath != "" {
 		fmt.Fprintf(t.stdout, "resource log written to %s\n", t.resPath)
 	}
 	if t.metrics && t.reg != nil {
@@ -344,6 +348,7 @@ func (t *telemetryState) finish() {
 			fmt.Fprintln(t.stderr, "bpart: metrics dump:", err)
 		}
 	}
+	return err
 }
 
 // writeWalkTimeline runs the paper's 5|V|-walker, 4-step workload on the

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"bpart/internal/partaudit"
@@ -60,6 +62,29 @@ func TestErrorExitKeepsLogs(t *testing.T) {
 	}
 	if stderr.Len() != 0 {
 		t.Fatalf("flush diagnostics on a healthy disk: %s", stderr.String())
+	}
+}
+
+// A log that cannot be flushed (a full disk) fails the run, and no
+// "written to" line claims otherwise.
+func TestFullDiskFailsRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform:", err)
+	}
+	for _, flag := range []string{"-audit", "-trace", "-resources"} {
+		t.Run(flag, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			err := run([]string{"-dataset", "lj-sim", "-scale", "0.02", "-k", "4", flag, "/dev/full"}, &stdout, &stderr)
+			if !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("run = %v, want the failed flush (ENOSPC)", err)
+			}
+			if !strings.Contains(stdout.String(), "into 4 parts") {
+				t.Fatalf("the run failed before partitioning:\n%s", stdout.String())
+			}
+			if strings.Contains(stdout.String(), "/dev/full") {
+				t.Errorf("stdout claims the log was written:\n%s", stdout.String())
+			}
+		})
 	}
 }
 

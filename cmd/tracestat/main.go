@@ -1,37 +1,27 @@
-// Command tracestat analyzes the JSONL traces written by the telemetry
-// layer (bench -trace, or any program using telemetry.JSONL).
+// Command tracestat analyzes the JSONL logs the observability layers
+// write: traces (-trace; a -resources file is a trace too), bpartd request
+// logs (-reqlog) and partition decision audit logs (-audit). Run it
+// without arguments for the usage lines, printed from the subcommand table
+// below; `tracestat <subcommand> -h` describes a subcommand's flags.
 //
-// Usage:
+// Traces: report prints the full analysis (span aggregates, the phase tree
+// and, per BSP run, the WaitRatio decomposition, straggler attribution and
+// critical-path split); stragglers and critpath print just their section;
+// comm analyzes the src→dst matrices of a matrix-capture run
+// (Cluster.SetCommMatrix); resources analyzes the res_* attrs of a probed
+// run (phase self-time, alloc/GC attribution, Parallel Speedup curves);
+// diff compares two traces and, with -fail-above, is a regression gate.
+// Request logs: serve prints per-endpoint and per-part latency percentiles
+// and the version census. Audit logs: explain prints every sampled
+// placement of one vertex (the per-piece score table, the chosen piece,
+// its cause and the runner-up gap); timeline prints the streaming quality
+// timeline, ending on the numbers Evaluate reports; combine prints the
+// combining audit tree (pairing rounds, freeze decisions, predicted vs
+// actual balance).
 //
-//	tracestat report [-html out.html] [-supersteps n] [-tree-spans n] trace.jsonl
-//	tracestat stragglers trace.jsonl
-//	tracestat critpath trace.jsonl
-//	tracestat comm [-html out.html] [-audit audit.jsonl] [-supersteps n] [-matrix n] trace.jsonl
-//	tracestat resources [-html out.html] [-phases n] resources.jsonl
-//	tracestat serve [-html out.html] [-assign parts.txt] [-version n] [-gate gate.json] reqlog.jsonl
-//	tracestat diff [-fail-above pct] baseline.jsonl candidate.jsonl
-//
-// report prints the full analysis: span aggregates, the reconstructed
-// phase tree and, per BSP run, the WaitRatio decomposition, straggler
-// attribution and critical-path split; -html additionally writes a
-// self-contained timeline page. stragglers and critpath print just their
-// section. comm analyzes the src→dst comm matrices of a matrix-capture run
-// (Cluster.SetCommMatrix): the summed matrix, in/out skew, hot-pair
-// attribution and per-superstep evolution, with -audit adding the
-// predicted-vs-observed cut reconciliation and -html a heatmap page.
-// resources analyzes the res_* attrs of a probed run's trace (bench
-// -resources; every other subcommand reads that file too): phase
-// self-time breakdown, alloc/GC attribution and the
-// Parallel Speedup curves, with -html a chart page. serve analyzes
-// a bpartd request log: per-endpoint and per-part latency percentiles and
-// the version census; -assign adds the per-part tail attribution
-// (reconciled exactly against the assignment, -version selecting which
-// swap generation, default 1), -gate checks p99 ceilings from a committed
-// gate file (exit 1 on breach), and -html writes the latency/heatmap
-// page. diff compares
-// two traces and, with -fail-above, exits 1 when any gated simulation
-// metric regressed by more than the given percent — the CI regression
-// gate.
+// Exit status: 0 on success, 1 when a log cannot be read or a gate trips,
+// 2 on a usage error (an unknown subcommand or flag, or a wrong argument
+// count).
 package main
 
 import (
@@ -39,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 
 	"bpart/internal/commview"
 	"bpart/internal/gio"
@@ -53,16 +45,246 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage(stderr io.Writer) int {
-	fmt.Fprintln(stderr, `usage:
-  tracestat report [-html out.html] [-supersteps n] [-tree-spans n] trace.jsonl
-  tracestat stragglers trace.jsonl
-  tracestat critpath trace.jsonl
-  tracestat comm [-html out.html] [-audit audit.jsonl] [-supersteps n] [-matrix n] trace.jsonl
-  tracestat resources [-html out.html] [-phases n] resources.jsonl
-  tracestat serve [-html out.html] [-assign parts.txt] [-version n] [-gate gate.json] reqlog.jsonl
-  tracestat diff [-fail-above pct] baseline.jsonl candidate.jsonl`)
-	return 2
+// A command is one subcommand. Everything else — the FlagSet, the
+// argument count, usage and exit 2, the failure line and exit 1, the -html
+// page — belongs to the driver, which also prints the usage lines from
+// these rows, so a subcommand accepts exactly the flags its line shows.
+type command struct {
+	name string
+	args []string // positional argument names, in order
+	// page, when set, gives the subcommand an -html flag: "also write a
+	// self-contained <page> page".
+	page string
+	// setup declares the subcommand's own flags and returns its body.
+	setup func(fs *flag.FlagSet) func(c *call) error
+}
+
+// call is one invocation's positional arguments and output.
+type call struct {
+	args     []string
+	stdout   io.Writer
+	htmlPath string
+}
+
+// html writes render's page to the -html path, if one was given.
+func (c *call) html(render func(io.Writer) error) error {
+	if c.htmlPath == "" {
+		return nil
+	}
+	if err := htmlpage.WriteFile(c.htmlPath, render); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(c.stdout, "\nwrote %s\n", c.htmlPath)
+	return err
+}
+
+// noFlags is the setup of a subcommand that takes no flags.
+func noFlags(body func(c *call) error) func(*flag.FlagSet) func(*call) error {
+	return func(*flag.FlagSet) func(*call) error { return body }
+}
+
+var commands = []command{
+	{name: "report", args: []string{"trace.jsonl"}, page: "timeline",
+		setup: func(fs *flag.FlagSet) func(*call) error {
+			maxSteps := fs.Int("supersteps", 0, "max `n` supersteps in the straggler table (0 = default)")
+			maxTree := fs.Int("tree-spans", 0, "max `n` spans in the phase tree (0 = default)")
+			return func(c *call) error {
+				tr, err := traceview.ReadFile(c.args[0])
+				if err != nil {
+					return err
+				}
+				opt := traceview.ReportOptions{MaxSupersteps: *maxSteps, MaxTreeSpans: *maxTree}
+				if err := traceview.WriteReport(c.stdout, tr, opt); err != nil {
+					return err
+				}
+				return c.html(func(w io.Writer) error { return traceview.WriteHTML(w, tr) })
+			}
+		}},
+	{name: "stragglers", args: []string{"trace.jsonl"},
+		setup: func(fs *flag.FlagSet) func(*call) error {
+			maxSteps := fs.Int("supersteps", 0, "max `n` supersteps listed (0 = default)")
+			return func(c *call) error {
+				opt := traceview.ReportOptions{MaxSupersteps: *maxSteps}
+				return eachRun(c, func(i int, run []traceview.Superstep) error {
+					return traceview.WriteStragglers(c.stdout, i, run, opt)
+				})
+			}
+		}},
+	{name: "critpath", args: []string{"trace.jsonl"},
+		setup: noFlags(func(c *call) error {
+			return eachRun(c, func(i int, run []traceview.Superstep) error {
+				return traceview.WriteCritPath(c.stdout, i, run)
+			})
+		})},
+	{name: "comm", args: []string{"trace.jsonl"}, page: "heatmap",
+		setup: func(fs *flag.FlagSet) func(*call) error {
+			auditPath := fs.String("audit", "", "reconcile observed traffic against the cut predicted by the partaudit log `audit.jsonl`")
+			maxSteps := fs.Int("supersteps", 0, "max `n` supersteps in the evolution table (0 = default)")
+			maxMatrix := fs.Int("matrix", 0, "print the full matrix for up to `n` machines (0 = default)")
+			return func(c *call) error {
+				tr, err := traceview.ReadFile(c.args[0])
+				if err != nil {
+					return err
+				}
+				steps, err := traceview.Supersteps(tr)
+				if err != nil {
+					return err
+				}
+				opt := commview.ReportOptions{MaxSupersteps: *maxSteps, MaxMatrix: *maxMatrix}
+				if *auditPath != "" {
+					if opt.Audit, err = partaudit.ReadLogFile(*auditPath); err != nil {
+						return err
+					}
+				}
+				// The reconciliation invariant is checked on every read: a
+				// trace whose matrices disagree with the flat counters is
+				// corrupted, and analyzing it would dress broken
+				// instrumentation up as a topology finding.
+				if err := commview.CheckMessages(steps); err != nil {
+					return err
+				}
+				if err := commview.WriteReport(c.stdout, steps, tr.Truncated, opt); err != nil {
+					return err
+				}
+				return c.html(func(w io.Writer) error {
+					return commview.WriteHTML(w, steps, tr.Truncated, "bpart comm topology")
+				})
+			}
+		}},
+	{name: "resources", args: []string{"resources.jsonl"}, page: "chart",
+		setup: func(fs *flag.FlagSet) func(*call) error {
+			maxPhases := fs.Int("phases", 0, "max `n` phases in the breakdown tables (0 = default)")
+			return func(c *call) error {
+				tr, err := traceview.ReadFile(c.args[0])
+				if err != nil {
+					return err
+				}
+				if err := resview.WriteReport(c.stdout, tr, resview.ReportOptions{MaxPhases: *maxPhases}); err != nil {
+					return err
+				}
+				return c.html(func(w io.Writer) error { return resview.WriteHTML(w, tr, "bpart runtime resources") })
+			}
+		}},
+	{name: "serve", args: []string{"reqlog.jsonl"}, page: "latency/heatmap",
+		setup: func(fs *flag.FlagSet) func(*call) error {
+			assignPath := fs.String("assign", "", "add the per-part tail attribution, reconciled exactly against the assignment file `parts.txt`")
+			version := fs.Int("version", 1, "attribute assignment version `n` (with -assign)")
+			gatePath := fs.String("gate", "", "check the p99 gate file `gate.json` (baselines/SERVING_gate.json); exit 1 on breach")
+			return func(c *call) error {
+				log, err := servestats.ReadFile(c.args[0])
+				if err != nil {
+					return err
+				}
+				rep := servestats.Summarize(log)
+				var attrib []servestats.Attribution
+				if *assignPath != "" {
+					parts, k, err := gio.ReadAssignmentFile(*assignPath)
+					if err != nil {
+						return err
+					}
+					if attrib, err = servestats.Attribute(log, parts, k, *version); err != nil {
+						return err
+					}
+				}
+				if err := servestats.WriteText(c.stdout, rep, attrib); err != nil {
+					return err
+				}
+				if err := c.html(func(w io.Writer) error { return servestats.WriteHTML(w, rep, attrib) }); err != nil {
+					return err
+				}
+				if *gatePath == "" {
+					return nil
+				}
+				gate, err := servestats.ReadGateFile(*gatePath)
+				if err != nil {
+					return err
+				}
+				if err := gate.Check(rep); err != nil {
+					return err
+				}
+				_, err = fmt.Fprintln(c.stdout, "serving gate: ok")
+				return err
+			}
+		}},
+	{name: "diff", args: []string{"baseline.jsonl", "candidate.jsonl"},
+		setup: func(fs *flag.FlagSet) func(*call) error {
+			failAbove := fs.Float64("fail-above", 0, "exit 1 when a gated metric regresses by more than `pct` percent (0 = report only)")
+			return func(c *call) error {
+				a, err := traceview.ReadFile(c.args[0])
+				if err != nil {
+					return err
+				}
+				b, err := traceview.ReadFile(c.args[1])
+				if err != nil {
+					return err
+				}
+				d, err := traceview.Diff(a, b)
+				if err != nil {
+					return err
+				}
+				if err := d.WriteText(c.stdout, *failAbove); err != nil {
+					return err
+				}
+				if d.Exceeds(*failAbove) {
+					return fmt.Errorf("regression gate tripped (fail-above %.2f%%)", *failAbove)
+				}
+				return nil
+			}
+		}},
+	{name: "explain", args: []string{"<vertexID>", "audit.jsonl"},
+		setup: noFlags(func(c *call) error {
+			vertex, err := strconv.Atoi(c.args[0])
+			if err != nil {
+				return fmt.Errorf("bad vertex ID %q: %w", c.args[0], err)
+			}
+			log, err := partaudit.ReadLogFile(c.args[1])
+			if err != nil {
+				return err
+			}
+			return partaudit.WriteExplain(c.stdout, log, vertex)
+		})},
+	{name: "timeline", args: []string{"audit.jsonl"}, page: "timeline chart",
+		setup: noFlags(func(c *call) error {
+			log, err := partaudit.ReadLogFile(c.args[0])
+			if err != nil {
+				return err
+			}
+			if err := partaudit.WriteTimeline(c.stdout, log); err != nil {
+				return err
+			}
+			return c.html(func(w io.Writer) error { return partaudit.WriteTimelineHTML(w, log) })
+		})},
+	{name: "combine", args: []string{"audit.jsonl"},
+		setup: noFlags(func(c *call) error {
+			log, err := partaudit.ReadLogFile(c.args[0])
+			if err != nil {
+				return err
+			}
+			return partaudit.WriteCombine(c.stdout, log)
+		})},
+}
+
+// eachRun reads the trace, splits its supersteps into BSP runs and hands
+// each to section, numbered from 1.
+func eachRun(c *call, section func(i int, run []traceview.Superstep) error) error {
+	tr, err := traceview.ReadFile(c.args[0])
+	if err != nil {
+		return err
+	}
+	steps, err := traceview.Supersteps(tr)
+	if err != nil {
+		return err
+	}
+	if len(steps) == 0 {
+		_, err := fmt.Fprintln(c.stdout, "no cluster.superstep records in trace")
+		return err
+	}
+	for i, run := range traceview.GroupRuns(steps) {
+		if err := section(i+1, run); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // run is the testable entry point; it returns the process exit code.
@@ -70,258 +292,54 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		return usage(stderr)
 	}
-	switch args[0] {
-	case "report":
-		return cmdReport(args[1:], stdout, stderr)
-	case "stragglers":
-		return cmdRuns(args[1:], stdout, stderr, "stragglers")
-	case "critpath":
-		return cmdRuns(args[1:], stdout, stderr, "critpath")
-	case "comm":
-		return cmdComm(args[1:], stdout, stderr)
-	case "resources":
-		return cmdResources(args[1:], stdout, stderr)
-	case "serve":
-		return cmdServe(args[1:], stdout, stderr)
-	case "diff":
-		return cmdDiff(args[1:], stdout, stderr)
-	default:
-		fmt.Fprintf(stderr, "tracestat: unknown subcommand %q\n", args[0])
-		return usage(stderr)
+	for _, cmd := range commands {
+		if cmd.name == args[0] {
+			return cmd.run(args[1:], stdout, stderr)
+		}
 	}
+	fmt.Fprintf(stderr, "tracestat: unknown subcommand %q\n", args[0])
+	return usage(stderr)
 }
 
-func fail(stderr io.Writer, err error) int {
-	fmt.Fprintln(stderr, "tracestat:", err)
-	return 1
+// flags declares the subcommand's flags (with -html when it has a page) on
+// a new FlagSet and returns the set and the body that reads them.
+func (cmd command) flags(c *call) (*flag.FlagSet, func(*call) error) {
+	fs := flag.NewFlagSet(cmd.name, flag.ContinueOnError)
+	if cmd.page != "" {
+		fs.StringVar(&c.htmlPath, "html", "", "also write a self-contained "+cmd.page+" page to `out.html`")
+	}
+	return fs, cmd.setup(fs)
 }
 
-func cmdReport(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
+func (cmd command) run(args []string, stdout, stderr io.Writer) int {
+	c := &call{stdout: stdout}
+	fs, body := cmd.flags(c)
 	fs.SetOutput(stderr)
-	htmlPath := fs.String("html", "", "also write a self-contained HTML timeline to this file")
-	maxSteps := fs.Int("supersteps", 0, "max supersteps in the straggler table (0 = default)")
-	maxTree := fs.Int("tree-spans", 0, "max spans in the phase tree (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 1 {
+	if fs.NArg() != len(cmd.args) {
 		return usage(stderr)
 	}
-	tr, err := traceview.ReadFile(fs.Arg(0))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	opt := traceview.ReportOptions{MaxSupersteps: *maxSteps, MaxTreeSpans: *maxTree}
-	if err := traceview.WriteReport(stdout, tr, opt); err != nil {
-		return fail(stderr, err)
-	}
-	if *htmlPath != "" {
-		render := func(w io.Writer) error { return traceview.WriteHTML(w, tr) }
-		if err := htmlpage.WriteFile(*htmlPath, render); err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintf(stdout, "\nwrote %s\n", *htmlPath)
-	}
-	return 0
-}
-
-// cmdRuns serves the single-section subcommands (stragglers, critpath):
-// parse, split into runs, print one section per run.
-func cmdRuns(args []string, stdout, stderr io.Writer, section string) int {
-	fs := flag.NewFlagSet(section, flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	maxSteps := fs.Int("supersteps", 0, "max supersteps listed (0 = default)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		return usage(stderr)
-	}
-	tr, err := traceview.ReadFile(fs.Arg(0))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	steps, err := traceview.Supersteps(tr)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if len(steps) == 0 {
-		fmt.Fprintln(stdout, "no cluster.superstep records in trace")
-		return 0
-	}
-	opt := traceview.ReportOptions{MaxSupersteps: *maxSteps}
-	for i, run := range traceview.GroupRuns(steps) {
-		var err error
-		switch section {
-		case "stragglers":
-			err = traceview.WriteStragglers(stdout, i+1, run, opt)
-		case "critpath":
-			err = traceview.WriteCritPath(stdout, i+1, run)
-		}
-		if err != nil {
-			return fail(stderr, err)
-		}
-	}
-	return 0
-}
-
-func cmdComm(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("comm", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	htmlPath := fs.String("html", "", "also write a self-contained heatmap page to this file")
-	auditPath := fs.String("audit", "", "partaudit log to reconcile observed traffic against the predicted cut")
-	maxSteps := fs.Int("supersteps", 0, "max supersteps in the evolution table (0 = default)")
-	maxMatrix := fs.Int("matrix", 0, "max machine count for which the full matrix is printed (0 = default)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		return usage(stderr)
-	}
-	tr, err := traceview.ReadFile(fs.Arg(0))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	steps, err := traceview.Supersteps(tr)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	opt := commview.ReportOptions{MaxSupersteps: *maxSteps, MaxMatrix: *maxMatrix}
-	if *auditPath != "" {
-		audit, err := partaudit.ReadLogFile(*auditPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		opt.Audit = audit
-	}
-	// The reconciliation invariant is checked on every read: a trace whose
-	// matrices disagree with the flat counters is corrupted, and analyzing
-	// it would dress broken instrumentation up as a topology finding.
-	if err := commview.CheckMessages(steps); err != nil {
-		return fail(stderr, err)
-	}
-	if err := commview.WriteReport(stdout, steps, tr.Truncated, opt); err != nil {
-		return fail(stderr, err)
-	}
-	if *htmlPath != "" {
-		render := func(w io.Writer) error { return commview.WriteHTML(w, steps, tr.Truncated, "bpart comm topology") }
-		if err := htmlpage.WriteFile(*htmlPath, render); err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintf(stdout, "\nwrote %s\n", *htmlPath)
-	}
-	return 0
-}
-
-func cmdResources(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("resources", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	htmlPath := fs.String("html", "", "also write a self-contained chart page to this file")
-	maxPhases := fs.Int("phases", 0, "max phases in the breakdown tables (0 = default)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		return usage(stderr)
-	}
-	tr, err := traceview.ReadFile(fs.Arg(0))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if err := resview.WriteReport(stdout, tr, resview.ReportOptions{MaxPhases: *maxPhases}); err != nil {
-		return fail(stderr, err)
-	}
-	if *htmlPath != "" {
-		render := func(w io.Writer) error { return resview.WriteHTML(w, tr, "bpart runtime resources") }
-		if err := htmlpage.WriteFile(*htmlPath, render); err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintf(stdout, "\nwrote %s\n", *htmlPath)
-	}
-	return 0
-}
-
-func cmdServe(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	htmlPath := fs.String("html", "", "also write a self-contained latency/heatmap page to this file")
-	assignPath := fs.String("assign", "", "assignment file: adds the per-part tail attribution, reconciled exactly")
-	version := fs.Int("version", 1, "assignment version to attribute (with -assign)")
-	gatePath := fs.String("gate", "", "p99 gate file (baselines/SERVING_gate.json); exit 1 on breach")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		return usage(stderr)
-	}
-	log, err := servestats.ReadFile(fs.Arg(0))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	rep := servestats.Summarize(log)
-	var attrib []servestats.Attribution
-	if *assignPath != "" {
-		parts, k, err := gio.ReadAssignmentFile(*assignPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if attrib, err = servestats.Attribute(log, parts, k, *version); err != nil {
-			return fail(stderr, err)
-		}
-	}
-	if err := servestats.WriteText(stdout, rep, attrib); err != nil {
-		return fail(stderr, err)
-	}
-	if *htmlPath != "" {
-		render := func(w io.Writer) error { return servestats.WriteHTML(w, rep, attrib) }
-		if err := htmlpage.WriteFile(*htmlPath, render); err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintf(stdout, "\nwrote %s\n", *htmlPath)
-	}
-	if *gatePath != "" {
-		gate, err := servestats.ReadGateFile(*gatePath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := gate.Check(rep); err != nil {
-			fmt.Fprintf(stderr, "tracestat: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "serving gate: ok")
-	}
-	return 0
-}
-
-func cmdDiff(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	failAbove := fs.Float64("fail-above", 0, "exit 1 when a gated metric regresses by more than this percent (0 = report only)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 2 {
-		return usage(stderr)
-	}
-	a, err := traceview.ReadFile(fs.Arg(0))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	b, err := traceview.ReadFile(fs.Arg(1))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	d, err := traceview.Diff(a, b)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if err := d.WriteText(stdout, *failAbove); err != nil {
-		return fail(stderr, err)
-	}
-	if d.Exceeds(*failAbove) {
-		fmt.Fprintf(stderr, "tracestat: regression gate tripped (fail-above %.2f%%)\n", *failAbove)
+	c.args = fs.Args()
+	if err := body(c); err != nil {
+		fmt.Fprintln(stderr, "tracestat:", err)
 		return 1
 	}
 	return 0
+}
+
+// usage prints one line per subcommand, built from its FlagSet.
+func usage(stderr io.Writer) int {
+	fmt.Fprintln(stderr, "usage:")
+	for _, cmd := range commands {
+		fs, _ := cmd.flags(&call{})
+		line := []string{"  tracestat", cmd.name}
+		fs.VisitAll(func(f *flag.Flag) {
+			arg, _ := flag.UnquoteUsage(f)
+			line = append(line, "[-"+f.Name+" "+arg+"]")
+		})
+		fmt.Fprintln(stderr, strings.Join(append(line, cmd.args...), " "))
+	}
+	return 2
 }

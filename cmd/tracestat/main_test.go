@@ -224,6 +224,193 @@ func TestBadInvocations(t *testing.T) {
 	if code, _, stderr := runCLI(t, "report", "/nonexistent/trace.jsonl"); code != 1 || stderr == "" {
 		t.Errorf("missing file exit = %d, want 1 with stderr", code)
 	}
+	// A subcommand accepts exactly the flags on its usage line: critpath
+	// has no -supersteps and stragglers no page to write.
+	path := writeTrace(t, "a.jsonl", sampleTrace)
+	for _, args := range [][]string{
+		{"critpath", "-supersteps", "3", path},
+		{"stragglers", "-html", filepath.Join(t.TempDir(), "s.html"), path},
+		{"combine", "-html", filepath.Join(t.TempDir(), "c.html"), path},
+	} {
+		if code, _, stderr := runCLI(t, args...); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+			t.Errorf("run(%q) = %d, want 2 with a flag diagnostic; stderr %q", args, code, stderr)
+		}
+	}
+	_, _, stderr := runCLI(t)
+	for _, line := range []string{
+		"  tracestat critpath trace.jsonl\n",
+		"  tracestat comm [-audit audit.jsonl] [-html out.html] [-matrix n] [-supersteps n] trace.jsonl\n",
+		"  tracestat explain <vertexID> audit.jsonl\n",
+		"  tracestat timeline [-html out.html] audit.jsonl\n",
+	} {
+		if !strings.Contains(stderr, line) {
+			t.Errorf("usage lacks %q:\n%s", line, stderr)
+		}
+	}
+}
+
+// goldenDir holds every subcommand's stdout and -html page, recorded with
+// the binaries from before the audit views became tracestat subcommands
+// and every subcommand ran through one driver. A golden's "OUT.html" is
+// the -html path.
+const goldenDir = "testdata"
+
+func TestGoldenOutputs(t *testing.T) {
+	const (
+		sample = "../../internal/traceview/testdata/sample.jsonl"
+		comm   = "../../internal/commview/testdata/crash5_restream.trace.jsonl"
+		res    = "../../internal/resview/testdata/parent_pr15.jsonl"
+		audit  = goldenDir + "/audit.jsonl"
+	)
+	cases := []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"report", []string{"report", "-html", "OUT.html", sample}, 0},
+		{"stragglers", []string{"stragglers", comm}, 0},
+		{"critpath", []string{"critpath", comm}, 0},
+		{"comm", []string{"comm", "-html", "OUT.html", "-audit", audit, comm}, 0},
+		{"resources", []string{"resources", "-html", "OUT.html", res}, 0},
+		{"serve", []string{"serve", "-html", "OUT.html", "-assign", goldenDir + "/parts.txt",
+			"-gate", goldenDir + "/gate.json", goldenDir + "/reqs.jsonl"}, 0},
+		{"diff", []string{"diff", "-fail-above", "1", sample, comm}, 1},
+		{"explain", []string{"explain", "0", audit}, 0},
+		{"timeline", []string{"timeline", "-html", "OUT.html", audit}, 0},
+		{"combine", []string{"combine", audit}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			htmlPath := filepath.Join(t.TempDir(), "OUT.html")
+			args := make([]string, len(tc.args))
+			for i, a := range tc.args {
+				args[i] = strings.ReplaceAll(a, "OUT.html", htmlPath)
+			}
+			code, out, errb := runCLI(t, args...)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d; stderr: %s", code, tc.code, errb)
+			}
+			checkGolden(t, tc.name+".stdout", []byte(strings.ReplaceAll(out, htmlPath, "OUT.html")))
+			page, err := os.ReadFile(htmlPath)
+			if want := strings.Contains(strings.Join(tc.args, " "), "-html"); want != (err == nil) {
+				t.Fatalf("-html given: %v, page read: %v", want, err)
+			}
+			if err == nil {
+				checkGolden(t, tc.name+".html", page)
+			}
+		})
+	}
+}
+
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join(goldenDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from its golden:\n got:\n%s\nwant:\n%s", name, got, want)
+	}
+}
+
+func TestSubcommands(t *testing.T) {
+	// Stream position 0 of layer 1 is always sampled, so vertex 0 is
+	// explainable.
+	path := goldenDir + "/audit.jsonl"
+	var out, errb bytes.Buffer
+	if code := run([]string{"explain", "0", path}, &out, &errb); code != 0 {
+		t.Fatalf("explain exited %d: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "<- chosen") {
+		t.Fatalf("explain output lacks the chosen marker:\n%s", out.String())
+	}
+
+	out.Reset()
+	htmlPath := filepath.Join(t.TempDir(), "timeline.html")
+	if code := run([]string{"timeline", "-html", htmlPath, path}, &out, &errb); code != 0 {
+		t.Fatalf("timeline exited %d: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "cut_ratio") {
+		t.Fatalf("timeline output lacks the window table:\n%s", out.String())
+	}
+	html, err := os.ReadFile(htmlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(html, []byte("<svg")) || !bytes.Contains(html, []byte("</html>")) {
+		t.Fatal("HTML timeline is not a complete page with a chart")
+	}
+
+	out.Reset()
+	if code := run([]string{"combine", path}, &out, &errb); code != 0 {
+		t.Fatalf("combine exited %d: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "FROZEN as part") {
+		t.Fatalf("combine output lacks freeze outcomes:\n%s", out.String())
+	}
+}
+
+func TestErrorPaths(t *testing.T) {
+	path := goldenDir + "/audit.jsonl"
+	var out, errb bytes.Buffer
+	cases := []struct {
+		args []string
+		code int
+	}{
+		{nil, 2},                                    // no subcommand
+		{[]string{"bogus"}, 2},                      // unknown subcommand
+		{[]string{"explain", "7"}, 2},               // missing log path
+		{[]string{"explain", "x", path}, 1},         // bad vertex ID
+		{[]string{"timeline", "/no/such.jsonl"}, 1}, // unreadable log
+		{[]string{"combine"}, 2},                    // missing log path
+	}
+	for _, tc := range cases {
+		out.Reset()
+		errb.Reset()
+		if code := run(tc.args, &out, &errb); code != tc.code {
+			t.Errorf("run(%q) = %d, want %d (stderr: %s)", tc.args, code, tc.code, errb.String())
+		}
+	}
+	// An unsampled vertex (the fixture's hubs are its lowest IDs) names
+	// the knob that exists: AuditConfig.SampleEvery, not a CLI flag.
+	errb.Reset()
+	if code := run([]string{"explain", "1999", path}, &out, &errb); code != 1 {
+		t.Fatalf("explain of an unsampled vertex exited %d", code)
+	}
+	const want = "tracestat: partaudit: vertex 1999 has no sampled decisions " +
+		"(sampled: every 64th vertex plus 16 hubs; record with a smaller AuditConfig.SampleEvery to catch it)\n"
+	if errb.String() != want {
+		t.Fatalf("unsampled-vertex diagnostic:\n got %q\nwant %q", errb.String(), want)
+	}
+}
+
+// A file that is not an audit log at all (every line garbage) must be a
+// hard failure with a single-line diagnostic — not empty output with
+// exit 0.
+func TestCorruptLogFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "garbage.jsonl")
+	if err := os.WriteFile(path, []byte("this is not an audit log\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	for _, args := range [][]string{
+		{"explain", "7", path},
+		{"timeline", path},
+		{"combine", path},
+	} {
+		out.Reset()
+		errb.Reset()
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("run(%q) on garbage = %d, want 1", args, code)
+		}
+		diag := strings.TrimRight(errb.String(), "\n")
+		if diag == "" || strings.Contains(diag, "\n") {
+			t.Errorf("run(%q) diagnostic not a single line: %q", args, errb.String())
+		}
+		if !strings.Contains(diag, "line 1") {
+			t.Errorf("run(%q) diagnostic does not locate the damage: %q", args, diag)
+		}
+	}
 }
 
 // A file that is not a trace at all (every line garbage) must be a hard

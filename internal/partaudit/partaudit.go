@@ -26,7 +26,7 @@
 // internal/recordlog's: whole-line writes flushed every flushCadence
 // records with a sticky first error surfaced by Flush/Close, and a reader
 // (ReadLog) that tolerates a torn final line from a crashed run while
-// rejecting interior damage. cmd/partstat renders the log (explain /
+// rejecting interior damage. cmd/tracestat renders the log (explain /
 // timeline / combine).
 package partaudit
 

@@ -19,7 +19,7 @@ func writeHeaderLine(ew *recordlog.Printer, l *Log) {
 
 // WriteExplain renders every sampled decision for one vertex: the full
 // per-piece score table (affinity − penalty = score, capacity skips), the
-// chosen piece, the cause and the runner-up gap — `partstat explain`.
+// chosen piece, the cause and the runner-up gap — `tracestat explain`.
 func WriteExplain(w io.Writer, l *Log, vertex int) error {
 	ew := &recordlog.Printer{W: w}
 	writeHeaderLine(ew, l)
@@ -28,8 +28,12 @@ func WriteExplain(w io.Writer, l *Log, vertex int) error {
 		if ew.Err != nil {
 			return ew.Err
 		}
-		return fmt.Errorf("partaudit: vertex %d has no sampled decisions (sampled: every %s vertex plus hubs; re-run with a smaller -audit-sample to catch it)",
-			vertex, ordinal(sampleEveryOf(l)))
+		every, hubs := 0, 0
+		if h := l.Header; h != nil {
+			every, hubs = h.SampleEvery, h.Hubs
+		}
+		return fmt.Errorf("partaudit: vertex %d has no sampled decisions (sampled: every %s vertex plus %d hubs; record with a smaller AuditConfig.SampleEvery to catch it)",
+			vertex, ordinal(every), hubs)
 	}
 	for _, d := range decs {
 		ew.Printf("\nvertex %d  layer %d  stream position %d  out-degree %d\n", d.Vertex, d.Layer, d.Pos, d.Degree)
@@ -55,13 +59,6 @@ func WriteExplain(w io.Writer, l *Log, vertex int) error {
 	return ew.Err
 }
 
-func sampleEveryOf(l *Log) int {
-	if l.Header != nil {
-		return l.Header.SampleEvery
-	}
-	return 0
-}
-
 func ordinal(n int) string {
 	if n <= 0 {
 		return "Nth"
@@ -71,7 +68,7 @@ func ordinal(n int) string {
 
 // WriteTimeline renders the streaming quality timeline — one row per
 // window with vertex/edge bias and cut ratio — and the final report row,
-// which equals Evaluate's Report — `partstat timeline`.
+// which equals Evaluate's Report — `tracestat timeline`.
 func WriteTimeline(w io.Writer, l *Log) error {
 	ew := &recordlog.Printer{W: w}
 	writeHeaderLine(ew, l)
@@ -107,7 +104,7 @@ func WriteTimeline(w io.Writer, l *Log) error {
 // WriteCombine renders the combining audit tree: per layer, the pairing
 // rounds (vertex-lightest group merged with vertex-heaviest — the
 // inverse-proportionality rationale), every group's deviation and freeze
-// outcome, and the predicted-vs-actual final balance — `partstat
+// outcome, and the predicted-vs-actual final balance — `tracestat
 // combine`.
 func WriteCombine(w io.Writer, l *Log) error {
 	ew := &recordlog.Printer{W: w}

@@ -78,7 +78,7 @@ var families = []family{
 
 // The three formats' readers sit on one Scan, so the same damage must draw
 // the same verdict from each — and the error strings the CLIs print (pinned by the
-// cmd/tracestat and cmd/partstat diagnostics tests) must not drift.
+// cmd/tracestat diagnostics tests) must not drift.
 func TestFamiliesShareOneVerdict(t *testing.T) {
 	const (
 		jsonGarbage = "invalid character 'o' in literal null (expecting 'u')"
