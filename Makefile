@@ -34,8 +34,9 @@ race:
 # and the serving handlers' query strings (FuzzHandlers). Two only
 # summarize: commview and resview FuzzRead have no parser of their own —
 # they feed whatever traceview.Read accepts through the superstep/res_*
-# decode, the summarizers and both renderers. One target per line as
-# package:Target.
+# decode and the summarizers. Every FuzzRead/FuzzReadLog then renders what
+# it accepted, text and HTML, so no report can panic on a log its reader
+# takes. One target per line as package:Target.
 FUZZ_TARGETS = \
 	internal/gio:FuzzReadBinary \
 	internal/gio:FuzzReadEdgeList \

@@ -34,8 +34,8 @@ import (
 
 	"bpart/internal/commview"
 	"bpart/internal/gio"
-	"bpart/internal/htmlpage"
 	"bpart/internal/partaudit"
+	"bpart/internal/report"
 	"bpart/internal/resview"
 	"bpart/internal/servestats"
 	"bpart/internal/traceview"
@@ -71,7 +71,7 @@ func (c *call) html(render func(io.Writer) error) error {
 	if c.htmlPath == "" {
 		return nil
 	}
-	if err := htmlpage.WriteFile(c.htmlPath, render); err != nil {
+	if err := report.WriteFile(c.htmlPath, render); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(c.stdout, "\nwrote %s\n", c.htmlPath)

@@ -261,6 +261,10 @@ func TestGoldenOutputs(t *testing.T) {
 		comm   = "../../internal/commview/testdata/crash5_restream.trace.jsonl"
 		res    = "../../internal/resview/testdata/parent_pr15.jsonl"
 		audit  = goldenDir + "/audit.jsonl"
+		// Prefixes of comm's trace and of audit.jsonl (thinned decisions),
+		// each ending in half a line.
+		tornTrace = goldenDir + "/trace_torn.jsonl"
+		tornAudit = goldenDir + "/audit_torn.jsonl"
 	)
 	cases := []struct {
 		name string
@@ -278,6 +282,19 @@ func TestGoldenOutputs(t *testing.T) {
 		{"explain", []string{"explain", "0", audit}, 0},
 		{"timeline", []string{"timeline", "-html", "OUT.html", audit}, 0},
 		{"combine", []string{"combine", audit}, 0},
+		// Each family's torn copy ends mid-record, so every reader's
+		// truncation banner, in text and on the page, is pinned too.
+		{"report_torn", []string{"report", "-html", "OUT.html", tornTrace}, 0},
+		{"stragglers_torn", []string{"stragglers", tornTrace}, 0},
+		{"critpath_torn", []string{"critpath", tornTrace}, 0},
+		{"comm_torn", []string{"comm", "-html", "OUT.html", "-audit", tornAudit, tornTrace}, 0},
+		{"diff_torn", []string{"diff", sample, tornTrace}, 0},
+		{"resources_torn", []string{"resources", "-html", "OUT.html", goldenDir + "/resources_torn.jsonl"}, 0},
+		{"serve_torn", []string{"serve", "-html", "OUT.html", "-assign", goldenDir + "/parts.txt",
+			"-gate", goldenDir + "/gate.json", goldenDir + "/reqs_torn.jsonl"}, 0},
+		{"explain_torn", []string{"explain", "0", tornAudit}, 0},
+		{"timeline_torn", []string{"timeline", "-html", "OUT.html", tornAudit}, 0},
+		{"combine_torn", []string{"combine", tornAudit}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

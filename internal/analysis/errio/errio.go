@@ -1,7 +1,7 @@
 // Package errio forbids discarding writer and flush errors in the I/O
 // packages (internal/gio, internal/telemetry, internal/cluster,
-// internal/recordlog, internal/partaudit, internal/commview,
-// internal/resview, internal/servestats).
+// internal/recordlog, internal/report, internal/partaudit,
+// internal/commview, internal/resview, internal/servestats).
 //
 // Graph dumps, assignment files, JSONL traces and CSV timelines are the
 // artifacts experiments are reproduced from; a full disk or closed pipe
@@ -24,7 +24,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "errio",
 	Doc: "forbid discarded writer/flush errors in I/O packages\n\n" +
 		"In internal/gio, internal/telemetry, internal/cluster, " +
-		"internal/recordlog, internal/partaudit, internal/commview, " +
+		"internal/recordlog, internal/report, internal/partaudit, internal/commview, " +
 		"internal/resview and internal/servestats, errors from " +
 		"Write*/Flush/Sync/fmt.Fprint* calls " +
 		"must be checked; bytes.Buffer, strings.Builder and " +
@@ -35,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 // scoped reports whether the package writes artifacts worth protecting.
 // Testdata fixtures mirror the layout (testdata/errio/gio).
 func scoped(path string) bool {
-	for _, s := range []string{"/gio", "/telemetry", "/cluster", "/recordlog", "/partaudit", "/commview", "/resview", "/servestats"} {
+	for _, s := range []string{"/gio", "/telemetry", "/cluster", "/recordlog", "/report", "/partaudit", "/commview", "/resview", "/servestats"} {
 		if strings.Contains(path, s) {
 			return true
 		}

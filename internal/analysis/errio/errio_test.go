@@ -15,6 +15,10 @@ func TestSeededViolationsRecordlog(t *testing.T) {
 	analysistest.Run(t, "../testdata/errio/recordlog", errio.Analyzer)
 }
 
+func TestSeededViolationsReport(t *testing.T) {
+	analysistest.Run(t, "../testdata/errio/report", errio.Analyzer)
+}
+
 func TestSeededViolationsPartaudit(t *testing.T) {
 	analysistest.Run(t, "../testdata/errio/partaudit", errio.Analyzer)
 }

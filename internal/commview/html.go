@@ -4,38 +4,31 @@ import (
 	"fmt"
 	"io"
 
-	"bpart/internal/htmlpage"
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 	"bpart/internal/traceview"
 )
 
 // WriteHTML renders the self-contained comm-topology page: per run, an SVG
 // src→dst heatmap of the summed matrix and a per-superstep traffic
 // evolution strip. Same chrome as the trace and audit timelines
-// (internal/htmlpage), no external assets, byte-deterministic for a
+// (report.Page), no external assets, byte-deterministic for a
 // deterministic trace.
 func WriteHTML(w io.Writer, steps []traceview.Superstep, truncated bool, title string) error {
-	if err := htmlpage.Start(w, title); err != nil {
-		return err
-	}
-	ew := &recordlog.Printer{W: w}
-	if truncated {
-		ew.Printf("<p class=\"warn\">final trace line torn; analyzing the intact prefix</p>\n")
-	}
-	runs := traceview.GroupRuns(withMatrix(steps))
-	if len(runs) == 0 {
-		ew.Printf("<p class=\"meta\">No comm matrices in trace: matrix capture was off (enable with Cluster.SetCommMatrix).</p>\n")
-	}
-	for i, run := range runs {
-		writeRunHTML(ew, i+1, run)
-	}
-	if ew.Err != nil {
-		return ew.Err
-	}
-	return htmlpage.End(w)
+	return report.Page(w, title, func(ew *report.Printer) {
+		if truncated {
+			ew.Printf("<p class=\"warn\">final trace line torn; analyzing the intact prefix</p>\n")
+		}
+		runs := traceview.GroupRuns(withMatrix(steps))
+		if len(runs) == 0 {
+			ew.Printf("<p class=\"meta\">No comm matrices in trace: matrix capture was off (enable with Cluster.SetCommMatrix).</p>\n")
+		}
+		for i, run := range runs {
+			writeRunHTML(ew, i+1, run)
+		}
+	})
 }
 
-func writeRunHTML(ew *recordlog.Printer, idx int, run []traceview.Superstep) {
+func writeRunHTML(ew *report.Printer, idx int, run []traceview.Superstep) {
 	s := Summarize(run)
 	ew.Printf("<h2>Run %d</h2>\n", idx)
 	ew.Printf("<p class=\"meta\">%d machines, %d supersteps, %d messages — imbalance %.4f, pair Jain %.4f",
@@ -50,19 +43,14 @@ func writeRunHTML(ew *recordlog.Printer, idx int, run []traceview.Superstep) {
 
 // writeHeatmap draws the K×K matrix as a colored grid: white = no traffic,
 // saturated red = the run's hottest pair.
-func writeHeatmap(ew *recordlog.Printer, s *Summary) {
+func writeHeatmap(ew *report.Printer, s *Summary) {
 	const cell, label = 26, 34
 	k := s.Machines
 	wpx := label + k*cell + 10
 	hpx := label + k*cell + 10
-	var max int64
-	for _, row := range s.Matrix {
-		for _, n := range row {
-			if n > max {
-				max = n
-			}
-		}
-	}
+	max := report.Max(len(s.Matrix), func(i int) int64 {
+		return report.Max(len(s.Matrix[i]), func(j int) int64 { return s.Matrix[i][j] })
+	})
 	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", wpx, hpx)
 	for j := 0; j < k; j++ {
 		ew.Printf("<text class=\"lbl\" x=\"%d\" y=\"%d\" text-anchor=\"middle\">M%d</text>\n",
@@ -88,14 +76,9 @@ func writeHeatmap(ew *recordlog.Printer, s *Summary) {
 
 // writeEvolutionSVG draws per-superstep total traffic as a bar strip;
 // recovery-phase bars are outlined darker so restream spikes stand out.
-func writeEvolutionSVG(ew *recordlog.Printer, run []traceview.Superstep, s *Summary) {
+func writeEvolutionSVG(ew *report.Printer, run []traceview.Superstep, s *Summary) {
 	const barW, maxH, base = 6, 60, 14
-	var max int64
-	for _, m := range s.PerStepMessages {
-		if m > max {
-			max = m
-		}
-	}
+	max := report.Max(len(s.PerStepMessages), func(i int) int64 { return s.PerStepMessages[i] })
 	if max == 0 {
 		return
 	}

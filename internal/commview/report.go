@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"bpart/internal/partaudit"
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 	"bpart/internal/traceview"
 )
 
@@ -23,20 +23,6 @@ type ReportOptions struct {
 	Audit *partaudit.Log
 }
 
-func (o ReportOptions) maxMatrix() int {
-	if o.MaxMatrix <= 0 {
-		return 16
-	}
-	return o.MaxMatrix
-}
-
-func (o ReportOptions) maxSupersteps() int {
-	if o.MaxSupersteps <= 0 {
-		return 16
-	}
-	return o.MaxSupersteps
-}
-
 // WriteReport renders the terminal comm-topology report: per run, the
 // summed src→dst matrix, per-machine in/out skew, hot-pair attribution
 // with runner-up slack, the per-superstep evolution, and (with an audit
@@ -45,7 +31,7 @@ func (o ReportOptions) maxSupersteps() int {
 // steps is what traceview.Supersteps decoded (supersteps without a matrix
 // are skipped) and truncated is that trace's Truncated flag.
 func WriteReport(w io.Writer, steps []traceview.Superstep, truncated bool, opt ReportOptions) error {
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	steps = withMatrix(steps)
 	if truncated {
 		ew.Printf("WARNING: final trace line torn (run crashed mid-write); analyzing the intact prefix\n")
@@ -60,7 +46,7 @@ func WriteReport(w io.Writer, steps []traceview.Superstep, truncated bool, opt R
 	return ew.Err
 }
 
-func writeRun(ew *recordlog.Printer, idx int, run []traceview.Superstep, opt ReportOptions) {
+func writeRun(ew *report.Printer, idx int, run []traceview.Superstep, opt ReportOptions) {
 	s := Summarize(run)
 	recovery := 0
 	for _, st := range run {
@@ -78,10 +64,10 @@ func writeRun(ew *recordlog.Printer, idx int, run []traceview.Superstep, opt Rep
 			s.HotSrc, s.HotDst, s.HotMessages, s.HotSlack)
 	}
 
-	if s.Machines <= opt.maxMatrix() {
+	if limit := report.Cap(opt.MaxMatrix, 16); s.Machines <= limit {
 		writeMatrix(ew, &s)
 	} else {
-		ew.Printf("  (matrix elided: %d machines > -matrix cap %d)\n", s.Machines, opt.maxMatrix())
+		ew.Printf("  (matrix elided: %d machines > -matrix cap %d)\n", s.Machines, limit)
 	}
 	writeSkew(ew, &s)
 	writeEvolution(ew, run, &s, opt)
@@ -90,16 +76,11 @@ func writeRun(ew *recordlog.Printer, idx int, run []traceview.Superstep, opt Rep
 	}
 }
 
-func writeMatrix(ew *recordlog.Printer, s *Summary) {
+func writeMatrix(ew *report.Printer, s *Summary) {
 	// Column width fits the widest cell so the grid stays aligned.
-	width := 6
-	for _, row := range s.Matrix {
-		for _, n := range row {
-			if w := len(fmt.Sprintf("%d", n)); w+1 > width {
-				width = w + 1
-			}
-		}
-	}
+	width := max(6, 1+report.Max(len(s.Matrix), func(i int) int {
+		return report.Max(len(s.Matrix[i]), func(j int) int { return len(fmt.Sprintf("%d", s.Matrix[i][j])) })
+	}))
 	ew.Printf("  src\\dst matrix (messages over the whole run):\n")
 	ew.Printf("    %4s", "")
 	for j := 0; j < s.Machines; j++ {
@@ -119,31 +100,21 @@ func writeMatrix(ew *recordlog.Printer, s *Summary) {
 	}
 }
 
-func writeSkew(ew *recordlog.Printer, s *Summary) {
-	var max int64
-	for i := range s.Out {
-		if t := s.Out[i] + s.In[i]; t > max {
-			max = t
-		}
-	}
+func writeSkew(ew *report.Printer, s *Summary) {
+	max := report.Max(len(s.Out), func(i int) int64 { return s.Out[i] + s.In[i] })
 	ew.Printf("  per-machine out/in skew:\n")
 	for i := range s.Out {
 		ew.Printf("    M%-2d %s out %-10d in %-10d\n",
-			i, recordlog.Bar(float64(s.Out[i]+s.In[i]), float64(max), 20), s.Out[i], s.In[i])
+			i, report.Bar(float64(s.Out[i]+s.In[i]), float64(max), 20), s.Out[i], s.In[i])
 	}
 }
 
-func writeEvolution(ew *recordlog.Printer, run []traceview.Superstep, s *Summary, opt ReportOptions) {
-	var max int64
-	for _, m := range s.PerStepMessages {
-		if m > max {
-			max = m
-		}
-	}
+func writeEvolution(ew *report.Printer, run []traceview.Superstep, s *Summary, opt ReportOptions) {
+	max := report.Max(len(s.PerStepMessages), func(i int) int64 { return s.PerStepMessages[i] })
 	ew.Printf("  per-superstep evolution (messages, active pairs):\n")
-	shown := 0
+	shown, limit := 0, report.Cap(opt.MaxSupersteps, 16)
 	for i, st := range run {
-		if shown >= opt.maxSupersteps() {
+		if shown >= limit {
 			ew.Printf("    ... %d more supersteps elided (raise -supersteps)\n", len(run)-shown)
 			break
 		}
@@ -153,12 +124,12 @@ func writeEvolution(ew *recordlog.Printer, run []traceview.Superstep, s *Summary
 			label = "  [" + st.Phase + "]"
 		}
 		ew.Printf("    %5d  %s %-10d pairs %d%s\n",
-			st.Iteration, recordlog.Bar(float64(s.PerStepMessages[i]), float64(max), 20),
+			st.Iteration, report.Bar(float64(s.PerStepMessages[i]), float64(max), 20),
 			s.PerStepMessages[i], s.PerStepActivePairs[i], label)
 	}
 }
 
-func writeReconcile(ew *recordlog.Printer, run []traceview.Superstep, audit *partaudit.Log) {
+func writeReconcile(ew *report.Printer, run []traceview.Superstep, audit *partaudit.Log) {
 	r, err := Reconcile(run, audit)
 	if err != nil {
 		ew.Printf("  reconciliation vs partitioner: %v\n", err)

@@ -95,6 +95,27 @@ type ParallelMeasurement struct {
 	// Identical reports that every repetition's marshaled results and
 	// RunStats matched the 1-worker reference byte for byte.
 	Identical bool
+	// Speedup is the curve's 1-worker WallUS over this point's, and
+	// Efficiency is Speedup per worker; both are 0 when the ladder has no
+	// 1-worker point or a wall time is not positive.
+	Speedup, Efficiency float64
+}
+
+// deriveSpeedups fills Speedup and Efficiency along one (engine, scheme)
+// curve.
+func deriveSpeedups(curve []ParallelMeasurement) {
+	base := 0.0
+	for _, m := range curve {
+		if m.Workers == 1 {
+			base = m.WallUS
+		}
+	}
+	for i := range curve {
+		if m := &curve[i]; base > 0 && m.WallUS > 0 {
+			m.Speedup = base / m.WallUS
+			m.Efficiency = m.Speedup / float64(m.Workers)
+		}
+	}
 }
 
 // runParallel sweeps engines × schemes × widths on parallelDataset.
@@ -145,6 +166,7 @@ func runParallel(opt Options, tr telemetry.Tracer, schemes []string, widths []in
 				}
 				out = append(out, m)
 			}
+			deriveSpeedups(out[len(out)-len(widths):])
 		}
 	}
 	return out, nil
@@ -169,21 +191,9 @@ func ParallelSpeedup(opt Options) (*Table, error) {
 		Title:  "Parallel superstep scaling (friendster-sim, host wall-clock, outputs verified bit-identical)",
 		Header: []string{"engine", "scheme", "workers", "wall", "speedup", "efficiency", "sim_time_us", "identical"},
 	}
-	type curve struct{ eng, scheme string }
-	base := map[curve]float64{}
 	for _, m := range ms {
-		if m.Workers == 1 {
-			base[curve{m.Engine, m.Scheme}] = m.WallUS
-		}
-	}
-	for _, m := range ms {
-		speedup, eff := 0.0, 0.0
-		if b := base[curve{m.Engine, m.Scheme}]; b > 0 && m.WallUS > 0 {
-			speedup = b / m.WallUS
-			eff = speedup / float64(m.Workers)
-		}
 		t.AddRow(m.Engine, m.Scheme, d0(m.Workers), fmt.Sprintf("%.2fms", m.WallUS/1e3),
-			f2(speedup), f2(eff), f2(m.SimTimeUS), fmt.Sprintf("%t", m.Identical))
+			f2(m.Speedup), f2(m.Efficiency), f2(m.SimTimeUS), fmt.Sprintf("%t", m.Identical))
 	}
 	t.Notes = append(t.Notes,
 		"wall-clock timings vary by host; the identical column proves every width's results and RunStats matched the 1-worker run byte for byte",
@@ -205,29 +215,19 @@ func (a *BenchArtifact) CollectParallel(opt Options) error {
 	if err != nil {
 		return err
 	}
-	type curve struct{ eng, scheme string }
-	base := map[curve]float64{}
 	for _, m := range ms {
-		if m.Workers == 1 {
-			base[curve{m.Engine, m.Scheme}] = m.WallUS
-		}
-	}
-	for _, m := range ms {
-		p := BenchParallel{
-			Graph:     string(parallelDataset),
-			Engine:    m.Engine,
-			Scheme:    m.Scheme,
-			K:         benchPartitionK,
-			Workers:   m.Workers,
-			WallUS:    m.WallUS,
-			SimTimeUS: m.SimTimeUS,
-			Identical: m.Identical,
-		}
-		if b := base[curve{m.Engine, m.Scheme}]; b > 0 && m.WallUS > 0 {
-			p.Speedup = b / m.WallUS
-			p.Efficiency = p.Speedup / float64(m.Workers)
-		}
-		a.Parallel = append(a.Parallel, p)
+		a.Parallel = append(a.Parallel, BenchParallel{
+			Graph:      string(parallelDataset),
+			Engine:     m.Engine,
+			Scheme:     m.Scheme,
+			K:          benchPartitionK,
+			Workers:    m.Workers,
+			WallUS:     m.WallUS,
+			Speedup:    m.Speedup,
+			Efficiency: m.Efficiency,
+			SimTimeUS:  m.SimTimeUS,
+			Identical:  m.Identical,
+		})
 	}
 	return nil
 }

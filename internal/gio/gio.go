@@ -44,6 +44,11 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 // ReadEdgeList parses an edge-list text stream. Vertex IDs may be sparse;
 // the graph is sized to max ID + 1. Lines starting with '#' or '%' are
 // comments; fields may be separated by spaces or tabs.
+//
+// The vertex count is not trusted with memory: the CSR build spends 16
+// bytes per vertex slot, so max ID + 1 may not exceed 2^20 + 16 per arc,
+// which keeps memory linear in the input. Without the bound the 12 bytes
+// "2777702222 0" demanded 44 GB (found by FuzzReadEdgeList).
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -72,6 +77,9 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("gio: scan: %w", err)
+	}
+	if n, m := b.NumVertices(), b.NumEdges(); n > 1<<20+16*m {
+		return nil, fmt.Errorf("gio: vertex ID %d needs %d vertex slots, more than 2^20 + 16 per arc (%d arcs) allows", n-1, n, m)
 	}
 	return b.Build(), nil
 }

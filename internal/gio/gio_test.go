@@ -3,6 +3,7 @@ package gio
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -68,6 +69,28 @@ func TestEdgeListErrors(t *testing.T) {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q accepted", in)
 		}
+	}
+}
+
+// A huge ID must be paid for by arcs: 2^20 + 16 slots per arc is the most
+// a list may ask for, and a refusal allocates no slots.
+func TestEdgeListSlotBound(t *testing.T) {
+	const limit = 1<<20 + 16 // one arc
+	if g, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("%d 0\n", limit-1))); err != nil || g.NumVertices() != limit {
+		t.Fatalf("ID at the bound: %v, %v", g, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadEdgeList(strings.NewReader("2777702222 0"))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "vertex ID 2777702222") {
+		t.Fatalf("err = %v, want one naming vertex ID 2777702222", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("refusal allocated %d bytes", grew)
+	}
+	if _, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("%d 0\n", limit))); err == nil {
+		t.Fatal("ID one past the bound accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package partaudit
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -86,5 +87,15 @@ func FuzzReadLog(f *testing.F) {
 				t.Fatalf("PieceToPart(%d) = %d entries, layer has %d pieces", lr.Layer, len(m), lr.Pieces)
 			}
 		}
+		// Every renderer must survive anything ReadLog accepts: an
+		// unsampled vertex is an error, a panic is not.
+		vertex := 0
+		if len(log.Decisions) > 0 {
+			vertex = log.Decisions[0].Vertex
+		}
+		_ = WriteExplain(io.Discard, log, vertex)
+		_ = WriteTimeline(io.Discard, log)
+		_ = WriteCombine(io.Discard, log)
+		_ = WriteTimelineHTML(io.Discard, log)
 	})
 }

@@ -4,36 +4,29 @@ import (
 	"html"
 	"io"
 
-	"bpart/internal/htmlpage"
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 )
 
 // WriteTimelineHTML renders the streaming quality timeline as one
-// self-contained HTML file (traceview page chrome, no server, no external
+// self-contained HTML file (report.Page chrome, no server, no external
 // assets): a line chart of vertex bias, edge bias and cut ratio per
 // window, segmented by layer, plus the final report — how balance in both
 // dimensions evolved as the stream progressed.
 func WriteTimelineHTML(w io.Writer, l *Log) error {
-	if err := htmlpage.Start(w, "bpart audit timeline"); err != nil {
-		return err
-	}
-	ew := &recordlog.Printer{W: w}
-	if h := l.Header; h != nil {
-		ew.Printf("<p class=meta>%s · k=%d · n=%d · m=%d · window %d · %d windows, %d sampled decisions</p>\n",
-			html.EscapeString(h.Scheme), h.K, h.Vertices, h.Edges, h.Window, len(l.Windows), len(l.Decisions))
-	}
-	if l.Truncated {
-		ew.Printf("<p class=warn>audit log truncated: final line torn (crashed run); showing intact prefix</p>\n")
-	}
-	writeHTMLChart(ew, l)
-	writeHTMLFinal(ew, l)
-	if ew.Err != nil {
-		return ew.Err
-	}
-	return htmlpage.End(w)
+	return report.Page(w, "bpart audit timeline", func(ew *report.Printer) {
+		if h := l.Header; h != nil {
+			ew.Printf("<p class=meta>%s · k=%d · n=%d · m=%d · window %d · %d windows, %d sampled decisions</p>\n",
+				html.EscapeString(h.Scheme), h.K, h.Vertices, h.Edges, h.Window, len(l.Windows), len(l.Decisions))
+		}
+		if l.Truncated {
+			ew.Printf("<p class=warn>audit log truncated: final line torn (crashed run); showing intact prefix</p>\n")
+		}
+		writeHTMLChart(ew, l)
+		writeHTMLFinal(ew, l)
+	})
 }
 
-func writeHTMLChart(ew *recordlog.Printer, l *Log) {
+func writeHTMLChart(ew *report.Printer, l *Log) {
 	if len(l.Windows) == 0 {
 		ew.Printf("<p class=meta>no window records</p>\n")
 		return
@@ -44,14 +37,10 @@ func writeHTMLChart(ew *recordlog.Printer, l *Log) {
 		padL   = 40
 		padB   = 24
 	)
-	maxY := 0.0
-	for _, win := range l.Windows {
-		for _, v := range []float64{win.VBias, win.EBias, win.CutRatio} {
-			if v > maxY {
-				maxY = v
-			}
-		}
-	}
+	maxY := report.Max(len(l.Windows), func(i int) float64 {
+		win := l.Windows[i]
+		return max(win.VBias, win.EBias, win.CutRatio)
+	})
 	if maxY <= 0 {
 		maxY = 1
 	}
@@ -94,7 +83,7 @@ func writeHTMLChart(ew *recordlog.Printer, l *Log) {
 	ew.Printf("</svg>\n")
 }
 
-func writeHTMLFinal(ew *recordlog.Printer, l *Log) {
+func writeHTMLFinal(ew *report.Printer, l *Log) {
 	f := l.Final
 	if f == nil {
 		return

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 )
 
-func writeHeaderLine(ew *recordlog.Printer, l *Log) {
+func writeHeaderLine(ew *report.Printer, l *Log) {
 	if h := l.Header; h != nil {
 		ew.Printf("AUDIT: %s  k=%d  n=%d  m=%d  (sampled every %d, hub degree >= %d, window %d)\n",
 			h.Scheme, h.K, h.Vertices, h.Edges, h.SampleEvery, h.HubDegree, h.Window)
@@ -21,7 +21,7 @@ func writeHeaderLine(ew *recordlog.Printer, l *Log) {
 // per-piece score table (affinity − penalty = score, capacity skips), the
 // chosen piece, the cause and the runner-up gap — `tracestat explain`.
 func WriteExplain(w io.Writer, l *Log, vertex int) error {
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	writeHeaderLine(ew, l)
 	decs := l.DecisionsFor(vertex)
 	if len(decs) == 0 {
@@ -70,28 +70,20 @@ func ordinal(n int) string {
 // window with vertex/edge bias and cut ratio — and the final report row,
 // which equals Evaluate's Report — `tracestat timeline`.
 func WriteTimeline(w io.Writer, l *Log) error {
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	writeHeaderLine(ew, l)
 	if len(l.Windows) == 0 {
 		ew.Printf("no window records: the audited run placed no vertices\n")
 		return ew.Err
 	}
-	maxBias := 0.0
-	for _, win := range l.Windows {
-		if win.VBias > maxBias {
-			maxBias = win.VBias
-		}
-		if win.EBias > maxBias {
-			maxBias = win.EBias
-		}
-	}
+	maxBias := report.Max(len(l.Windows), func(i int) float64 { return max(l.Windows[i].VBias, l.Windows[i].EBias) })
 	ew.Printf("\n  %5s %6s %8s  %8s %-12s  %8s %-12s  %9s\n",
 		"layer", "win", "placed", "v_bias", "", "e_bias", "", "cut_ratio")
 	for _, win := range l.Windows {
 		ew.Printf("  %5d %6d %8d  %8.4f %-12s  %8.4f %-12s  %9.4f\n",
 			win.Layer, win.Index, win.Placed,
-			win.VBias, recordlog.Bar(win.VBias, maxBias, 12),
-			win.EBias, recordlog.Bar(win.EBias, maxBias, 12),
+			win.VBias, report.Bar(win.VBias, maxBias, 12),
+			win.EBias, report.Bar(win.EBias, maxBias, 12),
 			win.CutRatio)
 	}
 	if f := l.Final; f != nil {
@@ -107,7 +99,7 @@ func WriteTimeline(w io.Writer, l *Log) error {
 // outcome, and the predicted-vs-actual final balance — `tracestat
 // combine`.
 func WriteCombine(w io.Writer, l *Log) error {
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	writeHeaderLine(ew, l)
 	if len(l.Layers) == 0 {
 		ew.Printf("no layer records: the audited scheme has no combining phase (single-phase stream)\n")

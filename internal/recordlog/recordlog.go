@@ -1,9 +1,9 @@
 // Package recordlog is the JSONL record-log substrate under the repo's three
 // log formats (trace, which the resource probe also writes; audit; request):
 // the one writer and the one reader every family's framing contract comes
-// from, plus the text helpers their reports share. It knows nothing about any family's schema —
-// families marshal and parse their own records — and imports only the
-// standard library.
+// from. It knows nothing about any family's schema — families marshal and
+// parse their own records — and imports only the standard library. The
+// reports rendered from the logs write through internal/report.
 //
 // The contract: a log is one JSON record per line. The Writer emits whole
 // lines under a mutex, so a crashed run can damage only the final line; Scan

@@ -288,39 +288,3 @@ func TestAttrs(t *testing.T) {
 		t.Fatal("nil Attrs reported a value")
 	}
 }
-
-func TestPrinterSticky(t *testing.T) {
-	var buf bytes.Buffer
-	p := &Printer{W: &buf}
-	p.Printf("%d-%s\n", 1, "a")
-	if p.Err != nil || buf.String() != "1-a\n" {
-		t.Fatalf("Printf wrote %q, err %v", buf.String(), p.Err)
-	}
-	wantErr := errors.New("closed pipe")
-	sink := &failAfter{n: 2, err: wantErr}
-	p = &Printer{W: sink}
-	p.Printf("ab")
-	p.Printf("cd") // fails
-	p.Printf("e")  // would fit, but the printer is already failed
-	if !errors.Is(p.Err, wantErr) || sink.buf.String() != "ab" {
-		t.Fatalf("Err = %v, sink %q", p.Err, sink.buf.String())
-	}
-}
-
-func TestBar(t *testing.T) {
-	for _, tc := range []struct {
-		v, max float64
-		width  int
-		want   string
-	}{
-		{5, 10, 10, "#####....."},
-		{0, 10, 4, "...."},
-		{20, 10, 4, "####"}, // over max clamps
-		{1, 0, 4, "...."},   // no scale
-		{-1, 10, 4, "...."},
-	} {
-		if got := Bar(tc.v, tc.max, tc.width); got != tc.want {
-			t.Errorf("Bar(%v,%v,%d) = %q, want %q", tc.v, tc.max, tc.width, got, tc.want)
-		}
-	}
-}

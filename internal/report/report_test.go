@@ -1,0 +1,109 @@
+package report
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"strings"
+	"testing"
+)
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct {
+	buf bytes.Buffer
+	n   int
+	err error
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.buf.Len()+len(p) > f.n {
+		return 0, f.err
+	}
+	return f.buf.Write(p)
+}
+
+func TestPrinterSticky(t *testing.T) {
+	var buf bytes.Buffer
+	p := &Printer{W: &buf}
+	p.Printf("%d-%s\n", 1, "a")
+	if p.Err != nil || buf.String() != "1-a\n" {
+		t.Fatalf("Printf wrote %q, err %v", buf.String(), p.Err)
+	}
+	wantErr := errors.New("closed pipe")
+	sink := &failAfter{n: 2, err: wantErr}
+	p = &Printer{W: sink}
+	p.Printf("ab")
+	p.Printf("cd") // fails
+	p.Printf("e")  // would fit, but the printer is already failed
+	if !errors.Is(p.Err, wantErr) || sink.buf.String() != "ab" {
+		t.Fatalf("Err = %v, sink %q", p.Err, sink.buf.String())
+	}
+}
+
+func TestBar(t *testing.T) {
+	for _, tc := range []struct {
+		v, max float64
+		width  int
+		want   string
+	}{
+		{5, 10, 10, "#####....."},
+		{0, 10, 4, "...."},
+		{20, 10, 4, "####"}, // over max clamps
+		{1, 0, 4, "...."},   // no scale
+		{-1, 10, 4, "...."},
+	} {
+		if got := Bar(tc.v, tc.max, tc.width); got != tc.want {
+			t.Errorf("Bar(%v,%v,%d) = %q, want %q", tc.v, tc.max, tc.width, got, tc.want)
+		}
+	}
+}
+
+// A page is head, escaped title, body, tail; a failed write ends it there
+// and is returned.
+func TestPage(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Page(&buf, "a<b", func(p *Printer) { p.Printf("<p>%d</p>\n", 7) }); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.HasPrefix(out, "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>a&lt;b</title>\n<style>") ||
+		!strings.HasSuffix(out, "</style></head><body>\n<h1>a&lt;b</h1>\n<p>7</p>\n</body></html>\n") {
+		t.Fatalf("page:\n%s", out)
+	}
+	wantErr := errors.New("disk full")
+	sink := &failAfter{n: len(out) - len("</body></html>\n"), err: wantErr}
+	if err := Page(sink, "a<b", func(p *Printer) { p.Printf("<p>%d</p>\n", 7) }); !errors.Is(err, wantErr) {
+		t.Fatalf("Page on a full sink = %v, want %v", err, wantErr)
+	}
+	if sink.buf.String() != strings.TrimSuffix(out, "</body></html>\n") {
+		t.Fatalf("full sink got:\n%s", sink.buf.String())
+	}
+}
+
+func TestCap(t *testing.T) {
+	for _, tc := range []struct{ n, def, want int }{{0, 16, 16}, {-3, 16, 16}, {1, 16, 1}, {40, 16, 40}} {
+		if got := Cap(tc.n, tc.def); got != tc.want {
+			t.Errorf("Cap(%d, %d) = %d, want %d", tc.n, tc.def, got, tc.want)
+		}
+	}
+}
+
+func TestMax(t *testing.T) {
+	at := func(xs ...float64) func(int) float64 { return func(i int) float64 { return xs[i] } }
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{-2, -1}, 0}, // floored at zero
+		{[]float64{1, 3, 2}, 3},
+		{[]float64{math.NaN(), 2, math.NaN()}, 2},
+	} {
+		if got := Max(len(tc.xs), at(tc.xs...)); got != tc.want {
+			t.Errorf("Max(%v) = %v, want %v", tc.xs, got, tc.want)
+		}
+	}
+	if got := Max(3, func(i int) int64 { return int64(10 - i) }); got != 10 {
+		t.Errorf("int64 Max = %d, want 10", got)
+	}
+}

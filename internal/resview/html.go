@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"bpart/internal/htmlpage"
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 	"bpart/internal/traceview"
 )
 
@@ -13,22 +12,20 @@ import (
 // charts for phase self-time and allocation attribution, and — when the
 // log carries Parallel Speedup records — one speedup-curve SVG per scheme
 // with the ideal linear-scaling diagonal for reference. Same chrome as the
-// trace, audit and comm pages (internal/htmlpage), no external assets.
+// trace, audit and comm pages (report.Page), no external assets.
 func WriteHTML(w io.Writer, tr *traceview.Trace, title string) error {
 	phases, err := Summarize(tr)
 	if err != nil {
 		return err
 	}
-	if err := htmlpage.Start(w, title); err != nil {
-		return err
-	}
-	ew := &recordlog.Printer{W: w}
-	if tr.Truncated {
-		ew.Printf("<p class=\"warn\">final log line torn; analyzing the intact prefix</p>\n")
-	}
-	if len(phases) == 0 {
-		ew.Printf("<p class=\"meta\">No resource records: capture was off (enable with -resources / resview.NewProbe).</p>\n")
-	} else {
+	return report.Page(w, title, func(ew *report.Printer) {
+		if tr.Truncated {
+			ew.Printf("<p class=\"warn\">final log line torn; analyzing the intact prefix</p>\n")
+		}
+		if len(phases) == 0 {
+			ew.Printf("<p class=\"meta\">No resource records: capture was off (enable with -resources / resview.NewProbe).</p>\n")
+			return
+		}
 		ew.Printf("<p class=\"meta\">%d records across %d phases (schema v1)</p>\n", records(phases), len(phases))
 		writeBarsHTML(ew, "Phase self-time", phases, func(s *PhaseSummary) (float64, string) {
 			return s.WallUS, fmtUS(s.WallUS)
@@ -39,23 +36,14 @@ func WriteHTML(w io.Writer, tr *traceview.Trace, title string) error {
 		for _, c := range Curves(tr) {
 			writeCurveSVG(ew, c)
 		}
-	}
-	if ew.Err != nil {
-		return ew.Err
-	}
-	return htmlpage.End(w)
+	})
 }
 
 // writeBarsHTML draws one horizontal bar per phase, scaled to the largest
 // value the metric takes.
-func writeBarsHTML(ew *recordlog.Printer, title string, phases []PhaseSummary, metric func(*PhaseSummary) (float64, string)) {
+func writeBarsHTML(ew *report.Printer, title string, phases []PhaseSummary, metric func(*PhaseSummary) (float64, string)) {
 	const rowH, barMax, label = 18, 360, 190
-	var max float64
-	for i := range phases {
-		if v, _ := metric(&phases[i]); v > max {
-			max = v
-		}
-	}
+	max := report.Max(len(phases), func(i int) float64 { v, _ := metric(&phases[i]); return v })
 	ew.Printf("<h2>%s</h2>\n", title)
 	ew.Printf("<svg width=\"%d\" height=\"%d\">\n", label+barMax+120, len(phases)*rowH+10)
 	for i := range phases {
@@ -77,23 +65,12 @@ func writeBarsHTML(ew *recordlog.Printer, title string, phases []PhaseSummary, m
 
 // writeCurveSVG draws one scheme's speedup curve (measured polyline over
 // the dashed ideal diagonal) with the per-point efficiency as hover text.
-func writeCurveSVG(ew *recordlog.Printer, c ScalingCurve) {
+func writeCurveSVG(ew *report.Printer, c ScalingCurve) {
 	const plotW, plotH, pad = 320, 200, 36
-	maxW := 1
-	maxS := 1.0
-	for _, pt := range c.Points {
-		if pt.Workers > maxW {
-			maxW = pt.Workers
-		}
-		if pt.Speedup > maxS {
-			maxS = pt.Speedup
-		}
-	}
+	maxW := max(1, report.Max(len(c.Points), func(i int) int { return c.Points[i].Workers }))
 	// The ideal diagonal tops out at maxW; scale the y axis to whichever
 	// of measured/ideal reaches higher so both stay in frame.
-	if float64(maxW) > maxS {
-		maxS = float64(maxW)
-	}
+	maxS := max(float64(maxW), report.Max(len(c.Points), func(i int) float64 { return c.Points[i].Speedup }))
 	x := func(workers int) int { return pad + int(float64(workers-1)/float64(max(maxW-1, 1))*plotW) }
 	y := func(speedup float64) int { return pad + plotH - int(speedup/maxS*float64(plotH)) }
 	ew.Printf("<h2>Scaling: %s</h2>\n", c.Scheme)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 	"bpart/internal/traceview"
 )
 
@@ -13,13 +13,6 @@ type ReportOptions struct {
 	// MaxPhases caps the phase breakdown tables (0 = 16). The scaling
 	// section always covers every curve.
 	MaxPhases int
-}
-
-func (o ReportOptions) maxPhases() int {
-	if o.MaxPhases <= 0 {
-		return 16
-	}
-	return o.MaxPhases
 }
 
 // fmtBytes renders a byte count with a binary unit suffix.
@@ -67,7 +60,7 @@ func WriteReport(w io.Writer, tr *traceview.Trace, opt ReportOptions) error {
 	if err != nil {
 		return err
 	}
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	if tr.Truncated {
 		ew.Printf("WARNING: final log line torn (run crashed mid-write); analyzing the intact prefix\n")
 	}
@@ -76,42 +69,33 @@ func WriteReport(w io.Writer, tr *traceview.Trace, opt ReportOptions) error {
 		return ew.Err
 	}
 	ew.Printf("RESOURCES: %d records across %d phases (schema v1)\n", records(phases), len(phases))
-	writePhases(ew, phases, opt)
-	writeAllocs(ew, phases, opt)
+	limit := report.Cap(opt.MaxPhases, 16)
+	writePhases(ew, phases, limit)
+	writeAllocs(ew, phases, limit)
 	if curves := Curves(tr); len(curves) > 0 {
 		writeScaling(ew, curves)
 	}
 	return ew.Err
 }
 
-func writePhases(ew *recordlog.Printer, phases []PhaseSummary, opt ReportOptions) {
-	var maxWall float64
-	for _, s := range phases {
-		if s.WallUS > maxWall {
-			maxWall = s.WallUS
-		}
-	}
+func writePhases(ew *report.Printer, phases []PhaseSummary, limit int) {
+	maxWall := report.Max(len(phases), func(i int) float64 { return phases[i].WallUS })
 	ew.Printf("  phase self-time (wall clock):\n")
 	for i, s := range phases {
-		if i >= opt.maxPhases() {
+		if i >= limit {
 			ew.Printf("    ... %d more phases elided (raise -phases)\n", len(phases)-i)
 			break
 		}
 		ew.Printf("    %-24s %s %10s  x%-6d goroutines<=%d\n",
-			s.Phase, recordlog.Bar(s.WallUS, maxWall, 20), fmtUS(s.WallUS), s.Count, s.MaxGoroutines)
+			s.Phase, report.Bar(s.WallUS, maxWall, 20), fmtUS(s.WallUS), s.Count, s.MaxGoroutines)
 	}
 }
 
-func writeAllocs(ew *recordlog.Printer, phases []PhaseSummary, opt ReportOptions) {
-	var maxBytes int64
-	for _, s := range phases {
-		if s.AllocBytes > maxBytes {
-			maxBytes = s.AllocBytes
-		}
-	}
+func writeAllocs(ew *report.Printer, phases []PhaseSummary, limit int) {
+	maxBytes := report.Max(len(phases), func(i int) int64 { return phases[i].AllocBytes })
 	ew.Printf("  allocation / GC attribution:\n")
 	for i, s := range phases {
-		if i >= opt.maxPhases() {
+		if i >= limit {
 			ew.Printf("    ... %d more phases elided (raise -phases)\n", len(phases)-i)
 			break
 		}
@@ -120,18 +104,18 @@ func writeAllocs(ew *recordlog.Printer, phases []PhaseSummary, opt ReportOptions
 			gc = fmt.Sprintf("  gc %d (pause %s)", s.GCCycles, fmtUS(s.GCPauseUS))
 		}
 		ew.Printf("    %-24s %s %10s  %d allocs%s\n",
-			s.Phase, recordlog.Bar(float64(s.AllocBytes), float64(maxBytes), 20), fmtBytes(s.AllocBytes), s.Allocs, gc)
+			s.Phase, report.Bar(float64(s.AllocBytes), float64(maxBytes), 20), fmtBytes(s.AllocBytes), s.Allocs, gc)
 	}
 }
 
-func writeScaling(ew *recordlog.Printer, curves []ScalingCurve) {
+func writeScaling(ew *report.Printer, curves []ScalingCurve) {
 	ew.Printf("  parallel speedup (superstep worker pool; speedup vs 1 worker, ideal = linear):\n")
 	for _, c := range curves {
 		ew.Printf("    %s:\n", c.Scheme)
 		for _, pt := range c.Points {
 			ideal := float64(pt.Workers)
 			ew.Printf("      %3d workers  %10s  speedup %5.2fx %s  efficiency %5.1f%%\n",
-				pt.Workers, fmtUS(pt.WallUS), pt.Speedup, recordlog.Bar(pt.Speedup, ideal, 20), pt.Efficiency*100)
+				pt.Workers, fmtUS(pt.WallUS), pt.Speedup, report.Bar(pt.Speedup, ideal, 20), pt.Efficiency*100)
 		}
 	}
 }

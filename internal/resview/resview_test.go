@@ -125,7 +125,7 @@ func validLine(seq int, phase string, wall float64, attrs string) string {
 		seq, phase, wall, attrs, resAttrs) + "\n"
 }
 
-func report(t *testing.T, tr *traceview.Trace, opt ReportOptions) string {
+func textReport(t *testing.T, tr *traceview.Trace, opt ReportOptions) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteReport(&buf, tr, opt); err != nil {
@@ -137,7 +137,7 @@ func report(t *testing.T, tr *traceview.Trace, opt ReportOptions) string {
 // A crashed run's torn final line is traceview.Read's to tolerate; the
 // report says so and covers the intact prefix.
 func TestReadTornTail(t *testing.T) {
-	out := report(t, read(t, validLine(0, "a", 100, "")+`{"ts":"2026-08-20T12:0`), ReportOptions{})
+	out := textReport(t, read(t, validLine(0, "a", 100, "")+`{"ts":"2026-08-20T12:0`), ReportOptions{})
 	for _, want := range []string{"WARNING: final log line torn", "RESOURCES: 1 records across 1 phases"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -194,7 +194,7 @@ func TestReadEmptyAndBlankLines(t *testing.T) {
 		if s, err := Summarize(tr); err != nil || len(s) != 0 {
 			t.Errorf("%s: Summarize = %v, %v", name, s, err)
 		}
-		if out := report(t, tr, ReportOptions{}); !strings.HasPrefix(out, "No resource records: capture was off") {
+		if out := textReport(t, tr, ReportOptions{}); !strings.HasPrefix(out, "No resource records: capture was off") {
 			t.Errorf("%s: report = %q", name, out)
 		}
 	}
@@ -265,7 +265,7 @@ func TestCurves(t *testing.T) {
 
 func TestWriteReport(t *testing.T) {
 	in := validLine(0, "partition.stream", 2500, "") + scalingLine(1, "Fennel", 1, 1000) + scalingLine(2, "Fennel", 2, 600)
-	out := report(t, read(t, in), ReportOptions{})
+	out := textReport(t, read(t, in), ReportOptions{})
 	for _, want := range []string{
 		"RESOURCES: 3 records across 2 phases",
 		"partition.stream",
@@ -280,7 +280,7 @@ func TestWriteReport(t *testing.T) {
 	}
 	// MaxPhases elides.
 	many := validLine(0, "a", 3, "") + validLine(1, "b", 2, "") + validLine(2, "c", 1, "")
-	if out := report(t, read(t, many), ReportOptions{MaxPhases: 2}); !strings.Contains(out, "more phases elided") {
+	if out := textReport(t, read(t, many), ReportOptions{MaxPhases: 2}); !strings.Contains(out, "more phases elided") {
 		t.Errorf("MaxPhases did not elide:\n%s", out)
 	}
 }

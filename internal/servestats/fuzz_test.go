@@ -3,6 +3,7 @@ package servestats
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"testing"
 )
@@ -61,6 +62,10 @@ func FuzzRead(f *testing.F) {
 				t.Fatalf("unknown endpoint escaped validation: %+v", r)
 			}
 		}
+		// Both renderers must survive anything Read accepts.
+		rep := Summarize(l)
+		_ = WriteText(io.Discard, rep, nil)
+		_ = WriteHTML(io.Discard, rep, nil)
 	})
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 )
 
 // WriteText renders the report as the terminal tables `tracestat serve`
@@ -13,7 +13,7 @@ import (
 // request share to part size. Errors from w are returned — the report may
 // be piped somewhere that matters.
 func WriteText(w io.Writer, rep *Report, attrib []Attribution) error {
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	ew.Printf("Serving report: %d requests, %d routed", rep.Total, rep.Routed)
 	if rep.Truncated {
 		ew.Printf("  [log truncated: torn final line]")
@@ -24,7 +24,7 @@ func WriteText(w io.Writer, rep *Report, attrib []Attribution) error {
 	for _, e := range rep.Endpoints {
 		ew.Printf("  %-8s %8d %6d %10s %10s %10s %10s\n",
 			e.Endpoint, e.Count, e.Errors,
-			fmtUS(e.P50), fmtUS(e.P95), fmtUS(e.P99), fmtUS(e.P999))
+			FormatUS(e.P50), FormatUS(e.P95), FormatUS(e.P99), FormatUS(e.P999))
 	}
 	ew.Printf("\nPer part:\n")
 	ew.Printf("  %-5s %8s %7s %10s %10s %10s\n",
@@ -32,7 +32,7 @@ func WriteText(w io.Writer, rep *Report, attrib []Attribution) error {
 	for _, p := range rep.Parts {
 		ew.Printf("  %-5d %8d %6.1f%% %10s %10s %10s\n",
 			p.Part, p.Count, 100*p.Share,
-			fmtUS(p.P50), fmtUS(p.P99), fmtUS(p.P999))
+			FormatUS(p.P50), FormatUS(p.P99), FormatUS(p.P999))
 	}
 	ew.Printf("\nVersions:\n")
 	for _, v := range rep.Versions {
@@ -44,14 +44,16 @@ func WriteText(w io.Writer, rep *Report, attrib []Attribution) error {
 			"part", "requests", "share", "v-share", "pressure", "p99")
 		for _, a := range attrib {
 			ew.Printf("  %-5d %8d %6.1f%% %7.1f%% %8.2fx %10s\n",
-				a.Part, a.Requests, 100*a.Share, 100*a.VShare, a.Pressure, fmtUS(a.P99))
+				a.Part, a.Requests, 100*a.Share, 100*a.VShare, a.Pressure, FormatUS(a.P99))
 		}
 	}
 	return ew.Err
 }
 
-// fmtUS renders a microsecond latency human-first.
-func fmtUS(us float64) string {
+// FormatUS renders a microsecond latency human-first: the one latency
+// format of the serving reports, server side (WriteText) and client side
+// (cmd/loadgen).
+func FormatUS(us float64) string {
 	switch {
 	case us >= 1e6:
 		return fmt.Sprintf("%.2fs", us/1e6)

@@ -6,7 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 )
 
 // DiffMetric compares one quantity between two traces. All metrics here
@@ -131,14 +131,9 @@ func (d *DiffReport) WorstGateRegression() (DiffMetric, bool) {
 
 // WriteText renders the comparison as an aligned table.
 func (d *DiffReport) WriteText(w io.Writer, failAbovePct float64) error {
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	ew.Printf("TRACE DIFF (A = baseline, B = candidate; lower is better)\n")
-	nameW := len("metric")
-	for _, m := range d.Metrics {
-		if len(m.Name) > nameW {
-			nameW = len(m.Name)
-		}
-	}
+	nameW := max(len("metric"), report.Max(len(d.Metrics), func(i int) int { return len(d.Metrics[i].Name) }))
 	ew.Printf("  %-*s  %14s  %14s  %9s  %s\n", nameW, "metric", "A", "B", "delta", "gate")
 	for _, m := range d.Metrics {
 		gate := ""

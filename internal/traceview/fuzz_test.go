@@ -2,6 +2,7 @@ package traceview
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -63,10 +64,12 @@ func FuzzRead(f *testing.F) {
 				t.Fatalf("record %d: End %v before start %v with dur_us %v", i, r.End(), r.Time, r.DurUS)
 			}
 		}
-		if _, err := Supersteps(tr); err != nil {
-			// Malformed superstep attrs are a legitimate decode error, not
-			// a panic — nothing more to assert.
-			return
+		// Every renderer must survive anything Read accepts: malformed
+		// superstep attrs are a legitimate error, a panic is not.
+		_ = WriteReport(io.Discard, tr, ReportOptions{})
+		_ = WriteHTML(io.Discard, tr)
+		if d, err := Diff(tr, tr); err == nil {
+			_ = d.WriteText(io.Discard, 1)
 		}
 	})
 }

@@ -5,8 +5,7 @@ import (
 	"io"
 	"time"
 
-	"bpart/internal/htmlpage"
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 )
 
 // WriteHTML renders the trace as one self-contained HTML file: a span
@@ -15,26 +14,20 @@ import (
 // compute, communication and waiting time — Fig 12/13 as an artifact you
 // can open in a browser with no server and no external assets.
 func WriteHTML(w io.Writer, tr *Trace) error {
-	if err := htmlpage.Start(w, "bpart trace timeline"); err != nil {
-		return err
-	}
-	ew := &recordlog.Printer{W: w}
-	writeHTMLSummary(ew, tr)
-	writeHTMLSpans(ew, tr)
-	steps, err := Supersteps(tr)
+	steps, err := Supersteps(tr) // before the first byte: bad input fails the page, not half of it
 	if err != nil {
 		return err
 	}
-	for i, run := range GroupRuns(steps) {
-		writeHTMLRun(ew, i+1, run)
-	}
-	if ew.Err != nil {
-		return ew.Err
-	}
-	return htmlpage.End(w)
+	return report.Page(w, "bpart trace timeline", func(ew *report.Printer) {
+		writeHTMLSummary(ew, tr)
+		writeHTMLSpans(ew, tr)
+		for i, run := range GroupRuns(steps) {
+			writeHTMLRun(ew, i+1, run)
+		}
+	})
 }
 
-func writeHTMLSummary(ew *recordlog.Printer, tr *Trace) {
+func writeHTMLSummary(ew *report.Printer, tr *Trace) {
 	spans, events := 0, 0
 	for _, r := range tr.Records {
 		switch r.Type {
@@ -59,7 +52,7 @@ func writeHTMLSummary(ew *recordlog.Printer, tr *Trace) {
 // instantly; elided spans are counted below the chart.
 const maxHTMLSpans = 500
 
-func writeHTMLSpans(ew *recordlog.Printer, tr *Trace) {
+func writeHTMLSpans(ew *report.Printer, tr *Trace) {
 	root := BuildTree(tr)
 	if len(root.Children) == 0 {
 		return
@@ -116,7 +109,7 @@ func writeHTMLSpans(ew *recordlog.Printer, tr *Trace) {
 	}
 }
 
-func writeHTMLRun(ew *recordlog.Printer, idx int, run []Superstep) {
+func writeHTMLRun(ew *report.Printer, idx int, run []Superstep) {
 	b := DecomposeWaitRatio(run)
 	cp := ComputeCriticalPath(run)
 	ew.Printf("<h2>Run %d — %d machines, %d supersteps</h2>\n", idx, b.Machines, b.Supersteps)
@@ -126,14 +119,10 @@ func writeHTMLRun(ew *recordlog.Printer, idx int, run []Superstep) {
 	ew.Printf("<p class=legend><span style=\"background:#4878b0\">compute</span><span style=\"background:#b07848\">comm</span><span style=\"background:#999\">waiting</span></p>\n")
 
 	// One column group per superstep, one stacked bar per machine.
-	maxBusy := 0.0
-	for _, st := range run {
-		for i := range st.Compute {
-			if v := st.Compute[i] + st.Comm[i] + st.Waiting[i]; v > maxBusy {
-				maxBusy = v
-			}
-		}
-	}
+	maxBusy := report.Max(len(run), func(s int) float64 {
+		st := run[s]
+		return report.Max(len(st.Compute), func(m int) float64 { return st.Compute[m] + st.Comm[m] + st.Waiting[m] })
+	})
 	if maxBusy <= 0 {
 		maxBusy = 1
 	}

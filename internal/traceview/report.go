@@ -5,7 +5,7 @@ import (
 	"io"
 	"strings"
 
-	"bpart/internal/recordlog"
+	"bpart/internal/report"
 )
 
 // ReportOptions tunes the terminal report.
@@ -15,20 +15,6 @@ type ReportOptions struct {
 	MaxSupersteps int
 	// MaxTreeSpans caps the phase-tree listing (0 = 64).
 	MaxTreeSpans int
-}
-
-func (o ReportOptions) maxSupersteps() int {
-	if o.MaxSupersteps <= 0 {
-		return 16
-	}
-	return o.MaxSupersteps
-}
-
-func (o ReportOptions) maxTreeSpans() int {
-	if o.MaxTreeSpans <= 0 {
-		return 64
-	}
-	return o.MaxTreeSpans
 }
 
 // fmtUS renders a simulated-or-wall microsecond quantity with a readable
@@ -48,7 +34,7 @@ func fmtUS(us float64) string {
 // aggregates, phase tree, and — per run — straggler attribution, the
 // WaitRatio decomposition and the critical-path split.
 func WriteReport(w io.Writer, tr *Trace, opt ReportOptions) error {
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	writeSummary(ew, tr)
 	writeSpanTable(ew, tr)
 	writeTree(ew, tr, opt)
@@ -66,7 +52,7 @@ func WriteReport(w io.Writer, tr *Trace, opt ReportOptions) error {
 	return ew.Err
 }
 
-func writeSummary(ew *recordlog.Printer, tr *Trace) {
+func writeSummary(ew *report.Printer, tr *Trace) {
 	spans, events, errs := 0, 0, 0
 	for _, r := range tr.Records {
 		switch r.Type {
@@ -88,37 +74,32 @@ func writeSummary(ew *recordlog.Printer, tr *Trace) {
 	}
 }
 
-func writeSpanTable(ew *recordlog.Printer, tr *Trace) {
+func writeSpanTable(ew *report.Printer, tr *Trace) {
 	sums := SummarizeSpans(tr)
 	if len(sums) == 0 {
 		return
 	}
 	ew.Printf("\nSPANS BY NAME\n")
-	nameW := len("name")
-	for _, s := range sums {
-		if len(s.Name) > nameW {
-			nameW = len(s.Name)
-		}
-	}
+	nameW := max(len("name"), report.Max(len(sums), func(i int) int { return len(sums[i].Name) }))
 	ew.Printf("  %-*s  %6s  %10s  %10s\n", nameW, "name", "count", "total", "max")
 	for _, s := range sums {
 		ew.Printf("  %-*s  %6d  %10s  %10s\n", nameW, s.Name, s.Count, fmtUS(s.TotalUS), fmtUS(s.MaxUS))
 	}
 }
 
-func writeTree(ew *recordlog.Printer, tr *Trace, opt ReportOptions) {
+func writeTree(ew *report.Printer, tr *Trace, opt ReportOptions) {
 	root := BuildTree(tr)
 	if len(root.Children) == 0 {
 		return
 	}
 	ew.Printf("\nPHASE TREE\n")
-	shown, total := 0, 0
+	shown, total, limit := 0, 0, report.Cap(opt.MaxTreeSpans, 64)
 	root.Walk(func(n *SpanNode, depth int) {
 		if n.Rec == nil {
 			return
 		}
 		total++
-		if shown >= opt.maxTreeSpans() {
+		if shown >= limit {
 			return
 		}
 		shown++
@@ -129,20 +110,15 @@ func writeTree(ew *recordlog.Printer, tr *Trace, opt ReportOptions) {
 	}
 }
 
-func writeRun(ew *recordlog.Printer, idx int, run []Superstep, opt ReportOptions) {
+func writeRun(ew *report.Printer, idx int, run []Superstep, opt ReportOptions) {
 	b := DecomposeWaitRatio(run)
 	ew.Printf("\nRUN %d: %d machines, %d supersteps, sim time %s\n", idx, b.Machines, b.Supersteps, fmtUS(b.TotalTimeUS))
 	ew.Printf("  wait ratio %.4f  (share of cluster capacity idle at barriers)\n", b.WaitRatio)
 	if b.Machines > 0 {
-		maxC := 0.0
-		for _, c := range b.Contribution {
-			if c > maxC {
-				maxC = c
-			}
-		}
+		maxC := report.Max(len(b.Contribution), func(i int) float64 { return b.Contribution[i] })
 		ew.Printf("  per-machine contribution (terms sum to the wait ratio):\n")
 		for i, c := range b.Contribution {
-			ew.Printf("    M%-2d %s %.4f  (idle %s)\n", i, recordlog.Bar(c, maxC, 20), c, fmtUS(b.WaitUS[i]))
+			ew.Printf("    M%-2d %s %.4f  (idle %s)\n", i, report.Bar(c, maxC, 20), c, fmtUS(b.WaitUS[i]))
 		}
 	}
 
@@ -156,7 +132,7 @@ func WriteStragglers(w io.Writer, idx int, run []Superstep, opt ReportOptions) e
 	if len(run) == 0 {
 		return nil
 	}
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	ew.Printf("RUN %d: %d machines, %d supersteps\n", idx, run[0].Machines, len(run))
 	writeStragglers(ew, run, opt)
 	return ew.Err
@@ -168,19 +144,19 @@ func WriteCritPath(w io.Writer, idx int, run []Superstep) error {
 	if len(run) == 0 {
 		return nil
 	}
-	ew := &recordlog.Printer{W: w}
+	ew := &report.Printer{W: w}
 	ew.Printf("RUN %d: %d machines, %d supersteps\n", idx, run[0].Machines, len(run))
 	writeCritPath(ew, run)
 	return ew.Err
 }
 
-func writeStragglers(ew *recordlog.Printer, run []Superstep, opt ReportOptions) {
+func writeStragglers(ew *report.Printer, run []Superstep, opt ReportOptions) {
 	strag := Stragglers(run)
 	ew.Printf("  straggler attribution (machine bounding each barrier, and its lead over the runner-up):\n")
 	ew.Printf("    %5s  %8s %10s %10s  %8s %10s %10s\n", "iter", "compute", "time", "slack", "comm", "time", "slack")
-	shown := 0
+	shown, limit := 0, report.Cap(opt.MaxSupersteps, 16)
 	for _, s := range strag {
-		if shown >= opt.maxSupersteps() {
+		if shown >= limit {
 			ew.Printf("    ... %d more supersteps elided (raise -supersteps)\n", len(strag)-shown)
 			break
 		}
@@ -211,7 +187,7 @@ func writeStragglers(ew *recordlog.Printer, run []Superstep, opt ReportOptions) 
 	ew.Printf("\n")
 }
 
-func writeCritPath(ew *recordlog.Printer, run []Superstep) {
+func writeCritPath(ew *report.Printer, run []Superstep) {
 	cp := ComputeCriticalPath(run)
 	if cp.TotalUS <= 0 {
 		return
