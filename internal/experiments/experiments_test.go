@@ -142,30 +142,6 @@ func TestRunAppUnknown(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsTinyScale exercises every registered experiment at a
-// minuscule dataset scale — the harness must complete and yield rows.
-func TestAllExperimentsTinyScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke test skipped in -short mode")
-	}
-	opt := Options{Scale: testScale}
-	for _, ex := range All() {
-		ex := ex
-		t.Run(strings.ReplaceAll(ex.ID, " ", "_"), func(t *testing.T) {
-			tbl, err := ex.Run(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tbl.Rows) == 0 {
-				t.Fatal("no rows")
-			}
-			if tbl.ID != ex.ID {
-				t.Fatalf("table ID %q != experiment ID %q", tbl.ID, ex.ID)
-			}
-		})
-	}
-}
-
 // The balance experiments at tiny scale: every row present and parsable.
 func TestBalanceExperimentShapes(t *testing.T) {
 	opt := Options{Scale: testScale}
