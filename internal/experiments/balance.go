@@ -339,7 +339,7 @@ func Connectivity(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := partition.Stream(g, partition.StreamOptions{K: k, C: 0.5})
+	res, err := partition.Stream(g, partition.StreamOptions{K: k, C: 0.5, In: g.In()})
 	if err != nil {
 		return nil, err
 	}
