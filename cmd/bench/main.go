@@ -49,6 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -96,6 +97,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 0
 	}
+	// An -id that names no experiment is a usage error, so a typo in a CI
+	// step fails instead of running nothing.
+	selected := map[string]bool{}
+	for _, id := range ids {
+		if !slices.Contains(bpart.Experiments(), id) {
+			fmt.Fprintf(stderr, "bench: unknown experiment %q (have %q)\n", id, bpart.Experiments())
+			return 2
+		}
+		selected[id] = true
+	}
 
 	faults, err := bpart.LoadFaultSpec(*faultPath, *ckptEvery)
 	if err != nil {
@@ -133,10 +144,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}()
 		fmt.Fprintf(stdout, "# diagnostics on http://%s/debug/pprof/\n", addr)
-	}
-	selected := map[string]bool{}
-	for _, id := range ids {
-		selected[id] = true
 	}
 	opt := bpart.ExperimentOptions{Scale: *scale, Walkers: *walkers, Tracer: tracer, Metrics: reg, Faults: faults, Widths: widths, Workers: *workers}
 	artifact := bpart.NewBenchArtifact(opt)

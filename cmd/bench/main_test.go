@@ -288,6 +288,21 @@ func TestBenchResourcesFlag(t *testing.T) {
 	}
 }
 
+// An unknown -id exits 2 and names the known IDs; it must not print an
+// empty run and succeed.
+func TestBenchUnknownID(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scale", "0.02", "-id", "Fig 3", "-id", "Fig 99"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("unknown -id exited %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), `"Fig 99"`) || !strings.Contains(stderr.String(), `"Fault Recovery"`) {
+		t.Fatalf("diagnostic does not name the ID and the known IDs: %s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("unknown -id still ran:\n%s", stdout.String())
+	}
+}
+
 func TestBenchBadWidths(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-widths", "1,zero"}, &stdout, &stderr); code != 2 {
