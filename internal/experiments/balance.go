@@ -9,7 +9,7 @@ import (
 	"bpart/internal/gen"
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
-	"bpart/internal/multilevel"
+	_ "bpart/internal/multilevel" // registers "Multilevel" with partition.Get
 	"bpart/internal/partition"
 	"bpart/internal/telemetry"
 	"bpart/internal/vcut"
@@ -49,20 +49,15 @@ func Fig3(opt Options) (*Table, error) {
 		Title:  "Vertex/edge shares of subgraphs G0–G3 (twitter-sim, k=4)",
 		Header: []string{"scheme", "series", "G0", "G1", "G2", "G3", "max/min"},
 	}
-	g, err := dataset(gen.TwitterSim, opt)
-	if err != nil {
-		return nil, err
-	}
 	for _, scheme := range oneDimSchemes {
-		parts, err := assignment(gen.TwitterSim, opt, scheme, k)
+		r, err := report(gen.TwitterSim, opt, scheme, k)
 		if err != nil {
 			return nil, err
 		}
-		vs, es := graph.PartSizes(g, parts, k)
-		vr := metrics.RatioSeries(vs)
-		er := metrics.RatioSeries(es)
-		t.AddRow(scheme, "|Vi|/|V|", f3(vr[0]), f3(vr[1]), f3(vr[2]), f3(vr[3]), f2(metrics.Spread(vs)))
-		t.AddRow(scheme, "|Ei|/|E|", f3(er[0]), f3(er[1]), f3(er[2]), f3(er[3]), f2(metrics.Spread(es)))
+		vr := metrics.RatioSeries(r.Vertices)
+		er := metrics.RatioSeries(r.Edges)
+		t.AddRow(scheme, "|Vi|/|V|", f3(vr[0]), f3(vr[1]), f3(vr[2]), f3(vr[3]), f2(metrics.Spread(r.Vertices)))
+		t.AddRow(scheme, "|Ei|/|E|", f3(er[0]), f3(er[1]), f3(er[2]), f3(er[3]), f2(metrics.Spread(r.Edges)))
 	}
 	return t, nil
 }
@@ -77,24 +72,15 @@ func Fig6(opt Options) (*Table, error) {
 		Title:  "Distribution of |Vi| and |Ei| over 64 subgraphs (twitter-sim)",
 		Header: []string{"scheme", "series", "min ratio", "median", "max ratio", "bias", "jain"},
 	}
-	g, err := dataset(gen.TwitterSim, opt)
-	if err != nil {
-		return nil, err
-	}
 	for _, scheme := range []string{"Chunk-V", "Chunk-E"} {
-		parts, err := assignment(gen.TwitterSim, opt, scheme, k)
+		r, err := report(gen.TwitterSim, opt, scheme, k)
 		if err != nil {
 			return nil, err
 		}
-		vs, es := graph.PartSizes(g, parts, k)
-		for _, series := range []struct {
-			name string
-			xs   []int
-		}{{"|Vi|/|V|", vs}, {"|Ei|/|E|", es}} {
-			minR, medR, maxR := summarizeRatios(series.xs)
-			t.AddRow(scheme, series.name, f4(minR), f4(medR), f4(maxR),
-				f3(metrics.Bias(series.xs)), f3(metrics.Jain(series.xs)))
-		}
+		minR, medR, maxR := summarizeRatios(r.Vertices)
+		t.AddRow(scheme, "|Vi|/|V|", f4(minR), f4(medR), f4(maxR), f3(r.VertexBias), f3(r.VertexJain))
+		minR, medR, maxR = summarizeRatios(r.Edges)
+		t.AddRow(scheme, "|Ei|/|E|", f4(minR), f4(medR), f4(maxR), f3(r.EdgeBias), f3(r.EdgeJain))
 	}
 	return t, nil
 }
@@ -139,13 +125,9 @@ func Fig8(opt Options) (*Table, error) {
 	}
 	// Inverse-proportionality statistic: Pearson correlation of piece
 	// |V_i| against |E_i| (the paper's Fig 8 shows the two series as
-	// mirror images, i.e. strongly negative correlation).
-	var sv, se float64
-	for _, p := range pieces {
-		sv += float64(p.v)
-		se += float64(p.e)
-	}
-	mv, me := sv/float64(k), se/float64(k)
+	// mirror images, i.e. strongly negative correlation). The pieces hold
+	// every vertex and arc, so the means are |V|/k and |E|/k.
+	mv, me := n/k, m/k
 	var cov, varV, varE float64
 	for _, p := range pieces {
 		dv, de := float64(p.v)-mv, float64(p.e)-me
@@ -155,13 +137,11 @@ func Fig8(opt Options) (*Table, error) {
 	}
 	r := 0.0
 	if varV > 0 && varE > 0 {
-		r = cov / (sqrt(varV) * sqrt(varE))
+		r = cov / (math.Sqrt(varV) * math.Sqrt(varE))
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("Pearson corr(|Vi|, |Ei|) across pieces = %.3f (negative ⇒ inversely proportional)", r))
 	return t, nil
 }
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }
 
 // Fig10 reproduces Figure 10: vertex bias vs edge bias for every scheme,
 // dataset and subgraph count. BPart must sit near the origin in both
@@ -173,18 +153,13 @@ func Fig10(opt Options) (*Table, error) {
 		Header: []string{"graph", "scheme", "k", "vertex bias", "edge bias"},
 	}
 	for _, d := range gen.Datasets() {
-		g, err := dataset(d, opt)
-		if err != nil {
-			return nil, err
-		}
 		for _, scheme := range compareSchemes {
 			for _, k := range []int{4, 8, 16} {
-				parts, err := assignment(d, opt, scheme, k)
+				r, err := report(d, opt, scheme, k)
 				if err != nil {
 					return nil, err
 				}
-				vs, es := graph.PartSizes(g, parts, k)
-				t.AddRow(string(d), scheme, d0(k), f4(metrics.Bias(vs)), f4(metrics.Bias(es)))
+				t.AddRow(string(d), scheme, d0(k), f4(r.VertexBias), f4(r.EdgeBias))
 			}
 		}
 	}
@@ -200,18 +175,13 @@ func Fig11(opt Options) (*Table, error) {
 		Title:  "Jain's fairness when partitioning into many subgraphs (twitter-sim)",
 		Header: []string{"scheme", "k", "vertex fairness", "edge fairness"},
 	}
-	g, err := dataset(gen.TwitterSim, opt)
-	if err != nil {
-		return nil, err
-	}
 	for _, scheme := range compareSchemes {
 		for _, k := range []int{8, 16, 32, 64, 128} {
-			parts, err := assignment(gen.TwitterSim, opt, scheme, k)
+			r, err := report(gen.TwitterSim, opt, scheme, k)
 			if err != nil {
 				return nil, err
 			}
-			vs, es := graph.PartSizes(g, parts, k)
-			t.AddRow(scheme, d0(k), f4(metrics.Jain(vs)), f4(metrics.Jain(es)))
+			t.AddRow(scheme, d0(k), f4(r.VertexJain), f4(r.EdgeJain))
 		}
 	}
 	return t, nil
@@ -233,20 +203,11 @@ func Table2(opt Options) (*Table, error) {
 	for _, scheme := range schemes {
 		row := []string{scheme}
 		for _, d := range gen.Datasets() {
-			g, err := dataset(d, opt)
+			_, secs, err := timedPartition(d, opt, scheme, k)
 			if err != nil {
 				return nil, err
 			}
-			g.In() // built once per graph, before any stopwatch: see reverseNote
-			p, err := partition.Get(scheme)
-			if err != nil {
-				return nil, err
-			}
-			sw := telemetry.NewStopwatch()
-			if _, err := p.Partition(g, k); err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.4f", sw.Seconds()))
+			row = append(row, fmt.Sprintf("%.4f", secs))
 		}
 		t.AddRow(row...)
 	}
@@ -259,6 +220,28 @@ func Table2(opt Options) (*Table, error) {
 // depends on which scheme happened to touch the graph first.
 const reverseNote = "times exclude the once-per-graph reverse adjacency (graph.Graph.In); " +
 	"its cost is the wall-clock benchmark's graph.transpose_ns_per_edge"
+
+// timedPartition is the harness's one partition stopwatch: it partitions
+// d's memoized graph into k parts by scheme, unmemoized, and returns the
+// wall seconds the call took, building the graph's reverse first (see
+// reverseNote).
+func timedPartition(d gen.Dataset, opt Options, scheme string, k int) ([]int, float64, error) {
+	g, err := dataset(d, opt)
+	if err != nil {
+		return nil, 0, err
+	}
+	g.In()
+	p, err := partition.Get(scheme)
+	if err != nil {
+		return nil, 0, err
+	}
+	sw := telemetry.NewStopwatch()
+	a, err := p.Partition(g, k)
+	if err != nil {
+		return nil, 0, err
+	}
+	return a.Parts, sw.Seconds(), nil
+}
 
 func datasetNames() []string {
 	var out []string
@@ -281,15 +264,11 @@ func Table3(opt Options) (*Table, error) {
 	for _, scheme := range allSchemes {
 		row := []string{scheme}
 		for _, d := range gen.Datasets() {
-			g, err := dataset(d, opt)
+			r, err := report(d, opt, scheme, k)
 			if err != nil {
 				return nil, err
 			}
-			parts, err := assignment(d, opt, scheme, k)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f4(metrics.EdgeCutRatio(g, parts)))
+			row = append(row, f4(r.CutRatio))
 		}
 		t.AddRow(row...)
 	}
@@ -307,18 +286,12 @@ func MtKaHIP(opt Options) (*Table, error) {
 		Header: []string{"graph", "scheme", "vertex bias", "edge bias", "cut ratio"},
 	}
 	for _, d := range gen.Datasets() {
-		g, err := dataset(d, opt)
-		if err != nil {
-			return nil, err
-		}
 		for _, scheme := range []string{"Multilevel", "BPart"} {
-			parts, err := assignment(d, opt, scheme, k)
+			r, err := report(d, opt, scheme, k)
 			if err != nil {
 				return nil, err
 			}
-			vs, es := graph.PartSizes(g, parts, k)
-			t.AddRow(string(d), scheme, f4(metrics.Bias(vs)), f4(metrics.Bias(es)),
-				f4(metrics.EdgeCutRatio(g, parts)))
+			t.AddRow(string(d), scheme, f4(r.VertexBias), f4(r.EdgeBias), f4(r.CutRatio))
 		}
 	}
 	return t, nil
@@ -378,21 +351,13 @@ func RelatedWork(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.In() // built once per graph, before any stopwatch: see reverseNote
 	for _, scheme := range []string{"LDG", "Spinner", "GD", "Multilevel", "BPart"} {
-		p, err := partition.Get(scheme)
+		parts, secs, err := timedPartition(gen.TwitterSim, opt, scheme, k)
 		if err != nil {
 			return nil, err
 		}
-		sw := telemetry.NewStopwatch()
-		a, err := p.Partition(g, k)
-		if err != nil {
-			return nil, err
-		}
-		dt := sw.Seconds()
-		vs, es := graph.PartSizes(g, a.Parts, k)
-		t.AddRow(scheme, f4(metrics.Bias(vs)), f4(metrics.Bias(es)),
-			f4(metrics.EdgeCutRatio(g, a.Parts)), fmt.Sprintf("%.3f", dt))
+		r := metrics.NewReport(g, parts, k, false)
+		t.AddRow(scheme, f4(r.VertexBias), f4(r.EdgeBias), f4(r.CutRatio), fmt.Sprintf("%.3f", secs))
 	}
 	return t, nil
 }
@@ -439,16 +404,11 @@ func AblationC(opt Options) (*Table, error) {
 		return nil, err
 	}
 	for _, c := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		b, err := core.New(core.Config{C: c, Epsilon: 0.1, SplitFactor: 2, MaxLayers: 4})
+		r, _, err := ablate(g, core.Config{C: c, Epsilon: 0.1, SplitFactor: 2, MaxLayers: 4}, k)
 		if err != nil {
 			return nil, err
 		}
-		a, err := b.Partition(g, k)
-		if err != nil {
-			return nil, err
-		}
-		vs, es := graph.PartSizes(g, a.Parts, k)
-		t.AddRow(f2(c), f4(metrics.Bias(vs)), f4(metrics.Bias(es)), f4(metrics.EdgeCutRatio(g, a.Parts)))
+		t.AddRow(f2(c), f4(r.VertexBias), f4(r.EdgeBias), f4(r.CutRatio))
 	}
 	return t, nil
 }
@@ -466,17 +426,11 @@ func AblationSplit(opt Options) (*Table, error) {
 		return nil, err
 	}
 	for _, split := range []int{2, 4, 8} {
-		b, err := core.New(core.Config{C: 0.5, Epsilon: 0.1, SplitFactor: split, MaxLayers: 4})
+		r, layers, err := ablate(g, core.Config{C: 0.5, Epsilon: 0.1, SplitFactor: split, MaxLayers: 4}, k)
 		if err != nil {
 			return nil, err
 		}
-		a, tr, err := b.PartitionWithTrace(g, k)
-		if err != nil {
-			return nil, err
-		}
-		vs, es := graph.PartSizes(g, a.Parts, k)
-		t.AddRow(d0(split), d0(len(tr.Layers)), f4(metrics.Bias(vs)), f4(metrics.Bias(es)),
-			f4(metrics.EdgeCutRatio(g, a.Parts)))
+		t.AddRow(d0(split), d0(layers), f4(r.VertexBias), f4(r.EdgeBias), f4(r.CutRatio))
 	}
 	return t, nil
 }
@@ -510,8 +464,8 @@ func AblationOrder(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(o.name, f4(metrics.Bias(res.VertexCount)), f4(metrics.Bias(res.EdgeCount)),
-			f4(metrics.EdgeCutRatio(g, res.Parts)))
+		r := metrics.NewReport(g, res.Parts, k, false)
+		t.AddRow(o.name, f4(r.VertexBias), f4(r.EdgeBias), f4(r.CutRatio))
 	}
 	return t, nil
 }
@@ -531,21 +485,26 @@ func AblationRefine(opt Options) (*Table, error) {
 	}
 	for _, eps := range []float64{0.05, 0.1, 0.2} {
 		for _, refine := range []bool{true, false} {
-			b, err := core.New(core.Config{C: 0.5, Epsilon: eps, SplitFactor: 2, MaxLayers: 4, DisableRefine: !refine})
+			r, _, err := ablate(g, core.Config{C: 0.5, Epsilon: eps, SplitFactor: 2, MaxLayers: 4, DisableRefine: !refine}, k)
 			if err != nil {
 				return nil, err
 			}
-			a, err := b.Partition(g, k)
-			if err != nil {
-				return nil, err
-			}
-			vs, es := graph.PartSizes(g, a.Parts, k)
-			t.AddRow(f2(eps), fmt.Sprintf("%v", refine),
-				f4(metrics.Bias(vs)), f4(metrics.Bias(es)),
-				f4(metrics.Jain(vs)), f4(metrics.Jain(es)))
+			t.AddRow(f2(eps), fmt.Sprintf("%v", refine), f4(r.VertexBias), f4(r.EdgeBias), f4(r.VertexJain), f4(r.EdgeJain))
 		}
 	}
 	return t, nil
 }
 
-var _ = multilevel.Config{} // Multilevel registers itself via init
+// ablate partitions g into k parts with a BPart variant and reports the
+// result with the number of layers it streamed.
+func ablate(g *graph.Graph, cfg core.Config, k int) (metrics.Report, int, error) {
+	b, err := core.New(cfg)
+	if err != nil {
+		return metrics.Report{}, 0, err
+	}
+	a, tr, err := b.PartitionWithTrace(g, k)
+	if err != nil {
+		return metrics.Report{}, 0, err
+	}
+	return metrics.NewReport(g, a.Parts, k, false), len(tr.Layers), nil
+}

@@ -6,10 +6,9 @@ import (
 	"io"
 	"os"
 
-	"bpart/internal/commview"
+	"bpart/internal/cluster"
 	"bpart/internal/fault"
 	"bpart/internal/gen"
-	"bpart/internal/metrics"
 	"bpart/internal/telemetry"
 	"bpart/internal/walk"
 )
@@ -160,19 +159,14 @@ var benchWalkConfig = walk.Config{Kind: walk.Simple, WalkersPerVertex: 1, Steps:
 // when reg is non-nil, the registry's histogram summaries (sorted by name).
 func (a *BenchArtifact) Collect(opt Options, reg *telemetry.Registry) error {
 	d := gen.LJSim
-	g, err := dataset(d, opt)
-	if err != nil {
-		return err
-	}
 	base := opt
 	base.Faults = nil
 	for _, scheme := range allSchemes {
-		parts, err := assignment(d, base, scheme, benchPartitionK)
+		rep, err := report(d, base, scheme, benchPartitionK)
 		if err != nil {
 			return fmt.Errorf("bench artifact: %w", err)
 		}
-		rep := metrics.NewReport(g, parts, benchPartitionK, false)
-		e, err := walkEngine(d, base, scheme, benchPartitionK)
+		e, err := walkEngine(d, base, scheme, benchPartitionK, cluster.DefaultCostModel())
 		if err != nil {
 			return fmt.Errorf("bench artifact: %w", err)
 		}
@@ -196,11 +190,7 @@ func (a *BenchArtifact) Collect(opt Options, reg *telemetry.Registry) error {
 			SimTimeUS:  res.Stats.TotalTime(),
 			WaitRatio:  res.Stats.WaitRatio(),
 		})
-		s := commview.Summarize(commview.FromRunStats(&res.Stats))
-		hotShare := 0.0
-		if s.Messages > 0 {
-			hotShare = float64(s.HotMessages) / float64(s.Messages)
-		}
+		s, hotShare := commSummary(&res.Stats)
 		a.Comm = append(a.Comm, BenchComm{
 			Graph:          string(d),
 			Scheme:         scheme,

@@ -34,7 +34,7 @@ func CommMatrix(opt Options) (*Table, error) {
 			var stats *cluster.RunStats
 			switch workload {
 			case "walk":
-				e, err := walkEngine(gen.LJSim, opt, scheme, k)
+				e, err := walkEngine(gen.LJSim, opt, scheme, k, cluster.DefaultCostModel())
 				if err != nil {
 					return nil, err
 				}
@@ -50,17 +50,11 @@ func CommMatrix(opt Options) (*Table, error) {
 					return nil, err
 				}
 				e.Cluster().SetCommMatrix(true)
-				res, err := e.PageRank(10, 0.85)
-				if err != nil {
+				if _, stats, err = pageRank(e); err != nil {
 					return nil, err
 				}
-				stats = &res.Stats
 			}
-			s := commview.Summarize(commview.FromRunStats(stats))
-			hotShare := 0.0
-			if s.Messages > 0 {
-				hotShare = float64(s.HotMessages) / float64(s.Messages)
-			}
+			s, hotShare := commSummary(stats)
 			t.AddRow(workload, scheme, i64(s.Messages), f3(s.ImbalanceRatio), f4(s.PairJain),
 				fmt.Sprintf("M%d->M%d", s.HotSrc, s.HotDst), f4(hotShare))
 		}
@@ -68,4 +62,15 @@ func CommMatrix(opt Options) (*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("a perfectly flat matrix has hot share 1/(k²-k) = %s", f4(1.0/float64(k*k-k))))
 	return t, nil
+}
+
+// commSummary reads a capture-on run's comm matrix: its summary and the hot
+// pair's share of all cross-machine messages (1/(k²-k) when flat).
+func commSummary(stats *cluster.RunStats) (commview.Summary, float64) {
+	s := commview.Summarize(commview.FromRunStats(stats))
+	share := 0.0
+	if s.Messages > 0 {
+		share = float64(s.HotMessages) / float64(s.Messages)
+	}
+	return s, share
 }

@@ -25,6 +25,7 @@ import (
 	"bpart/internal/fault"
 	"bpart/internal/gen"
 	"bpart/internal/graph"
+	"bpart/internal/metrics"
 	"bpart/internal/partition"
 	"bpart/internal/telemetry"
 	"bpart/internal/walk"
@@ -269,40 +270,68 @@ var compareSchemes = []string{"Chunk-V", "Chunk-E", "Fennel", "BPart"}
 // allSchemes adds Hash (Table 3).
 var allSchemes = []string{"Chunk-V", "Chunk-E", "Fennel", "Hash", "BPart"}
 
-func walkEngine(d gen.Dataset, opt Options, scheme string, k int) (*walk.Engine, error) {
+// report measures scheme's memoized k-way placement of d through
+// metrics.NewReport, the harness's one source of bias, Jain and cut.
+func report(d gen.Dataset, opt Options, scheme string, k int) (metrics.Report, error) {
 	g, err := dataset(d, opt)
 	if err != nil {
-		return nil, err
+		return metrics.Report{}, err
 	}
 	parts, err := assignment(d, opt, scheme, k)
 	if err != nil {
-		return nil, err
+		return metrics.Report{}, err
 	}
-	e, err := walk.New(g, parts, k, cluster.DefaultCostModel())
+	return metrics.NewReport(g, parts, k, false), nil
+}
+
+// walkEngine and iterEngine build every engine an experiment runs.
+func walkEngine(d gen.Dataset, opt Options, scheme string, k int, model cluster.CostModel) (*walk.Engine, error) {
+	return newEngine(d, opt, scheme, k, model, walk.New)
+}
+
+func iterEngine(d gen.Dataset, opt Options, scheme string, k int) (*engine.Engine, error) {
+	return newEngine(d, opt, scheme, k, cluster.DefaultCostModel(), engine.New)
+}
+
+// instrumented is the engine-side surface newEngine needs; both the
+// iteration and walk engines satisfy it.
+type instrumented interface {
+	Graph() *graph.Graph
+	Cluster() *cluster.Cluster
+	SetTelemetry(telemetry.Tracer, *telemetry.Registry)
+	SetFaults(*fault.Controller) error
+}
+
+// newEngine builds an engine over scheme's memoized placement of d with
+// Options' worker pool, telemetry and fault schedule attached.
+func newEngine[E instrumented](d gen.Dataset, opt Options, scheme string, k int, model cluster.CostModel,
+	build func(*graph.Graph, []int, int, cluster.CostModel) (E, error)) (E, error) {
+	var none E
+	g, err := dataset(d, opt)
 	if err != nil {
-		return nil, err
+		return none, err
+	}
+	parts, err := assignment(d, opt, scheme, k)
+	if err != nil {
+		return none, err
+	}
+	e, err := build(g, parts, k, model)
+	if err != nil {
+		return none, err
 	}
 	e.Cluster().SetWorkers(opt.Workers)
 	e.SetTelemetry(opt.Tracer, opt.Metrics)
 	if err := attachFaults(opt, e, opt.scheduleFor(k)); err != nil {
-		return nil, err
+		return none, err
 	}
 	return e, nil
-}
-
-// faultable is the engine-side surface attachFaults needs; both the
-// iteration and walk engines satisfy it.
-type faultable interface {
-	Graph() *graph.Graph
-	Cluster() *cluster.Cluster
-	SetFaults(*fault.Controller) error
 }
 
 // attachFaults is the harness's one way to put an engine under a fault
 // schedule: a controller of its own over spec (normalized in place — pass
 // a clone), instrumented like the engine. A nil spec leaves the engine
 // fault-free.
-func attachFaults(opt Options, e faultable, spec *fault.Spec) error {
+func attachFaults(opt Options, e instrumented, spec *fault.Spec) error {
 	if spec == nil {
 		return nil
 	}
@@ -322,27 +351,6 @@ func (o Options) scheduleFor(k int) *fault.Spec {
 		return nil
 	}
 	return o.Faults.ForMachines(k)
-}
-
-func iterEngine(d gen.Dataset, opt Options, scheme string, k int) (*engine.Engine, error) {
-	g, err := dataset(d, opt)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := assignment(d, opt, scheme, k)
-	if err != nil {
-		return nil, err
-	}
-	e, err := engine.New(g, parts, k, cluster.DefaultCostModel())
-	if err != nil {
-		return nil, err
-	}
-	e.Cluster().SetWorkers(opt.Workers)
-	e.SetTelemetry(opt.Tracer, opt.Metrics)
-	if err := attachFaults(opt, e, opt.scheduleFor(k)); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // ---- formatting helpers ----

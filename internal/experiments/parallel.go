@@ -26,9 +26,6 @@ import (
 // criterion).
 const parallelDataset = gen.FriendsterSim
 
-// parallelPRIters matches the paper's ten PageRank iterations.
-const parallelPRIters = 10
-
 // benchParallelSchemes is the always-collected BENCH subset: the baseline
 // scheme and BPart. The experiment table sweeps all of compareSchemes.
 var benchParallelSchemes = []string{"Chunk-V", "BPart"}
@@ -54,33 +51,22 @@ func (o Options) widths() []int {
 	return []int{1, 2, 4}
 }
 
-// parallelEngineSpec is one engine workload of the sweep: run executes the
-// algorithm and returns the marshaled result (outputs + RunStats, the
-// byte-identity evidence) plus the run's simulated time.
-type parallelEngineSpec struct {
+// parallelEngines are the sweep's workloads, the two iteration
+// applications.
+var parallelEngines = []struct {
 	name string
-	run  func(e *engine.Engine) ([]byte, float64, error)
-}
+	run  iterRun
+}{{"PageRank", pageRank}, {"CC", components}}
 
-func parallelEngineSpecs() []parallelEngineSpec {
-	return []parallelEngineSpec{
-		{"PageRank", func(e *engine.Engine) ([]byte, float64, error) {
-			r, err := e.PageRank(parallelPRIters, 0.85)
-			if err != nil {
-				return nil, 0, err
-			}
-			b, err := json.Marshal(r)
-			return b, r.Stats.TotalTime(), err
-		}},
-		{"CC", func(e *engine.Engine) ([]byte, float64, error) {
-			r, err := e.ConnectedComponents(0)
-			if err != nil {
-				return nil, 0, err
-			}
-			b, err := json.Marshal(r)
-			return b, r.Stats.TotalTime(), err
-		}},
+// runMarshaled runs one workload and returns its marshaled result (outputs
+// + RunStats, the byte-identity evidence) and the run's simulated time.
+func runMarshaled(run iterRun, e *engine.Engine) ([]byte, float64, error) {
+	res, stats, err := run(e)
+	if err != nil {
+		return nil, 0, err
 	}
+	b, err := json.Marshal(res)
+	return b, stats.TotalTime(), err
 }
 
 // ParallelMeasurement is one (engine, scheme, workers) point of the sweep.
@@ -133,11 +119,11 @@ func runParallel(opt Options, tr telemetry.Tracer, schemes []string, widths []in
 		if err != nil {
 			return nil, fmt.Errorf("parallel speedup: %w", err)
 		}
-		for _, spec := range parallelEngineSpecs() {
+		for _, spec := range parallelEngines {
 			// The 1-worker reference run: its bytes are the identity oracle
 			// for every width (and it warms the graph/partition memos).
 			e.Cluster().SetWorkers(1)
-			ref, _, err := spec.run(e)
+			ref, _, err := runMarshaled(spec.run, e)
 			if err != nil {
 				return nil, fmt.Errorf("parallel speedup: %s/%s reference: %w", spec.name, scheme, err)
 			}
@@ -152,7 +138,7 @@ func runParallel(opt Options, tr telemetry.Tracer, schemes []string, widths []in
 						telemetry.String("scheme", spec.name+"/"+scheme),
 						telemetry.Int("workers", wk))
 					sw := telemetry.NewStopwatch()
-					b, sim, err := spec.run(e)
+					b, sim, err := runMarshaled(spec.run, e)
 					us := sw.Seconds() * 1e6
 					sp.End()
 					if err != nil {
@@ -172,17 +158,11 @@ func runParallel(opt Options, tr telemetry.Tracer, schemes []string, widths []in
 	return out, nil
 }
 
-// RunParallelSpeedup measures every compare scheme's engines at every
-// width of opt.widths().
-func RunParallelSpeedup(opt Options) ([]ParallelMeasurement, error) {
-	return runParallel(opt, telemetry.Safe(opt.Tracer), compareSchemes, opt.widths())
-}
-
-// ParallelSpeedup is the experiment wrapper: the measured superstep
-// speedup curve as a table, every point verified bit-identical to the
-// sequential run.
+// ParallelSpeedup measures every compare scheme's engines at every width of
+// opt.widths() and tables the superstep speedup curve, every point
+// verified bit-identical to the sequential run.
 func ParallelSpeedup(opt Options) (*Table, error) {
-	ms, err := RunParallelSpeedup(opt)
+	ms, err := runParallel(opt, telemetry.Safe(opt.Tracer), compareSchemes, opt.widths())
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func TestParallelSweepFeedsResourceCurves(t *testing.T) {
 	if err := probe.Close(); err != nil {
 		t.Fatal(err)
 	}
-	engines := len(parallelEngineSpecs())
+	engines := len(parallelEngines)
 	if len(ms) != engines*2 {
 		t.Fatalf("got %d measurements, want %d", len(ms), engines*2)
 	}

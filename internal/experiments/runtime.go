@@ -3,8 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"bpart/internal/cluster"
+	"bpart/internal/engine"
 	"bpart/internal/gen"
-	"bpart/internal/metrics"
 	"bpart/internal/walk"
 )
 
@@ -26,6 +27,16 @@ func (o Options) appWalkers() int {
 	return 1
 }
 
+// loadWalk runs the load/waiting figures' workload on scheme's placement of
+// d: 5|V| simple walks (Options.Walkers overrides) of four steps, seeded.
+func loadWalk(d gen.Dataset, opt Options, scheme string, k int, model cluster.CostModel) (*walk.Result, error) {
+	e, err := walkEngine(d, opt, scheme, k, model)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(walk.Config{Kind: walk.Simple, WalkersPerVertex: opt.loadWalkers(), Steps: 4, Seed: 1})
+}
+
 // Fig4 reproduces Figure 4: per-machine computing load (walk steps) in each
 // of the four iterations of a 5|V|-walker, 4-step random walk on
 // twitter-sim with four machines. Chunk-V/Fennel start balanced in
@@ -39,37 +50,34 @@ func Fig4(opt Options) (*Table, error) {
 		Header: []string{"scheme", "iter", "M0", "M1", "M2", "M3", "max/mean"},
 	}
 	for _, scheme := range oneDimSchemes {
-		e, err := walkEngine(gen.TwitterSim, opt, scheme, k)
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run(walk.Config{Kind: walk.Simple, WalkersPerVertex: opt.loadWalkers(), Steps: 4, Seed: 1})
+		res, err := loadWalk(gen.TwitterSim, opt, scheme, k, cluster.DefaultCostModel())
 		if err != nil {
 			return nil, err
 		}
 		for it, st := range res.Stats.Iterations {
-			var total int64
-			for _, s := range st.Work.Steps {
-				total += s
-			}
-			mean := float64(total) / k
-			maxS := int64(0)
 			row := []string{scheme, d0(it)}
-			for _, s := range st.Work.Steps {
+			loads := make([]float64, len(st.Work.Steps))
+			for m, s := range st.Work.Steps {
 				row = append(row, i64(s))
-				if s > maxS {
-					maxS = s
-				}
+				loads[m] = float64(s)
 			}
-			ratio := 0.0
-			if mean > 0 {
-				ratio = float64(maxS) / mean
-			}
-			row = append(row, f2(ratio))
-			t.AddRow(row...)
+			t.AddRow(append(row, f2(maxOverMean(loads)))...)
 		}
 	}
 	return t, nil
+}
+
+// maxOverMean is a per-machine load row's max/mean, 0 for an idle row.
+func maxOverMean(loads []float64) float64 {
+	var total, maxL float64
+	for _, l := range loads {
+		total += l
+		maxL = max(maxL, l)
+	}
+	if total <= 0 {
+		return 0
+	}
+	return maxL / (total / float64(len(loads)))
 }
 
 // Fig5 reproduces Figure 5: (a) the edge-cut ratio and (b) the total
@@ -83,43 +91,27 @@ func Fig5(opt Options) (*Table, error) {
 		Title:  "Edge cuts and message walks (twitter-sim, k=8, 5|V| walks × 4 steps)",
 		Header: []string{"scheme", "edge-cut ratio", "message walks", "vs Fennel"},
 	}
-	type rec struct {
-		scheme string
-		cut    float64
-		msgs   int64
+	schemes := []string{"Chunk-V", "Chunk-E", "Fennel", "Hash"}
+	const fennel = 2
+	cuts := make([]float64, len(schemes))
+	msgs := make([]int64, len(schemes))
+	for i, scheme := range schemes {
+		rep, err := report(gen.TwitterSim, opt, scheme, k)
+		if err != nil {
+			return nil, err
+		}
+		res, err := loadWalk(gen.TwitterSim, opt, scheme, k, cluster.DefaultCostModel())
+		if err != nil {
+			return nil, err
+		}
+		cuts[i], msgs[i] = rep.CutRatio, res.MessageWalks
 	}
-	var recs []rec
-	for _, scheme := range []string{"Chunk-V", "Chunk-E", "Fennel", "Hash"} {
-		g, err := dataset(gen.TwitterSim, opt)
-		if err != nil {
-			return nil, err
-		}
-		parts, err := assignment(gen.TwitterSim, opt, scheme, k)
-		if err != nil {
-			return nil, err
-		}
-		e, err := walkEngine(gen.TwitterSim, opt, scheme, k)
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run(walk.Config{Kind: walk.Simple, WalkersPerVertex: opt.loadWalkers(), Steps: 4, Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec{scheme, metrics.EdgeCutRatio(g, parts), res.MessageWalks})
-	}
-	var fennelMsgs int64
-	for _, r := range recs {
-		if r.scheme == "Fennel" {
-			fennelMsgs = r.msgs
-		}
-	}
-	for _, r := range recs {
+	for i, scheme := range schemes {
 		rel := 0.0
-		if fennelMsgs > 0 {
-			rel = float64(r.msgs) / float64(fennelMsgs)
+		if msgs[fennel] > 0 {
+			rel = float64(msgs[i]) / float64(msgs[fennel])
 		}
-		t.AddRow(r.scheme, f4(r.cut), i64(r.msgs), f2(rel))
+		t.AddRow(scheme, f4(cuts[i]), i64(msgs[i]), f2(rel))
 	}
 	return t, nil
 }
@@ -135,30 +127,16 @@ func Fig12(opt Options) (*Table, error) {
 		Header: []string{"scheme", "iter", "M0", "M1", "M2", "M3", "M4", "M5", "M6", "M7", "max/mean"},
 	}
 	for _, scheme := range compareSchemes {
-		e, err := walkEngine(gen.FriendsterSim, opt, scheme, k)
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run(walk.Config{Kind: walk.Simple, WalkersPerVertex: opt.loadWalkers(), Steps: 4, Seed: 1})
+		res, err := loadWalk(gen.FriendsterSim, opt, scheme, k, cluster.DefaultCostModel())
 		if err != nil {
 			return nil, err
 		}
 		for it, st := range res.Stats.Iterations {
 			row := []string{scheme, d0(it)}
-			var total, maxC float64
 			for _, c := range st.Compute {
 				row = append(row, f2(c/1000))
-				total += c
-				if c > maxC {
-					maxC = c
-				}
 			}
-			ratio := 0.0
-			if total > 0 {
-				ratio = maxC / (total / k)
-			}
-			row = append(row, f2(ratio))
-			t.AddRow(row...)
+			t.AddRow(append(row, f2(maxOverMean(st.Compute)))...)
 		}
 	}
 	return t, nil
@@ -178,11 +156,7 @@ func Fig13(opt Options) (*Table, error) {
 		for _, k := range []int{4, 8} {
 			row := []string{string(d), d0(k)}
 			for _, scheme := range compareSchemes {
-				e, err := walkEngine(d, opt, scheme, k)
-				if err != nil {
-					return nil, err
-				}
-				res, err := e.Run(walk.Config{Kind: walk.Simple, WalkersPerVertex: opt.loadWalkers(), Steps: 4, Seed: 1})
+				res, err := loadWalk(d, opt, scheme, k, cluster.DefaultCostModel())
 				if err != nil {
 					return nil, err
 				}
@@ -194,60 +168,85 @@ func Fig13(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// apps are the seven graph applications of §4.1: five random-walk
-// algorithms (run on the KnightKing-sim) and two iteration algorithms (run
-// on the Gemini-sim).
+// apps are the seven graph applications of §4.1 in figure order: five
+// random-walk algorithms (run on the KnightKing-sim) and two iteration
+// algorithms (run on the Gemini-sim).
 var apps = []string{"PPR", "RWJ", "RWD", "DeepWalk", "node2vec", "PR", "CC"}
 
-// runApp executes one application under one scheme and returns the total
+// appRun executes one application under one scheme and returns the total
 // simulated running time.
-func runApp(app string, d gen.Dataset, opt Options, scheme string, k int) (float64, error) {
-	switch app {
-	case "PR":
-		e, err := iterEngine(d, opt, scheme, k)
+type appRun func(d gen.Dataset, opt Options, scheme string, k int) (float64, error)
+
+// appRuns is the one table of applications.
+var appRuns = map[string]appRun{
+	"PPR":      walkApp(walk.PPR),
+	"RWJ":      walkApp(walk.RWJ),
+	"RWD":      walkApp(walk.RWD),
+	"DeepWalk": walkApp(walk.DeepWalk),
+	"node2vec": walkApp(walk.Node2Vec),
+	"PR":       iterApp(pageRank),
+	"CC":       iterApp(components),
+}
+
+// iterRun runs one iteration algorithm and returns its full result (the
+// Parallel Speedup sweep marshals it) and the run's stats.
+type iterRun func(*engine.Engine) (any, *cluster.RunStats, error)
+
+// pageRank is the paper's ten PageRank iterations.
+func pageRank(e *engine.Engine) (any, *cluster.RunStats, error) {
+	r, err := e.PageRank(10, 0.85)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, &r.Stats, nil
+}
+
+// components is connected components run to convergence.
+func components(e *engine.Engine) (any, *cluster.RunStats, error) {
+	r, err := e.ConnectedComponents(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, &r.Stats, nil
+}
+
+// walkApp runs |V| walks of kind (Options.Walkers overrides).
+func walkApp(kind walk.Kind) appRun {
+	return func(d gen.Dataset, opt Options, scheme string, k int) (float64, error) {
+		e, err := walkEngine(d, opt, scheme, k, cluster.DefaultCostModel())
 		if err != nil {
 			return 0, err
 		}
-		res, err := e.PageRank(10, 0.85)
-		if err != nil {
-			return 0, err
-		}
-		return res.Stats.TotalTime(), nil
-	case "CC":
-		e, err := iterEngine(d, opt, scheme, k)
-		if err != nil {
-			return 0, err
-		}
-		res, err := e.ConnectedComponents(0)
+		res, err := e.Run(walk.Config{Kind: kind, WalkersPerVertex: opt.appWalkers(), Seed: 1})
 		if err != nil {
 			return 0, err
 		}
 		return res.Stats.TotalTime(), nil
 	}
-	var kind walk.Kind
-	switch app {
-	case "PPR":
-		kind = walk.PPR
-	case "RWJ":
-		kind = walk.RWJ
-	case "RWD":
-		kind = walk.RWD
-	case "DeepWalk":
-		kind = walk.DeepWalk
-	case "node2vec":
-		kind = walk.Node2Vec
-	default:
+}
+
+// iterApp runs one iteration algorithm on the Gemini-sim.
+func iterApp(run iterRun) appRun {
+	return func(d gen.Dataset, opt Options, scheme string, k int) (float64, error) {
+		e, err := iterEngine(d, opt, scheme, k)
+		if err != nil {
+			return 0, err
+		}
+		_, stats, err := run(e)
+		if err != nil {
+			return 0, err
+		}
+		return stats.TotalTime(), nil
+	}
+}
+
+// runApp runs the named application.
+func runApp(app string, d gen.Dataset, opt Options, scheme string, k int) (float64, error) {
+	run, ok := appRuns[app]
+	if !ok {
 		return 0, fmt.Errorf("experiments: unknown app %q", app)
 	}
-	e, err := walkEngine(d, opt, scheme, k)
-	if err != nil {
-		return 0, err
-	}
-	res, err := e.Run(walk.Config{Kind: kind, WalkersPerVertex: opt.appWalkers(), Seed: 1})
-	if err != nil {
-		return 0, err
-	}
-	return res.Stats.TotalTime(), nil
+	return run(d, opt, scheme, k)
 }
 
 // Fig14 reproduces Figure 14: the running time of all seven applications
@@ -305,6 +304,43 @@ func Fig15(opt Options) (*Table, error) {
 			}
 			t.AddRow(string(d), app, "1.000", f3(bp/hash))
 		}
+	}
+	return t, nil
+}
+
+// AblationHetero probes a limitation the paper leaves implicit: BPart (and
+// every balance-driven scheme) targets *uniform* loads, which is optimal
+// only for homogeneous clusters. On a cluster whose machine 0 runs at half
+// speed, a uniformly balanced partition makes machine 0 the permanent
+// straggler; the waiting advantage over Hash narrows and everyone's wait
+// ratio floor rises.
+func AblationHetero(opt Options) (*Table, error) {
+	const k = 8
+	t := &Table{
+		ID:     "Ablation Hetero",
+		Title:  "Waiting ratio on homogeneous vs heterogeneous clusters (twitter-sim, k=8)",
+		Header: []string{"scheme", "homogeneous", "machine0 at half speed"},
+		Notes: []string{
+			"uniform 2D balance is the optimum only for equal machines; heterogeneity-aware targets are future work",
+		},
+	}
+	slow := cluster.DefaultCostModel()
+	slow.Speeds = make([]float64, k)
+	for i := range slow.Speeds {
+		slow.Speeds[i] = 1
+	}
+	slow.Speeds[0] = 0.5
+
+	for _, scheme := range []string{"Chunk-V", "Hash", "BPart"} {
+		row := []string{scheme}
+		for _, model := range []cluster.CostModel{cluster.DefaultCostModel(), slow} {
+			res, err := loadWalk(gen.TwitterSim, opt, scheme, k, model)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, f3(res.Stats.WaitRatio()))
+		}
+		t.AddRow(row...)
 	}
 	return t, nil
 }
