@@ -141,54 +141,3 @@ func TestRunAppUnknown(t *testing.T) {
 		t.Fatal("unknown app accepted")
 	}
 }
-
-// The balance experiments at tiny scale: every row present and parsable.
-func TestBalanceExperimentShapes(t *testing.T) {
-	opt := Options{Scale: testScale}
-	tbl, err := Fig3(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 6 { // 3 schemes × 2 series
-		t.Fatalf("Fig3 rows = %d", len(tbl.Rows))
-	}
-	tbl, err = Fig10(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3*4*3 { // graphs × schemes × k
-		t.Fatalf("Fig10 rows = %d", len(tbl.Rows))
-	}
-	tbl, err = Table3(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("Table3 rows = %d", len(tbl.Rows))
-	}
-}
-
-func TestRuntimeExperimentShapes(t *testing.T) {
-	opt := Options{Scale: testScale, Walkers: 1}
-	tbl, err := Fig4(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3*4 { // schemes × iterations
-		t.Fatalf("Fig4 rows = %d", len(tbl.Rows))
-	}
-	tbl, err = Fig13(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3*2 { // graphs × machine counts
-		t.Fatalf("Fig13 rows = %d", len(tbl.Rows))
-	}
-	tbl, err = Fig15(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2*7 { // graphs × apps
-		t.Fatalf("Fig15 rows = %d", len(tbl.Rows))
-	}
-}

@@ -9,39 +9,6 @@ import (
 	"bpart/internal/telemetry"
 )
 
-// The Fault Recovery experiment compares every scheme under no-fault,
-// rollback and restream; the faulty rows must carry real recovery
-// accounting.
-func TestFaultRecoveryExperiment(t *testing.T) {
-	tbl, err := FaultRecovery(Options{Scale: testScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3*len(compareSchemes) {
-		t.Fatalf("got %d rows, want %d", len(tbl.Rows), 3*len(compareSchemes))
-	}
-	policies := map[string]int{}
-	for _, row := range tbl.Rows {
-		policies[row[1]]++
-		if row[1] == "none" {
-			continue
-		}
-		// Crash at superstep 5 of 10 with checkpoints: something must have
-		// been checkpointed and replayed.
-		if row[4] == "0" || row[5] == "0" {
-			t.Fatalf("faulty row has no recovery work: %v", row)
-		}
-		if row[1] == string(fault.Restream) && row[6] == "0" {
-			t.Fatalf("restream row moved no vertices: %v", row)
-		}
-	}
-	for _, p := range []string{"none", "rollback", "restream"} {
-		if policies[p] != len(compareSchemes) {
-			t.Fatalf("policy %s has %d rows: %v", p, policies[p], policies)
-		}
-	}
-}
-
 // Options.Faults must reach the engines an experiment builds: a faulted
 // Fig 13 run emits fault events through the shared tracer and registry.
 func TestOptionsFaultsReachEngines(t *testing.T) {
