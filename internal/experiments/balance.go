@@ -221,10 +221,10 @@ func Table2(opt Options) (*Table, error) {
 const reverseNote = "times exclude the once-per-graph reverse adjacency (graph.Graph.In); " +
 	"its cost is the wall-clock benchmark's graph.transpose_ns_per_edge"
 
-// timedPartition is the harness's one partition stopwatch: it partitions
-// d's memoized graph into k parts by scheme, unmemoized, and returns the
-// wall seconds the call took, building the graph's reverse first (see
-// reverseNote).
+// timedPartition is the harness's one partition stopwatch: it runs scheme
+// afresh on d's memoized graph (bypassing the assignment memo) and returns
+// the parts and the wall seconds the call took. The graph's reverse is
+// built before the stopwatch starts (see reverseNote).
 func timedPartition(d gen.Dataset, opt Options, scheme string, k int) ([]int, float64, error) {
 	g, err := dataset(d, opt)
 	if err != nil {
