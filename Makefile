@@ -7,10 +7,10 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# lint mirrors the CI lint job exactly: formatting, go vet, the one-reverse
-# check (graph.Graph.In is the only non-test caller of Transpose), then the
-# repo's own analyzer suite (see internal/analysis and README "Static
-# analysis").
+# lint is the one definition of lint; the CI lint job runs this target.
+# Formatting, go vet, the one-reverse check (graph.Graph.In is the only
+# non-test caller of Transpose), then the repo's own analyzer suite (see
+# internal/analysis and README "Static analysis").
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -1,6 +1,5 @@
 // Command bpartlint runs the repo's static-analysis suite
-// (internal/analysis): aliasret, errio, floateq, maporder, metricname,
-// noclock, norawrand, spanend.
+// (internal/analysis; -list prints it).
 //
 // Usage:
 //

@@ -11,9 +11,9 @@ import (
 // production waivers (grep for bpartlint:ignore outside internal/analysis)
 // are the two documented aliasret ownership transfers,
 // engine.SubsetFromVertices and graph.FromCSR, so this is an exact zero
-// across all eight analyzers. It type-checks every package
-// (including the standard library, from source), so it is the slowest test
-// in the repo; -short skips it.
+// across the whole suite. It type-checks every package of the module from
+// source (the standard library comes from the toolchain's export data);
+// -short skips it.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide type-check is slow")

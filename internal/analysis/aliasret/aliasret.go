@@ -22,8 +22,6 @@ package aliasret
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
-	"strings"
 
 	"bpart/internal/analysis"
 	"bpart/internal/analysis/cfg"
@@ -41,8 +39,7 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Package).Filename)
-		if strings.HasSuffix(base, "_test.go") {
+		if pass.IsTestFile(f) {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -149,9 +146,9 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	}
 
 	g := pass.CFG(fd.Body)
-	parents := buildParents(fd.Body)
+	parents := cfg.Parents(fd.Body)
 	for _, s := range sites {
-		stmt := enclosingGraphNode(g, parents, s.node)
+		stmt := g.Enclosing(parents, s.node)
 		if stmt == nil {
 			continue
 		}
@@ -234,33 +231,4 @@ func selfAppend(pass *analysis.Pass, e ast.Expr, v *types.Var) bool {
 	}
 	arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 	return ok && pass.TypesInfo.Uses[arg] == v
-}
-
-// buildParents records each node's parent within root.
-func buildParents(root ast.Node) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// enclosingGraphNode climbs from n to the nearest ancestor that is a node
-// of the control-flow graph.
-func enclosingGraphNode(g *cfg.Graph, parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
-	for p := ast.Node(n); p != nil; p = parents[p] {
-		if g.Contains(p) {
-			return p
-		}
-	}
-	return nil
 }

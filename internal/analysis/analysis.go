@@ -1,16 +1,19 @@
 // Package analysis is a self-contained, stdlib-only reimplementation of the
 // golang.org/x/tools/go/analysis core: an Analyzer runs over one
 // type-checked package and reports Diagnostics. The repo's reproducibility
-// invariants — seeded determinism, span hygiene, metric naming, epsilon
-// float comparisons, checked writer errors — live in the sibling analyzer
-// packages (norawrand, spanend, metricname, floateq, errio) and are driven
-// by cmd/bpartlint.
+// invariants — seeded determinism, wall-clock-free simulation, map order
+// kept out of output, span hygiene, metric naming, epsilon float
+// comparisons, checked writer errors, no retained caller slices — live in
+// the sibling analyzer packages (aliasret, errio, floateq, maporder,
+// metricname, noclock, norawrand, spanend; the list is suite.Analyzers)
+// and are driven by cmd/bpartlint.
 //
 // The x/tools module is deliberately not vendored: the build environment is
 // offline, so the loader (loader.go) resolves module-local imports itself
-// and delegates the standard library to go/importer's source importer.
-// When x/tools becomes available the analyzers port mechanically — the
-// Analyzer/Pass/Diagnostic surface mirrors go/analysis on purpose.
+// and reads the standard library from the toolchain's export data through
+// go/importer's gc importer. When x/tools becomes available the analyzers
+// port mechanically — the Analyzer/Pass/Diagnostic surface mirrors
+// go/analysis on purpose.
 package analysis
 
 import (
@@ -19,6 +22,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 
@@ -49,7 +53,8 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Path is the package's import path. Testdata fixtures get their
 	// module-relative path (".../testdata/floateq/core"), so analyzers
-	// that scope by path substring work unchanged under analysistest.
+	// that scope by path segment (InScope) work unchanged under
+	// analysistest.
 	Path string
 	// Shared accumulates cross-package state within one Run, e.g. the
 	// repo-wide metric-name table maintained by metricname.
@@ -67,6 +72,29 @@ func (p *Pass) Report(d Diagnostic) {
 // Reportf emits a finding at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
+// InScope reports whether one of the package path's whole '/'-separated
+// segments is in segs. It is the one scope rule of the suite: segments,
+// never substrings, so a future internal/clustering or internal/coreutil
+// does not fall into a scope that names cluster or core. An external test
+// package ("…/core_test") is scoped as the package it tests, and testdata
+// fixtures mirror the real layout (testdata/noclock/core), so the same
+// segments match both.
+func (p *Pass) InScope(segs ...string) bool {
+	for _, seg := range strings.Split(strings.TrimSuffix(p.Path, "_test"), "/") {
+		if slices.Contains(segs, seg) {
+			return true
+		}
+	}
+	return false
+}
+
+// IsTestFile reports whether f is a _test.go file. Analyzers whose
+// invariant binds production code skip these: tests pin exact values and
+// drive clocks and maps on purpose.
+func (p *Pass) IsTestFile(f *ast.File) bool {
+	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
 
 // cfgCache memoizes control-flow graphs per function body across every

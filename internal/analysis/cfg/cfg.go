@@ -91,6 +91,36 @@ func (g *Graph) Contains(n ast.Node) bool {
 	return ok
 }
 
+// Enclosing climbs from n to the nearest ancestor that is a node of the
+// graph — the statement that anchors n on a path — or returns nil.
+// parents comes from Parents over the function body.
+func (g *Graph) Enclosing(parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
+	for p := n; p != nil; p = parents[p] {
+		if g.Contains(p) {
+			return p
+		}
+	}
+	return nil
+}
+
+// Parents records each node's parent within root.
+func Parents(root ast.Node) map[ast.Node]ast.Node {
+	parents := map[ast.Node]ast.Node{}
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if len(stack) > 0 {
+			parents[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parents
+}
+
 // Describe renders the graph compactly for tests and debugging: one line
 // per block with its kind, node count and successor indices.
 func (g *Graph) Describe() string {

@@ -32,19 +32,11 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// scoped reports whether the package writes artifacts worth protecting.
-// Testdata fixtures mirror the layout (testdata/errio/gio).
-func scoped(path string) bool {
-	for _, s := range []string{"/gio", "/telemetry", "/cluster", "/recordlog", "/report", "/partaudit", "/commview", "/resview", "/servestats"} {
-		if strings.Contains(path, s) {
-			return true
-		}
-	}
-	return false
-}
+// scope names the packages that write artifacts worth protecting.
+var scope = []string{"gio", "telemetry", "cluster", "recordlog", "report", "partaudit", "commview", "resview", "servestats"}
 
 func run(pass *analysis.Pass) error {
-	if !scoped(pass.Path) {
+	if !pass.InScope(scope...) {
 		return nil
 	}
 	for _, f := range pass.Files {

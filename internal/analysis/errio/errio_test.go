@@ -38,3 +38,10 @@ func TestSeededViolationsServestats(t *testing.T) {
 func TestOutOfScopePackagesAreClean(t *testing.T) {
 	analysistest.Run(t, "../testdata/errio/other", errio.Analyzer)
 }
+
+// TestSegmentNotSubstring pins scope matching to whole path segments: a
+// package named clustering shares a prefix with the I/O package cluster
+// and must stay out of scope.
+func TestSegmentNotSubstring(t *testing.T) {
+	analysistest.Run(t, "../testdata/errio/clustering", errio.Analyzer)
+}

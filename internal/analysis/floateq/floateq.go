@@ -17,7 +17,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strings"
 
 	"bpart/internal/analysis"
 )
@@ -32,20 +31,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// scoped reports whether the package is balance-sensitive. Testdata
-// fixtures mirror the real layout (testdata/floateq/core), so the same
-// substrings match both.
-func scoped(path string) bool {
-	for _, s := range []string{"/core", "/partition", "/metrics"} {
-		if strings.Contains(path, s) {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *analysis.Pass) error {
-	if !scoped(pass.Path) {
+	if !pass.InScope("core", "partition", "metrics") {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -53,8 +40,7 @@ func run(pass *analysis.Pass) error {
 		// implement the helpers themselves. Test files are also exempt:
 		// assertions there compare against exact expected values on
 		// purpose — pinning bit-for-bit reproducibility is the point.
-		base := filepath.Base(pass.Fset.Position(f.Package).Filename)
-		if base == "floatcmp.go" || strings.HasSuffix(base, "_test.go") {
+		if pass.IsTestFile(f) || filepath.Base(pass.Fset.Position(f.Package).Filename) == "floatcmp.go" {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -30,9 +30,10 @@ type LoadedPackage struct {
 
 // Loader parses and type-checks packages of one module without help from
 // go/packages: imports inside the module resolve straight to directories,
-// and everything else (the standard library) goes through go/importer's
-// source importer, which works offline. One Loader shares a FileSet and an
-// import cache across every Load call.
+// and everything else (the standard library) is read from the toolchain's
+// export data by go/importer's gc importer, which finds it through
+// `go list -export` in the local build cache and so works offline. One
+// Loader shares a FileSet and an import cache across every Load call.
 type Loader struct {
 	ModuleDir  string
 	ModulePath string
@@ -66,9 +67,9 @@ func NewLoader(dir string) (*Loader, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	std, ok := importer.ForCompiler(fset, "gc", nil).(types.ImporterFrom)
 	if !ok {
-		return nil, fmt.Errorf("analysis: source importer unavailable")
+		return nil, fmt.Errorf("analysis: gc importer unavailable")
 	}
 	return &Loader{
 		ModuleDir:  root,
@@ -121,7 +122,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 
 // ImportFrom implements types.ImporterFrom: module-local packages are
 // type-checked from their directory (sans test files); all other paths are
-// delegated to the source importer.
+// delegated to the gc export-data importer.
 func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil

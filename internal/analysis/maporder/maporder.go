@@ -31,7 +31,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -51,8 +50,7 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Package).Filename)
-		if strings.HasSuffix(base, "_test.go") {
+		if pass.IsTestFile(f) {
 			continue
 		}
 		for _, decl := range f.Decls {

@@ -44,7 +44,7 @@ func run(pass *analysis.Pass) error {
 	// The registry implementation (and its white-box tests, which feed
 	// deliberately hostile names through sanitizeMetricName) is exempt:
 	// the invariant binds consumers.
-	if strings.Contains(pass.Path, "internal/telemetry") {
+	if pass.InScope("telemetry") {
 		return nil
 	}
 	names := pass.Shared.Get("metricname", func() any { return table{} }).(table)

@@ -32,8 +32,6 @@ package noclock
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
-	"strings"
 
 	"bpart/internal/analysis"
 )
@@ -64,37 +62,14 @@ var forbidden = map[string]bool{
 }
 
 // deterministic names the packages that must rerun bit-identically.
-var deterministic = map[string]bool{
-	"core":        true,
-	"partition":   true,
-	"cluster":     true,
-	"engine":      true,
-	"walk":        true,
-	"fault":       true,
-	"experiments": true,
-}
-
-// scoped reports whether the package must stay deterministic. Whole path
-// segments are compared — not raw substrings — so a future
-// internal/clustering or internal/walkthrough is not pulled into scope by
-// name coincidence. Testdata fixtures mirror the real layout
-// (testdata/noclock/core), so the same segments match both.
-func scoped(path string) bool {
-	for _, seg := range strings.Split(path, "/") {
-		if deterministic[seg] {
-			return true
-		}
-	}
-	return false
-}
+var deterministic = []string{"core", "partition", "cluster", "engine", "walk", "fault", "experiments"}
 
 func run(pass *analysis.Pass) error {
-	if !scoped(pass.Path) {
+	if !pass.InScope(deterministic...) {
 		return nil
 	}
 	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Package).Filename)
-		if strings.HasSuffix(base, "_test.go") {
+		if pass.IsTestFile(f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

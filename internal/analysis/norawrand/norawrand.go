@@ -10,7 +10,6 @@ package norawrand
 
 import (
 	"strconv"
-	"strings"
 
 	"bpart/internal/analysis"
 )
@@ -28,7 +27,7 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) error {
 	// xrand itself is the sanctioned wrapper: if it ever chooses to build
 	// on math/rand/v2 internals, that is its business.
-	if strings.HasSuffix(pass.Path, "/xrand") || strings.HasSuffix(pass.Path, "/xrand_test") {
+	if pass.InScope("xrand") {
 		return nil
 	}
 	for _, f := range pass.Files {

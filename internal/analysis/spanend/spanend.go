@@ -61,7 +61,7 @@ func run(pass *analysis.Pass) error {
 // checkFrame analyzes the spans started directly in one function body
 // (spans started in nested literals belong to the nested frame).
 func checkFrame(pass *analysis.Pass, body *ast.BlockStmt) {
-	parents := buildParents(body)
+	parents := cfg.Parents(body)
 	ast.Inspect(body, func(n ast.Node) bool {
 		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != body {
 			return false
@@ -133,7 +133,7 @@ func checkSpanVar(pass *analysis.Pass, body *ast.BlockStmt, parents map[ast.Node
 	}
 
 	g := pass.CFG(body)
-	startStmt := enclosingGraphNode(g, parents, call)
+	startStmt := g.Enclosing(parents, call)
 	if startStmt == nil {
 		return // start buried in an expression the CFG cannot anchor
 	}
@@ -162,7 +162,7 @@ func checkSpanVar(pass *analysis.Pass, body *ast.BlockStmt, parents map[ast.Node
 				escaped = true
 				return true
 			}
-			if stmt := enclosingGraphNode(g, parents, use); stmt != nil && stmt != startStmt {
+			if stmt := g.Enclosing(parents, use); stmt != nil && stmt != startStmt {
 				clear[stmt] = true
 			}
 		case useEscape:
@@ -290,33 +290,4 @@ func classifyUse(parents map[ast.Node]ast.Node, id *ast.Ident) useKind {
 	default:
 		return useEscape
 	}
-}
-
-// buildParents records each node's parent within root.
-func buildParents(root ast.Node) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// enclosingGraphNode climbs from n to the nearest ancestor that is a node
-// of the control-flow graph — the statement that anchors n on a path.
-func enclosingGraphNode(g *cfg.Graph, parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
-	for p := ast.Node(n); p != nil; p = parents[p] {
-		if g.Contains(p) {
-			return p
-		}
-	}
-	return nil
 }
