@@ -11,6 +11,10 @@
 // package-level variable is a finding, unless some reassignment of the
 // parameter (the `p = append([]T(nil), p...)` / maps.Clone defensive-copy
 // idiom) dominates the retention on the control-flow graph (Pass.CFG).
+// A local assigned once from the parameter (`owner := p`, directly or
+// through another such local) is the parameter under another name: its
+// retention is a finding unless a copy of the parameter dominates the
+// local's definition.
 //
 // Unexported functions are exempt — intra-package helpers hand slices
 // around by design, and the package owns both ends. APIs that document
@@ -20,7 +24,9 @@
 package aliasret
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"bpart/internal/analysis"
@@ -86,7 +92,15 @@ func paramVars(pass *analysis.Pass, fd *ast.FuncDecl) map[*types.Var]string {
 type site struct {
 	node ast.Node // the retaining expression (for the position)
 	verb string   // "returns" or "retains"
-	v    *types.Var
+	held
+}
+
+// held is a parameter's value as an expression holds it: the parameter
+// itself, or a local assigned once from it (or from another such local).
+type held struct {
+	param *types.Var
+	local *types.Var // nil when the expression is the parameter
+	read  ast.Expr   // where the parameter's value was read
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
@@ -94,16 +108,22 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if len(params) == 0 {
 		return
 	}
-	resolve := func(e ast.Expr) *types.Var {
+	aliases := localAliases(pass, fd.Body, params)
+	// resolve reports which parameter's value e holds, if any.
+	resolve := func(e ast.Expr) (held, bool) {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok {
-			return nil
+			return held{}, false
 		}
 		v, ok := pass.TypesInfo.Uses[id].(*types.Var)
-		if !ok || params[v] == "" {
-			return nil
+		if !ok {
+			return held{}, false
 		}
-		return v
+		if params[v] != "" {
+			return held{param: v, read: e}, true
+		}
+		h, ok := aliases[v]
+		return h, ok
 	}
 
 	var sites []site
@@ -111,8 +131,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		switch st := n.(type) {
 		case *ast.ReturnStmt:
 			for _, r := range st.Results {
-				if v := resolve(r); v != nil {
-					sites = append(sites, site{r, "returns", v})
+				if h, ok := resolve(r); ok {
+					sites = append(sites, site{r, "returns", h})
 				}
 			}
 		case *ast.CompositeLit:
@@ -121,8 +141,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					e = kv.Value
 				}
-				if v := resolve(e); v != nil {
-					sites = append(sites, site{e, "retains", v})
+				if h, ok := resolve(e); ok {
+					sites = append(sites, site{e, "retains", h})
 				}
 			}
 		case *ast.AssignStmt:
@@ -130,12 +150,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				if i >= len(st.Lhs) {
 					break
 				}
-				v := resolve(r)
-				if v == nil {
-					continue
-				}
-				if retainingLHS(pass, st.Lhs[i]) {
-					sites = append(sites, site{r, "retains", v})
+				if h, ok := resolve(r); ok && retainingLHS(pass, st.Lhs[i]) {
+					sites = append(sites, site{r, "retains", h})
 				}
 			}
 		}
@@ -148,23 +164,107 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	g := pass.CFG(fd.Body)
 	parents := cfg.Parents(fd.Body)
 	for _, s := range sites {
-		stmt := g.Enclosing(parents, s.node)
+		// The caller's value is captured where the parameter is read: at
+		// the retention itself, or where the local was assigned from it.
+		stmt := g.Enclosing(parents, s.read)
 		if stmt == nil {
 			continue
 		}
-		// A reassignment of the parameter before the retention is the
+		// A reassignment of the parameter before that read is the
 		// defensive-copy idiom: the retained value is no longer the
 		// caller's. Checked on all paths from function entry.
 		res := g.Find(cfg.Query{
-			Clear: func(n ast.Node) bool { return n != stmt && reassigns(pass, n, s.v) },
+			Clear: func(n ast.Node) bool { return n != stmt && reassigns(pass, n, s.param) },
 			Sink:  func(n ast.Node) bool { return n == stmt },
 		})
 		if len(res.Sinks) == 0 {
 			continue
 		}
-		pass.Reportf(s.node.Pos(), "%s %s its caller-supplied %s %q without copying: caller and callee now alias one backing store (copy with append/maps.Clone, or waive with bpartlint:ignore aliasret to document ownership transfer)",
-			fd.Name.Name, s.verb, params[s.v], s.v.Name())
+		through := ""
+		if s.local != nil {
+			through = fmt.Sprintf(" through local %q", s.local.Name())
+		}
+		pass.Reportf(s.node.Pos(), "%s %s its caller-supplied %s %q%s without copying: caller and callee now alias one backing store (copy with append/maps.Clone, or waive with bpartlint:ignore aliasret to document ownership transfer)",
+			fd.Name.Name, s.verb, params[s.param], s.param.Name(), through)
 	}
+}
+
+// localAliases finds the locals that hold a parameter under another name:
+// defined once from a parameter or from another such local (`x := p`,
+// `var x = p`), never assigned again and never address-taken. A local
+// assigned twice may hold a copy, so it is not tracked.
+func localAliases(pass *analysis.Pass, body *ast.BlockStmt, params map[*types.Var]string) map[*types.Var]held {
+	type def struct {
+		local *types.Var
+		rhs   ast.Expr
+	}
+	var defs []def // in source order, so a chain resolves front to back
+	rewritten := map[*types.Var]bool{}
+	define := func(names []*ast.Ident, values []ast.Expr) {
+		if len(names) != len(values) {
+			return
+		}
+		for i, name := range names {
+			if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
+				defs = append(defs, def{v, values[i]})
+			}
+		}
+	}
+	assigned := func(e ast.Expr) {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+			if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok {
+				rewritten[v] = true
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			if st.Tok == token.DEFINE {
+				names := make([]*ast.Ident, len(st.Lhs))
+				for i, l := range st.Lhs {
+					names[i], _ = l.(*ast.Ident)
+				}
+				define(names, st.Rhs)
+			}
+			// A redeclared name in `:=` and every `=` target is a rewrite.
+			for _, l := range st.Lhs {
+				assigned(l)
+			}
+		case *ast.ValueSpec:
+			define(st.Names, st.Values)
+		case *ast.RangeStmt:
+			if st.Tok == token.ASSIGN {
+				assigned(st.Key)
+				assigned(st.Value)
+			}
+		case *ast.UnaryExpr:
+			if st.Op == token.AND {
+				assigned(st.X)
+			}
+		}
+		return true
+	})
+	out := map[*types.Var]held{}
+	for _, d := range defs {
+		if rewritten[d.local] || aliasable(d.local.Type()) == "" {
+			continue
+		}
+		id, ok := ast.Unparen(d.rhs).(*ast.Ident)
+		if !ok {
+			continue
+		}
+		src, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		if !ok {
+			continue
+		}
+		if params[src] != "" {
+			out[d.local] = held{src, d.local, d.rhs}
+		} else if h, ok := out[src]; ok {
+			out[d.local] = held{h.param, d.local, h.read}
+		}
+	}
+	return out
 }
 
 // retainingLHS reports whether assigning to dst retains the value beyond

@@ -99,6 +99,50 @@ func KeepLocal(ids []int) int {
 	return len(local)
 }
 
+// NewThroughLocal stores the caller's slice through one local copy of the
+// parameter: the local shares the caller's backing store.
+func NewThroughLocal(ids []int) *Store {
+	owner := ids
+	return &Store{ids: owner} // want `NewThroughLocal retains its caller-supplied slice "ids" through local "owner" without copying`
+}
+
+// SplitThroughLocal hands the caller's slice back through one local, as
+// the second of two results.
+func SplitThroughLocal(ids []int) (int, []int) {
+	back := ids
+	return len(back), back // want `SplitThroughLocal returns its caller-supplied slice "ids" through local "back" without copying`
+}
+
+// PublishThroughChain stores a local of a local of the parameter.
+func PublishThroughChain(ids []int) {
+	first := ids
+	var second = first
+	global = second // want `PublishThroughChain retains its caller-supplied slice "ids" through local "second" without copying`
+}
+
+// LocalBeforeCopy takes the local before copying the parameter: copying
+// the parameter afterwards leaves the local on the caller's store.
+func LocalBeforeCopy(ids []int) *Store {
+	owner := ids
+	ids = append([]int(nil), ids...)
+	return &Store{ids: owner, byName: map[string]int{"n": len(ids)}} // want `LocalBeforeCopy retains its caller-supplied slice "ids" through local "owner" without copying`
+}
+
+// LocalAfterCopy takes the local after the defensive copy: clean.
+func LocalAfterCopy(ids []int) *Store {
+	ids = append([]int(nil), ids...)
+	owner := ids
+	return &Store{ids: owner}
+}
+
+// LocalRecopied copies through the local itself; a local assigned twice
+// is not tracked: clean.
+func LocalRecopied(ids []int) *Store {
+	owner := ids
+	owner = append([]int(nil), owner...)
+	return &Store{ids: owner}
+}
+
 // register is unexported: intra-package handoff is the package's business.
 func register(ids []int) *Store {
 	return &Store{ids: ids}

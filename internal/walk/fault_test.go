@@ -49,45 +49,52 @@ func sortPaths(ps [][]graph.VertexID) {
 // TestWalkRollbackIdenticalResults: a crashed-and-recovered walk run must
 // reproduce the fault-free visits, paths and traffic exactly — walker
 // state and each machine's RNG stream position are checkpointed together,
-// so replayed supersteps redraw the very same random numbers.
+// so replayed supersteps redraw the very same random numbers, and restored
+// walkers rewrite only the arena cells past their restored paths. PPR ends
+// walks early, so paths of every length cross the rollback; node2vec's
+// second-order state (a prev exactly when a step has been spent) must
+// survive it too.
 func TestWalkRollbackIdenticalResults(t *testing.T) {
 	g, err := gen.ChungLu(gen.Config{NumVertices: 300, AvgDegree: 6, Skew: 0.6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Kind: Simple, WalkersPerVertex: 2, Steps: 8, Seed: 3, TrackVisits: true, CollectPaths: true}
-	base, err := faultWalkEngine(t, g, 4, nil).Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &fault.Spec{CheckpointEvery: 2, Events: []fault.Event{{Kind: fault.Crash, Step: 5, Machine: 1}}}
-	got, err := faultWalkEngine(t, g, 4, spec).Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Recovery == nil || got.Recovery.Crashes != 1 {
-		t.Fatalf("Recovery = %+v", got.Recovery)
-	}
-	if !reflect.DeepEqual(base.Visits, got.Visits) {
-		t.Fatal("visit counts differ after recovery")
-	}
-	sortPaths(base.Paths)
-	sortPaths(got.Paths)
-	if !reflect.DeepEqual(base.Paths, got.Paths) {
-		t.Fatalf("paths differ after recovery: %d vs %d paths", len(base.Paths), len(got.Paths))
-	}
-	if base.Finished != got.Finished {
-		t.Fatalf("Finished differs: %d vs %d", base.Finished, got.Finished)
-	}
-	// Replayed supersteps re-execute real work, so the recovered run's
-	// step count strictly exceeds the baseline's.
-	if got.TotalSteps <= base.TotalSteps {
-		t.Fatalf("TotalSteps %d not > baseline %d", got.TotalSteps, base.TotalSteps)
+	for _, kind := range []Kind{Simple, PPR, Node2Vec} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := Config{Kind: kind, WalkersPerVertex: 2, Steps: 8, Seed: 3, TrackVisits: true, CollectPaths: true}
+			base, err := faultWalkEngine(t, g, 4, nil).Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := &fault.Spec{CheckpointEvery: 2, Events: []fault.Event{{Kind: fault.Crash, Step: 5, Machine: 1}}}
+			got, err := faultWalkEngine(t, g, 4, spec).Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Recovery == nil || got.Recovery.Crashes != 1 {
+				t.Fatalf("Recovery = %+v", got.Recovery)
+			}
+			if !reflect.DeepEqual(base.Visits, got.Visits) {
+				t.Fatal("visit counts differ after recovery")
+			}
+			if !reflect.DeepEqual(base.Paths, got.Paths) {
+				t.Fatalf("paths differ after recovery: %d vs %d paths", len(base.Paths), len(got.Paths))
+			}
+			if base.Finished != got.Finished {
+				t.Fatalf("Finished differs: %d vs %d", base.Finished, got.Finished)
+			}
+			// Replayed supersteps re-execute real work, so the recovered
+			// run's step count strictly exceeds the baseline's.
+			if got.TotalSteps <= base.TotalSteps {
+				t.Fatalf("TotalSteps %d not > baseline %d", got.TotalSteps, base.TotalSteps)
+			}
+		})
 	}
 }
 
 // TestWalkRestreamCompletes: permanent loss mid-walk migrates stranded
-// walkers to the survivors and the run still finishes every walker.
+// walkers to the survivors and the run still finishes every walker, each
+// with one valid path from its start.
 func TestWalkRestreamCompletes(t *testing.T) {
 	g, err := gen.ChungLu(gen.Config{NumVertices: 300, AvgDegree: 6, Skew: 0.6, Seed: 9})
 	if err != nil {
@@ -99,7 +106,8 @@ func TestWalkRestreamCompletes(t *testing.T) {
 		Events:          []fault.Event{{Kind: fault.Crash, Step: 3, Machine: 2}},
 	}
 	e := faultWalkEngine(t, g, 4, spec)
-	cfg := Config{Kind: Simple, WalkersPerVertex: 1, Steps: 8, Seed: 3, TrackVisits: true}
+	const steps = 8
+	cfg := Config{Kind: Simple, WalkersPerVertex: 1, Steps: steps, Seed: 3, TrackVisits: true, CollectPaths: true}
 	res, err := e.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +120,30 @@ func TestWalkRestreamCompletes(t *testing.T) {
 	}
 	if res.Finished != int64(g.NumVertices()) {
 		t.Fatalf("Finished = %d, want %d", res.Finished, g.NumVertices())
+	}
+	if len(res.Paths) != g.NumVertices() {
+		t.Fatalf("%d paths, want one per walker (%d)", len(res.Paths), g.NumVertices())
+	}
+	starts := make([]int, g.NumVertices())
+	for _, p := range res.Paths {
+		if len(p) == 0 || len(p) > steps+1 {
+			t.Fatalf("path length %d out of [1,%d]", len(p), steps+1)
+		}
+		// A Simple walk ends early only at a dead end.
+		if len(p) < steps+1 && g.OutDegree(p[len(p)-1]) != 0 {
+			t.Fatalf("path %v ends early at a vertex with out-neighbours", p)
+		}
+		starts[p[0]]++
+		for i := 1; i < len(p); i++ {
+			if !g.HasEdge(p[i-1], p[i]) {
+				t.Fatalf("path hop %d→%d is not an edge", p[i-1], p[i])
+			}
+		}
+	}
+	for v, c := range starts {
+		if c != 1 {
+			t.Fatalf("vertex %d starts %d paths, want 1", v, c)
+		}
 	}
 	// Every executed step lands somewhere: total visits == total steps
 	// that moved a walker is hard to assert across replays, but visit

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"slices"
 	"testing"
 
 	"bpart/internal/cluster"
@@ -121,6 +122,37 @@ func TestCollectPathsEarlyTermination(t *testing.T) {
 			if len(p) != 1 {
 				t.Fatalf("path from sink: %v", p)
 			}
+		}
+	}
+}
+
+// TestPathAppendCopies: the returned paths share one arena, and each is
+// capped at its length, so appending to one copies it instead of writing
+// into the next walker's cells.
+func TestPathAppendCopies(t *testing.T) {
+	g, err := gen.ChungLu(gen.Config{NumVertices: 200, AvgDegree: 6, Skew: 0.5, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// DeepWalk paths fill their whole arena slot, so an uncapped path's
+	// spare capacity would be its neighbour's first cell.
+	res, err := newEngine(t, g, 4).Run(Config{Kind: DeepWalk, WalkersPerVertex: 2, Steps: 6, Seed: 8, CollectPaths: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]graph.VertexID, len(res.Paths))
+	for i, p := range res.Paths {
+		want[i] = slices.Clone(p)
+	}
+	for i, p := range res.Paths {
+		grown := append(p, graph.VertexID(g.NumVertices()))
+		if &grown[0] == &p[0] {
+			t.Fatalf("path %d: append wrote in place", i)
+		}
+	}
+	for i, p := range res.Paths {
+		if !slices.Equal(p, want[i]) {
+			t.Fatalf("path %d changed after appending to the others: %v, want %v", i, p, want[i])
 		}
 	}
 }

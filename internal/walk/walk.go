@@ -21,6 +21,7 @@ package walk
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"bpart/internal/cluster"
@@ -122,7 +123,7 @@ func (c *Config) Normalize() error {
 			c.Steps = 4
 		}
 	}
-	if c.Steps < 0 {
+	if c.Steps < 0 || c.Steps > math.MaxInt32 {
 		return fmt.Errorf("walk: Steps = %d", c.Steps)
 	}
 	if c.StopProb == 0 {
@@ -217,13 +218,41 @@ func (e *Engine) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 	e.cl.SetTelemetry(tr, reg)
 }
 
-// walker is one active random walk.
+// walker is one active random walk. It is 16 bytes on purpose
+// (TestWalkerIs16Bytes records why): its path lives in the run's arena.
 type walker struct {
-	cur       graph.VertexID
-	prev      graph.VertexID // node2vec second-order state
+	cur  graph.VertexID
+	prev graph.VertexID // node2vec second-order state
+	// remaining counts the steps left. Every move both sets prev and
+	// spends a step, so a walker has a prev exactly when remaining is
+	// below Config.Steps.
 	remaining int32
-	hasPrev   bool
-	path      []graph.VertexID // nil unless Config.CollectPaths
+	slot      uint32 // the walker's index in the path arena
+}
+
+// hasPrev reports whether wk has moved, and so has a prev.
+func (wk *walker) hasPrev(steps int) bool { return wk.remaining < int32(steps) }
+
+// arena holds every walker's path when Config.CollectPaths is set: slot s
+// owns cells [s·width, (s+1)·width), width = Steps+1. A live walker writes
+// only past its current length and a finished path is never written again,
+// so a checkpoint copies none of it.
+type arena struct {
+	cells []graph.VertexID
+	width int
+}
+
+// record writes wk's current vertex at its position in its path.
+func (a arena) record(wk *walker) {
+	a.cells[int(wk.slot)*a.width+a.width-1-int(wk.remaining)] = wk.cur
+}
+
+// path returns wk's vertex sequence so far, capped at its length so that
+// an append copies instead of writing into the next walker's cells.
+func (a arena) path(wk *walker) []graph.VertexID {
+	b := int(wk.slot) * a.width
+	end := b + a.width - int(wk.remaining)
+	return a.cells[b:end:end]
 }
 
 // Result is the outcome of a walk run.
@@ -236,7 +265,9 @@ type Result struct {
 	// Visits[v] counts arrivals at v (nil unless tracked).
 	Visits []int64
 	// Paths holds every walker's vertex sequence when
-	// Config.CollectPaths is set (order unspecified).
+	// Config.CollectPaths is set (order unspecified). The paths share one
+	// arena; each is capped at its length, so appending to one copies it
+	// and leaves its neighbours intact.
 	Paths [][]graph.VertexID
 	// Traffic[from][to] counts walker transfers between each ordered
 	// machine pair — the communication pattern behind MessageWalks.
@@ -249,16 +280,12 @@ type Result struct {
 	Recovery *fault.RecoveryStats
 }
 
-// cloneWalkers deep-copies every machine's active list — the one part of a
-// walk checkpoint slices.Clone cannot express: a live walker appends to its
-// path in place, so each copy needs its own.
+// cloneWalkers copies every machine's active list. Walkers are plain
+// values and their paths live in the arena, so each list is one clone.
 func cloneWalkers(ws [][]walker) [][]walker {
 	out := make([][]walker, len(ws))
 	for m, list := range ws {
 		out[m] = slices.Clone(list)
-		for i := range out[m] {
-			out[m][i].path = slices.Clone(out[m][i].path)
-		}
 	}
 	return out
 }
@@ -271,10 +298,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	n := e.g.NumVertices()
 	k := e.cl.NumMachines()
 
-	// Per-machine state.
-	active := make([][]walker, k)
-	rngs := make([]*xrand.RNG, k)
-	base := xrand.New(cfg.Seed)
 	var sourceSet []bool
 	if cfg.Sources != nil {
 		sourceSet = make([]bool, n)
@@ -285,20 +308,46 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			sourceSet[v] = true
 		}
 	}
-	totalWalkers := 0
+	// Count each machine's walkers first: every active list is made at
+	// exactly its count, and the total must fit a walker's slot.
+	starts := make([]int, k)
+	totalStarts := 0
+	for m := 0; m < k; m++ {
+		for _, v := range e.owned[m] {
+			if sourceSet == nil || sourceSet[v] {
+				starts[m]++
+			}
+		}
+		totalStarts += starts[m]
+	}
+	if totalStarts > 0 && uint64(cfg.WalkersPerVertex) > math.MaxUint32/uint64(totalStarts) {
+		return nil, fmt.Errorf("walk: %d starts × %d walkers per vertex exceed %d walkers", totalStarts, cfg.WalkersPerVertex, uint32(math.MaxUint32))
+	}
+	totalWalkers := totalStarts * cfg.WalkersPerVertex
+
+	// Per-machine state.
+	active := make([][]walker, k)
+	rngs := make([]*xrand.RNG, k)
+	base := xrand.New(cfg.Seed)
+	var paths arena
+	if cfg.CollectPaths {
+		paths = arena{cells: make([]graph.VertexID, totalWalkers*(cfg.Steps+1)), width: cfg.Steps + 1}
+	}
+	var slot uint32
 	for m := 0; m < k; m++ {
 		rngs[m] = base.Fork()
+		active[m] = make([]walker, 0, starts[m]*cfg.WalkersPerVertex)
 		for _, v := range e.owned[m] {
 			if sourceSet != nil && !sourceSet[v] {
 				continue
 			}
 			for i := 0; i < cfg.WalkersPerVertex; i++ {
-				wk := walker{cur: v, remaining: int32(cfg.Steps)}
+				wk := walker{cur: v, remaining: int32(cfg.Steps), slot: slot}
+				slot++
 				if cfg.CollectPaths {
-					wk.path = append(make([]graph.VertexID, 0, cfg.Steps+1), v)
+					paths.record(&wk)
 				}
 				active[m] = append(active[m], wk)
-				totalWalkers++
 			}
 		}
 	}
@@ -349,15 +398,15 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 					// Termination event (PPR stop, dead end): the step
 					// is consumed but the walker moves nowhere.
 					if cfg.CollectPaths {
-						finished[m] = append(finished[m], wk.path)
+						finished[m] = append(finished[m], paths.path(&wk))
 					}
 					continue
 				}
-				wk.prev, wk.hasPrev = wk.cur, true
+				wk.prev = wk.cur
 				wk.cur = next
 				wk.remaining--
 				if cfg.CollectPaths {
-					wk.path = append(wk.path, next)
+					paths.record(&wk)
 				}
 				dst := e.cl.Owner(next)
 				if dst == m {
@@ -369,7 +418,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 					if wk.remaining > 0 {
 						kept = append(kept, wk)
 					} else if cfg.CollectPaths {
-						finished[m] = append(finished[m], wk.path)
+						finished[m] = append(finished[m], paths.path(&wk))
 					}
 				} else {
 					// Migration: a message walk. Visit counting and
@@ -405,7 +454,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 					if wk.remaining > 0 {
 						active[to] = append(active[to], wk)
 					} else if cfg.CollectPaths {
-						res.Paths = append(res.Paths, wk.path)
+						res.Paths = append(res.Paths, paths.path(&wk))
 					}
 				}
 				outbox[from][to] = outbox[from][to][:0]
@@ -420,10 +469,11 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	prog := fault.Program{
 		Step: step,
 		// Active lists are rewritten in place every superstep, so they are
-		// deep-copied both ways. RNGs are plain value structs: copying one
+		// copied both ways. RNGs are plain value structs: copying one
 		// freezes its machine's stream position exactly. The finished-path
 		// lists only ever grow, by appending paths nothing writes again, so
-		// their lengths are their checkpoint.
+		// their lengths are their checkpoint; a restored walker rewrites
+		// only arena cells past its restored length.
 		Checkpoint: func() func() {
 			savedActive := cloneWalkers(active)
 			savedRNGs := make([]xrand.RNG, k)
@@ -512,7 +562,7 @@ func (e *Engine) step(wk *walker, cfg Config, rng *xrand.RNG) (graph.VertexID, b
 		return 0, true
 	}
 	switch {
-	case cfg.Kind == Node2Vec && wk.hasPrev:
+	case cfg.Kind == Node2Vec && wk.hasPrev(cfg.Steps):
 		return e.node2vecStep(wk, cfg, rng, ns), false
 	case cfg.Kind == BiasedWalk:
 		return e.biasedStep(wk, rng)

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"math"
 	"testing"
 
 	"bpart/internal/cluster"
@@ -55,10 +56,12 @@ func TestConfigNormalize(t *testing.T) {
 	if !c.TrackVisits {
 		t.Fatal("RWD must track visits")
 	}
+	tooLong := int64(math.MaxInt32) + 1 // a walker counts its steps in an int32
 	for _, bad := range []Config{
 		{Kind: Kind(99)},
 		{Kind: Simple, WalkersPerVertex: -1},
 		{Kind: Simple, Steps: -1},
+		{Kind: Simple, Steps: int(tooLong)},
 		{Kind: PPR, StopProb: 1.5},
 		{Kind: RWJ, JumpProb: -0.5},
 		{Kind: Node2Vec, P: -1},
@@ -272,7 +275,7 @@ func TestNode2VecStepDistribution(t *testing.T) {
 	rng := xrand.New(99)
 	counts := map[graph.VertexID]int{}
 	const draws = 200000
-	wk := walker{cur: 1, prev: 0, hasPrev: true}
+	wk := walker{cur: 1, prev: 0}
 	for i := 0; i < draws; i++ {
 		counts[e.node2vecStep(&wk, cfg, rng, g.Neighbors(1))]++
 	}
@@ -435,5 +438,14 @@ func BenchmarkSimpleWalk(b *testing.B) {
 		if _, err := e.Run(Config{Kind: Simple, WalkersPerVertex: 5, Steps: 4, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRunRefusesTooManyWalkers: a walker's path slot is 32 bits, so a run
+// whose walker count does not fit fails before allocating any walker.
+func TestRunRefusesTooManyWalkers(t *testing.T) {
+	e := newEngine(t, gen.Ring(5), 1)
+	if _, err := e.Run(Config{Kind: Simple, WalkersPerVertex: 1 << 30, Steps: 1, Seed: 1}); err == nil {
+		t.Fatal("5 × 2^30 walkers accepted")
 	}
 }
