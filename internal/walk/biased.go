@@ -2,6 +2,7 @@ package walk
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"bpart/internal/graph"
 	"bpart/internal/xrand"
@@ -31,44 +32,39 @@ func StepWeight(u, v graph.VertexID) float64 {
 	return float64((z^(z>>31))%8) + 1
 }
 
-// aliasCache lazily builds and shares per-vertex alias tables.
+// aliasCache lazily builds and shares per-vertex alias tables. A built
+// table is published in its vertex's slot and never replaced, so the hot
+// path (hub vertices) is one atomic load; the lock serializes builds only.
 type aliasCache struct {
 	g      *graph.Graph
 	mu     sync.Mutex
-	tables []*xrand.Alias
+	tables []atomic.Pointer[xrand.Alias]
 }
 
 func newAliasCache(g *graph.Graph) *aliasCache {
-	return &aliasCache{g: g, tables: make([]*xrand.Alias, g.NumVertices())}
+	return &aliasCache{g: g, tables: make([]atomic.Pointer[xrand.Alias], g.NumVertices())}
 }
 
-// table returns v's alias table, building it on first use. The double-
-// checked lock keeps the hot path (hub vertices) uncontended after the
-// first build.
+// table returns v's alias table, building it on first use (nil for an
+// edgeless vertex).
 func (c *aliasCache) table(v graph.VertexID) *xrand.Alias {
+	if t := c.tables[v].Load(); t != nil {
+		return t
+	}
 	c.mu.Lock()
-	t := c.tables[v]
-	if t == nil {
-		ns := c.g.Neighbors(v)
-		if len(ns) > 0 {
-			ws := make([]float64, len(ns))
-			for i, u := range ns {
-				ws[i] = StepWeight(v, u)
-			}
-			t = xrand.NewAlias(ws)
-			c.tables[v] = t
-		}
+	defer c.mu.Unlock()
+	if t := c.tables[v].Load(); t != nil {
+		return t
 	}
-	c.mu.Unlock()
-	return t
-}
-
-// biasedStep draws the next hop of a biased walk.
-func (e *Engine) biasedStep(wk *walker, rng *xrand.RNG) (graph.VertexID, bool) {
-	ns := e.g.Neighbors(wk.cur)
+	ns := c.g.Neighbors(v)
 	if len(ns) == 0 {
-		return 0, true
+		return nil
 	}
-	t := e.alias.table(wk.cur)
-	return ns[t.Sample(rng)], false
+	ws := make([]float64, len(ns))
+	for i, u := range ns {
+		ws[i] = StepWeight(v, u)
+	}
+	t := xrand.NewAlias(ws)
+	c.tables[v].Store(t)
+	return t
 }

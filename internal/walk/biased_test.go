@@ -32,16 +32,18 @@ func TestBiasedStepFollowsWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := Config{Kind: BiasedWalk}
 	rng := xrand.New(5)
 	counts := map[graph.VertexID]int{}
 	const draws = 300000
 	wk := walker{cur: 0}
+	var to graph.VertexID
 	for i := 0; i < draws; i++ {
-		next, done := e.biasedStep(&wk, rng)
-		if done {
+		next := e.pick(&wk, &cfg, rng, &to)
+		if next == nil {
 			t.Fatal("biased step terminated with neighbors present")
 		}
-		counts[next]++
+		counts[*next]++
 	}
 	total := StepWeight(0, 1) + StepWeight(0, 2) + StepWeight(0, 3)
 	for _, v := range []graph.VertexID{1, 2, 3} {
@@ -59,8 +61,10 @@ func TestBiasedStepDeadEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := Config{Kind: BiasedWalk}
 	wk := walker{cur: 0}
-	if _, done := e.biasedStep(&wk, xrand.New(1)); !done {
+	var to graph.VertexID
+	if e.pick(&wk, &cfg, xrand.New(1), &to) != nil {
 		t.Fatal("dead end did not terminate")
 	}
 }

@@ -100,9 +100,13 @@ type Config struct {
 	// the paper's |V|-walks setting. A single-source PPR run with
 	// TrackVisits yields that source's personalized PageRank estimate.
 	Sources []graph.VertexID
+
+	// node2vec's weights 1/P and 1/Q and maxW = max(1, 1/P, 1/Q),
+	// derived by Normalize so that a Run computes them once.
+	invP, invQ, maxW float64
 }
 
-// Normalize fills defaults and validates.
+// Normalize fills defaults, validates, and derives node2vec's weights.
 func (c *Config) Normalize() error {
 	if c.Kind < Simple || c.Kind > BiasedWalk {
 		return fmt.Errorf("walk: unknown kind %d", int(c.Kind))
@@ -149,6 +153,14 @@ func (c *Config) Normalize() error {
 	}
 	if c.Kind == RWD {
 		c.TrackVisits = true
+	}
+	c.invP, c.invQ = 1/c.P, 1/c.Q
+	c.maxW = 1.0
+	if c.invP > c.maxW {
+		c.maxW = c.invP
+	}
+	if c.invQ > c.maxW {
+		c.maxW = c.invQ
 	}
 	return nil
 }
@@ -327,7 +339,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 
 	// Per-machine state.
 	active := make([][]walker, k)
-	rngs := make([]*xrand.RNG, k)
+	rngs := make([]xrand.RNG, k)
 	base := xrand.New(cfg.Seed)
 	var paths arena
 	if cfg.CollectPaths {
@@ -335,7 +347,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	}
 	var slot uint32
 	for m := 0; m < k; m++ {
-		rngs[m] = base.Fork()
+		rngs[m] = *base.Fork()
 		active[m] = make([]walker, 0, starts[m]*cfg.WalkersPerVertex)
 		for _, v := range e.owned[m] {
 			if sourceSet != nil && !sourceSet[v] {
@@ -379,63 +391,82 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		e.cl.RunTasks(k, func(m int) {
 			// A task-local copy, stored back below: the k states are 8-byte
 			// neighbours, and stepping on them in place shares a cache line.
-			rng := *rngs[m]
+			rng := rngs[m]
 			out := outbox[m]
-			var steps, msgs, verts int64
+			var msgs int64
 			var prow []int64
 			if w.Pairs != nil {
 				prow = w.Pairs[m]
 			}
-			kept := active[m][:0]
-			for _, wk := range active[m] {
-				next, done := e.step(&wk, cfg, &rng)
-				steps++
-				if cfg.Kind == RWD {
-					// Domination marking is an extra vertex update.
-					verts++
+			list := active[m]
+			kept := list[:0]
+			var at [walkBatch]*graph.VertexID
+			var next [walkBatch]graph.VertexID
+			for b := 0; b < len(list); b += walkBatch {
+				batch := list[b:min(b+walkBatch, len(list))]
+				// Pass 1: every draw of the batch, in list order, so the
+				// machine's stream is drawn as an unbatched loop draws it.
+				for i := range batch {
+					at[i] = e.pick(&batch[i], &cfg, &rng, &next[i])
 				}
-				if done {
-					// Termination event (PPR stop, dead end): the step
-					// is consumed but the walker moves nowhere.
+				// Pass 2: load the chosen targets. The loads do not depend
+				// on each other, so their cache misses overlap.
+				for i, p := range at[:len(batch)] {
+					if p != nil {
+						next[i] = *p
+					}
+				}
+				// Pass 3: bookkeeping in list order. kept is written only at
+				// indices at or below b+i, the walker being read, so the
+				// in-place compaction never overwrites a walker not yet read.
+				for i, wk := range batch {
+					if at[i] == nil {
+						// Termination event (PPR stop, dead end): the step
+						// is consumed but the walker moves nowhere.
+						if cfg.CollectPaths {
+							finished[m] = append(finished[m], paths.path(&wk))
+						}
+						continue
+					}
+					wk.prev = wk.cur
+					wk.cur = next[i]
+					wk.remaining--
 					if cfg.CollectPaths {
-						finished[m] = append(finished[m], paths.path(&wk))
+						paths.record(&wk)
 					}
-					continue
-				}
-				wk.prev = wk.cur
-				wk.cur = next
-				wk.remaining--
-				if cfg.CollectPaths {
-					paths.record(&wk)
-				}
-				dst := e.cl.Owner(next)
-				if dst == m {
-					// visits[next] is safe to write here: only next's
-					// owner ever touches it during a superstep.
-					if cfg.TrackVisits {
-						visits[next]++
+					dst := e.cl.Owner(wk.cur)
+					if dst == m {
+						// visits[wk.cur] is safe to write here: only its
+						// owner ever touches it during a superstep.
+						if cfg.TrackVisits {
+							visits[wk.cur]++
+						}
+						if wk.remaining > 0 {
+							kept = append(kept, wk)
+						} else if cfg.CollectPaths {
+							finished[m] = append(finished[m], paths.path(&wk))
+						}
+					} else {
+						// Migration: a message walk. Visit counting and
+						// (if steps remain) re-activation happen at
+						// delivery in the sequential merge phase.
+						msgs++
+						if prow != nil {
+							prow[dst]++
+						}
+						out[dst] = append(out[dst], wk)
 					}
-					if wk.remaining > 0 {
-						kept = append(kept, wk)
-					} else if cfg.CollectPaths {
-						finished[m] = append(finished[m], paths.path(&wk))
-					}
-				} else {
-					// Migration: a message walk. Visit counting and
-					// (if steps remain) re-activation happen at
-					// delivery in the sequential merge phase.
-					msgs++
-					if prow != nil {
-						prow[dst]++
-					}
-					out[dst] = append(out[dst], wk)
 				}
 			}
-			*rngs[m] = rng
+			rngs[m] = rng
 			active[m] = kept
-			w.Steps[m] = steps
+			// Every active walker spends one step; under RWD, domination
+			// marking is an extra vertex update per step.
+			w.Steps[m] = int64(len(list))
+			if cfg.Kind == RWD {
+				w.Vertices[m] = int64(len(list))
+			}
 			w.Messages[m] = msgs
-			w.Vertices[m] = verts
 		})
 		// Merge phase: deliver outboxes.
 		batchH := e.reg.Histogram("walk_transfer_batch_walkers")
@@ -476,17 +507,16 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		// only arena cells past its restored length.
 		Checkpoint: func() func() {
 			savedActive := cloneWalkers(active)
-			savedRNGs := make([]xrand.RNG, k)
+			savedRNGs := slices.Clone(rngs)
 			finishedLen := make([]int, k)
-			for m := range rngs {
-				savedRNGs[m] = *rngs[m]
+			for m := range finished {
 				finishedLen[m] = len(finished[m])
 			}
 			savedVisits, savedTraffic, pathsLen := slices.Clone(visits), slices.Clone(traffic), len(res.Paths)
 			return func() {
 				active = cloneWalkers(savedActive)
-				for m := range rngs {
-					*rngs[m] = savedRNGs[m]
+				copy(rngs, savedRNGs)
+				for m := range finished {
 					finished[m] = finished[m][:finishedLen[m]]
 				}
 				copy(visits, savedVisits)
@@ -539,62 +569,76 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// step advances one walker by one step. It returns the next vertex and
-// whether the walk terminated on this step (termination consumes the step
-// but produces no movement).
-func (e *Engine) step(wk *walker, cfg Config, rng *xrand.RNG) (graph.VertexID, bool) {
+// walkBatch is how many walkers a task picks for before it loads their
+// targets. Picks draw in list order and bookkeeping follows list order, so
+// no output depends on it.
+const walkBatch = 64
+
+// pick makes every draw of wk's next step — PPR's stop, RWJ's jump, the
+// uniform index, the alias sample, node2vec's trials — without loading the
+// chosen target. It returns nil when the walk ends on this step (the step
+// is consumed but the walker moves nowhere), a pointer to the chosen cell
+// of cur's CSR row, or to, into which it wrote a vertex it resolved itself
+// (a teleport, or a second-order node2vec step).
+func (e *Engine) pick(wk *walker, cfg *Config, rng *xrand.RNG, to *graph.VertexID) *graph.VertexID {
 	switch cfg.Kind {
 	case PPR:
 		if rng.Bool(cfg.StopProb) {
-			return 0, true
+			return nil
 		}
 	case RWJ:
 		if rng.Bool(cfg.JumpProb) {
-			return graph.VertexID(rng.Intn(e.g.NumVertices())), false
+			*to = graph.VertexID(rng.Intn(e.g.NumVertices()))
+			return to
 		}
 	}
 	ns := e.g.Neighbors(wk.cur)
 	if len(ns) == 0 {
 		// Dead end: RWJ teleports, everything else terminates.
 		if cfg.Kind == RWJ {
-			return graph.VertexID(rng.Intn(e.g.NumVertices())), false
+			*to = graph.VertexID(rng.Intn(e.g.NumVertices()))
+			return to
 		}
-		return 0, true
+		return nil
 	}
 	switch {
 	case cfg.Kind == Node2Vec && wk.hasPrev(cfg.Steps):
-		return e.node2vecStep(wk, cfg, rng, ns), false
+		*to = e.node2vecStep(wk, cfg, rng, ns)
+		return to
 	case cfg.Kind == BiasedWalk:
-		return e.biasedStep(wk, rng)
+		return &ns[e.alias.table(wk.cur).Sample(rng)]
 	}
-	return ns[rng.Intn(len(ns))], false
+	return &ns[rng.Intn(len(ns))]
 }
 
 // node2vecStep samples the second-order transition with KnightKing-style
 // rejection sampling: propose a uniform out-neighbor x of cur, accept with
 // probability w(x)/M where w(x) is 1/P when x is the previous vertex, 1
 // when x is a neighbor of the previous vertex, and 1/Q otherwise, and M is
-// the maximum of the three weights.
-func (e *Engine) node2vecStep(wk *walker, cfg Config, rng *xrand.RNG, ns []graph.VertexID) graph.VertexID {
-	maxW := 1.0
-	if 1/cfg.P > maxW {
-		maxW = 1 / cfg.P
-	}
-	if 1/cfg.Q > maxW {
-		maxW = 1 / cfg.Q
-	}
+// the maximum of the three weights. A trial draws x, then r = Float64()·M,
+// and accepts when r < w(x). Unless x is prev, r below both 1 and 1/Q
+// accepts and r at or above both rejects without HasEdge's binary search
+// (KnightKing's pre-acceptance): at the defaults P = 2, Q = 0.5, half the
+// trials.
+func (e *Engine) node2vecStep(wk *walker, cfg *Config, rng *xrand.RNG, ns []graph.VertexID) graph.VertexID {
+	sure, never := min(1, cfg.invQ), max(1, cfg.invQ)
 	for attempt := 0; attempt < 64; attempt++ {
 		x := ns[rng.Intn(len(ns))]
-		var w float64
+		r := rng.Float64() * cfg.maxW
 		switch {
 		case x == wk.prev:
-			w = 1 / cfg.P
+			if r < cfg.invP {
+				return x
+			}
+		case r < sure:
+			return x
+		case r >= never:
+			// Rejected, whatever x is.
 		case e.g.HasEdge(wk.prev, x):
-			w = 1
-		default:
-			w = 1 / cfg.Q
-		}
-		if rng.Float64()*maxW < w {
+			if r < 1 {
+				return x
+			}
+		case r < cfg.invQ:
 			return x
 		}
 	}

@@ -277,7 +277,7 @@ func TestNode2VecStepDistribution(t *testing.T) {
 	const draws = 200000
 	wk := walker{cur: 1, prev: 0}
 	for i := 0; i < draws; i++ {
-		counts[e.node2vecStep(&wk, cfg, rng, g.Neighbors(1))]++
+		counts[e.node2vecStep(&wk, &cfg, rng, g.Neighbors(1))]++
 	}
 	total := 1/p + 1 + 1/q // unnormalized mass
 	wants := map[graph.VertexID]float64{
