@@ -49,11 +49,9 @@ func (e *Engine) SSSP(source graph.VertexID) (*SSSPResult, error) {
 	}
 	dist[source] = 0
 	frontier := SubsetFromVertices(n, []graph.VertexID{source})
-	st := e.newKernelState()
 	spec := &edgeMapSpec{
-		value: func(src, dst graph.VertexID) uint64 {
-			return uint64(dist[src] + EdgeWeight(src, dst))
-		},
+		key:      func(src graph.VertexID) uint64 { return uint64(dist[src]) },
+		weighted: true,
 		cur: func(v graph.VertexID) uint64 {
 			if dist[v] < 0 {
 				return unsetKey
@@ -62,15 +60,17 @@ func (e *Engine) SSSP(source graph.VertexID) (*SSSPResult, error) {
 		},
 		apply: func(v graph.VertexID, key uint64) { dist[v] = int64(key) },
 	}
+	st := e.newKernelState(spec)
 	step := func(int) (cluster.IterationStats, bool) {
 		w := e.cl.NewCounters()
-		frontier = e.edgeMap(spec, st, frontier, 0, w).frontier
+		frontier = e.edgeMap(st, frontier, 0, w).frontier
 		return e.cl.FinishIteration(w), frontier.Len() == 0
 	}
 	checkpoint := func() func() {
 		saved, members := slices.Clone(dist), subsetMembers(frontier)
 		return func() {
 			copy(dist, saved)
+			st.syncProposals()
 			frontier = SubsetFromVertices(n, slices.Clone(members))
 		}
 	}

@@ -10,9 +10,16 @@
 //     of the work-list length — never of the worker count. Each shard
 //     accumulates into shard-private counters, combined in fixed
 //     (machine, shard) order after the phase barrier.
-//   - Proposals land in a shared buffer through compare-and-swap *minimum*,
+//   - Proposals land in a shared buffer that mirrors every vertex's
+//     current key between supersteps: a frontier vertex computes its key
+//     once and lowers each neighbour's slot by compare-and-swap *minimum*,
 //     a commutative and idempotent combine whose fixed point is the same
-//     whatever order workers fire in.
+//     whatever order workers fire in. The merge applies exactly the slots
+//     that fell below the current key, which leaves the mirror intact, so
+//     the scatter needs no filter of its own. A checkpoint restore puts the
+//     algorithm state back and must re-sync the mirror from it
+//     (syncProposals); a replay would otherwise see the proposals of the
+//     supersteps it is replaying.
 //   - Floating-point sums never cross shard boundaries unordered: each
 //     destination vertex is summed by exactly one chunk in adjacency
 //     order, and per-chunk partials are reduced in chunk index order.
@@ -31,11 +38,16 @@ import (
 
 // shardTarget is the nominal vertices-per-shard granule. Shard boundaries
 // depend only on the list length, so the decomposition — and therefore
-// every combine order — is identical at any worker count.
-const shardTarget = 1024
+// every combine order — is identical at any worker count. The edge-map's
+// dirty bits cover aligned blocks of shardTarget vertices: vertex v is in
+// block v >> shardShift.
+const (
+	shardShift  = 10
+	shardTarget = 1 << shardShift
+)
 
-// unsetKey is the proposal buffer's "no proposal" sentinel; every real
-// proposal compares below it.
+// unsetKey is the key of a vertex with no value yet; every real key
+// compares below it.
 const unsetKey = ^uint64(0)
 
 // shardCount returns the fixed shard count for a work list of length n.
@@ -109,15 +121,15 @@ func combineCounters(w *cluster.Counters, tasks []machineShard, ts []taskCounter
 }
 
 // atomicMinU64 lowers *p to v if v is smaller — the kernel's commutative,
-// idempotent proposal combine.
-func atomicMinU64(p *uint64, v uint64) {
+// idempotent proposal combine — and reports whether it did.
+func atomicMinU64(p *uint64, v uint64) bool {
 	for {
 		old := atomic.LoadUint64(p)
 		if v >= old {
-			return
+			return false
 		}
 		if atomic.CompareAndSwapUint64(p, old, v) {
-			return
+			return true
 		}
 	}
 }
@@ -135,11 +147,16 @@ const (
 // proposal keys (order-preserving encodings of the algorithm's value:
 // label, distance, depth). Smaller is better; unsetKey means "no value".
 type edgeMapSpec struct {
-	// value is the key proposed along arc (src, dst). src is always the
-	// frontier side: the pull direction discovers the same arcs from dst's
-	// in-edges and calls value with the same orientation.
-	value func(src, dst graph.VertexID) uint64
-	// cur is v's current key; proposals not strictly below it are ignored.
+	// key is the key frontier vertex src proposes along each of its arcs,
+	// read once per frontier vertex.
+	key func(src graph.VertexID) uint64
+	// weighted adds EdgeWeight(src, dst) to src's key on arc (src, dst).
+	// src is always the frontier side: the pull direction discovers the
+	// same arcs from dst's in-edges and weighs them with the same
+	// orientation.
+	weighted bool
+	// cur is v's current key; the merge applies proposals strictly below
+	// it.
 	cur func(v graph.VertexID) uint64
 	// apply commits an improved key during the merge phase. It is called
 	// exactly once per improved vertex, from the single chunk owning it.
@@ -157,22 +174,82 @@ type edgeMapSpec struct {
 	stopEarly bool
 }
 
-// kernelState is the per-run scratch of the edge-map kernel.
+// kernelState is the per-run state of the edge-map kernel for one spec.
 type kernelState struct {
-	prop    []uint64           // shared proposal buffer, CAS-min
+	spec *edgeMapSpec
+	// prop is the shared proposal buffer. Between supersteps prop[v] equals
+	// spec.cur(v); during one it is lowered by CAS-min.
+	prop []uint64
+	// dirty has one bit per block of shardTarget aligned vertices, set
+	// when a proposal lowered one of the block's slots; the merge visits
+	// only the chunks overlapping a set bit, then clears the bits.
+	dirty   []atomic.Uint64
 	byOwner [][]graph.VertexID // sparse-frontier split scratch
 }
 
-func (e *Engine) newKernelState() *kernelState {
+// newKernelState builds the kernel state for runs of s and fills the
+// proposal buffer from the algorithm's initial keys.
+func (e *Engine) newKernelState(s *edgeMapSpec) *kernelState {
 	n := e.g.NumVertices()
 	st := &kernelState{
+		spec:    s,
 		prop:    make([]uint64, n),
+		dirty:   make([]atomic.Uint64, ((n+shardTarget-1)>>shardShift+63)/64),
 		byOwner: make([][]graph.VertexID, e.cl.NumMachines()),
 	}
-	for i := range st.prop {
-		st.prop[i] = unsetKey
-	}
+	st.syncProposals()
 	return st
+}
+
+// syncProposals sets every proposal slot to its vertex's current key: at
+// construction, and in each checkpoint restore after the algorithm state
+// is copied back.
+func (st *kernelState) syncProposals() {
+	for v := range st.prop {
+		st.prop[v] = st.spec.cur(graph.VertexID(v))
+	}
+}
+
+// mark sets the dirty bit of v's block: a proposal lowered v's slot.
+func (st *kernelState) mark(v graph.VertexID) {
+	b := v >> shardShift
+	w, bit := &st.dirty[b/64], uint64(1)<<(b%64)
+	for {
+		old := w.Load()
+		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+// dirtyIn reports whether a proposal lowered a slot in a block overlapping
+// the non-empty vertex range [lo, hi).
+func (st *kernelState) dirtyIn(lo, hi int) bool {
+	for b := lo >> shardShift; b <= (hi-1)>>shardShift; b++ {
+		if st.dirty[b/64].Load()&(uint64(1)<<(b%64)) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// scatter proposes key from frontier vertex src to every vertex of ns,
+// one adjacency row of src, plus the arc weight when the spec is weighted.
+func (st *kernelState) scatter(src graph.VertexID, key uint64, ns []graph.VertexID) {
+	prop := st.prop
+	if st.spec.weighted {
+		for _, u := range ns {
+			if atomicMinU64(&prop[u], key+uint64(EdgeWeight(src, u))) {
+				st.mark(u)
+			}
+		}
+		return
+	}
+	for _, u := range ns {
+		if atomicMinU64(&prop[u], key) {
+			st.mark(u)
+		}
+	}
 }
 
 // edgeMapOut is one superstep's outcome: the next frontier, its out-edge
@@ -188,7 +265,8 @@ type edgeMapOut struct {
 // algorithm state and build the next frontier. Counters for the superstep
 // are accumulated into w with the same semantics as the hand-written
 // per-algorithm loops this kernel replaced.
-func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset, frontierEdges int64, w *cluster.Counters) edgeMapOut {
+func (e *Engine) edgeMap(st *kernelState, frontier *VertexSubset, frontierEdges int64, w *cluster.Counters) edgeMapOut {
+	s := st.spec
 	n := e.g.NumVertices()
 	k := e.cl.NumMachines()
 	bottomUp := false
@@ -203,8 +281,11 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 	var run func(t machineShard, tc *taskCounters)
 	if bottomUp {
 		// Pull: every owned vertex still lacking a value scans its
-		// in-edges for a frontier parent.
+		// in-edges for a frontier parent. A pulling frontier can be too
+		// small to be dense, so membership is read from a bitmap taken
+		// here rather than searched per in-arc.
 		tr := e.g.In()
+		member := frontier.Bitmap()
 		tasks = e.tasks
 		run = func(t machineShard, tc *taskCounters) {
 			scan := func(v graph.VertexID, ns []graph.VertexID) bool {
@@ -216,8 +297,14 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 							tc.prow[o]++
 						}
 					}
-					if frontier.Contains(u) {
-						atomicMinU64(&st.prop[v], s.value(u, v))
+					if member[u] {
+						key := s.key(u)
+						if s.weighted {
+							key += uint64(EdgeWeight(u, v))
+						}
+						if atomicMinU64(&st.prop[v], key) {
+							st.mark(v)
+						}
 						if s.stopEarly {
 							return true
 						}
@@ -226,7 +313,9 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 				return false
 			}
 			for _, v := range e.owned[t.m][t.lo:t.hi] {
-				if s.cur(v) != unsetKey {
+				// Only this task writes an owned vertex's slot, and the
+				// slot mirrors the current key until it does.
+				if st.prop[v] != unsetKey {
 					continue
 				}
 				tc.verts++
@@ -265,22 +354,16 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 			lists, tasks = st.byOwner, shardLists(st.byOwner)
 		}
 		run = func(t machineShard, tc *taskCounters) {
-			scatter := func(v graph.VertexID, ns []graph.VertexID) {
-				for _, u := range ns {
-					if key := s.value(v, u); key < s.cur(u) {
-						atomicMinU64(&st.prop[u], key)
-					}
-				}
-			}
 			for _, v := range lists[t.m][t.lo:t.hi] {
 				if member != nil && !member[v] {
 					continue
 				}
 				tc.verts++
 				acct.charge(tc, t.m, v)
-				scatter(v, e.g.Neighbors(v))
+				key := s.key(v)
+				st.scatter(v, key, e.g.Neighbors(v))
 				if s.undirected {
-					scatter(v, tr.Neighbors(v))
+					st.scatter(v, key, tr.Neighbors(v))
 				}
 			}
 		}
@@ -289,25 +372,27 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 	e.cl.RunTasks(len(tasks), func(t int) { run(tasks[t], &tcs[t]) })
 	combineCounters(w, tasks, tcs)
 
-	// Merge phase: fixed chunks over the vertex space, each chunk applying
-	// its own vertices' improvements and resetting the proposal buffer.
-	// Chunk outputs are concatenated in chunk order, so the next frontier
-	// is sorted ascending however the chunks were scheduled.
+	// Merge phase: fixed chunks over the vertex space, each applying its
+	// own vertices' improvements; the applied key is the slot's value, so
+	// the buffer mirrors the state again afterwards. A slot is lowered only
+	// below the current key, so the dirty bits name exactly the blocks
+	// holding an improvement, whatever order the scatter ran in, and a
+	// chunk overlapping none has nothing to apply. Chunk outputs are
+	// concatenated in chunk order, so the next frontier is sorted ascending
+	// however the chunks were scheduled.
 	chunks := shardCount(n)
 	outs := make([][]graph.VertexID, chunks)
 	fedges := make([]int64, chunks)
 	e.cl.RunTasks(chunks, func(c int) {
 		lo, hi := c*n/chunks, (c+1)*n/chunks
+		if lo == hi || !st.dirtyIn(lo, hi) {
+			return
+		}
 		var members []graph.VertexID
 		var fe int64
 		for v := lo; v < hi; v++ {
-			key := st.prop[v]
-			if key == unsetKey {
-				continue
-			}
-			st.prop[v] = unsetKey
 			id := graph.VertexID(v)
-			if key < s.cur(id) {
+			if key := st.prop[v]; key < s.cur(id) {
 				s.apply(id, key)
 				members = append(members, id)
 				fe += int64(e.g.OutDegree(id))
@@ -316,6 +401,9 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 		outs[c] = members
 		fedges[c] = fe
 	})
+	for i := range st.dirty {
+		st.dirty[i].Store(0)
+	}
 	total := 0
 	for _, o := range outs {
 		total += len(o)

@@ -320,22 +320,23 @@ func (e *Engine) ConnectedComponents(maxIters int) (*CCResult, error) {
 		labels[v] = uint32(v)
 	}
 	frontier := FullVertexSubset(n)
-	st := e.newKernelState()
 	spec := &edgeMapSpec{
-		value:      func(src, dst graph.VertexID) uint64 { return uint64(labels[src]) },
+		key:        func(src graph.VertexID) uint64 { return uint64(labels[src]) },
 		cur:        func(v graph.VertexID) uint64 { return uint64(labels[v]) },
 		apply:      func(v graph.VertexID, key uint64) { labels[v] = uint32(key) },
 		undirected: true,
 	}
+	st := e.newKernelState(spec)
 	step := func(it int) (cluster.IterationStats, bool) {
 		w := e.cl.NewCounters()
-		frontier = e.edgeMap(spec, st, frontier, 0, w).frontier
+		frontier = e.edgeMap(st, frontier, 0, w).frontier
 		return e.cl.FinishIteration(w), frontier.Len() == 0 || it+1 == maxIters
 	}
 	checkpoint := func() func() {
 		saved, members := slices.Clone(labels), subsetMembers(frontier)
 		return func() {
 			copy(labels, saved)
+			st.syncProposals()
 			frontier = SubsetFromVertices(n, slices.Clone(members))
 		}
 	}
@@ -404,10 +405,9 @@ func (e *Engine) bfs(source graph.VertexID, directionOptimizing bool) (*BFSResul
 	frontier := SubsetFromVertices(n, []graph.VertexID{source})
 	// The frontier's out-edge volume, the auto mode's switching input.
 	frontierEdges := int64(e.g.OutDegree(source))
-	st := e.newKernelState()
 	var depth int32
 	spec := &edgeMapSpec{
-		value: func(src, dst graph.VertexID) uint64 { return uint64(depth) },
+		key: func(graph.VertexID) uint64 { return uint64(depth) },
 		cur: func(v graph.VertexID) uint64 {
 			if dist[v] < 0 {
 				return unsetKey
@@ -418,11 +418,12 @@ func (e *Engine) bfs(source graph.VertexID, directionOptimizing bool) (*BFSResul
 		auto:      directionOptimizing,
 		stopEarly: directionOptimizing,
 	}
+	st := e.newKernelState(spec)
 	step := func(it int) (cluster.IterationStats, bool) {
 		depth = int32(it) + 1
 		e.reg.Histogram("engine_bfs_frontier_vertices").Observe(float64(frontier.Len()))
 		w := e.cl.NewCounters()
-		out := e.edgeMap(spec, st, frontier, frontierEdges, w)
+		out := e.edgeMap(st, frontier, frontierEdges, w)
 		frontier, frontierEdges = out.frontier, out.frontierEdges
 		return e.cl.FinishIteration(w), frontier.Len() == 0
 	}
@@ -430,6 +431,7 @@ func (e *Engine) bfs(source graph.VertexID, directionOptimizing bool) (*BFSResul
 		saved, members, edges := slices.Clone(dist), subsetMembers(frontier), frontierEdges
 		return func() {
 			copy(dist, saved)
+			st.syncProposals()
 			frontier, frontierEdges = SubsetFromVertices(n, slices.Clone(members)), edges
 		}
 	}

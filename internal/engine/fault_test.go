@@ -434,3 +434,80 @@ func TestRestreamInvalidatesCutDegrees(t *testing.T) {
 		}
 	}
 }
+
+// TestRollbackSpanKeepsSuperstepCount rolls the frontier algorithms back
+// over spans of one to five supersteps: a crash at step s restores the
+// checkpoint written every e supersteps and replays from it. The replay
+// must retrace the fault-free run exactly, so the recorded supersteps are
+// the fault-free count plus one per replayed superstep, checkpoint barrier
+// and restore barrier. State the kernel keeps beside the algorithm's own
+// (the proposal buffer) must come back with it: a replay that saw a later
+// superstep's proposals would converge in fewer supersteps.
+func TestRollbackSpanKeepsSuperstepCount(t *testing.T) {
+	// A local graph: 7 to 14 supersteps per algorithm, and four of the
+	// direction-optimizing search's levels pull.
+	g, err := gen.ChungLu(gen.Config{NumVertices: 3000, AvgDegree: 6, Skew: 0.5, Locality: 0.9, Window: 16, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		exact any
+		stats cluster.RunStats
+		rec   *fault.RecoveryStats
+	}
+	bfs := func(r *BFSResult, err error) (outcome, error) {
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{r.Dist, r.Stats, r.Recovery}, nil
+	}
+	algos := []struct {
+		name string
+		run  func(e *Engine) (outcome, error)
+	}{
+		{"CC", func(e *Engine) (outcome, error) {
+			r, err := e.ConnectedComponents(0)
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{r.Labels, r.Stats, r.Recovery}, nil
+		}},
+		{"SSSP", func(e *Engine) (outcome, error) {
+			r, err := e.SSSP(0)
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{r.Dist, r.Stats, r.Recovery}, nil
+		}},
+		{"BFS", func(e *Engine) (outcome, error) { return bfs(e.BFS(0)) }},
+		{"DOBFS", func(e *Engine) (outcome, error) { return bfs(e.BFSDirectionOptimizing(0)) }},
+	}
+	for _, algo := range algos {
+		base, err := algo.run(newEngine(t, g, 4))
+		if err != nil {
+			t.Fatalf("%s: %v", algo.name, err)
+		}
+		steps := len(base.stats.Iterations)
+		for every := 1; every <= 5; every++ {
+			for s := 0; s < steps-1; s++ {
+				spec := &fault.Spec{CheckpointEvery: every, Events: []fault.Event{{Kind: fault.Crash, Step: s, Machine: 1}}}
+				got, err := algo.run(faultEngine(t, g, 4, spec))
+				if err != nil {
+					t.Fatalf("%s every=%d step=%d: %v", algo.name, every, s, err)
+				}
+				rec := got.rec
+				if rec == nil || rec.Crashes != 1 {
+					t.Fatalf("%s every=%d step=%d: Recovery = %+v, want 1 crash", algo.name, every, s, rec)
+				}
+				want := steps + rec.SuperstepsReplayed + rec.Checkpoints + rec.Crashes
+				if n := len(got.stats.Iterations); n != want {
+					t.Errorf("%s every=%d step=%d: %d iterations, want %d (fault-free %d + %d replayed + %d checkpoints + %d restores)",
+						algo.name, every, s, n, want, steps, rec.SuperstepsReplayed, rec.Checkpoints, rec.Crashes)
+				}
+				if !reflect.DeepEqual(got.exact, base.exact) {
+					t.Errorf("%s every=%d step=%d: result differs from the fault-free run", algo.name, every, s)
+				}
+			}
+		}
+	}
+}
