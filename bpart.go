@@ -174,7 +174,7 @@ type Tracer = telemetry.Tracer
 type TraceRecord = telemetry.Record
 
 // Metrics is a named counter/gauge registry with a Prometheus-style text
-// exporter and an expvar-compatible snapshot.
+// exporter and an expvar-compatible snapshot; as a Tracer it folds a trace.
 type Metrics = telemetry.Registry
 
 // MemoryTracer buffers records in memory (tests, ad-hoc inspection).

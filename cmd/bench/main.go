@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"bpart"
+	"bpart/internal/experiments"
 	"bpart/internal/resview"
 )
 
@@ -130,13 +131,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stdout, "# wrote %s\n", *resPath)
 		}
 	}()
-	reg := bpart.NewMetrics()
 	widths, err := parseWidths(*widthsFlag, *resPath != "")
 	if err != nil {
 		fmt.Fprintln(stderr, "bench:", err)
 		return 2
 	}
+	var reg *bpart.Metrics // built only to be served; a nil sink drops out of the tee
 	if *pprofAddr != "" {
+		reg = bpart.NewMetrics()
 		addr := *pprofAddr
 		go func() {
 			if err := http.ListenAndServe(addr, bpart.DebugMux(reg)); err != nil {
@@ -145,7 +147,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}()
 		fmt.Fprintf(stdout, "# diagnostics on http://%s/debug/pprof/\n", addr)
 	}
-	opt := bpart.ExperimentOptions{Scale: *scale, Walkers: *walkers, Tracer: tracer, Metrics: reg, Faults: faults, Widths: widths, Workers: *workers}
+	var hist *experiments.HistogramSink // built only to be written
+	if *jsonPath != "" {
+		hist = &experiments.HistogramSink{}
+	}
+	tracer = bpart.TeeTrace(tracer, reg, hist)
+	opt := bpart.ExperimentOptions{Scale: *scale, Walkers: *walkers, Tracer: tracer, Faults: faults, Widths: widths, Workers: *workers}
 	artifact := bpart.NewBenchArtifact(opt)
 	fmt.Fprintf(stdout, "# bpart experiment run: scale=%.2f\n\n", *scale)
 	failed := 0
@@ -168,7 +175,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		sp.End(bpart.TraceInt("rows", len(tbl.Rows)))
 		artifact.RecordExperiment(id, time.Since(start).Seconds(), len(tbl.Rows), nil)
-		reg.Counter("bench_experiments_total").Inc()
 		fmt.Fprintf(stdout, "%s   [%.1fs]\n\n", tbl, time.Since(start).Seconds())
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, id, tbl); err != nil {
@@ -187,7 +193,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	if *jsonPath != "" {
-		if err := artifact.Collect(opt, reg); err != nil {
+		if err := artifact.Collect(opt, hist); err != nil {
 			fmt.Fprintln(stderr, "bench: artifact:", err)
 			failed++
 		} else {

@@ -311,11 +311,11 @@ type telemetryState struct {
 }
 
 // setupTelemetry wires -trace, -metrics, -pprof and -resources. The
-// registry exists whenever any of the first three is requested, so the
-// pprof endpoint and the exit dump see the same counters.
+// registry, a sink that folds every span into counters, exists only when
+// something reads it: the -metrics exit dump or the -pprof endpoint.
 func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string, stdout, stderr io.Writer) (*telemetryState, error) {
 	t := &telemetryState{metrics: metrics, resPath: resPath, stdout: stdout, stderr: stderr}
-	if tracePath != "" || metrics || pprofAddr != "" {
+	if metrics || pprofAddr != "" {
 		t.reg = bpart.NewMetrics()
 	}
 	var err error

@@ -270,3 +270,34 @@ func TestTraceAndResourceLogsJoin(t *testing.T) {
 		t.Fatalf("trace report of the resource file: %v", err)
 	}
 }
+
+// The registry folds every span, so it exists only when something reads
+// it: -trace alone builds none, -metrics builds one and prints the folded
+// counters at exit.
+func TestRegistryOnlyWhenRead(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	tel, err := setupTelemetry(filepath.Join(dir, "t.jsonl"), false, "", "", &stdout, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tel.reg != nil {
+		t.Error("-trace alone built a metrics registry")
+	}
+	if err := tel.finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	stdout.Reset()
+	if err := run([]string{
+		"-dataset", "lj-sim", "-scale", "0.02", "-k", "4",
+		"-trace", filepath.Join(dir, "m.jsonl"), "-metrics",
+	}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	for _, want := range []string{"--- metrics ---", "\nbpart_partition_total 1\n", "\nbpart_layer_total ", "\npartition_stream_placed_total "} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("-metrics dump lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}

@@ -38,7 +38,6 @@ func main() {
 			f.Close()
 		}()
 	}
-	reg := bpart.NewMetrics()
 
 	g, err := bpart.Preset(bpart.LJSim, 0.2)
 	if err != nil {
@@ -57,7 +56,7 @@ func main() {
 			log.Fatal(err)
 		}
 		eng.Cluster().SetWorkers(*workers)
-		bpart.Instrument(eng, tracer, reg)
+		bpart.Instrument(eng, tracer, nil)
 		pr, err := eng.PageRank(10, 0.85)
 		if err != nil {
 			log.Fatal(err)

@@ -49,7 +49,7 @@ func TestFacadeEnableFaults(t *testing.T) {
 			t.Fatalf("rank[%d] differs after recovery", v)
 		}
 	}
-	if reg.Counter("fault_crashes_total").Value() != 1 {
+	if reg.Counter("fault_crash_total").Value() != 1 {
 		t.Fatal("fault counters not published")
 	}
 

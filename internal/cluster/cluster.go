@@ -82,8 +82,7 @@ type Cluster struct {
 	dead        []bool // machine -> permanently failed
 	disrupter   Disrupter
 
-	tr  telemetry.Tracer
-	reg *telemetry.Registry
+	tr telemetry.Tracer
 	// iter numbers finished supersteps for spans. Atomic because two runs
 	// on one engine may finish supersteps concurrently.
 	iter atomic.Int64
@@ -156,18 +155,17 @@ func New(assignment []int, k int, model CostModel) (*Cluster, error) {
 // (may be nil to detach), every FinishIteration emits one
 // "cluster.superstep" event carrying the full IterationStats — per-machine
 // compute, comm and waiting plus the raw work counters — so a whole run
-// yields a machine-level timeline. reg (may be nil) accumulates
-// cluster_* totals.
+// yields a machine-level timeline. reg (may be nil) is teed beside the
+// tracer (see telemetry.Instrumentable).
 func (c *Cluster) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
-	c.tr = telemetry.Safe(tr)
-	c.reg = reg
+	c.tr = telemetry.Tee(tr, reg)
 }
 
 // SetCommMatrix enables (or disables) per-superstep src→dst message matrix
 // capture. When on, NewCounters allocates Counters.Pairs and the engines
 // record each cross-machine message's destination alongside the existing
 // per-machine totals; FinishIteration then publishes the matrix through
-// telemetry ("pairs" attr, comm_* metrics). Enable before the run starts —
+// telemetry ("pairs" attr). Enable before the run starts —
 // counters already handed to an engine keep their allocation.
 func (c *Cluster) SetCommMatrix(on bool) { c.commMatrix = on }
 
@@ -493,45 +491,6 @@ func (c *Cluster) ChargePhaseWork(kind string, busy []float64, work *Counters) (
 // for an algorithm superstep, or the recovery phase kind from ChargePhaseWork.
 func (c *Cluster) observe(st *IterationStats, phase string) {
 	iter := int(c.iter.Add(1)) - 1
-	if c.reg != nil {
-		var msgs int64
-		for _, x := range st.Work.Messages {
-			msgs += x
-		}
-		c.reg.Counter("cluster_supersteps_total").Inc()
-		c.reg.Counter("cluster_messages_total").Add(msgs)
-		c.reg.Counter("cluster_sim_time_us_total").Add(int64(st.Time))
-		// Distribution metrics: the histogram summaries BENCH artifacts
-		// persist. Superstep durations and, per machine per superstep,
-		// the compute load and the outgoing message batch — the raw
-		// material of the paper's Fig 12 skew and Fig 13 waiting plots.
-		c.reg.Histogram("cluster_superstep_time_us").Observe(st.Time)
-		computeH := c.reg.Histogram("cluster_machine_compute_us")
-		msgH := c.reg.Histogram("cluster_machine_message_batch")
-		for i := range st.Compute {
-			computeH.Observe(st.Compute[i])
-			msgH.Observe(float64(st.Work.Messages[i]))
-		}
-		if st.Work.Pairs != nil {
-			// Matrix-capture metrics exist only when capture is on, so a
-			// disabled run's registry (and BENCH histogram section) is
-			// byte-identical to one built before this feature existed.
-			var total, active int64
-			batchH := c.reg.Histogram("comm_pair_batch_messages")
-			for _, row := range st.Work.Pairs {
-				for _, n := range row {
-					if n == 0 {
-						continue
-					}
-					total += n
-					active++
-					batchH.Observe(float64(n))
-				}
-			}
-			c.reg.Counter("comm_messages_total").Add(total)
-			c.reg.Counter("comm_active_pairs_total").Add(active)
-		}
-	}
 	if c.tr != nil && c.tr.Enabled() {
 		var waiting float64
 		for _, x := range st.Waiting {

@@ -146,8 +146,8 @@ func TestChargePhase(t *testing.T) {
 	if !found {
 		t.Fatal("phase attr missing from ChargePhaseWork event")
 	}
-	if got := reg.Counter("cluster_supersteps_total").Value(); got != 1 {
-		t.Fatalf("cluster_supersteps_total = %d", got)
+	if got := reg.Counter("cluster_superstep_total").Value(); got != 1 {
+		t.Fatalf("cluster_superstep_total = %d", got)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // The reconciliation invariant, end to end: with matrix capture on, every
 // superstep's matrix row sums must equal the per-machine Work.Messages the
 // engines have always counted, and the run-total matrix must equal the
-// registry's cluster_messages_total — bit-exactly, across engines,
+// messages the trace's cluster.superstep records carry — bit-exactly, across engines,
 // partitioning schemes, and fault schedules. Any drift means an engine
 // updated one counter without the other.
 
@@ -45,8 +45,26 @@ func invAssignment(t *testing.T, g *graph.Graph, scheme string) []int {
 	return a.Parts
 }
 
+// traceMessages sums the per-machine messages and the comm-matrix cells
+// the trace's cluster.superstep records carry.
+func traceMessages(mem *telemetry.Memory) (messages, pairs int64) {
+	for _, r := range mem.Find("cluster.superstep") {
+		for _, n := range r.Attr("messages").([]int64) {
+			messages += n
+		}
+		if m, ok := r.Attr("pairs").([][]int64); ok {
+			for _, row := range m {
+				for _, n := range row {
+					pairs += n
+				}
+			}
+		}
+	}
+	return messages, pairs
+}
+
 // checkRun asserts the invariant over one finished run.
-func checkRun(t *testing.T, name string, stats *cluster.RunStats, reg *telemetry.Registry) {
+func checkRun(t *testing.T, name string, stats *cluster.RunStats, mem *telemetry.Memory) {
 	t.Helper()
 	steps := FromRunStats(stats)
 	if len(steps) != len(stats.Iterations) {
@@ -64,8 +82,8 @@ func checkRun(t *testing.T, name string, stats *cluster.RunStats, reg *telemetry
 			}
 		}
 	}
-	if got := reg.Counter("cluster_messages_total").Value(); got != matrixTotal {
-		t.Fatalf("%s: matrix total %d != cluster_messages_total %d", name, matrixTotal, got)
+	if got, _ := traceMessages(mem); got != matrixTotal {
+		t.Fatalf("%s: matrix total %d != traced superstep messages %d", name, matrixTotal, got)
 	}
 }
 
@@ -131,14 +149,14 @@ func TestInvariantIterationEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg := telemetry.NewRegistry()
-			e.SetTelemetry(nil, reg)
+			mem := telemetry.NewMemory()
+			e.SetTelemetry(mem, nil)
 			e.Cluster().SetCommMatrix(true)
 			stats, err := alg.run(e)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", scheme, alg.name, err)
 			}
-			checkRun(t, scheme+"/"+alg.name, stats, reg)
+			checkRun(t, scheme+"/"+alg.name, stats, mem)
 		}
 	}
 }
@@ -150,14 +168,14 @@ func TestInvariantWalkEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	e.SetTelemetry(nil, reg)
+	mem := telemetry.NewMemory()
+	e.SetTelemetry(mem, nil)
 	e.Cluster().SetCommMatrix(true)
 	res, err := e.Run(walk.Config{Kind: walk.Simple, WalkersPerVertex: 1, Steps: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRun(t, "walk", &res.Stats, reg)
+	checkRun(t, "walk", &res.Stats, mem)
 
 	// Cross-check against the walk engine's own independently counted
 	// Traffic matrix: Traffic is tallied at delivery in the merge phase,
@@ -186,8 +204,8 @@ func TestInvariantUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := telemetry.NewRegistry()
-		e.SetTelemetry(nil, reg)
+		mem := telemetry.NewMemory()
+		e.SetTelemetry(mem, nil)
 		e.Cluster().SetCommMatrix(true)
 		ctl, err := fault.NewController(g, e.Cluster(), spec)
 		if err != nil {
@@ -203,7 +221,7 @@ func TestInvariantUnderFaults(t *testing.T) {
 		if r.Recovery == nil || r.Recovery.Crashes == 0 {
 			t.Fatalf("policy %s: schedule fired no crash", spec.Policy)
 		}
-		checkRun(t, "faults/"+string(spec.Policy), &r.Stats, reg)
+		checkRun(t, "faults/"+string(spec.Policy), &r.Stats, mem)
 		if spec.Policy == fault.Restream {
 			// The restream phase streamed RestreamedVertices states off the
 			// dead machine (2); its matrix rows must carry at least that
@@ -221,40 +239,42 @@ func TestInvariantUnderFaults(t *testing.T) {
 }
 
 // Capture must change nothing but the matrix: the same run with capture
-// off and on yields identical timing, flat counters and registry totals.
+// off and on yields identical timing, flat counters and traced totals.
 func TestCaptureIsObservationOnly(t *testing.T) {
 	g := invGraph(t)
 	parts := invAssignment(t, g, "BPart")
-	run := func(capture bool) (*engine.PRResult, *telemetry.Registry) {
+	run := func(capture bool) (*engine.PRResult, *telemetry.Memory) {
 		e, err := engine.New(g, parts, invK, cluster.DefaultCostModel())
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := telemetry.NewRegistry()
-		e.SetTelemetry(nil, reg)
+		mem := telemetry.NewMemory()
+		e.SetTelemetry(mem, nil)
 		e.Cluster().SetCommMatrix(capture)
 		r, err := e.PageRank(4, 0.85)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, reg
+		return r, mem
 	}
-	off, regOff := run(false)
-	on, regOn := run(true)
+	off, memOff := run(false)
+	on, memOn := run(true)
 	if off.Stats.TotalTime() != on.Stats.TotalTime() {
 		t.Fatalf("capture changed sim time: %v vs %v", off.Stats.TotalTime(), on.Stats.TotalTime())
 	}
 	if off.Stats.TotalMessages() != on.Stats.TotalMessages() {
 		t.Fatalf("capture changed message count: %d vs %d", off.Stats.TotalMessages(), on.Stats.TotalMessages())
 	}
-	if a, b := regOff.Counter("cluster_messages_total").Value(), regOn.Counter("cluster_messages_total").Value(); a != b {
-		t.Fatalf("capture changed cluster_messages_total: %d vs %d", a, b)
+	msgsOff, pairsOff := traceMessages(memOff)
+	msgsOn, pairsOn := traceMessages(memOn)
+	if msgsOff != msgsOn {
+		t.Fatalf("capture changed traced messages: %d vs %d", msgsOff, msgsOn)
 	}
-	// comm_* metrics exist only on the capture side.
-	if v := regOff.Counter("comm_messages_total").Value(); v != 0 {
-		t.Fatalf("disabled run grew comm_messages_total = %d", v)
+	// The pairs matrix rides on the capture side's records only.
+	if pairsOff != 0 {
+		t.Fatalf("disabled run traced %d matrix messages", pairsOff)
 	}
-	if v := regOn.Counter("comm_messages_total").Value(); v != on.Stats.TotalMessages() {
-		t.Fatalf("comm_messages_total = %d, want %d", v, on.Stats.TotalMessages())
+	if pairsOn != on.Stats.TotalMessages() {
+		t.Fatalf("traced matrix messages = %d, want %d", pairsOn, on.Stats.TotalMessages())
 	}
 }

@@ -95,7 +95,6 @@ func Default() Config {
 type BPart struct {
 	cfg Config
 	tr  telemetry.Tracer
-	reg *telemetry.Registry
 	aud *partaudit.Auditor
 }
 
@@ -109,12 +108,11 @@ func New(cfg Config) (*BPart, error) {
 }
 
 // SetTelemetry implements telemetry.Instrumentable: tr (may be nil)
-// receives one span per Partition call, per combining layer and per refine
-// pass; reg (may be nil) accumulates bpart_* counters and the streaming
-// engine's stream_* counters.
+// receives one span per Partition call, per combining layer, per layer
+// stream and per refine pass; reg (may be nil) is teed beside it (see
+// telemetry.Instrumentable).
 func (b *BPart) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
-	b.tr = telemetry.Safe(tr)
-	b.reg = reg
+	b.tr = telemetry.Tee(tr, reg)
 }
 
 // SetAudit implements partaudit.Auditable: a (may be nil, detaching)
@@ -242,7 +240,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			CapE:     int(slack*float64(ms)/float64(pieces)) + 1,
 			In:       in,
 			Tracer:   b.tr,
-			Metrics:  b.reg,
 			Audit:    b.aud.Stream(layer, g, pieces),
 		})
 		if err != nil {
@@ -368,12 +365,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			telemetry.Int("parts_remaining", nr),
 			telemetry.Float("residual_v_bias", vBias),
 			telemetry.Float("residual_e_bias", eBias))
-		if b.reg != nil {
-			b.reg.Counter("bpart_layers_total").Inc()
-			b.reg.Counter("bpart_groups_frozen_total").Add(int64(lt.Finalized))
-			b.reg.Gauge("bpart_last_residual_v_bias").Set(vBias)
-			b.reg.Gauge("bpart_last_residual_e_bias").Set(eBias)
-		}
 	}
 	var moves refineMoves
 	if !b.cfg.DisableRefine {
@@ -382,9 +373,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		refineSpan.End(
 			telemetry.Int("shed_moves", moves.Shed),
 			telemetry.Int("pull_moves", moves.Pulled))
-		if b.reg != nil {
-			b.reg.Counter("bpart_refine_moves_total").Add(int64(moves.Shed + moves.Pulled))
-		}
 	}
 	a := &partition.Assignment{Parts: final, K: k}
 	if err := a.Validate(g); err != nil {
@@ -394,9 +382,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	runSpan.End(
 		telemetry.Int("layers", len(trace.Layers)),
 		telemetry.Int("refine_moves", moves.Shed+moves.Pulled))
-	if b.reg != nil {
-		b.reg.Counter("bpart_partitions_total").Inc()
-	}
 	if b.aud != nil {
 		// The closing record is computed exactly as Evaluate computes its
 		// Report, so the audit timeline ends on the numbers the evaluation

@@ -76,17 +76,21 @@ func TestPartitionTelemetry(t *testing.T) {
 		t.Fatalf("got %d bpart.refine spans, want 1", len(refines))
 	}
 
-	if got := reg.Counter("bpart_layers_total").Value(); got != int64(len(trace.Layers)) {
-		t.Fatalf("bpart_layers_total = %d, want %d", got, len(trace.Layers))
+	if got := reg.Counter("bpart_layer_total").Value(); got != int64(len(trace.Layers)) {
+		t.Fatalf("bpart_layer_total = %d, want %d", got, len(trace.Layers))
 	}
-	if got := reg.Counter("bpart_groups_frozen_total").Value(); got != int64(k) {
-		t.Fatalf("bpart_groups_frozen_total = %d, want %d", got, k)
+	if got := reg.Counter("bpart_layer_groups_frozen_total").Value(); got != int64(k) {
+		t.Fatalf("bpart_layer_groups_frozen_total = %d, want %d", got, k)
 	}
-	if got := reg.Counter("bpart_partitions_total").Value(); got != 1 {
-		t.Fatalf("bpart_partitions_total = %d, want 1", got)
+	last := layers[len(layers)-1].Attr("residual_v_bias")
+	if got := reg.Gauge("bpart_layer_residual_v_bias").Value(); got != last {
+		t.Fatalf("bpart_layer_residual_v_bias = %v, want the last layer's %v", got, last)
 	}
-	if got := reg.Counter("stream_placed_total").Value(); got < int64(g.NumVertices()) {
-		t.Fatalf("stream_placed_total = %d, want >= %d (every vertex streams at least once)",
+	if got := reg.Counter("bpart_partition_total").Value(); got != 1 {
+		t.Fatalf("bpart_partition_total = %d, want 1", got)
+	}
+	if got := reg.Counter("partition_stream_placed_total").Value(); got < int64(g.NumVertices()) {
+		t.Fatalf("partition_stream_placed_total = %d, want >= %d (every vertex streams at least once)",
 			got, g.NumVertices())
 	}
 }

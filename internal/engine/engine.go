@@ -28,11 +28,10 @@ import (
 type Engine struct {
 	g     *graph.Graph
 	cl    *cluster.Cluster
-	owned [][]graph.VertexID  // vertices per machine
-	tasks []machineShard      // fixed shard decomposition of owned
-	tel   telemetry.Tracer    // run-level spans; supersteps come from cl
-	reg   *telemetry.Registry // run-level histograms; superstep metrics come from cl
-	flt   *fault.Controller   // nil = fault injection disabled
+	owned [][]graph.VertexID // vertices per machine
+	tasks []machineShard     // fixed shard decomposition of owned
+	tel   telemetry.Tracer   // run-level spans; supersteps come from cl
+	flt   *fault.Controller  // nil = fault injection disabled
 
 	// Per-placement cut degrees (see accounting.go): cutOut[v] counts v's
 	// out-neighbors owned by another machine, cutIn[v] its in-neighbors
@@ -112,11 +111,11 @@ func (e *Engine) run(step func(it int) (cluster.IterationStats, bool), checkpoin
 // run-level span per algorithm invocation and — via the underlying cluster
 // — one "cluster.superstep" record per BSP iteration carrying the
 // IterationStats (a resource probe, being a tracer, measures the same runs
-// and supersteps in host time and alloc/GC activity).
+// and supersteps in host time and alloc/GC activity). reg (may be nil) is
+// teed beside the tracer (see telemetry.Instrumentable).
 func (e *Engine) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
-	e.tel = telemetry.Safe(tr)
-	e.reg = reg
-	e.cl.SetTelemetry(tr, reg)
+	e.tel = telemetry.Tee(tr, reg)
+	e.cl.SetTelemetry(e.tel, nil)
 }
 
 // SetTranspose checks tr's shape against the engine's graph and installs
@@ -289,7 +288,6 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 		telemetry.Float("tol", tol))
 	res.Stats, res.Recovery = e.run(step, checkpoint)
 	res.Ranks = ranks
-	e.reg.Histogram("engine_run_sim_time_us").Observe(res.Stats.TotalTime())
 	sp.End(
 		telemetry.Int("iterations", len(res.Stats.Iterations)),
 		telemetry.Float("delta", res.Delta),
@@ -352,7 +350,6 @@ func (e *Engine) ConnectedComponents(maxIters int) (*CCResult, error) {
 			res.Components++
 		}
 	}
-	e.reg.Histogram("engine_run_sim_time_us").Observe(res.Stats.TotalTime())
 	sp.End(
 		telemetry.Int("iterations", len(res.Stats.Iterations)),
 		telemetry.Int("components", res.Components),
@@ -421,7 +418,6 @@ func (e *Engine) bfs(source graph.VertexID, directionOptimizing bool) (*BFSResul
 	st := e.newKernelState(spec)
 	step := func(it int) (cluster.IterationStats, bool) {
 		depth = int32(it) + 1
-		e.reg.Histogram("engine_bfs_frontier_vertices").Observe(float64(frontier.Len()))
 		w := e.cl.NewCounters()
 		out := e.edgeMap(st, frontier, frontierEdges, w)
 		frontier, frontierEdges = out.frontier, out.frontierEdges
@@ -444,7 +440,6 @@ func (e *Engine) bfs(source graph.VertexID, directionOptimizing bool) (*BFSResul
 			res.Reached++
 		}
 	}
-	e.reg.Histogram("engine_run_sim_time_us").Observe(res.Stats.TotalTime())
 	sp.End(
 		telemetry.Int("iterations", len(res.Stats.Iterations)),
 		telemetry.Int("reached", res.Reached),

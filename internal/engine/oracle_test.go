@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -11,8 +12,16 @@ import (
 	"bpart/internal/oracle"
 )
 
-// TestOracleTraversals checks CC, BFS, direction-optimizing BFS and SSSP
-// against the textbook sequential references of internal/oracle, which
+// PageRank's oracle run: the iteration count and damping of the paper's
+// workloads.
+const (
+	prIters   = 20
+	prDamping = 0.85
+)
+
+// TestOracleTraversals checks CC, BFS, direction-optimizing BFS, SSSP,
+// push and pull PageRank (within 1e-9 relative) and k-core for k ∈ {2, 3,
+// 5} against the textbook sequential references of internal/oracle, which
 // share no code with the kernel: a skewed ChungLu graph, an R-MAT graph, a
 // sparse Erdős–Rényi graph of many small components and a ring (the
 // longest frontier chain per vertex), each at one, two and NumCPU workers.
@@ -50,6 +59,11 @@ func TestOracleTraversals(t *testing.T) {
 			t.Fatalf("%s: %d components, want a fragmented graph", tg.name, components)
 		}
 		sources := []graph.VertexID{0, graph.VertexID(n / 2)}
+		ranks := oracle.PageRank(g, prDamping, prIters)
+		cores, coreSizes := map[int][]bool{}, map[int]int{}
+		for _, k := range []int{2, 3, 5} {
+			cores[k], coreSizes[k] = oracle.KCore(g, k)
+		}
 		for _, w := range widths {
 			e := newEngine(t, g, 4)
 			e.Cluster().SetWorkers(w)
@@ -83,6 +97,33 @@ func TestOracleTraversals(t *testing.T) {
 				}
 				if !reflect.DeepEqual(sssp.Dist, oracle.SSSP(g, src, EdgeWeight)) {
 					t.Errorf("%s w=%d src=%d: SSSP differs from the oracle", tg.name, w, src)
+				}
+			}
+			push, err := e.PageRank(prIters, prDamping)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pull, err := e.PageRankPull(prIters, prDamping)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range []*PRResult{push, pull} {
+				for v := range ranks {
+					if math.Abs(run.Ranks[v]-ranks[v]) > 1e-9*math.Abs(ranks[v]) {
+						t.Errorf("%s w=%d: PageRank rank[%d] = %v (push %v), oracle %v",
+							tg.name, w, v, run.Ranks[v], run == push, ranks[v])
+						break
+					}
+				}
+			}
+			for _, k := range []int{2, 3, 5} {
+				kc, err := e.KCore(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(kc.InCore, cores[k]) || kc.CoreSize != coreSizes[k] {
+					t.Errorf("%s w=%d: %d-core of %d vertices differs from the oracle's %d",
+						tg.name, w, k, kc.CoreSize, coreSizes[k])
 				}
 			}
 		}

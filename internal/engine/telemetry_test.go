@@ -56,11 +56,11 @@ func TestPageRankTelemetry(t *testing.T) {
 			}
 		}
 	}
-	if got := reg.Counter("cluster_supersteps_total").Value(); got != int64(len(steps)) {
-		t.Fatalf("cluster_supersteps_total = %d, want %d", got, len(steps))
+	if got := reg.Counter("cluster_superstep_total").Value(); got != int64(len(steps)) {
+		t.Fatalf("cluster_superstep_total = %d, want %d", got, len(steps))
 	}
-	if got := reg.Counter("cluster_messages_total").Value(); got != res.Stats.TotalMessages() {
-		t.Fatalf("cluster_messages_total = %d, want %d", got, res.Stats.TotalMessages())
+	if got := reg.Counter("engine_pagerank_messages_total").Value(); got != res.Stats.TotalMessages() {
+		t.Fatalf("engine_pagerank_messages_total = %d, want %d", got, res.Stats.TotalMessages())
 	}
 }
 
@@ -106,8 +106,11 @@ func TestTelemetrySharedAcrossEnginesConcurrently(t *testing.T) {
 	if got := len(tr.Find("engine.cc")); got != 2 {
 		t.Fatalf("got %d engine.cc spans, want 2", got)
 	}
-	if reg.Counter("cluster_supersteps_total").Value() == 0 {
-		t.Fatal("no supersteps counted")
+	if got := reg.Counter("cluster_superstep_total").Value(); got != int64(len(tr.Find("cluster.superstep"))) {
+		t.Fatalf("cluster_superstep_total = %d, trace has %d", got, len(tr.Find("cluster.superstep")))
+	}
+	if a, b := reg.Counter("engine_pagerank_total").Value(), reg.Counter("engine_cc_total").Value(); a != 2 || b != 2 {
+		t.Fatalf("engine_pagerank_total = %d, engine_cc_total = %d, want 2 and 2", a, b)
 	}
 }
 
@@ -138,8 +141,8 @@ func TestTraversalTelemetry(t *testing.T) {
 	}
 }
 
-// Histograms: each traced algorithm run observes its simulated time once;
-// BFS additionally records its frontier sizes.
+// A registry attached alone folds each run's span: one count per run, its
+// simulated time as a gauge, and BFS's levels summed from its iterations.
 func TestRunHistograms(t *testing.T) {
 	g, err := gen.ChungLu(gen.Config{NumVertices: 2000, AvgDegree: 8, Skew: 0.7, Seed: 3})
 	if err != nil {
@@ -157,16 +160,16 @@ func TestRunHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh := reg.Histogram("engine_run_sim_time_us")
-	if rh.Count() != 2 {
-		t.Fatalf("run time observations = %d, want 2 (PR + BFS)", rh.Count())
+	if a, b := reg.Counter("engine_pagerank_total").Value(), reg.Counter("engine_bfs_total").Value(); a != 1 || b != 1 {
+		t.Fatalf("run counts = %d (PR), %d (BFS), want 1 each", a, b)
 	}
-	want := pr.Stats.TotalTime() + bfs.Stats.TotalTime()
-	if got := rh.Sum(); got != want {
-		t.Fatalf("run time sum = %v, want %v", got, want)
+	if got := reg.Gauge("engine_pagerank_sim_time_us").Value(); got != pr.Stats.TotalTime() {
+		t.Fatalf("engine_pagerank_sim_time_us = %v, want %v", got, pr.Stats.TotalTime())
 	}
-	fh := reg.Histogram("engine_bfs_frontier_vertices")
-	if got := fh.Count(); got != int64(len(bfs.Stats.Iterations)) {
-		t.Fatalf("frontier observations = %d, want %d", got, len(bfs.Stats.Iterations))
+	if got := reg.Gauge("engine_bfs_sim_time_us").Value(); got != bfs.Stats.TotalTime() {
+		t.Fatalf("engine_bfs_sim_time_us = %v, want %v", got, bfs.Stats.TotalTime())
+	}
+	if got := reg.Counter("engine_bfs_iterations_total").Value(); got != int64(len(bfs.Stats.Iterations)) {
+		t.Fatalf("engine_bfs_iterations_total = %d, want %d", got, len(bfs.Stats.Iterations))
 	}
 }

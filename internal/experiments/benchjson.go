@@ -156,8 +156,8 @@ var benchWalkConfig = walk.Config{Kind: walk.Simple, WalkersPerVertex: 1, Steps:
 // section stays regression-diffable across runs with and without -fault),
 // the fault-recovery comparison when opt.Faults is set, the serving
 // comparison (the canonical Zipf request stream replayed per scheme), and,
-// when reg is non-nil, the registry's histogram summaries (sorted by name).
-func (a *BenchArtifact) Collect(opt Options, reg *telemetry.Registry) error {
+// when hist (teed into opt.Tracer) is non-nil, its histogram summaries.
+func (a *BenchArtifact) Collect(opt Options, hist *HistogramSink) error {
 	d := gen.LJSim
 	base := opt
 	base.Faults = nil
@@ -214,8 +214,8 @@ func (a *BenchArtifact) Collect(opt Options, reg *telemetry.Registry) error {
 	if err := a.collectServing(d, base); err != nil {
 		return err
 	}
-	if reg != nil {
-		a.Histograms = reg.HistogramSummaries()
+	if hist != nil {
+		a.Histograms = hist.Summaries()
 	}
 	return nil
 }

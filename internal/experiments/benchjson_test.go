@@ -13,11 +13,12 @@ import (
 // The artifact must round-trip through its own reader and carry the full
 // canonical comparison: every scheme, with sane metric ranges.
 func TestBenchArtifactRoundTrip(t *testing.T) {
-	opt := Options{Scale: testScale, Metrics: telemetry.NewRegistry()}
+	hist := &HistogramSink{}
+	opt := Options{Scale: testScale, Tracer: hist}
 	a := NewBenchArtifact(opt)
 	a.RecordExperiment("Fig 13", 1.25, 4, nil)
 	a.RecordExperiment("Fig 14", 0.5, 0, errors.New("boom"))
-	if err := a.Collect(opt, opt.Metrics); err != nil {
+	if err := a.Collect(opt, hist); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,20 +131,32 @@ func TestReadBenchArtifactRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-// Threading Tracer/Metrics through Options must reach the engines: a
-// traced experiment run emits superstep events and histogram samples.
+// Threading the Tracer through Options must reach the engines: a traced
+// experiment run emits superstep events, and every sink teed into the
+// tracer sees them.
 func TestOptionsTelemetryReachesEngines(t *testing.T) {
 	mem := telemetry.NewMemory()
 	reg := telemetry.NewRegistry()
-	opt := Options{Scale: testScale, Tracer: mem, Metrics: reg}
+	hist := &HistogramSink{}
+	opt := Options{Scale: testScale, Tracer: telemetry.Tee(mem, reg, hist)}
 	if _, err := Fig13(opt); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(mem.Find("cluster.superstep")); got == 0 {
+	steps := len(mem.Find("cluster.superstep"))
+	if steps == 0 {
 		t.Fatal("traced Fig 13 run emitted no cluster.superstep records")
 	}
-	if reg.Histogram("cluster_superstep_time_us").Count() == 0 {
-		t.Fatal("traced Fig 13 run observed no superstep-time histogram samples")
+	if got := reg.Counter("cluster_superstep_total").Value(); got != int64(steps) {
+		t.Fatalf("cluster_superstep_total = %d, want %d", got, steps)
+	}
+	var got int64 = -1
+	for _, h := range hist.Summaries() {
+		if h.Name == "cluster_superstep_time_us" {
+			got = h.Count
+		}
+	}
+	if got != int64(steps) {
+		t.Fatalf("cluster_superstep_time_us has %d samples, want %d", got, steps)
 	}
 }
 

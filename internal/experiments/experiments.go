@@ -44,12 +44,10 @@ type Options struct {
 	// Tracer, when non-nil, is attached to every engine an experiment
 	// builds and receives the Parallel Speedup sweep's per-repetition
 	// spans; `bench -trace` and `bench -resources` (whose probe is a tracer
-	// sink) both arrive here. Observation-only — results are identical
-	// with or without it.
+	// sink) both arrive here, as do `-pprof`'s registry and `-json`'s
+	// HistogramSink. Observation-only — results are identical with or
+	// without it.
 	Tracer telemetry.Tracer
-	// Metrics, when non-nil, collects the engines' counters and
-	// histograms; its summaries feed the BENCH artifact.
-	Metrics *telemetry.Registry
 	// Faults, when non-nil, injects this fault schedule into every engine
 	// an experiment builds (bench -fault): each engine gets its own
 	// controller over a clone of the spec, projected onto the engine's
@@ -320,7 +318,7 @@ func newEngine[E instrumented](d gen.Dataset, opt Options, scheme string, k int,
 		return none, err
 	}
 	e.Cluster().SetWorkers(opt.Workers)
-	e.SetTelemetry(opt.Tracer, opt.Metrics)
+	e.SetTelemetry(opt.Tracer, nil)
 	if err := attachFaults(opt, e, opt.scheduleFor(k)); err != nil {
 		return none, err
 	}
@@ -339,7 +337,7 @@ func attachFaults(opt Options, e instrumented, spec *fault.Spec) error {
 	if err != nil {
 		return err
 	}
-	ctl.SetTelemetry(opt.Tracer, opt.Metrics)
+	ctl.SetTelemetry(opt.Tracer, nil)
 	return e.SetFaults(ctl)
 }
 

@@ -10,19 +10,20 @@ import (
 )
 
 // Options.Faults must reach the engines an experiment builds: a faulted
-// Fig 13 run emits fault events through the shared tracer and registry.
+// Fig 13 run emits fault events through the shared tracer, and a registry
+// teed beside it counts them.
 func TestOptionsFaultsReachEngines(t *testing.T) {
 	mem := telemetry.NewMemory()
 	reg := telemetry.NewRegistry()
 	spec := &fault.Spec{CheckpointEvery: 2, Events: []fault.Event{{Kind: fault.Crash, Step: 2, Machine: 1}}}
-	opt := Options{Scale: testScale, Tracer: mem, Metrics: reg, Faults: spec}
+	opt := Options{Scale: testScale, Tracer: telemetry.Tee(mem, reg), Faults: spec}
 	if _, err := Fig13(opt); err != nil {
 		t.Fatal(err)
 	}
 	if len(mem.Find("fault.crash")) == 0 {
 		t.Fatal("faulted Fig 13 run emitted no fault.crash events")
 	}
-	if reg.Counter("fault_crashes_total").Value() == 0 {
+	if reg.Counter("fault_crash_total").Value() == 0 {
 		t.Fatal("faulted Fig 13 run counted no crashes")
 	}
 }

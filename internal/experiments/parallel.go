@@ -105,14 +105,14 @@ func deriveSpeedups(curve []ParallelMeasurement) {
 }
 
 // runParallel sweeps engines × schemes × widths on parallelDataset.
-// Engines are built quiet (no tracer, metrics, or faults): the sweep
+// Engines are built quiet (no tracer or faults): the sweep
 // re-runs each workload many times, and feeding those repetitions'
 // supersteps into the run's trace or histograms would make every
 // observability artifact depend on the ladder. The harness instead emits
 // one resview ScalingPhase span per repetition to tr.
 func runParallel(opt Options, tr telemetry.Tracer, schemes []string, widths []int) ([]ParallelMeasurement, error) {
 	quiet := opt
-	quiet.Tracer, quiet.Metrics, quiet.Faults = nil, nil, nil
+	quiet.Tracer, quiet.Faults = nil, nil
 	var out []ParallelMeasurement
 	for _, scheme := range schemes {
 		e, err := iterEngine(parallelDataset, quiet, scheme, benchPartitionK)

@@ -73,8 +73,7 @@ type Controller struct {
 	cl   *cluster.Cluster
 	spec *Spec
 
-	tr  telemetry.Tracer
-	reg *telemetry.Registry
+	tr telemetry.Tracer
 
 	prog        Program
 	running     bool
@@ -107,10 +106,10 @@ func NewController(g *graph.Graph, cl *cluster.Cluster, spec *Spec) (*Controller
 }
 
 // SetTelemetry implements telemetry.Instrumentable: fault events (crash,
-// checkpoint, restream) go to the tracer, fault_* totals to the registry.
+// checkpoint, restream, run) go to the tracer, and reg (may be nil) is
+// teed beside it (see telemetry.Instrumentable).
 func (c *Controller) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
-	c.tr = telemetry.Safe(tr)
-	c.reg = reg
+	c.tr = telemetry.Tee(tr, reg)
 }
 
 // Cluster returns the cluster this controller disrupts.
@@ -430,23 +429,13 @@ func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 }
 
 // finish closes the run, derives AddedWaitRatio against the final RunStats,
-// publishes fault_* registry totals, and returns the stats.
+// publishes the totals as one fault.run event, and returns the stats.
 func (c *Controller) finish(stats *cluster.RunStats) RecoveryStats {
 	c.running = false
 	c.prog, c.restore = Program{}, nil // drop the finished run's state
 	k := c.cl.NumMachines()
 	if total := stats.TotalTime() * float64(k); total > 0 {
 		c.stats.AddedWaitRatio = c.recoveryWait / total
-	}
-	if c.reg != nil {
-		c.reg.Counter("fault_checkpoints_total").Add(int64(c.stats.Checkpoints))
-		c.reg.Counter("fault_checkpoint_vertices_total").Add(c.stats.CheckpointVertices)
-		c.reg.Counter("fault_crashes_total").Add(int64(c.stats.Crashes))
-		c.reg.Counter("fault_supersteps_replayed_total").Add(int64(c.stats.SuperstepsReplayed))
-		c.reg.Counter("fault_restreamed_vertices_total").Add(int64(c.stats.RestreamedVertices))
-		c.reg.Counter("fault_lost_batches_total").Add(int64(c.stats.LostBatches))
-		c.reg.Counter("fault_slow_supersteps_total").Add(int64(c.stats.SlowSupersteps))
-		c.reg.Counter("fault_recovery_sim_time_us_total").Add(int64(c.stats.RecoverySimTimeUS))
 	}
 	c.tr.Event("fault.run",
 		telemetry.Int("checkpoints", c.stats.Checkpoints),

@@ -338,11 +338,14 @@ func TestControllerTelemetry(t *testing.T) {
 	if names["fault.checkpoint"] == 0 {
 		t.Fatalf("no checkpoint events: %v", names)
 	}
-	if got := reg.Counter("fault_crashes_total").Value(); got != 1 {
-		t.Fatalf("fault_crashes_total = %d", got)
+	if got := reg.Counter("fault_crash_total").Value(); got != 1 {
+		t.Fatalf("fault_crash_total = %d", got)
 	}
-	if got := reg.Counter("fault_supersteps_replayed_total").Value(); got != int64(rs.SuperstepsReplayed) {
-		t.Fatalf("fault_supersteps_replayed_total = %d, want %d", got, rs.SuperstepsReplayed)
+	if got := reg.Counter("fault_checkpoint_total").Value(); got != int64(names["fault.checkpoint"]) {
+		t.Fatalf("fault_checkpoint_total = %d, trace has %d", got, names["fault.checkpoint"])
+	}
+	if got := mem.Find("fault.run")[0].Attr("supersteps_replayed"); got != int64(rs.SuperstepsReplayed) {
+		t.Fatalf("fault.run supersteps_replayed = %v, want %d", got, rs.SuperstepsReplayed)
 	}
 }
 

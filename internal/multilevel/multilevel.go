@@ -72,7 +72,6 @@ func (c *Config) Normalize() error {
 type Multilevel struct {
 	cfg Config
 	tr  telemetry.Tracer
-	reg *telemetry.Registry
 }
 
 // New returns a Multilevel partitioner; a zero Config selects defaults.
@@ -85,10 +84,10 @@ func New(cfg Config) (*Multilevel, error) {
 
 // SetTelemetry implements telemetry.Instrumentable: tr (may be nil)
 // receives one span per Partition call plus per-phase coarsen/initial/
-// refine spans; reg (may be nil) accumulates multilevel_* counters.
+// refine spans; reg (may be nil) is teed beside it (see
+// telemetry.Instrumentable).
 func (m *Multilevel) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
-	m.tr = telemetry.Safe(tr)
-	m.reg = reg
+	m.tr = telemetry.Tee(tr, reg)
 }
 
 // Name implements partition.Partitioner.
@@ -166,11 +165,6 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) (*partition.Assignment, er
 			}
 		}
 		refineSpan.End(telemetry.Int("moves", levelMoves))
-		if m.reg != nil {
-			// Per-round (per-level) move counter: refinement activity
-			// concentrates on the finest levels, which this exposes.
-			m.reg.Counter("multilevel_refine_moves_total").Add(int64(levelMoves))
-		}
 		totalMoves += levelMoves
 		if li > 0 {
 			// Project onto the finer level below.
@@ -190,10 +184,6 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) (*partition.Assignment, er
 	runSpan.End(
 		telemetry.Int("levels", len(levels)),
 		telemetry.Int("refine_moves", totalMoves))
-	if m.reg != nil {
-		m.reg.Counter("multilevel_partitions_total").Inc()
-		m.reg.Counter("multilevel_levels_total").Add(int64(len(levels)))
-	}
 	return a, nil
 }
 

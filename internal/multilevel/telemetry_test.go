@@ -83,11 +83,11 @@ func TestPartitionTelemetry(t *testing.T) {
 		t.Fatalf("run span refine_moves = %v, refine spans sum to %d", got, spanMoves)
 	}
 
-	if got := reg.Counter("multilevel_partitions_total").Value(); got != 1 {
-		t.Fatalf("multilevel_partitions_total = %d, want 1", got)
+	if got := reg.Counter("multilevel_partition_total").Value(); got != 1 {
+		t.Fatalf("multilevel_partition_total = %d, want 1", got)
 	}
-	if got := reg.Counter("multilevel_levels_total").Value(); got != levels {
-		t.Fatalf("multilevel_levels_total = %d, want %d", got, levels)
+	if got := reg.Counter("multilevel_partition_levels_total").Value(); got != levels {
+		t.Fatalf("multilevel_partition_levels_total = %d, want %d", got, levels)
 	}
 	if got := reg.Counter("multilevel_refine_moves_total").Value(); got != spanMoves {
 		t.Fatalf("multilevel_refine_moves_total = %d, refine spans sum to %d", got, spanMoves)

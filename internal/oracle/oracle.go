@@ -1,6 +1,7 @@
 // Package oracle holds textbook sequential references for the engine's
-// traversals: union-find connected components, queue BFS and binary-heap
-// Dijkstra. Each reads the raw CSR and shares no code with internal/engine,
+// algorithms: union-find connected components, queue BFS, binary-heap
+// Dijkstra, power-iteration PageRank and bucket-peeling k-core. Each reads
+// the raw CSR (out-edges only) and shares no code with internal/engine,
 // so a test that compares the two catches a kernel bug that every engine
 // algorithm would otherwise agree on.
 package oracle
@@ -111,4 +112,107 @@ func SSSP(g *graph.Graph, src graph.VertexID, weight func(u, v graph.VertexID) i
 		}
 	}
 	return dist
+}
+
+// PageRank runs iters power iterations from the uniform vector with the
+// engine's dangling rule: a vertex without out-edges spreads its rank
+// evenly over every vertex.
+func PageRank(g *graph.Graph, damping float64, iters int) []float64 {
+	n := g.NumVertices()
+	rank := make([]float64, n)
+	next := make([]float64, n)
+	for v := range rank {
+		rank[v] = 1 / float64(n)
+	}
+	for it := 0; it < iters; it++ {
+		var dangling float64
+		clear(next)
+		for v := 0; v < n; v++ {
+			ns := g.Neighbors(graph.VertexID(v))
+			if len(ns) == 0 {
+				dangling += rank[v]
+				continue
+			}
+			share := rank[v] / float64(len(ns))
+			for _, u := range ns {
+				next[u] += share
+			}
+		}
+		base := (1-damping)/float64(n) + damping*dangling/float64(n)
+		for v := range next {
+			next[v] = base + damping*next[v]
+		}
+		rank, next = next, rank
+	}
+	return rank
+}
+
+// KCore reports which vertices lie in the k-core of g's undirected
+// closure — the largest set in which every vertex keeps at least k arcs,
+// out plus in, to the set — and the core's size. It computes every
+// vertex's core number by Batagelj–Zaversnik bucket peeling: vertices leave
+// in ascending current degree, each lowering every higher-degree neighbor
+// by one bucket; a vertex's degree when it leaves is its core number.
+func KCore(g *graph.Graph, k int) ([]bool, int) {
+	n := g.NumVertices()
+	adj := make([][]graph.VertexID, n)
+	for v := 0; v < n; v++ {
+		for _, u := range g.Neighbors(graph.VertexID(v)) {
+			adj[v] = append(adj[v], u)
+			adj[u] = append(adj[u], graph.VertexID(v))
+		}
+	}
+	deg := make([]int, n)
+	maxDeg := 0
+	for v := range adj {
+		deg[v] = len(adj[v])
+		maxDeg = max(maxDeg, deg[v])
+	}
+	// bin[d] is the first position of degree-d vertices in vert, which
+	// lists the vertices in ascending degree; pos is its inverse.
+	bin := make([]int, maxDeg+1)
+	for _, d := range deg {
+		bin[d]++
+	}
+	start := 0
+	for d, count := range bin {
+		bin[d], start = start, start+count
+	}
+	pos, vert := make([]int, n), make([]int, n)
+	for v, d := range deg {
+		pos[v] = bin[d]
+		vert[pos[v]] = v
+		bin[d]++
+	}
+	for d := maxDeg; d > 0; d-- {
+		bin[d] = bin[d-1]
+	}
+	bin[0] = 0
+	for i := 0; i < n; i++ {
+		v := vert[i]
+		for _, u := range adj[v] {
+			if deg[u] <= deg[v] {
+				continue
+			}
+			// Swap u to the front of its bucket, then shrink the bucket
+			// past it: u drops one degree.
+			du, pu := deg[u], pos[u]
+			pw := bin[du]
+			if w := vert[pw]; w != int(u) {
+				pos[u], vert[pu] = pw, w
+				pos[w], vert[pw] = pu, int(u)
+			}
+			bin[du]++
+			deg[u]--
+		}
+	}
+	inCore := make([]bool, n)
+	size := 0
+	for v, core := range deg {
+		if core >= k {
+			inCore[v] = true
+			size++
+		}
+	}
+	return inCore, size
 }

@@ -45,3 +45,36 @@ func TestSSSPTakesCheaperLongerPath(t *testing.T) {
 		t.Fatalf("SSSP from 0 = %v, want %v", got, want)
 	}
 }
+
+func TestPageRankDanglingRule(t *testing.T) {
+	// 0→1 with 1 dangling: after one iteration from [.5, .5], the dangling
+	// half spreads evenly and 1 also takes 0's whole share.
+	b := graph.NewBuilder(2)
+	b.AddEdge(0, 1)
+	got := PageRank(b.Build(), 0.85, 1)
+	base := 0.15/2 + 0.85*0.5/2
+	if want := []float64{base, base + 0.85*0.5}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("PageRank = %v, want %v", got, want)
+	}
+}
+
+func TestKCoreUndirectedClosure(t *testing.T) {
+	// The triangle 0,1,2 keeps two arcs per vertex; the tail 3 and the
+	// pair 4,5 keep one.
+	for k, want := range map[int][]bool{
+		1: {true, true, true, true, true, true},
+		2: {true, true, true, false, false, false},
+		3: {false, false, false, false, false, false},
+	} {
+		in, size := KCore(smallGraph(), k)
+		count := 0
+		for _, ok := range want {
+			if ok {
+				count++
+			}
+		}
+		if !reflect.DeepEqual(in, want) || size != count {
+			t.Fatalf("k=%d: core %v size %d, want %v and %d", k, in, size, want, count)
+		}
+	}
+}

@@ -56,11 +56,9 @@ type StreamOptions struct {
 	In *graph.Graph
 	// Tracer, when non-nil, receives one "partition.stream" span per call
 	// carrying the StreamStats. Per-vertex work stays uninstrumented;
-	// stats accumulate in locals and publish once at the end.
+	// stats accumulate in locals and publish once at the end. A registry
+	// teed into it folds them into partition_stream_*_total counters.
 	Tracer telemetry.Tracer
-	// Metrics, when non-nil, accumulates the StreamStats into
-	// stream_*_total counters across calls.
-	Metrics *telemetry.Registry
 	// Audit, when non-nil, receives sampled per-placement decision
 	// records (full score decomposition) and windowed quality snapshots
 	// for this stream. The audited run's assignment is byte-identical to
@@ -90,17 +88,9 @@ type StreamStats struct {
 	Fallbacks int64
 }
 
-// publish pushes the stats to registry counters and, when a span was
-// opened for this stream, closes it with the stats as attributes.
-func (s *StreamStats) publish(opt *StreamOptions, sp telemetry.Span) {
-	if reg := opt.Metrics; reg != nil {
-		reg.Counter("stream_placed_total").Add(s.Placed)
-		reg.Counter("stream_capw_skips_total").Add(s.CapWSkips)
-		reg.Counter("stream_capv_skips_total").Add(s.CapVSkips)
-		reg.Counter("stream_cape_skips_total").Add(s.CapESkips)
-		reg.Counter("stream_tie_breaks_total").Add(s.TieBreaks)
-		reg.Counter("stream_fallbacks_total").Add(s.Fallbacks)
-	}
+// publish closes the stream's span, when one was opened, with the stats
+// as attributes.
+func (s *StreamStats) publish(sp telemetry.Span) {
 	if sp != nil {
 		sp.End(
 			telemetry.Int64("placed", s.Placed),
@@ -421,7 +411,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		TieBreaks: tieBreaks,
 		Fallbacks: fallbacks,
 	}
-	stats.publish(&opt, sp)
+	stats.publish(sp)
 	return &StreamResult{Parts: parts, K: opt.K, VertexCount: vCount, EdgeCount: eCount, Stats: stats}, nil
 }
 

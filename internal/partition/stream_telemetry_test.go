@@ -7,18 +7,18 @@ import (
 	"bpart/internal/telemetry"
 )
 
-// Stream must count placements, cap rejections and fallbacks, publish them
-// to the registry, and emit one partition.stream span per call.
+// Stream must count placements, cap rejections and fallbacks, emit one
+// partition.stream span per call, and a registry teed beside the tracer
+// must fold the span's counts.
 func TestStreamStats(t *testing.T) {
 	g := twitterish(t)
 	tr := telemetry.NewMemory()
 	reg := telemetry.NewRegistry()
 	res, err := Stream(g, StreamOptions{
-		K:       8,
-		C:       0.5,
-		Tracer:  tr,
-		Metrics: reg,
-		In:      g.Transpose(),
+		K:      8,
+		C:      0.5,
+		Tracer: telemetry.Tee(tr, reg),
+		In:     g.Transpose(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +40,8 @@ func TestStreamStats(t *testing.T) {
 	if got := sp.Attr("k"); got != int64(8) {
 		t.Fatalf("span k = %v", got)
 	}
-	if got := reg.Counter("stream_placed_total").Value(); got != int64(g.NumVertices()) {
-		t.Fatalf("stream_placed_total = %d, want %d", got, g.NumVertices())
+	if got := reg.Counter("partition_stream_placed_total").Value(); got != int64(g.NumVertices()) {
+		t.Fatalf("partition_stream_placed_total = %d, want %d", got, g.NumVertices())
 	}
 }
 

@@ -223,21 +223,6 @@ func TestNilHistogramIsNoop(t *testing.T) {
 	}
 }
 
-func TestHistogramSummariesSorted(t *testing.T) {
-	reg := NewRegistry()
-	reg.Histogram("z_last").Observe(1)
-	reg.Histogram("a_first").Observe(2)
-	reg.Histogram("m_mid").Observe(3)
-	sums := reg.HistogramSummaries()
-	if len(sums) != 3 || sums[0].Name != "a_first" || sums[1].Name != "m_mid" || sums[2].Name != "z_last" {
-		t.Fatalf("summaries out of order: %+v", sums)
-	}
-	var nilReg *Registry
-	if nilReg.HistogramSummaries() != nil {
-		t.Fatal("nil registry summaries not nil")
-	}
-}
-
 func TestHistogramPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("walk_transfer_batch_walkers")

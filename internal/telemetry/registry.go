@@ -58,7 +58,8 @@ func (g *Gauge) Value() float64 {
 
 // Registry is a named collection of counters and gauges. Metric names
 // should be Prometheus-style snake_case ("stream_placed_total"); invalid
-// characters are sanitized at export time, not at update time.
+// characters are sanitized at export time, not at update time. It is also
+// a Tracer that folds a trace into metrics (fold.go).
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
@@ -136,32 +137,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.histograms[name] = h
 	}
 	return h
-}
-
-// HistogramSummaries digests every histogram, sorted by name — the
-// deterministic-order view BENCH artifacts embed.
-func (r *Registry) HistogramSummaries() []HistogramSummary {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	names := make([]string, 0, len(r.histograms))
-	for name := range r.histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	hs := make(map[string]*Histogram, len(names))
-	for _, name := range names {
-		hs[name] = r.histograms[name]
-	}
-	r.mu.RUnlock()
-	out := make([]HistogramSummary, 0, len(names))
-	for _, name := range names {
-		s := hs[name].Summary()
-		s.Name = name
-		out = append(out, s)
-	}
-	return out
 }
 
 // Snapshot returns every metric's current value keyed by name — the

@@ -1,7 +1,7 @@
 // Package telemetry is the repo's cross-cutting instrumentation layer: a
 // structured tracer for phases and BSP supersteps, a counter/gauge registry
-// with Prometheus-style and expvar-compatible exports, and an HTTP debug
-// surface (pprof + metrics).
+// that folds a trace (fold.go) and has Prometheus-style and expvar-compatible
+// exports, and an HTTP debug surface (pprof + metrics).
 //
 // The design goal is near-zero cost when disabled. The default tracer is a
 // no-op whose Span/Event calls never allocate (empty-struct interface
@@ -163,7 +163,9 @@ func Safe(t Tracer) Tracer {
 }
 
 // Instrumentable is implemented by components (partitioners, engines) that
-// accept a tracer and a metrics registry after construction.
+// accept a tracer and a metrics registry after construction. Batch
+// components hold one instrument, Tee(tr, m); m stays a parameter only until
+// a change that may edit benchmark/ drops its two-argument calls (ROADMAP 7(a)).
 type Instrumentable interface {
 	SetTelemetry(tr Tracer, m *Registry)
 }

@@ -6,21 +6,19 @@ import (
 	"bpart/internal/telemetry"
 )
 
-// observability holds the optional tracer/registry a scheme carries;
+// observability holds the optional tracer a scheme carries;
 // embedding it gives every scheme SetTelemetry (telemetry.Instrumentable)
 // via a pointer receiver — attach with a pointer instance, e.g. the
 // facade's NewRandomEdgeCut.
 type observability struct {
-	tr  telemetry.Tracer
-	reg *telemetry.Registry
+	tr telemetry.Tracer
 }
 
 // SetTelemetry implements telemetry.Instrumentable: tr (may be nil)
 // receives one "vcut.partition" span per Partition call; reg (may be nil)
-// accumulates vcut_* counters and the replication-factor gauge.
+// is teed beside it (see telemetry.Instrumentable).
 func (o *observability) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
-	o.tr = telemetry.Safe(tr)
-	o.reg = reg
+	o.tr = telemetry.Tee(tr, reg)
 }
 
 // startSpan opens the per-partition span when tracing is attached.
@@ -36,23 +34,15 @@ func (o observability) startSpan(scheme string, g *graph.Graph, k int) telemetry
 }
 
 // finish publishes the finished assignment's quality — replication factor,
-// max replicas, edge balance — on the span and registry. The O(|E|)
-// replication scan runs only when telemetry is attached.
+// max replicas, edge balance — on the span. The O(|E|) replication scan
+// runs only when telemetry is attached.
 func (o observability) finish(sp telemetry.Span, g *graph.Graph, a *EdgeAssignment) {
-	if sp == nil && o.reg == nil {
+	if sp == nil {
 		return
 	}
 	rep := NewReport(g, a)
-	if o.reg != nil {
-		o.reg.Counter("vcut_partitions_total").Inc()
-		o.reg.Counter("vcut_edges_placed_total").Add(int64(len(a.Parts)))
-		o.reg.Gauge("vcut_replication_factor").Set(rep.ReplicationFactor)
-		o.reg.Gauge("vcut_max_replicas").Set(float64(rep.MaxReplicas))
-	}
-	if sp != nil {
-		sp.End(
-			telemetry.Float("replication_factor", rep.ReplicationFactor),
-			telemetry.Int("max_replicas", rep.MaxReplicas),
-			telemetry.Float("edge_bias", metrics.Bias(rep.EdgeCounts)))
-	}
+	sp.End(
+		telemetry.Float("replication_factor", rep.ReplicationFactor),
+		telemetry.Int("max_replicas", rep.MaxReplicas),
+		telemetry.Float("edge_bias", metrics.Bias(rep.EdgeCounts)))
 }

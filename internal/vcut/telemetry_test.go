@@ -56,17 +56,14 @@ func TestPartitionTelemetry(t *testing.T) {
 			t.Fatalf("%s: span edge_bias = %v", p.Name(), sp.Attr("edge_bias"))
 		}
 
-		if got := reg.Counter("vcut_partitions_total").Value(); got != 1 {
-			t.Fatalf("%s: vcut_partitions_total = %d, want 1", p.Name(), got)
+		if got := reg.Counter("vcut_partition_total").Value(); got != 1 {
+			t.Fatalf("%s: vcut_partition_total = %d, want 1", p.Name(), got)
 		}
-		if got := reg.Counter("vcut_edges_placed_total").Value(); got != int64(g.NumEdges()) {
-			t.Fatalf("%s: vcut_edges_placed_total = %d, want %d", p.Name(), got, g.NumEdges())
+		if got := reg.Gauge("vcut_partition_replication_factor").Value(); got != rep.ReplicationFactor {
+			t.Fatalf("%s: vcut_partition_replication_factor gauge = %v, report says %v", p.Name(), got, rep.ReplicationFactor)
 		}
-		if got := reg.Gauge("vcut_replication_factor").Value(); got != rep.ReplicationFactor {
-			t.Fatalf("%s: vcut_replication_factor gauge = %v, report says %v", p.Name(), got, rep.ReplicationFactor)
-		}
-		if got := reg.Gauge("vcut_max_replicas").Value(); got != float64(rep.MaxReplicas) {
-			t.Fatalf("%s: vcut_max_replicas gauge = %v, report says %d", p.Name(), got, rep.MaxReplicas)
+		if got := reg.Counter("vcut_partition_max_replicas_total").Value(); got != int64(rep.MaxReplicas) {
+			t.Fatalf("%s: vcut_partition_max_replicas_total = %d, report says %d", p.Name(), got, rep.MaxReplicas)
 		}
 	}
 }

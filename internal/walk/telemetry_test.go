@@ -46,13 +46,14 @@ func TestRunTelemetry(t *testing.T) {
 	if len(steps) != len(res.Stats.Iterations) {
 		t.Fatalf("got %d superstep records, want %d", len(steps), len(res.Stats.Iterations))
 	}
-	if got := reg.Counter("cluster_supersteps_total").Value(); got != int64(len(steps)) {
-		t.Fatalf("cluster_supersteps_total = %d, want %d", got, len(steps))
+	if got := reg.Counter("cluster_superstep_total").Value(); got != int64(len(steps)) {
+		t.Fatalf("cluster_superstep_total = %d, want %d", got, len(steps))
 	}
 }
 
-// Histograms: a traced run records per-pair transfer batch sizes and the
-// run's simulated time; batch observations must sum to MessageWalks.
+// A registry attached alone folds the walk.run span: one run, its
+// simulated time as a gauge, and its transferred walkers summed to
+// MessageWalks.
 func TestRunHistograms(t *testing.T) {
 	g := gen.Ring(200)
 	e := newEngine(t, g, 4)
@@ -63,15 +64,13 @@ func TestRunHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bh := reg.Histogram("walk_transfer_batch_walkers")
-	if got := int64(bh.Sum()); got != res.MessageWalks {
-		t.Fatalf("batch sum = %d, want MessageWalks %d", got, res.MessageWalks)
+	if got := reg.Counter("walk_run_message_walks_total").Value(); got != res.MessageWalks || got == 0 {
+		t.Fatalf("walk_run_message_walks_total = %d, want MessageWalks %d > 0", got, res.MessageWalks)
 	}
-	if res.MessageWalks > 0 && bh.Count() == 0 {
-		t.Fatal("transfers happened but no batch observed")
+	if got := reg.Counter("walk_run_total").Value(); got != 1 {
+		t.Fatalf("walk_run_total = %d, want 1", got)
 	}
-	rh := reg.Histogram("walk_run_sim_time_us")
-	if rh.Count() != 1 || rh.Sum() != res.Stats.TotalTime() {
-		t.Fatalf("run time histogram = (%d, %v), want (1, %v)", rh.Count(), rh.Sum(), res.Stats.TotalTime())
+	if got := reg.Gauge("walk_run_sim_time_us").Value(); got != res.Stats.TotalTime() {
+		t.Fatalf("walk_run_sim_time_us = %v, want %v", got, res.Stats.TotalTime())
 	}
 }

@@ -170,10 +170,9 @@ type Engine struct {
 	g     *graph.Graph
 	cl    *cluster.Cluster
 	owned [][]graph.VertexID
-	alias *aliasCache         // per-vertex transition tables for BiasedWalk
-	tel   telemetry.Tracer    // run-level spans; supersteps come from cl
-	reg   *telemetry.Registry // run-level histograms; superstep metrics come from cl
-	flt   *fault.Controller   // nil = fault injection disabled
+	alias *aliasCache       // per-vertex transition tables for BiasedWalk
+	tel   telemetry.Tracer  // run-level spans; supersteps come from cl
+	flt   *fault.Controller // nil = fault injection disabled
 }
 
 // New builds a walk engine for g with the given vertex→machine assignment.
@@ -223,11 +222,11 @@ func (e *Engine) SetFaults(ctl *fault.Controller) error {
 // "walk.run" span per Run and — via the underlying cluster — one
 // "cluster.superstep" record per BSP iteration, so a DeepWalk run produces
 // the full machine-level timeline of Figs 12/13 (a resource probe, being
-// a tracer, measures the same run and supersteps in host time).
+// a tracer, measures the same run and supersteps in host time). reg (may
+// be nil) is teed beside the tracer (see telemetry.Instrumentable).
 func (e *Engine) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
-	e.tel = telemetry.Safe(tr)
-	e.reg = reg
-	e.cl.SetTelemetry(tr, reg)
+	e.tel = telemetry.Tee(tr, reg)
+	e.cl.SetTelemetry(e.tel, nil)
 }
 
 // walker is one active random walk. It is 16 bytes on purpose
@@ -469,14 +468,8 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			w.Messages[m] = msgs
 		})
 		// Merge phase: deliver outboxes.
-		batchH := e.reg.Histogram("walk_transfer_batch_walkers")
 		for from := 0; from < k; from++ {
 			for to := 0; to < k; to++ {
-				if n := len(outbox[from][to]); n > 0 {
-					// One machine-pair batch per superstep — the unit a
-					// real system would pack into one network message.
-					batchH.Observe(float64(n))
-				}
 				res.Traffic[from][to] += int64(len(outbox[from][to]))
 				for _, wk := range outbox[from][to] {
 					if cfg.TrackVisits {
@@ -560,7 +553,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		}
 	}
 	res.Finished = int64(totalWalkers)
-	e.reg.Histogram("walk_run_sim_time_us").Observe(res.Stats.TotalTime())
 	sp.End(
 		telemetry.Int("iterations", len(res.Stats.Iterations)),
 		telemetry.Int64("total_steps", res.TotalSteps),
