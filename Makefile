@@ -28,7 +28,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs every fuzz target for 10 s each. Seven parse bytes: the three
+# fuzz runs every fuzz target for 10 s each. Eight parse bytes: the three
 # gio file readers, the record-log substrate's framing (FuzzScan), the
 # three format parsers on it (traceview, partaudit, servestats FuzzRead)
 # and the serving handlers' query strings (FuzzHandlers). Two only

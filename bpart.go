@@ -29,7 +29,7 @@ import (
 	"bpart/internal/gio"
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
-	"bpart/internal/multilevel"
+	_ "bpart/internal/multilevel" // registers "Multilevel" with partition.Get
 	"bpart/internal/partaudit"
 	"bpart/internal/partition"
 	"bpart/internal/resview"
@@ -125,7 +125,7 @@ type Assignment = partition.Assignment
 type Partitioner = partition.Partitioner
 
 // Config is BPart's configuration (weighting factor c, balance threshold ε,
-// over-split factor, layer cap).
+// over-split factor, refine switch).
 type Config = core.Config
 
 // BPart is the two-dimensional balanced partitioner.
@@ -134,17 +134,11 @@ type BPart = core.BPart
 // Trace records what each BPart layer did.
 type Trace = core.Trace
 
-// MultilevelConfig configures the Mt-KaHIP-style offline baseline.
-type MultilevelConfig = multilevel.Config
-
 // DefaultConfig returns the paper's default BPart configuration.
 func DefaultConfig() Config { return core.Default() }
 
 // New returns a BPart partitioner; the zero Config selects the defaults.
 func New(cfg Config) (*BPart, error) { return core.New(cfg) }
-
-// NewMultilevel returns the offline multilevel baseline.
-func NewMultilevel(cfg MultilevelConfig) (Partitioner, error) { return multilevel.New(cfg) }
 
 // Schemes lists every registered partitioning scheme ("BPart", "Chunk-V",
 // "Chunk-E", "Fennel", "Hash", "Multilevel").

@@ -30,14 +30,16 @@ import (
 	"bpart/internal/telemetry"
 )
 
+// maxLayers caps the number of combining layers; the final layer accepts
+// its result unconditionally.
+const maxLayers = 4
+
 // Config holds BPart's tuning knobs. The zero value selects the paper's
-// defaults via Normalize.
+// defaults via Normalize. The streaming score (Eq. 2) always runs at the
+// Fennel standards of internal/partition: auto α, γ=1.5, ν=1.1.
 type Config struct {
 	// C is the weighting factor c of Eq. 1 in [0,1]. Default 0.5.
 	C float64
-	// Alpha, Gamma, Slack tune the streaming score (Eq. 2); non-positive
-	// values select the Fennel standards (auto α, γ=1.5, ν=1.1).
-	Alpha, Gamma, Slack float64
 	// Epsilon is the per-dimension balance threshold: a combined subgraph
 	// is final when both |V_i| and |E_i| are within (1±ε) of the global
 	// per-part mean. Default 0.1 (matching the paper's "bias always
@@ -47,23 +49,23 @@ type Config struct {
 	// graph into SplitFactor^ℓ · N_r pieces. Must be a power of two ≥ 2.
 	// Default 2 (the paper's 2N, then 4N_r, ...).
 	SplitFactor int
-	// MaxLayers caps the number of combining layers; the final layer
-	// accepts its result unconditionally. Default 4.
-	MaxLayers int
 	// DisableRefine turns off the final move-based refinement pass.
 	// The pass (see refine.go) is an addition over the paper: it repairs
 	// the residual imbalance left when the combining recursion hits
-	// MaxLayers, which happens when hub mass is too concentrated for
+	// maxLayers, which happens when hub mass is too concentrated for
 	// pairwise combining alone. Off, BPart is exactly the paper's
 	// two-phase algorithm.
 	DisableRefine bool
 }
 
-// Normalize fills defaults and validates the configuration.
+// Normalize fills defaults and validates the configuration. A Config whose
+// numeric fields are all zero takes every numeric default, c=½ included;
+// DisableRefine is kept as given.
 func (c *Config) Normalize() error {
-	if metrics.IsZero(c.C) && metrics.IsZero(c.Alpha) && metrics.IsZero(c.Gamma) &&
-		metrics.IsZero(c.Slack) && metrics.IsZero(c.Epsilon) && c.SplitFactor == 0 && c.MaxLayers == 0 {
+	if metrics.IsZero(c.C) && metrics.IsZero(c.Epsilon) && c.SplitFactor == 0 {
+		off := c.DisableRefine
 		*c = Default()
+		c.DisableRefine = off
 		return nil
 	}
 	if c.C < 0 || c.C > 1 {
@@ -78,16 +80,12 @@ func (c *Config) Normalize() error {
 	if c.SplitFactor < 2 || c.SplitFactor&(c.SplitFactor-1) != 0 {
 		return fmt.Errorf("core: SplitFactor = %d, want a power of two ≥ 2", c.SplitFactor)
 	}
-	if c.MaxLayers <= 0 {
-		c.MaxLayers = 4
-	}
 	return nil
 }
 
-// Default returns the paper's default configuration: c=½, ε=0.1, 2× split,
-// up to 4 layers, standard Fennel streaming parameters.
+// Default returns the paper's default configuration: c=½, ε=0.1, 2× split.
 func Default() Config {
-	return Config{C: 0.5, Epsilon: 0.1, SplitFactor: 2, MaxLayers: 4}
+	return Config{C: 0.5, Epsilon: 0.1, SplitFactor: 2}
 }
 
 // BPart is the two-dimensional balanced partitioner. It implements
@@ -206,7 +204,7 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	// parts than vertices (k > n) the one-vertex groups freeze and the empty
 	// ones never can, the shape every other scheme gives.
 	for layer := 1; nr > 0 && len(remaining) > 0; layer++ {
-		last := layer >= b.cfg.MaxLayers || nr == 1
+		last := layer >= maxLayers || nr == 1
 		pieces := nr * pow(b.cfg.SplitFactor, layer)
 		// Never use more pieces than remaining vertices.
 		if pieces > len(remaining) {
@@ -214,10 +212,6 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		}
 		if pieces < nr {
 			pieces = nr
-		}
-		slack := b.cfg.Slack
-		if slack <= 0 {
-			slack = 1.1
 		}
 		var ms int
 		for _, v := range remaining {
@@ -232,12 +226,9 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		res, err := partition.Stream(g, partition.StreamOptions{
 			K:        pieces,
 			C:        b.cfg.C,
-			Alpha:    b.cfg.Alpha,
-			Gamma:    b.cfg.Gamma,
-			Slack:    b.cfg.Slack,
 			Vertices: remaining,
-			CapV:     int(slack*float64(len(remaining))/float64(pieces)) + 1,
-			CapE:     int(slack*float64(ms)/float64(pieces)) + 1,
+			CapV:     int(partition.DefaultSlack*float64(len(remaining))/float64(pieces)) + 1,
+			CapE:     int(partition.DefaultSlack*float64(ms)/float64(pieces)) + 1,
 			In:       in,
 			Tracer:   b.tr,
 			Audit:    b.aud.Stream(layer, g, pieces),

@@ -35,7 +35,7 @@ func TestConfigNormalize(t *testing.T) {
 	if err := c.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if c.C != 0.5 || c.Epsilon != 0.1 || c.SplitFactor != 2 || c.MaxLayers != 4 {
+	if c != Default() {
 		t.Fatalf("zero config did not pick defaults: %+v", c)
 	}
 	bad := []Config{
@@ -180,8 +180,8 @@ func TestTraceStructure(t *testing.T) {
 		t.Fatalf("finalized %d groups across layers, want %d", totalFinal, k)
 	}
 	// The paper: convergence within 2–3 layers.
-	if len(tr.Layers) > b.Config().MaxLayers {
-		t.Fatalf("%d layers exceeds MaxLayers", len(tr.Layers))
+	if len(tr.Layers) > maxLayers {
+		t.Fatalf("%d layers exceeds maxLayers", len(tr.Layers))
 	}
 	if a.K != k {
 		t.Fatalf("K = %d", a.K)

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"testing"
 
+	"bpart/internal/gen"
+	_ "bpart/internal/multilevel" // registers "Multilevel" with partition.Get
 	"bpart/internal/partition"
+	"bpart/internal/vcut"
 )
 
 // pinnedAssignments holds SHA-256 of each scheme's assignment (parts as
@@ -27,28 +30,78 @@ var pinnedAssignments = map[string]string{
 	"LDG/k=8":      "fbd0f6db96562eddab23550f001334784628a9f1f43e7f269e07fe7b717ecb02",
 	"LDG/k=128":    "ef6d25e8781ea3a6edb85432365d540a74ab96115e55478fe8e3907b40ecfdf5",
 	"LDG/k=512":    "169844bc9d0d4b9bba95b197ec80e3619bfdc78aa8de1afebbe854a1a7509ddf",
+	// The baselines below run on the smaller graph of the test's second
+	// half, recorded from the commit before their tuning fields became
+	// constants. HDRF's entry hashes its edge assignment, one part per arc
+	// in CSR order.
+	"GD/k=2":         "3bea531baa582670bfff9580aef5382bb5154d28b1f5663b7d9a95c3fe7a69c7",
+	"GD/k=8":         "2131b5c0851cd048a986021ba9af113c08a3d51b974de5e93d5f82314118d028",
+	"Spinner/k=2":    "827db14f4f3114aad52122d9979fd9a5507e9fe3e1371e1594daeb3e0ff63265",
+	"Spinner/k=8":    "4ec8b3c8e7732c4e039e0a7a105caf2cebf04a846092838e515d67c4969d6364",
+	"Multilevel/k=2": "59aa228f64ebb9c18f1954e95b3349c9ec5d2a6961f14d3884a502141fd882b6",
+	"Multilevel/k=8": "a985c2d357502483befadc6f913971b3c9dfc078c76875c7213ad8d76a0552ca",
+	"HDRF/k=2":       "f859374d11cc600e4476b26d9dd6ab47116c3dde92395ec63f30529e18a259f4",
+	"HDRF/k=8":       "a27f59a8c984224b65d513b5e5ca63079ec7ebdaa07f335411d8d21093c7f442",
+}
+
+// hashParts is the SHA-256 of parts as little-endian uint32s, in order.
+func hashParts(parts []int) string {
+	h := sha256.New()
+	var buf [4]byte
+	for _, part := range parts {
+		binary.LittleEndian.PutUint32(buf[:], uint32(part))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestAssignmentBytesPinned(t *testing.T) {
+	check := func(name string, parts []int) {
+		t.Helper()
+		if got, want := hashParts(parts), pinnedAssignments[name]; got != want {
+			t.Errorf("%s: assignment hash %s, pinned %s", name, got, want)
+		}
+	}
 	g := twitterish(t)
-	schemes := []partition.Partitioner{defaultBPart(t), partition.Fennel{}, partition.LDG{}}
-	for _, p := range schemes {
+	for _, p := range []partition.Partitioner{defaultBPart(t), partition.Fennel{}, partition.LDG{}} {
 		for _, k := range []int{2, 8, 128, 512} {
 			name := fmt.Sprintf("%s/k=%d", p.Name(), k)
 			a, err := p.Partition(g, k)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			h := sha256.New()
-			var buf [4]byte
-			for _, part := range a.Parts {
-				binary.LittleEndian.PutUint32(buf[:], uint32(part))
-				h.Write(buf[:])
-			}
-			got := hex.EncodeToString(h.Sum(nil))
-			if want := pinnedAssignments[name]; got != want {
-				t.Errorf("%s: assignment hash %s, pinned %s", name, got, want)
-			}
+			check(name, a.Parts)
 		}
+	}
+
+	// The slower baselines are pinned on a graph small enough that all
+	// eight runs together take well under a second.
+	small, err := gen.ChungLu(gen.Config{
+		NumVertices: 2000, AvgDegree: 8, Skew: 0.75, Locality: 0.4, Window: 128, Seed: 13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{"GD", "Spinner", "Multilevel"} {
+		p, err := partition.Get(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{2, 8} {
+			name := fmt.Sprintf("%s/k=%d", scheme, k)
+			a, err := p.Partition(small, k)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check(name, a.Parts)
+		}
+	}
+	for _, k := range []int{2, 8} {
+		name := fmt.Sprintf("HDRF/k=%d", k)
+		a, err := vcut.HDRF{}.Partition(small, k)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(name, a.Parts)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +151,31 @@ func TestQuickRebalanceInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// DisableRefine alone, every numeric knob left at zero, must survive
+// Normalize's all-defaults shortcut and switch the pass off: on twitterish at
+// k=8 the pass moves vertices, so the two assignments differ.
+func TestDisableRefineKeptByDefaults(t *testing.T) {
+	off, err := New(Config{DisableRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := off.Config(); !cfg.DisableRefine || cfg.C != 0.5 || cfg.Epsilon != 0.1 || cfg.SplitFactor != 2 {
+		t.Fatalf("Config{DisableRefine: true} normalized to %+v", cfg)
+	}
+	g := twitterish(t)
+	unrefined, err := off.Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := defaultBPart(t).Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(unrefined.Parts, refined.Parts) {
+		t.Fatal("DisableRefine run placed every vertex as the refined default run")
 	}
 }
 

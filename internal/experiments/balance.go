@@ -404,7 +404,7 @@ func AblationC(opt Options) (*Table, error) {
 		return nil, err
 	}
 	for _, c := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		r, _, err := ablate(g, core.Config{C: c, Epsilon: 0.1, SplitFactor: 2, MaxLayers: 4}, k)
+		r, _, err := ablate(g, core.Config{C: c, Epsilon: 0.1, SplitFactor: 2}, k)
 		if err != nil {
 			return nil, err
 		}
@@ -426,7 +426,7 @@ func AblationSplit(opt Options) (*Table, error) {
 		return nil, err
 	}
 	for _, split := range []int{2, 4, 8} {
-		r, layers, err := ablate(g, core.Config{C: 0.5, Epsilon: 0.1, SplitFactor: split, MaxLayers: 4}, k)
+		r, layers, err := ablate(g, core.Config{C: 0.5, Epsilon: 0.1, SplitFactor: split}, k)
 		if err != nil {
 			return nil, err
 		}
@@ -485,7 +485,7 @@ func AblationRefine(opt Options) (*Table, error) {
 	}
 	for _, eps := range []float64{0.05, 0.1, 0.2} {
 		for _, refine := range []bool{true, false} {
-			r, _, err := ablate(g, core.Config{C: 0.5, Epsilon: eps, SplitFactor: 2, MaxLayers: 4, DisableRefine: !refine}, k)
+			r, _, err := ablate(g, core.Config{C: 0.5, Epsilon: eps, SplitFactor: 2, DisableRefine: !refine}, k)
 			if err != nil {
 				return nil, err
 			}

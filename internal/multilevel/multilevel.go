@@ -26,60 +26,32 @@ import (
 	"bpart/internal/telemetry"
 )
 
-// Config tunes the multilevel partitioner.
-type Config struct {
-	// Imbalance is the allowed vertex-weight imbalance ε: every part
-	// stays ≤ (1+ε)·n/k. Default 0.03 (KaHIP's default).
-	Imbalance float64
-	// CoarsestPerPart stops coarsening once the graph has at most
-	// CoarsestPerPart·k super-vertices. Default 30.
-	CoarsestPerPart int
-	// LabelIters is the number of label-propagation sweeps per
-	// coarsening level. Default 3.
-	LabelIters int
-	// RefineIters is the number of refinement sweeps per uncoarsening
-	// level. Default 2.
-	RefineIters int
-	// MaxLevels caps the coarsening depth. Default 20.
-	MaxLevels int
-}
-
-// Normalize fills defaults and validates.
-func (c *Config) Normalize() error {
-	if c.Imbalance == 0 {
-		c.Imbalance = 0.03
-	}
-	if c.Imbalance < 0 {
-		return fmt.Errorf("multilevel: Imbalance = %v, want >= 0", c.Imbalance)
-	}
-	if c.CoarsestPerPart <= 0 {
-		c.CoarsestPerPart = 30
-	}
-	if c.LabelIters <= 0 {
-		c.LabelIters = 3
-	}
-	if c.RefineIters <= 0 {
-		c.RefineIters = 2
-	}
-	if c.MaxLevels <= 0 {
-		c.MaxLevels = 20
-	}
-	return nil
-}
+// The partitioner's fixed tuning.
+const (
+	// imbalance is the allowed vertex-weight imbalance ε: every part stays
+	// ≤ (1+ε)·n/k. 0.03 is KaHIP's default.
+	imbalance = 0.03
+	// coarsestPerPart stops coarsening once the graph has at most
+	// coarsestPerPart·k super-vertices.
+	coarsestPerPart = 30
+	// labelIters is the number of label-propagation sweeps per coarsening
+	// level.
+	labelIters = 3
+	// refineIters is the number of refinement sweeps per uncoarsening level.
+	refineIters = 2
+	// maxLevels caps the coarsening depth.
+	maxLevels = 20
+)
 
 // Multilevel is the offline partitioner. It implements
 // partition.Partitioner and telemetry.Instrumentable.
 type Multilevel struct {
-	cfg Config
-	tr  telemetry.Tracer
+	tr telemetry.Tracer
 }
 
-// New returns a Multilevel partitioner; a zero Config selects defaults.
-func New(cfg Config) (*Multilevel, error) {
-	if err := cfg.Normalize(); err != nil {
-		return nil, err
-	}
-	return &Multilevel{cfg: cfg, tr: telemetry.Nop()}, nil
+// New returns a Multilevel partitioner.
+func New() *Multilevel {
+	return &Multilevel{tr: telemetry.Nop()}
 }
 
 // SetTelemetry implements telemetry.Instrumentable: tr (may be nil)
@@ -123,12 +95,12 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) (*partition.Assignment, er
 	coarsenSpan := tr.Span("multilevel.coarsen")
 	levels := []level{{g: g, weight: ones(n)}}
 	clusterCap := n/(4*k) + 1
-	for len(levels) < m.cfg.MaxLevels {
+	for len(levels) < maxLevels {
 		cur := &levels[len(levels)-1]
-		if cur.g.NumVertices() <= m.cfg.CoarsestPerPart*k {
+		if cur.g.NumVertices() <= coarsestPerPart*k {
 			break
 		}
-		labels := labelPropagation(cur.g, cur.weight, clusterCap, m.cfg.LabelIters)
+		labels := labelPropagation(cur.g, cur.weight, clusterCap, labelIters)
 		next, clusters, reduced := contract(cur.g, cur.weight, labels)
 		if !reduced {
 			break
@@ -149,7 +121,7 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) (*partition.Assignment, er
 	initSpan.End()
 
 	// --- Uncoarsening + refinement ---
-	maxWeight := int(float64(n)/float64(k)*(1+m.cfg.Imbalance)) + 1
+	maxWeight := int(float64(n)/float64(k)*(1+imbalance)) + 1
 	totalMoves := 0
 	for li := len(levels) - 1; li >= 0; li-- {
 		lv := levels[li]
@@ -157,7 +129,7 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) (*partition.Assignment, er
 			telemetry.Int("level", li),
 			telemetry.Int("vertices", lv.g.NumVertices()))
 		levelMoves := 0
-		for it := 0; it < m.cfg.RefineIters; it++ {
+		for it := 0; it < refineIters; it++ {
 			moved := refinePass(lv.g, lv.weight, parts, k, maxWeight)
 			levelMoves += moved
 			if moved == 0 {
@@ -358,11 +330,5 @@ func refinePass(g *graph.Graph, weight, parts []int, k, maxWeight int) int {
 }
 
 func init() {
-	partition.Register("Multilevel", func() partition.Partitioner {
-		m, err := New(Config{})
-		if err != nil {
-			panic(err) // zero Config always normalizes
-		}
-		return m
-	})
+	partition.Register("Multilevel", func() partition.Partitioner { return New() })
 }

@@ -21,25 +21,8 @@ func testGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-func TestConfigNormalize(t *testing.T) {
-	var c Config
-	if err := c.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Imbalance != 0.03 || c.CoarsestPerPart != 30 || c.LabelIters != 3 {
-		t.Fatalf("defaults wrong: %+v", c)
-	}
-	bad := Config{Imbalance: -0.1}
-	if err := bad.Normalize(); err == nil {
-		t.Fatal("negative imbalance accepted")
-	}
-}
-
 func TestArgs(t *testing.T) {
-	m, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New()
 	if _, err := m.Partition(nil, 2); err == nil {
 		t.Fatal("nil graph accepted")
 	}
@@ -50,10 +33,7 @@ func TestArgs(t *testing.T) {
 
 func TestVertexBalancedEdgeSkewed(t *testing.T) {
 	g := testGraph(t)
-	m, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New()
 	a, err := m.Partition(g, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -74,10 +54,7 @@ func TestVertexBalancedEdgeSkewed(t *testing.T) {
 
 func TestCutBetterThanHash(t *testing.T) {
 	g := testGraph(t)
-	m, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New()
 	a, err := m.Partition(g, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -89,10 +66,7 @@ func TestCutBetterThanHash(t *testing.T) {
 }
 
 func TestSmallGraphs(t *testing.T) {
-	m, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New()
 	for _, n := range []int{1, 2, 5, 17} {
 		g := gen.Ring(n)
 		a, err := m.Partition(g, 4)
@@ -173,10 +147,7 @@ func TestContract(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	g := testGraph(t)
-	m, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New()
 	a1, err := m.Partition(g, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -211,10 +182,7 @@ func TestQuickValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m, err := New(Config{})
-		if err != nil {
-			return false
-		}
+		m := New()
 		a, err := m.Partition(g, k)
 		if err != nil {
 			return false
@@ -228,10 +196,7 @@ func TestQuickValid(t *testing.T) {
 
 func BenchmarkMultilevel10k(b *testing.B) {
 	g := testGraph(b)
-	m, err := New(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Partition(g, 8); err != nil {

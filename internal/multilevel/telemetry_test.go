@@ -11,10 +11,7 @@ import (
 // the metrics registry.
 func TestPartitionTelemetry(t *testing.T) {
 	g := testGraph(t)
-	m, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New()
 	tr := telemetry.NewMemory()
 	reg := telemetry.NewRegistry()
 	m.SetTelemetry(tr, reg)
@@ -99,18 +96,12 @@ func TestPartitionTelemetry(t *testing.T) {
 // result.
 func TestTelemetryDoesNotChangeResult(t *testing.T) {
 	g := testGraph(t)
-	plain, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := New()
 	a1, err := plain.Partition(g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	traced := New()
 	traced.SetTelemetry(telemetry.NewMemory(), telemetry.NewRegistry())
 	a2, err := traced.Partition(g, 8)
 	if err != nil {

@@ -24,9 +24,9 @@ func TestLDGBalancesVertices(t *testing.T) {
 
 func TestLDGCapacityHard(t *testing.T) {
 	g := twitterish(t)
-	a := mustPartition(t, LDG{Slack: 1.02}, g, 4)
+	a := mustPartition(t, LDG{}, g, 4)
 	vs, _ := graph.PartSizes(g, a.Parts, 4)
-	cap := 1.02 * float64(g.NumVertices()) / 4
+	cap := DefaultSlack * float64(g.NumVertices()) / 4
 	for i, v := range vs {
 		if float64(v) > cap+1 {
 			t.Fatalf("part %d has %d vertices, cap %v", i, v, cap)
@@ -119,7 +119,7 @@ func TestQuickExtraSchemesValid(t *testing.T) {
 			return false
 		}
 		kg := 1 << (int(rawK) % 4) // 1,2,4,8
-		a, err = (GD{Iterations: 5}).Partition(g, kg)
+		a, err = (GD{}).Partition(g, kg)
 		if err != nil || a.Validate(g) != nil {
 			return false
 		}

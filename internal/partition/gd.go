@@ -21,36 +21,30 @@ import (
 // As the paper notes, GD handles only power-of-two part counts and is far
 // slower than streaming schemes — both properties are visible in the
 // Table 2 / ablation benches.
-type GD struct {
-	// Iterations per bisection level; <= 0 selects 40.
-	Iterations int
-	// Step is the gradient step size; <= 0 selects 0.05 (normalized).
-	Step float64
-	// Epsilon is the per-dimension rounding slack; <= 0 selects 0.05.
-	Epsilon float64
-	// Seed drives the random initialization.
-	Seed uint64
-}
+type GD struct{}
+
+const (
+	// gdIterations is the number of ascent steps per bisection.
+	gdIterations = 40
+	// gdStep is the gradient step size, normalized by the largest
+	// gradient entry.
+	gdStep = 0.05
+	// gdEpsilon is the per-dimension rounding slack.
+	gdEpsilon = 0.05
+	// gdSeed drives the random initialization.
+	gdSeed = 0x6D
+)
 
 // Name implements Partitioner.
 func (GD) Name() string { return "GD" }
 
 // Partition implements Partitioner. k must be a power of two.
-func (gd GD) Partition(g *graph.Graph, k int) (*Assignment, error) {
+func (GD) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if err := checkArgs(g, k); err != nil {
 		return nil, err
 	}
 	if k&(k-1) != 0 {
 		return nil, fmt.Errorf("partition: GD supports only power-of-two part counts, got %d", k)
-	}
-	if gd.Iterations <= 0 {
-		gd.Iterations = 40
-	}
-	if gd.Step <= 0 {
-		gd.Step = 0.05
-	}
-	if gd.Epsilon <= 0 {
-		gd.Epsilon = 0.05
 	}
 	n := g.NumVertices()
 	parts := make([]int, n)
@@ -58,7 +52,7 @@ func (gd GD) Partition(g *graph.Graph, k int) (*Assignment, error) {
 		return &Assignment{Parts: parts, K: k}, nil
 	}
 	in := g.In()
-	rng := xrand.New(gd.Seed ^ 0x6D)
+	rng := xrand.New(gdSeed)
 	all := make([]graph.VertexID, n)
 	for v := range all {
 		all[v] = graph.VertexID(v)
@@ -68,7 +62,7 @@ func (gd GD) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	for len(blocks) < k {
 		var next [][]graph.VertexID
 		for _, blk := range blocks {
-			a, b := gd.bisect(g, in, blk, rng)
+			a, b := bisect(g, in, blk, rng)
 			next = append(next, a, b)
 		}
 		blocks = next
@@ -83,7 +77,7 @@ func (gd GD) Partition(g *graph.Graph, k int) (*Assignment, error) {
 
 // bisect splits one vertex block into two halves balanced in both
 // dimensions with few cut edges.
-func (gd GD) bisect(g, in *graph.Graph, blk []graph.VertexID, rng *xrand.RNG) (a, b []graph.VertexID) {
+func bisect(g, in *graph.Graph, blk []graph.VertexID, rng *xrand.RNG) (a, b []graph.VertexID) {
 	nb := len(blk)
 	if nb <= 1 {
 		return blk, nil
@@ -103,7 +97,7 @@ func (gd GD) bisect(g, in *graph.Graph, blk []graph.VertexID, rng *xrand.RNG) (a
 		x[i] = rng.Float64()*0.2 - 0.1
 	}
 	grad := make([]float64, nb)
-	for it := 0; it < gd.Iterations; it++ {
+	for it := 0; it < gdIterations; it++ {
 		for i := range grad {
 			grad[i] = 0
 		}
@@ -133,7 +127,7 @@ func (gd GD) bisect(g, in *graph.Graph, blk []graph.VertexID, rng *xrand.RNG) (a
 			norm = 1
 		}
 		for i := range x {
-			x[i] += gd.Step * grad[i] / norm
+			x[i] += gdStep * grad[i] / norm
 		}
 		projectBalance(x, deg, totalDeg)
 		for i := range x {
@@ -162,7 +156,7 @@ func (gd GD) bisect(g, in *graph.Graph, blk []graph.VertexID, rng *xrand.RNG) (a
 	mid := (nb + 1) / 2
 	sideA := append([]int(nil), order[:mid]...)
 	sideB := append([]int(nil), order[mid:]...)
-	gd.repairEdges(sideA, sideB, deg, totalDeg)
+	repairEdges(sideA, sideB, deg, totalDeg)
 	a = make([]graph.VertexID, len(sideA))
 	for i, idx := range sideA {
 		a[i] = blk[idx]
@@ -176,7 +170,7 @@ func (gd GD) bisect(g, in *graph.Graph, blk []graph.VertexID, rng *xrand.RNG) (a
 
 // repairEdges swaps vertices between the sides until the edge masses are
 // within ε of each other (or no swap can make progress).
-func (gd GD) repairEdges(sideA, sideB []int, deg []float64, totalDeg float64) {
+func repairEdges(sideA, sideB []int, deg []float64, totalDeg float64) {
 	sideEdges := func(side []int) float64 {
 		var e float64
 		for _, i := range side {
@@ -186,7 +180,7 @@ func (gd GD) repairEdges(sideA, sideB []int, deg []float64, totalDeg float64) {
 	}
 	ea := sideEdges(sideA)
 	halfE := totalDeg / 2
-	tol := gd.Epsilon * maxF(halfE, 1)
+	tol := gdEpsilon * maxF(halfE, 1)
 	// heavy: the side currently over half; its vertices sorted by degree
 	// descending; the light side ascending.
 	for iter := 0; iter < len(sideA)+len(sideB); iter++ {

@@ -14,11 +14,9 @@ import (
 //	|V_i ∩ N(v)| · (1 − |V_i|/capacity),
 //
 // i.e. neighbor affinity with a linear occupancy discount; ties fall to
-// the lightest part. Like Fennel it balances only the vertex dimension.
+// the lightest part, and capacity is DefaultSlack·n/k. Like Fennel it
+// balances only the vertex dimension.
 type LDG struct {
-	// Slack ν sets the per-part capacity ν·n/k; <= 0 selects 1.1.
-	Slack float64
-
 	aud *partaudit.Auditor
 }
 
@@ -33,12 +31,8 @@ func (l LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if err := checkArgs(g, k); err != nil {
 		return nil, err
 	}
-	slack := l.Slack
-	if slack <= 0 {
-		slack = 1.1
-	}
 	n := g.NumVertices()
-	capacity := slack * float64(n) / float64(k)
+	capacity := DefaultSlack * float64(n) / float64(k)
 	if capacity < 1 {
 		capacity = 1
 	}

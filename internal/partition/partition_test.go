@@ -142,9 +142,9 @@ func TestFennelBalancesVerticesCutsFewerEdges(t *testing.T) {
 
 func TestFennelSlackIsHardCap(t *testing.T) {
 	g := twitterish(t)
-	a := mustPartition(t, Fennel{Slack: 1.05}, g, 4)
+	a := mustPartition(t, Fennel{}, g, 4)
 	vs, _ := graph.PartSizes(g, a.Parts, 4)
-	cap := 1.05 * float64(g.NumVertices()) / 4
+	cap := DefaultSlack * float64(g.NumVertices()) / 4
 	for i, v := range vs {
 		// +1: the cap is checked before assignment, so a part may
 		// exceed it by at most one vertex.
@@ -207,7 +207,6 @@ func TestStreamBadOptions(t *testing.T) {
 		{"K=0", StreamOptions{K: 0}, "k = 0"},
 		{"C above 1", StreamOptions{K: 2, C: 1.5}, "C = 1.5"},
 		{"negative C", StreamOptions{K: 2, C: -0.5}, "C = -0.5"},
-		{"Gamma below 1", StreamOptions{K: 2, Gamma: 0.5}, "Gamma = 0.5"},
 		{"In of another graph", StreamOptions{K: 2, In: gen.Ring(6)}, "does not match"},
 		{"vertex ID past |V|", StreamOptions{K: 2, Vertices: []graph.VertexID{0, 5}}, "Vertices[1] = 5"},
 		{"vertex streamed twice", StreamOptions{K: 2, Vertices: []graph.VertexID{3, 1, 3}, Tracer: tr}, "Vertices[2] = 3"},
@@ -308,17 +307,6 @@ func TestRegistry(t *testing.T) {
 		}
 	}()
 	Register("Chunk-V", func() Partitioner { return ChunkV{} })
-}
-
-func TestPowFunc(t *testing.T) {
-	for _, e := range []float64{0, 0.5, 1, 1.7} {
-		f := powFunc(e)
-		for _, x := range []float64{0, 1, 2.5, 100} {
-			if got, want := f(x), math.Pow(x, e); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("powFunc(%v)(%v) = %v, want %v", e, x, got, want)
-			}
-		}
-	}
 }
 
 // Property: every scheme yields a complete valid assignment on arbitrary

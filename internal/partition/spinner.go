@@ -14,29 +14,24 @@ import (
 // for edges per partition). Convergence typically takes a few dozen
 // sweeps; the result is edge-balance-leaning with a low cut, but like the
 // paper's other baselines it controls only one dimension.
-type Spinner struct {
-	// Iterations caps the LP sweeps; <= 0 selects 30.
-	Iterations int
-	// Slack ε bounds each label's degree mass at (1+ε)·2m/k; <= 0
-	// selects 0.05.
-	Slack float64
-	// Seed drives the random initialization.
-	Seed uint64
-}
+type Spinner struct{}
+
+const (
+	// spinnerSweeps caps the LP sweeps.
+	spinnerSweeps = 30
+	// spinnerSlack ε bounds each label's degree mass at (1+ε)·2m/k.
+	spinnerSlack = 0.05
+	// spinnerSeed drives the random initialization.
+	spinnerSeed = 0x59155E
+)
 
 // Name implements Partitioner.
 func (Spinner) Name() string { return "Spinner" }
 
 // Partition implements Partitioner.
-func (s Spinner) Partition(g *graph.Graph, k int) (*Assignment, error) {
+func (Spinner) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if err := checkArgs(g, k); err != nil {
 		return nil, err
-	}
-	if s.Iterations <= 0 {
-		s.Iterations = 30
-	}
-	if s.Slack <= 0 {
-		s.Slack = 0.05
 	}
 	n := g.NumVertices()
 	in := g.In()
@@ -46,12 +41,12 @@ func (s Spinner) Partition(g *graph.Graph, k int) (*Assignment, error) {
 		deg[v] = g.OutDegree(graph.VertexID(v)) + in.OutDegree(graph.VertexID(v))
 		totalDeg += float64(deg[v])
 	}
-	capacity := (1 + s.Slack) * totalDeg / float64(k)
+	capacity := (1 + spinnerSlack) * totalDeg / float64(k)
 	if capacity < 1 {
 		capacity = 1
 	}
 
-	rng := xrand.New(s.Seed ^ 0x59155E)
+	rng := xrand.New(spinnerSeed)
 	parts := make([]int, n)
 	load := make([]float64, k)
 	for v := 0; v < n; v++ {
@@ -60,7 +55,7 @@ func (s Spinner) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	}
 
 	counts := make([]int, k)
-	for it := 0; it < s.Iterations; it++ {
+	for it := 0; it < spinnerSweeps; it++ {
 		moved := 0
 		for v := 0; v < n; v++ {
 			for i := range counts {

@@ -10,12 +10,22 @@ import (
 	"bpart/internal/telemetry"
 )
 
+// Fennel's standard streaming parameters (Tsourakakis et al., WSDM'14),
+// the one setting every scheme built on Stream runs at.
+const (
+	// gamma is Fennel's γ: the penalty α·γ·W^{γ−1} is α·γ·√W.
+	gamma = 1.5
+	// DefaultSlack is Fennel's slack ν: the W_i cap StreamOptions.Slack <= 0
+	// selects, LDG's capacity factor and BPart's per-layer |V_i|, |E_i| caps.
+	DefaultSlack = 1.1
+)
+
 // StreamOptions configures the weighted greedy streaming engine shared by
 // Fennel (C=1) and BPart's partitioning phase (C=½ by default).
 //
 // Every streamed vertex v is scored against each part i as
 //
-//	S(v, G_i) = |V_i ∩ N(v)| − α·γ·W_i^{γ−1},
+//	S(v, G_i) = |V_i ∩ N(v)| − α·γ·W_i^{γ−1},   γ = 1.5,
 //
 // where W_i = C·|V_i| + (1−C)·|E_i|/d̄ is the paper's weighted balance
 // indicator (Eq. 1/2). C=1 recovers Fennel's vertex-count penalty; C=0 is a
@@ -28,11 +38,9 @@ type StreamOptions struct {
 	// Alpha is Fennel's α; <= 0 selects the standard
 	// α = m·k^{γ−1}/n^γ computed over Start's and the streamed vertices.
 	Alpha float64
-	// Gamma is Fennel's γ ≥ 1; <= 0 selects the standard 1.5.
-	Gamma float64
 	// Slack ν bounds each part: W_i may not exceed ν·n_s/k (n_s = number
 	// of placed vertices, Start's and the streamed ones, which equals Σ W_i
-	// at completion). <= 0 selects 1.1; +Inf means no cap.
+	// at completion). <= 0 selects DefaultSlack; +Inf means no cap.
 	Slack float64
 	// Vertices restricts the stream to a subset, in the given order.
 	// nil streams every vertex in ID order.
@@ -140,7 +148,7 @@ type StreamResult struct {
 // not K. Three facts make that exact rather than approximate:
 //
 //   - A part no neighbour sits in scores −pen, and pen does not shrink as W
-//     grows (γ ≥ 1), so the best of them under "max score, then lower W,
+//     grows (γ > 1), so the best of them under "max score, then lower W,
 //     then lower index" is the first eligible one in an order of the open
 //     parts by (W, index). Only the part that just received a vertex has a
 //     new W, so the order is repaired by moving that one part.
@@ -162,16 +170,8 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	if opt.In != nil && (opt.In.NumVertices() != n || opt.In.NumEdges() != g.NumEdges()) {
 		return nil, fmt.Errorf("partition: In graph shape %v does not match %v", opt.In, g)
 	}
-	if opt.Gamma <= 0 {
-		opt.Gamma = 1.5
-	}
-	if opt.Gamma < 1 {
-		// The penalty α·γ·W^{γ−1} must not shrink as a part fills: that is
-		// what makes the lightest open part the best untouched candidate.
-		return nil, fmt.Errorf("partition: Gamma = %v, want >= 1", opt.Gamma)
-	}
 	if opt.Slack <= 0 {
-		opt.Slack = 1.1
+		opt.Slack = DefaultSlack
 	}
 	if opt.Start != nil && len(opt.Start) != n {
 		return nil, fmt.Errorf("partition: Start has %d entries, want |V| = %d", len(opt.Start), n)
@@ -221,7 +221,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	}
 	alpha := opt.Alpha
 	if alpha <= 0 {
-		alpha = float64(mAll) * math.Pow(float64(opt.K), opt.Gamma-1) / math.Pow(float64(nAll), opt.Gamma)
+		alpha = float64(mAll) * math.Pow(float64(opt.K), gamma-1) / math.Pow(float64(nAll), gamma)
 		if alpha <= 0 {
 			// Edgeless set: any positive constant makes the penalty
 			// strictly increasing in W and spreads vertices evenly.
@@ -241,8 +241,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	w := make([]float64, opt.K)     // current W_i
 	affinity := make([]int, opt.K)  // |V_i ∩ N(v)| scratch, zero between vertices
 	touched := make([]int, opt.K+1) // parts with affinity > 0, see tally
-	gammaPow := powFunc(opt.Gamma - 1)
-	// pen[i] = α·γ·W_i^{γ−1}, the penalty half of the score. Only the part
+	// pen[i] = α·γ·√W_i, the penalty half of the score. Only the part
 	// that just received a vertex has a new W_i, so one entry is refreshed
 	// per placement instead of K being recomputed per vertex.
 	pen := make([]float64, opt.K)
@@ -261,7 +260,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	var inClass [skipCapE]int64
 	for i := range pen {
 		w[i] = opt.C*float64(vCount[i]) + (1-opt.C)*float64(eCount[i])/avgDeg
-		pen[i] = alpha * opt.Gamma * gammaPow(w[i])
+		pen[i] = alpha * gamma * math.Sqrt(w[i])
 		class[i] = classOf(i)
 		inClass[class[i]]++
 	}
@@ -382,7 +381,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		vCount[best]++
 		eCount[best] += d
 		w[best] += opt.C + (1-opt.C)*float64(d)/avgDeg
-		pen[best] = alpha * opt.Gamma * gammaPow(w[best])
+		pen[best] = alpha * gamma * math.Sqrt(w[best])
 		// Only the receiver's class and keys changed. W_i and |V_i| never
 		// shrink, so a part only ever closes; the fallback can place into a
 		// closed part, which may take it from V-full to W-full.
@@ -493,23 +492,6 @@ func fillUnassigned(n int) []int {
 	return p
 }
 
-// powFunc returns a fast x^e evaluator for the common streaming exponents:
-// γ−1 = 0.5 (the default) uses math.Sqrt, e = 1 is the identity, everything
-// else falls back to math.Pow. The streaming loop evaluates this once per
-// placed vertex.
-func powFunc(e float64) func(float64) float64 {
-	switch e {
-	case 0.5:
-		return math.Sqrt
-	case 1:
-		return func(x float64) float64 { return x }
-	case 0:
-		return func(float64) float64 { return 1 }
-	default:
-		return func(x float64) float64 { return math.Pow(x, e) }
-	}
-}
-
 // Fennel is the streaming partitioner of Tsourakakis et al. (WSDM'14) with
 // the standard parameters γ=1.5, α=m·k^{γ−1}/n^γ and slack ν=1.1. It
 // balances vertex counts and greedily reduces edge cuts; edge counts remain
@@ -519,9 +501,6 @@ func powFunc(e float64) func(float64) float64 {
 // on the synthetic datasets and erase the one-dimensionality the paper
 // measures.
 type Fennel struct {
-	// Alpha, Gamma and Slack override the standard parameters when > 0.
-	Alpha, Gamma, Slack float64
-
 	aud *partaudit.Auditor
 }
 
@@ -545,9 +524,6 @@ func (f Fennel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	res, err := Stream(g, StreamOptions{
 		K:     k,
 		C:     1, // vertex-only balance indicator: classic Fennel
-		Alpha: f.Alpha,
-		Gamma: f.Gamma,
-		Slack: f.Slack,
 		In:    g.In(),
 		Audit: f.aud.Stream(0, g, k),
 	})

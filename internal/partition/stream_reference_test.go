@@ -17,7 +17,7 @@ import (
 // rule written the slow, obvious way — every candidate of every vertex
 // visited in index order, the penalty α·γ·W_i^{γ−1} recomputed with math.Pow
 // each time, and the skip reason carried as the audit string. It honours
-// K, C, Alpha, Gamma, Slack, Vertices, Start, CapV, CapE, In and Audit.
+// K, C, Alpha, Slack, Vertices, Start, CapV, CapE, In and Audit.
 func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	stream := opt.Vertices
 	if stream == nil {
@@ -50,14 +50,14 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	}
 	alpha := opt.Alpha
 	if alpha <= 0 {
-		alpha = float64(m) * math.Pow(float64(opt.K), opt.Gamma-1) / math.Pow(float64(n), opt.Gamma)
+		alpha = float64(m) * math.Pow(float64(opt.K), gamma-1) / math.Pow(float64(n), gamma)
 	}
 	if alpha <= 0 {
 		alpha = 1
 	}
 	slack := opt.Slack
 	if slack <= 0 {
-		slack = 1.1
+		slack = DefaultSlack
 	}
 	capW := slack * float64(n) / float64(opt.K)
 
@@ -84,7 +84,7 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 		cause := partaudit.CauseGreedy
 		best, bestScore := -1, math.Inf(-1)
 		for i := 0; i < opt.K; i++ {
-			pen := alpha * opt.Gamma * math.Pow(w[i], opt.Gamma-1)
+			pen := alpha * gamma * math.Pow(w[i], gamma-1)
 			score := float64(affinity[i]) - pen
 			skip := ""
 			switch {
@@ -215,23 +215,19 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 		sawTies = sawTies || s.TieBreaks > 0
 		sawFallbacks = sawFallbacks || s.Fallbacks > 0
 	}
-	// c=0, γ=1.2 is the cell whose penalties collide at ulp level: distinct
-	// W_i whose math.Pow results are bit-equal.
 	for _, k := range []int{2, 16, 256} {
 		for _, c := range []float64{0, 0.5, 1} {
-			for _, gamma := range []float64{1.2, 1.5, 2} {
-				for _, variant := range []struct{ caps, in bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
-					opt := StreamOptions{K: k, C: c, Gamma: gamma}
-					if variant.caps {
-						opt.CapV = n/k + 1
-						opt.CapE = m/k + m/(4*k)
-					}
-					if variant.in {
-						opt.In = in
-					}
-					stats := matchReference(t, fmt.Sprintf("k=%d c=%v gamma=%v %+v", k, c, gamma, variant), g, opt)
-					saw(stats)
+			for _, variant := range []struct{ caps, in bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+				opt := StreamOptions{K: k, C: c}
+				if variant.caps {
+					opt.CapV = n/k + 1
+					opt.CapE = m/k + m/(4*k)
 				}
+				if variant.in {
+					opt.In = in
+				}
+				stats := matchReference(t, fmt.Sprintf("k=%d c=%v %+v", k, c, variant), g, opt)
+				saw(stats)
 			}
 		}
 	}
@@ -248,7 +244,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 	}
 	for _, k := range []int{16, 256} {
 		stats := matchReference(t, fmt.Sprintf("restricted k=%d", k), g, StreamOptions{
-			K: k, C: 0.5, Gamma: 1.5, In: in, Vertices: subset,
+			K: k, C: 0.5, In: in, Vertices: subset,
 			CapV: int(1.1*float64(len(subset))/float64(k)) + 1,
 			CapE: int(1.1*float64(subsetEdges)/float64(k)) + 1,
 		})
@@ -257,7 +253,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 	// A slack under 1 leaves less room than there are vertices, so the
 	// all-parts-full fallback must fire, into parts that are already closed.
 	for _, caps := range []bool{false, true} {
-		opt := StreamOptions{K: 16, C: 0.5, Gamma: 1.5, In: in, Slack: 0.9}
+		opt := StreamOptions{K: 16, C: 0.5, In: in, Slack: 0.9}
 		if caps {
 			opt.CapV = n / 16
 			opt.CapE = m / 16
@@ -290,7 +286,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 		}
 	}
 	saw(matchReference(t, "restream", g, StreamOptions{
-		K: 7, C: 0.5, Gamma: 1.5, In: in, Slack: math.Inf(1), Vertices: lost, Start: survivors,
+		K: 7, C: 0.5, In: in, Slack: math.Inf(1), Vertices: lost, Start: survivors,
 		Alpha: float64(m) * math.Sqrt(8) / math.Pow(float64(n), 1.5),
 	}))
 	// A Start that puts 300 vertices on each of parts 0–4 closes them
@@ -312,9 +308,9 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 		opt    StreamOptions
 		closed func(StreamStats) int64
 	}{
-		{"closed by slack", StreamOptions{K: 16, C: 0.5, Gamma: 1.5, In: in, Start: lopsided, Vertices: tail},
+		{"closed by slack", StreamOptions{K: 16, C: 0.5, In: in, Start: lopsided, Vertices: tail},
 			func(s StreamStats) int64 { return s.CapWSkips }},
-		{"closed by CapV", StreamOptions{K: 16, C: 0.5, Gamma: 1.5, In: in, Start: lopsided, Vertices: tail,
+		{"closed by CapV", StreamOptions{K: 16, C: 0.5, In: in, Start: lopsided, Vertices: tail,
 			Slack: math.Inf(1), CapV: 300, CapE: 612},
 			func(s StreamStats) int64 { return s.CapVSkips }},
 	} {
@@ -327,9 +323,9 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 	// An empty stream returns Start with its counts; an all-Unassigned Start
 	// with nil Vertices streams every vertex in ID order, as no Start does.
 	matchReference(t, "empty stream", g, StreamOptions{
-		K: 16, C: 0.5, Gamma: 1.5, In: in, Start: lopsided, Vertices: []graph.VertexID{},
+		K: 16, C: 0.5, In: in, Start: lopsided, Vertices: []graph.VertexID{},
 	})
-	matchReference(t, "unassigned start", g, StreamOptions{K: 16, C: 0.5, Gamma: 1.5, In: in, Start: fillUnassigned(n)})
+	matchReference(t, "unassigned start", g, StreamOptions{K: 16, C: 0.5, In: in, Start: fillUnassigned(n)})
 	// As many parts as vertices, and more.
 	small, err := gen.ChungLu(gen.Config{NumVertices: 200, AvgDegree: 6, Skew: 0.7, Seed: 5})
 	if err != nil {
@@ -338,7 +334,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 	smallIn := small.Transpose()
 	for _, k := range []int{200, 333} {
 		stats := matchReference(t, fmt.Sprintf("n=200 k=%d", k), small,
-			StreamOptions{K: k, C: 0.5, Gamma: 1.5, In: smallIn, CapV: 2, CapE: 40})
+			StreamOptions{K: k, C: 0.5, In: smallIn, CapV: 2, CapE: 40})
 		saw(stats)
 	}
 
@@ -359,8 +355,8 @@ func TestTieBreaksEqualAuditCauses(t *testing.T) {
 	in := g.Transpose()
 	var total int64
 	for _, opt := range []StreamOptions{
-		{K: 16, C: 0, Gamma: 1.2},
-		{K: 64, C: 1, Gamma: 2, In: in},
+		{K: 16, C: 0},
+		{K: 64, C: 1, In: in},
 		{K: 16, C: 0.5, In: in, CapV: 3000/16 + 1, CapE: g.NumEdges()/16 + 1},
 	} {
 		var buf bytes.Buffer

@@ -18,11 +18,11 @@ import (
 // handle. The schema is documented in EXPERIMENTS.md.
 const SchemaVersion = 1
 
-// Registry metric names the recorder maintains next to its own
-// histograms. Per-endpoint and per-part latency distributions are held as
-// raw telemetry.Histogram values on the recorder itself (their identity is
-// positional, not a minted metric name), so the registry surface stays a
-// fixed set of compile-time names.
+// Registry metric names the recorder maintains next to its own windowed
+// histograms. The per-endpoint windows are held as raw telemetry.Histogram
+// values on the recorder itself (their identity is positional, not a minted
+// metric name), so the registry surface stays a fixed set of compile-time
+// names.
 const (
 	metricServingRequestsTotal = "serving_requests_total"
 	metricServingErrorsTotal   = "serving_errors_total"
@@ -30,12 +30,13 @@ const (
 	metricServingLatencyUS     = "serving_latency_us"
 )
 
-// Recorder captures per-request serving observations: cumulative and
-// windowed per-endpoint latency histograms, per-part latency histograms,
+// Recorder captures per-request serving observations: windowed
+// per-endpoint latency histograms (the /v1/statz view), registry counters,
 // an in-flight gauge, and (when given a sink) one versioned JSONL
 // `request` record per request, written as a whole line so a crashed
 // server leaves at worst a torn final line — exactly what Read tolerates.
-// Write and flush errors are sticky and surfaced by Flush/Close.
+// The request log, digested by Summarize, is the cumulative view. Write and
+// flush errors are sticky and surfaced by Flush/Close.
 //
 // A nil *Recorder is the disabled path: every method is a no-op, Start
 // performs no clock read, and the serving hot path allocates no
@@ -48,31 +49,25 @@ type Recorder struct {
 
 	inflight atomic.Int64
 
-	// byEndpoint / windows are keyed by endpoint name; byPart is indexed by
-	// part id and sized to the largest k seen (swaps may grow it).
-	byEndpoint map[string]*telemetry.Histogram
-	windows    map[string]*telemetry.Histogram
-	byPart     []*telemetry.Histogram
+	// windows is keyed by endpoint name.
+	windows map[string]*telemetry.Histogram
 
 	reg *telemetry.Registry
 }
 
-// NewRecorder returns a recorder for k parts. logSink may be nil (no
+// NewRecorder returns a recorder for a k-part view. logSink may be nil (no
 // request log); reg may be nil (no registry metrics). The caller owns
-// logSink; call Close (or Flush) before reading the log back.
+// logSink; call Close (or Flush) before reading the log back. k sizes
+// nothing since the recorder keeps no per-part state (the request log
+// carries each request's part); dropping it waits for a change to the
+// benchmark module, which calls NewRecorder.
 func NewRecorder(k int, logSink io.Writer, reg *telemetry.Registry) *Recorder {
 	r := &Recorder{
-		byEndpoint: make(map[string]*telemetry.Histogram, len(Endpoints)),
-		windows:    make(map[string]*telemetry.Histogram, len(Endpoints)),
-		byPart:     make([]*telemetry.Histogram, k),
-		reg:        reg,
+		windows: make(map[string]*telemetry.Histogram, len(Endpoints)),
+		reg:     reg,
 	}
 	for _, ep := range Endpoints {
-		r.byEndpoint[ep] = &telemetry.Histogram{}
 		r.windows[ep] = &telemetry.Histogram{}
-	}
-	for i := range r.byPart {
-		r.byPart[i] = &telemetry.Histogram{}
 	}
 	if logSink != nil {
 		// Flush per request, so a crashed server keeps every answered
@@ -94,9 +89,9 @@ func (r *Recorder) Start() time.Time {
 	return time.Now()
 }
 
-// End records one completed request: latency into the endpoint's
-// cumulative and windowed histograms and the part's histogram, counters,
-// and (when a sink is attached) one JSONL record. part may be -1 when the
+// End records one completed request: latency into the endpoint's windowed
+// histogram and the registry, counters, and (when a sink is attached) one
+// JSONL record. part may be -1 when the
 // request never resolved to a part (bad vertex); version likewise 0 when
 // no view was consulted.
 func (r *Recorder) End(start time.Time, endpoint string, vertex graph.VertexID, part, version, status int) {
@@ -113,17 +108,8 @@ func (r *Recorder) End(start time.Time, endpoint string, vertex graph.VertexID, 
 	r.reg.Histogram(metricServingLatencyUS).Observe(us)
 
 	r.mu.Lock()
-	if h := r.byEndpoint[endpoint]; h != nil {
-		h.Observe(us)
-	}
 	if h := r.windows[endpoint]; h != nil {
 		h.Observe(us)
-	}
-	if part >= 0 {
-		for part >= len(r.byPart) {
-			r.byPart = append(r.byPart, &telemetry.Histogram{})
-		}
-		r.byPart[part].Observe(us)
 	}
 	if r.log != nil {
 		// Written under r.mu, so seq is monotone in file order.
@@ -188,30 +174,6 @@ func (r *Recorder) WindowSnapshot() []EndpointWindow {
 		r.windows[ep] = &telemetry.Histogram{}
 	}
 	return out
-}
-
-// EndpointQuantile reads the cumulative per-endpoint distribution.
-func (r *Recorder) EndpointQuantile(endpoint string, q float64) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byEndpoint[endpoint].Quantile(q)
-}
-
-// PartQuantile reads the cumulative per-part distribution (0 for a part
-// the recorder has never seen).
-func (r *Recorder) PartQuantile(part int, q float64) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if part < 0 || part >= len(r.byPart) {
-		return 0
-	}
-	return r.byPart[part].Quantile(q)
 }
 
 // Flush flushes the request log and reports the first write error, if any.

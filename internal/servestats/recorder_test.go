@@ -61,24 +61,27 @@ func TestRecorderWindowsReset(t *testing.T) {
 	if w2[0].Count != 0 {
 		t.Fatalf("window did not reset: %+v", w2)
 	}
-	// Cumulative histograms survive the window reset.
-	if rec.EndpointQuantile(EndpointLookup, 1) <= 0 {
-		t.Fatal("cumulative endpoint histogram lost the observation")
-	}
-	if rec.PartQuantile(0, 1) <= 0 {
-		t.Fatal("cumulative part histogram lost the observation")
-	}
-	if rec.PartQuantile(99, 0.5) != 0 {
-		t.Fatal("unseen part reported a quantile")
-	}
 }
 
+// A swap may raise k past the recorder's: a request on a part beyond it is
+// still recorded, with its part, in the request log.
 func TestRecorderGrowsForSwappedParts(t *testing.T) {
-	rec := NewRecorder(2, nil, nil)
+	var buf bytes.Buffer
+	rec := NewRecorder(2, &buf, nil)
 	start := rec.Start()
 	rec.End(start, EndpointLookup, 1, 7, 2, 200) // part beyond initial k
-	if rec.PartQuantile(7, 1) <= 0 {
-		t.Fatal("recorder dropped an observation for a post-swap part")
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Records) != 1 || l.Records[0].Part != 7 || l.Records[0].Version != 2 {
+		t.Fatalf("post-swap request recorded as %+v", l.Records)
+	}
+	if w := rec.WindowSnapshot(); w[0].Count != 1 {
+		t.Fatalf("post-swap request missing from the window: %+v", w)
 	}
 }
 
@@ -113,9 +116,6 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	}
 	if rec.Flush() != nil || rec.Close() != nil {
 		t.Fatal("nil recorder errored")
-	}
-	if rec.EndpointQuantile(EndpointLookup, 0.5) != 0 || rec.PartQuantile(0, 0.5) != 0 {
-		t.Fatal("nil recorder reported quantiles")
 	}
 }
 
@@ -170,11 +170,22 @@ func TestRecorderConcurrent(t *testing.T) {
 }
 
 func TestRecorderLatencyIsPlausible(t *testing.T) {
-	rec := NewRecorder(1, nil, nil)
+	var buf bytes.Buffer
+	rec := NewRecorder(1, &buf, nil)
 	start := rec.Start()
 	time.Sleep(2 * time.Millisecond)
 	rec.End(start, EndpointLookup, 1, 0, 1, 200)
-	if p := rec.EndpointQuantile(EndpointLookup, 1); p < 1000 {
-		t.Fatalf("2ms request recorded as %.0fµs", p)
+	if w := rec.WindowSnapshot(); w[0].P999 < 1000 {
+		t.Fatalf("2ms request windowed as %.0fµs", w[0].P999)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if us := l.Records[0].LatencyUS; us < 1000 {
+		t.Fatalf("2ms request logged as %.0fµs", us)
 	}
 }

@@ -225,10 +225,9 @@ func (gr Greedy) Partition(g *graph.Graph, k int) (*EdgeAssignment, error) {
 	})
 }
 
-// HDRF is the High-Degree Replicated First scheme.
+// HDRF is the High-Degree Replicated First scheme, with the balance term
+// weighed by λ = 1.
 type HDRF struct {
-	// Lambda weighs the balance term; <= 0 selects 1.0.
-	Lambda float64
 	observability
 }
 
@@ -237,10 +236,6 @@ func (HDRF) Name() string { return "HDRF" }
 
 // Partition implements Partitioner.
 func (h HDRF) Partition(g *graph.Graph, k int) (*EdgeAssignment, error) {
-	lambda := h.Lambda
-	if lambda <= 0 {
-		lambda = 1.0
-	}
 	return streamEdges(g, k, "HDRF", h.observability, func(thetaU, thetaV float64, repU, repV bool, load, minLoad, maxLoad int) float64 {
 		score := 0.0
 		if repU {
@@ -250,7 +245,7 @@ func (h HDRF) Partition(g *graph.Graph, k int) (*EdgeAssignment, error) {
 			score += 1 + (1 - thetaV)
 		}
 		spread := float64(maxLoad-minLoad) + 1
-		return score + lambda*float64(maxLoad-load)/spread
+		return score + float64(maxLoad-load)/spread
 	})
 }
 

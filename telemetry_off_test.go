@@ -1,6 +1,8 @@
 package bpart
 
 import (
+	"io"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"bpart/internal/core"
 	"bpart/internal/engine"
 	"bpart/internal/gen"
+	"bpart/internal/partaudit"
 	"bpart/internal/partition"
 	"bpart/internal/telemetry"
 	"bpart/internal/walk"
@@ -24,8 +27,9 @@ func (c *offTracer) Span(string, ...telemetry.Attr) telemetry.Span {
 func (c *offTracer) Event(string, ...telemetry.Attr) { c.calls.Add(1) }
 
 // The disabled path, as counts: a component handed a disabled tracer and
-// no registry makes no Span or Event call at all, and at one worker it
-// allocates exactly what a never-instrumented component does.
+// no registry (or an auditor detached again) makes no Span or Event call at
+// all, and at one worker it allocates exactly what a never-instrumented
+// component does.
 func TestDisabledTelemetryIsFree(t *testing.T) {
 	g, err := gen.ChungLu(gen.Config{NumVertices: 1500, AvgDegree: 6, Skew: 0.7, Seed: 5})
 	if err != nil {
@@ -40,6 +44,11 @@ func TestDisabledTelemetryIsFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	newAuditor := func() *partaudit.Auditor {
+		a, err := partaudit.New(io.Discard, partaudit.Config{})
+		must(err)
+		return a
+	}
 	// Each case builds a component, attaching tr when it is non-nil, and
 	// returns its workload.
 	cases := []struct {
@@ -53,6 +62,26 @@ func TestDisabledTelemetryIsFree(t *testing.T) {
 				b.SetTelemetry(tr, nil)
 			}
 			return func() { _, err := b.Partition(g, 8); must(err) }
+		}},
+		// Auditing detached again is as free as never auditing: the
+		// instrumented variant attaches an auditor and then SetAudit(nil).
+		{"BPart.Partition after SetAudit(nil)", func(tr telemetry.Tracer) func() {
+			b, err := core.New(core.Config{})
+			must(err)
+			if tr != nil {
+				b.SetTelemetry(tr, nil)
+				b.SetAudit(newAuditor())
+				b.SetAudit(nil)
+			}
+			return func() { _, err := b.Partition(g, 8); must(err) }
+		}},
+		{"Fennel.Partition after SetAudit(nil)", func(tr telemetry.Tracer) func() {
+			f := &partition.Fennel{}
+			if tr != nil {
+				f.SetAudit(newAuditor())
+				f.SetAudit(nil)
+			}
+			return func() { _, err := f.Partition(g, 8); must(err) }
 		}},
 		{"partition.Stream", func(tr telemetry.Tracer) func() {
 			return func() {
@@ -87,6 +116,10 @@ func TestDisabledTelemetryIsFree(t *testing.T) {
 			}
 		}},
 	}
+	// A collection during a measurement empties sync.Pools (fmt's among
+	// them), and refilling them allocates: with the collector off the counts
+	// depend on the code alone, not on where the heap happens to stand.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, c := range cases {
 		off := &offTracer{}
 		instrumented, plain := c.build(off), c.build(nil)
