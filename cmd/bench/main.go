@@ -19,9 +19,8 @@
 // written for regression tracking — including a serving section that
 // replays the canonical seeded Zipf request stream per scheme through the
 // bpartd HTTP surface (internal/servestats); -deterministic zeroes its
-// wall-clock fields (experiment seconds, parallel walls, serving latency
-// percentiles) so two runs with identical flags produce byte-identical
-// files.
+// wall-clock fields (experiment seconds, serving latency percentiles) so
+// two runs with identical flags produce byte-identical files.
 // With -fault, the JSON fault schedule is injected into every engine the
 // experiments build and the artifact grows a recovery section;
 // -checkpoint-every overrides (or, without -fault, enables) superstep
@@ -29,16 +28,14 @@
 // are served on the given address while the benchmark runs — profile the
 // harness live. With -resources, the same spans and superstep records
 // that -trace writes are also measured: the same trace record per span
-// (experiments, partition streams, BPart layers, engine and walk runs,
-// Parallel Speedup repetitions) and per cluster superstep is written again,
-// with its resource deltas as res_* attrs, for cmd/tracestat's `resources`
-// subcommand.
+// (experiments, partition streams, BPart layers, engine and walk runs) and
+// per cluster superstep is written again, with its resource deltas as
+// res_* attrs, for cmd/tracestat's `resources` subcommand.
 // With -workers N, every engine runs its supersteps on an N-worker
 // goroutine pool (default min(GOMAXPROCS, machines)); outputs and every
 // deterministic artifact are bit-identical at any setting, so the flag
 // changes wall time only. The "Parallel Speedup" experiment sweeps its own
-// -widths ladder (and the artifact's parallel section a fixed 1,2,4 one)
-// regardless of -workers.
+// -widths ladder (default 1,2,4) regardless of -workers.
 package main
 
 import (
@@ -48,7 +45,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -85,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	deterministic := fs.Bool("deterministic", false, "zero the artifact's wall-clock fields so identical flags yield byte-identical output")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address")
 	resPath := fs.String("resources", "", "write the trace again with runtime resource deltas as res_* attrs (JSONL, see cmd/tracestat resources) to this file")
-	widthsFlag := fs.String("widths", "", "comma-separated Parallel Speedup worker ladder (default with -resources: powers of two up to NumCPU; otherwise 1,2,4)")
+	widthsFlag := fs.String("widths", "", "comma-separated Parallel Speedup worker ladder (default 1,2,4)")
 	workers := fs.Int("workers", 0, "superstep worker-pool size for every engine (0 = min(GOMAXPROCS, machines); outputs are bit-identical at any setting)")
 	fs.Var(&ids, "id", "experiment ID to run (repeatable; default all)")
 	if err := fs.Parse(args); err != nil {
@@ -131,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stdout, "# wrote %s\n", *resPath)
 		}
 	}()
-	widths, err := parseWidths(*widthsFlag, *resPath != "")
+	widths, err := parseWidths(*widthsFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "bench:", err)
 		return 2
@@ -215,20 +211,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 }
 
 // parseWidths resolves the Parallel Speedup worker ladder: an explicit
-// comma-separated -widths list wins; otherwise -resources runs select the
-// host's power-of-two ladder up to NumCPU, and plain runs keep the
-// harness's host-independent default (nil).
-func parseWidths(s string, hostLadder bool) ([]int, error) {
+// comma-separated -widths list, or nil for the harness's host-independent
+// default.
+func parseWidths(s string) ([]int, error) {
 	if s == "" {
-		if !hostLadder {
-			return nil, nil
-		}
-		n := runtime.NumCPU()
-		var ws []int
-		for w := 1; w < n; w *= 2 {
-			ws = append(ws, w)
-		}
-		return append(ws, n), nil
+		return nil, nil
 	}
 	var ws []int
 	for _, part := range strings.Split(s, ",") {

@@ -266,7 +266,7 @@ func TestTraceAndResourceLogsJoin(t *testing.T) {
 	if steps, err := traceview.Supersteps(rl); err != nil || len(steps) != 0 {
 		t.Fatalf("the resource file's scalar-only supersteps: %d decoded, %v", len(steps), err)
 	}
-	if err := traceview.WriteReport(&bytes.Buffer{}, rl, traceview.ReportOptions{}); err != nil {
+	if err := traceview.WriteReport(&bytes.Buffer{}, rl); err != nil {
 		t.Fatalf("trace report of the resource file: %v", err)
 	}
 }

@@ -9,15 +9,13 @@
 // critical-path split); stragglers and critpath print just their section;
 // comm analyzes the src→dst matrices of a matrix-capture run
 // (Cluster.SetCommMatrix); resources analyzes the res_* attrs of a probed
-// run (phase self-time, alloc/GC attribution, Parallel Speedup curves);
-// diff compares two traces and, with -fail-above, is a regression gate.
-// Request logs: serve prints per-endpoint and per-part latency percentiles
-// and the version census. Audit logs: explain prints every sampled
-// placement of one vertex (the per-piece score table, the chosen piece,
-// its cause and the runner-up gap); timeline prints the streaming quality
-// timeline, ending on the numbers Evaluate reports; combine prints the
-// combining audit tree (pairing rounds, freeze decisions, predicted vs
-// actual balance).
+// run (phase self-time, alloc/GC attribution). Request logs: serve prints
+// per-endpoint and per-part latency percentiles and the version census.
+// Audit logs: explain prints every sampled placement of one vertex (the
+// per-piece score table, the chosen piece, its cause and the runner-up
+// gap); timeline prints the streaming quality timeline, ending on the
+// numbers Evaluate reports; combine prints the combining audit tree
+// (pairing rounds, freeze decisions, predicted vs actual balance).
 //
 // Exit status: 0 on success, 1 when a log cannot be read or a gate trips,
 // 2 on a usage error (an unknown subcommand or flag, or a wrong argument
@@ -85,31 +83,22 @@ func noFlags(body func(c *call) error) func(*flag.FlagSet) func(*call) error {
 
 var commands = []command{
 	{name: "report", args: []string{"trace.jsonl"}, page: "timeline",
-		setup: func(fs *flag.FlagSet) func(*call) error {
-			maxSteps := fs.Int("supersteps", 0, "max `n` supersteps in the straggler table (0 = default)")
-			maxTree := fs.Int("tree-spans", 0, "max `n` spans in the phase tree (0 = default)")
-			return func(c *call) error {
-				tr, err := traceview.ReadFile(c.args[0])
-				if err != nil {
-					return err
-				}
-				opt := traceview.ReportOptions{MaxSupersteps: *maxSteps, MaxTreeSpans: *maxTree}
-				if err := traceview.WriteReport(c.stdout, tr, opt); err != nil {
-					return err
-				}
-				return c.html(func(w io.Writer) error { return traceview.WriteHTML(w, tr) })
+		setup: noFlags(func(c *call) error {
+			tr, err := traceview.ReadFile(c.args[0])
+			if err != nil {
+				return err
 			}
-		}},
+			if err := traceview.WriteReport(c.stdout, tr); err != nil {
+				return err
+			}
+			return c.html(func(w io.Writer) error { return traceview.WriteHTML(w, tr) })
+		})},
 	{name: "stragglers", args: []string{"trace.jsonl"},
-		setup: func(fs *flag.FlagSet) func(*call) error {
-			maxSteps := fs.Int("supersteps", 0, "max `n` supersteps listed (0 = default)")
-			return func(c *call) error {
-				opt := traceview.ReportOptions{MaxSupersteps: *maxSteps}
-				return eachRun(c, func(i int, run []traceview.Superstep) error {
-					return traceview.WriteStragglers(c.stdout, i, run, opt)
-				})
-			}
-		}},
+		setup: noFlags(func(c *call) error {
+			return eachRun(c, func(i int, run []traceview.Superstep) error {
+				return traceview.WriteStragglers(c.stdout, i, run)
+			})
+		})},
 	{name: "critpath", args: []string{"trace.jsonl"},
 		setup: noFlags(func(c *call) error {
 			return eachRun(c, func(i int, run []traceview.Superstep) error {
@@ -119,8 +108,6 @@ var commands = []command{
 	{name: "comm", args: []string{"trace.jsonl"}, page: "heatmap",
 		setup: func(fs *flag.FlagSet) func(*call) error {
 			auditPath := fs.String("audit", "", "reconcile observed traffic against the cut predicted by the partaudit log `audit.jsonl`")
-			maxSteps := fs.Int("supersteps", 0, "max `n` supersteps in the evolution table (0 = default)")
-			maxMatrix := fs.Int("matrix", 0, "print the full matrix for up to `n` machines (0 = default)")
 			return func(c *call) error {
 				tr, err := traceview.ReadFile(c.args[0])
 				if err != nil {
@@ -130,9 +117,9 @@ var commands = []command{
 				if err != nil {
 					return err
 				}
-				opt := commview.ReportOptions{MaxSupersteps: *maxSteps, MaxMatrix: *maxMatrix}
+				var audit *partaudit.Log
 				if *auditPath != "" {
-					if opt.Audit, err = partaudit.ReadLogFile(*auditPath); err != nil {
+					if audit, err = partaudit.ReadLogFile(*auditPath); err != nil {
 						return err
 					}
 				}
@@ -143,7 +130,7 @@ var commands = []command{
 				if err := commview.CheckMessages(steps); err != nil {
 					return err
 				}
-				if err := commview.WriteReport(c.stdout, steps, tr.Truncated, opt); err != nil {
+				if err := commview.WriteReport(c.stdout, steps, tr.Truncated, audit); err != nil {
 					return err
 				}
 				return c.html(func(w io.Writer) error {
@@ -152,19 +139,16 @@ var commands = []command{
 			}
 		}},
 	{name: "resources", args: []string{"resources.jsonl"}, page: "chart",
-		setup: func(fs *flag.FlagSet) func(*call) error {
-			maxPhases := fs.Int("phases", 0, "max `n` phases in the breakdown tables (0 = default)")
-			return func(c *call) error {
-				tr, err := traceview.ReadFile(c.args[0])
-				if err != nil {
-					return err
-				}
-				if err := resview.WriteReport(c.stdout, tr, resview.ReportOptions{MaxPhases: *maxPhases}); err != nil {
-					return err
-				}
-				return c.html(func(w io.Writer) error { return resview.WriteHTML(w, tr, "bpart runtime resources") })
+		setup: noFlags(func(c *call) error {
+			tr, err := traceview.ReadFile(c.args[0])
+			if err != nil {
+				return err
 			}
-		}},
+			if err := resview.WriteReport(c.stdout, tr); err != nil {
+				return err
+			}
+			return c.html(func(w io.Writer) error { return resview.WriteHTML(w, tr, "bpart runtime resources") })
+		})},
 	{name: "serve", args: []string{"reqlog.jsonl"}, page: "latency/heatmap",
 		setup: func(fs *flag.FlagSet) func(*call) error {
 			assignPath := fs.String("assign", "", "add the per-part tail attribution, reconciled exactly against the assignment file `parts.txt`")
@@ -204,31 +188,6 @@ var commands = []command{
 				}
 				_, err = fmt.Fprintln(c.stdout, "serving gate: ok")
 				return err
-			}
-		}},
-	{name: "diff", args: []string{"baseline.jsonl", "candidate.jsonl"},
-		setup: func(fs *flag.FlagSet) func(*call) error {
-			failAbove := fs.Float64("fail-above", 0, "exit 1 when a gated metric regresses by more than `pct` percent (0 = report only)")
-			return func(c *call) error {
-				a, err := traceview.ReadFile(c.args[0])
-				if err != nil {
-					return err
-				}
-				b, err := traceview.ReadFile(c.args[1])
-				if err != nil {
-					return err
-				}
-				d, err := traceview.Diff(a, b)
-				if err != nil {
-					return err
-				}
-				if err := d.WriteText(c.stdout, *failAbove); err != nil {
-					return err
-				}
-				if d.Exceeds(*failAbove) {
-					return fmt.Errorf("regression gate tripped (fail-above %.2f%%)", *failAbove)
-				}
-				return nil
 			}
 		}},
 	{name: "explain", args: []string{"<vertexID>", "audit.jsonl"},

@@ -12,11 +12,6 @@ const sampleTrace = `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"walk.run
 {"ts":"2026-08-06T10:00:00.0001Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":100,"compute":[50,40],"comm":[20,10],"waiting":[0,10],"steps":[1,1],"edges":[0,0],"vertices":[0,0],"messages":[10,10]}}
 `
 
-// slowerTrace regresses sim time by 50% and messages by 100%.
-const slowerTrace = `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"walk.run","dur_us":2000}
-{"ts":"2026-08-06T10:00:00.0001Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":150,"compute":[80,40],"comm":[20,10],"waiting":[0,10],"steps":[1,1],"edges":[0,0],"vertices":[0,0],"messages":[20,20]}}
-`
-
 func writeTrace(t *testing.T, name, content string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
@@ -81,44 +76,6 @@ func TestCritpathSubcommand(t *testing.T) {
 	}
 	if !strings.Contains(out, "critical path") {
 		t.Fatalf("critpath output:\n%s", out)
-	}
-}
-
-// The regression gate: identical traces pass, a regressed candidate under a
-// tight threshold exits non-zero (the ISSUE's acceptance criterion).
-func TestDiffRegressionGate(t *testing.T) {
-	a := writeTrace(t, "a.jsonl", sampleTrace)
-	b := writeTrace(t, "b.jsonl", slowerTrace)
-
-	code, out, _ := runCLI(t, "diff", a, a)
-	if code != 0 {
-		t.Fatalf("self-diff exit %d:\n%s", code, out)
-	}
-	if !strings.Contains(out, "no gated regressions") {
-		t.Fatalf("self-diff output:\n%s", out)
-	}
-
-	code, out, errb := runCLI(t, "diff", "-fail-above", "10", a, b)
-	if code != 1 {
-		t.Fatalf("regressed diff exit %d, want 1; stdout:\n%s", code, out)
-	}
-	if !strings.Contains(errb, "regression gate tripped") {
-		t.Fatalf("stderr missing gate message: %s", errb)
-	}
-	if !strings.Contains(out, "FAIL") {
-		t.Fatalf("diff table missing FAIL marker:\n%s", out)
-	}
-
-	// Same regression without the gate: report only, exit 0.
-	code, _, _ = runCLI(t, "diff", a, b)
-	if code != 0 {
-		t.Fatalf("ungated diff exit %d, want 0", code)
-	}
-
-	// Threshold above the worst regression: exit 0.
-	code, _, _ = runCLI(t, "diff", "-fail-above", "500", a, b)
-	if code != 0 {
-		t.Fatalf("high-threshold diff exit %d, want 0", code)
 	}
 }
 
@@ -218,17 +175,14 @@ func TestBadInvocations(t *testing.T) {
 	if code, _, _ := runCLI(t, "report"); code != 2 {
 		t.Errorf("report with no file exit = %d, want 2", code)
 	}
-	if code, _, _ := runCLI(t, "diff", "one.jsonl"); code != 2 {
-		t.Errorf("diff with one file exit = %d, want 2", code)
-	}
 	if code, _, stderr := runCLI(t, "report", "/nonexistent/trace.jsonl"); code != 1 || stderr == "" {
 		t.Errorf("missing file exit = %d, want 1 with stderr", code)
 	}
-	// A subcommand accepts exactly the flags on its usage line: critpath
-	// has no -supersteps and stragglers no page to write.
+	// A subcommand accepts exactly the flags on its usage line: report has
+	// no row cap to raise and stragglers no page to write.
 	path := writeTrace(t, "a.jsonl", sampleTrace)
 	for _, args := range [][]string{
-		{"critpath", "-supersteps", "3", path},
+		{"report", "-supersteps", "3", path},
 		{"stragglers", "-html", filepath.Join(t.TempDir(), "s.html"), path},
 		{"combine", "-html", filepath.Join(t.TempDir(), "c.html"), path},
 	} {
@@ -237,9 +191,12 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 	_, _, stderr := runCLI(t)
+	if n := strings.Count(stderr, "\n  tracestat "); n != 9 {
+		t.Errorf("usage lists %d subcommands, want 9:\n%s", n, stderr)
+	}
 	for _, line := range []string{
 		"  tracestat critpath trace.jsonl\n",
-		"  tracestat comm [-audit audit.jsonl] [-html out.html] [-matrix n] [-supersteps n] trace.jsonl\n",
+		"  tracestat comm [-audit audit.jsonl] [-html out.html] trace.jsonl\n",
 		"  tracestat explain <vertexID> audit.jsonl\n",
 		"  tracestat timeline [-html out.html] audit.jsonl\n",
 	} {
@@ -278,7 +235,6 @@ func TestGoldenOutputs(t *testing.T) {
 		{"resources", []string{"resources", "-html", "OUT.html", res}, 0},
 		{"serve", []string{"serve", "-html", "OUT.html", "-assign", goldenDir + "/parts.txt",
 			"-gate", goldenDir + "/gate.json", goldenDir + "/reqs.jsonl"}, 0},
-		{"diff", []string{"diff", "-fail-above", "1", sample, comm}, 1},
 		{"explain", []string{"explain", "0", audit}, 0},
 		{"timeline", []string{"timeline", "-html", "OUT.html", audit}, 0},
 		{"combine", []string{"combine", audit}, 0},
@@ -288,7 +244,6 @@ func TestGoldenOutputs(t *testing.T) {
 		{"stragglers_torn", []string{"stragglers", tornTrace}, 0},
 		{"critpath_torn", []string{"critpath", tornTrace}, 0},
 		{"comm_torn", []string{"comm", "-html", "OUT.html", "-audit", tornAudit, tornTrace}, 0},
-		{"diff_torn", []string{"diff", sample, tornTrace}, 0},
 		{"resources_torn", []string{"resources", "-html", "OUT.html", goldenDir + "/resources_torn.jsonl"}, 0},
 		{"serve_torn", []string{"serve", "-html", "OUT.html", "-assign", goldenDir + "/parts.txt",
 			"-gate", goldenDir + "/gate.json", goldenDir + "/reqs_torn.jsonl"}, 0},
@@ -447,9 +402,6 @@ func TestCorruptTraceFails(t *testing.T) {
 			t.Errorf("%s diagnostic does not locate the damage: %q", sub, diag)
 		}
 	}
-	if code, _, stderr := runCLI(t, "diff", path, path); code != 1 || stderr == "" {
-		t.Errorf("diff on garbage exit = %d (stderr %q), want 1 with diagnostic", code, stderr)
-	}
 }
 
 func TestTruncatedTraceStillReports(t *testing.T) {
@@ -467,8 +419,8 @@ func TestTruncatedTraceStillReports(t *testing.T) {
 // probe's res_* attrs (and, for the superstep event, only its scalars).
 const sampleResources = `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"partition.stream","dur_us":2500,"attrs":{"k":8,"res_allocs":100,"res_alloc_bytes":8192,"res_heap_bytes":4096,"res_gc_cycles":1,"res_gc_pause_us":10,"res_goroutines":2}}
 {"ts":"2026-08-06T10:00:01Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":5,"res_wall_us":40,"res_allocs":1,"res_alloc_bytes":64,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":2}}
-{"ts":"2026-08-06T10:00:02Z","type":"span","name":"scaling.replay","dur_us":1000,"attrs":{"scheme":"Fennel","workers":1,"res_allocs":10,"res_alloc_bytes":512,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":3}}
-{"ts":"2026-08-06T10:00:03Z","type":"span","name":"scaling.replay","dur_us":600,"attrs":{"scheme":"Fennel","workers":2,"res_allocs":10,"res_alloc_bytes":512,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":4}}
+{"ts":"2026-08-06T10:00:02Z","type":"span","name":"walk.run","dur_us":1000,"attrs":{"kind":"SimpleWalk","res_allocs":10,"res_alloc_bytes":512,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":3}}
+{"ts":"2026-08-06T10:00:03Z","type":"span","name":"walk.run","dur_us":600,"attrs":{"kind":"PPR","res_allocs":10,"res_alloc_bytes":512,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":4}}
 `
 
 func TestResourcesSubcommand(t *testing.T) {
@@ -477,7 +429,7 @@ func TestResourcesSubcommand(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	for _, want := range []string{"RESOURCES:", "partition.stream", "allocation / GC attribution", "parallel speedup", "Fennel", "speedup"} {
+	for _, want := range []string{"RESOURCES: 4 records across 3 phases", "partition.stream", "cluster.superstep", "walk.run", "allocation / GC attribution"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("resources output missing %q:\n%s", want, out)
 		}
@@ -498,7 +450,7 @@ func TestResourcesHTMLFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "<svg") || !strings.Contains(string(data), "Fennel") {
+	if !strings.Contains(string(data), "<svg") || !strings.Contains(string(data), "walk.run") {
 		t.Errorf("HTML page missing chart content")
 	}
 }
@@ -514,7 +466,7 @@ func TestResourceFileIsATrace(t *testing.T) {
 			t.Errorf("%s on a -resources file: exit %d, stderr %q", sub, code, errb)
 		}
 	}
-	if _, out, _ := runCLI(t, "report", res); !strings.Contains(out, "scaling.replay") || !strings.Contains(out, "No cluster.superstep records") {
+	if _, out, _ := runCLI(t, "report", res); !strings.Contains(out, "walk.run") || !strings.Contains(out, "No cluster.superstep records") {
 		t.Errorf("report on a -resources file:\n%s", out)
 	}
 	plain := writeTrace(t, "plain.jsonl", sampleTrace)

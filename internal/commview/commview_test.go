@@ -2,6 +2,7 @@ package commview
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,7 +84,7 @@ func TestReadTornTail(t *testing.T) {
 		t.Fatalf("torn trace: %d matrix steps, truncated=%v, %v", len(withMatrix(steps)), truncated, err)
 	}
 	var text, page strings.Builder
-	if err := WriteReport(&text, steps, truncated, ReportOptions{}); err != nil {
+	if err := WriteReport(&text, steps, truncated, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteHTML(&page, steps, truncated, "torn"); err != nil {
@@ -238,7 +239,7 @@ func TestWriteReportDeterministic(t *testing.T) {
 	steps := mustDecode(t, sampleTrace)
 	render := func() string {
 		var b strings.Builder
-		if err := WriteReport(&b, steps, false, ReportOptions{Audit: &partaudit.Log{Final: &partaudit.Final{CutRatio: 0.2}}}); err != nil {
+		if err := WriteReport(&b, steps, false, &partaudit.Log{Final: &partaudit.Final{CutRatio: 0.2}}); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -257,9 +258,44 @@ func TestWriteReportDeterministic(t *testing.T) {
 	}
 }
 
+// A cluster wider than maxMatrix elides its matrix, and a run longer than
+// maxSupersteps elides the evolution table's tail; the summary still
+// covers every superstep.
+func TestWriteReportElidesPastCaps(t *testing.T) {
+	k, n := maxMatrix+1, maxSupersteps+1
+	steps := make([]Superstep, n)
+	for i := range steps {
+		pairs := make([][]int64, k)
+		for j := range pairs {
+			pairs[j] = make([]int64, k)
+		}
+		pairs[0][1] = 1
+		messages := make([]int64, k)
+		messages[0] = 1
+		steps[i] = Superstep{Iteration: i, Machines: k, Messages: messages, Pairs: pairs}
+	}
+	var b strings.Builder
+	if err := WriteReport(&b, steps, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		fmt.Sprintf("RUN 1: %d machines, %d supersteps (0 recovery), %d cross-machine messages", k, n, n),
+		fmt.Sprintf("(matrix elided: %d machines > %d)", k, maxMatrix),
+		"... 1 more supersteps elided\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "src\\dst matrix") {
+		t.Errorf("matrix printed for %d machines:\n%s", k, out)
+	}
+}
+
 func TestWriteReportNoMatrices(t *testing.T) {
 	var b strings.Builder
-	if err := WriteReport(&b, nil, false, ReportOptions{}); err != nil {
+	if err := WriteReport(&b, nil, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "matrix capture was off") {
@@ -306,7 +342,7 @@ func TestGoldenReportAndHTML(t *testing.T) {
 	}
 	for golden, render := range map[string]func(*bytes.Buffer) error{
 		"crash5_restream.comm.txt": func(b *bytes.Buffer) error {
-			return WriteReport(b, steps, tr.Truncated, ReportOptions{})
+			return WriteReport(b, steps, tr.Truncated, nil)
 		},
 		"crash5_restream.comm.html": func(b *bytes.Buffer) error {
 			return WriteHTML(b, steps, tr.Truncated, "bpart comm topology")
@@ -329,7 +365,7 @@ func TestGoldenReportAndHTML(t *testing.T) {
 // Writer errors must surface, not vanish — the errio discipline.
 func TestWriteReportWriterError(t *testing.T) {
 	steps := mustDecode(t, sampleTrace)
-	if err := WriteReport(failWriter{}, steps, false, ReportOptions{}); err == nil {
+	if err := WriteReport(failWriter{}, steps, false, nil); err == nil {
 		t.Fatal("WriteReport swallowed the writer error")
 	}
 	if err := WriteHTML(failWriter{}, steps, false, "x"); err == nil {

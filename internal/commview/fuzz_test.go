@@ -74,7 +74,7 @@ func FuzzRead(f *testing.F) {
 		}
 		_ = CheckMessages(all)
 		var buf bytes.Buffer
-		if err := WriteReport(&buf, all, truncated, ReportOptions{}); err != nil {
+		if err := WriteReport(&buf, all, truncated, nil); err != nil {
 			t.Fatalf("report on accepted steps: %v", err)
 		}
 		buf.Reset()

@@ -9,19 +9,15 @@ import (
 	"bpart/internal/traceview"
 )
 
-// ReportOptions tunes the terminal report.
-type ReportOptions struct {
-	// MaxMatrix caps the machine count for which the full K×K matrix is
-	// printed (0 = 16); larger clusters get only the skew and pair
-	// sections.
-	MaxMatrix int
-	// MaxSupersteps caps the per-superstep evolution table (0 = 16). The
-	// summary always covers the whole run.
-	MaxSupersteps int
-	// Audit, when non-nil, adds the predicted-vs-observed reconciliation
-	// section to every run.
-	Audit *partaudit.Log
-}
+// Row caps of the terminal report. The summary always covers the whole
+// run.
+const (
+	// maxMatrix is the largest machine count whose full K×K matrix is
+	// printed; larger clusters get only the skew and pair sections.
+	maxMatrix = 16
+	// maxSupersteps caps the per-superstep evolution table.
+	maxSupersteps = 16
+)
 
 // WriteReport renders the terminal comm-topology report: per run, the
 // summed src→dst matrix, per-machine in/out skew, hot-pair attribution
@@ -29,8 +25,9 @@ type ReportOptions struct {
 // log attached) the predicted-vs-observed reconciliation.
 //
 // steps is what traceview.Supersteps decoded (supersteps without a matrix
-// are skipped) and truncated is that trace's Truncated flag.
-func WriteReport(w io.Writer, steps []traceview.Superstep, truncated bool, opt ReportOptions) error {
+// are skipped) and truncated is that trace's Truncated flag. audit, when
+// non-nil, adds the reconciliation section to every run.
+func WriteReport(w io.Writer, steps []traceview.Superstep, truncated bool, audit *partaudit.Log) error {
 	ew := &report.Printer{W: w}
 	steps = withMatrix(steps)
 	if truncated {
@@ -41,12 +38,12 @@ func WriteReport(w io.Writer, steps []traceview.Superstep, truncated bool, opt R
 		return ew.Err
 	}
 	for i, run := range traceview.GroupRuns(steps) {
-		writeRun(ew, i+1, run, opt)
+		writeRun(ew, i+1, run, audit)
 	}
 	return ew.Err
 }
 
-func writeRun(ew *report.Printer, idx int, run []traceview.Superstep, opt ReportOptions) {
+func writeRun(ew *report.Printer, idx int, run []traceview.Superstep, audit *partaudit.Log) {
 	s := Summarize(run)
 	recovery := 0
 	for _, st := range run {
@@ -64,15 +61,15 @@ func writeRun(ew *report.Printer, idx int, run []traceview.Superstep, opt Report
 			s.HotSrc, s.HotDst, s.HotMessages, s.HotSlack)
 	}
 
-	if limit := report.Cap(opt.MaxMatrix, 16); s.Machines <= limit {
+	if s.Machines <= maxMatrix {
 		writeMatrix(ew, &s)
 	} else {
-		ew.Printf("  (matrix elided: %d machines > -matrix cap %d)\n", s.Machines, limit)
+		ew.Printf("  (matrix elided: %d machines > %d)\n", s.Machines, maxMatrix)
 	}
 	writeSkew(ew, &s)
-	writeEvolution(ew, run, &s, opt)
-	if opt.Audit != nil {
-		writeReconcile(ew, run, opt.Audit)
+	writeEvolution(ew, run, &s)
+	if audit != nil {
+		writeReconcile(ew, run, audit)
 	}
 }
 
@@ -109,16 +106,14 @@ func writeSkew(ew *report.Printer, s *Summary) {
 	}
 }
 
-func writeEvolution(ew *report.Printer, run []traceview.Superstep, s *Summary, opt ReportOptions) {
+func writeEvolution(ew *report.Printer, run []traceview.Superstep, s *Summary) {
 	max := report.Max(len(s.PerStepMessages), func(i int) int64 { return s.PerStepMessages[i] })
 	ew.Printf("  per-superstep evolution (messages, active pairs):\n")
-	shown, limit := 0, report.Cap(opt.MaxSupersteps, 16)
 	for i, st := range run {
-		if shown >= limit {
-			ew.Printf("    ... %d more supersteps elided (raise -supersteps)\n", len(run)-shown)
+		if i >= maxSupersteps {
+			ew.Printf("    ... %d more supersteps elided\n", len(run)-i)
 			break
 		}
-		shown++
 		label := ""
 		if st.Phase != "" {
 			label = "  [" + st.Phase + "]"

@@ -81,26 +81,6 @@ type BenchComm struct {
 	HotShare float64 `json:"hot_share"`
 }
 
-// BenchParallel is one (engine, scheme, workers) point of the artifact's
-// parallel section: the superstep worker-pool sweep on the largest
-// reference dataset. Wall/speedup/efficiency are host wall-clock and
-// StripWallClock zeroes them; SimTimeUS and Identical are deterministic —
-// Identical records that the run's marshaled results and RunStats matched
-// the 1-worker reference byte for byte, the artifact-level witness of the
-// kernel's determinism contract.
-type BenchParallel struct {
-	Graph      string  `json:"graph"`
-	Engine     string  `json:"engine"`
-	Scheme     string  `json:"scheme"`
-	K          int     `json:"k"`
-	Workers    int     `json:"workers"`
-	WallUS     float64 `json:"wall_us"`
-	Speedup    float64 `json:"speedup"`
-	Efficiency float64 `json:"efficiency"`
-	SimTimeUS  float64 `json:"sim_time_us"`
-	Identical  bool    `json:"identical"`
-}
-
 // BenchArtifact is the machine-readable benchmark record cmd/bench writes
 // (BENCH_bpart.json). Fields marshal in declaration order, so the output
 // is byte-deterministic given identical contents. Recovery is additive
@@ -114,7 +94,6 @@ type BenchArtifact struct {
 	Partitions    []BenchPartition             `json:"partitions"`
 	Recovery      []BenchRecovery              `json:"recovery,omitempty"`
 	Comm          []BenchComm                  `json:"comm"`
-	Parallel      []BenchParallel              `json:"parallel,omitempty"`
 	Serving       []BenchServing               `json:"serving"`
 	Histograms    []telemetry.HistogramSummary `json:"histograms"`
 }
@@ -208,9 +187,6 @@ func (a *BenchArtifact) Collect(opt Options, hist *HistogramSink) error {
 			return err
 		}
 	}
-	if err := a.CollectParallel(base); err != nil {
-		return err
-	}
 	if err := a.collectServing(d, base); err != nil {
 		return err
 	}
@@ -252,19 +228,13 @@ func (a *BenchArtifact) collectRecovery(d gen.Dataset, opt Options) error {
 }
 
 // StripWallClock zeroes every wall-clock field (bench -deterministic):
-// experiment wall seconds, the parallel wall/speedup columns, and
-// serving latency percentiles are the artifact's only nondeterministic
-// content, so a stripped artifact is byte-identical across runs with the
-// same flags — including across -workers settings, since the parallel
-// sweep runs its own ladder and every engine output is worker-invariant.
+// experiment wall seconds and serving latency percentiles are the
+// artifact's only nondeterministic content, so a stripped artifact is
+// byte-identical across runs with the same flags — including across
+// -workers settings, since every engine output is worker-invariant.
 func (a *BenchArtifact) StripWallClock() {
 	for i := range a.Experiments {
 		a.Experiments[i].WallSeconds = 0
-	}
-	for i := range a.Parallel {
-		a.Parallel[i].WallUS = 0
-		a.Parallel[i].Speedup = 0
-		a.Parallel[i].Efficiency = 0
 	}
 	for i := range a.Serving {
 		for j := range a.Serving[i].Endpoints {

@@ -129,6 +129,12 @@ func TestReadBenchArtifactRejectsWrongVersion(t *testing.T) {
 	if _, err := ReadBenchArtifact(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// Version 1 still reads with a key this reader no longer knows: the
+	// parallel section older artifacts carry.
+	old := `{"schema_version": 1, "parallel": [{"engine": "CC", "workers": 2, "identical": true}]}`
+	if _, err := ReadBenchArtifact(strings.NewReader(old)); err != nil {
+		t.Fatalf("artifact with a parallel section: %v", err)
+	}
 }
 
 // Threading the Tracer through Options must reach the engines: a traced

@@ -42,9 +42,9 @@ type Options struct {
 	// application-time figures).
 	Walkers int
 	// Tracer, when non-nil, is attached to every engine an experiment
-	// builds and receives the Parallel Speedup sweep's per-repetition
-	// spans; `bench -trace` and `bench -resources` (whose probe is a tracer
-	// sink) both arrive here, as do `-pprof`'s registry and `-json`'s
+	// builds (the Parallel Speedup sweep's engines run quiet); `bench
+	// -trace` and `bench -resources` (whose probe is a tracer sink) both
+	// arrive here, as do `-pprof`'s registry and `-json`'s
 	// HistogramSink. Observation-only — results are identical with or
 	// without it.
 	Tracer telemetry.Tracer
@@ -54,10 +54,10 @@ type Options struct {
 	// machine count. The Fault Recovery experiment and the BENCH
 	// artifact's recovery section also honor it.
 	Faults *fault.Spec
-	// Widths is the Parallel Speedup worker-count ladder. nil selects the
-	// host-independent default {1, 2, 4}; cmd/bench fills the host's
-	// power-of-two ladder up to NumCPU. Every width must be >= 1, and the
-	// speedup/efficiency columns need width 1 as their baseline.
+	// Widths is the Parallel Speedup worker-count ladder (cmd/bench
+	// -widths). nil selects the host-independent default {1, 2, 4}. Every
+	// width must be >= 1, and the speedup/efficiency columns need width 1
+	// as their baseline.
 	Widths []int
 	// Workers is the superstep worker-pool size for every iteration and
 	// walk engine an experiment builds (cmd/bench -workers); 0 selects the

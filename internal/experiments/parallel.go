@@ -7,7 +7,6 @@ import (
 
 	"bpart/internal/engine"
 	"bpart/internal/gen"
-	"bpart/internal/resview"
 	"bpart/internal/telemetry"
 )
 
@@ -26,24 +25,13 @@ import (
 // criterion).
 const parallelDataset = gen.FriendsterSim
 
-// benchParallelSchemes is the always-collected BENCH subset: the baseline
-// scheme and BPart. The experiment table sweeps all of compareSchemes.
-var benchParallelSchemes = []string{"Chunk-V", "BPart"}
-
-// benchParallelWidths is the artifact section's fixed ladder. Unlike the
-// experiment table (which honors -widths), the BENCH section keeps a
-// host-independent ladder so the artifact's row set — and under
-// -deterministic its bytes — never depends on -widths, -resources or
-// -workers.
-var benchParallelWidths = []int{1, 2, 4}
-
 // parallelReps is the per-width repetition count; the recorded wall time is
 // the fastest repetition (conventional best-of-N timing).
 const parallelReps = 2
 
 // widths returns the sweep's ladder, defaulting to a host-independent
 // {1, 2, 4} so tests and baselines never depend on the machine's core
-// count. cmd/bench fills the host ladder for real measurements.
+// count.
 func (o Options) widths() []int {
 	if len(o.Widths) > 0 {
 		return o.Widths
@@ -108,9 +96,8 @@ func deriveSpeedups(curve []ParallelMeasurement) {
 // Engines are built quiet (no tracer or faults): the sweep
 // re-runs each workload many times, and feeding those repetitions'
 // supersteps into the run's trace or histograms would make every
-// observability artifact depend on the ladder. The harness instead emits
-// one resview ScalingPhase span per repetition to tr.
-func runParallel(opt Options, tr telemetry.Tracer, schemes []string, widths []int) ([]ParallelMeasurement, error) {
+// observability artifact depend on the ladder.
+func runParallel(opt Options, schemes []string, widths []int) ([]ParallelMeasurement, error) {
 	quiet := opt
 	quiet.Tracer, quiet.Faults = nil, nil
 	var out []ParallelMeasurement
@@ -134,13 +121,9 @@ func runParallel(opt Options, tr telemetry.Tracer, schemes []string, widths []in
 				e.Cluster().SetWorkers(wk)
 				m := ParallelMeasurement{Engine: spec.name, Scheme: scheme, Workers: wk, WallUS: -1, Identical: true}
 				for rep := 0; rep < parallelReps; rep++ {
-					sp := tr.Span(resview.ScalingPhase,
-						telemetry.String("scheme", spec.name+"/"+scheme),
-						telemetry.Int("workers", wk))
 					sw := telemetry.NewStopwatch()
 					b, sim, err := runMarshaled(spec.run, e)
 					us := sw.Seconds() * 1e6
-					sp.End()
 					if err != nil {
 						return nil, fmt.Errorf("parallel speedup: %s/%s at %d workers: %w", spec.name, scheme, wk, err)
 					}
@@ -162,7 +145,7 @@ func runParallel(opt Options, tr telemetry.Tracer, schemes []string, widths []in
 // opt.widths() and tables the superstep speedup curve, every point
 // verified bit-identical to the sequential run.
 func ParallelSpeedup(opt Options) (*Table, error) {
-	ms, err := runParallel(opt, telemetry.Safe(opt.Tracer), compareSchemes, opt.widths())
+	ms, err := runParallel(opt, compareSchemes, opt.widths())
 	if err != nil {
 		return nil, err
 	}
@@ -180,34 +163,4 @@ func ParallelSpeedup(opt Options) (*Table, error) {
 		"sim_time_us is the cost model's verdict and is identical at every width by construction",
 		"acceptance tracks PageRank at 4 workers on this dataset against the >1.5x bar (meaningful only on hosts with >= 4 CPUs)")
 	return t, nil
-}
-
-// CollectParallel fills the artifact's parallel section from one sweep
-// over the BENCH scheme subset. The section is additive (omitempty) and
-// its wall/speedup columns are the only nondeterministic fields; StripWallClock zeroes them, leaving the simulated times and the
-// identity verdicts, which are independent of the ladder and of
-// Options.Workers.
-func (a *BenchArtifact) CollectParallel(opt Options) error {
-	// The section's sweep is an internal fixed ladder; the logs' scaling
-	// spans reflect the user-requested -widths ladder only, so this run is
-	// untraced (the Parallel Speedup experiment emits the observable spans).
-	ms, err := runParallel(opt, telemetry.Nop(), benchParallelSchemes, benchParallelWidths)
-	if err != nil {
-		return err
-	}
-	for _, m := range ms {
-		a.Parallel = append(a.Parallel, BenchParallel{
-			Graph:      string(parallelDataset),
-			Engine:     m.Engine,
-			Scheme:     m.Scheme,
-			K:          benchPartitionK,
-			Workers:    m.Workers,
-			WallUS:     m.WallUS,
-			Speedup:    m.Speedup,
-			Efficiency: m.Efficiency,
-			SimTimeUS:  m.SimTimeUS,
-			Identical:  m.Identical,
-		})
-	}
-	return nil
 }

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"bpart/internal/resview"
-	"bpart/internal/telemetry"
-	"bpart/internal/traceview"
 )
 
 func TestWidthsDefaultHostIndependent(t *testing.T) {
@@ -16,54 +14,55 @@ func TestWidthsDefaultHostIndependent(t *testing.T) {
 	}
 }
 
-// The sweep's ScalingPhase spans are the only input `tracestat resources`
-// draws its speedup curves from.
+// Every measurement of the sweep is a bit-identity proof with a positive
+// wall time, and the 1-worker point is each curve's speedup baseline. The
+// sweep's engines run quiet: a probe handed in as the run's tracer records
+// nothing, so the ladder never reaches a trace or resource log.
 func TestParallelSweepFeedsResourceCurves(t *testing.T) {
 	var buf bytes.Buffer
 	probe := resview.NewProbe(&buf)
-	ms, err := runParallel(Options{Scale: testScale}, probe, []string{"Chunk-V"}, []int{1, 2})
+	ms, err := runParallel(Options{Scale: testScale, Tracer: probe}, []string{"Chunk-V"}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := probe.Close(); err != nil {
 		t.Fatal(err)
 	}
-	engines := len(parallelEngines)
-	if len(ms) != engines*2 {
-		t.Fatalf("got %d measurements, want %d", len(ms), engines*2)
+	if want := len(parallelEngines) * 2; len(ms) != want {
+		t.Fatalf("got %d measurements, want %d", len(ms), want)
 	}
 	for _, m := range ms {
 		if !m.Identical || m.WallUS <= 0 {
 			t.Fatalf("bad measurement %+v", m)
 		}
-	}
-	l, err := traceview.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One span per engine × width × repetition, and nothing else: the
-	// engines themselves run quiet.
-	if want := engines * 2 * parallelReps; len(l.Records) != want {
-		t.Fatalf("got %d resource records, want %d", len(l.Records), want)
-	}
-	for _, r := range l.Records {
-		if r.Name != resview.ScalingPhase {
-			t.Fatalf("unexpected phase %q", r.Name)
+		if m.Workers == 1 && m.Speedup != 1 {
+			t.Fatalf("1-worker point is not the baseline: %+v", m)
 		}
 	}
-	curves := resview.Curves(l)
-	if len(curves) != engines {
-		t.Fatalf("got %d curves, want %d", len(curves), engines)
+	if buf.Len() != 0 {
+		t.Fatalf("the quiet sweep wrote to the run's tracer:\n%s", buf.String())
 	}
-	for _, c := range curves {
-		if len(c.Points) != 2 || c.Points[0].Workers != 1 || c.Points[0].Speedup != 1 {
-			t.Fatalf("%s: bad curve %+v", c.Scheme, c.Points)
+}
+
+// Speedup is the 1-worker wall over each point's and efficiency is speedup
+// per worker; without a 1-worker point both stay zero.
+func TestDeriveSpeedups(t *testing.T) {
+	curve := []ParallelMeasurement{{Workers: 1, WallUS: 800}, {Workers: 2, WallUS: 500}, {Workers: 4, WallUS: 400}}
+	deriveSpeedups(curve)
+	for i, want := range [][2]float64{{1, 1}, {1.6, 0.8}, {2, 0.5}} {
+		if m := curve[i]; m.Speedup != want[0] || m.Efficiency != want[1] {
+			t.Errorf("%d workers: speedup %v efficiency %v, want %v", m.Workers, m.Speedup, m.Efficiency, want)
 		}
+	}
+	baseless := []ParallelMeasurement{{Workers: 2, WallUS: 100}}
+	deriveSpeedups(baseless)
+	if baseless[0].Speedup != 0 || baseless[0].Efficiency != 0 {
+		t.Errorf("baseless curve: %+v", baseless[0])
 	}
 }
 
 func TestParallelSweepRejectsBadWidth(t *testing.T) {
-	if _, err := runParallel(Options{Scale: testScale}, telemetry.Nop(), []string{"Chunk-V"}, []int{0}); err == nil {
+	if _, err := runParallel(Options{Scale: testScale}, []string{"Chunk-V"}, []int{0}); err == nil {
 		t.Fatal("accepted width 0")
 	}
 }

@@ -5,8 +5,8 @@
 // (internal/servestats). Printer folds a renderer's per-line error checks
 // into one sticky error; Page is the one page lifecycle, so the pages read
 // as one family (same chrome, no server, no external assets); WriteFile is
-// the create/render/close behind every CLI's -html flag; Bar, Cap and Max
-// are the scale and row-cap arithmetic every table and chart repeats.
+// the create/render/close behind every CLI's -html flag; Bar and Max are
+// the scale arithmetic every table and chart repeats.
 package report
 
 import (
@@ -79,16 +79,6 @@ func Bar(v, max float64, width int) string {
 		n = width
 	}
 	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
-}
-
-// Cap resolves a row cap whose zero value means "the default": n when it
-// is positive, def otherwise — every ReportOptions field documented as
-// "(0 = def)".
-func Cap(n, def int) int {
-	if n <= 0 {
-		return def
-	}
-	return n
 }
 
 // Max is the largest of at(0), …, at(n-1), floored at zero: the scale a

@@ -80,14 +80,6 @@ func TestPage(t *testing.T) {
 	}
 }
 
-func TestCap(t *testing.T) {
-	for _, tc := range []struct{ n, def, want int }{{0, 16, 16}, {-3, 16, 16}, {1, 16, 1}, {40, 16, 40}} {
-		if got := Cap(tc.n, tc.def); got != tc.want {
-			t.Errorf("Cap(%d, %d) = %d, want %d", tc.n, tc.def, got, tc.want)
-		}
-	}
-}
-
 func TestMax(t *testing.T) {
 	at := func(xs ...float64) func(int) float64 { return func(i int) float64 { return xs[i] } }
 	for _, tc := range []struct {

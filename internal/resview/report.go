@@ -8,12 +8,8 @@ import (
 	"bpart/internal/traceview"
 )
 
-// ReportOptions tunes the terminal report.
-type ReportOptions struct {
-	// MaxPhases caps the phase breakdown tables (0 = 16). The scaling
-	// section always covers every curve.
-	MaxPhases int
-}
+// maxPhases caps the phase breakdown tables.
+const maxPhases = 16
 
 // fmtBytes renders a byte count with a binary unit suffix.
 func fmtBytes(b int64) string {
@@ -51,11 +47,9 @@ func records(phases []PhaseSummary) (n int) {
 
 // WriteReport renders the terminal resource report of tr (what
 // traceview.Read returned for a -resources file): the phase self-time
-// breakdown, alloc/GC attribution, and — when the log carries
-// Parallel Speedup records — the measured speedup curve per scheme with its
-// efficiency against ideal linear scaling. The "schema v1" in the header
-// names the res_* attr set; the line is pinned by the golden reports.
-func WriteReport(w io.Writer, tr *traceview.Trace, opt ReportOptions) error {
+// breakdown and alloc/GC attribution. The "schema v1" in the header names
+// the res_* attr set; the line is pinned by the golden reports.
+func WriteReport(w io.Writer, tr *traceview.Trace) error {
 	phases, err := Summarize(tr) // before the first byte: bad input fails the command, not half a report
 	if err != nil {
 		return err
@@ -69,21 +63,17 @@ func WriteReport(w io.Writer, tr *traceview.Trace, opt ReportOptions) error {
 		return ew.Err
 	}
 	ew.Printf("RESOURCES: %d records across %d phases (schema v1)\n", records(phases), len(phases))
-	limit := report.Cap(opt.MaxPhases, 16)
-	writePhases(ew, phases, limit)
-	writeAllocs(ew, phases, limit)
-	if curves := Curves(tr); len(curves) > 0 {
-		writeScaling(ew, curves)
-	}
+	writePhases(ew, phases)
+	writeAllocs(ew, phases)
 	return ew.Err
 }
 
-func writePhases(ew *report.Printer, phases []PhaseSummary, limit int) {
+func writePhases(ew *report.Printer, phases []PhaseSummary) {
 	maxWall := report.Max(len(phases), func(i int) float64 { return phases[i].WallUS })
 	ew.Printf("  phase self-time (wall clock):\n")
 	for i, s := range phases {
-		if i >= limit {
-			ew.Printf("    ... %d more phases elided (raise -phases)\n", len(phases)-i)
+		if i >= maxPhases {
+			ew.Printf("    ... %d more phases elided\n", len(phases)-i)
 			break
 		}
 		ew.Printf("    %-24s %s %10s  x%-6d goroutines<=%d\n",
@@ -91,12 +81,12 @@ func writePhases(ew *report.Printer, phases []PhaseSummary, limit int) {
 	}
 }
 
-func writeAllocs(ew *report.Printer, phases []PhaseSummary, limit int) {
+func writeAllocs(ew *report.Printer, phases []PhaseSummary) {
 	maxBytes := report.Max(len(phases), func(i int) int64 { return phases[i].AllocBytes })
 	ew.Printf("  allocation / GC attribution:\n")
 	for i, s := range phases {
-		if i >= limit {
-			ew.Printf("    ... %d more phases elided (raise -phases)\n", len(phases)-i)
+		if i >= maxPhases {
+			ew.Printf("    ... %d more phases elided\n", len(phases)-i)
 			break
 		}
 		gc := ""
@@ -105,17 +95,5 @@ func writeAllocs(ew *report.Printer, phases []PhaseSummary, limit int) {
 		}
 		ew.Printf("    %-24s %s %10s  %d allocs%s\n",
 			s.Phase, report.Bar(float64(s.AllocBytes), float64(maxBytes), 20), fmtBytes(s.AllocBytes), s.Allocs, gc)
-	}
-}
-
-func writeScaling(ew *report.Printer, curves []ScalingCurve) {
-	ew.Printf("  parallel speedup (superstep worker pool; speedup vs 1 worker, ideal = linear):\n")
-	for _, c := range curves {
-		ew.Printf("    %s:\n", c.Scheme)
-		for _, pt := range c.Points {
-			ideal := float64(pt.Workers)
-			ew.Printf("      %3d workers  %10s  speedup %5.2fx %s  efficiency %5.1f%%\n",
-				pt.Workers, fmtUS(pt.WallUS), pt.Speedup, report.Bar(pt.Speedup, ideal, 20), pt.Efficiency*100)
-		}
 	}
 }

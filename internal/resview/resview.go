@@ -7,8 +7,8 @@
 // consecutive events of one name (cluster supersteps). It has no format of
 // its own: the probe decorates telemetry.JSONL, so a resource log is a
 // trace whose records carry the deltas as res_* attrs, traceview.Read
-// reads it, and this package derives the phase self-time breakdown,
-// alloc/GC attribution and the Parallel Speedup curves from those attrs.
+// reads it, and this package derives the phase self-time breakdown and
+// alloc/GC attribution from those attrs.
 // cmd/tracestat's `resources` subcommand is the CLI over it.
 //
 // Everything here is host-dependent by nature and therefore lives outside
@@ -24,13 +24,6 @@ import (
 
 	"bpart/internal/traceview"
 )
-
-// ScalingPhase is the phase name the Parallel Speedup harness
-// (internal/experiments) records one span per (scheme, workers) repetition
-// under, its schemes namespaced as "Engine/Scheme" (e.g. "PageRank/BPart");
-// Curves derives the speedup plot from records with this name. The wire
-// name predates the harness and is kept so existing logs still plot.
-const ScalingPhase = "scaling.replay"
 
 // decode returns the numbers a Probe attached to r, keyed by attr name:
 // every attr under the res_ prefix, plus "res_wall_us" for a span, whose

@@ -125,10 +125,10 @@ func validLine(seq int, phase string, wall float64, attrs string) string {
 		seq, phase, wall, attrs, resAttrs) + "\n"
 }
 
-func textReport(t *testing.T, tr *traceview.Trace, opt ReportOptions) string {
+func textReport(t *testing.T, tr *traceview.Trace) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, tr, opt); err != nil {
+	if err := WriteReport(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -137,7 +137,7 @@ func textReport(t *testing.T, tr *traceview.Trace, opt ReportOptions) string {
 // A crashed run's torn final line is traceview.Read's to tolerate; the
 // report says so and covers the intact prefix.
 func TestReadTornTail(t *testing.T) {
-	out := textReport(t, read(t, validLine(0, "a", 100, "")+`{"ts":"2026-08-20T12:0`), ReportOptions{})
+	out := textReport(t, read(t, validLine(0, "a", 100, "")+`{"ts":"2026-08-20T12:0`))
 	for _, want := range []string{"WARNING: final log line torn", "RESOURCES: 1 records across 1 phases"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -154,20 +154,20 @@ func TestReadHardErrors(t *testing.T) {
 		return `{"ts":"2026-08-20T12:00:00Z","type":"` + typ + `","name":"a"` + dur + `,"attrs":{` + attrs + `}}` + "\n"
 	}
 	for name, in := range map[string]string{
-		"negative dur_us":   line("span", `,"dur_us":-1`, `"res_allocs":1`),
-		"negative lap":      line("event", "", `"res_wall_us":-1`),
-		"negative allocs":   line("span", `,"dur_us":1`, `"res_allocs":-1`),
-		"string number":     line("span", `,"dur_us":1`, `"res_alloc_bytes":"4096"`),
-		"array number":      line("event", "", `"res_wall_us":1,"res_goroutines":[2]`),
-		"null number":       line("span", `,"dur_us":1`, `"res_gc_pause_us":null`),
-		"bad after good":    validLine(0, "a", 1, "") + line("span", `,"dur_us":1`, `"res_gc_cycles":true`),
-		"bad scaling point": line("span", `,"dur_us":1`, `"scheme":"X","workers":1,"res_heap_bytes":-5`),
+		"negative dur_us":       line("span", `,"dur_us":-1`, `"res_allocs":1`),
+		"negative lap":          line("event", "", `"res_wall_us":-1`),
+		"negative allocs":       line("span", `,"dur_us":1`, `"res_allocs":-1`),
+		"string number":         line("span", `,"dur_us":1`, `"res_alloc_bytes":"4096"`),
+		"array number":          line("event", "", `"res_wall_us":1,"res_goroutines":[2]`),
+		"null number":           line("span", `,"dur_us":1`, `"res_gc_pause_us":null`),
+		"bad after good":        validLine(0, "a", 1, "") + line("span", `,"dur_us":1`, `"res_gc_cycles":true`),
+		"bad among plain attrs": line("span", `,"dur_us":1`, `"scheme":"X","workers":1,"res_heap_bytes":-5`),
 	} {
 		tr := read(t, in)
 		if _, err := Summarize(tr); err == nil {
 			t.Errorf("%s: summarized", name)
 		}
-		if err := WriteReport(&bytes.Buffer{}, tr, ReportOptions{}); err == nil {
+		if err := WriteReport(&bytes.Buffer{}, tr); err == nil {
 			t.Errorf("%s: reported", name)
 		}
 		var page bytes.Buffer
@@ -194,7 +194,7 @@ func TestReadEmptyAndBlankLines(t *testing.T) {
 		if s, err := Summarize(tr); err != nil || len(s) != 0 {
 			t.Errorf("%s: Summarize = %v, %v", name, s, err)
 		}
-		if out := textReport(t, tr, ReportOptions{}); !strings.HasPrefix(out, "No resource records: capture was off") {
+		if out := textReport(t, tr); !strings.HasPrefix(out, "No resource records: capture was off") {
 			t.Errorf("%s: report = %q", name, out)
 		}
 	}
@@ -224,75 +224,40 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func scalingLine(seq int, scheme string, workers int, wall float64) string {
-	return validLine(seq, ScalingPhase, wall, fmt.Sprintf(`"scheme":%q,"workers":%d,`, scheme, workers))
-}
-
-func TestCurves(t *testing.T) {
-	in := scalingLine(0, "Fennel", 1, 1000) +
-		scalingLine(1, "Fennel", 1, 800) + // best-of: keep the faster rep
-		scalingLine(2, "Fennel", 2, 500) +
-		scalingLine(3, "Fennel", 4, 400) +
-		scalingLine(4, "LDG", 1, 600) +
-		scalingLine(5, "LDG", 2, 300) +
-		validLine(6, "partition.stream", 123, "") // unrelated phase ignored
-	curves := Curves(read(t, in))
-	if len(curves) != 2 {
-		t.Fatalf("got %d curves, want 2", len(curves))
-	}
-	if curves[0].Scheme != "Fennel" || curves[1].Scheme != "LDG" {
-		t.Fatalf("scheme order: %+v", curves)
-	}
-	f := curves[0].Points
-	if len(f) != 3 || f[0].Workers != 1 || f[1].Workers != 2 || f[2].Workers != 4 {
-		t.Fatalf("Fennel points: %+v", f)
-	}
-	if f[0].WallUS != 800 {
-		t.Fatalf("best-of-N not applied: %+v", f[0])
-	}
-	if f[1].Speedup != 1.6 || f[1].Efficiency != 0.8 {
-		t.Fatalf("speedup math: %+v", f[1])
-	}
-	if f[0].Speedup != 1 || f[0].Efficiency != 1 {
-		t.Fatalf("base point: %+v", f[0])
-	}
-	// Without a 1-worker base the derived columns stay zero.
-	c2 := Curves(read(t, scalingLine(0, "X", 2, 100)))
-	if len(c2) != 1 || c2[0].Points[0].Speedup != 0 {
-		t.Fatalf("baseless curve: %+v", c2)
-	}
-}
-
 func TestWriteReport(t *testing.T) {
-	in := validLine(0, "partition.stream", 2500, "") + scalingLine(1, "Fennel", 1, 1000) + scalingLine(2, "Fennel", 2, 600)
-	out := textReport(t, read(t, in), ReportOptions{})
+	in := validLine(0, "partition.stream", 2500, "") + validLine(1, "walk.run", 1000, "")
+	out := textReport(t, read(t, in))
 	for _, want := range []string{
-		"RESOURCES: 3 records across 2 phases",
+		"RESOURCES: 2 records across 2 phases",
 		"partition.stream",
-		"parallel speedup",
-		"Fennel",
-		"speedup",
-		"efficiency",
+		"walk.run",
+		"allocation / GC attribution",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	// MaxPhases elides.
-	many := validLine(0, "a", 3, "") + validLine(1, "b", 2, "") + validLine(2, "c", 1, "")
-	if out := textReport(t, read(t, many), ReportOptions{MaxPhases: 2}); !strings.Contains(out, "more phases elided") {
-		t.Errorf("MaxPhases did not elide:\n%s", out)
+	if strings.Contains(out, "elided") {
+		t.Errorf("two phases elided:\n%s", out)
+	}
+	// One phase past the cap elides from both tables.
+	var many strings.Builder
+	for i := 0; i <= maxPhases; i++ {
+		many.WriteString(validLine(i, fmt.Sprintf("phase%02d", i), float64(100-i), ""))
+	}
+	if out := textReport(t, read(t, many.String())); strings.Count(out, "... 1 more phases elided\n") != 2 {
+		t.Errorf("%d phases did not elide one per table:\n%s", maxPhases+1, out)
 	}
 }
 
 func TestWriteHTML(t *testing.T) {
-	in := validLine(0, "partition.stream", 2500, "") + scalingLine(1, "Fennel", 1, 1000) + scalingLine(2, "Fennel", 4, 400)
+	in := validLine(0, "partition.stream", 2500, "") + validLine(1, "walk.run", 1000, "")
 	var buf bytes.Buffer
 	if err := WriteHTML(&buf, read(t, in), "test resources"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"<!DOCTYPE html>", "test resources", "<svg", "Fennel", "partition.stream"} {
+	for _, want := range []string{"<!DOCTYPE html>", "test resources", "<svg", "walk.run", "partition.stream"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("html missing %q", want)
 		}

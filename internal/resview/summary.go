@@ -70,59 +70,3 @@ func Summarize(tr *traceview.Trace) ([]PhaseSummary, error) {
 	})
 	return out, nil
 }
-
-// ScalingPoint is one (workers → wall time) measurement of a scaling
-// curve, with the derived speedup over the 1-worker point and the parallel
-// efficiency (speedup/workers; 1.0 = ideal linear scaling).
-type ScalingPoint struct {
-	Workers    int
-	WallUS     float64
-	Speedup    float64
-	Efficiency float64
-}
-
-// ScalingCurve is one scheme's measured speedup curve.
-type ScalingCurve struct {
-	Scheme string
-	Points []ScalingPoint
-}
-
-// Curves extracts the Parallel Speedup measurements of tr: spans named
-// ScalingPhase with "scheme"/"workers" attrs, grouped by scheme (sorted by
-// name) with points sorted by workers. A span's wall time is its own
-// dur_us, so no res_* attr is read. Repeated measurements of the same
-// width keep the fastest (the conventional best-of-N timing); speedup and
-// efficiency are derived from the 1-worker point and left zero when it is
-// absent.
-func Curves(tr *traceview.Trace) []ScalingCurve {
-	best := map[string]map[int]float64{} // scheme → workers → fastest dur_us
-	for _, r := range tr.Spans(ScalingPhase) {
-		scheme, hasScheme := r.Str("scheme")
-		workers, hasWorkers := r.Int("workers")
-		if !hasScheme || !hasWorkers || workers <= 0 {
-			continue
-		}
-		if best[scheme] == nil {
-			best[scheme] = map[int]float64{}
-		}
-		if w, ok := best[scheme][workers]; !ok || r.DurUS < w {
-			best[scheme][workers] = r.DurUS
-		}
-	}
-	var out []ScalingCurve
-	for scheme, byWidth := range best {
-		c := ScalingCurve{Scheme: scheme}
-		for w, wall := range byWidth {
-			pt := ScalingPoint{Workers: w, WallUS: wall}
-			if base := byWidth[1]; base > 0 && wall > 0 {
-				pt.Speedup = base / wall
-				pt.Efficiency = pt.Speedup / float64(w)
-			}
-			c.Points = append(c.Points, pt)
-		}
-		sort.Slice(c.Points, func(i, j int) bool { return c.Points[i].Workers < c.Points[j].Workers })
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Scheme < out[j].Scheme })
-	return out
-}

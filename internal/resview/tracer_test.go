@@ -92,13 +92,15 @@ func TestSpanAttrsAccumulate(t *testing.T) {
 // trace schema with the same numbers, must render byte for byte as the
 // commits that still read v1 rendered it: the text as PR 15's `tracestat
 // resources` printed it, the page as PR 23's `-html` wrote it.
+// Neither draws speedup curves: the Parallel Speedup table is the one
+// report of that quantity.
 func TestParentRecordedLogRendersIdentically(t *testing.T) {
 	tr, err := traceview.ReadFile(filepath.Join("testdata", "parent_pr15.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for golden, render := range map[string]func(*bytes.Buffer) error{
-		"parent_pr15.report.txt":     func(b *bytes.Buffer) error { return WriteReport(b, tr, ReportOptions{}) },
+		"parent_pr15.report.txt":     func(b *bytes.Buffer) error { return WriteReport(b, tr) },
 		"parent_pr15.resources.html": func(b *bytes.Buffer) error { return WriteHTML(b, tr, "bpart runtime resources") },
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", golden))

@@ -66,10 +66,7 @@ func FuzzRead(f *testing.F) {
 		}
 		// Every renderer must survive anything Read accepts: malformed
 		// superstep attrs are a legitimate error, a panic is not.
-		_ = WriteReport(io.Discard, tr, ReportOptions{})
+		_ = WriteReport(io.Discard, tr)
 		_ = WriteHTML(io.Discard, tr)
-		if d, err := Diff(tr, tr); err == nil {
-			_ = d.WriteText(io.Discard, 1)
-		}
 	})
 }

@@ -8,14 +8,12 @@ import (
 	"bpart/internal/report"
 )
 
-// ReportOptions tunes the terminal report.
-type ReportOptions struct {
-	// MaxSupersteps caps the per-run straggler table (0 = 16). The
-	// summary lines always cover the whole run.
-	MaxSupersteps int
-	// MaxTreeSpans caps the phase-tree listing (0 = 64).
-	MaxTreeSpans int
-}
+// Row caps of the terminal report. The summary lines always cover the
+// whole run.
+const (
+	maxSupersteps = 16 // rows of the per-run straggler table
+	maxTreeSpans  = 64 // rows of the phase-tree listing
+)
 
 // fmtUS renders a simulated-or-wall microsecond quantity with a readable
 // unit.
@@ -33,11 +31,11 @@ func fmtUS(us float64) string {
 // WriteReport renders the full terminal report: trace summary, span
 // aggregates, phase tree, and — per run — straggler attribution, the
 // WaitRatio decomposition and the critical-path split.
-func WriteReport(w io.Writer, tr *Trace, opt ReportOptions) error {
+func WriteReport(w io.Writer, tr *Trace) error {
 	ew := &report.Printer{W: w}
 	writeSummary(ew, tr)
 	writeSpanTable(ew, tr)
-	writeTree(ew, tr, opt)
+	writeTree(ew, tr)
 	steps, err := Supersteps(tr)
 	if err != nil {
 		return err
@@ -47,7 +45,7 @@ func WriteReport(w io.Writer, tr *Trace, opt ReportOptions) error {
 		return ew.Err
 	}
 	for i, run := range GroupRuns(steps) {
-		writeRun(ew, i+1, run, opt)
+		writeRun(ew, i+1, run)
 	}
 	return ew.Err
 }
@@ -87,30 +85,30 @@ func writeSpanTable(ew *report.Printer, tr *Trace) {
 	}
 }
 
-func writeTree(ew *report.Printer, tr *Trace, opt ReportOptions) {
+func writeTree(ew *report.Printer, tr *Trace) {
 	root := BuildTree(tr)
 	if len(root.Children) == 0 {
 		return
 	}
 	ew.Printf("\nPHASE TREE\n")
-	shown, total, limit := 0, 0, report.Cap(opt.MaxTreeSpans, 64)
+	shown, total := 0, 0
 	root.Walk(func(n *SpanNode, depth int) {
 		if n.Rec == nil {
 			return
 		}
 		total++
-		if shown >= limit {
+		if shown >= maxTreeSpans {
 			return
 		}
 		shown++
 		ew.Printf("  %s%s %s\n", strings.Repeat("  ", depth), n.Rec.Name, fmtUS(n.Rec.DurUS))
 	})
 	if total > shown {
-		ew.Printf("  ... %d more spans elided (raise -tree-spans)\n", total-shown)
+		ew.Printf("  ... %d more spans elided\n", total-shown)
 	}
 }
 
-func writeRun(ew *report.Printer, idx int, run []Superstep, opt ReportOptions) {
+func writeRun(ew *report.Printer, idx int, run []Superstep) {
 	b := DecomposeWaitRatio(run)
 	ew.Printf("\nRUN %d: %d machines, %d supersteps, sim time %s\n", idx, b.Machines, b.Supersteps, fmtUS(b.TotalTimeUS))
 	ew.Printf("  wait ratio %.4f  (share of cluster capacity idle at barriers)\n", b.WaitRatio)
@@ -122,19 +120,19 @@ func writeRun(ew *report.Printer, idx int, run []Superstep, opt ReportOptions) {
 		}
 	}
 
-	writeStragglers(ew, run, opt)
+	writeStragglers(ew, run)
 	writeCritPath(ew, run)
 }
 
 // WriteStragglers prints the straggler-attribution section for one run —
 // the `tracestat stragglers` subcommand.
-func WriteStragglers(w io.Writer, idx int, run []Superstep, opt ReportOptions) error {
+func WriteStragglers(w io.Writer, idx int, run []Superstep) error {
 	if len(run) == 0 {
 		return nil
 	}
 	ew := &report.Printer{W: w}
 	ew.Printf("RUN %d: %d machines, %d supersteps\n", idx, run[0].Machines, len(run))
-	writeStragglers(ew, run, opt)
+	writeStragglers(ew, run)
 	return ew.Err
 }
 
@@ -150,17 +148,15 @@ func WriteCritPath(w io.Writer, idx int, run []Superstep) error {
 	return ew.Err
 }
 
-func writeStragglers(ew *report.Printer, run []Superstep, opt ReportOptions) {
+func writeStragglers(ew *report.Printer, run []Superstep) {
 	strag := Stragglers(run)
 	ew.Printf("  straggler attribution (machine bounding each barrier, and its lead over the runner-up):\n")
 	ew.Printf("    %5s  %8s %10s %10s  %8s %10s %10s\n", "iter", "compute", "time", "slack", "comm", "time", "slack")
-	shown, limit := 0, report.Cap(opt.MaxSupersteps, 16)
-	for _, s := range strag {
-		if shown >= limit {
-			ew.Printf("    ... %d more supersteps elided (raise -supersteps)\n", len(strag)-shown)
+	for i, s := range strag {
+		if i >= maxSupersteps {
+			ew.Printf("    ... %d more supersteps elided\n", len(strag)-i)
 			break
 		}
-		shown++
 		ew.Printf("    %5d  %8s %10s %10s  %8s %10s %10s\n",
 			s.Iteration,
 			fmt.Sprintf("M%d", s.ComputeMachine), fmtUS(s.ComputeUS), fmtUS(s.ComputeSlackUS),

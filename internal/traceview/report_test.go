@@ -3,8 +3,10 @@ package traceview
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -36,7 +38,7 @@ func TestReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, tr, ReportOptions{}); err != nil {
+	if err := WriteReport(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "report.golden", buf.Bytes())
@@ -93,7 +95,7 @@ func TestReportFixtureArithmetic(t *testing.T) {
 func TestReportOnRealTrace(t *testing.T) {
 	tr, _ := tracedWalk(t, 5)
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, tr, ReportOptions{MaxSupersteps: 4}); err != nil {
+	if err := WriteReport(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -110,6 +112,48 @@ func TestReportOnRealTrace(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// A run longer than maxSupersteps elides the straggler table's tail, and
+// more than maxTreeSpans spans elide the phase tree's; the run summary
+// still covers every superstep.
+func TestReportElidesPastCaps(t *testing.T) {
+	var in strings.Builder
+	for i := 0; i <= maxTreeSpans; i++ {
+		fmt.Fprintf(&in, `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"s%d","dur_us":1}`+"\n", i)
+	}
+	for i := 0; i <= maxSupersteps; i++ {
+		fmt.Fprintf(&in, `{"ts":"2026-08-06T10:00:01Z","type":"event","name":"cluster.superstep","attrs":{"iteration":%d,"machines":2,"time_us":150,"compute":[100,60],"comm":[20,30],"waiting":[10,40],"steps":[1,1],"edges":[0,0],"vertices":[0,0],"messages":[5,3]}}`+"\n", i)
+	}
+	tr, err := Read(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		fmt.Sprintf("RUN 1: 2 machines, %d supersteps", maxSupersteps+1),
+		"  ... 1 more spans elided\n",
+		"    ... 1 more supersteps elided\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+	buf.Reset()
+	steps, err := Supersteps(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteStragglers(&buf, 1, steps); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "    ... 1 more supersteps elided\n") {
+		t.Errorf("stragglers did not elide:\n%s", buf.String())
 	}
 }
 
