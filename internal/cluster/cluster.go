@@ -18,9 +18,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
+	"bpart/internal/pool"
 	"bpart/internal/telemetry"
 )
 
@@ -189,40 +189,15 @@ func (c *Cluster) Workers() int {
 }
 
 // RunTasks executes fn(task) for every task in [0, ntasks) on the
-// cluster's worker pool. With Workers() == 1 the tasks run inline on the
-// calling goroutine in ascending order; with W > 1, min(W, ntasks)
-// goroutines drain the tasks through an atomic cursor, so scheduling order
-// is arbitrary. Callers must therefore confine each task's writes to
-// task-private state and combine results in fixed task order afterwards —
-// that contract is what keeps parallel runs bit-identical to sequential
-// ones.
+// cluster's worker pool: pool.Run at width Workers(). With Workers() == 1
+// the tasks run inline on the calling goroutine in ascending order; with
+// W > 1, min(W, ntasks) goroutines drain the tasks through an atomic
+// cursor, so scheduling order is arbitrary. Callers must therefore confine
+// each task's writes to task-private state and combine results in fixed
+// task order afterwards — that contract is what keeps parallel runs
+// bit-identical to sequential ones.
 func (c *Cluster) RunTasks(ntasks int, fn func(task int)) {
-	w := c.Workers()
-	if w > ntasks {
-		w = ntasks
-	}
-	if w <= 1 {
-		for t := 0; t < ntasks; t++ {
-			fn(t)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(cursor.Add(1)) - 1
-				if t >= ntasks {
-					return
-				}
-				fn(t)
-			}
-		}()
-	}
-	wg.Wait()
+	pool.Run(c.Workers(), ntasks, fn)
 }
 
 // NumMachines returns the machine count.

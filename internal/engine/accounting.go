@@ -49,17 +49,20 @@ func (e *Engine) pushAccounting(w *cluster.Counters, tr *graph.Graph) pushAccoun
 
 // cutDegrees counts, for every vertex, its neighbors in g owned by another
 // machine: one O(E) scan on the worker pool, what every push superstep
-// paid before the counts were kept.
+// paid before the counts were kept. Each row is counted in a local and
+// stored once, so the per-arc loop touches no memory but the row and the
+// owner table.
 func (e *Engine) cutDegrees(g *graph.Graph) []int32 {
 	cut := make([]int32, g.NumVertices())
 	e.chunkMap(len(cut), func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			m := e.cl.Owner(graph.VertexID(v))
+			m, c := e.cl.Owner(graph.VertexID(v)), int32(0)
 			for _, u := range g.Neighbors(graph.VertexID(v)) {
 				if e.cl.Owner(u) != m {
-					cut[v]++
+					c++
 				}
 			}
+			cut[v] = c
 		}
 	})
 	return cut

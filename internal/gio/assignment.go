@@ -15,17 +15,20 @@ import (
 // workflow: partition once in preprocessing, reuse for every analytics
 // job) read this file at load time.
 
-// WriteAssignment writes a vertex→part assignment.
+// WriteAssignment writes a vertex→part assignment. Each part line is
+// formatted with strconv into one reused line buffer.
 func WriteAssignment(w io.Writer, parts []int, k int) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# bpart assignment k=%d n=%d\n", k, len(parts)); err != nil {
 		return err
 	}
+	var line []byte
 	for _, p := range parts {
 		if p < 0 || p >= k {
 			return fmt.Errorf("gio: part %d out of range [0,%d)", p, k)
 		}
-		if _, err := fmt.Fprintln(bw, p); err != nil {
+		line = append(strconv.AppendInt(line[:0], int64(p), 10), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -23,6 +23,20 @@ func TestAssignmentRoundTrip(t *testing.T) {
 	}
 }
 
+// The file text is pinned byte for byte: the header, then one decimal
+// part per line, multi-digit parts included.
+func TestWriteAssignmentBytesPinned(t *testing.T) {
+	const k = 100000
+	var buf bytes.Buffer
+	if err := WriteAssignment(&buf, []int{0, 9, 10, 99, 100, 65535, k - 1, 7}, k); err != nil {
+		t.Fatal(err)
+	}
+	const want = "# bpart assignment k=100000 n=8\n0\n9\n10\n99\n100\n65535\n99999\n7\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteAssignment wrote %q, want %q", got, want)
+	}
+}
+
 func TestAssignmentFileRoundTrip(t *testing.T) {
 	parts := []int{1, 0, 1}
 	path := filepath.Join(t.TempDir(), "a.parts")

@@ -12,8 +12,12 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sort"
 	"sync"
+
+	"bpart/internal/pool"
 )
 
 // VertexID identifies a vertex. Dense, zero-based.
@@ -105,30 +109,92 @@ func (g *Graph) EdgeList() []Edge {
 
 // Transpose returns a fresh graph with every arc reversed. It is the
 // uncached builder behind In, which is what consumers of in-neighbors call.
-//
-// It is a direct counting sort over the target array: count in-degrees,
-// prefix-sum them into offsets, then scatter while scanning sources in
-// ascending order — which emits every in-row already sorted, parallel arcs
-// adjacent. It allocates the two CSR arrays and one cursor array.
+// It builds in bands on every core (pool.Run at width GOMAXPROCS) once the
+// graph has two bands' worth of arcs; the bytes are the same at any width.
 func (g *Graph) Transpose() *Graph {
-	n := g.NumVertices()
+	return g.transpose(transposeBands(runtime.GOMAXPROCS(0), len(g.targets)))
+}
+
+// minBandArcs is the fan-out floor: no band scatters fewer arcs, so a graph
+// below 2·minBandArcs builds on one band, inline, and starts no goroutine.
+const minBandArcs = 1 << 17
+
+// bandsPerWorker: a band's scattered writes stay within its own slice of
+// the output, so more, smaller bands miss cache less, but every band
+// re-reads all source rows. On the benchmark graph (3.78 M arcs, 2-CPU
+// host) two per worker beat one per worker at one core (17.7 → 16.5 ns per
+// arc) and at two (9.8 → 8.8); more per worker gained under 1 ns at one
+// core and lost at two.
+const bandsPerWorker = 2
+
+// transposeBands is the band count for m arcs at width w: bandsPerWorker
+// per worker, fewer when a band would fall below the floor.
+func transposeBands(w, m int) int {
+	return max(1, min(bandsPerWorker*w, m/minBandArcs))
+}
+
+// transpose is a counting sort over the target array, banded by
+// destination. It counts in-degrees into offsets and prefix-sums them one
+// slot to the right, so offsets[t+1] holds the start of row t and serves
+// as its cursor: scattering advances it to the row's end, which is
+// offsets[t+1]'s final value — no cursor array and no pass afterwards.
+//
+// Each band owns a contiguous range of target vertices [lo, hi), cut so
+// the bands hold about equal arc counts. It scans every source row in
+// ascending order from the row's first target >= lo (a binary search: rows
+// are sorted) up to hi, so every in-row is filled in ascending source
+// order, parallel arcs adjacent, exactly as one band fills it. Bands write
+// disjoint ranges of targets and of offsets, so they run concurrently on
+// pool.Run. It allocates the two CSR arrays, plus the band bounds and the
+// task closure when there is more than one band.
+func (g *Graph) transpose(bands int) *Graph {
+	n, m := g.NumVertices(), len(g.targets)
 	offsets := make([]uint64, n+1)
 	for _, t := range g.targets {
 		offsets[t+1]++
 	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
+	var start uint64
+	for v := 1; v <= n; v++ {
+		d := offsets[v]
+		offsets[v] = start
+		start += d
 	}
-	targets := make([]VertexID, len(g.targets))
-	cursor := make([]uint64, n)
-	copy(cursor, offsets[:n])
-	for v := 0; v < n; v++ {
-		for _, t := range g.targets[g.offsets[v]:g.offsets[v+1]] {
-			targets[cursor[t]] = VertexID(v)
-			cursor[t]++
+	targets := make([]VertexID, m)
+	if bands <= 1 {
+		g.scatterBand(offsets, targets, 0, n)
+		return &Graph{offsets: offsets, targets: targets}
+	}
+	bounds := make([]int, bands+1)
+	for b := 1; b < bands; b++ {
+		arcs := uint64(b * m / bands)
+		bounds[b] = sort.Search(n, func(t int) bool { return offsets[t+1] >= arcs })
+	}
+	bounds[bands] = n
+	pool.Run(runtime.GOMAXPROCS(0), bands, func(b int) {
+		g.scatterBand(offsets, targets, bounds[b], bounds[b+1])
+	})
+	return &Graph{offsets: offsets, targets: targets}
+}
+
+// scatterBand writes the in-rows of the targets in [lo, hi): every source
+// row in ascending order, from its first target >= lo up to hi, each arc
+// at its target's cursor offsets[t+1], which it advances.
+func (g *Graph) scatterBand(offsets []uint64, targets []VertexID, lo, hi int) {
+	for v := 0; v < len(g.offsets)-1; v++ {
+		row := g.targets[g.offsets[v]:g.offsets[v+1]]
+		if lo > 0 {
+			i, _ := slices.BinarySearch(row, VertexID(lo))
+			row = row[i:]
+		}
+		for _, t := range row {
+			if int(t) >= hi {
+				break
+			}
+			c := offsets[t+1]
+			targets[c] = VertexID(v)
+			offsets[t+1] = c + 1
 		}
 	}
-	return &Graph{offsets: offsets, targets: targets}
 }
 
 // In returns the reverse of g, whose row v lists v's in-neighbors: the

@@ -468,26 +468,108 @@ func TestTransposeMatchesBuilderReference(t *testing.T) {
 	}
 }
 
-// TestTransposeAllocs pins Transpose to its three arrays: the two CSR arrays
-// and one cursor array, plus the Graph header. A return to replaying arcs
-// through a Builder allocates an order of magnitude more and fails here.
+// TestTransposeAllocs pins Transpose to its two CSR arrays plus the Graph
+// header: no cursor array, and on one band (a graph below the fan-out
+// floor) nothing else. A return to replaying arcs through a Builder
+// allocates an order of magnitude more and fails here.
 func TestTransposeAllocs(t *testing.T) {
 	const n, m = 10000, 100000
 	g := randomMultigraph(xrand.New(3), n, m)
 	var sink *Graph
-	if allocs := testing.AllocsPerRun(5, func() { sink = g.Transpose() }); allocs > 4 {
-		t.Errorf("Transpose made %v allocations, want at most 4", allocs)
+	if allocs := testing.AllocsPerRun(5, func() { sink = g.Transpose() }); allocs > 3 {
+		t.Errorf("Transpose made %v allocations, want at most 3", allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sink = g.Transpose()
 	runtime.ReadMemStats(&after)
-	const slack = 64 << 10 // size-class rounding of three large arrays
-	limit := uint64(4*g.NumEdges() + 16*(n+1) + slack)
+	const slack = 64 << 10 // size-class rounding of two large arrays
+	limit := uint64(4*g.NumEdges() + 8*(n+1) + slack)
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 		t.Errorf("Transpose allocated %d bytes, want at most %d", got, limit)
 	}
 	_ = sink
+}
+
+// The fanned-out build allocates what the one-band build does plus its
+// fixed cost: the band bounds, the task closure and the pool's cursor and
+// wait group (goroutine stacks come from the runtime's stack pool).
+func TestTransposeFanOutAllocs(t *testing.T) {
+	const n, m, bands = 10000, 100000, 7
+	g := randomMultigraph(xrand.New(3), n, m)
+	sink := g.transpose(bands) // warm the runtime's free goroutines
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sink = g.transpose(bands)
+	runtime.ReadMemStats(&after)
+	const slack, fanOut = 64 << 10, 8*(bands+1) + 1<<10
+	limit := uint64(4*g.NumEdges() + 8*(n+1) + slack + fanOut)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("transpose(%d) allocated %d bytes, want at most %d", bands, got, limit)
+	}
+	_ = sink
+}
+
+// The banded build gives the Builder reference's bytes at every band
+// count, on the degenerate shapes where bands fall empty or one band owns
+// every arc, and on a graph above the fan-out floor, which In also builds
+// at the default width.
+func TestTransposeBandGrid(t *testing.T) {
+	const n = 50
+	into := func(dst func(src int) VertexID) *Graph {
+		var edges []Edge
+		for src := 0; src < n; src++ {
+			for range src % 4 {
+				edges = append(edges, Edge{VertexID(src), dst(src)})
+			}
+		}
+		return FromEdges(n, edges)
+	}
+	loops := NewBuilder(n)
+	for v := 0; v < n; v++ {
+		loops.AddEdge(VertexID(v), VertexID(v))
+		loops.AddEdge(VertexID(v), VertexID((v*7)%n))
+		loops.AddEdge(VertexID(v), VertexID((v*7)%n))
+	}
+	big := randomMultigraph(xrand.New(11), 5000, 2*minBandArcs+1000)
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"zero value", &Graph{}},
+		{"empty", FromEdges(0, nil)},
+		{"isolated", FromEdges(n, nil)},
+		{"all into 0", into(func(int) VertexID { return 0 })},
+		{"all into last", into(func(int) VertexID { return n - 1 })},
+		{"self-loops and parallel arcs", loops.Build()},
+		{"above the floor", big},
+	}
+	for _, c := range graphs {
+		want := transposeViaBuilder(c.g)
+		for _, bands := range []int{1, 2, 3, 7, runtime.NumCPU()} {
+			if got := c.g.transpose(bands); !sameCSR(got, want) {
+				t.Errorf("%s: %d bands differ from the Builder reference", c.name, bands)
+			}
+		}
+	}
+	if w := runtime.GOMAXPROCS(0); w > 1 && transposeBands(w, big.NumEdges()) < 2 {
+		t.Errorf("%d arcs stay on one band at width %d", big.NumEdges(), w)
+	}
+	if !sameCSR(big.In(), transposeViaBuilder(big)) {
+		t.Error("In above the fan-out floor differs from the Builder reference")
+	}
+}
+
+// The band count follows the width and stays at one below the floor.
+func TestTransposeBands(t *testing.T) {
+	for _, c := range []struct{ w, m, want int }{
+		{1, 0, 1}, {8, 0, 1}, {8, 2*minBandArcs - 1, 1}, {8, 2 * minBandArcs, 2},
+		{1, 100 * minBandArcs, bandsPerWorker}, {2, 100 * minBandArcs, 2 * bandsPerWorker},
+	} {
+		if got := transposeBands(c.w, c.m); got != c.want {
+			t.Errorf("transposeBands(%d, %d) = %d, want %d", c.w, c.m, got, c.want)
+		}
+	}
 }
 
 // In is the graph's one reverse: built on the first call, the same pointer
