@@ -3,8 +3,11 @@ package bpart
 import (
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
+
+	"bpart/internal/experiments"
 )
 
 // benchScale controls the dataset size the experiment benchmarks run at.
@@ -24,9 +27,14 @@ func benchScale() float64 {
 // memoized graphs, so allocations reported are the experiment's own.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	opt := ExperimentOptions{Scale: benchScale()}
+	all := experiments.All()
+	at := slices.IndexFunc(all, func(e experiments.Experiment) bool { return e.ID == id })
+	if at < 0 {
+		b.Fatalf("no experiment %q", id)
+	}
+	opt := experiments.Options{Scale: benchScale()}
 	for i := 0; i < b.N; i++ {
-		tbl, err := RunExperiment(id, opt)
+		tbl, err := all[at].Run(opt)
 		if err != nil {
 			b.Fatal(err)
 		}

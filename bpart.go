@@ -10,8 +10,11 @@
 //
 // This file is the public facade: thin aliases and constructors over the
 // internal packages, so that examples and downstream users program against
-// one import. The full benchmark harness behind EXPERIMENTS.md lives in
-// RunExperiment/Experiments.
+// one import. It holds the library — graphs, partitioners, engines, walks
+// and the telemetry, audit and fault hooks they accept — and nothing of
+// the tools built on it: the benchmark harness behind EXPERIMENTS.md is
+// cmd/bench, the serving daemon cmd/bpartd, and the log readers
+// cmd/tracestat.
 package bpart
 
 import (
@@ -23,7 +26,6 @@ import (
 	"bpart/internal/core"
 	"bpart/internal/embed"
 	"bpart/internal/engine"
-	"bpart/internal/experiments"
 	"bpart/internal/fault"
 	"bpart/internal/gen"
 	"bpart/internal/gio"
@@ -32,10 +34,7 @@ import (
 	_ "bpart/internal/multilevel" // registers "Multilevel" with partition.Get
 	"bpart/internal/partaudit"
 	"bpart/internal/partition"
-	"bpart/internal/resview"
-	"bpart/internal/servestats"
 	"bpart/internal/telemetry"
-	"bpart/internal/traceview"
 	"bpart/internal/vcut"
 	"bpart/internal/walk"
 )
@@ -201,7 +200,7 @@ func NewJSONLTrace(w io.Writer) *JSONLTracer { return telemetry.NewJSONL(w) }
 
 // TeeTrace returns a tracer forwarding every span and event to each of
 // tracers in order — how one Instrument call feeds both a JSONL trace and
-// a ResourceProbe. nil and disabled tracers are dropped; none left is the
+// a Metrics registry. nil and disabled tracers are dropped; none left is the
 // no-op tracer.
 func TeeTrace(tracers ...Tracer) Tracer { return telemetry.Tee(tracers...) }
 
@@ -239,9 +238,6 @@ type AuditConfig = partaudit.Config
 // valid no-op sink everywhere.
 type Auditor = partaudit.Auditor
 
-// AuditLog is a parsed audit log (see ReadAuditLog).
-type AuditLog = partaudit.Log
-
 // NewAuditor returns an Auditor writing JSON lines to w. Call Flush (or
 // Close) when done; it surfaces the first write error.
 func NewAuditor(w io.Writer, cfg AuditConfig) (*Auditor, error) { return partaudit.New(w, cfg) }
@@ -258,104 +254,6 @@ func Audit(component any, a *Auditor) bool {
 	}
 	s.SetAudit(a)
 	return true
-}
-
-// ReadAuditLog parses a JSONL audit log. A torn final line (crashed run)
-// is tolerated and flagged via AuditLog.Truncated; interior damage is a
-// hard error.
-func ReadAuditLog(r io.Reader) (*AuditLog, error) { return partaudit.ReadLog(r) }
-
-// ---- runtime resource observability ----
-
-// ResourceProbe captures wall-clock self-time, allocation/GC deltas and
-// goroutine counts around named phases. It is a Tracer writing a JSONL
-// trace of its own: every span and event becomes that trace record with
-// its scalar attrs plus the deltas as res_* attrs (an event's cover the lap
-// since the previous event of its name) — attach it with Instrument,
-// beside a trace through TeeTrace. A nil *ResourceProbe is a valid no-op.
-type ResourceProbe = resview.Probe
-
-// ResourceLog is a parsed resource log (see ReadResourceLog): a trace.
-type ResourceLog = traceview.Trace
-
-// ResourceRecord is one parsed record of a resource log.
-type ResourceRecord = traceview.Record
-
-// NewResourceProbe returns a probe writing its resource trace to w. Call
-// Close (or Flush) when done; it surfaces the first write error. Probing
-// is pure observation: a probed run's deterministic artifacts are
-// byte-identical to an unprobed run's.
-func NewResourceProbe(w io.Writer) *ResourceProbe { return resview.NewProbe(w) }
-
-// ReadResourceLog parses a JSONL resource log (or any trace). A torn final
-// line (crashed run) is tolerated and flagged via ResourceLog.Truncated;
-// interior damage is a hard error.
-func ReadResourceLog(r io.Reader) (*ResourceLog, error) { return traceview.Read(r) }
-
-// ReadResourceLogFile parses the JSONL resource log at path.
-func ReadResourceLogFile(path string) (*ResourceLog, error) { return traceview.ReadFile(path) }
-
-// ---- serving-layer observability ----
-
-// ServingBackend answers placement lookups, bounded k-hop neighborhood
-// queries and seeded random walks over a graph + assignment, with
-// versioned atomic assignment hot-swap (see cmd/bpartd).
-type ServingBackend = servestats.Backend
-
-// ServingRecorder captures per-endpoint and per-part request-latency
-// histograms, windowed percentile snapshots, and the versioned JSONL
-// request log. A nil *ServingRecorder is a valid no-op everywhere.
-type ServingRecorder = servestats.Recorder
-
-// ServingServer mounts the serving endpoints (/v1/lookup, /v1/khop,
-// /v1/walk, /v1/swapz, /v1/statz) over a backend and optional recorder.
-type ServingServer = servestats.Server
-
-// ServingWorkload is a reproducible seeded Zipf request stream (see
-// cmd/loadgen).
-type ServingWorkload = servestats.Workload
-
-// ServingLog is a parsed request log (see ReadRequestLog).
-type ServingLog = servestats.Log
-
-// ServingReport digests a request log: per-endpoint and per-part
-// percentiles plus the assignment-version census.
-type ServingReport = servestats.Report
-
-// ServingAttribution is one part's row in the tail-attribution report.
-type ServingAttribution = servestats.Attribution
-
-// NewServingBackend builds a serving backend over g with the given
-// assignment (version 1).
-func NewServingBackend(g *Graph, parts []int, k int) (*ServingBackend, error) {
-	return servestats.NewBackend(g, parts, k)
-}
-
-// NewServingRecorder returns a recorder for k parts. logSink receives one
-// JSON line per request (nil disables the log); m receives the serving
-// counters and the aggregate latency histogram (nil disables them). Call
-// Close (or Flush) when done; it surfaces the first write error.
-func NewServingRecorder(k int, logSink io.Writer, m *Metrics) *ServingRecorder {
-	return servestats.NewRecorder(k, logSink, m)
-}
-
-// ReadRequestLog parses a JSONL serving request log. A torn final line
-// (crashed server) is tolerated and flagged via ServingLog.Truncated;
-// interior damage is a hard error.
-func ReadRequestLog(r io.Reader) (*ServingLog, error) { return servestats.Read(r) }
-
-// ReadRequestLogFile parses the JSONL request log at path.
-func ReadRequestLogFile(path string) (*ServingLog, error) { return servestats.ReadFile(path) }
-
-// SummarizeServing digests a request log into the percentile report
-// `tracestat serve` prints.
-func SummarizeServing(l *ServingLog) *ServingReport { return servestats.Summarize(l) }
-
-// AttributeServing reconciles one assignment version's routed requests
-// against the assignment exactly and returns the per-part tail
-// attribution; any disagreement between the log and parts is an error.
-func AttributeServing(l *ServingLog, parts []int, k, version int) ([]ServingAttribution, error) {
-	return servestats.Attribute(l, parts, k, version)
 }
 
 // ---- vertex-cut partitioning (the §5 alternative family) ----
@@ -458,9 +356,6 @@ type FaultEvent = fault.Event
 // FaultPolicy selects how a run recovers from a crash.
 type FaultPolicy = fault.Policy
 
-// FaultRandomConfig parameterizes RandomFaultSpec.
-type FaultRandomConfig = fault.RandomConfig
-
 // FaultController drives one engine's checkpoints, disruptions and
 // recovery for a FaultSpec. Obtain one with EnableFaults; it accepts
 // Instrument for fault.* trace events and fault_* counters.
@@ -487,20 +382,8 @@ const (
 	MsgLossFault = fault.MsgLoss
 )
 
-// ReadFaultSpec parses and normalizes a JSON fault schedule.
-func ReadFaultSpec(r io.Reader) (*FaultSpec, error) { return fault.ReadSpec(r) }
-
 // ReadFaultSpecFile reads a fault schedule from path.
 func ReadFaultSpecFile(path string) (*FaultSpec, error) { return fault.ReadSpecFile(path) }
-
-// LoadFaultSpec resolves the CLIs' -fault / -checkpoint-every pair: the
-// schedule at path (may be empty) with its interval overridden when
-// every != 0; every alone is an empty schedule at that interval; neither, nil.
-func LoadFaultSpec(path string, every int) (*FaultSpec, error) { return fault.LoadSpec(path, every) }
-
-// RandomFaultSpec draws a replayable schedule: the same config always
-// yields the same spec.
-func RandomFaultSpec(cfg FaultRandomConfig) (*FaultSpec, error) { return fault.RandomSpec(cfg) }
 
 // EnableFaults attaches a fault schedule to an engine that supports
 // injection (IterationEngine, WalkEngine) and returns the controller so
@@ -570,45 +453,4 @@ type Embeddings = embed.Embeddings
 // (WalkConfig.CollectPaths) — DeepWalk/node2vec end to end.
 func TrainEmbeddings(corpus [][]VertexID, numVertices int, cfg EmbedConfig) (*Embeddings, error) {
 	return embed.Train(corpus, numVertices, cfg)
-}
-
-// ---- experiment harness ----
-
-// ExperimentOptions configures a reproduction run.
-type ExperimentOptions = experiments.Options
-
-// ExperimentTable is a reproduced table or figure.
-type ExperimentTable = experiments.Table
-
-// Experiments lists the IDs of every reproducible table and figure.
-func Experiments() []string {
-	var ids []string
-	for _, e := range experiments.All() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}
-
-// BenchArtifact is the machine-readable benchmark record cmd/bench writes
-// as BENCH_bpart.json (schema documented in EXPERIMENTS.md).
-type BenchArtifact = experiments.BenchArtifact
-
-// NewBenchArtifact starts a benchmark artifact for one bench invocation.
-func NewBenchArtifact(opt ExperimentOptions) *BenchArtifact {
-	return experiments.NewBenchArtifact(opt)
-}
-
-// ReadBenchArtifact parses a BENCH_bpart.json file.
-func ReadBenchArtifact(r io.Reader) (*BenchArtifact, error) {
-	return experiments.ReadBenchArtifact(r)
-}
-
-// RunExperiment regenerates one table or figure by ID (see Experiments).
-func RunExperiment(id string, opt ExperimentOptions) (*ExperimentTable, error) {
-	for _, e := range experiments.All() {
-		if e.ID == id {
-			return e.Run(opt)
-		}
-	}
-	return nil, fmt.Errorf("bpart: unknown experiment %q (have %v)", id, Experiments())
 }

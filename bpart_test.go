@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"bpart/internal/experiments"
 	"bpart/internal/gen"
 	"bpart/internal/vcut"
 )
@@ -186,27 +187,17 @@ func TestFacadeEngineRejectsInvalidAssignment(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentRegistry(t *testing.T) {
-	ids := Experiments()
-	if len(ids) < 16 {
-		t.Fatalf("only %d experiments registered: %v", len(ids), ids)
-	}
-	if _, err := RunExperiment("nope", ExperimentOptions{}); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
-
 // TestExperimentsSmoke runs every experiment at a tiny scale: the harness
 // must complete and produce rows even on minuscule graphs.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test skipped in -short mode")
 	}
-	opt := ExperimentOptions{Scale: 0.02}
-	for _, id := range Experiments() {
-		id := id
-		t.Run(strings.ReplaceAll(id, " ", "_"), func(t *testing.T) {
-			tbl, err := RunExperiment(id, opt)
+	opt := experiments.Options{Scale: 0.02}
+	for _, ex := range experiments.All() {
+		ex := ex
+		t.Run(strings.ReplaceAll(ex.ID, " ", "_"), func(t *testing.T) {
+			tbl, err := ex.Run(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,50 +402,6 @@ func TestPaperShapes(t *testing.T) {
 	}
 	if waits["BPart"] >= waits["Chunk-V"]/2 {
 		t.Errorf("BPart wait ratio %v not well below Chunk-V %v", waits["BPart"], waits["Chunk-V"])
-	}
-}
-
-func TestFacadeServing(t *testing.T) {
-	g := smallTwitter(t)
-	a, err := Partition(g, "BPart", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewServingBackend(g, a.Parts, a.K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	rec := NewServingRecorder(a.K, &buf, NewMetrics())
-	srv := &ServingServer{B: b, R: rec}
-	reqs, err := ServingWorkload{Seed: 7, Vertices: g.NumVertices(), Requests: 50, ZipfS: 1.1, LookupW: 1}.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Play(reqs); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, err := ReadRequestLog(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := SummarizeServing(l)
-	if rep.Total != 50 || rep.Routed != 50 {
-		t.Fatalf("report = %+v", rep)
-	}
-	attrib, err := AttributeServing(l, a.Parts, a.K, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var routed int64
-	for _, at := range attrib {
-		routed += at.Requests
-	}
-	if routed != 50 {
-		t.Fatalf("attribution covers %d of 50 requests", routed)
 	}
 }
 

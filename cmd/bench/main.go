@@ -10,7 +10,7 @@
 //	bench -list
 //	bench -trace run.jsonl -pprof localhost:6060
 //	bench -json BENCH_bpart.json -deterministic
-//	bench -fault crash5.json -checkpoint-every 2
+//	bench -fault crash5.json
 //
 // With -trace, one "bench.experiment" span per experiment (id, duration,
 // row count) is appended as JSON lines, along with the engines' spans and
@@ -22,11 +22,12 @@
 // wall-clock fields (experiment seconds, serving latency percentiles) so
 // two runs with identical flags produce byte-identical files.
 // With -fault, the JSON fault schedule is injected into every engine the
-// experiments build and the artifact grows a recovery section;
-// -checkpoint-every overrides (or, without -fault, enables) superstep
-// checkpointing. With -pprof, /debug/pprof/*, /metrics and /debug/vars
-// are served on the given address while the benchmark runs — profile the
-// harness live. With -resources, the same spans and superstep records
+// experiments build and the artifact grows a recovery section; the
+// schedule's checkpoint_every field sets the checkpoint interval, so
+// checkpointing with no faults is a schedule with no events
+// (internal/fault/testdata/checkpoint2.json). With -pprof,
+// /debug/pprof/*, /metrics and /debug/vars are served on the given
+// address while the benchmark runs — profile the harness live. With -resources, the same spans and superstep records
 // that -trace writes are also measured: the same trace record per span
 // (experiments, partition streams, BPart layers, engine and walk runs) and
 // per cluster superstep is written again, with its resource deltas as
@@ -75,9 +76,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	csvDir := fs.String("csv", "", "also write each experiment as CSV into this directory")
 	tracePath := fs.String("trace", "", "write a JSONL trace (one span per experiment) to this file")
 	jsonPath := fs.String("json", "", "write a machine-readable BENCH artifact (schema in EXPERIMENTS.md) to this file, e.g. BENCH_bpart.json")
-	auditPath := fs.String("audit", "", "also run one audited BPart partition (twitter-sim at -scale, k=8) and write its decision audit log (JSONL, read by tracestat explain/timeline/combine) here")
 	faultPath := fs.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into every engine the experiments build")
-	ckptEvery := fs.Int("checkpoint-every", 0, "override the schedule's checkpoint interval; without -fault, >0 enables checkpointing with no faults (0 = schedule default, negative disables)")
 	deterministic := fs.Bool("deterministic", false, "zero the artifact's wall-clock fields so identical flags yield byte-identical output")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address")
 	resPath := fs.String("resources", "", "write the trace again with runtime resource deltas as res_* attrs (JSONL, see cmd/tracestat resources) to this file")
@@ -88,8 +87,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
+	var known []string
+	for _, e := range experiments.All() {
+		known = append(known, e.ID)
+	}
 	if *list {
-		for _, id := range bpart.Experiments() {
+		for _, id := range known {
 			fmt.Fprintln(stdout, id)
 		}
 		return 0
@@ -98,17 +101,27 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// step fails instead of running nothing.
 	selected := map[string]bool{}
 	for _, id := range ids {
-		if !slices.Contains(bpart.Experiments(), id) {
-			fmt.Fprintf(stderr, "bench: unknown experiment %q (have %q)\n", id, bpart.Experiments())
+		if !slices.Contains(known, id) {
+			fmt.Fprintf(stderr, "bench: unknown experiment %q (have %q)\n", id, known)
 			return 2
 		}
 		selected[id] = true
 	}
+	// The harness would run a non-positive scale at 1.0 and negative
+	// walkers at the paper defaults while the header, the trace and the
+	// artifact recorded the values given, so both are refused up front.
+	if *scale <= 0 || *walkers < 0 {
+		fmt.Fprintf(stderr, "bench: -scale must be > 0 and -walkers >= 0 (got %g and %d)\n", *scale, *walkers)
+		return 2
+	}
 
-	faults, err := bpart.LoadFaultSpec(*faultPath, *ckptEvery)
-	if err != nil {
-		fmt.Fprintln(stderr, "bench:", err)
-		return 1
+	var faults *bpart.FaultSpec
+	if *faultPath != "" {
+		var err error
+		if faults, err = bpart.ReadFaultSpecFile(*faultPath); err != nil {
+			fmt.Fprintln(stderr, "bench:", err)
+			return 1
+		}
 	}
 	// One tracer feeds both logs; with neither flag it is the no-op tracer
 	// and the run stays on the byte-identical disabled path. The deferred
@@ -148,12 +161,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		hist = &experiments.HistogramSink{}
 	}
 	tracer = bpart.TeeTrace(tracer, reg, hist)
-	opt := bpart.ExperimentOptions{Scale: *scale, Walkers: *walkers, Tracer: tracer, Faults: faults, Widths: widths, Workers: *workers}
-	artifact := bpart.NewBenchArtifact(opt)
+	opt := experiments.Options{Scale: *scale, Walkers: *walkers, Tracer: tracer, Faults: faults, Widths: widths, Workers: *workers}
+	artifact := experiments.NewBenchArtifact(opt)
 	fmt.Fprintf(stdout, "# bpart experiment run: scale=%.2f\n\n", *scale)
 	failed := 0
 	grand := time.Now()
-	for _, id := range bpart.Experiments() {
+	for _, e := range experiments.All() {
+		id := e.ID
 		if len(selected) > 0 && !selected[id] {
 			continue
 		}
@@ -161,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		sp := tracer.Span("bench.experiment",
 			bpart.TraceString("id", id),
 			bpart.TraceFloat("scale", *scale))
-		tbl, err := bpart.RunExperiment(id, opt)
+		tbl, err := e.Run(opt)
 		if err != nil {
 			sp.End(bpart.TraceString("error", err.Error()))
 			artifact.RecordExperiment(id, time.Since(start).Seconds(), 0, err)
@@ -180,14 +194,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	fmt.Fprintf(stdout, "# total %.1fs\n", time.Since(grand).Seconds())
-	if *auditPath != "" {
-		if err := runAudited(*auditPath, *scale); err != nil {
-			fmt.Fprintln(stderr, "bench: audit:", err)
-			failed++
-		} else {
-			fmt.Fprintf(stdout, "# wrote %s\n", *auditPath)
-		}
-	}
 	if *jsonPath != "" {
 		if err := artifact.Collect(opt, hist); err != nil {
 			fmt.Fprintln(stderr, "bench: artifact:", err)
@@ -228,40 +234,7 @@ func parseWidths(s string) ([]int, error) {
 	return ws, nil
 }
 
-// runAudited performs one fully audited BPart partition of the paper's
-// main dataset and writes the decision audit log — the artifact the CI
-// observability job feeds to tracestat explain/timeline/combine.
-func runAudited(path string, scale float64) error {
-	g, err := bpart.Preset(bpart.TwitterSim, scale)
-	if err != nil {
-		return err
-	}
-	p, err := bpart.New(bpart.Config{})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	aud, err := bpart.NewAuditor(f, bpart.AuditConfig{})
-	if err != nil {
-		f.Close()
-		return err
-	}
-	bpart.Audit(p, aud)
-	if _, err := p.Partition(g, 8); err != nil {
-		f.Close()
-		return err
-	}
-	if err := aud.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeCSV(dir, id string, tbl *bpart.ExperimentTable) error {
+func writeCSV(dir, id string, tbl *experiments.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

@@ -9,24 +9,20 @@ import (
 	"strings"
 	"testing"
 
-	"bpart"
+	"bpart/internal/traceview"
 )
 
 // Two bench runs with identical seeds and flags must write byte-identical
-// artifacts: the BENCH JSON (wall clocks stripped by -deterministic) and
-// the decision audit log (which never contains timestamps).
+// BENCH artifacts (wall clocks stripped by -deterministic).
 func TestBenchDeterministicArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	files := func(tag string) (string, string) {
-		return filepath.Join(dir, tag+".json"), filepath.Join(dir, tag+".jsonl")
-	}
-	runOnce := func(tag string) ([]byte, []byte) {
+	runOnce := func(tag string) []byte {
 		t.Helper()
-		jsonPath, auditPath := files(tag)
+		jsonPath := filepath.Join(dir, tag+".json")
 		var stdout, stderr bytes.Buffer
 		code := run([]string{
 			"-scale", "0.02", "-id", "Fig 3",
-			"-json", jsonPath, "-audit", auditPath, "-deterministic",
+			"-json", jsonPath, "-deterministic",
 		}, &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("bench exited %d: %s", code, stderr.String())
@@ -35,19 +31,12 @@ func TestBenchDeterministicArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := os.ReadFile(auditPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j, a
+		return j
 	}
-	j1, a1 := runOnce("one")
-	j2, a2 := runOnce("two")
+	j1 := runOnce("one")
+	j2 := runOnce("two")
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("BENCH artifacts differ across identical runs:\n--- one ---\n%.400s\n--- two ---\n%.400s", j1, j2)
-	}
-	if !bytes.Equal(a1, a2) {
-		t.Fatal("audit logs differ across identical runs")
 	}
 	// -deterministic means no live wall clock leaks into the artifact.
 	var art struct {
@@ -118,15 +107,15 @@ func TestBenchFaultFlag(t *testing.T) {
 	}
 }
 
-// -checkpoint-every alone enables checkpointing with an empty schedule —
-// pure checkpoint overhead, no crashes.
+// A schedule with no events enables checkpointing at its interval — pure
+// checkpoint overhead, no crashes.
 func TestBenchCheckpointOnly(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "bench.json")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-scale", "0.02", "-id", "Fig 3",
-		"-checkpoint-every", "2", "-json", jsonPath, "-deterministic",
+		"-fault", "../../internal/fault/testdata/checkpoint2.json", "-json", jsonPath, "-deterministic",
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("bench exited %d: %s", code, stderr.String())
@@ -145,7 +134,7 @@ func TestBenchCheckpointOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(art.Recovery) == 0 {
-		t.Fatal("no recovery section despite -checkpoint-every")
+		t.Fatal("no recovery section despite checkpoint2.json")
 	}
 	for _, r := range art.Recovery {
 		if r.Crashes != 0 || r.Checkpoints == 0 {
@@ -210,18 +199,17 @@ func normalizeTrace(t *testing.T, raw []byte) string {
 }
 
 // The resource probe is observation-only: a -resources run's deterministic
-// artifacts (trace modulo wall clocks, audit, and the BENCH JSON) must be
+// artifacts (trace modulo wall clocks, and the BENCH JSON) must be
 // identical to a run without the flag.
 func TestBenchResourcesDisabledPathIdentical(t *testing.T) {
 	dir := t.TempDir()
-	runOnce := func(tag string, extra ...string) (jsonB, traceB, auditB []byte) {
+	runOnce := func(tag string, extra ...string) (jsonB, traceB []byte) {
 		t.Helper()
 		jsonPath := filepath.Join(dir, tag+".json")
 		tracePath := filepath.Join(dir, tag+"_trace.jsonl")
-		auditPath := filepath.Join(dir, tag+"_audit.jsonl")
 		args := append([]string{
 			"-scale", "0.02", "-id", "Fig 3",
-			"-json", jsonPath, "-trace", tracePath, "-audit", auditPath, "-deterministic",
+			"-json", jsonPath, "-trace", tracePath, "-deterministic",
 		}, extra...)
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {
@@ -230,7 +218,7 @@ func TestBenchResourcesDisabledPathIdentical(t *testing.T) {
 		for _, p := range []struct {
 			path string
 			out  *[]byte
-		}{{jsonPath, &jsonB}, {tracePath, &traceB}, {auditPath, &auditB}} {
+		}{{jsonPath, &jsonB}, {tracePath, &traceB}} {
 			b, err := os.ReadFile(p.path)
 			if err != nil {
 				t.Fatal(err)
@@ -239,14 +227,11 @@ func TestBenchResourcesDisabledPathIdentical(t *testing.T) {
 		}
 		return
 	}
-	plainJSON, plainTrace, plainAudit := runOnce("plain")
-	resJSON, resTrace, resAudit := runOnce("probed",
+	plainJSON, plainTrace := runOnce("plain")
+	resJSON, resTrace := runOnce("probed",
 		"-resources", filepath.Join(dir, "res.jsonl"), "-widths", "1,2")
 	if nt1, nt2 := normalizeTrace(t, plainTrace), normalizeTrace(t, resTrace); nt1 != nt2 {
 		t.Fatal("-resources perturbed the trace's deterministic content")
-	}
-	if !bytes.Equal(plainAudit, resAudit) {
-		t.Fatal("-resources perturbed the audit log")
 	}
 	if !bytes.Equal(plainJSON, resJSON) {
 		t.Fatalf("-resources perturbed the BENCH artifact:\n%s\nvs\n%s", plainJSON, resJSON)
@@ -266,7 +251,7 @@ func TestBenchResourcesFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("bench exited %d: %s", code, stderr.String())
 	}
-	l, err := bpart.ReadResourceLogFile(resPath)
+	l, err := traceview.ReadFile(resPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +338,7 @@ func TestBenchEarlyExitClosesLogs(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("bad -widths exited %d, want 2", code)
 	}
-	if l, err := bpart.ReadResourceLogFile(resPath); err != nil || l.Truncated || len(l.Records) != 0 {
+	if l, err := traceview.ReadFile(resPath); err != nil || l.Truncated || len(l.Records) != 0 {
 		t.Fatalf("resource log after early exit: %+v, %v", l, err)
 	}
 	if _, err := os.Stat(tracePath); err != nil {
@@ -376,7 +361,7 @@ func TestBenchFullDiskFails(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this platform:", err)
 	}
-	for _, flag := range []string{"-trace", "-resources", "-audit"} {
+	for _, flag := range []string{"-trace", "-resources"} {
 		t.Run(flag, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run([]string{"-scale", "0.02", "-id", "Table 1", flag, "/dev/full"}, &stdout, &stderr); code != 1 {
@@ -419,5 +404,34 @@ func TestBenchParallelWorkersByteIdentical(t *testing.T) {
 		if got := runOnce(w); !bytes.Equal(got, ref) {
 			t.Fatalf("-workers %s artifact differs from -workers 1:\n--- 1 ---\n%.400s\n--- %s ---\n%.400s", w, ref, w, got)
 		}
+	}
+}
+
+// A scale or walker count the harness would silently replace is a usage
+// error, raised before any output file is created: the header, the trace
+// and the artifact would otherwise record values that never ran.
+func TestBenchBadScaleOrWalkers(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-scale", "-1"}, {"-scale", "0"}, {"-walkers", "-3"}, {"-scale", "-1", "-walkers", "-3"},
+	} {
+		t.Run(strings.Join(bad, "_"), func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string{
+				"-id", "Fig 3", "-json", filepath.Join(dir, "b.json"), "-trace", filepath.Join(dir, "t.jsonl"),
+			}, bad...)
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("bench %v exited %d, want 2", bad, code)
+			}
+			if !strings.Contains(stderr.String(), "-scale") || !strings.Contains(stderr.String(), "-walkers") {
+				t.Fatalf("diagnostic names neither flag: %q", stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("the run started:\n%s", stdout.String())
+			}
+			if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+				t.Fatalf("a refused run created files: %v, %v", left, err)
+			}
+		})
 	}
 }

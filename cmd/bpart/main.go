@@ -29,18 +29,20 @@
 // fails the run. All observability is observation-only: the partition and
 // every simulated result are byte-identical with or without it.
 //
-// -out, -audit, -timeline, -fault and -checkpoint-every act on the one
-// assignment a single -scheme run produces; with -list, -eval, -vcut or
-// -all they are usage errors rather than silently ignored.
+// -out, -audit, -timeline and -fault act on the one assignment a single
+// -scheme run produces; with -list, -eval, -vcut or -all they are usage
+// errors rather than silently ignored.
 //
 // Fault injection: -fault sched.json loads a JSON fault schedule (see
 // FaultSpec; cmd/bench shares the format) and injects it into the engine
 // runs — a PageRank recovery demo over the fresh partition, and the
-// -timeline walk when requested — then prints each run's RecoveryStats;
-// -checkpoint-every overrides (or, without -fault, enables) superstep
-// checkpointing. -workers N runs the engine and walk supersteps on an
-// N-worker goroutine pool (default min(GOMAXPROCS, machines)); results are
-// bit-identical to the sequential run.
+// -timeline walk when requested — then prints each run's RecoveryStats.
+// The schedule's checkpoint_every field sets the checkpoint interval, so
+// checkpointing with no faults is a schedule with no events
+// (internal/fault/testdata/checkpoint2.json). -workers N runs the engine
+// and walk supersteps on an N-worker goroutine pool (default
+// min(GOMAXPROCS, machines)); results are bit-identical to the sequential
+// run.
 package main
 
 import (
@@ -91,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		evalPath  = fs.String("eval", "", "evaluate an existing assignment file instead of partitioning")
 		timeline  = fs.String("timeline", "", "run a 5|V|-walker random walk on the partition and write the per-machine BSP timeline CSV here")
 		faultPath = fs.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into the engine runs and print their RecoveryStats")
-		ckptEvery = fs.Int("checkpoint-every", 0, "override the schedule's checkpoint interval; without -fault, >0 enables checkpointing with no faults (0 = schedule default, negative disables)")
 		tracePath = fs.String("trace", "", "write a JSONL span/event trace of the run to this file")
 		auditPath = fs.String("audit", "", "write the partition decision audit log (JSONL, read by tracestat explain/timeline/combine) to this file")
 		metrics   = fs.Bool("metrics", false, "print telemetry counters (Prometheus text format) on exit")
@@ -118,9 +119,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			err = errors.Join(err, ferr)
 		}
 	}()
-	faults, err := bpart.LoadFaultSpec(*faultPath, *ckptEvery)
-	if err != nil {
-		return err
+	var faults *bpart.FaultSpec
+	if *faultPath != "" {
+		if faults, err = bpart.ReadFaultSpecFile(*faultPath); err != nil {
+			return err
+		}
 	}
 	if *list {
 		for _, s := range bpart.Schemes() {
@@ -239,14 +242,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 }
 
 // checkModeFlags makes a flag the selected mode would silently ignore a
-// usage error: -out, -audit, -timeline, -fault and -checkpoint-every act on
-// the one assignment a single -scheme run produces, which -list, -eval,
-// -vcut and -all never have. Checked before any file is created.
+// usage error: -out, -audit, -timeline and -fault act on the one
+// assignment a single -scheme run produces, which -list, -eval, -vcut and
+// -all never have. Checked before any file is created.
 func checkModeFlags(fs *flag.FlagSet, stderr io.Writer, list, eval, vcut, all bool) error {
 	var ignored []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "out", "audit", "timeline", "fault", "checkpoint-every":
+		case "out", "audit", "timeline", "fault":
 			ignored = append(ignored, "-"+f.Name)
 		}
 	})

@@ -114,7 +114,7 @@ func TestIgnoredFlagIsUsageError(t *testing.T) {
 	}
 	flags := map[string]string{
 		"-out": filepath.Join(dir, "o.txt"), "-audit": filepath.Join(dir, "a.jsonl"),
-		"-timeline": filepath.Join(dir, "tl.csv"), "-fault": spec, "-checkpoint-every": "2",
+		"-timeline": filepath.Join(dir, "tl.csv"), "-fault": spec,
 	}
 	for mode, modeArgs := range modes {
 		for name, value := range flags {
@@ -299,5 +299,36 @@ func TestRegistryOnlyWhenRead(t *testing.T) {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-metrics dump lacks %q:\n%s", want, stdout.String())
 		}
+	}
+}
+
+// The decision audit log holds no wall clock: two identical runs write the
+// same bytes, and -trace and -resources beside it do not perturb it.
+func TestAuditLogDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	audit := func(tag string, extra ...string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, tag+"_audit.jsonl")
+		args := append([]string{"-dataset", "twitter-sim", "-scale", "0.02", "-k", "8", "-audit", path}, extra...)
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("%s run: %v\n%s", tag, err, stderr.String())
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	one := audit("one")
+	if len(one) == 0 {
+		t.Fatal("empty audit log")
+	}
+	if two := audit("two"); !bytes.Equal(one, two) {
+		t.Fatal("audit logs differ across identical runs")
+	}
+	observed := audit("observed", "-trace", filepath.Join(dir, "t.jsonl"), "-resources", filepath.Join(dir, "r.jsonl"))
+	if !bytes.Equal(one, observed) {
+		t.Fatal("-trace/-resources perturbed the audit log")
 	}
 }

@@ -3,7 +3,6 @@ package bpart
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -73,34 +72,16 @@ func TestFacadeEnableFaults(t *testing.T) {
 	}
 }
 
-// The facade's spec I/O round-trips a scenario file, and RandomFaultSpec
-// is a pure function of its config.
+// The facade's one spec loader reads back a scenario file that WriteJSON
+// wrote, and a missing file is an error, not an empty schedule.
 func TestFacadeFaultSpecIO(t *testing.T) {
-	s, err := RandomFaultSpec(FaultRandomConfig{
-		Seed: 11, Machines: 4, Horizon: 8,
-		CrashProb: 0.4, SlowProb: 0.5, LossProb: 0.5,
+	s := &FaultSpec{
 		Policy: RestreamPolicy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := RandomFaultSpec(FaultRandomConfig{
-		Seed: 11, Machines: 4, Horizon: 8,
-		CrashProb: 0.4, SlowProb: 0.5, LossProb: 0.5,
-		Policy: RestreamPolicy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var one, two strings.Builder
-	if err := s.WriteJSON(&one); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.WriteJSON(&two); err != nil {
-		t.Fatal(err)
-	}
-	if one.String() != two.String() {
-		t.Fatal("same seed, different schedules")
+		Events: []FaultEvent{
+			{Kind: CrashFault, Step: 3, Machine: 1},
+			{Kind: SlowFault, Step: 1, Machine: 2, Factor: 2},
+			{Kind: MsgLossFault, Step: 5, Machine: 0, Frac: 0.5},
+		},
 	}
 	path := filepath.Join(t.TempDir(), "faults.json")
 	f, err := os.Create(path)

@@ -250,27 +250,6 @@ func ReadSpecFile(path string) (*Spec, error) {
 	return s, nil
 }
 
-// LoadSpec resolves the -fault / -checkpoint-every flag pair the CLIs
-// share: the schedule at path, optionally with its checkpoint interval
-// overridden (every != 0), or — with every alone — an empty schedule that
-// measures pure checkpoint overhead. Neither set yields nil: no faults.
-func LoadSpec(path string, every int) (*Spec, error) {
-	var spec *Spec
-	if path != "" {
-		s, err := ReadSpecFile(path)
-		if err != nil {
-			return nil, err
-		}
-		spec = s
-	} else if every != 0 {
-		spec = &Spec{}
-	}
-	if spec != nil && every != 0 {
-		spec.CheckpointEvery = every
-	}
-	return spec, nil
-}
-
 // RandomConfig parameterizes RandomSpec.
 type RandomConfig struct {
 	// Seed drives the xrand stream; the same config always yields the

@@ -117,44 +117,6 @@ func TestReadSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// LoadSpec is the one resolution of the CLIs' -fault / -checkpoint-every
-// pair.
-func TestLoadSpec(t *testing.T) {
-	const file = "testdata/crash5.json"
-	onDisk, err := ReadSpecFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, err := LoadSpec("", 0); err != nil || s != nil {
-		t.Fatalf("no flags: spec %+v, err %v; want nil, nil", s, err)
-	}
-	// -checkpoint-every N alone: an empty schedule with interval N.
-	s, err := LoadSpec("", 3)
-	if err != nil || s == nil {
-		t.Fatalf("interval alone: spec %+v, err %v", s, err)
-	}
-	if len(s.Events) != 0 || s.CheckpointEvery != 3 {
-		t.Fatalf("interval alone: %+v, want no events and interval 3", s)
-	}
-	if s, err = LoadSpec(file, 0); err != nil || !reflect.DeepEqual(s, onDisk) {
-		t.Fatalf("file alone: %+v, err %v; want the schedule as written", s, err)
-	}
-	// Both: the file's events with the interval overridden (negative
-	// disables interval checkpoints).
-	for _, every := range []int{5, -1} {
-		s, err = LoadSpec(file, every)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.CheckpointEvery != every || !reflect.DeepEqual(s.Events, onDisk.Events) {
-			t.Fatalf("override %d: %+v", every, s)
-		}
-	}
-	if _, err := LoadSpec("/nonexistent/fault.json", 2); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
 func TestReadSpecFileMissing(t *testing.T) {
 	if _, err := ReadSpecFile("/nonexistent/fault.json"); err == nil {
 		t.Fatal("missing file accepted")
@@ -228,5 +190,14 @@ func TestTestdataSpecsParse(t *testing.T) {
 		if err := s.Validate(8); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
+	}
+	// Checkpointing with no faults is a schedule too: no events, and the
+	// interval the file sets.
+	s, err := ReadSpecFile("testdata/checkpoint2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Events) != 0 || s.CheckpointEvery != 2 || s.Policy != Rollback {
+		t.Fatalf("testdata/checkpoint2.json: unexpected schedule %+v", s)
 	}
 }
