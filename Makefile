@@ -28,12 +28,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs every fuzz target for 10 s each. Eight parse bytes: the three
-# gio file readers, the record-log substrate's framing (FuzzScan), the
-# three format parsers on it (traceview, partaudit, servestats FuzzRead)
-# and the serving handlers' query strings (FuzzHandlers). Two only
-# summarize: commview and resview FuzzRead have no parser of their own —
-# they feed whatever traceview.Read accepts through the superstep/res_*
+# fuzz runs every fuzz target for 10 s each. Seven parse bytes: the three
+# gio file readers, the record-log substrate's framing (FuzzScan), the two
+# format parsers on it (traceview, servestats FuzzRead) and the serving
+# handlers' query strings (FuzzHandlers). Three have no parser of their
+# own: commview and resview FuzzRead and partaudit FuzzReadLog feed
+# whatever traceview.Read accepts through the superstep, res_* or audit.*
 # decode and the summarizers. Every FuzzRead/FuzzReadLog then renders what
 # it accepted, text and HTML, so no report can panic on a log its reader
 # takes. One target per line as package:Target.

@@ -1,7 +1,6 @@
 package bpart
 
 import (
-	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -115,59 +114,6 @@ func BenchmarkPartitionTracedNop(b *testing.B) {
 	}
 	if !Instrument(p, NopTrace(), nil) {
 		b.Fatal("BPart did not accept instrumentation")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Partition(g, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Audit overhead: BPart with the audit hooks compiled in but no Auditor
-// attached (the default), against BenchmarkPartitionBPart — the
-// disabled-audit cost is one nil check per placement. A wall-clock
-// reference with no gate; TestDisabledTelemetryIsFree counts a detached
-// auditor's calls and allocations. Compare with:
-//
-//	go test -bench 'PartitionBPart$|PartitionAuditNop' -count 10 .
-func BenchmarkPartitionAuditNop(b *testing.B) {
-	g, err := Preset(TwitterSim, benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := New(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !Audit(p, nil) {
-		b.Fatal("BPart did not accept the audit sink")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Partition(g, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// And the live-audit cost (every record marshaled and discarded), for
-// reference rather than as a gate.
-func BenchmarkPartitionAudited(b *testing.B) {
-	g, err := Preset(TwitterSim, benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := New(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	aud, err := NewAuditor(io.Discard, AuditConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !Audit(p, aud) {
-		b.Fatal("BPart did not accept the audit sink")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,7 +11,7 @@
 // This file is the public facade: thin aliases and constructors over the
 // internal packages, so that examples and downstream users program against
 // one import. It holds the library — graphs, partitioners, engines, walks
-// and the telemetry, audit and fault hooks they accept — and nothing of
+// and the telemetry and fault hooks they accept — and nothing of
 // the tools built on it: the benchmark harness behind EXPERIMENTS.md is
 // cmd/bench, the serving daemon cmd/bpartd, and the log readers
 // cmd/tracestat.
@@ -32,7 +32,6 @@ import (
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
 	_ "bpart/internal/multilevel" // registers "Multilevel" with partition.Get
-	"bpart/internal/partaudit"
 	"bpart/internal/partition"
 	"bpart/internal/telemetry"
 	"bpart/internal/vcut"
@@ -209,8 +208,11 @@ func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
 // Instrument attaches a tracer and metrics registry to any component that
 // supports telemetry (BPart, IterationEngine, WalkEngine, and the scheme
-// instances returned by NewScheme when they are BPart). It reports whether
-// the component accepted the instrumentation.
+// instances returned by NewScheme when they are BPart, Fennel, LDG or
+// Multilevel). It reports whether the component accepted the
+// instrumentation. An enabled tracer on BPart, Fennel or LDG also receives
+// the partition decision audit as audit.* events (tracestat explain,
+// timeline, combine).
 func Instrument(component any, tr Tracer, m *Metrics) bool {
 	in, ok := component.(telemetry.Instrumentable)
 	if !ok {
@@ -224,37 +226,6 @@ func Instrument(component any, tr Tracer, m *Metrics) bool {
 // /metrics (Prometheus text) and /debug/vars (expvar JSON) for the given
 // registry — mount it behind a diagnostics listener.
 func DebugMux(m *Metrics) *http.ServeMux { return telemetry.DebugMux(m) }
-
-// ---- partition decision audit ----
-
-// AuditConfig tunes the partition decision audit: decision sampling rate,
-// hub always-sample count, timeline window size and flush cadence. The
-// zero value selects the defaults.
-type AuditConfig = partaudit.Config
-
-// Auditor writes the JSONL audit log of one partitioning run: sampled
-// placement decisions with their full score decomposition, windowed
-// quality snapshots, and the combining audit tree. A nil *Auditor is a
-// valid no-op sink everywhere.
-type Auditor = partaudit.Auditor
-
-// NewAuditor returns an Auditor writing JSON lines to w. Call Flush (or
-// Close) when done; it surfaces the first write error.
-func NewAuditor(w io.Writer, cfg AuditConfig) (*Auditor, error) { return partaudit.New(w, cfg) }
-
-// Audit attaches an audit sink to any partitioner that supports decision
-// auditing (BPart, and the Fennel/LDG instances returned by NewScheme).
-// It reports whether the component accepted the sink; a nil Auditor
-// detaches. Auditing is pure observation: an audited run's assignment is
-// identical to an unaudited one.
-func Audit(component any, a *Auditor) bool {
-	s, ok := component.(partaudit.Auditable)
-	if !ok {
-		return false
-	}
-	s.SetAudit(a)
-	return true
-}
 
 // ---- vertex-cut partitioning (the §5 alternative family) ----
 

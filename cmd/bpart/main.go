@@ -16,11 +16,12 @@
 //
 // Observability: -trace out.jsonl streams structured spans (one per BPart
 // combining layer, streaming pass and refine pass, plus one record per BSP
-// superstep when -timeline runs) as JSON lines; -audit out.jsonl writes
-// the partition decision audit log (sampled score decompositions, the
-// streaming quality timeline and the combining audit tree — feed it to
-// `tracestat explain|timeline|combine`); -metrics prints the counter/gauge
-// registry in Prometheus text format on exit; -pprof ADDR serves
+// superstep when -timeline runs) as JSON lines, and, for BPart, Fennel and
+// LDG, the partition decision audit as audit.* events (sampled score
+// decompositions, the streaming quality timeline and the combining audit
+// tree — feed the trace to `tracestat explain|timeline|combine`); -metrics
+// prints the counter/gauge registry in Prometheus text format on exit
+// (audit_*_total counts the audit events); -pprof ADDR serves
 // /debug/pprof/*, /metrics and /debug/vars on ADDR for the run's duration;
 // -resources out.jsonl writes the same trace records again, to a file of
 // their own, with the runtime resource deltas of each span and BSP
@@ -29,7 +30,7 @@
 // fails the run. All observability is observation-only: the partition and
 // every simulated result are byte-identical with or without it.
 //
-// -out, -audit, -timeline and -fault act on the one assignment a single
+// -out, -timeline and -fault act on the one assignment a single
 // -scheme run produces; with -list, -eval, -vcut or -all they are usage
 // errors rather than silently ignored.
 //
@@ -73,7 +74,7 @@ func main() {
 }
 
 // run is the whole command. It returns instead of exiting so the deferred
-// trace, resource-log and audit flushes run on every path: an error raised
+// trace and resource-log flushes run on every path: an error raised
 // after those files were opened still leaves everything recorded so far on
 // disk, which is when the logs are wanted most. A flush that fails is part
 // of the returned error, so a truncated log never exits 0.
@@ -93,8 +94,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		evalPath  = fs.String("eval", "", "evaluate an existing assignment file instead of partitioning")
 		timeline  = fs.String("timeline", "", "run a 5|V|-walker random walk on the partition and write the per-machine BSP timeline CSV here")
 		faultPath = fs.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into the engine runs and print their RecoveryStats")
-		tracePath = fs.String("trace", "", "write a JSONL span/event trace of the run to this file")
-		auditPath = fs.String("audit", "", "write the partition decision audit log (JSONL, read by tracestat explain/timeline/combine) to this file")
+		tracePath = fs.String("trace", "", "write a JSONL span/event trace of the run, with the audit.* events tracestat explain/timeline/combine read, to this file")
 		metrics   = fs.Bool("metrics", false, "print telemetry counters (Prometheus text format) on exit")
 		pprofAddr = fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address (e.g. localhost:6060)")
 		resPath   = fs.String("resources", "", "write the trace again with runtime resource deltas as res_* attrs (JSONL, see `tracestat resources`) to this file")
@@ -188,28 +188,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	bpart.Instrument(p, tel.tracer, tel.reg)
-	if *auditPath != "" {
-		// ferr/aerr, not err: the deferred close below sets run's result.
-		f, ferr := os.Create(*auditPath)
-		if ferr != nil {
-			return ferr
-		}
-		aud, aerr := bpart.NewAuditor(f, bpart.AuditConfig{})
-		if aerr == nil && !bpart.Audit(p, aud) {
-			aerr = fmt.Errorf("scheme %s does not support decision auditing (BPart, Fennel and LDG do)", *scheme)
-		}
-		if aerr != nil {
-			f.Close()
-			return aerr
-		}
-		defer func() {
-			if cerr := errors.Join(aud.Close(), f.Close()); cerr != nil {
-				err = errors.Join(err, fmt.Errorf("audit flush: %w", cerr))
-				return
-			}
-			fmt.Fprintf(stdout, "audit log written to %s\n", *auditPath)
-		}()
-	}
 	start := time.Now()
 	a, err := p.Partition(g, *k)
 	if err != nil {
@@ -242,14 +220,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 }
 
 // checkModeFlags makes a flag the selected mode would silently ignore a
-// usage error: -out, -audit, -timeline and -fault act on the one
+// usage error: -out, -timeline and -fault act on the one
 // assignment a single -scheme run produces, which -list, -eval, -vcut and
 // -all never have. Checked before any file is created.
 func checkModeFlags(fs *flag.FlagSet, stderr io.Writer, list, eval, vcut, all bool) error {
 	var ignored []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "out", "audit", "timeline", "fault":
+		case "out", "timeline", "fault":
 			ignored = append(ignored, "-"+f.Name)
 		}
 	})

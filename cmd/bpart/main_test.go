@@ -10,8 +10,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
-	"bpart/internal/partaudit"
 	"bpart/internal/resview"
 	"bpart/internal/traceview"
 )
@@ -22,12 +22,11 @@ import (
 func TestErrorExitKeepsLogs(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")
-	auditPath := filepath.Join(dir, "audit.jsonl")
 	resPath := filepath.Join(dir, "res.jsonl")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
 		"-dataset", "lj-sim", "-scale", "0.02", "-scheme", "BPart", "-k", "4",
-		"-trace", tracePath, "-audit", auditPath, "-resources", resPath,
+		"-trace", tracePath, "-resources", resPath,
 		// The partition succeeds and emits its records; writing the
 		// assignment into a directory that does not exist then fails.
 		"-out", filepath.Join(dir, "missing", "parts.txt"),
@@ -46,12 +45,12 @@ func TestErrorExitKeepsLogs(t *testing.T) {
 	if tr.Truncated || len(tr.Spans("bpart.partition")) != 1 {
 		t.Fatalf("trace lost the partition span: truncated=%v, %d records", tr.Truncated, len(tr.Records))
 	}
-	al, err := partaudit.ReadLogFile(auditPath)
+	al, err := tr.Audit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if al.Truncated || al.Header == nil || al.Final == nil {
-		t.Fatalf("audit log incomplete: truncated=%v header=%v final=%v", al.Truncated, al.Header, al.Final)
+	if al.Header == nil || al.Final == nil {
+		t.Fatalf("trace lost audit events: header=%v final=%v", al.Header, al.Final)
 	}
 	rl, err := traceview.ReadFile(resPath)
 	if err != nil {
@@ -71,7 +70,7 @@ func TestFullDiskFailsRun(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this platform:", err)
 	}
-	for _, flag := range []string{"-audit", "-trace", "-resources"} {
+	for _, flag := range []string{"-trace", "-resources"} {
 		t.Run(flag, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			err := run([]string{"-dataset", "lj-sim", "-scale", "0.02", "-k", "4", flag, "/dev/full"}, &stdout, &stderr)
@@ -113,8 +112,7 @@ func TestIgnoredFlagIsUsageError(t *testing.T) {
 		"-all":  {"-all"},
 	}
 	flags := map[string]string{
-		"-out": filepath.Join(dir, "o.txt"), "-audit": filepath.Join(dir, "a.jsonl"),
-		"-timeline": filepath.Join(dir, "tl.csv"), "-fault": spec,
+		"-out": filepath.Join(dir, "o.txt"), "-timeline": filepath.Join(dir, "tl.csv"), "-fault": spec,
 	}
 	for mode, modeArgs := range modes {
 		for name, value := range flags {
@@ -139,8 +137,8 @@ func TestIgnoredFlagIsUsageError(t *testing.T) {
 	// Every refused flag is named at once, and the flags a mode does honour
 	// still work with it.
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-dataset", "lj-sim", "-scale", "0.02", "-all", "-out", "o", "-audit", "a"}, &stdout, &stderr); err != errUsage ||
-		!strings.Contains(stderr.String(), "-audit, -out") {
+	if err := run([]string{"-dataset", "lj-sim", "-scale", "0.02", "-all", "-timeline", "t", "-out", "o"}, &stdout, &stderr); err != errUsage ||
+		!strings.Contains(stderr.String(), "-out, -timeline") {
 		t.Fatalf("run = %v, stderr %q", err, stderr.String())
 	}
 	tracePath := filepath.Join(dir, "t.jsonl")
@@ -302,33 +300,41 @@ func TestRegistryOnlyWhenRead(t *testing.T) {
 	}
 }
 
-// The decision audit log holds no wall clock: two identical runs write the
-// same bytes, and -trace and -resources beside it do not perturb it.
+// The decision audit holds no wall clock: two identical -trace runs write
+// the same audit.* events but for their ts, and -resources beside the
+// trace does not perturb them.
 func TestAuditLogDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	audit := func(tag string, extra ...string) []byte {
+	audit := func(tag string, extra ...string) []traceview.Record {
 		t.Helper()
-		path := filepath.Join(dir, tag+"_audit.jsonl")
-		args := append([]string{"-dataset", "twitter-sim", "-scale", "0.02", "-k", "8", "-audit", path}, extra...)
+		path := filepath.Join(dir, tag+"_trace.jsonl")
+		args := append([]string{"-dataset", "twitter-sim", "-scale", "0.02", "-k", "8", "-trace", path}, extra...)
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err != nil {
 			t.Fatalf("%s run: %v\n%s", tag, err, stderr.String())
 		}
-		b, err := os.ReadFile(path)
+		tr, err := traceview.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		var events []traceview.Record
+		for _, r := range tr.Records {
+			if strings.HasPrefix(r.Name, "audit.") {
+				r.Time = time.Time{}
+				events = append(events, r)
+			}
+		}
+		return events
 	}
 	one := audit("one")
 	if len(one) == 0 {
-		t.Fatal("empty audit log")
+		t.Fatal("no audit events")
 	}
-	if two := audit("two"); !bytes.Equal(one, two) {
-		t.Fatal("audit logs differ across identical runs")
+	if two := audit("two"); !reflect.DeepEqual(one, two) {
+		t.Fatal("audit events differ across identical runs")
 	}
-	observed := audit("observed", "-trace", filepath.Join(dir, "t.jsonl"), "-resources", filepath.Join(dir, "r.jsonl"))
-	if !bytes.Equal(one, observed) {
-		t.Fatal("-trace/-resources perturbed the audit log")
+	observed := audit("observed", "-resources", filepath.Join(dir, "r.jsonl"))
+	if !reflect.DeepEqual(one, observed) {
+		t.Fatal("-resources perturbed the audit events")
 	}
 }

@@ -1,6 +1,6 @@
 // Command tracestat analyzes the JSONL logs the observability layers
 // write: traces (-trace; a -resources file is a trace too), bpartd request
-// logs (-reqlog) and partition decision audit logs (-audit). Run it
+// logs (-reqlog). Run it
 // without arguments for the usage lines, printed from the subcommand table
 // below; `tracestat <subcommand> -h` describes a subcommand's flags.
 //
@@ -11,7 +11,8 @@
 // (Cluster.SetCommMatrix); resources analyzes the res_* attrs of a probed
 // run (phase self-time, alloc/GC attribution). Request logs: serve prints
 // per-endpoint and per-part latency percentiles and the version census.
-// Audit logs: explain prints every sampled placement of one vertex (the
+// The partition decision audit, the audit.* events of a trace of a BPart,
+// Fennel or LDG run: explain prints every sampled placement of one vertex (the
 // per-piece score table, the chosen piece, its cause and the runner-up
 // gap); timeline prints the streaming quality timeline, ending on the
 // numbers Evaluate reports; combine prints the combining audit tree
@@ -107,7 +108,7 @@ var commands = []command{
 		})},
 	{name: "comm", args: []string{"trace.jsonl"}, page: "heatmap",
 		setup: func(fs *flag.FlagSet) func(*call) error {
-			auditPath := fs.String("audit", "", "reconcile observed traffic against the cut predicted by the partaudit log `audit.jsonl`")
+			auditPath := fs.String("audit", "", "reconcile observed traffic against the cut predicted by the audit events of the partition's trace `audit.jsonl`")
 			return func(c *call) error {
 				tr, err := traceview.ReadFile(c.args[0])
 				if err != nil {
@@ -117,9 +118,9 @@ var commands = []command{
 				if err != nil {
 					return err
 				}
-				var audit *partaudit.Log
+				var audit *partaudit.Audit
 				if *auditPath != "" {
-					if audit, err = partaudit.ReadLogFile(*auditPath); err != nil {
+					if audit, err = readAudit(*auditPath); err != nil {
 						return err
 					}
 				}
@@ -196,31 +197,40 @@ var commands = []command{
 			if err != nil {
 				return fmt.Errorf("bad vertex ID %q: %w", c.args[0], err)
 			}
-			log, err := partaudit.ReadLogFile(c.args[1])
+			audit, err := readAudit(c.args[1])
 			if err != nil {
 				return err
 			}
-			return partaudit.WriteExplain(c.stdout, log, vertex)
+			return partaudit.WriteExplain(c.stdout, audit, vertex)
 		})},
 	{name: "timeline", args: []string{"audit.jsonl"}, page: "timeline chart",
 		setup: noFlags(func(c *call) error {
-			log, err := partaudit.ReadLogFile(c.args[0])
+			audit, err := readAudit(c.args[0])
 			if err != nil {
 				return err
 			}
-			if err := partaudit.WriteTimeline(c.stdout, log); err != nil {
+			if err := partaudit.WriteTimeline(c.stdout, audit); err != nil {
 				return err
 			}
-			return c.html(func(w io.Writer) error { return partaudit.WriteTimelineHTML(w, log) })
+			return c.html(func(w io.Writer) error { return partaudit.WriteTimelineHTML(w, audit) })
 		})},
 	{name: "combine", args: []string{"audit.jsonl"},
 		setup: noFlags(func(c *call) error {
-			log, err := partaudit.ReadLogFile(c.args[0])
+			audit, err := readAudit(c.args[0])
 			if err != nil {
 				return err
 			}
-			return partaudit.WriteCombine(c.stdout, log)
+			return partaudit.WriteCombine(c.stdout, audit)
 		})},
+}
+
+// readAudit reads the trace at path and decodes its audit.* events.
+func readAudit(path string) (*partaudit.Audit, error) {
+	tr, err := traceview.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Audit()
 }
 
 // eachRun reads the trace, splits its supersteps into BSP runs and hands

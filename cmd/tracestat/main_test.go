@@ -85,9 +85,9 @@ const commTrace = `{"ts":"2026-08-06T10:00:00Z","type":"event","name":"cluster.s
 {"ts":"2026-08-06T10:00:00.0001Z","type":"event","name":"cluster.superstep","attrs":{"iteration":1,"machines":2,"time_us":100,"compute":[10,0],"comm":[0,0],"waiting":[0,10],"steps":[0,0],"edges":[0,0],"vertices":[0,0],"messages":[5,0],"pairs":[[0,5],[0,0]],"phase":"restream"}}
 `
 
-// commAudit is a minimal partaudit log with a final cut ratio to reconcile
-// against.
-const commAudit = `{"type":"final","k":2,"v":[2,2],"e":[10,10],"v_bias":0,"e_bias":0,"cut_ratio":0.25,"refine_moves":0}
+// commAudit is a minimal partition trace: its audit.final event carries the
+// cut ratio to reconcile against.
+const commAudit = `{"ts":"2026-08-06T09:00:00Z","type":"event","name":"audit.final","attrs":{"k":2,"v":[2,2],"e":[10,10],"v_bias":0,"e_bias":0,"cut_ratio":0.25,"refine_moves":0}}
 `
 
 func TestCommSubcommand(t *testing.T) {
@@ -217,7 +217,7 @@ func TestGoldenOutputs(t *testing.T) {
 		sample = "../../internal/traceview/testdata/sample.jsonl"
 		comm   = "../../internal/commview/testdata/crash5_restream.trace.jsonl"
 		res    = "../../internal/resview/testdata/parent_pr15.jsonl"
-		audit  = goldenDir + "/audit.jsonl"
+		audit  = goldenDir + "/audit.jsonl" // a BPart run's audit.* events
 		// Prefixes of comm's trace and of audit.jsonl (thinned decisions),
 		// each ending in half a line.
 		tornTrace = goldenDir + "/trace_torn.jsonl"
@@ -343,14 +343,14 @@ func TestErrorPaths(t *testing.T) {
 			t.Errorf("run(%q) = %d, want %d (stderr: %s)", tc.args, code, tc.code, errb.String())
 		}
 	}
-	// An unsampled vertex (the fixture's hubs are its lowest IDs) names
-	// the knob that exists: AuditConfig.SampleEvery, not a CLI flag.
+	// An unsampled vertex (the fixture's hubs are its lowest IDs) states
+	// the fixed sampling rule the header recorded.
 	errb.Reset()
 	if code := run([]string{"explain", "1999", path}, &out, &errb); code != 1 {
 		t.Fatalf("explain of an unsampled vertex exited %d", code)
 	}
 	const want = "tracestat: partaudit: vertex 1999 has no sampled decisions " +
-		"(sampled: every 64th vertex plus 16 hubs; record with a smaller AuditConfig.SampleEvery to catch it)\n"
+		"(sampled: every 64th stream position plus the 16 top-out-degree hubs)\n"
 	if errb.String() != want {
 		t.Fatalf("unsampled-vertex diagnostic:\n got %q\nwant %q", errb.String(), want)
 	}

@@ -12,7 +12,7 @@
 // per-machine in/out skew, hot-pair attribution with runner-up slack
 // (mirroring traceview's straggler pattern) — and a reconciliation bridge
 // correlating observed traffic against the partitioner's predicted edge
-// cut from the partaudit timeline. cmd/tracestat's `comm` subcommand is
+// cut from the partition's audit events (partaudit). cmd/tracestat's `comm` subcommand is
 // the CLI over this package.
 package commview
 

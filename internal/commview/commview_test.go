@@ -202,7 +202,7 @@ func TestReconcile(t *testing.T) {
 		{Iteration: 1, Machines: 2, Phase: "restream", Messages: []int64{100, 0}, Edges: []int64{0, 0}, Steps: []int64{0, 0},
 			Pairs: [][]int64{{0, 100}, {0, 0}}},
 	}
-	audit := &partaudit.Log{Final: &partaudit.Final{CutRatio: 0.25}}
+	audit := &partaudit.Audit{Final: &partaudit.Final{CutRatio: 0.25}}
 	r, err := Reconcile(run, audit)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestReconcile(t *testing.T) {
 	}
 
 	// Fallback to the last window when there is no final record.
-	windowed := &partaudit.Log{Windows: []partaudit.Window{{CutRatio: 0.5}, {CutRatio: 0.3}}}
+	windowed := &partaudit.Audit{Windows: []partaudit.Window{{CutRatio: 0.5}, {CutRatio: 0.3}}}
 	r, err = Reconcile(run, windowed)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestReconcile(t *testing.T) {
 		t.Fatalf("windowed predicted = %v, want 0.3", r.PredictedCutRatio)
 	}
 
-	if _, err := Reconcile(run, &partaudit.Log{}); err == nil {
+	if _, err := Reconcile(run, &partaudit.Audit{}); err == nil {
 		t.Fatal("empty audit log accepted")
 	}
 	if _, err := Reconcile(nil, audit); err == nil {
@@ -239,7 +239,7 @@ func TestWriteReportDeterministic(t *testing.T) {
 	steps := mustDecode(t, sampleTrace)
 	render := func() string {
 		var b strings.Builder
-		if err := WriteReport(&b, steps, false, &partaudit.Log{Final: &partaudit.Final{CutRatio: 0.2}}); err != nil {
+		if err := WriteReport(&b, steps, false, &partaudit.Audit{Final: &partaudit.Final{CutRatio: 0.2}}); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

@@ -20,8 +20,8 @@ type Reconciliation struct {
 	// zero), so the share is the traffic-weighted cut ratio the run
 	// actually experienced.
 	ObservedCutShare float64
-	// PredictedCutRatio is the partitioner's cut ratio from the audit log
-	// (Final record, falling back to the last window of a crashed run).
+	// PredictedCutRatio is the partitioner's cut ratio from its audit
+	// events (the final record, falling back to the last window of a crashed run).
 	PredictedCutRatio float64
 	// Gap = ObservedCutShare − PredictedCutRatio. Near zero for push
 	// iteration engines on static placements; pull mode's mirror dedup
@@ -34,13 +34,14 @@ type Reconciliation struct {
 	Opportunities int64
 }
 
-// Reconcile derives the Reconciliation of one run against an audit log.
+// Reconcile derives the Reconciliation of one run against the audit of the
+// partition it ran on.
 // Recovery-phase supersteps (Phase != "") are excluded from the observed
 // side: restream transfers are placement surgery, not edge traffic, and
 // would skew the cut-share estimate they exist to explain. Errors: a run
-// with no message opportunities, or a log carrying neither a final record
-// nor any window.
-func Reconcile(run []traceview.Superstep, log *partaudit.Log) (Reconciliation, error) {
+// with no message opportunities, or an audit carrying neither a final
+// record nor any window.
+func Reconcile(run []traceview.Superstep, audit *partaudit.Audit) (Reconciliation, error) {
 	var r Reconciliation
 	for _, st := range run {
 		if st.Phase != "" {
@@ -56,12 +57,12 @@ func Reconcile(run []traceview.Superstep, log *partaudit.Log) (Reconciliation, e
 	}
 	r.ObservedCutShare = float64(r.Messages) / float64(r.Opportunities)
 	switch {
-	case log.Final != nil:
-		r.PredictedCutRatio = log.Final.CutRatio
-	case len(log.Windows) > 0:
-		r.PredictedCutRatio = log.Windows[len(log.Windows)-1].CutRatio
+	case audit.Final != nil:
+		r.PredictedCutRatio = audit.Final.CutRatio
+	case len(audit.Windows) > 0:
+		r.PredictedCutRatio = audit.Windows[len(audit.Windows)-1].CutRatio
 	default:
-		return r, fmt.Errorf("commview: reconcile: audit log has no final record and no windows")
+		return r, fmt.Errorf("commview: reconcile: the audit has no final record and no windows")
 	}
 	r.Gap = r.ObservedCutShare - r.PredictedCutRatio
 	return r, nil

@@ -21,13 +21,13 @@ const (
 
 // WriteReport renders the terminal comm-topology report: per run, the
 // summed src→dst matrix, per-machine in/out skew, hot-pair attribution
-// with runner-up slack, the per-superstep evolution, and (with an audit
-// log attached) the predicted-vs-observed reconciliation.
+// with runner-up slack, the per-superstep evolution, and (with the
+// partition's audit attached) the predicted-vs-observed reconciliation.
 //
 // steps is what traceview.Supersteps decoded (supersteps without a matrix
 // are skipped) and truncated is that trace's Truncated flag. audit, when
 // non-nil, adds the reconciliation section to every run.
-func WriteReport(w io.Writer, steps []traceview.Superstep, truncated bool, audit *partaudit.Log) error {
+func WriteReport(w io.Writer, steps []traceview.Superstep, truncated bool, audit *partaudit.Audit) error {
 	ew := &report.Printer{W: w}
 	steps = withMatrix(steps)
 	if truncated {
@@ -43,7 +43,7 @@ func WriteReport(w io.Writer, steps []traceview.Superstep, truncated bool, audit
 	return ew.Err
 }
 
-func writeRun(ew *report.Printer, idx int, run []traceview.Superstep, audit *partaudit.Log) {
+func writeRun(ew *report.Printer, idx int, run []traceview.Superstep, audit *partaudit.Audit) {
 	s := Summarize(run)
 	recovery := 0
 	for _, st := range run {
@@ -124,7 +124,7 @@ func writeEvolution(ew *report.Printer, run []traceview.Superstep, s *Summary) {
 	}
 }
 
-func writeReconcile(ew *report.Printer, run []traceview.Superstep, audit *partaudit.Log) {
+func writeReconcile(ew *report.Printer, run []traceview.Superstep, audit *partaudit.Audit) {
 	r, err := Reconcile(run, audit)
 	if err != nil {
 		ew.Printf("  reconciliation vs partitioner: %v\n", err)

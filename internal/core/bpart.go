@@ -93,7 +93,6 @@ func Default() Config {
 type BPart struct {
 	cfg Config
 	tr  telemetry.Tracer
-	aud *partaudit.Auditor
 }
 
 // New returns a BPart with the given configuration. An all-zero Config
@@ -107,17 +106,14 @@ func New(cfg Config) (*BPart, error) {
 
 // SetTelemetry implements telemetry.Instrumentable: tr (may be nil)
 // receives one span per Partition call, per combining layer, per layer
-// stream and per refine pass; reg (may be nil) is teed beside it (see
-// telemetry.Instrumentable).
+// stream and per refine pass, and the audit events (see partaudit): the
+// sampled decisions, streaming quality timeline and combining tree of
+// every subsequent Partition call. reg (may be nil) is teed beside it (see
+// telemetry.Instrumentable). Tracing is pure observation — the traced
+// assignment is identical to an untraced one.
 func (b *BPart) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 	b.tr = telemetry.Tee(tr, reg)
 }
-
-// SetAudit implements partaudit.Auditable: a (may be nil, detaching)
-// receives the decision log, streaming quality timeline and combining
-// audit tree of every subsequent Partition call. Auditing is pure
-// observation — the audited assignment is identical to an unaudited one.
-func (b *BPart) SetAudit(a *partaudit.Auditor) { b.aud = a }
 
 // Name implements partition.Partitioner.
 func (*BPart) Name() string { return "BPart" }
@@ -184,11 +180,12 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	// Undirected affinity (Fennel's N(v)) reads the graph's own reverse. A
 	// first In call builds it, here, outside every layer span.
 	in := g.In()
-	b.aud.Begin("BPart", g, k)
+	audit := tr.Enabled()
 	// Per-part sizes predicted at combining freeze time, for the audit's
 	// predicted-vs-actual comparison (the gap is what refine repaired).
 	var predV, predE []int
-	if b.aud != nil {
+	if audit {
+		partaudit.Emit(tr, partaudit.NewHeader("BPart", g, k))
 		predV = make([]int, k)
 		predE = make([]int, k)
 	}
@@ -213,26 +210,14 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		if pieces < nr {
 			pieces = nr
 		}
-		var ms int
-		for _, v := range remaining {
-			ms += g.OutDegree(v)
-		}
 		layerSpan := tr.Span("bpart.layer",
 			telemetry.Int("layer", layer),
 			telemetry.Int("pieces", pieces),
 			telemetry.Int("oversplit", pieces/nr),
 			telemetry.Int("remaining_vertices", len(remaining)),
 			telemetry.Int("parts_wanted", nr))
-		res, err := partition.Stream(g, partition.StreamOptions{
-			K:        pieces,
-			C:        b.cfg.C,
-			Vertices: remaining,
-			CapV:     int(partition.DefaultSlack*float64(len(remaining))/float64(pieces)) + 1,
-			CapE:     int(partition.DefaultSlack*float64(ms)/float64(pieces)) + 1,
-			In:       in,
-			Tracer:   b.tr,
-			Audit:    b.aud.Stream(layer, g, pieces),
-		})
+		// The stream's span and audit events carry their layer.
+		res, err := b.streamLayer(g, in, remaining, pieces, telemetry.With(tr, telemetry.Int("layer", layer)))
 		if err != nil {
 			layerSpan.End(telemetry.String("error", err.Error()))
 			runSpan.End(telemetry.String("error", err.Error()))
@@ -260,10 +245,10 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 				target = nr
 			}
 			var emit func(a, b group)
-			if b.aud != nil {
+			if audit {
 				r := round
 				emit = func(x, y group) {
-					b.aud.Combine(partaudit.Merge{
+					partaudit.Emit(tr, partaudit.Merge{
 						Layer:   layer,
 						Round:   r,
 						APieces: append([]int(nil), x.pieces...),
@@ -292,7 +277,7 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 				for _, p := range grp.pieces {
 					pieceToFinal[p] = nextFinal
 				}
-				if b.aud != nil {
+				if audit {
 					predV[nextFinal] = grp.v
 					predE[nextFinal] = grp.e
 				}
@@ -301,7 +286,7 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			} else {
 				nextRemainingGroups = append(nextRemainingGroups, grp)
 			}
-			if b.aud != nil {
+			if audit {
 				ag := partaudit.LayerGroup{
 					Pieces: append([]int(nil), grp.pieces...),
 					V:      grp.v,
@@ -320,8 +305,8 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 				auditGroups = append(auditGroups, ag)
 			}
 		}
-		if b.aud != nil {
-			b.aud.Layer(partaudit.LayerRecord{
+		if audit {
+			partaudit.Emit(tr, partaudit.LayerRecord{
 				Layer:   layer,
 				Pieces:  pieces,
 				TargetV: targetV,
@@ -373,12 +358,12 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	runSpan.End(
 		telemetry.Int("layers", len(trace.Layers)),
 		telemetry.Int("refine_moves", moves.Shed+moves.Pulled))
-	if b.aud != nil {
+	if audit {
 		// The closing record is computed exactly as Evaluate computes its
 		// Report, so the audit timeline ends on the numbers the evaluation
 		// reports.
 		rep := metrics.NewReport(g, final, k, false)
-		b.aud.Final(partaudit.Final{
+		partaudit.Emit(tr, partaudit.Final{
 			K: k, V: rep.Vertices, E: rep.Edges,
 			VBias: rep.VertexBias, EBias: rep.EdgeBias, CutRatio: rep.CutRatio,
 			PredictedV: predV, PredictedE: predE,
@@ -386,6 +371,25 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		})
 	}
 	return a, trace, nil
+}
+
+// streamLayer is one layer's partitioning phase: the remaining vertices
+// streamed, in the given order, into pieces under per-piece |V_i| and |E_i|
+// caps at the slack, with undirected affinity read from in = g.In().
+func (b *BPart) streamLayer(g, in *graph.Graph, remaining []graph.VertexID, pieces int, tr telemetry.Tracer) (*partition.StreamResult, error) {
+	var ms int
+	for _, v := range remaining {
+		ms += g.OutDegree(v)
+	}
+	return partition.Stream(g, partition.StreamOptions{
+		K:        pieces,
+		C:        b.cfg.C,
+		Vertices: remaining,
+		CapV:     int(partition.DefaultSlack*float64(len(remaining))/float64(pieces)) + 1,
+		CapE:     int(partition.DefaultSlack*float64(ms)/float64(pieces)) + 1,
+		In:       in,
+		Tracer:   tr,
+	})
 }
 
 // group is a set of pieces destined for one final subgraph.

@@ -1,14 +1,18 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"bpart/internal/cluster"
 	"bpart/internal/fault"
 	"bpart/internal/gen"
 	"bpart/internal/graph"
+	"bpart/internal/oracle"
 )
 
 // faultEngine builds an engine over g with a chunk assignment and attaches
@@ -194,11 +198,13 @@ func tailedGraph(t testing.TB) *graph.Graph {
 }
 
 // TestRecoverEveryAlgorithm runs all seven algorithms under a rollback and
-// a restream schedule: each must execute under the attached controller
-// (one crash recorded) and still produce the fault-free answer — labels,
-// distances and core membership exactly, ranks bit for bit under rollback
-// and within TestPageRankRestreamDegradedRanks' tolerance once restreaming
-// has changed the placement.
+// a restream schedule at one, two and NumCPU workers: each must execute
+// under the attached controller (one crash recorded) and still produce the
+// answer of internal/oracle's textbook references — labels, distances and
+// core membership exactly, ranks within 1e-9 relative — and of the
+// fault-free run at the same width: the same answer exactly, ranks bit for
+// bit under rollback and within TestPageRankRestreamDegradedRanks'
+// tolerance once restreaming has changed the placement.
 func TestRecoverEveryAlgorithm(t *testing.T) {
 	g := tailedGraph(t)
 	type outcome struct {
@@ -218,35 +224,40 @@ func TestRecoverEveryAlgorithm(t *testing.T) {
 		}
 		return outcome{exact: r.Dist, rec: r.Recovery}, nil
 	}
+	labels, _ := oracle.Components(g)
+	hops := oracle.BFS(g, 0)
+	ranks := oracle.PageRank(g, 0.85, 10)
+	inCore, _ := oracle.KCore(g, 2)
 	algos := []struct {
 		name string
 		run  func(e *Engine) (outcome, error)
+		want outcome // the oracle's answer
 	}{
-		{"PageRank", func(e *Engine) (outcome, error) { return pr(e.PageRank(10, 0.85)) }},
-		{"PageRankPull", func(e *Engine) (outcome, error) { return pr(e.PageRankPull(10, 0.85)) }},
+		{"PageRank", func(e *Engine) (outcome, error) { return pr(e.PageRank(10, 0.85)) }, outcome{ranks: ranks}},
+		{"PageRankPull", func(e *Engine) (outcome, error) { return pr(e.PageRankPull(10, 0.85)) }, outcome{ranks: ranks}},
 		{"CC", func(e *Engine) (outcome, error) {
 			r, err := e.ConnectedComponents(0)
 			if err != nil {
 				return outcome{}, err
 			}
 			return outcome{exact: r.Labels, rec: r.Recovery}, nil
-		}},
-		{"BFS", func(e *Engine) (outcome, error) { return bfs(e.BFS(0)) }},
-		{"DOBFS", func(e *Engine) (outcome, error) { return bfs(e.BFSDirectionOptimizing(0)) }},
+		}, outcome{exact: labels}},
+		{"BFS", func(e *Engine) (outcome, error) { return bfs(e.BFS(0)) }, outcome{exact: hops}},
+		{"DOBFS", func(e *Engine) (outcome, error) { return bfs(e.BFSDirectionOptimizing(0)) }, outcome{exact: hops}},
 		{"SSSP", func(e *Engine) (outcome, error) {
 			r, err := e.SSSP(0)
 			if err != nil {
 				return outcome{}, err
 			}
 			return outcome{exact: r.Dist, rec: r.Recovery}, nil
-		}},
+		}, outcome{exact: oracle.SSSP(g, 0, EdgeWeight)}},
 		{"KCore", func(e *Engine) (outcome, error) {
 			r, err := e.KCore(2)
 			if err != nil {
 				return outcome{}, err
 			}
 			return outcome{exact: r.InCore, rec: r.Recovery}, nil
-		}},
+		}, outcome{exact: inCore}},
 	}
 	restream, err := fault.ReadSpecFile("../fault/testdata/crash5_restream.json")
 	if err != nil {
@@ -260,32 +271,60 @@ func TestRecoverEveryAlgorithm(t *testing.T) {
 		{"rollback", &fault.Spec{CheckpointEvery: 1, Events: []fault.Event{{Kind: fault.Crash, Step: 2, Machine: 1}}}, true},
 		{"restream", restream, false},
 	}
+	widths := []int{1, 2}
+	if n := runtime.NumCPU(); !slices.Contains(widths, n) {
+		widths = append(widths, n)
+	}
+	// ranksWithin reports the first rank of got farther than tol (relative)
+	// from want, or -1.
+	ranksWithin := func(got, want []float64, tol float64) int {
+		for v := range want {
+			diff := math.Abs(got[v] - want[v])
+			if diff > tol*math.Max(want[v], 1e-300) && diff > 1e-15 {
+				return v
+			}
+		}
+		return -1
+	}
 	for _, algo := range algos {
-		base, err := algo.run(newEngine(t, g, 4))
-		if err != nil {
-			t.Fatalf("%s: %v", algo.name, err)
-		}
-		if base.rec != nil {
-			t.Fatalf("%s: fault-free run reports Recovery %+v", algo.name, base.rec)
-		}
-		for _, sched := range schedules {
-			got, err := algo.run(faultEngine(t, g, 4, sched.spec.Clone()))
+		for _, w := range widths {
+			plain := newEngine(t, g, 4)
+			plain.Cluster().SetWorkers(w)
+			base, err := algo.run(plain)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", algo.name, sched.name, err)
+				t.Fatalf("%s w=%d: %v", algo.name, w, err)
 			}
-			if got.rec == nil || got.rec.Crashes != 1 {
-				t.Errorf("%s/%s: Recovery = %+v, want 1 crash", algo.name, sched.name, got.rec)
-				continue
+			if base.rec != nil {
+				t.Fatalf("%s w=%d: fault-free run reports Recovery %+v", algo.name, w, base.rec)
 			}
-			if !reflect.DeepEqual(base.exact, got.exact) {
-				t.Errorf("%s/%s: result differs from the fault-free run", algo.name, sched.name)
-			}
-			for v := range base.ranks {
-				diff := math.Abs(base.ranks[v] - got.ranks[v])
-				if sched.bitExact && diff != 0 ||
-					diff > 1e-9*math.Max(base.ranks[v], 1e-300) && diff > 1e-15 {
-					t.Errorf("%s/%s: rank[%d] = %v, fault-free %v", algo.name, sched.name, v, got.ranks[v], base.ranks[v])
-					break
+			for _, sched := range schedules {
+				name := fmt.Sprintf("%s/%s w=%d", algo.name, sched.name, w)
+				e := faultEngine(t, g, 4, sched.spec.Clone())
+				e.Cluster().SetWorkers(w)
+				got, err := algo.run(e)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got.rec == nil || got.rec.Crashes != 1 {
+					t.Errorf("%s: Recovery = %+v, want 1 crash", name, got.rec)
+					continue
+				}
+				if !reflect.DeepEqual(got.exact, algo.want.exact) {
+					t.Errorf("%s: result differs from the oracle", name)
+				}
+				if !reflect.DeepEqual(base.exact, got.exact) {
+					t.Errorf("%s: result differs from the fault-free run", name)
+				}
+				if algo.want.ranks == nil {
+					continue
+				}
+				if v := ranksWithin(got.ranks, algo.want.ranks, 1e-9); v >= 0 {
+					t.Errorf("%s: rank[%d] = %v, oracle %v", name, v, got.ranks[v], algo.want.ranks[v])
+				}
+				if sched.bitExact && !slices.Equal(got.ranks, base.ranks) {
+					t.Errorf("%s: ranks differ from the fault-free run's bits", name)
+				} else if v := ranksWithin(got.ranks, base.ranks, 1e-9); v >= 0 {
+					t.Errorf("%s: rank[%d] = %v, fault-free %v", name, v, got.ranks[v], base.ranks[v])
 				}
 			}
 		}

@@ -86,9 +86,7 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("gen: CommunityProb = %v with Locality %v, want non-negative and summing ≤ 1",
 			c.CommunityProb, c.Locality)
 	}
-	if c.Communities == 0 {
-		c.Communities = c.NumVertices/250 + 1
-	}
+	c.Communities = c.communities()
 	if c.Communities < 0 {
 		return fmt.Errorf("gen: Communities = %d, want > 0", c.Communities)
 	}
@@ -174,7 +172,7 @@ func ChungLu(cfg Config) (*graph.Graph, error) {
 		members = make([][]int32, cfg.Communities)
 		community = make([]int32, n)
 		for v := 0; v < n; v++ {
-			c := int32(mix64(uint64(v)^cfg.Seed^0xC0FFEE) % uint64(cfg.Communities))
+			c := int32(Community(cfg, v))
 			community[v] = c
 			members[c] = append(members[c], int32(v))
 		}
@@ -201,6 +199,22 @@ func ChungLu(cfg Config) (*graph.Graph, error) {
 		g = Relabel(g, rng.Perm(n))
 	}
 	return g, nil
+}
+
+// Community returns vertex v's planted community under cfg: ChungLu draws a
+// CommunityProb share of v's arcs from its members (see drawDst).
+// Membership is hash-scattered over the IDs; Communities 0 selects
+// Normalize's default.
+func Community(cfg Config, v int) int {
+	return int(mix64(uint64(v)^cfg.Seed^0xC0FFEE) % uint64(cfg.communities()))
+}
+
+// communities is the community count, Normalize's default for 0.
+func (c Config) communities() int {
+	if c.Communities == 0 {
+		return c.NumVertices/250 + 1
+	}
+	return c.Communities
 }
 
 // drawDst picks an arc destination from the three-way mixture: a uniform

@@ -411,3 +411,31 @@ func TestBarabasiAlbertDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Community is the membership ChungLu draws community arcs from, the
+// default community count included: with CommunityProb 1 every arc but a
+// rare self-loop fallback stays inside its source's community.
+func TestCommunityIsChungLusMembership(t *testing.T) {
+	cfg := Config{NumVertices: 2000, AvgDegree: 6, Skew: 0.5, CommunityProb: 1, Seed: 3}
+	g, err := ChungLu(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	inside := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		c := Community(cfg, v)
+		seen[c] = true
+		for _, u := range g.Neighbors(graph.VertexID(v)) {
+			if Community(cfg, int(u)) == c {
+				inside++
+			}
+		}
+	}
+	if len(seen) != cfg.NumVertices/250+1 {
+		t.Fatalf("%d communities, want the default %d", len(seen), cfg.NumVertices/250+1)
+	}
+	if share := float64(inside) / float64(g.NumEdges()); share < 0.999 {
+		t.Fatalf("%.4f of arcs inside their community, want all but the fallbacks", share)
+	}
+}

@@ -3,11 +3,16 @@
 // Dijkstra, power-iteration PageRank and bucket-peeling k-core. Each reads
 // the raw CSR (out-edges only) and shares no code with internal/engine,
 // so a test that compares the two catches a kernel bug that every engine
-// algorithm would otherwise agree on.
+// algorithm would otherwise agree on. MaxFreeze is the same kind of
+// reference for BPart's combine (internal/core): the exact optimum its
+// pairing heuristic is measured against.
 package oracle
 
 import (
 	"container/heap"
+	"fmt"
+	"math"
+	"math/bits"
 
 	"bpart/internal/graph"
 )
@@ -215,4 +220,41 @@ func KCore(g *graph.Graph, k int) ([]bool, int) {
 		}
 	}
 	return inCore, size
+}
+
+// MaxFreeze is the most groups any combine of one BPart layer could
+// freeze: the maximum number of disjoint sets of the layer's pieces (piece
+// i holds pv[i] vertices and pe[i] edges) whose sums each lie within
+// eps·tv of tv and within eps·te of te (a zero edge target constrains
+// nothing). It is a dynamic program over subsets, 3^P steps and 2^P words
+// for P pieces, so it refuses more than 16.
+func MaxFreeze(pv, pe []int, tv, te, eps float64) int {
+	p := len(pv)
+	if p > 16 || len(pe) != p {
+		panic(fmt.Sprintf("oracle: MaxFreeze over %d/%d pieces, want equal counts <= 16", len(pv), len(pe)))
+	}
+	sumV := make([]int, 1<<p)
+	sumE := make([]int, 1<<p)
+	for set := 1; set < 1<<p; set++ {
+		low := bits.TrailingZeros(uint(set))
+		sumV[set] = sumV[set&(set-1)] + pv[low]
+		sumE[set] = sumE[set&(set-1)] + pe[low]
+	}
+	fits := func(set int) bool {
+		return math.Abs(float64(sumV[set])-tv) <= eps*tv &&
+			(te <= 0 || math.Abs(float64(sumE[set])-te) <= eps*te)
+	}
+	// best[set] is the most disjoint fitting sets inside set: its lowest
+	// piece either joins no set, or one fitting subset that holds it.
+	best := make([]int, 1<<p)
+	for set := 1; set < 1<<p; set++ {
+		low := set & -set
+		best[set] = best[set^low]
+		for sub := set; sub > 0; sub = (sub - 1) & set {
+			if sub&low != 0 && best[set^sub]+1 > best[set] && fits(sub) {
+				best[set] = best[set^sub] + 1
+			}
+		}
+	}
+	return best[1<<p-1]
 }

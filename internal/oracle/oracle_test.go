@@ -78,3 +78,27 @@ func TestKCoreUndirectedClosure(t *testing.T) {
 		}
 	}
 }
+
+// MaxFreeze counts the most disjoint fitting sets, not the first ones a
+// greedy pass meets.
+func TestMaxFreezeDisjointSets(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		pv, pe []int
+		tv, te float64
+		eps    float64
+		want   int
+	}{
+		{"three groups", []int{4, 6, 5, 5, 10}, []int{6, 4, 5, 5, 10}, 10, 10, 0.1, 3},
+		{"edges rule out every set", []int{10, 10}, []int{0, 20}, 10, 10, 0.1, 0},
+		{"a zero edge target", []int{10, 10}, []int{0, 20}, 10, 0, 0.1, 2},
+		// {5,4,1} fits but leaves {5,6}; {5,5} and {4,6} fit together.
+		{"the larger packing", []int{5, 4, 1, 5, 6}, []int{1, 1, 1, 1, 1}, 10, 0, 0, 2},
+		{"the band is closed", []int{9, 11}, []int{1, 1}, 10, 1, 0.1, 2},
+		{"no pieces", nil, nil, 10, 10, 0.1, 0},
+	} {
+		if got := MaxFreeze(tc.pv, tc.pe, tc.tv, tc.te, tc.eps); got != tc.want {
+			t.Errorf("%s: MaxFreeze = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -1,101 +1,80 @@
-package partaudit
+package partaudit_test
 
 import (
 	"bytes"
-	"io"
-	"strings"
 	"testing"
+
+	"bpart/internal/partaudit"
+	"bpart/internal/traceview"
 )
 
-// FuzzReadLog throws arbitrary byte streams at the JSONL audit-log reader,
-// mirroring traceview's FuzzRead. The reader faces files written by a
-// process that may have died mid-line, so it must never panic, and its
-// tolerance contract is precise: only the final line may be damaged — and
-// only when a usable prefix precedes it (flagged via Truncated); damage
-// anywhere earlier, or a file with no usable records at all, is a hard
-// error. Anything that parses cleanly must survive a second pass over the
-// same bytes with identical results.
+// FuzzReadLog throws arbitrary byte streams at the audit's read path —
+// traceview.Read, then Trace.Audit, then every renderer — mirroring
+// traceview's FuzzRead. Framing and torn-tail tolerance are the trace
+// reader's; what this target holds is the audit decode: an audit.* event
+// with a malformed attr is an error, never a panic, and anything that
+// decodes cleanly decodes again to the same audit and renders without
+// panicking.
 func FuzzReadLog(f *testing.F) {
-	f.Add([]byte(`{"type":"audit_header","version":1,"scheme":"BPart","k":8,"n":100,"m":400,"sample_every":64,"hubs":16,"hub_degree":5,"window":1024}` + "\n"))
-	f.Add([]byte(`{"type":"window","layer":0,"index":0,"placed":4,"piece_v":[2,2],"piece_e":[2,1],"v_bias":0,"e_bias":0.3,"cut_ratio":0.5,"resolved_arcs":2,"cut_arcs":1}` + "\n" +
-		`{"type":"decision","layer":1,"stream_pos":0,"vertex":7,"degree":3,"chosen":1,"candidates":[{"piece":0,"score":1.5,"gain":1,"balance":0.5},{"piece":1,"score":2,"gain":2,"balance":0}]}` + "\n"))
-	f.Add([]byte(`{"type":"combine","layer":2,"left":0,"right":1,"final":-1}` + "\n" +
-		`{"type":"final","v_bias":0.01,"e_bias":0.02,"cut_ratio":0.4}` + "\n"))
-	f.Add([]byte(`{"type":"error","reason":"degraded"}` + "\n"))
-	// Torn final line after a usable prefix: the only damage ReadLog tolerates.
-	f.Add([]byte(`{"type":"audit_header","version":1}` + "\n" + `{"type":"win`))
-	// Interior damage: must be a hard error.
-	f.Add([]byte("garbage\n" + `{"type":"audit_header","version":1}` + "\n"))
-	// Whole-file garbage: must be a hard error, not Truncated+empty.
+	const ts = `{"ts":"2026-08-06T10:00:00Z","type":"event","name":`
+	f.Add([]byte(ts + `"audit.header","attrs":{"scheme":"BPart","k":8,"n":100,"m":400,"sample_every":64,"hubs":16,"hub_degree":5,"window":1024}}` + "\n"))
+	f.Add([]byte(ts + `"audit.window","attrs":{"layer":0,"index":0,"placed":4,"piece_v":[2,2],"piece_e":[2,1],"v_bias":0,"e_bias":0.3,"cut_ratio":0.5,"resolved_arcs":2,"cut_arcs":1}}` + "\n" +
+		ts + `"audit.decision","attrs":{"layer":1,"pos":0,"vertex":7,"degree":3,"piece":1,"cause":"greedy","runner_up":0,"gap":0.5,"cands":[{"piece":0,"aff":1,"pen":0.5,"score":0.5},{"piece":1,"aff":2,"pen":1,"score":1}]}}` + "\n"))
+	f.Add([]byte(ts + `"audit.combine","attrs":{"layer":1,"round":0,"a_pieces":[0],"a_v":1,"a_e":2,"b_pieces":[1],"b_v":3,"b_e":4}}` + "\n" +
+		ts + `"audit.layer","attrs":{"layer":1,"pieces":-2,"target_v":1,"target_e":2,"epsilon":0.1,"groups":[{"pieces":[0,1,9],"v":4,"e":6,"final":0}]}}` + "\n" +
+		ts + `"audit.final","attrs":{"k":2,"v":[2],"e":[1,2,3],"v_bias":0.01,"e_bias":0.02,"cut_ratio":0.4,"predicted_v":[1,1],"predicted_e":[2]}}` + "\n"))
+	// A malformed attr, an unknown audit name, a second header: errors.
+	f.Add([]byte(ts + `"audit.window","attrs":{"piece_v":"two"}}` + "\n"))
+	f.Add([]byte(ts + `"audit.wormhole"}` + "\n"))
+	f.Add([]byte(ts + `"audit.header"}` + "\n" + ts + `"audit.header"}` + "\n"))
+	// Torn final line after a usable prefix: the only damage tolerated.
+	f.Add([]byte(ts + `"audit.header"}` + "\n" + ts + `"audit.win`))
+	// Interior damage and whole-file garbage: hard errors.
+	f.Add([]byte("garbage\n" + ts + `"audit.header"}` + "\n"))
 	f.Add([]byte("not an audit log\n"))
-	f.Add([]byte(`{"type":"wormhole"}` + "\n"))
-	f.Add([]byte(`{"type":"audit_header","version":99}` + "\n"))
 	f.Add([]byte("\n\n  \n"))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xfe, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		log, err := ReadLog(bytes.NewReader(data))
+		read := func() (*partaudit.Audit, error) {
+			tr, err := traceview.Read(bytes.NewReader(data))
+			if err != nil {
+				return nil, err
+			}
+			return tr.Audit()
+		}
+		log, err := read()
 		if err != nil {
 			return
 		}
 		if log == nil {
-			t.Fatal("ReadLog returned nil log with nil error")
+			t.Fatal("Audit returned a nil audit with a nil error")
 		}
-		// The same bytes must parse again to the same log.
-		log2, err2 := ReadLog(bytes.NewReader(data))
+		// The same bytes must decode again to the same audit.
+		log2, err2 := read()
 		if err2 != nil {
-			t.Fatalf("second ReadLog of identical bytes failed: %v", err2)
+			t.Fatalf("second decode of identical bytes failed: %v", err2)
 		}
 		if log2.Truncated != log.Truncated ||
 			len(log2.Decisions) != len(log.Decisions) ||
 			len(log2.Windows) != len(log.Windows) ||
 			len(log2.Merges) != len(log.Merges) ||
-			len(log2.Layers) != len(log.Layers) {
-			t.Fatal("non-deterministic parse of identical bytes")
+			len(log2.Layers) != len(log.Layers) ||
+			(log2.Header == nil) != (log.Header == nil) ||
+			(log2.Final == nil) != (log.Final == nil) {
+			t.Fatal("non-deterministic decode of identical bytes")
 		}
-		// Every record the reader kept came from one complete line, and a
-		// torn tail is only ever tolerated after an accepted line.
-		lines := 0
-		for _, l := range strings.Split(string(data), "\n") {
-			if strings.TrimSpace(l) != "" {
-				lines++
-			}
-		}
-		if log.Truncated && lines < 2 {
-			t.Fatal("ReadLog produced Truncated with no accepted line before the tail")
-		}
-		records := len(log.Decisions) + len(log.Windows) + len(log.Merges) + len(log.Layers)
-		if log.Header != nil {
-			records++
-		}
-		if log.Final != nil {
-			records++
-		}
-		if records > lines {
-			t.Fatalf("parsed %d records from %d non-blank lines", records, lines)
-		}
-		// The derived views must hold up on anything ReadLog accepts.
-		for _, d := range log.Decisions {
-			got := log.DecisionsFor(d.Vertex)
-			if len(got) == 0 {
-				t.Fatalf("DecisionsFor(%d) lost a decision", d.Vertex)
-			}
-		}
-		for _, lr := range log.Layers {
-			if m, ok := log.PieceToPart(lr.Layer); ok && len(m) != lr.Pieces {
-				t.Fatalf("PieceToPart(%d) = %d entries, layer has %d pieces", lr.Layer, len(m), lr.Pieces)
-			}
-		}
-		// Every renderer must survive anything ReadLog accepts: an
+		// Every renderer must survive anything Audit accepts: an
 		// unsampled vertex is an error, a panic is not.
 		vertex := 0
 		if len(log.Decisions) > 0 {
 			vertex = log.Decisions[0].Vertex
 		}
-		_ = WriteExplain(io.Discard, log, vertex)
-		_ = WriteTimeline(io.Discard, log)
-		_ = WriteCombine(io.Discard, log)
-		_ = WriteTimelineHTML(io.Discard, log)
+		var sink bytes.Buffer
+		_ = partaudit.WriteExplain(&sink, log, vertex)
+		_ = partaudit.WriteTimeline(&sink, log)
+		_ = partaudit.WriteCombine(&sink, log)
+		_ = partaudit.WriteTimelineHTML(&sink, log)
 	})
 }

@@ -12,7 +12,7 @@ import (
 // assets): a line chart of vertex bias, edge bias and cut ratio per
 // window, segmented by layer, plus the final report — how balance in both
 // dimensions evolved as the stream progressed.
-func WriteTimelineHTML(w io.Writer, l *Log) error {
+func WriteTimelineHTML(w io.Writer, l *Audit) error {
 	return report.Page(w, "bpart audit timeline", func(ew *report.Printer) {
 		if h := l.Header; h != nil {
 			ew.Printf("<p class=meta>%s · k=%d · n=%d · m=%d · window %d · %d windows, %d sampled decisions</p>\n",
@@ -26,7 +26,7 @@ func WriteTimelineHTML(w io.Writer, l *Log) error {
 	})
 }
 
-func writeHTMLChart(ew *report.Printer, l *Log) {
+func writeHTMLChart(ew *report.Printer, l *Audit) {
 	if len(l.Windows) == 0 {
 		ew.Printf("<p class=meta>no window records</p>\n")
 		return
@@ -83,7 +83,7 @@ func writeHTMLChart(ew *report.Printer, l *Log) {
 	ew.Printf("</svg>\n")
 }
 
-func writeHTMLFinal(ew *report.Printer, l *Log) {
+func writeHTMLFinal(ew *report.Printer, l *Audit) {
 	f := l.Final
 	if f == nil {
 		return

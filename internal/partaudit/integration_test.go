@@ -16,6 +16,8 @@ import (
 	"bpart/internal/metrics"
 	"bpart/internal/partaudit"
 	"bpart/internal/partition"
+	"bpart/internal/telemetry"
+	"bpart/internal/traceview"
 )
 
 func testGraph(t testing.TB) *graph.Graph {
@@ -29,28 +31,29 @@ func testGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// auditedRun attaches a fresh Auditor to p, partitions, and returns the
-// parsed log plus the assignment.
-func auditedRun(t *testing.T, p partition.Partitioner, g *graph.Graph, k int, cfg partaudit.Config) (*partaudit.Log, *partition.Assignment) {
+// auditedRun traces p into a fresh JSONL trace, partitions, and returns
+// the trace's decoded audit plus the assignment.
+func auditedRun(t *testing.T, p partition.Partitioner, g *graph.Graph, k int) (*partaudit.Audit, *partition.Assignment) {
 	t.Helper()
 	var buf bytes.Buffer
-	aud, err := partaudit.New(&buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, ok := p.(partaudit.Auditable)
+	tr := telemetry.NewJSONL(&buf)
+	in, ok := p.(telemetry.Instrumentable)
 	if !ok {
-		t.Fatalf("%s does not implement partaudit.Auditable", p.Name())
+		t.Fatalf("%s does not implement telemetry.Instrumentable", p.Name())
 	}
-	a.SetAudit(aud)
+	in.SetTelemetry(tr, nil)
 	res, err := p.Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := aud.Close(); err != nil {
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log, err := partaudit.ReadLog(&buf)
+	trace, err := traceview.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := trace.Audit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func auditedRun(t *testing.T, p partition.Partitioner, g *graph.Graph, k int, cf
 func TestFennelTimelineFinalWindowEqualsReport(t *testing.T) {
 	g := testGraph(t)
 	const k = 8
-	log, a := auditedRun(t, &partition.Fennel{}, g, k, partaudit.Config{Window: 512})
+	log, a := auditedRun(t, &partition.Fennel{}, g, k)
 
 	h := log.Header
 	if h == nil || h.Scheme != "Fennel" || h.K != k || h.Vertices != g.NumVertices() || h.Edges != g.NumEdges() {
@@ -70,9 +73,12 @@ func TestFennelTimelineFinalWindowEqualsReport(t *testing.T) {
 	}
 
 	rep := metrics.NewReport(g, a.Parts, k, false)
-	win, ok := log.LastWindow(0)
-	if !ok {
-		t.Fatal("no layer-0 windows")
+	if len(log.Windows) == 0 {
+		t.Fatal("no windows")
+	}
+	win := log.Windows[len(log.Windows)-1]
+	if win.Layer != 0 {
+		t.Fatalf("Fennel's stream is layer %d, want 0", win.Layer)
 	}
 	if win.Placed != g.NumVertices() {
 		t.Fatalf("final window placed %d, graph has %d vertices", win.Placed, g.NumVertices())
@@ -107,7 +113,7 @@ func TestDecisionsMatchAssignment(t *testing.T) {
 	g := testGraph(t)
 	const k = 8
 	for _, p := range []partition.Partitioner{&partition.Fennel{}, &partition.LDG{}} {
-		log, a := auditedRun(t, p, g, k, partaudit.Config{})
+		log, a := auditedRun(t, p, g, k)
 		if len(log.Decisions) == 0 {
 			t.Fatalf("%s: no sampled decisions", p.Name())
 		}
@@ -153,7 +159,7 @@ func TestBPartFinalEqualsReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, a := auditedRun(t, b, g, k, partaudit.Config{})
+	log, a := auditedRun(t, b, g, k)
 	rep := metrics.NewReport(g, a.Parts, k, false)
 	f := log.Final
 	if f == nil {
@@ -190,7 +196,7 @@ func TestBPartCombineTreeReproducesMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _ := auditedRun(t, b, g, k, partaudit.Config{})
+	log, _ := auditedRun(t, b, g, k)
 	if len(log.Layers) == 0 {
 		t.Fatal("no layer records")
 	}
@@ -232,19 +238,6 @@ func TestBPartCombineTreeReproducesMapping(t *testing.T) {
 				t.Fatalf("layer %d: replay left group %s unaccounted (%d)", lr.Layer, key, n)
 			}
 		}
-
-		// PieceToPart must agree with the group records it derives from.
-		m, ok := log.PieceToPart(lr.Layer)
-		if !ok {
-			t.Fatalf("PieceToPart(%d) missing", lr.Layer)
-		}
-		for _, grp := range lr.Groups {
-			for _, p := range grp.Pieces {
-				if m[p] != grp.Final {
-					t.Fatalf("layer %d piece %d maps to %d, group says %d", lr.Layer, p, m[p], grp.Final)
-				}
-			}
-		}
 	}
 	for part := 0; part < k; part++ {
 		if !finalSeen[part] {
@@ -277,8 +270,8 @@ func groupKey(pieces []int) string {
 	return fmt.Sprint(s)
 }
 
-// Auditing is pure observation: the audited assignment must be identical
-// to an unaudited one, for every auditable scheme.
+// Auditing is pure observation: the traced assignment must be identical to
+// an untraced one, for every audited scheme.
 func TestAuditDoesNotChangeResult(t *testing.T) {
 	g := testGraph(t)
 	const k = 8
@@ -300,11 +293,7 @@ func TestAuditDoesNotChangeResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		audited := mk()
-		aud, err := partaudit.New(io.Discard, partaudit.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		audited.(partaudit.Auditable).SetAudit(aud)
+		audited.(telemetry.Instrumentable).SetTelemetry(telemetry.NewJSONL(io.Discard), nil)
 		a2, err := audited.Partition(g, k)
 		if err != nil {
 			t.Fatal(err)
@@ -327,7 +316,7 @@ func TestRenderers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _ := auditedRun(t, b, g, k, partaudit.Config{})
+	log, _ := auditedRun(t, b, g, k)
 
 	var out bytes.Buffer
 	// Stream position 0 is always sampled (pos % SampleEvery == 0).

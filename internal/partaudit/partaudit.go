@@ -1,49 +1,57 @@
-// Package partaudit is the decision-side observability subsystem: where
-// internal/telemetry answers "how long did each phase take" and
-// internal/traceview answers "where did the simulated cluster wait",
-// partaudit answers "why did the partitioner do what it did".
+// Package partaudit is the decision side of the partitioner's trace: where
+// the spans answer "how long did each phase take", the audit.* events
+// answer "why did the partitioner do what it did".
 //
-// An Auditor writes an opt-in JSONL audit log of one partitioning run with
-// three kinds of content:
+// BPart, Fennel and LDG emit them on the tracer they already hold
+// (SetTelemetry), whenever it is Enabled:
 //
-//   - Decision records — a sampled subset of streaming placements (every
-//     Nth vertex, plus every top-degree hub) with the full per-candidate
-//     score decomposition: the neighbor-affinity term, the balance-penalty
-//     term, the capacity-skip reason, and the runner-up gap. These are the
-//     per-decision quantities behind the paper's Eq. 2 scoring.
-//   - Window records — every Window placed vertices, a snapshot of the
-//     per-piece |V_i|/|E_i|, the vertex/edge bias and the cut ratio over
-//     the arcs resolved so far. The final snapshot of a full-graph stream
-//     reproduces metrics.NewReport exactly (tested), so the timeline ends
-//     on the same numbers Evaluate reports.
-//   - Combining records — per layer and round, which pieces were paired
-//     (vertex-lightest with vertex-heaviest, the paper's
-//     inverse-proportionality rationale), every group's per-dimension
-//     deviation and freeze outcome, and the final predicted-vs-actual
-//     per-part balance.
+//   - audit.header opens a run: scheme, k, |V|, |E| and the sampling rule.
+//   - audit.decision is a sampled streaming placement (every 64th stream
+//     position, plus every placement of the 16 top-out-degree hubs) with
+//     the full per-candidate score decomposition: the neighbor-affinity
+//     term, the balance-penalty term, the capacity-skip reason and the
+//     runner-up gap. These are the per-decision quantities behind the
+//     paper's Eq. 2 scoring.
+//   - audit.window is a snapshot every 1024 placements of the per-piece
+//     |V_i|/|E_i|, the vertex/edge bias and the cut ratio over the arcs
+//     resolved so far. The final snapshot of a full-graph stream
+//     reproduces metrics.NewReport exactly (tested).
+//   - audit.combine and audit.layer are, per BPart layer, which pieces
+//     were paired in each round (vertex-lightest with vertex-heaviest, the
+//     paper's inverse-proportionality rationale), every group's
+//     per-dimension deviation and freeze outcome.
+//   - audit.final closes a run with its quality report and, for BPart,
+//     the predicted-vs-actual per-part balance.
 //
-// A nil *Auditor is a valid no-op on every method. Framing is
-// internal/recordlog's: whole-line writes flushed every flushCadence
-// records with a sticky first error surfaced by Flush/Close, and a reader
-// (ReadLog) that tolerates a torn final line from a crashed run while
-// rejecting interior damage. cmd/tracestat renders the log (explain /
-// timeline / combine).
+// Each event's attrs are the fields of one record shape below (Emit), so
+// Audit.Add turns one back into its record, traceview's Trace.Audit does so
+// for every audit.* event of a trace, and the renderers (tracestat
+// explain, timeline, combine) read the result. The package imports no
+// reader: the partitioners that emit the events link none.
 package partaudit
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 
 	"bpart/internal/graph"
-	"bpart/internal/recordlog"
+	"bpart/internal/telemetry"
 )
 
-// Version is the audit log schema version, written in the header record
-// and documented in EXPERIMENTS.md.
-const Version = 1
+// The sampling rule, recorded in every header.
+const (
+	// sampleEvery records the full score decomposition of every Nth
+	// placement of each stream.
+	sampleEvery = 64
+	// hubs always records the placements of the hubs highest-out-degree
+	// vertices: hub placements are the ones the edge-balance claims hinge
+	// on.
+	hubs = 16
+	// windowSize is the timeline snapshot cadence in placed vertices.
+	windowSize = 1024
+)
 
 // Placement causes recorded on decision records.
 const (
@@ -65,48 +73,18 @@ const (
 	SkipCapE = "cap_e"
 )
 
-// Config tunes what the Auditor records. The zero value selects defaults
-// via Normalize.
-type Config struct {
-	// SampleEvery records the full score decomposition of every Nth
-	// placement of each stream. Default 64.
-	SampleEvery int
-	// Hubs always records the placements of the Hubs highest-out-degree
-	// vertices regardless of sampling — hub placements are the ones the
-	// edge-balance claims hinge on. Default 16.
-	Hubs int
-	// Window is the timeline snapshot cadence in placed vertices.
-	// Default 1024.
-	Window int
-}
+// The event names, one per record shape.
+const (
+	eventHeader   = "audit.header"
+	eventDecision = "audit.decision"
+	eventWindow   = "audit.window"
+	eventCombine  = "audit.combine"
+	eventLayer    = "audit.layer"
+	eventFinal    = "audit.final"
+)
 
-// Normalize fills defaults and validates the configuration.
-func (c *Config) Normalize() error {
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 64
-	}
-	if c.Hubs == 0 {
-		c.Hubs = 16
-	}
-	if c.Window == 0 {
-		c.Window = 1024
-	}
-	if c.SampleEvery < 0 || c.Hubs < 0 || c.Window < 0 {
-		return fmt.Errorf("partaudit: negative Config field: %+v", *c)
-	}
-	return nil
-}
-
-// Auditable is implemented by partitioners that accept an audit sink after
-// construction (BPart, Fennel, LDG).
-type Auditable interface {
-	SetAudit(*Auditor)
-}
-
-// Header is the first record of an audit log.
+// Header opens the audit of one partitioning run.
 type Header struct {
-	Type        string `json:"type"` // "audit_header"
-	Version     int    `json:"version"`
 	Scheme      string `json:"scheme"`
 	K           int    `json:"k"`
 	Vertices    int    `json:"n"`
@@ -115,6 +93,36 @@ type Header struct {
 	Hubs        int    `json:"hubs"`
 	HubDegree   int    `json:"hub_degree"` // min out-degree that forces sampling
 	Window      int    `json:"window"`
+}
+
+// NewHeader returns the header of one run of scheme over g into k parts.
+// It costs a pass over the vertices, for the hub degree.
+func NewHeader(scheme string, g *graph.Graph, k int) Header {
+	return Header{
+		Scheme:      scheme,
+		K:           k,
+		Vertices:    g.NumVertices(),
+		Edges:       g.NumEdges(),
+		SampleEvery: sampleEvery,
+		Hubs:        hubs,
+		HubDegree:   hubDegree(g, hubs),
+		Window:      windowSize,
+	}
+}
+
+// hubDegree is the h-th largest out-degree of g, at least 1 so that
+// isolated vertices are never hub-sampled; with no vertex it is MaxInt.
+func hubDegree(g *graph.Graph, h int) int {
+	n := g.NumVertices()
+	if n == 0 {
+		return math.MaxInt
+	}
+	degs := make([]int, n)
+	for v := range degs {
+		degs[v] = g.OutDegree(graph.VertexID(v))
+	}
+	sort.Ints(degs)
+	return max(degs[n-min(h, n)], 1)
 }
 
 // Candidate is one row of a decision's score table: how one piece scored
@@ -132,8 +140,10 @@ type Candidate struct {
 // Decision records one sampled streaming placement with its full score
 // decomposition.
 type Decision struct {
-	Type   string `json:"type"` // "decision"
-	Layer  int    `json:"layer"`
+	// Layer is the BPart over-split layer of the stream. The recorder
+	// leaves it 0, so Emit omits it, and BPart binds it to the stream's
+	// tracer with telemetry.With; single-phase schemes bind none.
+	Layer  int    `json:"layer,omitempty"`
 	Pos    int    `json:"pos"` // position in this layer's stream
 	Vertex int    `json:"vertex"`
 	Degree int    `json:"degree"`
@@ -174,12 +184,12 @@ func (d *Decision) Chosen() (Candidate, bool) {
 // Window is one streaming quality snapshot: the per-piece sizes and
 // quality metrics after Placed vertices of one stream.
 type Window struct {
-	Type   string `json:"type"` // "window"
-	Layer  int    `json:"layer"`
-	Index  int    `json:"index"`
-	Placed int    `json:"placed"`
-	PieceV []int  `json:"piece_v"`
-	PieceE []int  `json:"piece_e"`
+	// Layer is bound like Decision.Layer.
+	Layer  int   `json:"layer,omitempty"`
+	Index  int   `json:"index"`
+	Placed int   `json:"placed"`
+	PieceV []int `json:"piece_v"`
+	PieceE []int `json:"piece_e"`
 	// VBias and EBias are metrics.Bias over PieceV/PieceE.
 	VBias float64 `json:"v_bias"`
 	EBias float64 `json:"e_bias"`
@@ -195,15 +205,14 @@ type Window struct {
 // group A (which, by the paper's inverse proportionality, is the
 // edge-heaviest) merged with the vertex-heaviest group B.
 type Merge struct {
-	Type    string `json:"type"` // "combine"
-	Layer   int    `json:"layer"`
-	Round   int    `json:"round"`
-	APieces []int  `json:"a_pieces"`
-	AV      int    `json:"a_v"`
-	AE      int    `json:"a_e"`
-	BPieces []int  `json:"b_pieces"`
-	BV      int    `json:"b_v"`
-	BE      int    `json:"b_e"`
+	Layer   int   `json:"layer"`
+	Round   int   `json:"round"`
+	APieces []int `json:"a_pieces"`
+	AV      int   `json:"a_v"`
+	AE      int   `json:"a_e"`
+	BPieces []int `json:"b_pieces"`
+	BV      int   `json:"b_v"`
+	BE      int   `json:"b_e"`
 }
 
 // LayerGroup is one combined group at the end of a layer's rounds: its
@@ -224,7 +233,6 @@ type LayerGroup struct {
 
 // LayerRecord is the combining outcome of one layer.
 type LayerRecord struct {
-	Type    string       `json:"type"` // "layer"
 	Layer   int          `json:"layer"`
 	Pieces  int          `json:"pieces"`
 	TargetV float64      `json:"target_v"`
@@ -233,12 +241,11 @@ type LayerRecord struct {
 	Groups  []LayerGroup `json:"groups"`
 }
 
-// Final is the last record of an audit log: the finished partition's
-// quality report (identical to metrics.NewReport over the assignment) and,
-// for BPart, the per-part sizes predicted at freeze time — the
-// predicted-vs-actual gap is exactly what the refine pass repaired.
+// Final closes the audit of a run: the finished partition's quality report
+// (identical to metrics.NewReport over the assignment) and, for BPart, the
+// per-part sizes predicted at freeze time — the predicted-vs-actual gap is
+// exactly what the refine pass repaired.
 type Final struct {
-	Type     string  `json:"type"` // "final"
 	K        int     `json:"k"`
 	V        []int   `json:"v"`
 	E        []int   `json:"e"`
@@ -252,118 +259,41 @@ type Final struct {
 	RefineMoves int   `json:"refine_moves"`
 }
 
-// Auditor writes the audit log. A nil *Auditor is a valid no-op sink, so
-// partitioners store one unconditionally and never branch on "is audit
-// on" beyond a nil check.
-type Auditor struct {
-	cfg    Config
-	log    *recordlog.Writer
-	hubDeg int
-}
+// record is implemented by the record shapes: the event each becomes.
+type record interface{ event() string }
 
-// flushCadence is the audit log's flush cadence in records, so a crashed
-// run still leaves a parseable prefix: decisions are sampled per vertex,
-// too frequent to flush one by one.
-const flushCadence = 256
+func (Header) event() string      { return eventHeader }
+func (Decision) event() string    { return eventDecision }
+func (Window) event() string      { return eventWindow }
+func (Merge) event() string       { return eventCombine }
+func (LayerRecord) event() string { return eventLayer }
+func (Final) event() string       { return eventFinal }
 
-// New returns an Auditor writing JSON lines to w. A zero Config selects
-// the defaults.
-func New(w io.Writer, cfg Config) (*Auditor, error) {
-	if err := cfg.Normalize(); err != nil {
-		return nil, err
-	}
-	return &Auditor{cfg: cfg, log: recordlog.NewWriter(w, flushCadence), hubDeg: math.MaxInt}, nil
-}
-
-// Begin writes the header record for one partitioning run and derives the
-// hub sampling threshold (the cfg.Hubs-th largest out-degree) from g.
-// Call it once, before any stream starts.
-func (a *Auditor) Begin(scheme string, g *graph.Graph, k int) {
-	if a == nil {
+// Emit records rec, one of the record shapes, as one audit.* event on tr,
+// when tr is enabled: one attr per field, named by its json tag, so the
+// tags are the one schema Emit writes and Audit.Add reads back. A field
+// tagged omitempty is left out when zero. Slices go to tr as they are (a
+// Memory tracer keeps them), so the caller must not reuse them.
+func Emit(tr telemetry.Tracer, rec record) {
+	if tr == nil || !tr.Enabled() {
 		return
 	}
-	hubDeg := math.MaxInt
-	n := g.NumVertices()
-	if a.cfg.Hubs > 0 && n > 0 {
-		degs := make([]int, n)
-		for v := 0; v < n; v++ {
-			degs[v] = g.OutDegree(graph.VertexID(v))
-		}
-		sort.Ints(degs)
-		h := a.cfg.Hubs
-		if h > n {
-			h = n
-		}
-		hubDeg = degs[n-h]
-		if hubDeg < 1 {
-			hubDeg = 1 // never hub-sample isolated vertices
+	v := reflect.ValueOf(rec)
+	attrs := make([]telemetry.Attr, 0, v.NumField())
+	for i := 0; i < v.NumField(); i++ {
+		key, opt, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		f := v.Field(i)
+		switch {
+		case opt == "omitempty" && f.IsZero():
+		case f.Kind() == reflect.Int:
+			attrs = append(attrs, telemetry.Int(key, int(f.Int())))
+		case f.Kind() == reflect.Float64:
+			attrs = append(attrs, telemetry.Float(key, f.Float()))
+		case f.Kind() == reflect.String:
+			attrs = append(attrs, telemetry.String(key, f.String()))
+		default:
+			attrs = append(attrs, telemetry.Any(key, f.Interface()))
 		}
 	}
-	a.hubDeg = hubDeg
-	a.emit(Header{
-		Type:        "audit_header",
-		Version:     Version,
-		Scheme:      scheme,
-		K:           k,
-		Vertices:    n,
-		Edges:       g.NumEdges(),
-		SampleEvery: a.cfg.SampleEvery,
-		Hubs:        a.cfg.Hubs,
-		HubDegree:   hubDeg,
-		Window:      a.cfg.Window,
-	})
+	tr.Event(rec.event(), attrs...)
 }
-
-// Combine records one pairing of a combining round.
-func (a *Auditor) Combine(m Merge) {
-	if a == nil {
-		return
-	}
-	m.Type = "combine"
-	a.emit(m)
-}
-
-// Layer records one layer's combining outcome.
-func (a *Auditor) Layer(l LayerRecord) {
-	if a == nil {
-		return
-	}
-	l.Type = "layer"
-	a.emit(l)
-}
-
-// Final records the finished partition's quality report. It is the audit
-// timeline's last window: by construction it equals Evaluate's Report.
-func (a *Auditor) Final(f Final) {
-	if a == nil {
-		return
-	}
-	f.Type = "final"
-	a.emit(f)
-}
-
-// emit marshals one record as a JSON line. An unencodable record degrades
-// to an error line that keeps the stream parseable, mirroring
-// telemetry.JSONL.
-func (a *Auditor) emit(rec any) {
-	if a == nil {
-		return
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		line = []byte(`{"type":"error"}`)
-	}
-	a.log.Line(line)
-}
-
-// Flush drains buffered lines and returns the first error any write hit,
-// so a truncated audit log is never silent.
-func (a *Auditor) Flush() error {
-	if a == nil {
-		return nil
-	}
-	return a.log.Flush()
-}
-
-// Close flushes; the underlying writer is the caller's to close.
-func (a *Auditor) Close() error { return a.Flush() }

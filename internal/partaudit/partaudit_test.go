@@ -1,54 +1,48 @@
 package partaudit
 
 import (
-	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"bpart/internal/graph"
+	"bpart/internal/telemetry"
 )
 
-func TestConfigNormalize(t *testing.T) {
-	var c Config
-	if err := c.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if c.SampleEvery != 64 || c.Hubs != 16 || c.Window != 1024 {
-		t.Fatalf("defaults wrong: %+v", c)
-	}
-	for _, bad := range []Config{
-		{SampleEvery: -1}, {Hubs: -1}, {Window: -2},
-	} {
-		cfg := bad
-		if err := cfg.Normalize(); err == nil {
-			t.Fatalf("negative config accepted: %+v", bad)
+// traced returns a Memory tracer and a function that decodes the audit
+// events it recorded. (The read path through a JSONL trace and
+// traceview is the external tests'.)
+func traced(t testing.TB) (*telemetry.Memory, func() *Audit) {
+	t.Helper()
+	m := telemetry.NewMemory()
+	return m, func() *Audit {
+		t.Helper()
+		a := &Audit{}
+		for _, r := range m.Records() {
+			attrs := map[string]any{}
+			for _, at := range r.Attrs {
+				attrs[at.Key] = at.Value()
+			}
+			if err := a.Add(r.Name, attrs); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if _, err := New(&bytes.Buffer{}, Config{Window: -1}); err == nil {
-		t.Fatal("New accepted a negative config")
+		return a
 	}
 }
 
-// Every exported entry point must be a no-op on a nil receiver, so
-// partitioners carry an unconditional audit sink.
+// Every recorder method must be a no-op on a nil receiver, and a disabled
+// tracer gets the nil recorder, so the streaming loops carry one
+// unconditionally.
 func TestNilSafety(t *testing.T) {
-	var a *Auditor
 	g := pathGraph(t)
-	a.Begin("X", g, 4)
-	a.Combine(Merge{})
-	a.Layer(LayerRecord{})
-	a.Final(Final{})
-	if err := a.Flush(); err != nil {
-		t.Fatalf("nil Auditor Flush = %v", err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatalf("nil Auditor Close = %v", err)
-	}
-
-	r := a.Stream(0, g, 4)
+	Emit(nil, Final{})
+	Emit(telemetry.Nop(), Final{})
+	r := NewStream(telemetry.Nop(), g, 4)
 	if r != nil {
-		t.Fatal("nil Auditor Stream returned a recorder")
+		t.Fatal("a disabled tracer got a recorder")
+	}
+	if r = NewStream(nil, g, 4); r != nil {
+		t.Fatal("a nil tracer got a recorder")
 	}
 	if d := r.SampleDecision(0, 3); d != nil {
 		t.Fatal("nil StreamRecorder sampled a decision")
@@ -77,13 +71,9 @@ func pathGraph(t testing.TB) *graph.Graph {
 // endpoint is placed — and count cut arcs incrementally.
 func TestStreamWindowAccounting(t *testing.T) {
 	g := pathGraph(t)
-	var buf bytes.Buffer
-	a, err := New(&buf, Config{SampleEvery: 1000, Hubs: 0, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Begin("Test", g, 2)
-	r := a.Stream(0, g, 2)
+	tr, read := traced(t)
+	r := NewStream(tr, g, 2)
+	r.every, r.hubDeg, r.window = 1000, 1000, 2
 	parts := []int{-1, -1, -1, -1}
 	// Pieces: 0,1 → piece 0; 2,3 → piece 1. Cut arc: 1→2.
 	for v, piece := range []int{0, 0, 1, 1} {
@@ -91,14 +81,8 @@ func TestStreamWindowAccounting(t *testing.T) {
 		r.Place(graph.VertexID(v), g.OutDegree(graph.VertexID(v)), piece, CauseGreedy, nil, parts)
 	}
 	r.End()
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	log, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := read()
 	if len(log.Windows) != 2 {
 		t.Fatalf("got %d windows, want 2 (window size 2, 4 placements)", len(log.Windows))
 	}
@@ -133,26 +117,16 @@ func TestStreamSelfLoopResolvesOnce(t *testing.T) {
 	b.AddEdge(0, 0)
 	b.AddEdge(0, 1)
 	g := b.Build()
-	var buf bytes.Buffer
-	a, err := New(&buf, Config{SampleEvery: 1000, Hubs: 0, Window: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Begin("Test", g, 2)
-	r := a.Stream(0, g, 2)
+	tr, read := traced(t)
+	r := NewStream(tr, g, 2)
+	r.every, r.hubDeg, r.window = 1000, 1000, 1
 	parts := []int{-1, -1}
 	parts[0] = 0
 	r.Place(0, 2, 0, CauseGreedy, nil, parts)
 	parts[1] = 1
 	r.Place(1, 0, 1, CauseGreedy, nil, parts)
 	r.End()
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	log, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := read()
 	last := log.Windows[len(log.Windows)-1]
 	if last.ResolvedArcs != g.NumEdges() {
 		t.Fatalf("resolved %d arcs, graph has %d", last.ResolvedArcs, g.NumEdges())
@@ -193,16 +167,15 @@ func TestDecisionSampling(t *testing.T) {
 	b.AddEdge(7, 2)
 	b.AddEdge(0, 1)
 	g := b.Build()
-	var buf bytes.Buffer
-	a, err := New(&buf, Config{SampleEvery: 4, Hubs: 1, Window: 100})
-	if err != nil {
-		t.Fatal(err)
+	if h := NewHeader("Test", g, 2); h.HubDegree != 1 || h.SampleEvery != 64 || h.Hubs != 16 || h.Window != 1024 {
+		t.Fatalf("header = %+v: 16 hubs of 8 vertices take every degree >= 1", h)
 	}
-	a.Begin("Test", g, 2)
-	if a.hubDeg != 3 {
-		t.Fatalf("hub degree = %d, want 3", a.hubDeg)
+	tr, read := traced(t)
+	r := NewStream(tr, g, 2)
+	r.every, r.hubDeg = 4, hubDegree(g, 1)
+	if r.hubDeg != 3 {
+		t.Fatalf("hub degree = %d, want 3", r.hubDeg)
 	}
-	r := a.Stream(0, g, 2)
 	parts := make([]int, 8)
 	for v := 0; v < 8; v++ {
 		d := g.OutDegree(graph.VertexID(v))
@@ -217,122 +190,12 @@ func TestDecisionSampling(t *testing.T) {
 		r.Place(graph.VertexID(v), d, 0, CauseGreedy, dec, parts)
 	}
 	r.End()
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	log, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := read()
 	if len(log.Decisions) != 3 {
 		t.Fatalf("got %d decisions, want 3 (pos 0, pos 4, hub 7)", len(log.Decisions))
 	}
-	if hub := log.DecisionsFor(7); len(hub) != 1 || hub[0].Degree != 3 {
+	if hub := log.Decisions[2]; hub.Vertex != 7 || hub.Degree != 3 || len(hub.Cands) != 1 {
 		t.Fatalf("hub decision = %+v", hub)
-	}
-}
-
-// The reader must tolerate a torn final line (crashed run) but reject
-// interior damage.
-func TestReadLogTornFinalLine(t *testing.T) {
-	valid := `{"type":"audit_header","version":1,"scheme":"X","k":2,"n":4,"m":3,"sample_every":64,"hubs":16,"hub_degree":5,"window":1024}
-{"type":"window","layer":0,"index":0,"placed":4,"piece_v":[2,2],"piece_e":[2,1],"v_bias":0,"e_bias":0.3,"cut_ratio":0.5,"resolved_arcs":2,"cut_arcs":1}
-`
-	log, err := ReadLog(strings.NewReader(valid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if log.Truncated || log.Header == nil || len(log.Windows) != 1 {
-		t.Fatalf("clean log parsed wrong: truncated=%v header=%v windows=%d",
-			log.Truncated, log.Header, len(log.Windows))
-	}
-
-	torn := valid + `{"type":"win`
-	log, err = ReadLog(strings.NewReader(torn))
-	if err != nil {
-		t.Fatalf("torn final line rejected: %v", err)
-	}
-	if !log.Truncated {
-		t.Fatal("torn final line not flagged")
-	}
-	if log.Header == nil || len(log.Windows) != 1 {
-		t.Fatal("intact prefix lost on torn final line")
-	}
-
-	interior := `{"type":"win` + "\n" + valid
-	if _, err := ReadLog(strings.NewReader(interior)); err == nil {
-		t.Fatal("interior damage accepted")
-	}
-
-	unknownFinal := valid + `{"type":"mystery"}`
-	log, err = ReadLog(strings.NewReader(unknownFinal))
-	if err != nil || !log.Truncated {
-		t.Fatalf("unknown final record: err=%v truncated=%v", err, log != nil && log.Truncated)
-	}
-}
-
-// A file whose only line is garbage is not a truncated audit log — it is
-// not an audit log at all, and must be a hard error (the CLIs turn this
-// into a non-zero exit instead of silently printing nothing).
-func TestReadLogAllGarbage(t *testing.T) {
-	for _, in := range []string{
-		"this is not an audit log\n",
-		`{"type":"win`,
-		`{"not":"typed"}` + "\n",
-	} {
-		if _, err := ReadLog(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadLog(%q) accepted a log with no usable records", in)
-		}
-	}
-	// The genuinely empty file stays fine: a run that wrote nothing yet.
-	log, err := ReadLog(strings.NewReader(""))
-	if err != nil || log.Truncated {
-		t.Fatalf("empty input: err=%v truncated=%v", err, log != nil && log.Truncated)
-	}
-}
-
-func TestReadLogVersionMismatch(t *testing.T) {
-	in := `{"type":"audit_header","version":99}
-{"type":"window","layer":0,"index":0,"placed":1,"piece_v":[1],"piece_e":[0],"v_bias":0,"e_bias":0,"cut_ratio":0,"resolved_arcs":0,"cut_arcs":0}
-`
-	_, err := ReadLog(strings.NewReader(in))
-	if err == nil || !strings.Contains(err.Error(), "unsupported audit schema version") {
-		t.Fatalf("version mismatch error = %v", err)
-	}
-}
-
-func TestLogHelpers(t *testing.T) {
-	l := &Log{
-		Windows: []Window{
-			{Layer: 1, Index: 0}, {Layer: 1, Index: 1}, {Layer: 2, Index: 0},
-		},
-		Layers: []LayerRecord{{
-			Layer:  1,
-			Pieces: 4,
-			Groups: []LayerGroup{
-				{Pieces: []int{0, 3}, Final: 0},
-				{Pieces: []int{1, 2}, Final: -1},
-			},
-		}},
-	}
-	if w, ok := l.LastWindow(1); !ok || w.Index != 1 {
-		t.Fatalf("LastWindow(1) = %+v, %v", w, ok)
-	}
-	if _, ok := l.LastWindow(9); ok {
-		t.Fatal("LastWindow(9) found a window")
-	}
-	m, ok := l.PieceToPart(1)
-	if !ok {
-		t.Fatal("PieceToPart(1) missing")
-	}
-	want := []int{0, -1, -1, 0}
-	for i := range want {
-		if m[i] != want[i] {
-			t.Fatalf("PieceToPart(1) = %v, want %v", m, want)
-		}
-	}
-	if _, ok := l.PieceToPart(5); ok {
-		t.Fatal("PieceToPart(5) found a layer")
 	}
 }
 
@@ -341,18 +204,15 @@ type failWriter struct{ err error }
 func (f failWriter) Write([]byte) (int, error) { return 0, f.err }
 
 // A failing sink must surface its first error through Flush/Close, never
-// silently drop records.
+// silently drop audit records.
 func TestStickyWriteError(t *testing.T) {
 	wantErr := errors.New("disk full")
-	a, err := New(failWriter{wantErr}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Final(Final{K: 1})
-	if err := a.Flush(); !errors.Is(err, wantErr) {
+	tr := telemetry.NewJSONL(failWriter{wantErr})
+	Emit(tr, Final{K: 1})
+	if err := tr.Flush(); !errors.Is(err, wantErr) {
 		t.Fatalf("Flush = %v, want %v", err, wantErr)
 	}
-	if err := a.Close(); !errors.Is(err, wantErr) {
+	if err := tr.Close(); !errors.Is(err, wantErr) {
 		t.Fatalf("Close = %v, want %v (sticky)", err, wantErr)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"bpart/internal/report"
 )
 
-func writeHeaderLine(ew *report.Printer, l *Log) {
+func writeHeaderLine(ew *report.Printer, l *Audit) {
 	if h := l.Header; h != nil {
 		ew.Printf("AUDIT: %s  k=%d  n=%d  m=%d  (sampled every %d, hub degree >= %d, window %d)\n",
 			h.Scheme, h.K, h.Vertices, h.Edges, h.SampleEvery, h.HubDegree, h.Window)
@@ -20,20 +20,25 @@ func writeHeaderLine(ew *report.Printer, l *Log) {
 // WriteExplain renders every sampled decision for one vertex: the full
 // per-piece score table (affinity − penalty = score, capacity skips), the
 // chosen piece, the cause and the runner-up gap — `tracestat explain`.
-func WriteExplain(w io.Writer, l *Log, vertex int) error {
+func WriteExplain(w io.Writer, l *Audit, vertex int) error {
 	ew := &report.Printer{W: w}
 	writeHeaderLine(ew, l)
-	decs := l.DecisionsFor(vertex)
+	var decs []Decision
+	for _, d := range l.Decisions {
+		if d.Vertex == vertex {
+			decs = append(decs, d)
+		}
+	}
 	if len(decs) == 0 {
 		if ew.Err != nil {
 			return ew.Err
 		}
-		every, hubs := 0, 0
+		every, nHubs := 0, 0
 		if h := l.Header; h != nil {
-			every, hubs = h.SampleEvery, h.Hubs
+			every, nHubs = h.SampleEvery, h.Hubs
 		}
-		return fmt.Errorf("partaudit: vertex %d has no sampled decisions (sampled: every %s vertex plus %d hubs; record with a smaller AuditConfig.SampleEvery to catch it)",
-			vertex, ordinal(every), hubs)
+		return fmt.Errorf("partaudit: vertex %d has no sampled decisions (sampled: every %s stream position plus the %d top-out-degree hubs)",
+			vertex, ordinal(every), nHubs)
 	}
 	for _, d := range decs {
 		ew.Printf("\nvertex %d  layer %d  stream position %d  out-degree %d\n", d.Vertex, d.Layer, d.Pos, d.Degree)
@@ -69,7 +74,7 @@ func ordinal(n int) string {
 // WriteTimeline renders the streaming quality timeline — one row per
 // window with vertex/edge bias and cut ratio — and the final report row,
 // which equals Evaluate's Report — `tracestat timeline`.
-func WriteTimeline(w io.Writer, l *Log) error {
+func WriteTimeline(w io.Writer, l *Audit) error {
 	ew := &report.Printer{W: w}
 	writeHeaderLine(ew, l)
 	if len(l.Windows) == 0 {
@@ -98,7 +103,7 @@ func WriteTimeline(w io.Writer, l *Log) error {
 // inverse-proportionality rationale), every group's deviation and freeze
 // outcome, and the predicted-vs-actual final balance — `tracestat
 // combine`.
-func WriteCombine(w io.Writer, l *Log) error {
+func WriteCombine(w io.Writer, l *Audit) error {
 	ew := &report.Printer{W: w}
 	writeHeaderLine(ew, l)
 	if len(l.Layers) == 0 {

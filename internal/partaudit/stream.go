@@ -3,20 +3,24 @@ package partaudit
 import (
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
+	"bpart/internal/telemetry"
 )
 
 // StreamRecorder audits one streaming pass: it samples placement
-// decisions and maintains the windowed quality timeline. It is created
-// per stream via Auditor.Stream and is not safe for concurrent use — the
-// streaming loop it instruments is sequential by construction.
+// decisions and maintains the windowed quality timeline. It is not safe
+// for concurrent use — the streaming loop it instruments is sequential by
+// construction.
 //
 // A nil *StreamRecorder is a valid no-op on every method, so the
 // streaming engine carries one unconditionally.
 type StreamRecorder struct {
-	a     *Auditor
-	layer int
-	g     *graph.Graph
-	in    *graph.Graph // g.In(); arcs arriving at v
+	tr telemetry.Tracer
+	g  *graph.Graph
+	in *graph.Graph // g.In(); arcs arriving at v
+
+	// The sampling rule: the package constants, set per recorder so the
+	// package's own tests can shrink them.
+	every, window, hubDeg int
 
 	placed    int
 	windowIdx int
@@ -30,39 +34,40 @@ type StreamRecorder struct {
 	dec Decision // scratch reused across sampled placements
 }
 
-// Stream starts auditing one streaming pass over k pieces. layer is the
-// BPart over-split layer (0 for single-phase schemes). The cut timeline
-// reads g's reverse, g.In(): it needs arcs in both directions to resolve
-// each arc exactly once, when its second endpoint is placed.
-func (a *Auditor) Stream(layer int, g *graph.Graph, k int) *StreamRecorder {
-	if a == nil {
+// NewStream starts auditing one streaming pass over k initially empty
+// pieces into tr, or returns nil, the no-op recorder, when tr is disabled.
+// The cut timeline reads g's reverse, g.In(): it needs arcs in both
+// directions to resolve each arc exactly once, when its second endpoint is
+// placed.
+func NewStream(tr telemetry.Tracer, g *graph.Graph, k int) *StreamRecorder {
+	if tr == nil || !tr.Enabled() {
 		return nil
 	}
 	return &StreamRecorder{
-		a:      a,
-		layer:  layer,
+		tr:     tr,
 		g:      g,
 		in:     g.In(),
+		every:  sampleEvery,
+		window: windowSize,
+		hubDeg: hubDegree(g, hubs),
 		pieceV: make([]int, k),
 		pieceE: make([]int, k),
 	}
 }
 
 // SampleDecision returns a Decision scratch when this placement is
-// sampled — every cfg.SampleEvery-th position of the stream, plus every
-// vertex at or above the hub out-degree threshold — and nil otherwise.
+// sampled — every 64th position of the stream, plus every vertex at or
+// above the hub out-degree threshold — and nil otherwise.
 // The caller fills the score table via Decision.Candidate and hands the
 // scratch back to Place.
 func (r *StreamRecorder) SampleDecision(v graph.VertexID, degree int) *Decision {
 	if r == nil {
 		return nil
 	}
-	if r.placed%r.a.cfg.SampleEvery != 0 && degree < r.a.hubDeg {
+	if r.placed%r.every != 0 && degree < r.hubDeg {
 		return nil
 	}
 	d := &r.dec
-	d.Type = "decision"
-	d.Layer = r.layer
 	d.Pos = r.placed
 	d.Vertex = int(v)
 	d.Degree = degree
@@ -70,7 +75,7 @@ func (r *StreamRecorder) SampleDecision(v graph.VertexID, degree int) *Decision 
 	d.Cause = ""
 	d.RunnerUp = -1
 	d.Gap = 0
-	d.Cands = d.Cands[:0]
+	d.Cands = nil // the emitted event keeps the previous table
 	return d
 }
 
@@ -87,7 +92,7 @@ func (r *StreamRecorder) Place(v graph.VertexID, degree, piece int, cause string
 		dec.Piece = piece
 		dec.Cause = cause
 		dec.RunnerUp, dec.Gap = runnerUp(dec.Cands, piece)
-		r.a.emit(*dec)
+		Emit(r.tr, *dec)
 	}
 	r.pieceV[piece]++
 	r.pieceE[piece] += degree
@@ -115,7 +120,7 @@ func (r *StreamRecorder) Place(v graph.VertexID, degree, piece int, cause string
 		}
 	}
 	r.placed++
-	if r.placed%r.a.cfg.Window == 0 {
+	if r.placed%r.window == 0 {
 		r.emitWindow()
 	}
 }
@@ -127,7 +132,7 @@ func (r *StreamRecorder) End() {
 	if r == nil {
 		return
 	}
-	if r.placed == 0 || r.placed%r.a.cfg.Window != 0 {
+	if r.placed == 0 || r.placed%r.window != 0 {
 		r.emitWindow()
 	}
 }
@@ -137,9 +142,7 @@ func (r *StreamRecorder) emitWindow() {
 	if r.resolved > 0 {
 		cutRatio = float64(r.cut) / float64(r.resolved)
 	}
-	r.a.emit(Window{
-		Type:         "window",
-		Layer:        r.layer,
+	Emit(r.tr, Window{
 		Index:        r.windowIdx,
 		Placed:       r.placed,
 		PieceV:       append([]int(nil), r.pieceV...),

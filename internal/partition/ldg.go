@@ -4,6 +4,7 @@ import (
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
 	"bpart/internal/partaudit"
+	"bpart/internal/telemetry"
 )
 
 // LDG is the Linear Deterministic Greedy streaming partitioner of Stanton
@@ -17,14 +18,16 @@ import (
 // the lightest part, and capacity is DefaultSlack·n/k. Like Fennel it
 // balances only the vertex dimension.
 type LDG struct {
-	aud *partaudit.Auditor
+	tr telemetry.Tracer
 }
 
 // Name implements Partitioner.
 func (LDG) Name() string { return "LDG" }
 
-// SetAudit implements partaudit.Auditable; nil detaches.
-func (l *LDG) SetAudit(a *partaudit.Auditor) { l.aud = a }
+// SetTelemetry implements telemetry.Instrumentable, as Fennel's does.
+func (l *LDG) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
+	l.tr = telemetry.Tee(tr, reg)
+}
 
 // Partition implements Partitioner.
 func (l LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
@@ -37,8 +40,11 @@ func (l LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
 		capacity = 1
 	}
 	in := g.In()
-	l.aud.Begin("LDG", g, k)
-	rec := l.aud.Stream(0, g, k)
+	tr := telemetry.Safe(l.tr)
+	if tr.Enabled() {
+		partaudit.Emit(tr, partaudit.NewHeader("LDG", g, k))
+	}
+	rec := partaudit.NewStream(tr, g, k)
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = Unassigned
@@ -93,12 +99,12 @@ func (l LDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
 		rec.Place(graph.VertexID(v), d, best, cause, dec, parts)
 	}
 	rec.End()
-	auditFinal(l.aud, g, parts, k)
+	auditFinal(tr, g, parts, k)
 	return &Assignment{Parts: parts, K: k}, nil
 }
 
 func init() {
-	// Registered as a pointer so an Auditor can be attached after
-	// construction (partaudit.Auditable).
+	// Registered as a pointer so a tracer can be attached after
+	// construction (telemetry.Instrumentable).
 	Register("LDG", func() Partitioner { return &LDG{} })
 }

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"bpart/internal/gen"
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
-	"bpart/internal/partaudit"
 	"bpart/internal/telemetry"
 )
 
@@ -194,11 +192,6 @@ func TestStreamEmptySubset(t *testing.T) {
 func TestStreamBadOptions(t *testing.T) {
 	g := gen.Ring(5)
 	tr := telemetry.NewMemory()
-	aud, err := partaudit.New(io.Discard, partaudit.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aud.Begin("stream", g, 2)
 	for _, tc := range []struct {
 		name string
 		opt  StreamOptions
@@ -214,7 +207,6 @@ func TestStreamBadOptions(t *testing.T) {
 		{"Start part out of range", StreamOptions{K: 2, Start: []int{0, 1, 2, -1, -1}}, "Start[2] = 2"},
 		{"streamed vertex assigned in Start", StreamOptions{K: 2, Start: []int{0, -1, -1, -1, -1}, Vertices: []graph.VertexID{1, 0}},
 			"Vertices[1] = 0 is already assigned in Start"},
-		{"Start with Audit", StreamOptions{K: 2, Start: fillUnassigned(5), Audit: aud.Stream(0, g, 2)}, "Start cannot be audited"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Stream(g, tc.opt)
@@ -231,6 +223,22 @@ func TestStreamBadOptions(t *testing.T) {
 	spans := tr.Find("partition.stream")
 	if len(spans) != 1 || !spans[0].Span || spans[0].Attr("error") == nil {
 		t.Fatalf("failed stream left spans %+v, want one closed span with an error attribute", spans)
+	}
+}
+
+// A stream over a Start is traced but not audited: the audit's recorder
+// assumes empty parts, so the span comes and no audit.* event does.
+func TestStartStreamEmitsSpanNoAudit(t *testing.T) {
+	g := gen.Ring(6)
+	tr := telemetry.NewMemory()
+	start := []int{0, 1, Unassigned, Unassigned, Unassigned, Unassigned}
+	opt := StreamOptions{K: 2, Start: start, Vertices: []graph.VertexID{2, 3, 4, 5}, Tracer: tr}
+	if _, err := Stream(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	recs := tr.Records()
+	if len(recs) != 1 || recs[0].Name != "partition.stream" || recs[0].Attr("placed") != int64(4) {
+		t.Fatalf("records %+v, want the one partition.stream span", recs)
 	}
 }
 

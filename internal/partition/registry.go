@@ -55,7 +55,7 @@ func init() {
 	Register("Chunk-V", func() Partitioner { return ChunkV{} })
 	Register("Chunk-E", func() Partitioner { return ChunkE{} })
 	Register("Hash", func() Partitioner { return Hash{} })
-	// Fennel is registered as a pointer so an Auditor can be attached
-	// after construction (partaudit.Auditable).
+	// Fennel is registered as a pointer so a tracer can be attached
+	// after construction (telemetry.Instrumentable).
 	Register("Fennel", func() Partitioner { return &Fennel{} })
 }

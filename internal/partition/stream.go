@@ -48,7 +48,8 @@ type StreamOptions struct {
 	// Start, when non-nil, is an assignment to extend (|V| entries, each a
 	// part in [0,K) or Unassigned, none streamed): its vertices count toward
 	// affinity, |V_i|, |E_i|, W_i and the default α, d̄ and slack cap from the
-	// start. It cannot be combined with Audit, which assumes empty parts.
+	// start. A stream with a Start emits its span but no audit events: the
+	// audit's recorder assumes empty parts.
 	Start []int
 	// CapV and CapE, when positive, are hard per-part ceilings on |V_i|
 	// and |E_i|. BPart's partitioning phase uses them to stop any single
@@ -62,16 +63,15 @@ type StreamOptions struct {
 	// Fennel's undirected N(v). Without it only out-neighbors count, which
 	// halves the clustering signal on directed graphs.
 	In *graph.Graph
-	// Tracer, when non-nil, receives one "partition.stream" span per call
-	// carrying the StreamStats. Per-vertex work stays uninstrumented;
-	// stats accumulate in locals and publish once at the end. A registry
-	// teed into it folds them into partition_stream_*_total counters.
+	// Tracer, when enabled, receives one "partition.stream" span per call
+	// carrying the StreamStats, and, without a Start, the stream's
+	// audit.decision and audit.window events (see partaudit): sampled
+	// placements with their full score decomposition and windowed quality
+	// snapshots. Stats accumulate in locals and publish once at the end; a
+	// registry teed into it folds them into partition_stream_*_total
+	// counters. The traced assignment is byte-identical to an untraced one:
+	// the audit only observes scores, never alters them.
 	Tracer telemetry.Tracer
-	// Audit, when non-nil, receives sampled per-placement decision
-	// records (full score decomposition) and windowed quality snapshots
-	// for this stream. The audited run's assignment is byte-identical to
-	// an unaudited one: auditing only observes scores, never alters them.
-	Audit *partaudit.StreamRecorder
 }
 
 // StreamStats counts what the streaming loop did — the introspection knobs
@@ -175,9 +175,6 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	}
 	if opt.Start != nil && len(opt.Start) != n {
 		return nil, fmt.Errorf("partition: Start has %d entries, want |V| = %d", len(opt.Start), n)
-	}
-	if opt.Start != nil && opt.Audit != nil {
-		return nil, fmt.Errorf("partition: Start cannot be audited: the audit recorder assumes empty parts")
 	}
 	parts := fillUnassigned(n)
 	copy(parts, opt.Start)
@@ -284,11 +281,15 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	// published once per stream.
 	var capWSkips, capVSkips, capESkips, tieBreaks, fallbacks int64
 	var sp telemetry.Span
+	var audit *partaudit.StreamRecorder // nil, a no-op, when untraced
 	if opt.Tracer != nil && opt.Tracer.Enabled() {
 		sp = opt.Tracer.Span("partition.stream",
 			telemetry.Int("k", opt.K),
 			telemetry.Int("streamed", ns),
 			telemetry.Int("edges", ms))
+		if opt.Start == nil {
+			audit = partaudit.NewStream(opt.Tracer, g, opt.K)
+		}
 	}
 	for pos, v := range stream {
 		if parts[v] != Unassigned {
@@ -361,7 +362,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 			tieBreaks++
 			cause = partaudit.CauseTieBreak
 		}
-		dec := opt.Audit.SampleDecision(v, d)
+		dec := audit.SampleDecision(v, d)
 		if dec != nil {
 			// A sampled decision reports all K candidates in index order;
 			// the selection above has no per-candidate hook.
@@ -399,9 +400,9 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 				byE.sink(best, lighterE)
 			}
 		}
-		opt.Audit.Place(v, d, best, cause, dec, parts)
+		audit.Place(v, d, best, cause, dec, parts)
 	}
-	opt.Audit.End()
+	audit.End()
 	stats := StreamStats{
 		Placed:    int64(ns),
 		CapWSkips: capWSkips,
@@ -501,17 +502,19 @@ func fillUnassigned(n int) []int {
 // on the synthetic datasets and erase the one-dimensionality the paper
 // measures.
 type Fennel struct {
-	aud *partaudit.Auditor
+	tr telemetry.Tracer
 }
 
 // Name implements Partitioner.
 func (Fennel) Name() string { return "Fennel" }
 
-// SetAudit implements partaudit.Auditable: the auditor receives sampled
-// decision records and the windowed quality timeline of the next
-// Partition call. Audit attachment requires a pointer instance (the
-// registry hands those out); nil detaches.
-func (f *Fennel) SetAudit(a *partaudit.Auditor) { f.aud = a }
+// SetTelemetry implements telemetry.Instrumentable: tr (may be nil)
+// receives the stream's span and the audit events of every subsequent
+// Partition call; reg (may be nil) is teed beside it. It needs a pointer
+// instance, which the registry hands out.
+func (f *Fennel) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
+	f.tr = telemetry.Tee(tr, reg)
+}
 
 // Partition implements Partitioner. Like the original Fennel, the
 // neighborhood N(v) is undirected: in-edges, read from g.In(), contribute
@@ -520,30 +523,33 @@ func (f Fennel) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if err := checkArgs(g, k); err != nil {
 		return nil, err
 	}
-	f.aud.Begin("Fennel", g, k)
+	tr := telemetry.Safe(f.tr)
+	if tr.Enabled() {
+		partaudit.Emit(tr, partaudit.NewHeader("Fennel", g, k))
+	}
 	res, err := Stream(g, StreamOptions{
-		K:     k,
-		C:     1, // vertex-only balance indicator: classic Fennel
-		In:    g.In(),
-		Audit: f.aud.Stream(0, g, k),
+		K:      k,
+		C:      1, // vertex-only balance indicator: classic Fennel
+		In:     g.In(),
+		Tracer: tr,
 	})
 	if err != nil {
 		return nil, err
 	}
-	auditFinal(f.aud, g, res.Parts, k)
+	auditFinal(tr, g, res.Parts, k)
 	return &Assignment{Parts: res.Parts, K: k}, nil
 }
 
-// auditFinal emits the audit log's closing record: the finished
-// assignment's quality report, computed exactly as Evaluate computes it —
-// which is what makes the timeline's final numbers and the Report equal
-// by construction.
-func auditFinal(a *partaudit.Auditor, g *graph.Graph, parts []int, k int) {
-	if a == nil {
+// auditFinal emits the audit's closing record, when tr is enabled: the
+// finished assignment's quality report, computed exactly as Evaluate
+// computes it — which is what makes the timeline's final numbers and the
+// Report equal by construction.
+func auditFinal(tr telemetry.Tracer, g *graph.Graph, parts []int, k int) {
+	if !tr.Enabled() {
 		return
 	}
 	rep := metrics.NewReport(g, parts, k, false)
-	a.Final(partaudit.Final{
+	partaudit.Emit(tr, partaudit.Final{
 		K: k, V: rep.Vertices, E: rep.Edges,
 		VBias: rep.VertexBias, EBias: rep.EdgeBias, CutRatio: rep.CutRatio,
 	})

@@ -1,23 +1,26 @@
 package partition
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"bpart/internal/gen"
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
 	"bpart/internal/partaudit"
+	"bpart/internal/telemetry"
 )
 
 // referenceStream is the scorer Stream is checked against: the same greedy
 // rule written the slow, obvious way — every candidate of every vertex
 // visited in index order, the penalty α·γ·W_i^{γ−1} recomputed with math.Pow
 // each time, and the skip reason carried as the audit string. It honours
-// K, C, Alpha, Slack, Vertices, Start, CapV, CapE, In and Audit.
+// K, C, Alpha, Slack, Vertices, Start, CapV, CapE and In, and emits
+// Stream's audit events on Tracer (none with a Start), but not its span.
 func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	stream := opt.Vertices
 	if stream == nil {
@@ -66,6 +69,10 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 		w[i] = opt.C*float64(vCount[i]) + (1-opt.C)*float64(eCount[i])/avgDeg
 	}
 	stats := StreamStats{Placed: int64(len(stream))}
+	var audit *partaudit.StreamRecorder
+	if opt.Start == nil {
+		audit = partaudit.NewStream(opt.Tracer, g, opt.K)
+	}
 	for _, v := range stream {
 		affinity := make([]int, opt.K)
 		rows := [][]graph.VertexID{g.Neighbors(v)}
@@ -80,7 +87,7 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 			}
 		}
 		d := g.OutDegree(v)
-		dec := opt.Audit.SampleDecision(v, d)
+		dec := audit.SampleDecision(v, d)
 		cause := partaudit.CauseGreedy
 		best, bestScore := -1, math.Inf(-1)
 		for i := 0; i < opt.K; i++ {
@@ -129,16 +136,28 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 		vCount[best]++
 		eCount[best] += d
 		w[best] += opt.C + (1-opt.C)*float64(d)/avgDeg
-		opt.Audit.Place(v, d, best, cause, dec, parts)
+		audit.Place(v, d, best, cause, dec, parts)
 	}
-	opt.Audit.End()
+	audit.End()
 	return parts, stats
 }
 
-// matchReference runs opt through Stream and referenceStream, unaudited and,
-// unless opt has a Start (which cannot be audited), audited, and fails unless
-// assignment, stats and audit log bytes agree and Stream's per-part counts
-// match its assignment. It returns the stats.
+// auditEvents returns the audit.* events m recorded, with their times
+// zeroed.
+func auditEvents(m *telemetry.Memory) []telemetry.Record {
+	var out []telemetry.Record
+	for _, r := range m.Records() {
+		if strings.HasPrefix(r.Name, "audit.") {
+			r.Time = time.Time{}
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// matchReference runs opt through Stream and referenceStream, untraced and
+// traced, and fails unless assignment, stats and audit events agree and
+// Stream's per-part counts match its assignment. It returns the stats.
 func matchReference(t *testing.T, name string, g *graph.Graph, opt StreamOptions) StreamStats {
 	t.Helper()
 	type scorer func(StreamOptions) ([]int, StreamStats)
@@ -161,19 +180,11 @@ func matchReference(t *testing.T, name string, g *graph.Graph, opt StreamOptions
 		}
 		return res.Parts, res.Stats
 	}
-	audited := func(run scorer, o StreamOptions) ([]int, StreamStats, []byte) {
-		var log bytes.Buffer
-		aud, err := partaudit.New(&log, partaudit.Config{SampleEvery: 97})
-		if err != nil {
-			t.Fatal(err)
-		}
-		aud.Begin("stream", g, o.K)
-		o.Audit = aud.Stream(0, g, o.K)
+	audited := func(run scorer, o StreamOptions) ([]int, StreamStats, []telemetry.Record) {
+		m := telemetry.NewMemory()
+		o.Tracer = m
 		parts, stats := run(o)
-		if err := aud.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return parts, stats, log.Bytes()
+		return parts, stats, auditEvents(m)
 	}
 
 	wantParts, wantStats := reference(opt)
@@ -182,23 +193,23 @@ func matchReference(t *testing.T, name string, g *graph.Graph, opt StreamOptions
 		t.Fatalf("%s: stream differs from the reference scorer: stats %+v, reference %+v",
 			name, gotStats, wantStats)
 	}
-	if opt.Start != nil {
-		return wantStats // Start cannot be audited
-	}
 	_, _, wantLog := audited(reference, opt)
 	gotParts, gotStats, gotLog := audited(product, opt)
 	if !reflect.DeepEqual(gotParts, wantParts) || gotStats != wantStats {
-		t.Fatalf("%s: audited stream differs from the unaudited reference", name)
+		t.Fatalf("%s: traced stream differs from the untraced reference", name)
 	}
-	if !bytes.Equal(gotLog, wantLog) {
-		t.Fatalf("%s: audit log differs from the reference scorer's", name)
+	if !reflect.DeepEqual(gotLog, wantLog) {
+		t.Fatalf("%s: audit events differ from the reference scorer's", name)
+	}
+	if (opt.Start == nil) != (len(gotLog) > 0) {
+		t.Fatalf("%s: %d audit events, want some exactly when there is no Start", name, len(gotLog))
 	}
 	return wantStats
 }
 
 // TestStreamMatchesReferenceScorer holds the sparse candidate scorer to the
-// index-order reference: same assignment, same stats and, when audited, the
-// same audit log byte for byte.
+// index-order reference: same assignment, same stats and, when traced, the
+// same audit events.
 func TestStreamMatchesReferenceScorer(t *testing.T) {
 	g, err := gen.ChungLu(gen.Config{
 		NumVertices: 3000, AvgDegree: 12, Skew: 0.78, Locality: 0.45, Window: 256, Seed: 11,
@@ -344,7 +355,10 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 }
 
 // Stats.TieBreaks counts placements, not candidate replacements: it must
-// equal the number of tie_break causes in a log that samples every placement.
+// equal the number of tie_break causes the reference scorer decides, one
+// per placement, and the causes Stream's audit samples (every 64th position
+// and the hubs) must be the reference's (matchReference compares the
+// events).
 func TestTieBreaksEqualAuditCauses(t *testing.T) {
 	g, err := gen.ChungLu(gen.Config{
 		NumVertices: 3000, AvgDegree: 12, Skew: 0.78, Locality: 0.45, Window: 256, Seed: 11,
@@ -353,43 +367,31 @@ func TestTieBreaksEqualAuditCauses(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := g.Transpose()
-	var total int64
+	var total, sampled int64
 	for _, opt := range []StreamOptions{
 		{K: 16, C: 0},
 		{K: 64, C: 1, In: in},
 		{K: 16, C: 0.5, In: in, CapV: 3000/16 + 1, CapE: g.NumEdges()/16 + 1},
 	} {
-		var buf bytes.Buffer
-		aud, err := partaudit.New(&buf, partaudit.Config{SampleEvery: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		aud.Begin("stream", g, opt.K)
-		opt.Audit = aud.Stream(0, g, opt.K)
-		res, err := Stream(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := aud.Close(); err != nil {
-			t.Fatal(err)
-		}
-		log, err := partaudit.ReadLog(&buf)
-		if err != nil {
+		stats := matchReference(t, fmt.Sprintf("K=%d C=%v", opt.K, opt.C), g, opt)
+		m := telemetry.NewMemory()
+		opt.Tracer = m
+		if _, err := Stream(g, opt); err != nil {
 			t.Fatal(err)
 		}
 		var causes int64
-		for _, d := range log.Decisions {
-			if d.Cause == partaudit.CauseTieBreak {
+		for _, r := range m.Find("audit.decision") {
+			if r.Attr("cause") == partaudit.CauseTieBreak {
 				causes++
 			}
 		}
-		if len(log.Decisions) != g.NumVertices() || res.Stats.TieBreaks != causes {
-			t.Fatalf("K=%d: TieBreaks = %d, audit log has %d tie_break causes in %d decisions",
-				opt.K, res.Stats.TieBreaks, causes, len(log.Decisions))
+		if causes > stats.TieBreaks {
+			t.Fatalf("K=%d: TieBreaks = %d, but the audit samples %d tie_break causes", opt.K, stats.TieBreaks, causes)
 		}
-		total += causes
+		total += stats.TieBreaks
+		sampled += causes
 	}
-	if total == 0 {
-		t.Fatal("no tie-break placement in any stream")
+	if total == 0 || sampled == 0 {
+		t.Fatalf("%d tie-break placements, %d of them sampled: the grid must exercise both", total, sampled)
 	}
 }

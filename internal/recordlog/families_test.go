@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"bpart/internal/partaudit"
 	"bpart/internal/recordlog"
 	"bpart/internal/resview"
 	"bpart/internal/servestats"
@@ -35,19 +34,26 @@ var families = []family{
 		},
 	},
 	{
-		name: "partaudit", what: "audit",
-		good: `{"type":"combine","layer":1,"round":0,"a_pieces":[0],"a_v":1,"a_e":2,"b_pieces":[1],"b_v":3,"b_e":4}`,
+		// Not a format: the partition decision audit is a trace's audit.*
+		// events. The row pins that the audit decode adds no tolerance of
+		// its own to the trace reader's verdict.
+		name: "traceview", view: "partaudit", what: "trace",
+		good: `{"ts":"2026-08-06T10:11:12.13Z","type":"event","name":"audit.combine","attrs":{"layer":1,"round":0,"a_pieces":[0],"a_v":1,"a_e":2,"b_pieces":[1],"b_v":3,"b_e":4}}`,
 		read: func(r io.Reader) (int, bool, error) {
-			l, err := partaudit.ReadLog(r)
+			tr, err := traceview.Read(r)
 			if err != nil {
 				return 0, false, err
 			}
-			return len(l.Merges), l.Truncated, nil
+			a, err := tr.Audit()
+			if err != nil {
+				return 0, tr.Truncated, err
+			}
+			return len(a.Merges), a.Truncated, nil
 		},
 	},
 	{
-		// Not a format: a -resources file is a trace whose records carry
-		// res_* attrs. The row pins that the resource view adds no
+		// Not a format either: a -resources file is a trace whose records
+		// carry res_* attrs. The row pins that the resource view adds no
 		// tolerance of its own to the trace reader's verdict.
 		name: "traceview", view: "resview", what: "trace",
 		good: `{"ts":"2026-08-06T10:11:12.13Z","type":"span","name":"partition.stream","dur_us":123.5,"attrs":{"res_allocs":10,"res_alloc_bytes":4096,"res_heap_bytes":1000,"res_gc_cycles":1,"res_gc_pause_us":5,"res_goroutines":2}}`,
@@ -76,7 +82,7 @@ var families = []family{
 	},
 }
 
-// The three formats' readers sit on one Scan, so the same damage must draw
+// The two formats' readers sit on one Scan, so the same damage must draw
 // the same verdict from each — and the error strings the CLIs print (pinned by the
 // cmd/tracestat diagnostics tests) must not drift.
 func TestFamiliesShareOneVerdict(t *testing.T) {

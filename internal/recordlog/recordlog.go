@@ -1,5 +1,6 @@
-// Package recordlog is the JSONL record-log substrate under the repo's three
-// log formats (trace, which the resource probe also writes; audit; request):
+// Package recordlog is the JSONL record-log substrate under the repo's two
+// log formats (trace, which also carries the resource probe's attrs and the
+// partition decision audit's events; request):
 // the one writer and the one reader every family's framing contract comes
 // from. It knows nothing about any family's schema — families marshal and
 // parse their own records — and imports only the standard library. The
@@ -89,8 +90,8 @@ func (w *Writer) Flush() error {
 func (w *Writer) Close() error { return w.Flush() }
 
 // MaxLine bounds one log line. The widest real lines (superstep records
-// with per-machine arrays, audit decisions with one row per piece) are far
-// below it.
+// with per-machine arrays, audit.decision events with one row per piece)
+// are far below it.
 const MaxLine = 16 << 20
 
 // Scan reads a log line by line, handing each non-blank line, trimmed of
@@ -98,7 +99,7 @@ const MaxLine = 16 << 20
 // call. A line parse rejects is tolerated only as the last line of a log
 // with at least one accepted line before it, and is reported by truncated;
 // anywhere else it is an error. family prefixes every error and what names
-// the family's records in them ("trace", "audit", ...).
+// the family's records in them ("trace", "request").
 func Scan(r io.Reader, family, what string, parse func(line []byte) error) (truncated bool, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), MaxLine)

@@ -22,7 +22,7 @@ const gcCPUMetric = "/cpu/classes/gc/total:cpu-seconds"
 // telemetry.Tee) and its output is a trace.
 //
 // Capture is observation-only: a probed run's deterministic artifacts
-// (assignments, traces, audit logs, BENCH sections) are byte-identical to
+// (assignments, a trace's audit events, BENCH sections) are identical to
 // an unprobed run's. Write and flush errors are sticky and surfaced by
 // Flush/Close, never silently dropped.
 //

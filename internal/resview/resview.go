@@ -14,8 +14,8 @@
 // Everything here is host-dependent by nature and therefore lives outside
 // the determinism boundary: capture is strictly opt-in, an unobserved run
 // holds the no-op tracer, and the probe writes to its own file, so no
-// res_* attr ever flows into the -trace, audit or BENCH byte-identity
-// paths.
+// res_* attr ever flows into the -trace file or the BENCH byte-identity
+// path.
 package resview
 
 import (

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzRead throws arbitrary byte streams at the JSONL request-log reader,
-// mirroring traceview.FuzzRead and partaudit.FuzzReadLog. The reader faces
+// mirroring traceview.FuzzRead. The reader faces
 // logs written by a server that may have been killed mid-line, so it must
 // never panic, and its tolerance contract is precise: only the final line
 // may be damaged — and only when a usable prefix precedes it (flagged via

@@ -53,3 +53,29 @@ func (s teeSpan) End(attrs ...Attr) {
 		sp.End(attrs...)
 	}
 }
+
+// With returns a tracer that adds attrs to every span's start attributes
+// and to every event it forwards to tr, the way BPart labels the records of
+// one layer's stream with the layer. A disabled tr is returned as it is, so
+// the unobserved path stays allocation-free.
+func With(tr Tracer, attrs ...Attr) Tracer {
+	if tr == nil || !tr.Enabled() || len(attrs) == 0 {
+		return Safe(tr)
+	}
+	return with{tr, append([]Attr(nil), attrs...)}
+}
+
+type with struct {
+	tr    Tracer
+	attrs []Attr
+}
+
+func (w with) Enabled() bool { return true }
+
+func (w with) Span(name string, attrs ...Attr) Span {
+	return w.tr.Span(name, append(attrs[:len(attrs):len(attrs)], w.attrs...)...)
+}
+
+func (w with) Event(name string, attrs ...Attr) {
+	w.tr.Event(name, append(attrs[:len(attrs):len(attrs)], w.attrs...)...)
+}

@@ -97,3 +97,35 @@ func TestTeeDegenerateCases(t *testing.T) {
 		t.Fatal("tee of one live sink is not that sink")
 	}
 }
+
+// With appends its attributes after the call's own, on span starts and
+// events alike, and never writes into the caller's variadic array.
+func TestWithAddsAttrs(t *testing.T) {
+	if With(Nop(), Int("layer", 1)) != Nop() {
+		t.Fatal("With over a disabled tracer is not that tracer")
+	}
+	m := NewMemory()
+	tr := With(m, Int("layer", 2))
+	own := []Attr{String("cause", "greedy"), Int("pos", 0)}
+	tr.Event("audit.decision", own[:1]...)
+	tr.Span("partition.stream", Int("k", 8)).End(Int("placed", 3))
+	if own[1].Key != "pos" {
+		t.Fatal("With wrote into the caller's attribute array")
+	}
+	recs := m.Records()
+	if len(recs) != 2 {
+		t.Fatalf("got %d records, want 2", len(recs))
+	}
+	for i, want := range [][]string{{"cause", "layer"}, {"k", "layer", "placed"}} {
+		var keys []string
+		for _, a := range recs[i].Attrs {
+			keys = append(keys, a.Key)
+		}
+		if !reflect.DeepEqual(keys, want) {
+			t.Errorf("%s attrs %v, want %v", recs[i].Name, keys, want)
+		}
+	}
+	if recs[0].Attr("layer") != int64(2) {
+		t.Fatalf("layer = %v, want 2", recs[0].Attr("layer"))
+	}
+}

@@ -1,7 +1,6 @@
 package bpart
 
 import (
-	"io"
 	"runtime/debug"
 	"sync/atomic"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"bpart/internal/core"
 	"bpart/internal/engine"
 	"bpart/internal/gen"
-	"bpart/internal/partaudit"
 	"bpart/internal/partition"
 	"bpart/internal/telemetry"
 	"bpart/internal/walk"
@@ -27,9 +25,9 @@ func (c *offTracer) Span(string, ...telemetry.Attr) telemetry.Span {
 func (c *offTracer) Event(string, ...telemetry.Attr) { c.calls.Add(1) }
 
 // The disabled path, as counts: a component handed a disabled tracer and
-// no registry (or an auditor detached again) makes no Span or Event call at
-// all, and at one worker it allocates exactly what a never-instrumented
-// component does.
+// no registry makes no Span or Event call at all (the audit events of
+// BPart, Fennel and LDG included), and at one worker it allocates exactly
+// what a never-instrumented component does.
 func TestDisabledTelemetryIsFree(t *testing.T) {
 	g, err := gen.ChungLu(gen.Config{NumVertices: 1500, AvgDegree: 6, Skew: 0.7, Seed: 5})
 	if err != nil {
@@ -43,11 +41,6 @@ func TestDisabledTelemetryIsFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	newAuditor := func() *partaudit.Auditor {
-		a, err := partaudit.New(io.Discard, partaudit.Config{})
-		must(err)
-		return a
 	}
 	// Each case builds a component, attaching tr when it is non-nil, and
 	// returns its workload.
@@ -63,25 +56,19 @@ func TestDisabledTelemetryIsFree(t *testing.T) {
 			}
 			return func() { _, err := b.Partition(g, 8); must(err) }
 		}},
-		// Auditing detached again is as free as never auditing: the
-		// instrumented variant attaches an auditor and then SetAudit(nil).
-		{"BPart.Partition after SetAudit(nil)", func(tr telemetry.Tracer) func() {
-			b, err := core.New(core.Config{})
-			must(err)
-			if tr != nil {
-				b.SetTelemetry(tr, nil)
-				b.SetAudit(newAuditor())
-				b.SetAudit(nil)
-			}
-			return func() { _, err := b.Partition(g, 8); must(err) }
-		}},
-		{"Fennel.Partition after SetAudit(nil)", func(tr telemetry.Tracer) func() {
+		{"Fennel.Partition", func(tr telemetry.Tracer) func() {
 			f := &partition.Fennel{}
 			if tr != nil {
-				f.SetAudit(newAuditor())
-				f.SetAudit(nil)
+				f.SetTelemetry(tr, nil)
 			}
 			return func() { _, err := f.Partition(g, 8); must(err) }
+		}},
+		{"LDG.Partition", func(tr telemetry.Tracer) func() {
+			l := &partition.LDG{}
+			if tr != nil {
+				l.SetTelemetry(tr, nil)
+			}
+			return func() { _, err := l.Partition(g, 8); must(err) }
 		}},
 		{"partition.Stream", func(tr telemetry.Tracer) func() {
 			return func() {
