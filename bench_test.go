@@ -97,32 +97,6 @@ func BenchmarkPartitionBPart(b *testing.B)      { benchPartition(b, "BPart", 8) 
 func BenchmarkPartitionBPart128(b *testing.B)   { benchPartition(b, "BPart", 128) }
 func BenchmarkPartitionMultilevel(b *testing.B) { benchPartition(b, "Multilevel", 8) }
 
-// Telemetry overhead: BPart with the default no-op tracer explicitly
-// attached, against the uninstrumented BenchmarkPartitionBPart above. A
-// wall-clock reference with no gate; TestDisabledTelemetryIsFree gates the
-// disabled path by call and allocation counts. Compare with:
-//
-//	go test -bench 'PartitionBPart$|PartitionTracedNop' -count 10 .
-func BenchmarkPartitionTracedNop(b *testing.B) {
-	g, err := Preset(TwitterSim, benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := New(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !Instrument(p, NopTrace(), nil) {
-		b.Fatal("BPart did not accept instrumentation")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Partition(g, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Fault-hook overhead: the iteration engine with no controller attached
 // (the default) versus one with an idle controller — empty schedule,
 // interval checkpoints disabled — so only the per-superstep protocol

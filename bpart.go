@@ -172,7 +172,8 @@ type Metrics = telemetry.Registry
 // MemoryTracer buffers records in memory (tests, ad-hoc inspection).
 type MemoryTracer = telemetry.Memory
 
-// JSONLTracer streams records as JSON lines to a writer.
+// JSONLTracer streams records as JSON lines to a writer; each span record
+// carries its runtime resource deltas as res_* attrs.
 type JSONLTracer = telemetry.JSONL
 
 // TraceAttr is one key/value annotation on a span or event.

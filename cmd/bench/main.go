@@ -27,11 +27,10 @@
 // checkpointing with no faults is a schedule with no events
 // (internal/fault/testdata/checkpoint2.json). With -pprof,
 // /debug/pprof/*, /metrics and /debug/vars are served on the given
-// address while the benchmark runs — profile the harness live. With -resources, the same spans and superstep records
-// that -trace writes are also measured: the same trace record per span
-// (experiments, partition streams, BPart layers, engine and walk runs) and
-// per cluster superstep is written again, with its resource deltas as
-// res_* attrs, for cmd/tracestat's `resources` subcommand.
+// address while the benchmark runs — profile the harness live. Every span
+// record of the trace (experiments, partition streams, BPart layers,
+// engine and walk runs) carries its runtime resource deltas as res_*
+// attrs, for cmd/tracestat's `resources` subcommand.
 // With -workers N, every engine runs its supersteps on an N-worker
 // goroutine pool (default min(GOMAXPROCS, machines)); outputs and every
 // deterministic artifact are bit-identical at any setting, so the flag
@@ -40,6 +39,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -53,7 +53,6 @@ import (
 
 	"bpart"
 	"bpart/internal/experiments"
-	"bpart/internal/resview"
 )
 
 type idList []string
@@ -74,12 +73,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	walkers := fs.Int("walkers", 0, "override walkers per vertex (0 = paper defaults)")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	csvDir := fs.String("csv", "", "also write each experiment as CSV into this directory")
-	tracePath := fs.String("trace", "", "write a JSONL trace (one span per experiment) to this file")
+	tracePath := fs.String("trace", "", "write a JSONL trace (one span per experiment, each span with its res_* resource deltas) to this file")
 	jsonPath := fs.String("json", "", "write a machine-readable BENCH artifact (schema in EXPERIMENTS.md) to this file, e.g. BENCH_bpart.json")
 	faultPath := fs.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into every engine the experiments build")
 	deterministic := fs.Bool("deterministic", false, "zero the artifact's wall-clock fields so identical flags yield byte-identical output")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address")
-	resPath := fs.String("resources", "", "write the trace again with runtime resource deltas as res_* attrs (JSONL, see cmd/tracestat resources) to this file")
 	widthsFlag := fs.String("widths", "", "comma-separated Parallel Speedup worker ladder (default 1,2,4)")
 	workers := fs.Int("workers", 0, "superstep worker-pool size for every engine (0 = min(GOMAXPROCS, machines); outputs are bit-identical at any setting)")
 	fs.Var(&ids, "id", "experiment ID to run (repeatable; default all)")
@@ -123,23 +121,26 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 1
 		}
 	}
-	// One tracer feeds both logs; with neither flag it is the no-op tracer
-	// and the run stays on the byte-identical disabled path. The deferred
-	// close runs on every return below, so an early exit still leaves
-	// complete logs, and a close that fails turns exit 0 into 1.
-	tracer, closeLogs, err := resview.OpenSinks(*tracePath, *resPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "bench:", err)
-		return 1
-	}
-	defer func() {
-		if err := closeLogs(); err != nil {
+	// Without -trace the tracer is the no-op one and the run stays on the
+	// byte-identical disabled path. The deferred close runs on every return
+	// below, so an early exit still leaves a complete trace, and a close
+	// that fails turns exit 0 into 1.
+	tracer := bpart.NopTrace()
+	if *tracePath != "" {
+		f, err := os.Create(*tracePath)
+		if err != nil {
 			fmt.Fprintln(stderr, "bench:", err)
-			code = max(code, 1)
-		} else if *resPath != "" {
-			fmt.Fprintf(stdout, "# wrote %s\n", *resPath)
+			return 1
 		}
-	}()
+		trace := bpart.NewJSONLTrace(f)
+		tracer = trace
+		defer func() {
+			if err := errors.Join(trace.Close(), f.Close()); err != nil {
+				fmt.Fprintln(stderr, "bench:", err)
+				code = max(code, 1)
+			}
+		}()
+	}
 	widths, err := parseWidths(*widthsFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "bench:", err)

@@ -175,9 +175,10 @@ func TestBenchList(t *testing.T) {
 	}
 }
 
-// normalizeTrace blanks the two host-dependent fields every trace line
-// carries (the wall timestamp and span duration), leaving the deterministic
-// content — record names, order, and every simulated attribute — intact.
+// normalizeTrace blanks the host-dependent fields of a trace: every line's
+// wall timestamp, and a span's duration and res_* resource deltas. What is
+// left is the deterministic content — record names, order, and every
+// simulated attribute.
 func normalizeTrace(t *testing.T, raw []byte) string {
 	t.Helper()
 	var out strings.Builder
@@ -188,6 +189,21 @@ func normalizeTrace(t *testing.T, raw []byte) string {
 		}
 		delete(rec, "ts")
 		delete(rec, "dur_us")
+		if raw, ok := rec["attrs"]; ok {
+			var attrs map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &attrs); err != nil {
+				t.Fatal(err)
+			}
+			for k := range attrs {
+				if strings.HasPrefix(k, "res_") {
+					delete(attrs, k)
+				}
+			}
+			var err error
+			if rec["attrs"], err = json.Marshal(attrs); err != nil {
+				t.Fatal(err)
+			}
+		}
 		norm, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -198,80 +214,85 @@ func normalizeTrace(t *testing.T, raw []byte) string {
 	return out.String()
 }
 
-// The resource probe is observation-only: a -resources run's deterministic
-// artifacts (trace modulo wall clocks, and the BENCH JSON) must be
-// identical to a run without the flag.
+// Resource capture is observation-only: a traced run, whose spans carry
+// res_* attrs, writes the BENCH artifact an untraced run writes, and two
+// traced runs' traces differ only in their host-dependent fields.
 func TestBenchResourcesDisabledPathIdentical(t *testing.T) {
 	dir := t.TempDir()
-	runOnce := func(tag string, extra ...string) (jsonB, traceB []byte) {
+	runOnce := func(tag string, traced bool) (jsonB, traceB []byte) {
 		t.Helper()
 		jsonPath := filepath.Join(dir, tag+".json")
 		tracePath := filepath.Join(dir, tag+"_trace.jsonl")
-		args := append([]string{
-			"-scale", "0.02", "-id", "Fig 3",
-			"-json", jsonPath, "-trace", tracePath, "-deterministic",
-		}, extra...)
+		args := []string{"-scale", "0.02", "-id", "Fig 3", "-json", jsonPath, "-deterministic"}
+		if traced {
+			args = append(args, "-trace", tracePath)
+		}
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("bench exited %d: %s", code, stderr.String())
 		}
-		for _, p := range []struct {
-			path string
-			out  *[]byte
-		}{{jsonPath, &jsonB}, {tracePath, &traceB}} {
-			b, err := os.ReadFile(p.path)
-			if err != nil {
+		var err error
+		if jsonB, err = os.ReadFile(jsonPath); err != nil {
+			t.Fatal(err)
+		}
+		if traced {
+			if traceB, err = os.ReadFile(tracePath); err != nil {
 				t.Fatal(err)
 			}
-			*p.out = b
 		}
-		return
+		return jsonB, traceB
 	}
-	plainJSON, plainTrace := runOnce("plain")
-	resJSON, resTrace := runOnce("probed",
-		"-resources", filepath.Join(dir, "res.jsonl"), "-widths", "1,2")
-	if nt1, nt2 := normalizeTrace(t, plainTrace), normalizeTrace(t, resTrace); nt1 != nt2 {
-		t.Fatal("-resources perturbed the trace's deterministic content")
+	plainJSON, _ := runOnce("plain", false)
+	oneJSON, oneTrace := runOnce("one", true)
+	_, twoTrace := runOnce("two", true)
+	if !bytes.Equal(plainJSON, oneJSON) {
+		t.Fatalf("-trace perturbed the BENCH artifact:\n%s\nvs\n%s", plainJSON, oneJSON)
 	}
-	if !bytes.Equal(plainJSON, resJSON) {
-		t.Fatalf("-resources perturbed the BENCH artifact:\n%s\nvs\n%s", plainJSON, resJSON)
+	if !strings.Contains(string(oneTrace), `"res_allocs"`) {
+		t.Fatal("the trace's spans carry no resource deltas")
+	}
+	if nt1, nt2 := normalizeTrace(t, oneTrace), normalizeTrace(t, twoTrace); nt1 != nt2 {
+		t.Fatal("two traced runs differ beyond ts, dur_us and res_*")
 	}
 }
 
-// -resources writes a parseable resource log: the probe is a tracer sink,
-// so it records the bench.experiment span, and the Parallel Speedup
-// sweep's engines run quiet, so that span is all it records.
-func TestBenchResourcesFlag(t *testing.T) {
-	resPath := filepath.Join(t.TempDir(), "res.jsonl")
+// -trace records each span's resource deltas: the bench.experiment span
+// carries them, and the Parallel Speedup sweep's engines run quiet, so
+// that span is all the trace holds.
+func TestBenchTraceCarriesResources(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "t.jsonl")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-scale", "0.02", "-id", "Parallel Speedup",
-		"-resources", resPath, "-widths", "1,2",
+		"-trace", tracePath, "-widths", "1,2",
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("bench exited %d: %s", code, stderr.String())
 	}
-	l, err := traceview.ReadFile(resPath)
+	l, err := traceview.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(l.Records) != 1 || l.Records[0].Name != "bench.experiment" {
-		t.Fatalf("resource log holds %+v, want one bench.experiment span", l.Records)
+		t.Fatalf("trace holds %+v, want one bench.experiment span", l.Records)
 	}
 	if id, _ := l.Records[0].Str("id"); id != "Parallel Speedup" {
 		t.Fatalf("bench.experiment id %q", id)
 	}
+	if n, ok := l.Records[0].Int("res_goroutines"); !ok || n < 1 {
+		t.Fatalf("bench.experiment span without resource deltas: %+v", l.Records[0])
+	}
 }
 
 // Without -widths the Parallel Speedup ladder is the harness's {1, 2, 4}
-// on every host, -resources or not, and every row is bit-identical to the
-// 1-worker run.
+// on every host, traced with resource deltas or not, and every row is
+// bit-identical to the 1-worker run.
 func TestBenchDefaultWidthsIgnoreResources(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-scale", "0.02", "-id", "Parallel Speedup",
-		"-resources", filepath.Join(dir, "res.jsonl"), "-csv", dir,
+		"-trace", filepath.Join(dir, "t.jsonl"), "-csv", dir,
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("bench exited %d: %s", code, stderr.String())
@@ -326,23 +347,20 @@ func TestBenchBadWidths(t *testing.T) {
 	}
 }
 
-// An early exit after the logs are open (here the -widths parse error)
-// must still close them: the deferred close runs on every return. A leaked
+// An early exit after the trace is open (here the -widths parse error)
+// must still close it: the deferred close runs on every return. A leaked
 // handle shows as a /proc/self/fd entry still pointing into the test's
 // directory.
 func TestBenchEarlyExitClosesLogs(t *testing.T) {
 	dir := t.TempDir()
-	tracePath, resPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "r.jsonl")
+	tracePath := filepath.Join(dir, "t.jsonl")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-trace", tracePath, "-resources", resPath, "-widths", "1,zero"}, &stdout, &stderr)
+	code := run([]string{"-trace", tracePath, "-widths", "1,zero"}, &stdout, &stderr)
 	if code != 2 {
 		t.Fatalf("bad -widths exited %d, want 2", code)
 	}
-	if l, err := traceview.ReadFile(resPath); err != nil || l.Truncated || len(l.Records) != 0 {
-		t.Fatalf("resource log after early exit: %+v, %v", l, err)
-	}
-	if _, err := os.Stat(tracePath); err != nil {
-		t.Fatal(err)
+	if l, err := traceview.ReadFile(tracePath); err != nil || l.Truncated || len(l.Records) != 0 {
+		t.Fatalf("trace after early exit: %+v, %v", l, err)
 	}
 	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
@@ -355,26 +373,24 @@ func TestBenchEarlyExitClosesLogs(t *testing.T) {
 	}
 }
 
-// A log that cannot be flushed (a full disk) fails the run, and no
+// A trace that cannot be flushed (a full disk) fails the run, and no
 // "# wrote" line claims otherwise.
 func TestBenchFullDiskFails(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this platform:", err)
 	}
-	for _, flag := range []string{"-trace", "-resources"} {
-		t.Run(flag, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			if code := run([]string{"-scale", "0.02", "-id", "Table 1", flag, "/dev/full"}, &stdout, &stderr); code != 1 {
-				t.Fatalf("bench %s /dev/full exited %d, want 1; stderr %q", flag, code, stderr.String())
-			}
-			if !strings.Contains(stderr.String(), "no space left on device") {
-				t.Errorf("stderr does not report the failed flush: %q", stderr.String())
-			}
-			if strings.Contains(stdout.String(), "/dev/full") {
-				t.Errorf("stdout claims the log was written:\n%s", stdout.String())
-			}
-		})
-	}
+	t.Run("-trace", func(t *testing.T) {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-scale", "0.02", "-id", "Table 1", "-trace", "/dev/full"}, &stdout, &stderr); code != 1 {
+			t.Fatalf("bench -trace /dev/full exited %d, want 1; stderr %q", code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "no space left on device") {
+			t.Errorf("stderr does not report the failed flush: %q", stderr.String())
+		}
+		if strings.Contains(stdout.String(), "/dev/full") {
+			t.Errorf("stdout claims the trace was written:\n%s", stdout.String())
+		}
+	})
 }
 
 // The -workers flag changes scheduling only: a deterministic artifact

@@ -22,13 +22,13 @@
 // tree — feed the trace to `tracestat explain|timeline|combine`); -metrics
 // prints the counter/gauge registry in Prometheus text format on exit
 // (audit_*_total counts the audit events); -pprof ADDR serves
-// /debug/pprof/*, /metrics and /debug/vars on ADDR for the run's duration;
-// -resources out.jsonl writes the same trace records again, to a file of
-// their own, with the runtime resource deltas of each span and BSP
-// superstep as res_* attrs (partition streams, BPart layers, engine and
-// walk runs — feed it to `tracestat resources`). A log that fails to flush
-// fails the run. All observability is observation-only: the partition and
-// every simulated result are byte-identical with or without it.
+// /debug/pprof/*, /metrics and /debug/vars on ADDR for the run's duration.
+// Every span record of the trace carries the runtime resource deltas of
+// its interval as res_* attrs (partition streams, BPart layers, engine and
+// walk runs — feed the trace to `tracestat resources`). A trace that fails
+// to flush fails the run. All observability is observation-only: the
+// partition and every simulated result are byte-identical with or without
+// it.
 //
 // -out, -timeline and -fault act on the one assignment a single
 // -scheme run produces; with -list, -eval, -vcut or -all they are usage
@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"bpart"
-	"bpart/internal/resview"
 )
 
 // errUsage reports a flag error the flag package has already printed.
@@ -74,10 +73,10 @@ func main() {
 }
 
 // run is the whole command. It returns instead of exiting so the deferred
-// trace and resource-log flushes run on every path: an error raised
-// after those files were opened still leaves everything recorded so far on
-// disk, which is when the logs are wanted most. A flush that fails is part
-// of the returned error, so a truncated log never exits 0.
+// trace flush runs on every path: an error raised after the file was
+// opened still leaves everything recorded so far on disk, which is when
+// the trace is wanted most. A flush that fails is part of the returned
+// error, so a truncated trace never exits 0.
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("bpart", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -94,10 +93,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		evalPath  = fs.String("eval", "", "evaluate an existing assignment file instead of partitioning")
 		timeline  = fs.String("timeline", "", "run a 5|V|-walker random walk on the partition and write the per-machine BSP timeline CSV here")
 		faultPath = fs.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into the engine runs and print their RecoveryStats")
-		tracePath = fs.String("trace", "", "write a JSONL span/event trace of the run, with the audit.* events tracestat explain/timeline/combine read, to this file")
+		tracePath = fs.String("trace", "", "write a JSONL span/event trace of the run, with the audit.* events tracestat explain/timeline/combine read and each span's res_* resource deltas, to this file")
 		metrics   = fs.Bool("metrics", false, "print telemetry counters (Prometheus text format) on exit")
 		pprofAddr = fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address (e.g. localhost:6060)")
-		resPath   = fs.String("resources", "", "write the trace again with runtime resource deltas as res_* attrs (JSONL, see `tracestat resources`) to this file")
 		workers   = fs.Int("workers", 0, "superstep worker-pool size for the engine runs (0 = min(GOMAXPROCS, machines); results are bit-identical at any setting)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -110,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	tel, err := setupTelemetry(*tracePath, *metrics, *pprofAddr, *resPath, stdout, stderr)
+	tel, err := setupTelemetry(*tracePath, *metrics, *pprofAddr, stdout, stderr)
 	if err != nil {
 		return err
 	}
@@ -279,29 +277,33 @@ func printRecovery(stdout io.Writer, label string, policy bpart.FaultPolicy, rs 
 		rs.RecoverySimTimeUS, 100*rs.AddedWaitRatio)
 }
 
-// telemetryState bundles the run's tracer (feeding the -trace and
-// -resources logs), metrics registry and diagnostics listener.
+// telemetryState bundles the run's tracer (feeding the -trace file),
+// metrics registry and diagnostics listener.
 type telemetryState struct {
-	tracer    bpart.Tracer
-	closeLogs func() error
-	reg       *bpart.Metrics
-	resPath   string
-	metrics   bool
-	stdout    io.Writer
-	stderr    io.Writer
+	tracer     bpart.Tracer
+	closeTrace func() error
+	reg        *bpart.Metrics
+	metrics    bool
+	stdout     io.Writer
+	stderr     io.Writer
 }
 
-// setupTelemetry wires -trace, -metrics, -pprof and -resources. The
-// registry, a sink that folds every span into counters, exists only when
-// something reads it: the -metrics exit dump or the -pprof endpoint.
-func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string, stdout, stderr io.Writer) (*telemetryState, error) {
-	t := &telemetryState{metrics: metrics, resPath: resPath, stdout: stdout, stderr: stderr}
+// setupTelemetry wires -trace, -metrics and -pprof. The registry, a sink
+// that folds every span into counters, exists only when something reads
+// it: the -metrics exit dump or the -pprof endpoint.
+func setupTelemetry(tracePath string, metrics bool, pprofAddr string, stdout, stderr io.Writer) (*telemetryState, error) {
+	t := &telemetryState{tracer: bpart.NopTrace(), closeTrace: func() error { return nil },
+		metrics: metrics, stdout: stdout, stderr: stderr}
 	if metrics || pprofAddr != "" {
 		t.reg = bpart.NewMetrics()
 	}
-	var err error
-	if t.tracer, t.closeLogs, err = resview.OpenSinks(tracePath, resPath); err != nil {
-		return nil, err
+	if tracePath != "" {
+		f, err := os.Create(tracePath)
+		if err != nil {
+			return nil, err
+		}
+		trace := bpart.NewJSONLTrace(f)
+		t.tracer, t.closeTrace = trace, func() error { return errors.Join(trace.Close(), f.Close()) }
 	}
 	if pprofAddr != "" {
 		ln := pprofAddr
@@ -315,14 +317,10 @@ func setupTelemetry(tracePath string, metrics bool, pprofAddr, resPath string, s
 	return t, nil
 }
 
-// finish flushes and closes the logs, returning a failed close, and
-// prints the metrics dump. The resource log is reported written only after
-// a clean close.
+// finish flushes and closes the trace, returning a failed close, and
+// prints the metrics dump.
 func (t *telemetryState) finish() error {
-	err := t.closeLogs()
-	if err == nil && t.resPath != "" {
-		fmt.Fprintf(t.stdout, "resource log written to %s\n", t.resPath)
-	}
+	err := t.closeTrace()
 	if t.metrics && t.reg != nil {
 		fmt.Fprintln(t.stdout, "--- metrics ---")
 		if err := t.reg.WritePrometheus(t.stdout); err != nil {

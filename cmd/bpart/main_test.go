@@ -16,17 +16,16 @@ import (
 	"bpart/internal/traceview"
 )
 
-// An error raised after the observability files are open and records were
-// emitted must still leave every log flushed: the deferred closes run
-// because run returns instead of exiting.
+// An error raised after the trace is open and records were emitted must
+// still leave the trace flushed: the deferred close runs because run
+// returns instead of exiting.
 func TestErrorExitKeepsLogs(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")
-	resPath := filepath.Join(dir, "res.jsonl")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
 		"-dataset", "lj-sim", "-scale", "0.02", "-scheme", "BPart", "-k", "4",
-		"-trace", tracePath, "-resources", resPath,
+		"-trace", tracePath,
 		// The partition succeeds and emits its records; writing the
 		// assignment into a directory that does not exist then fails.
 		"-out", filepath.Join(dir, "missing", "parts.txt"),
@@ -52,39 +51,33 @@ func TestErrorExitKeepsLogs(t *testing.T) {
 	if al.Header == nil || al.Final == nil {
 		t.Fatalf("trace lost audit events: header=%v final=%v", al.Header, al.Final)
 	}
-	rl, err := traceview.ReadFile(resPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rl.Truncated || len(rl.Records) == 0 {
-		t.Fatalf("resource log incomplete: truncated=%v, %d records", rl.Truncated, len(rl.Records))
+	if s, err := resview.Summarize(tr); err != nil || len(s) == 0 {
+		t.Fatalf("trace lost its resource deltas: %v, %v", s, err)
 	}
 	if stderr.Len() != 0 {
 		t.Fatalf("flush diagnostics on a healthy disk: %s", stderr.String())
 	}
 }
 
-// A log that cannot be flushed (a full disk) fails the run, and no
+// A trace that cannot be flushed (a full disk) fails the run, and no
 // "written to" line claims otherwise.
 func TestFullDiskFailsRun(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this platform:", err)
 	}
-	for _, flag := range []string{"-trace", "-resources"} {
-		t.Run(flag, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			err := run([]string{"-dataset", "lj-sim", "-scale", "0.02", "-k", "4", flag, "/dev/full"}, &stdout, &stderr)
-			if !errors.Is(err, syscall.ENOSPC) {
-				t.Fatalf("run = %v, want the failed flush (ENOSPC)", err)
-			}
-			if !strings.Contains(stdout.String(), "into 4 parts") {
-				t.Fatalf("the run failed before partitioning:\n%s", stdout.String())
-			}
-			if strings.Contains(stdout.String(), "/dev/full") {
-				t.Errorf("stdout claims the log was written:\n%s", stdout.String())
-			}
-		})
-	}
+	t.Run("-trace", func(t *testing.T) {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-dataset", "lj-sim", "-scale", "0.02", "-k", "4", "-trace", "/dev/full"}, &stdout, &stderr)
+		if !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("run = %v, want the failed flush (ENOSPC)", err)
+		}
+		if !strings.Contains(stdout.String(), "into 4 parts") {
+			t.Fatalf("the run failed before partitioning:\n%s", stdout.String())
+		}
+		if strings.Contains(stdout.String(), "/dev/full") {
+			t.Errorf("stdout claims the trace was written:\n%s", stdout.String())
+		}
+	})
 }
 
 func TestBadFlagIsUsageError(t *testing.T) {
@@ -150,13 +143,12 @@ func TestIgnoredFlagIsUsageError(t *testing.T) {
 	}
 }
 
-// One hook, one format, two files: -trace and -resources are two sinks of
-// the one Span/Event call each phase makes and both write the trace schema,
-// so the resource file is the trace file record for record — same types
-// and names in the same order, same scalar attrs — plus the res_* attrs,
-// which never enter the trace. And both are observation only: the
-// assignment and the timeline are the bytes an unobserved run writes.
-func TestTraceAndResourceLogsJoin(t *testing.T) {
+// One trace per run: every span record carries the res_* resource deltas
+// of its interval and no event carries any, so the resource view of the
+// -trace file sees exactly the run's span names. And the trace is
+// observation only: the assignment and the timeline are the bytes an
+// unobserved run writes.
+func TestTraceSpansCarryResources(t *testing.T) {
 	dir := t.TempDir()
 	runOnce := func(tag string, extra ...string) (parts, timeline []byte) {
 		t.Helper()
@@ -178,94 +170,69 @@ func TestTraceAndResourceLogsJoin(t *testing.T) {
 		}
 		return parts, timeline
 	}
-	tracePath, resPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "r.jsonl")
+	tracePath := filepath.Join(dir, "t.jsonl")
 	plainParts, plainTimeline := runOnce("plain")
-	obsParts, obsTimeline := runOnce("observed", "-trace", tracePath, "-resources", resPath)
+	obsParts, obsTimeline := runOnce("observed", "-trace", tracePath)
 	if !bytes.Equal(plainParts, obsParts) {
-		t.Error("-trace/-resources perturbed the assignment")
+		t.Error("-trace perturbed the assignment")
 	}
 	if !bytes.Equal(plainTimeline, obsTimeline) {
-		t.Error("-trace/-resources perturbed the timeline")
+		t.Error("-trace perturbed the timeline")
 	}
 
 	tr, err := traceview.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := traceview.ReadFile(resPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Records) == 0 || len(tr.Records) != len(rl.Records) {
-		t.Fatalf("%d trace records, %d resource records", len(tr.Records), len(rl.Records))
-	}
 	var spans []string
 	supersteps := 0
 	for i := range tr.Records {
-		a, b := &tr.Records[i], &rl.Records[i]
-		if a.Type != b.Type || a.Name != b.Name {
-			t.Fatalf("record %d: trace has %s %q, resources %s %q", i, a.Type, a.Name, b.Type, b.Name)
-		}
-		if a.Type == "span" {
-			spans = append(spans, a.Name)
-		}
-		// The resource record keeps the trace record's scalar attrs and
-		// drops its structured ones (a superstep's per-machine arrays).
-		scalars := map[string]any{}
-		for k, v := range a.Attrs {
-			if strings.HasPrefix(k, "res_") {
-				t.Fatalf("record %d (%s): %s entered the trace", i, a.Name, k)
-			}
-			if _, structured := v.([]any); !structured {
-				scalars[k] = v
-			}
-		}
-		probed := map[string]any{}
+		r := &tr.Records[i]
 		res := 0
-		for k, v := range b.Attrs {
+		for k := range r.Attrs {
 			if strings.HasPrefix(k, "res_") {
 				res++
-			} else {
-				probed[k] = v
 			}
 		}
-		if !reflect.DeepEqual(scalars, probed) {
-			t.Fatalf("record %d (%s): scalar attrs differ:\n trace     %v\n resources %v", i, a.Name, scalars, probed)
+		switch {
+		case r.Type == "span" && res < 6:
+			t.Fatalf("record %d (span %s): %d res_* attrs, want every span's deltas", i, r.Name, res)
+		case r.Type == "event" && res != 0:
+			t.Fatalf("record %d (event %s): %d res_* attrs, want none", i, r.Name, res)
 		}
-		if _, lap := b.Float("res_wall_us"); res < 6 || lap != (b.Type == "event") {
-			t.Fatalf("record %d (%s %s): %d res_* attrs, res_wall_us present = %v", i, b.Type, b.Name, res, lap)
+		if r.Type == "span" && !slices.Contains(spans, r.Name) {
+			spans = append(spans, r.Name)
 		}
-		if a.Name == "cluster.superstep" {
-			if it, ok := b.Int("iteration"); !ok || it != supersteps {
-				t.Fatalf("superstep %d: resource record carries iteration %d (%v)", supersteps, it, ok)
-			}
-			if _, ok := a.Attrs["compute"]; !ok {
-				t.Fatal("the trace lost its per-machine arrays")
+		if r.Name == "cluster.superstep" {
+			if _, ok := r.Attrs["compute"]; !ok {
+				t.Fatal("a superstep event lost its per-machine arrays")
 			}
 			supersteps++
-		}
-	}
-	for _, want := range []string{"bpart.partition", "bpart.layer", "partition.stream", "bpart.refine", "walk.run"} {
-		if !slices.Contains(spans, want) {
-			t.Errorf("no %q span in either log: %v", want, spans)
 		}
 	}
 	if supersteps == 0 {
 		t.Fatal("no cluster.superstep events")
 	}
-	// The resource file is a trace: every trace view reads it, and the
-	// resource view reads the plain trace as "nothing captured".
-	if s, err := resview.Summarize(rl); err != nil || len(s) == 0 {
-		t.Fatalf("resource file summary: %v, %v", s, err)
+	phases, err := resview.Summarize(tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s, err := resview.Summarize(tr); err != nil || len(s) != 0 {
-		t.Fatalf("plain trace summary: %v, %v", s, err)
+	var names []string
+	for _, p := range phases {
+		names = append(names, p.Phase)
 	}
-	if steps, err := traceview.Supersteps(rl); err != nil || len(steps) != 0 {
-		t.Fatalf("the resource file's scalar-only supersteps: %d decoded, %v", len(steps), err)
+	slices.Sort(names)
+	slices.Sort(spans)
+	if !slices.Equal(names, spans) {
+		t.Fatalf("resource phases %v, want the span names %v", names, spans)
 	}
-	if err := traceview.WriteReport(&bytes.Buffer{}, rl); err != nil {
-		t.Fatalf("trace report of the resource file: %v", err)
+	for _, want := range []string{"bpart.partition", "bpart.layer", "partition.stream", "bpart.refine", "walk.run"} {
+		if !slices.Contains(spans, want) {
+			t.Errorf("no %q span: %v", want, spans)
+		}
+	}
+	if steps, err := traceview.Supersteps(tr); err != nil || len(steps) != supersteps {
+		t.Fatalf("the trace's supersteps: %d decoded of %d, %v", len(steps), supersteps, err)
 	}
 }
 
@@ -275,7 +242,7 @@ func TestTraceAndResourceLogsJoin(t *testing.T) {
 func TestRegistryOnlyWhenRead(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	tel, err := setupTelemetry(filepath.Join(dir, "t.jsonl"), false, "", "", &stdout, &stderr)
+	tel, err := setupTelemetry(filepath.Join(dir, "t.jsonl"), false, "", &stdout, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,16 +268,15 @@ func TestRegistryOnlyWhenRead(t *testing.T) {
 }
 
 // The decision audit holds no wall clock: two identical -trace runs write
-// the same audit.* events but for their ts, and -resources beside the
-// trace does not perturb them.
+// the same audit.* events but for their ts (the resource deltas ride on
+// spans, never on events).
 func TestAuditLogDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	audit := func(tag string, extra ...string) []traceview.Record {
+	audit := func(tag string) []traceview.Record {
 		t.Helper()
 		path := filepath.Join(dir, tag+"_trace.jsonl")
-		args := append([]string{"-dataset", "twitter-sim", "-scale", "0.02", "-k", "8", "-trace", path}, extra...)
 		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); err != nil {
+		if err := run([]string{"-dataset", "twitter-sim", "-scale", "0.02", "-k", "8", "-trace", path}, &stdout, &stderr); err != nil {
 			t.Fatalf("%s run: %v\n%s", tag, err, stderr.String())
 		}
 		tr, err := traceview.ReadFile(path)
@@ -332,9 +298,5 @@ func TestAuditLogDeterministic(t *testing.T) {
 	}
 	if two := audit("two"); !reflect.DeepEqual(one, two) {
 		t.Fatal("audit events differ across identical runs")
-	}
-	observed := audit("observed", "-resources", filepath.Join(dir, "r.jsonl"))
-	if !reflect.DeepEqual(one, observed) {
-		t.Fatal("-resources perturbed the audit events")
 	}
 }

@@ -1,6 +1,5 @@
 // Command tracestat analyzes the JSONL logs the observability layers
-// write: traces (-trace; a -resources file is a trace too), bpartd request
-// logs (-reqlog). Run it
+// write: traces (-trace), bpartd request logs (-reqlog). Run it
 // without arguments for the usage lines, printed from the subcommand table
 // below; `tracestat <subcommand> -h` describes a subcommand's flags.
 //
@@ -8,8 +7,8 @@
 // and, per BSP run, the WaitRatio decomposition, straggler attribution and
 // critical-path split); stragglers and critpath print just their section;
 // comm analyzes the src→dst matrices of a matrix-capture run
-// (Cluster.SetCommMatrix); resources analyzes the res_* attrs of a probed
-// run (phase self-time, alloc/GC attribution). Request logs: serve prints
+// (Cluster.SetCommMatrix); resources analyzes the res_* attrs of the
+// trace's spans (phase self-time, alloc/GC attribution). Request logs: serve prints
 // per-endpoint and per-part latency percentiles and the version census.
 // The partition decision audit, the audit.* events of a trace of a BPart,
 // Fennel or LDG run: explain prints every sampled placement of one vertex (the
@@ -139,7 +138,7 @@ var commands = []command{
 				})
 			}
 		}},
-	{name: "resources", args: []string{"resources.jsonl"}, page: "chart",
+	{name: "resources", args: []string{"trace.jsonl"}, page: "chart",
 		setup: noFlags(func(c *call) error {
 			tr, err := traceview.ReadFile(c.args[0])
 			if err != nil {

@@ -415,8 +415,9 @@ func TestTruncatedTraceStillReports(t *testing.T) {
 	}
 }
 
-// sampleResources is a -resources file: a trace whose records carry the
-// probe's res_* attrs (and, for the superstep event, only its scalars).
+// sampleResources is a resource log: a trace whose records carry res_*
+// attrs. Its superstep event is a lap, a scalar-only record with its own
+// res_wall_us, as logs recorded before the deltas rode on spans hold.
 const sampleResources = `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"partition.stream","dur_us":2500,"attrs":{"k":8,"res_allocs":100,"res_alloc_bytes":8192,"res_heap_bytes":4096,"res_gc_cycles":1,"res_gc_pause_us":10,"res_goroutines":2}}
 {"ts":"2026-08-06T10:00:01Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":5,"res_wall_us":40,"res_allocs":1,"res_alloc_bytes":64,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":2}}
 {"ts":"2026-08-06T10:00:02Z","type":"span","name":"walk.run","dur_us":1000,"attrs":{"kind":"SimpleWalk","res_allocs":10,"res_alloc_bytes":512,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":3}}
@@ -455,28 +456,29 @@ func TestResourcesHTMLFlag(t *testing.T) {
 	}
 }
 
-// A resource file is a trace and a trace is a resource file with nothing
-// captured: each subcommand reads the other's file, and only a schema-v1
-// resource log (written before the two formats became one) is refused —
-// with a message that says what to do, not `bad ts ""`.
+// A resource log is a trace and a trace with no res_* attr is a resource
+// log with nothing captured: each subcommand reads the other's file, and
+// only a schema-v1 resource log (written before the two formats became
+// one) is refused — with a message that says what to do, not `bad ts ""`.
 func TestResourceFileIsATrace(t *testing.T) {
 	res := writeTrace(t, "res.jsonl", sampleResources)
 	for _, sub := range []string{"report", "stragglers", "critpath", "comm"} {
 		if code, out, errb := runCLI(t, sub, res); code != 0 || out == "" {
-			t.Errorf("%s on a -resources file: exit %d, stderr %q", sub, code, errb)
+			t.Errorf("%s on a resource log: exit %d, stderr %q", sub, code, errb)
 		}
 	}
 	if _, out, _ := runCLI(t, "report", res); !strings.Contains(out, "walk.run") || !strings.Contains(out, "No cluster.superstep records") {
-		t.Errorf("report on a -resources file:\n%s", out)
+		t.Errorf("report on a resource log:\n%s", out)
 	}
-	plain := writeTrace(t, "plain.jsonl", sampleTrace)
-	if code, out, errb := runCLI(t, "resources", plain); code != 0 || !strings.HasPrefix(out, "No resource records: capture was off") {
-		t.Errorf("resources on a plain trace: exit %d, stdout %q, stderr %q", code, out, errb)
+	// A committed trace recorded before spans carried res_* attrs.
+	const plain = "../../internal/traceview/testdata/sample.jsonl"
+	if code, out, errb := runCLI(t, "resources", plain); code != 0 || out != "No resource records: capture was off (record the run with -trace).\n" {
+		t.Errorf("resources on a trace with no res_* attr: exit %d, stdout %q, stderr %q", code, out, errb)
 	}
 	v1 := writeTrace(t, "v1.jsonl", `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":2500,"allocs":100,"alloc_bytes":8192,"heap_bytes":4096,"gc_cycles":1,"gc_pause_us":10,"goroutines":2,"attrs":{"k":8}}`+"\n")
 	for _, sub := range []string{"resources", "report"} {
 		code, _, errb := runCLI(t, sub, v1)
-		if code != 1 || !strings.Contains(errb, "line 1: schema-v1 resource log") || !strings.Contains(errb, "re-record with -resources") {
+		if code != 1 || !strings.Contains(errb, "line 1: schema-v1 resource log") || !strings.Contains(errb, "re-record with -trace") {
 			t.Errorf("%s on a schema-v1 log: exit %d, stderr %q", sub, code, errb)
 		}
 	}

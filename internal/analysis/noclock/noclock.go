@@ -14,11 +14,12 @@
 // measurement that belongs in reports (real partitioner runtimes, for
 // example) routes through internal/telemetry — the designated
 // observability boundary, exempt by construction — via
-// telemetry.NewStopwatch; runtime resource capture likewise lives in the
-// exempt internal/resview, which the deterministic packages reach only
-// through the telemetry.Tracer interface (the probe is a tracer sink that
-// writes its own trace file, so nothing it reads enters -trace output);
-// request-latency capture for
+// telemetry.NewStopwatch; runtime resource capture likewise lives in
+// internal/telemetry, whose trace writer snapshots the runtime around each
+// span and writes the deltas as res_* attrs on the span record only, so
+// the deterministic packages reach it only through the telemetry.Tracer
+// interface and nothing it reads flows back into their outputs (the exempt
+// internal/resview only reads those attrs back); request-latency capture for
 // the serving layer lives in the exempt internal/servestats, whose clock
 // reads are the feature (the BENCH serving section stays deterministic
 // because StripWallClock zeroes the latency columns, and experiments

@@ -23,9 +23,9 @@ func TestOutOfScopePackageIsExempt(t *testing.T) {
 	analysistest.Run(t, "../testdata/noclock/other", noclock.Analyzer)
 }
 
-// TestResviewIsExempt pins the observability boundary: resview is the
-// package that reads the clock on the deterministic packages' behalf
-// (as a telemetry.Tracer sink), so it must stay outside noclock's scope.
+// TestResviewIsExempt pins the observability boundary: resview renders the
+// host-dependent res_* attrs the trace writer records on the deterministic
+// packages' behalf, so it must stay outside noclock's scope.
 func TestResviewIsExempt(t *testing.T) {
 	analysistest.Run(t, "../testdata/noclock/resview", noclock.Analyzer)
 }

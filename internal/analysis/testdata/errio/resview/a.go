@@ -1,9 +1,9 @@
-// Package resview seeds errio violations in the resource-probe idiom; its
-// path ends in /resview so it is in the analyzer's I/O scope, like
-// bpart/internal/resview. The probe writes a trace (it decorates the trace
-// writer and flushes after every record); a file that silently truncates on
-// a full disk turns a real measurement into a partial one with no warning —
-// the probe's whole contract is that write failures are sticky and surfaced.
+// Package resview seeds errio violations in a resource-log writer idiom;
+// its path ends in /resview so it is in the analyzer's I/O scope, like
+// bpart/internal/resview. A file that silently truncates on a full disk
+// turns a real measurement into a partial one with no warning, so a
+// measurement log's whole contract is that write failures are sticky and
+// surfaced.
 package resview
 
 import (
@@ -12,7 +12,7 @@ import (
 	"io"
 )
 
-// EmitUnchecked streams probed records without checking the sink — a
+// EmitUnchecked streams measured records without checking the sink — a
 // crashed flush loses the tail of the measurement silently.
 func EmitUnchecked(w *bufio.Writer, phase string, wallUS float64) {
 	fmt.Fprintf(w, `{"phase":%q,"wall_us":%v}`+"\n", phase, wallUS) // want `error from Fprintf discarded`
@@ -26,7 +26,7 @@ func CloseUnchecked(w *bufio.Writer, sink io.Writer) {
 	_, _ = io.WriteString(sink, "EOF\n") // want `error from WriteString blanked with _`
 }
 
-// EmitSticky is the discipline the real probe uses: the first write or
+// EmitSticky is the discipline the trace writer uses: the first write or
 // flush failure is recorded and every later record is a no-op against it.
 func EmitSticky(w *bufio.Writer, phase string, wallUS float64, werr *error) {
 	if *werr != nil {

@@ -1,10 +1,10 @@
 // Package resview mirrors bpart/internal/resview: the runtime-resource
-// observer whose entire job is reading the host clock and runtime. Like
+// view whose entire subject is host time and runtime state. Like
 // telemetry, it sits outside the deterministic set — wall-clock reads here
 // are the feature, not a leak — so nothing may be flagged. The boundary
 // holds in the other direction: the deterministic packages never import
-// resview, they only hold telemetry.Tracer (the probe is one of its sinks,
-// writing the spans it sees as a trace of its own with res_* attrs).
+// resview, they only hold telemetry.Tracer (whose trace writer records
+// each span's res_* attrs).
 package resview
 
 import "time"

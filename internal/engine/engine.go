@@ -110,9 +110,9 @@ func (e *Engine) run(step func(it int) (cluster.IterationStats, bool), checkpoin
 // SetTelemetry implements telemetry.Instrumentable: the tracer receives one
 // run-level span per algorithm invocation and — via the underlying cluster
 // — one "cluster.superstep" record per BSP iteration carrying the
-// IterationStats (a resource probe, being a tracer, measures the same runs
-// and supersteps in host time and alloc/GC activity). reg (may be nil) is
-// teed beside the tracer (see telemetry.Instrumentable).
+// IterationStats (a JSONL trace also records each run span's host time and
+// alloc/GC deltas). reg (may be nil) is teed beside the tracer (see
+// telemetry.Instrumentable).
 func (e *Engine) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 	e.tel = telemetry.Tee(tr, reg)
 	e.cl.SetTelemetry(e.tel, nil)

@@ -43,8 +43,7 @@ type Options struct {
 	Walkers int
 	// Tracer, when non-nil, is attached to every engine an experiment
 	// builds (the Parallel Speedup sweep's engines run quiet); `bench
-	// -trace` and `bench -resources` (whose probe is a tracer sink) both
-	// arrive here, as do `-pprof`'s registry and `-json`'s
+	// -trace` arrives here, as do `-pprof`'s registry and `-json`'s
 	// HistogramSink. Observation-only — results are identical with or
 	// without it.
 	Tracer telemetry.Tracer

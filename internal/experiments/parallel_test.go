@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"bpart/internal/resview"
+	"bpart/internal/telemetry"
 )
 
 func TestWidthsDefaultHostIndependent(t *testing.T) {
@@ -16,16 +16,16 @@ func TestWidthsDefaultHostIndependent(t *testing.T) {
 
 // Every measurement of the sweep is a bit-identity proof with a positive
 // wall time, and the 1-worker point is each curve's speedup baseline. The
-// sweep's engines run quiet: a probe handed in as the run's tracer records
-// nothing, so the ladder never reaches a trace or resource log.
-func TestParallelSweepFeedsResourceCurves(t *testing.T) {
+// sweep's engines run quiet: a JSONL trace handed in as the run's tracer
+// records nothing, so the ladder never reaches a trace.
+func TestParallelSweepRunsQuiet(t *testing.T) {
 	var buf bytes.Buffer
-	probe := resview.NewProbe(&buf)
-	ms, err := runParallel(Options{Scale: testScale, Tracer: probe}, []string{"Chunk-V"}, []int{1, 2})
+	trace := telemetry.NewJSONL(&buf)
+	ms, err := runParallel(Options{Scale: testScale, Tracer: trace}, []string{"Chunk-V"}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.Close(); err != nil {
+	if err := trace.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if want := len(parallelEngines) * 2; len(ms) != want {

@@ -52,7 +52,7 @@ var families = []family{
 		},
 	},
 	{
-		// Not a format either: a -resources file is a trace whose records
+		// Not a format either: a resource log is a trace whose spans
 		// carry res_* attrs. The row pins that the resource view adds no
 		// tolerance of its own to the trace reader's verdict.
 		name: "traceview", view: "resview", what: "trace",

@@ -1,6 +1,6 @@
 // Package recordlog is the JSONL record-log substrate under the repo's two
-// log formats (trace, which also carries the resource probe's attrs and the
-// partition decision audit's events; request):
+// log formats (trace, which also carries its spans' res_* resource deltas
+// and the partition decision audit's events; request):
 // the one writer and the one reader every family's framing contract comes
 // from. It knows nothing about any family's schema — families marshal and
 // parse their own records — and imports only the standard library. The
@@ -24,7 +24,7 @@ import (
 )
 
 // Writer appends whole lines to a log. Line and Fail have no error result
-// because their callers (tracers, probes, request handlers) have no error
+// because their callers (tracers, request handlers) have no error
 // channel of their own; the first failure is kept and surfaced by Flush and
 // Close, so a truncated log is never silent.
 type Writer struct {

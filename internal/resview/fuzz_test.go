@@ -10,7 +10,7 @@ import (
 // FuzzRead throws arbitrary byte streams at the read path of `tracestat
 // resources` — traceview.Read, then this package's decode of the res_*
 // attrs. It must never panic, must derive the same views from the same
-// bytes twice, every decoded number must be one a Probe could have written
+// bytes twice, every decoded number must be one the trace writer could have written
 // (non-negative), and anything the decode accepts must render.
 func FuzzRead(f *testing.F) {
 	valid := validLine(0, "partition.stream", 123.5, `"k":8,`)
@@ -23,7 +23,7 @@ func FuzzRead(f *testing.F) {
 	// Interior damage and all-garbage first lines: hard errors.
 	f.Add([]byte("garbage\n" + valid))
 	f.Add([]byte("garbage\n"))
-	// What a Probe never writes: a schema-v1 line, a string for a number,
+	// What the trace writer never writes: a schema-v1 line, a string for a number,
 	// a negative lap, a negative span; and a plain trace record.
 	f.Add([]byte(`{"v":1,"type":"resource","seq":0,"kind":"span","phase":"a","wall_us":1}` + "\n"))
 	f.Add([]byte(`{"ts":"2026-08-20T12:00:00Z","type":"span","name":"a","dur_us":1,"attrs":{"res_allocs":"1"}}` + "\n"))

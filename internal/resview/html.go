@@ -20,7 +20,7 @@ func WriteHTML(w io.Writer, tr *traceview.Trace, title string) error {
 			ew.Printf("<p class=\"warn\">final log line torn; analyzing the intact prefix</p>\n")
 		}
 		if len(phases) == 0 {
-			ew.Printf("<p class=\"meta\">No resource records: capture was off (enable with -resources / resview.NewProbe).</p>\n")
+			ew.Printf("<p class=\"meta\">No resource records: capture was off (record the run with -trace).</p>\n")
 			return
 		}
 		ew.Printf("<p class=\"meta\">%d records across %d phases (schema v1)</p>\n", records(phases), len(phases))

@@ -37,7 +37,7 @@ func fmtUS(us float64) string {
 	}
 }
 
-// records is the number of probed records behind phases.
+// records is the number of resource records behind phases.
 func records(phases []PhaseSummary) (n int) {
 	for _, s := range phases {
 		n += s.Count
@@ -46,7 +46,7 @@ func records(phases []PhaseSummary) (n int) {
 }
 
 // WriteReport renders the terminal resource report of tr (what
-// traceview.Read returned for a -resources file): the phase self-time
+// traceview.Read returned for a -trace file): the phase self-time
 // breakdown and alloc/GC attribution. The "schema v1" in the header names
 // the res_* attr set; the line is pinned by the golden reports.
 func WriteReport(w io.Writer, tr *traceview.Trace) error {
@@ -59,7 +59,7 @@ func WriteReport(w io.Writer, tr *traceview.Trace) error {
 		ew.Printf("WARNING: final log line torn (run crashed mid-write); analyzing the intact prefix\n")
 	}
 	if len(phases) == 0 {
-		ew.Printf("No resource records: capture was off (enable with -resources / resview.NewProbe).\n")
+		ew.Printf("No resource records: capture was off (record the run with -trace).\n")
 		return ew.Err
 	}
 	ew.Printf("RESOURCES: %d records across %d phases (schema v1)\n", records(phases), len(phases))

@@ -1,21 +1,19 @@
 // Package resview is the runtime-resource half of the repo's
-// observability story: a Probe (a telemetry.Tracer sink, the one hook
-// interface the deterministic packages hold) snapshots real machine
-// state — wall clock, allocations, live heap, GC cycles and pauses,
-// goroutine counts — around every trace span (partition streams, BPart
-// combining layers, engine and walk runs, bench experiments) and between
-// consecutive events of one name (cluster supersteps). It has no format of
-// its own: the probe decorates telemetry.JSONL, so a resource log is a
-// trace whose records carry the deltas as res_* attrs, traceview.Read
-// reads it, and this package derives the phase self-time breakdown and
-// alloc/GC attribution from those attrs.
-// cmd/tracestat's `resources` subcommand is the CLI over it.
+// observability story. It has no writer and no format of its own: the one
+// trace writer, telemetry.JSONL, snapshots real machine state —
+// allocations, live heap, GC cycles, pauses and CPU, goroutine counts —
+// when a span starts and when it ends (partition streams, BPart combining
+// layers, engine and walk runs, bench experiments) and writes the deltas
+// as res_* attrs on the span record. traceview.Read reads the trace, and
+// this package derives the phase self-time breakdown and alloc/GC
+// attribution from those attrs. cmd/tracestat's `resources` subcommand is
+// the CLI over it.
 //
 // Everything here is host-dependent by nature and therefore lives outside
-// the determinism boundary: capture is strictly opt-in, an unobserved run
-// holds the no-op tracer, and the probe writes to its own file, so no
-// res_* attr ever flows into the -trace file or the BENCH byte-identity
-// path.
+// the determinism boundary: only span records carry res_* attrs, next to
+// their ts and dur_us, and an unobserved run holds the no-op tracer, so no
+// res_* value ever flows into an assignment, an audit event or the BENCH
+// byte-identity path.
 package resview
 
 import (
@@ -25,14 +23,15 @@ import (
 	"bpart/internal/traceview"
 )
 
-// decode returns the numbers a Probe attached to r, keyed by attr name:
-// every attr under the res_ prefix, plus "res_wall_us" for a span, whose
-// wall time is the record's own dur_us (an event carries its lap — the wall
-// time since the previous event of its name — as that attr). It returns nil
-// for a record with no res_* attr: a plain -trace record, which every view
-// here skips. The file is outside input, so what a Probe never writes is an
-// error rather than a number: a res_* value that is not a number, or a
-// negative one (dur_us included).
+// decode returns the resource numbers of r, keyed by attr name: every attr
+// under the res_ prefix, plus "res_wall_us" for a span, whose wall time is
+// the record's own dur_us (an event in a log recorded before the resource
+// deltas rode on the trace's spans carries its lap, the wall time since
+// the previous event of its name, as that attr). It returns nil for a
+// record with no res_* attr, such as an event, which every view here
+// skips. The file is outside input, so what the trace writer never writes
+// is an error rather than a number: a res_* value that is not a number, or
+// a negative one (dur_us included).
 func decode(r *traceview.Record) (map[string]float64, error) {
 	var u map[string]float64
 	bad := "" // the first offender in key order, so the error is the same every run

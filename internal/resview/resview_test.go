@@ -2,7 +2,6 @@ package resview
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -21,16 +20,19 @@ func read(t *testing.T, in string) *traceview.Trace {
 	return tr
 }
 
-func TestProbeRoundTrip(t *testing.T) {
+// A span written by the trace writer decodes to its resource deltas, with
+// its own dur_us as the wall time; an event carries no res_* attr, so it
+// decodes to nothing and is no phase of the summary.
+func TestTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProbe(&buf)
-	pe := p.Span("partition.stream", telemetry.Int("k", 8))
+	trace := telemetry.NewJSONL(&buf)
+	sp := trace.Span("partition.stream", telemetry.Int("k", 8))
 	waste := make([]byte, 1<<20)
 	_ = waste
-	pe.End(telemetry.Int("placed", 100))
-	p.Event("cluster.superstep", telemetry.Int("iter", 0))
-	p.Event("cluster.superstep", telemetry.Int("iter", 1))
-	if err := p.Close(); err != nil {
+	sp.End(telemetry.Int("placed", 100))
+	trace.Event("cluster.superstep", telemetry.Int("iteration", 0), telemetry.Any("compute", []float64{1, 2}))
+	trace.Event("cluster.superstep", telemetry.Int("iteration", 1), telemetry.Any("compute", []float64{1, 2}))
+	if err := trace.Close(); err != nil {
 		t.Fatal(err)
 	}
 	tr := read(t, buf.String())
@@ -65,55 +67,16 @@ func TestProbeRoundTrip(t *testing.T) {
 	if _, twice := r.Attrs["res_wall_us"]; twice {
 		t.Fatal("a span's wall time is written twice")
 	}
-	for _, lap := range tr.Records[1:] {
-		if lap.Type != "event" || lap.Name != "cluster.superstep" {
-			t.Fatalf("lap not recorded as an event: %+v", lap)
+	for _, ev := range tr.Records[1:] {
+		if ev.Type != "event" || ev.Name != "cluster.superstep" {
+			t.Fatalf("event not recorded as an event: %+v", ev)
 		}
-		if _, ok := lap.Float("res_wall_us"); !ok {
-			t.Fatalf("lap without res_wall_us: %+v", lap)
+		if u, err := decode(&ev); err != nil || u != nil {
+			t.Fatalf("event carries resource numbers: %v, %v", u, err)
 		}
 	}
-}
-
-func TestProbeNilSafe(t *testing.T) {
-	var p *Probe
-	pe := p.Span("x")
-	pe.End()
-	p.Event("y")
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// failWriter fails every write after the first n bytes.
-type failWriter struct{ n int }
-
-func (w *failWriter) Write(b []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, errors.New("disk full")
-	}
-	if len(b) > w.n {
-		n := w.n
-		w.n = 0
-		return n, errors.New("disk full")
-	}
-	w.n -= len(b)
-	return len(b), nil
-}
-
-func TestProbeWriteErrorSticky(t *testing.T) {
-	p := NewProbe(&failWriter{n: 10})
-	for i := 0; i < 4; i++ {
-		p.Span("x").End()
-	}
-	if err := p.Close(); err == nil {
-		t.Fatal("Close hid the write failure")
-	}
-	if err := p.Flush(); err == nil {
-		t.Fatal("error not sticky across Flush calls")
+	if s, err := Summarize(tr); err != nil || len(s) != 1 || s[0].Phase != "partition.stream" {
+		t.Fatalf("summary %+v, %v: want the one span", s, err)
 	}
 }
 
@@ -145,7 +108,7 @@ func TestReadTornTail(t *testing.T) {
 	}
 }
 
-// What a Probe never writes is rejected, not summed: the file is outside
+// What the trace writer never writes is rejected, not summed: the file is outside
 // input. A schema-v1 resource log (any commit before the resource log
 // became a trace) is refused by the one reader with a message that says
 // what to do.
@@ -178,7 +141,7 @@ func TestReadHardErrors(t *testing.T) {
 	v1 := `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":123.5,"allocs":10,"alloc_bytes":4096,"heap_bytes":1000,"gc_cycles":1,"gc_pause_us":5,"goroutines":2}` + "\n"
 	for name, in := range map[string]string{"v1 log": v1 + v1, "v1 line in a trace": validLine(0, "a", 1, "") + v1 + validLine(1, "b", 1, "")} {
 		_, err := traceview.Read(strings.NewReader(in))
-		if err == nil || !strings.Contains(err.Error(), "schema-v1 resource log") || !strings.Contains(err.Error(), "re-record with -resources") {
+		if err == nil || !strings.Contains(err.Error(), "schema-v1 resource log") || !strings.Contains(err.Error(), "re-record with -trace") {
 			t.Errorf("%s: err = %v, want the re-record message", name, err)
 		}
 	}
@@ -198,7 +161,7 @@ func TestReadEmptyAndBlankLines(t *testing.T) {
 			t.Errorf("%s: report = %q", name, out)
 		}
 	}
-	// Probed and plain records mix: only the probed ones count.
+	// Spans with res_* attrs and plain records mix: only the former count.
 	if s, err := Summarize(read(t, plain+validLine(2, "a", 1, ""))); err != nil || len(s) != 1 || s[0].Count != 1 {
 		t.Errorf("mixed file: %v, %v", s, err)
 	}

@@ -6,10 +6,11 @@ import (
 	"bpart/internal/traceview"
 )
 
-// PhaseSummary aggregates every probed record of one name.
+// PhaseSummary aggregates every record with res_* attrs of one name.
 type PhaseSummary struct {
 	Phase string
-	// Count is the number of records (spans + laps) under the name.
+	// Count is the number of records (spans, and the laps of a log
+	// recorded before laps were dropped) under the name.
 	Count int
 	// WallUS, Allocs, AllocBytes, GCCycles, GCPauseUS and GCCPUUS are the
 	// summed deltas across those records.
@@ -24,12 +25,13 @@ type PhaseSummary struct {
 	MaxGoroutines int
 }
 
-// Summarize groups the probed records of tr (what traceview.Read returned
-// for a -resources file) by name and sums their deltas, sorted by total
-// wall time descending (name ascending on ties), so the heaviest phases
-// lead the report deterministically. Records without res_* attrs are
-// skipped, so a plain trace summarizes to nothing; a malformed res_* attr
-// is an error.
+// Summarize groups the records of tr that carry res_* attrs (the spans of
+// what traceview.Read returned for a -trace file) by name and sums their
+// deltas, sorted by total wall time descending (name ascending on ties),
+// so the heaviest phases lead the report deterministically. Records
+// without res_* attrs are skipped, so events and a trace recorded before
+// spans carried resources summarize to nothing; a malformed res_* attr is
+// an error.
 func Summarize(tr *traceview.Trace) ([]PhaseSummary, error) {
 	byName := map[string]*PhaseSummary{}
 	for i := range tr.Records {

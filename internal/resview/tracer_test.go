@@ -2,79 +2,70 @@ package resview
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
+	"bpart/internal/core"
+	"bpart/internal/gen"
 	"bpart/internal/telemetry"
 	"bpart/internal/traceview"
 )
 
-// The probe is a telemetry.Tracer sink: span attrs from Span, Annotate and
-// End all land on the span record, an event carries its lap, and structured
-// (Any) payloads — a superstep's per-machine arrays — stay out of the log.
-func TestProbeIsTracerSink(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProbe(&buf)
-	var tr telemetry.Tracer = p
-	if !tr.Enabled() {
-		t.Fatal("live probe reports disabled")
-	}
-	sp := tr.Span("bpart.layer", telemetry.Int("layer", 1))
-	sp.Annotate(telemetry.Int("pieces", 16))
-	sp.End(telemetry.Int("groups_frozen", 3), telemetry.Float("bad", math.NaN()))
-	tr.Event("cluster.superstep",
-		telemetry.Int("iteration", 0),
-		telemetry.Any("compute", []float64{1, 2}),
-		telemetry.Any("pairs", [][]int64{{0, 1}, {1, 0}}),
-		telemetry.String("phase", "checkpoint"))
-	if err := p.Close(); err != nil {
+// A traced BPart run's resource view is its span tree: every phase is a
+// span name (the partition, its layers, their streams and the refine
+// pass), none is an audit.* event, and the whole partition leads. Event
+// laps, each running from the previous event of its name or from the
+// start of capture, used to credit one-off events with nearly the run.
+func TestBPartTracePhasesAreSpans(t *testing.T) {
+	g, err := gen.Preset(gen.TwitterSim, 0.02)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "compute") || strings.Contains(buf.String(), "pairs") {
-		t.Fatalf("structured attrs entered the resource log:\n%s", buf.String())
+	b, err := core.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	log := read(t, buf.String())
-	if len(log.Records) != 2 {
-		t.Fatalf("got %d records, want 2", len(log.Records))
+	var buf bytes.Buffer
+	trace := telemetry.NewJSONL(&buf)
+	b.SetTelemetry(trace, nil)
+	if _, err := b.Partition(g, 8); err != nil {
+		t.Fatal(err)
 	}
-	// The NaN attr is unencodable: the inner writer degrades the span to an
-	// attr-less error record instead of failing the log.
-	if r := log.Records[0]; r.Type != "error" || r.Name != "bpart.layer" || len(r.Attrs) != 0 {
-		t.Fatalf("degraded span record: %+v", r)
+	if err := trace.Close(); err != nil {
+		t.Fatal(err)
 	}
-	lap := log.Records[1]
-	if lap.Type != "event" || lap.Name != "cluster.superstep" {
-		t.Fatalf("lap record: %+v", lap)
+	tr := read(t, buf.String())
+	if al, err := tr.Audit(); err != nil || len(al.Decisions) == 0 {
+		t.Fatalf("the traced run emitted no audit decisions: %v", err)
 	}
-	if it, ok := lap.Int("iteration"); !ok || it != 0 {
-		t.Fatalf("lap iteration: %v %v", it, ok)
+	phases, err := Summarize(tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s, ok := lap.Str("phase"); !ok || s != "checkpoint" {
-		t.Fatalf("lap phase attr: %q %v", s, ok)
+	var names []string
+	for _, p := range phases {
+		names = append(names, p.Phase)
 	}
-	if s, err := Summarize(log); err != nil || len(s) != 1 || s[0].Phase != "cluster.superstep" {
-		t.Fatalf("summary of a log with a degraded record: %+v, %v", s, err)
+	slices.Sort(names)
+	if want := []string{"bpart.layer", "bpart.partition", "bpart.refine", "partition.stream"}; !slices.Equal(names, want) {
+		t.Fatalf("resource phases %v, want the run's span names %v", names, want)
 	}
-
-	var nilProbe *Probe
-	if nilProbe.Enabled() {
-		t.Fatal("nil probe reports enabled")
-	}
-	if telemetry.Tee(nilProbe) != telemetry.Nop() {
-		t.Fatal("a nil probe survives Tee")
+	if phases[0].Phase != "bpart.partition" || phases[0].Count != 1 {
+		t.Fatalf("largest phase %+v, want the one bpart.partition span", phases[0])
 	}
 }
 
+// Span attrs from Span, Annotate and End all land on the span record,
+// beside the resource deltas End appends.
 func TestSpanAttrsAccumulate(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProbe(&buf)
-	sp := p.Span("bpart.layer", telemetry.Int("layer", 1))
+	trace := telemetry.NewJSONL(&buf)
+	sp := trace.Span("bpart.layer", telemetry.Int("layer", 1))
 	sp.Annotate(telemetry.Int("pieces", 16))
 	sp.End(telemetry.Int("groups_frozen", 3))
-	if err := p.Close(); err != nil {
+	if err := trace.Close(); err != nil {
 		t.Fatal(err)
 	}
 	tr := read(t, buf.String())
@@ -82,6 +73,9 @@ func TestSpanAttrsAccumulate(t *testing.T) {
 		if got, ok := tr.Records[0].Int(key); !ok || got != want {
 			t.Fatalf("attr %q = %v (%v), want %d", key, got, ok, want)
 		}
+	}
+	if u, err := decode(&tr.Records[0]); err != nil || u == nil {
+		t.Fatalf("span without resource deltas: %v, %v", u, err)
 	}
 }
 
@@ -114,54 +108,5 @@ func TestParentRecordedLogRendersIdentically(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("%s drifted from the parent's bytes:\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
 		}
-	}
-}
-
-func TestOpenSinks(t *testing.T) {
-	dir := t.TempDir()
-	tr, closeLogs, err := OpenSinks("", "")
-	if err != nil || tr != telemetry.Nop() {
-		t.Fatalf("no paths: tracer %T, err %v", tr, err)
-	}
-	if err := closeLogs(); err != nil {
-		t.Fatal(err)
-	}
-
-	tracePath, resPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "r.jsonl")
-	tr, closeLogs, err = OpenSinks(tracePath, resPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Span("bench.experiment").End()
-	tr.Event("cluster.superstep", telemetry.Int("iteration", 0))
-	if err := closeLogs(); err != nil {
-		t.Fatal(err)
-	}
-	trace, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(trace), "\n"); n != 2 {
-		t.Fatalf("trace has %d lines, want 2:\n%s", n, trace)
-	}
-	res, err := traceview.ReadFile(resPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 2 || res.Records[0].Type != "span" || res.Records[1].Type != "event" {
-		t.Fatalf("resource records: %+v", res.Records)
-	}
-	if s, err := Summarize(res); err != nil || len(s) != 2 {
-		t.Fatalf("resource file summary: %+v, %v", s, err)
-	}
-
-	// The second file failing to open must not leak the first: its handle is
-	// closed (the file exists, empty) and no tracer is returned.
-	orphan := filepath.Join(dir, "orphan.jsonl")
-	if _, _, err := OpenSinks(orphan, filepath.Join(dir, "missing", "r.jsonl")); err == nil {
-		t.Fatal("unwritable resource path accepted")
-	}
-	if _, err := os.Stat(orphan); err != nil {
-		t.Fatalf("trace file not created before the failure: %v", err)
 	}
 }

@@ -2,7 +2,7 @@ package telemetry
 
 // Tee returns a tracer that forwards every Span and Event to each of
 // tracers in argument order, so one hook site feeds several sinks (the
-// JSONL trace and the resource probe behind -trace and -resources). nil
+// JSONL trace behind -trace and the registry behind -metrics). nil
 // and disabled tracers are dropped up front: zero survivors is the no-op
 // tracer, one is that tracer itself, so the unobserved path stays
 // allocation-free.

@@ -263,7 +263,12 @@ func (m *Memory) Reset() {
 
 // JSONL streams records as one JSON object per line:
 //
-//	{"ts":"2026-08-06T10:11:12.13Z","type":"span","name":"bpart.layer","dur_us":812.4,"attrs":{"layer":1,"pieces":16}}
+//	{"ts":"2026-08-06T10:11:12.13Z","type":"span","name":"bpart.layer","dur_us":812.4,"attrs":{"layer":1,"pieces":16,"res_allocs":210,...}}
+//
+// Every span record also carries the runtime resource deltas of its
+// interval as res_* attrs (resources.go); events carry none. So in a trace
+// only span records hold host-dependent values (ts, dur_us, res_*), and
+// an event's only one is its ts.
 //
 // Lines go through a recordlog.Writer that flushes every flushCadence
 // records, so a run that dies without Close still leaves a parseable prefix
@@ -271,6 +276,7 @@ func (m *Memory) Reset() {
 // mid-write); call Close (or Flush) before reading the output.
 type JSONL struct {
 	log *recordlog.Writer
+	res *resources
 }
 
 // flushCadence is the trace's flush cadence in records: per-superstep
@@ -280,14 +286,20 @@ const flushCadence = 256
 
 // NewJSONL returns a tracer writing JSON lines to w.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{log: recordlog.NewWriter(w, flushCadence)}
+	return &JSONL{log: recordlog.NewWriter(w, flushCadence), res: newResources()}
 }
 
 // Enabled implements Tracer.
 func (t *JSONL) Enabled() bool { return true }
 
-// Span implements Tracer.
-func (t *JSONL) Span(name string, attrs ...Attr) Span { return startSpan(t, name, attrs) }
+// Span implements Tracer. The begin snapshot is taken before the span's
+// clock starts; End takes the end snapshot before it stops.
+func (t *JSONL) Span(name string, attrs ...Attr) Span {
+	t.res.mu.Lock()
+	begin := t.res.take()
+	t.res.mu.Unlock()
+	return &resSpan{Span: startSpan(t, name, attrs), res: t.res, begin: begin}
+}
 
 // Event implements Tracer.
 func (t *JSONL) Event(name string, attrs ...Attr) {

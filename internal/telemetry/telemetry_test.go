@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -112,12 +113,51 @@ func TestJSONLOutput(t *testing.T) {
 	if v, ok := attrs["pieceV"].([]any); !ok || len(v) != 2 {
 		t.Fatalf("Any slice attr not encoded: %v", attrs["pieceV"])
 	}
+	// The span carries its resource deltas; the event carries none.
+	for _, key := range []string{"res_allocs", "res_alloc_bytes", "res_heap_bytes", "res_gc_cycles", "res_gc_pause_us", "res_gc_cpu_us", "res_goroutines"} {
+		if v, ok := attrs[key].(float64); !ok || v < 0 {
+			t.Errorf("span %s = %v, want a non-negative number", key, attrs[key])
+		}
+	}
 	ev := lines[1]
 	if ev["type"] != "event" || ev["name"] != "cap.hit" {
 		t.Fatalf("bad event line: %v", ev)
 	}
 	if _, hasDur := ev["dur_us"]; hasDur {
 		t.Fatal("event line carries dur_us")
+	}
+	if evAttrs := ev["attrs"].(map[string]any); len(evAttrs) != 1 {
+		t.Fatalf("event attrs %v, want only its own", evAttrs)
+	}
+}
+
+// failWriter fails every write after the first n bytes.
+type failWriter struct{ n int }
+
+func (w *failWriter) Write(b []byte) (int, error) {
+	if w.n <= 0 {
+		return 0, errors.New("disk full")
+	}
+	if len(b) > w.n {
+		n := w.n
+		w.n = 0
+		return n, errors.New("disk full")
+	}
+	w.n -= len(b)
+	return len(b), nil
+}
+
+// A write failure is kept: Close reports it, and so does every Flush after.
+func TestJSONLWriteErrorSticky(t *testing.T) {
+	tr := NewJSONL(&failWriter{n: 10})
+	for i := 0; i < 4; i++ {
+		tr.Span("x").End()
+	}
+	if err := tr.Close(); err == nil {
+		t.Fatal("Close hid the write failure")
+	}
+	if err := tr.Flush(); err == nil {
+		t.Fatal("error not sticky across Flush calls")
 	}
 }
 

@@ -22,9 +22,10 @@ type Superstep struct {
 }
 
 // Supersteps decodes every cluster.superstep event in trace order. One
-// with none of the per-machine arrays is the resource probe's scalar-only
-// copy (a -resources file) and is skipped; one missing some of them is an
-// error: the trace came from an incompatible writer, not PR-1's cluster.
+// with none of the per-machine arrays is a scalar-only copy (the laps of a
+// resource log recorded before resource deltas rode on the trace's spans)
+// and is skipped; one missing some of them is an error: the trace came
+// from an incompatible writer, not PR-1's cluster.
 func Supersteps(tr *Trace) ([]Superstep, error) {
 	var out []Superstep
 	for _, r := range tr.Events("cluster.superstep") {

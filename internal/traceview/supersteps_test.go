@@ -254,8 +254,8 @@ func superstepLine(iter int, extra string) string {
 
 // Phase and Pairs are decoded with the rest of the superstep: absent means
 // "" and nil (an algorithm superstep, matrix capture off), a present but
-// malformed matrix is an error naming the superstep, and the resource
-// probe's scalar-only copy of the event is skipped, not an error.
+// malformed matrix is an error naming the superstep, and an old resource
+// log's scalar-only copy of the event is skipped, not an error.
 func TestSuperstepPhaseAndPairs(t *testing.T) {
 	scalarOnly := `{"ts":"2026-08-07T12:00:00Z","type":"event","name":"cluster.superstep","attrs":{"iteration":5,"machines":2,"time_us":100,"phase":"restore","res_wall_us":12}}` + "\n"
 	tr, err := Read(strings.NewReader(superstepLine(0, "") + scalarOnly +

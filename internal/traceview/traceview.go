@@ -1,6 +1,7 @@
 // Package traceview is the read/analyze half of the repo's observability
-// story: internal/telemetry writes JSONL traces (-trace, and -resources
-// through the resource probe) and traceview is their one reader.
+// story: internal/telemetry writes JSONL traces (-trace; every span record
+// carries its runtime resource deltas as res_* attrs) and traceview is
+// their one reader.
 //
 // It parses the JSONL schema back into typed records, reconstructs span
 // nesting from wall-clock containment, decodes the per-superstep
@@ -149,8 +150,9 @@ func parseLine(line []byte) (Record, error) {
 	switch jr.Type {
 	case "span", "event", "error":
 	case "resource":
-		// The pre-trace -resources format: say so, not `bad ts ""`.
-		return Record{}, fmt.Errorf("schema-v1 resource log from before the resource log became a trace; re-record with -resources")
+		// The resource log format from before it became a trace: say so,
+		// not `bad ts ""`.
+		return Record{}, fmt.Errorf("schema-v1 resource log from before the resource log became a trace; re-record with -trace")
 	default:
 		return Record{}, fmt.Errorf("unknown record type %q", jr.Type)
 	}

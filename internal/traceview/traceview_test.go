@@ -99,7 +99,7 @@ func TestReadRejectsUnknownType(t *testing.T) {
 	// A schema-v1 resource record (the -resources format before it became
 	// a trace) has no ts; the error names the format, not the timestamp.
 	v1 := `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"a","wall_us":1}` + "\n"
-	if _, err := Read(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "re-record with -resources") || strings.Contains(err.Error(), "bad ts") {
+	if _, err := Read(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "re-record with -trace") || strings.Contains(err.Error(), "bad ts") {
 		t.Fatalf("schema-v1 resource line: %v", err)
 	}
 }

@@ -221,9 +221,9 @@ func (e *Engine) SetFaults(ctl *fault.Controller) error {
 // SetTelemetry implements telemetry.Instrumentable: the tracer receives one
 // "walk.run" span per Run and — via the underlying cluster — one
 // "cluster.superstep" record per BSP iteration, so a DeepWalk run produces
-// the full machine-level timeline of Figs 12/13 (a resource probe, being
-// a tracer, measures the same run and supersteps in host time). reg (may
-// be nil) is teed beside the tracer (see telemetry.Instrumentable).
+// the full machine-level timeline of Figs 12/13 (a JSONL trace also
+// records the run span's host time and alloc/GC deltas). reg (may be nil)
+// is teed beside the tracer (see telemetry.Instrumentable).
 func (e *Engine) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 	e.tel = telemetry.Tee(tr, reg)
 	e.cl.SetTelemetry(e.tel, nil)
