@@ -279,7 +279,7 @@ func TestBenchTraceCarriesResources(t *testing.T) {
 	if id, _ := l.Records[0].Str("id"); id != "Parallel Speedup" {
 		t.Fatalf("bench.experiment id %q", id)
 	}
-	if n, ok := l.Records[0].Int("res_goroutines"); !ok || n < 1 {
+	if n, ok := l.Records[0].Int("res_allocs"); !ok || n < 1 {
 		t.Fatalf("bench.experiment span without resource deltas: %+v", l.Records[0])
 	}
 }

@@ -8,8 +8,9 @@
 // critical-path split); stragglers and critpath print just their section;
 // comm analyzes the src→dst matrices of a matrix-capture run
 // (Cluster.SetCommMatrix); resources analyzes the res_* attrs of the
-// trace's spans (phase self-time, alloc/GC attribution). Request logs: serve prints
-// per-endpoint and per-part latency percentiles and the version census.
+// trace's spans (per-phase inclusive wall time, alloc/GC attribution).
+// Request logs: serve prints per-endpoint and per-part latency percentiles
+// and the version census.
 // The partition decision audit, the audit.* events of a trace of a BPart,
 // Fennel or LDG run: explain prints every sampled placement of one vertex (the
 // per-piece score table, the chosen piece, its cause and the runner-up

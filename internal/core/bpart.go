@@ -15,7 +15,9 @@
 // remains. Combined subgraphs within the balance threshold in BOTH
 // dimensions are frozen; the rest are dissolved and re-partitioned at the
 // next layer with a doubled over-split factor (Fig 9), typically converging
-// in two or three layers.
+// in two or three layers. A residual whose vertex or arc total already
+// misses the band of the parts it must fill goes straight to the last
+// layer, which freezes unconditionally.
 package core
 
 import (
@@ -201,15 +203,20 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	// parts than vertices (k > n) the one-vertex groups freeze and the empty
 	// ones never can, the shape every other scheme gives.
 	for layer := 1; nr > 0 && len(remaining) > 0; layer++ {
+		ms := 0 // Σ out-degree of the residual: its |E| and the stream's CapE
+		for _, v := range remaining {
+			ms += g.OutDegree(v)
+		}
+		// A residual whose totals miss nr parts' band cannot freeze all nr
+		// groups, so a layer before the last would be streamed only to be
+		// dissolved (Fig 9's recursion). Run the last layer now, at the
+		// piece count it would have had: the skipped layers' numbers stay
+		// unused, the only record of the jump (DESIGN.md, addition 7).
+		if layer < maxLayers && nr > 1 && !b.fits(len(remaining), ms, float64(nr)*targetV, float64(nr)*targetE) {
+			layer = maxLayers
+		}
 		last := layer >= maxLayers || nr == 1
-		pieces := nr * pow(b.cfg.SplitFactor, layer)
-		// Never use more pieces than remaining vertices.
-		if pieces > len(remaining) {
-			pieces = len(remaining)
-		}
-		if pieces < nr {
-			pieces = nr
-		}
+		pieces := b.layerPieces(layer, nr, len(remaining))
 		layerSpan := tr.Span("bpart.layer",
 			telemetry.Int("layer", layer),
 			telemetry.Int("pieces", pieces),
@@ -217,7 +224,7 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			telemetry.Int("remaining_vertices", len(remaining)),
 			telemetry.Int("parts_wanted", nr))
 		// The stream's span and audit events carry their layer.
-		res, err := b.streamLayer(g, in, remaining, pieces, telemetry.With(tr, telemetry.Int("layer", layer)))
+		res, err := b.streamLayer(g, in, remaining, ms, pieces, telemetry.With(tr, telemetry.Int("layer", layer)))
 		if err != nil {
 			layerSpan.End(telemetry.String("error", err.Error()))
 			runSpan.End(telemetry.String("error", err.Error()))
@@ -272,7 +279,7 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		for _, grp := range groups {
 			lt.CombinedV = append(lt.CombinedV, grp.v)
 			lt.CombinedE = append(lt.CombinedE, grp.e)
-			froze := last || b.balanced(grp, targetV, targetE)
+			froze := last || b.fits(grp.v, grp.e, targetV, targetE)
 			if froze {
 				for _, p := range grp.pieces {
 					pieceToFinal[p] = nextFinal
@@ -315,22 +322,21 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 				Groups:  auditGroups,
 			})
 		}
-		// Map vertices of frozen groups to their final part; collect the
-		// rest for the next layer, preserving ID order for stream
-		// locality.
-		var nextRemaining []graph.VertexID
+		// Map vertices of frozen groups to their final part; keep the
+		// rest for the next layer, in place and in ID order for stream
+		// locality (the write index never passes the read index).
+		kept := remaining[:0]
 		for _, v := range remaining {
-			p := res.Parts[v]
-			if f := pieceToFinal[p]; f != partition.Unassigned {
+			if f := pieceToFinal[res.Parts[v]]; f != partition.Unassigned {
 				final[v] = f
 			} else {
-				nextRemaining = append(nextRemaining, v)
+				kept = append(kept, v)
 			}
 		}
+		remaining = kept
 		nr -= lt.Finalized
 		lt.RemainingNr = nr
 		trace.Layers = append(trace.Layers, lt)
-		remaining = nextRemaining
 		// Residual bias of this layer's combined groups against the
 		// global per-part means: the quantity that decides which groups
 		// froze (Fig 9's convergence criterion).
@@ -373,14 +379,18 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	return a, trace, nil
 }
 
+// layerPieces is the piece count of a layer streaming r remaining vertices
+// for nr parts: nr·SplitFactor^layer, but never more pieces than vertices
+// nor fewer than parts.
+func (b *BPart) layerPieces(layer, nr, r int) int {
+	return max(min(nr*pow(b.cfg.SplitFactor, layer), r), nr)
+}
+
 // streamLayer is one layer's partitioning phase: the remaining vertices
-// streamed, in the given order, into pieces under per-piece |V_i| and |E_i|
-// caps at the slack, with undirected affinity read from in = g.In().
-func (b *BPart) streamLayer(g, in *graph.Graph, remaining []graph.VertexID, pieces int, tr telemetry.Tracer) (*partition.StreamResult, error) {
-	var ms int
-	for _, v := range remaining {
-		ms += g.OutDegree(v)
-	}
+// (ms out-arcs in all) streamed, in the given order, into pieces under
+// per-piece |V_i| and |E_i| caps at the slack, with undirected affinity
+// read from in = g.In().
+func (b *BPart) streamLayer(g, in *graph.Graph, remaining []graph.VertexID, ms, pieces int, tr telemetry.Tracer) (*partition.StreamResult, error) {
 	return partition.Stream(g, partition.StreamOptions{
 		K:        pieces,
 		C:        b.cfg.C,
@@ -458,16 +468,18 @@ func combineRound(groups []group, target int, onMerge func(a, b group)) []group 
 	return out
 }
 
-// balanced reports whether a group is within (1±ε) of both per-part means.
-func (b *BPart) balanced(grp group, targetV, targetE float64) bool {
+// fits reports whether v vertices and e arcs are within (1±ε) of the
+// targets in both dimensions: a group of the per-part means freezes, and a
+// residual of nr parts' means can still freeze all nr.
+func (b *BPart) fits(v, e int, targetV, targetE float64) bool {
 	eps := b.cfg.Epsilon
-	if math.Abs(float64(grp.v)-targetV) > eps*targetV {
+	if math.Abs(float64(v)-targetV) > eps*targetV {
 		return false
 	}
 	if metrics.IsZero(targetE) {
 		return true
 	}
-	return math.Abs(float64(grp.e)-targetE) <= eps*targetE
+	return math.Abs(float64(e)-targetE) <= eps*targetE
 }
 
 func pow(base, exp int) int {

@@ -146,6 +146,7 @@ type memberLists struct {
 	vCount, eCount []int // kept current by transfer
 	lists          [][]graph.VertexID
 	sorted         []bool
+	keys           []uint64 // sort scratch, shared by every part
 }
 
 // before is the list order: higher degree first, then higher ID.
@@ -164,18 +165,25 @@ func (m *memberLists) of(p int) []graph.VertexID {
 		for q, c := range m.vCount {
 			m.lists[q] = make([]graph.VertexID, 0, c)
 		}
+		m.keys = make([]uint64, 0, slices.Max(m.vCount))
 		for v, q := range m.parts {
 			m.lists[q] = append(m.lists[q], graph.VertexID(v))
 		}
 	}
 	if !m.sorted[p] {
 		m.sorted[p] = true
-		slices.SortFunc(m.lists[p], func(a, b graph.VertexID) int {
-			if m.before(a, b) {
-				return -1
-			}
-			return 1 // IDs are distinct, so no two members compare equal
-		})
+		// One integer key per member, degree<<32 | ID: ascending keys,
+		// written back from the tail, are the list order.
+		list := m.lists[p]
+		keys := m.keys[:0]
+		for _, v := range list {
+			keys = append(keys, uint64(m.g.OutDegree(v))<<32|uint64(v))
+		}
+		slices.Sort(keys)
+		for i, key := range keys {
+			list[len(list)-1-i] = graph.VertexID(uint32(key))
+		}
+		m.keys = keys
 	}
 	return m.lists[p]
 }

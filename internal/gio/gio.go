@@ -127,7 +127,16 @@ const readChunk = 1 << 14
 // chunk long and double only once the stream has filled them, so a forged
 // header must be backed by actual stream bytes before memory is committed
 // (found by FuzzReadBinary).
-func ReadBinary(r io.Reader) (*graph.Graph, error) {
+func ReadBinary(r io.Reader) (*graph.Graph, error) { return readBinary(r, -1) }
+
+// binaryHeader is the format's byte count before the degree array: magic,
+// n and m.
+const binaryHeader = 4 + 16
+
+// readBinary is ReadBinary over a stream of size bytes (-1 when unknown).
+// A size of exactly binaryHeader + 4n + 4m backs the header with bytes
+// already on disk, so both arrays are allocated once at their final size.
+func readBinary(r io.Reader, size int64) (*graph.Graph, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("gio: magic: %w", err)
@@ -146,8 +155,12 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gio: implausible sizes n=%d m=%d", n, m)
 	}
 	buf := make([]byte, 4*readChunk)
+	nCap, mCap := min(n, readChunk), min(m, readChunk)
+	if size == binaryHeader+4*int64(n)+4*int64(m) {
+		nCap, mCap = n, m
+	}
 
-	offsets := make([]uint64, 1, min(n, readChunk)+1)
+	offsets := make([]uint64, 1, nCap+1)
 	var sum uint64
 	for v := uint64(0); v < n; {
 		c := min(n-v, readChunk)
@@ -165,7 +178,7 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gio: degree sum %d != edge count %d", sum, m)
 	}
 
-	targets := make([]graph.VertexID, 0, min(m, readChunk))
+	targets := make([]graph.VertexID, 0, mCap)
 	for e := uint64(0); e < m; {
 		c := min(m-e, readChunk)
 		if _, err := io.ReadFull(r, buf[:4*c]); err != nil {
@@ -241,6 +254,7 @@ func ReadFile(path string) (*graph.Graph, error) {
 	defer f.Close()
 	var r io.Reader = f
 	inner := path
+	size := int64(-1) // the inner stream's byte count, when the file is it
 	if filepath.Ext(path) == ".gz" {
 		gz, err := gzip.NewReader(f)
 		if err != nil {
@@ -249,9 +263,11 @@ func ReadFile(path string) (*graph.Graph, error) {
 		defer gz.Close()
 		r = gz
 		inner = strings.TrimSuffix(path, ".gz")
+	} else if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+		size = st.Size()
 	}
 	if filepath.Ext(inner) == ".bg" {
-		return ReadBinary(r)
+		return readBinary(r, size)
 	}
 	return ReadEdgeList(r)
 }

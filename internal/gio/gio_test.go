@@ -338,6 +338,53 @@ func TestBinaryForgedHeaderBoundedAlloc(t *testing.T) {
 	}
 }
 
+// ReadFile on a .bg file of exactly the header's size allocates each CSR
+// array once: the total stays within the final arrays plus the chunk buffer,
+// page rounding and the file handle, where doubling would copy both arrays
+// over again. A file one byte longer reads the same graph by the doubling
+// path.
+func TestReadFileSizedByFile(t *testing.T) {
+	g, err := gen.ChungLu(gen.Config{NumVertices: 8*readChunk + 3, AvgDegree: 6, Skew: 0.7, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	exact := filepath.Join(dir, "g.bg")
+	if err := WriteFile(exact, g); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := filepath.Join(dir, "long.bg")
+	if err := os.WriteFile(long, append(data, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	final := uint64(8*(g.NumVertices()+1) + 4*g.NumEdges())
+	for _, c := range []struct {
+		path  string
+		limit uint64
+	}{
+		{exact, final + 4*readChunk + 32<<10},
+		{long, 4 * final},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		back, err := ReadFile(c.path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		if !equalGraphs(g, back) {
+			t.Fatalf("%s: round trip changed graph", c.path)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.limit {
+			t.Errorf("%s: allocated %d bytes for %d bytes of arrays, want at most %d", filepath.Base(c.path), got, final, c.limit)
+		}
+	}
+}
+
 func benchGraph(b *testing.B) *graph.Graph {
 	g, err := gen.ChungLu(gen.Config{NumVertices: 20000, AvgDegree: 16, Skew: 0.75, Seed: 1})
 	if err != nil {

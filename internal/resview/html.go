@@ -8,8 +8,9 @@ import (
 )
 
 // WriteHTML renders the self-contained resource page: horizontal bar
-// charts for phase self-time and allocation attribution. Same chrome as the
-// trace, audit and comm pages (report.Page), no external assets.
+// charts for each phase's inclusive wall time and allocation attribution.
+// Same chrome as the trace, audit and comm pages (report.Page), no
+// external assets.
 func WriteHTML(w io.Writer, tr *traceview.Trace, title string) error {
 	phases, err := Summarize(tr)
 	if err != nil {
@@ -24,7 +25,7 @@ func WriteHTML(w io.Writer, tr *traceview.Trace, title string) error {
 			return
 		}
 		ew.Printf("<p class=\"meta\">%d records across %d phases (schema v1)</p>\n", records(phases), len(phases))
-		writeBarsHTML(ew, "Phase self-time", phases, func(s *PhaseSummary) (float64, string) {
+		writeBarsHTML(ew, "Phase wall time (inclusive of nested spans)", phases, func(s *PhaseSummary) (float64, string) {
 			return s.WallUS, fmtUS(s.WallUS)
 		})
 		writeBarsHTML(ew, "Allocation attribution", phases, func(s *PhaseSummary) (float64, string) {

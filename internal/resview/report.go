@@ -46,8 +46,8 @@ func records(phases []PhaseSummary) (n int) {
 }
 
 // WriteReport renders the terminal resource report of tr (what
-// traceview.Read returned for a -trace file): the phase self-time
-// breakdown and alloc/GC attribution. The "schema v1" in the header names
+// traceview.Read returned for a -trace file): each phase's inclusive wall
+// time and its alloc/GC attribution. The "schema v1" in the header names
 // the res_* attr set; the line is pinned by the golden reports.
 func WriteReport(w io.Writer, tr *traceview.Trace) error {
 	phases, err := Summarize(tr) // before the first byte: bad input fails the command, not half a report
@@ -70,14 +70,14 @@ func WriteReport(w io.Writer, tr *traceview.Trace) error {
 
 func writePhases(ew *report.Printer, phases []PhaseSummary) {
 	maxWall := report.Max(len(phases), func(i int) float64 { return phases[i].WallUS })
-	ew.Printf("  phase self-time (wall clock):\n")
+	ew.Printf("  phase wall time (inclusive: a span's row counts its nested spans):\n")
 	for i, s := range phases {
 		if i >= maxPhases {
 			ew.Printf("    ... %d more phases elided\n", len(phases)-i)
 			break
 		}
-		ew.Printf("    %-24s %s %10s  x%-6d goroutines<=%d\n",
-			s.Phase, report.Bar(s.WallUS, maxWall, 20), fmtUS(s.WallUS), s.Count, s.MaxGoroutines)
+		ew.Printf("    %-24s %s %10s  x%d\n",
+			s.Phase, report.Bar(s.WallUS, maxWall, 20), fmtUS(s.WallUS), s.Count)
 	}
 }
 

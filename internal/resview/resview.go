@@ -1,11 +1,11 @@
 // Package resview is the runtime-resource half of the repo's
 // observability story. It has no writer and no format of its own: the one
 // trace writer, telemetry.JSONL, snapshots real machine state —
-// allocations, live heap, GC cycles, pauses and CPU, goroutine counts —
+// allocations, live heap, GC cycles, pauses and CPU —
 // when a span starts and when it ends (partition streams, BPart combining
 // layers, engine and walk runs, bench experiments) and writes the deltas
 // as res_* attrs on the span record. traceview.Read reads the trace, and
-// this package derives the phase self-time breakdown and alloc/GC
+// this package derives each phase's inclusive wall time and alloc/GC
 // attribution from those attrs. cmd/tracestat's `resources` subcommand is
 // the CLI over it.
 //

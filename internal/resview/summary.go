@@ -20,18 +20,18 @@ type PhaseSummary struct {
 	GCCycles   int64
 	GCPauseUS  float64
 	GCCPUUS    float64
-	// MaxGoroutines is the highest goroutine count any record of the phase
-	// observed at its end.
-	MaxGoroutines int
 }
 
 // Summarize groups the records of tr that carry res_* attrs (the spans of
 // what traceview.Read returned for a -trace file) by name and sums their
 // deltas, sorted by total wall time descending (name ascending on ties),
-// so the heaviest phases lead the report deterministically. Records
-// without res_* attrs are skipped, so events and a trace recorded before
-// spans carried resources summarize to nothing; a malformed res_* attr is
-// an error.
+// so the heaviest phases lead the report deterministically. A span's
+// deltas include those of the spans nested in it, so the sums are
+// inclusive: a parent's row counts its children's time and bytes again.
+// Records without res_* attrs are skipped, so events and a trace recorded
+// before spans carried resources summarize to nothing; a malformed res_*
+// attr is an error, and one no view reads (res_goroutines, in logs written
+// before it was dropped) is ignored.
 func Summarize(tr *traceview.Trace) ([]PhaseSummary, error) {
 	byName := map[string]*PhaseSummary{}
 	for i := range tr.Records {
@@ -55,9 +55,6 @@ func Summarize(tr *traceview.Trace) ([]PhaseSummary, error) {
 		s.GCCycles += int64(u["res_gc_cycles"])
 		s.GCPauseUS += u["res_gc_pause_us"]
 		s.GCCPUUS += u["res_gc_cpu_us"]
-		if g := int(u["res_goroutines"]); g > s.MaxGoroutines {
-			s.MaxGoroutines = g
-		}
 	}
 	out := make([]PhaseSummary, 0, len(byName))
 	for _, s := range byName {

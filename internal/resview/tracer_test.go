@@ -84,8 +84,11 @@ func TestSpanAttrsAccumulate(t *testing.T) {
 // -resources, including the since-dropped bpart.combine.round phase and
 // the old iter/kind lap attrs), re-encoded once from schema v1 into the
 // trace schema with the same numbers, must render byte for byte as the
-// commits that still read v1 rendered it: the text as PR 15's `tracestat
-// resources` printed it, the page as PR 23's `-html` wrote it.
+// commits that still read v1 rendered it (the text as PR 15's `tracestat
+// resources` printed it, the page as PR 23's `-html` wrote it) but for the
+// first table: its heading says the sums are inclusive of nested spans,
+// and its rows lost the goroutine column. The log's res_goroutines attrs
+// still decode.
 // Neither draws speedup curves: the Parallel Speedup table is the one
 // report of that quantity.
 func TestParentRecordedLogRendersIdentically(t *testing.T) {

@@ -41,7 +41,7 @@ func (r *resources) take() usage {
 
 // resSpan is a JSONL span. End appends the res_* attrs of the interval
 // since the span opened: allocations, GC cycles, pause and CPU over it,
-// and the live heap and goroutine count at its end.
+// and the live heap at its end.
 type resSpan struct {
 	Span
 	res   *resources
@@ -57,8 +57,7 @@ func (s *resSpan) End(attrs ...Attr) {
 		Int64("res_alloc_bytes", int64(e.totalAlloc-b.totalAlloc)),
 		Int64("res_heap_bytes", int64(r.ms.HeapAlloc)),
 		Int64("res_gc_cycles", int64(e.numGC-b.numGC)),
-		Float("res_gc_pause_us", float64(e.pauseNs-b.pauseNs)/1e3),
-		Int("res_goroutines", runtime.NumGoroutine()))
+		Float("res_gc_pause_us", float64(e.pauseNs-b.pauseNs)/1e3))
 	if b.gcCPU >= 0 && e.gcCPU >= 0 {
 		attrs = append(attrs, Float("res_gc_cpu_us", (e.gcCPU-b.gcCPU)*1e6))
 	}

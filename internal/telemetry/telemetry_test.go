@@ -114,10 +114,15 @@ func TestJSONLOutput(t *testing.T) {
 		t.Fatalf("Any slice attr not encoded: %v", attrs["pieceV"])
 	}
 	// The span carries its resource deltas; the event carries none.
-	for _, key := range []string{"res_allocs", "res_alloc_bytes", "res_heap_bytes", "res_gc_cycles", "res_gc_pause_us", "res_gc_cpu_us", "res_goroutines"} {
+	for _, key := range []string{"res_allocs", "res_alloc_bytes", "res_heap_bytes", "res_gc_cycles", "res_gc_pause_us", "res_gc_cpu_us"} {
 		if v, ok := attrs[key].(float64); !ok || v < 0 {
 			t.Errorf("span %s = %v, want a non-negative number", key, attrs[key])
 		}
+	}
+	// Read after a pool has joined, a goroutine count says nothing about
+	// the span, so none is written.
+	if v, ok := attrs["res_goroutines"]; ok {
+		t.Errorf("span carries res_goroutines = %v", v)
 	}
 	ev := lines[1]
 	if ev["type"] != "event" || ev["name"] != "cap.hit" {

@@ -9,8 +9,9 @@
 // the paper's evaluation asks about — which machine bounds each BSP
 // barrier (straggler attribution), how each machine contributes to the
 // waiting-time ratio of Fig 13, and where the run's critical path spends
-// its time. cmd/tracestat is the CLI over this package; cmd/bench's
-// regression gate diffs two traces through it.
+// its time. cmd/tracestat is the CLI over this package. No gate reads a
+// trace: simulated regressions are gated by the cmp of the deterministic
+// BENCH artifact.
 package traceview
 
 import (
