@@ -97,46 +97,6 @@ func BenchmarkPartitionBPart(b *testing.B)      { benchPartition(b, "BPart", 8) 
 func BenchmarkPartitionBPart128(b *testing.B)   { benchPartition(b, "BPart", 128) }
 func BenchmarkPartitionMultilevel(b *testing.B) { benchPartition(b, "Multilevel", 8) }
 
-// Fault-hook overhead: the iteration engine with no controller attached
-// (the default) versus one with an idle controller — empty schedule,
-// interval checkpoints disabled — so only the per-superstep protocol
-// branches (Disrupt consultation, fault.Run's end-of-superstep
-// bookkeeping, the one free initial snapshot) run. A reference number
-// with no gate. Compare with:
-//
-//	go test -bench 'PageRankPlain|PageRankFaultIdle' -count 10 .
-func benchPageRank(b *testing.B, withIdleFaults bool) {
-	b.Helper()
-	g, err := Preset(TwitterSim, benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := Partition(g, "Chunk-V", 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := NewIterationEngine(g, a, DefaultCostModel())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if withIdleFaults {
-		// CheckpointEvery -1 disables interval checkpoints; no events means
-		// nothing ever fires.
-		if _, err := EnableFaults(e, &FaultSpec{CheckpointEvery: -1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.PageRank(10, 0.85); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPageRankPlain(b *testing.B)     { benchPageRank(b, false) }
-func BenchmarkPageRankFaultIdle(b *testing.B) { benchPageRank(b, true) }
-
 // Comm-matrix overhead: the engines' hot loops carry a per-message
 // `prow != nil` branch for the src→dst matrix. With capture off (the
 // default) the matrix is never allocated; the CommOn variant is the live

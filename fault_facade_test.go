@@ -3,7 +3,11 @@ package bpart
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime/debug"
 	"testing"
+
+	"bpart/internal/engine"
 )
 
 // EnableFaults wires a schedule into both engine families through the
@@ -111,4 +115,48 @@ func must(e *IterationEngine, err error) *IterationEngine {
 		panic(err)
 	}
 	return e
+}
+
+// An idle controller (interval checkpoints off, no events) is pure
+// protocol: PageRank gives the ranks and per-iteration stats of an engine
+// without one, and the controller adds the same number of allocations
+// however many supersteps run, so the per-superstep hooks allocate nothing.
+func TestIdleFaultControllerCostsConstantAllocs(t *testing.T) {
+	g := smallTwitter(t)
+	a, err := Partition(g, "Chunk-V", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := func() (plain, idle *IterationEngine) {
+		plain = must(NewIterationEngine(g, a, DefaultCostModel()))
+		idle = must(NewIterationEngine(g, a, DefaultCostModel()))
+		if _, err := EnableFaults(idle, &FaultSpec{CheckpointEvery: -1}); err != nil {
+			t.Fatal(err)
+		}
+		// One worker: a pool's goroutines would add allocations of their own.
+		plain.Cluster().SetWorkers(1)
+		idle.Cluster().SetWorkers(1)
+		return plain, idle
+	}
+	// A collection empties sync.Pools, and refilling them allocates.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var added []float64
+	for _, iters := range []int{5, 20} {
+		plain, idle := engines()
+		run := func(e *IterationEngine) *engine.PRResult {
+			r, err := e.PageRank(iters, 0.85)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		want, got := run(plain), run(idle)
+		if !reflect.DeepEqual(got.Ranks, want.Ranks) || !reflect.DeepEqual(got.Stats, want.Stats) {
+			t.Fatalf("%d iterations: an idle controller changed the ranks or the iteration stats", iters)
+		}
+		added = append(added, testing.AllocsPerRun(3, func() { run(idle) })-testing.AllocsPerRun(3, func() { run(plain) }))
+	}
+	if added[0] != added[1] {
+		t.Fatalf("an idle controller adds %v allocations at 5 and 20 iterations, want one count", added)
+	}
 }

@@ -127,12 +127,15 @@ func (b *BPart) Config() Config { return b.cfg }
 // experiment harness uses it for Fig 8 (piece-level distributions) and the
 // convergence ablation.
 type LayerTrace struct {
-	Layer       int
-	Pieces      int
-	PieceV      []int // per-piece |V_i| after the partitioning phase
-	PieceE      []int // per-piece |E_i|
-	CombinedV   []int // per-group |V_i| after this layer's combining rounds
-	CombinedE   []int
+	Layer  int
+	Pieces int
+	PieceV []int // per-piece |V_i| after the partitioning phase
+	PieceE []int // per-piece |E_i|
+	// Groups are this layer's combined groups, as the audit.layer event
+	// reports them: sizes, deviations and the final part each froze into.
+	// A traced run emits this same slice, and each group's Pieces is shared
+	// with the combining rounds, so neither is to be modified.
+	Groups      []partaudit.LayerGroup
 	Finalized   int // groups frozen at this layer
 	RemainingNr int // groups dissolved into the next layer
 }
@@ -183,13 +186,8 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	// first In call builds it, here, outside every layer span.
 	in := g.In()
 	audit := tr.Enabled()
-	// Per-part sizes predicted at combining freeze time, for the audit's
-	// predicted-vs-actual comparison (the gap is what refine repaired).
-	var predV, predE []int
 	if audit {
 		partaudit.Emit(tr, partaudit.NewHeader("BPart", g, k))
-		predV = make([]int, k)
-		predE = make([]int, k)
 	}
 
 	remaining := make([]graph.VertexID, n)
@@ -269,48 +267,35 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			round++
 		}
 
-		// Freeze balanced groups; dissolve the rest.
+		// Freeze balanced groups; dissolve the rest. The group record is
+		// the layer's one outcome: the trace, the audit event and the
+		// layer span all read it.
 		pieceToFinal := make([]int, pieces)
 		for i := range pieceToFinal {
 			pieceToFinal[i] = partition.Unassigned
 		}
-		var nextRemainingGroups []group
-		var auditGroups []partaudit.LayerGroup
-		for _, grp := range groups {
-			lt.CombinedV = append(lt.CombinedV, grp.v)
-			lt.CombinedE = append(lt.CombinedE, grp.e)
-			froze := last || b.fits(grp.v, grp.e, targetV, targetE)
-			if froze {
+		lt.Groups = make([]partaudit.LayerGroup, len(groups))
+		piecesFrozen := 0
+		var vBias, eBias float64 // worst group deviation: Fig 9's convergence criterion
+		for i, grp := range groups {
+			lg := partaudit.LayerGroup{
+				Pieces: grp.pieces, V: grp.v, E: grp.e, Final: -1,
+				VDev: math.Abs(float64(grp.v)-targetV) / targetV,
+			}
+			if targetE > 0 {
+				lg.EDev = math.Abs(float64(grp.e)-targetE) / targetE
+			}
+			if last || b.fits(grp.v, grp.e, targetV, targetE) {
 				for _, p := range grp.pieces {
 					pieceToFinal[p] = nextFinal
 				}
-				if audit {
-					predV[nextFinal] = grp.v
-					predE[nextFinal] = grp.e
-				}
+				lg.Final = nextFinal
 				nextFinal++
 				lt.Finalized++
-			} else {
-				nextRemainingGroups = append(nextRemainingGroups, grp)
+				piecesFrozen += len(grp.pieces)
 			}
-			if audit {
-				ag := partaudit.LayerGroup{
-					Pieces: append([]int(nil), grp.pieces...),
-					V:      grp.v,
-					E:      grp.e,
-					Final:  -1,
-				}
-				if froze {
-					ag.Final = nextFinal - 1
-				}
-				if targetV > 0 {
-					ag.VDev = math.Abs(float64(grp.v)-targetV) / targetV
-				}
-				if targetE > 0 {
-					ag.EDev = math.Abs(float64(grp.e)-targetE) / targetE
-				}
-				auditGroups = append(auditGroups, ag)
-			}
+			lt.Groups[i] = lg
+			vBias, eBias = max(vBias, lg.VDev), max(eBias, lg.EDev)
 		}
 		if audit {
 			partaudit.Emit(tr, partaudit.LayerRecord{
@@ -319,7 +304,7 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 				TargetV: targetV,
 				TargetE: targetE,
 				Epsilon: b.cfg.Epsilon,
-				Groups:  auditGroups,
+				Groups:  lt.Groups,
 			})
 		}
 		// Map vertices of frozen groups to their final part; keep the
@@ -337,12 +322,8 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		nr -= lt.Finalized
 		lt.RemainingNr = nr
 		trace.Layers = append(trace.Layers, lt)
-		// Residual bias of this layer's combined groups against the
-		// global per-part means: the quantity that decides which groups
-		// froze (Fig 9's convergence criterion).
-		vBias, eBias := residualBias(lt.CombinedV, lt.CombinedE, targetV, targetE)
 		layerSpan.End(
-			telemetry.Int("pieces_frozen", pieces-pieceCount(nextRemainingGroups)),
+			telemetry.Int("pieces_frozen", piecesFrozen),
 			telemetry.Int("groups_frozen", lt.Finalized),
 			telemetry.Int("parts_remaining", nr),
 			telemetry.Float("residual_v_bias", vBias),
@@ -367,7 +348,16 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	if audit {
 		// The closing record is computed exactly as Evaluate computes its
 		// Report, so the audit timeline ends on the numbers the evaluation
-		// reports.
+		// reports. The predicted sizes are the frozen groups' (the gap is
+		// what refine repaired).
+		predV, predE := make([]int, k), make([]int, k)
+		for _, l := range trace.Layers {
+			for _, lg := range l.Groups {
+				if lg.Final >= 0 {
+					predV[lg.Final], predE[lg.Final] = lg.V, lg.E
+				}
+			}
+		}
 		rep := metrics.NewReport(g, final, k, false)
 		partaudit.Emit(tr, partaudit.Final{
 			K: k, V: rep.Vertices, E: rep.Edges,
@@ -406,33 +396,6 @@ func (b *BPart) streamLayer(g, in *graph.Graph, remaining []graph.VertexID, ms, 
 type group struct {
 	v, e   int
 	pieces []int
-}
-
-// pieceCount sums the streamed pieces held by the groups.
-func pieceCount(groups []group) int {
-	total := 0
-	for _, g := range groups {
-		total += len(g.pieces)
-	}
-	return total
-}
-
-// residualBias returns the worst per-group deviation from the global
-// per-part |V| and |E| targets, as a fraction of the target.
-func residualBias(vs, es []int, targetV, targetE float64) (vBias, eBias float64) {
-	for _, v := range vs {
-		if d := math.Abs(float64(v)-targetV) / targetV; d > vBias {
-			vBias = d
-		}
-	}
-	if targetE > 0 {
-		for _, e := range es {
-			if d := math.Abs(float64(e)-targetE) / targetE; d > eBias {
-				eBias = d
-			}
-		}
-	}
-	return vBias, eBias
 }
 
 // combineRound sorts groups by vertex count and merges the lightest with

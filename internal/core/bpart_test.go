@@ -171,8 +171,8 @@ func TestTraceStructure(t *testing.T) {
 	if len(l1.PieceV) != l1.Pieces || len(l1.PieceE) != l1.Pieces {
 		t.Fatalf("trace arrays wrong length")
 	}
-	if len(l1.CombinedV) != k {
-		t.Fatalf("layer 1 combined groups = %d, want %d", len(l1.CombinedV), k)
+	if len(l1.Groups) != k {
+		t.Fatalf("layer 1 combined groups = %d, want %d", len(l1.Groups), k)
 	}
 	totalFinal := 0
 	for _, l := range tr.Layers {

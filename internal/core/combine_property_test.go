@@ -70,7 +70,13 @@ func TestCombineInvariantsProperty(t *testing.T) {
 				totalFinalized := 0
 				for i, l := range tr.Layers {
 					pv, pe := sumInts(l.PieceV), sumInts(l.PieceE)
-					cv, ce := sumInts(l.CombinedV), sumInts(l.CombinedE)
+					cv, ce, frozen := 0, 0, 0
+					for _, lg := range l.Groups {
+						cv, ce = cv+lg.V, ce+lg.E
+						if lg.Final >= 0 {
+							frozen++
+						}
+					}
 					if i == 0 && (pv != g.NumVertices() || pe != g.NumEdges()) {
 						t.Fatalf("seed %d: layer 0 pieces hold %d/%d vertices and %d/%d edges",
 							seed, pv, g.NumVertices(), pe, g.NumEdges())
@@ -79,9 +85,9 @@ func TestCombineInvariantsProperty(t *testing.T) {
 						t.Fatalf("seed %d: layer %d combining changed totals: pieces %d/%d, groups %d/%d",
 							seed, l.Layer, pv, pe, cv, ce)
 					}
-					if l.Finalized+l.RemainingNr != len(l.CombinedV) {
-						t.Fatalf("seed %d: layer %d finalized %d + dissolved %d != %d groups",
-							seed, l.Layer, l.Finalized, l.RemainingNr, len(l.CombinedV))
+					if l.Finalized != frozen || l.Finalized+l.RemainingNr != len(l.Groups) {
+						t.Fatalf("seed %d: layer %d finalized %d (%d groups with a final part) + dissolved %d != %d groups",
+							seed, l.Layer, l.Finalized, frozen, l.RemainingNr, len(l.Groups))
 					}
 					totalFinalized += l.Finalized
 					// A later layer re-partitions only the dissolved mass,

@@ -42,6 +42,15 @@ var pinnedAssignments = map[string]string{
 	"Multilevel/k=8": "a985c2d357502483befadc6f913971b3c9dfc078c76875c7213ad8d76a0552ca",
 	"HDRF/k=2":       "f859374d11cc600e4476b26d9dd6ab47116c3dde92395ec63f30529e18a259f4",
 	"HDRF/k=8":       "a27f59a8c984224b65d513b5e5ca63079ec7ebdaa07f335411d8d21093c7f442",
+	// rebalance alone on twitterish from two adversarial starts, recorded
+	// from the commit before its shed and pull phases became one pass: the
+	// shed start puts 30% of the vertices in part 0, the pull start leaves
+	// the first k/8 parts at 0.6 of the mean. Hundreds to thousands of moves,
+	// each through the peer sort, pin its tie order.
+	"rebalance/shed/k=16":  "859471dfcf8a2a0ed160001f24bd5cdb2d1fc4d1341d0df5f512188abe3d9f61",
+	"rebalance/shed/k=128": "72077b5def4313d4e237ab42d15dae77f4d67627d772eb46a9ab0b7681cba0aa",
+	"rebalance/pull/k=16":  "720ff35e5114297723ccc01bd5b7eb6ce07f2167fd47d4a748b0d154202b7eec",
+	"rebalance/pull/k=128": "6692d527e794870bdd089b5903ad58a2f80b3fdfafd346ebc8d8becc69c59fdc",
 }
 
 // hashParts is the SHA-256 of parts as little-endian uint32s, in order.
@@ -71,6 +80,23 @@ func TestAssignmentBytesPinned(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			check(name, a.Parts)
+		}
+	}
+	for _, k := range []int{16, 128} {
+		n := g.NumVertices()
+		for _, start := range []struct {
+			name  string
+			parts []int
+			moves func(refineMoves) int // the phase the start exercises
+		}{
+			{"shed", skewedAssignment(n, k, 0.3), func(m refineMoves) int { return m.Shed }},
+			{"pull", deficitAssignment(n, k), func(m refineMoves) int { return m.Pulled }},
+		} {
+			name := fmt.Sprintf("rebalance/%s/k=%d", start.name, k)
+			if moves := start.moves(rebalance(g, start.parts, k, 0.1)); moves < 100 {
+				t.Errorf("%s: %d moves in its phase, want ≥ 100", name, moves)
+			}
+			check(name, start.parts)
 		}
 	}
 

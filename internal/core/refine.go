@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
 	"bpart/internal/graph"
-	"bpart/internal/metrics"
 )
 
 // refineMoves counts what the refinement pass did, for telemetry: Shed is
@@ -17,60 +17,82 @@ type refineMoves struct {
 }
 
 // rebalance is the final repair pass of BPart (an addition over the paper,
-// see Config.DisableRefine). It greedily moves vertices out of parts whose
-// |V_i| or |E_i| exceeds (1+ε) of the per-part mean into parts with
+// see Config.DisableRefine). Phase 1 greedily moves vertices out of parts
+// whose |V_i| or |E_i| exceeds (1+ε) of the per-part mean into parts with
 // headroom, until no part is over the threshold or no further move is
-// possible. It returns the number of moves made by each phase.
+// possible. Phase 2 is the same pass with the sign flipped: bias only
+// punishes maxima, but Jain's fairness (Fig 11) and the per-machine load
+// plots (Fig 12) expect every part near the mean, so it pulls mass into
+// parts below (1−ε) from donors that stay at or above (1−ε). It returns the
+// number of moves made by each phase.
 //
-// Move selection: to shed edge mass, move the highest-degree vertex that
-// fits the receiver's edge headroom; to shed vertex count, move the
-// lowest-degree vertex (cheapest in edge mass). The receiver is the part
-// lightest in the violated dimension that stays within (1+ε) in both
-// dimensions after the move, so a move never creates a new violation and
-// the total overage strictly decreases — the loop terminates.
+// Move selection: to move edge mass, move the donor's highest-degree vertex
+// that fits the receiver's edge headroom; to move vertex count, move its
+// lowest-degree vertex (cheapest in edge mass). The receiver stays within
+// (1+ε) in both dimensions after the move and the donor within its floors,
+// so a move never creates a new violation and the total overage strictly
+// decreases — the loop terminates.
 func rebalance(g *graph.Graph, parts []int, k int, eps float64) refineMoves {
-	var done refineMoves
 	n := g.NumVertices()
 	if n == 0 || k <= 1 {
-		return done
+		return refineMoves{}
 	}
-	targetV := float64(n) / float64(k)
-	targetE := float64(g.NumEdges()) / float64(k)
-
 	vCount := make([]int, k)
 	eCount := make([]int, k)
 	for v := 0; v < n; v++ {
 		vCount[parts[v]]++
 		eCount[parts[v]] += g.OutDegree(graph.VertexID(v))
 	}
-	// Both phases below find no violator and never ask for a member list
-	// when every part is already within (1±ε), which is the common case
-	// after combining at large k.
-	members := &memberLists{g: g, parts: parts, vCount: vCount, eCount: eCount}
-
-	overV := func(p int) float64 { return float64(vCount[p]) - targetV }
-	overE := func(p int) float64 {
-		if metrics.IsZero(targetE) {
-			return 0
-		}
-		return float64(eCount[p]) - targetE
-	}
+	targetV := float64(n) / float64(k)
+	targetE := float64(g.NumEdges()) / float64(k)
 	capV := (1 + eps) * targetV
-	capE := (1 + eps) * targetE
+	// Both phases find no violator and never ask for a member list when
+	// every part is already within (1±ε), which is the common case after
+	// combining at large k.
+	r := &refiner{
+		memberLists: memberLists{g: g, parts: parts, vCount: vCount, eCount: eCount, room: int(capV)},
+		targetV:     targetV,
+		targetE:     targetE,
+		eps:         eps,
+		capV:        capV,
+		capE:        (1 + eps) * targetE,
+		stuck:       make([]bool, k),
+		order:       make([]int, 0, k-1),
+	}
+	shed := r.phase(+1, 0, 0)
+	return refineMoves{Shed: shed, Pulled: r.phase(-1, (1-eps)*targetV, (1-eps)*targetE)}
+}
 
-	// Phase 1: shed overages.
-	stuck := make([]bool, k)
-	for moves := 0; moves < n; moves++ {
-		// Worst violator by normalized overage.
-		worst, worstScore, worstDim := -1, eps, 'V'
-		for p := 0; p < k; p++ {
-			if stuck[p] {
+// refiner is one rebalance pass: the member lists and counts it moves
+// vertices between, the balance band, and scratch reused by every move.
+type refiner struct {
+	memberLists
+	targetV, targetE, eps float64
+	capV, capE            float64
+	stuck                 []bool // parts whose last move failed since any move succeeded
+	order                 []int  // peer order of the current move
+}
+
+// phase repeatedly relieves the part that violates the band worst in the
+// direction of sign — over (1+ε) when shedding (+1), under (1−ε) when
+// pulling (−1) — by one move, until no part violates or every violator is
+// stuck. Donors keep at least floorV vertices and floorE arcs. It returns
+// the number of moves made.
+func (r *refiner) phase(sign int, floorV, floorE float64) int {
+	s := float64(sign)
+	done := 0
+	clear(r.stuck)
+	for moves := 0; moves < len(r.parts); moves++ {
+		// Worst violator by normalized overage (or deficit).
+		worst, worstScore, worstDim := -1, r.eps, 'V'
+		for p, stuck := range r.stuck {
+			if stuck {
 				continue
 			}
-			nv := overV(p) / targetV
+			nv := s * (float64(r.vCount[p]) - r.targetV) / r.targetV
 			var ne float64
-			if targetE > 0 {
-				ne = overE(p) / targetE
+			if r.targetE > 0 {
+				ne = s * (float64(r.eCount[p]) - r.targetE) / r.targetE
 			}
 			if nv > worstScore {
 				worst, worstScore, worstDim = p, nv, 'V'
@@ -82,68 +104,83 @@ func rebalance(g *graph.Graph, parts []int, k int, eps float64) refineMoves {
 		if worst == -1 {
 			break
 		}
-		if !moveOne(worst, worstDim, vCount, eCount, members, capV, capE) {
-			stuck[worst] = true
+		if !r.move(sign, worst, worstDim, floorV, floorE) {
+			r.stuck[worst] = true
 			continue
 		}
-		done.Shed++
-		// A successful move may unstick other parts (their receivers
-		// gained headroom indirectly); re-examine everything.
-		for p := range stuck {
-			stuck[p] = false
-		}
-	}
-
-	// Phase 2: fill deficits. Bias only punishes maxima, but Jain's
-	// fairness (Fig 11) and the per-machine load plots (Fig 12) expect
-	// every part near the mean, so pull mass into parts below (1−ε).
-	floorV := (1 - eps) * targetV
-	floorE := (1 - eps) * targetE
-	for p := range stuck {
-		stuck[p] = false
-	}
-	for moves := 0; moves < n; moves++ {
-		worst, worstScore, worstDim := -1, eps, 'V'
-		for p := 0; p < k; p++ {
-			if stuck[p] {
-				continue
-			}
-			nv := -overV(p) / targetV
-			var ne float64
-			if targetE > 0 {
-				ne = -overE(p) / targetE
-			}
-			if nv > worstScore {
-				worst, worstScore, worstDim = p, nv, 'V'
-			}
-			if ne > worstScore {
-				worst, worstScore, worstDim = p, ne, 'E'
-			}
-		}
-		if worst == -1 {
-			return done
-		}
-		if !pullOne(worst, worstDim, vCount, eCount, members, capV, capE, floorV, floorE) {
-			stuck[worst] = true
-			continue
-		}
-		done.Pulled++
-		for p := range stuck {
-			stuck[p] = false
-		}
+		done++
+		// A successful move may unstick other parts (their peers gained
+		// headroom indirectly); re-examine everything.
+		clear(r.stuck)
 	}
 	return done
+}
+
+// move moves a single vertex to relieve part p in dimension dim and reports
+// whether it did. Shedding (sign +1) sends one of p's vertices to a peer,
+// lightest peer in dim first; pulling (sign −1) takes one from a peer,
+// heaviest first. The receiver stays within the (1+ε) caps, and the donor
+// keeps floorV vertices, floorE arcs and at least one vertex.
+func (r *refiner) move(sign, p int, dim rune, floorV, floorE float64) bool {
+	vc, ec := r.vCount, r.eCount
+	primary, secondary := vc, ec
+	if dim == 'E' {
+		primary, secondary = ec, vc
+	}
+	// Peers in index order, then sorted by load in the violated dimension.
+	r.order = r.order[:0]
+	for q := range vc {
+		if q != p {
+			r.order = append(r.order, q)
+		}
+	}
+	slices.SortFunc(r.order, func(a, b int) int {
+		if c := cmp.Compare(primary[a], primary[b]); c != 0 {
+			return sign * c
+		}
+		return sign * cmp.Compare(secondary[a], secondary[b])
+	})
+	for _, q := range r.order {
+		from, to := p, q
+		if sign < 0 {
+			from, to = q, p
+		}
+		if float64(vc[to]+1) > r.capV || vc[from] <= 1 || float64(vc[from]-1) < floorV {
+			continue
+		}
+		headroomE := int(r.capE) - ec[to]
+		var idx int
+		if dim == 'E' {
+			// Largest donor vertex that fits the receiver and keeps the
+			// donor at its (truncated) edge floor.
+			idx = r.firstWithin(from, min(headroomE, ec[from]-int(floorE)))
+		} else {
+			// Smallest-degree vertex; it must still fit the receiver.
+			var d int
+			if idx, d = r.lowest(from); d > headroomE || float64(ec[from]-d) < floorE {
+				idx = -1
+			}
+		}
+		if idx >= 0 {
+			r.transfer(from, idx, to)
+			return true
+		}
+	}
+	return false
 }
 
 // memberLists holds, per part, its vertices by out-degree descending (equal
 // degrees by ID descending): the lowest-degree member, which a vertex-count
 // move takes, is the last element, and a low-degree arrival lands near the
 // tail, so both are short moves. Nothing is built until a move first asks for
-// a list, and a part is sorted only when it first gives or receives a vertex.
+// a list, and a part is sorted only when a move first looks at its members.
+// Every list is a window of one backing array with room for max(its count,
+// room) members, and a receiver never grows past room, so no move allocates.
 type memberLists struct {
 	g              *graph.Graph
 	parts          []int
 	vCount, eCount []int // kept current by transfer
+	room           int
 	lists          [][]graph.VertexID
 	sorted         []bool
 	keys           []uint64 // sort scratch, shared by every part
@@ -162,8 +199,14 @@ func (m *memberLists) of(p int) []graph.VertexID {
 	if m.lists == nil {
 		m.lists = make([][]graph.VertexID, len(m.vCount))
 		m.sorted = make([]bool, len(m.vCount))
+		total := 0
+		for _, c := range m.vCount {
+			total += max(c, m.room)
+		}
+		backing := make([]graph.VertexID, total)
 		for q, c := range m.vCount {
-			m.lists[q] = make([]graph.VertexID, 0, c)
+			c = max(c, m.room)
+			m.lists[q], backing = backing[:0:c], backing[c:]
 		}
 		m.keys = make([]uint64, 0, slices.Max(m.vCount))
 		for v, q := range m.parts {
@@ -221,115 +264,4 @@ func (m *memberLists) transfer(from, idx, to int) {
 	m.vCount[to]++
 	m.eCount[from] -= d
 	m.eCount[to] += d
-}
-
-// pullOne moves a single vertex from the heaviest suitable donor into the
-// deficient part p. A donor is suitable when it stays at or above the
-// (1−ε) floors after the move, so pulling never creates a new deficit; the
-// receiver is capped at (1+ε) so it cannot become a violator either.
-func pullOne(p int, dim rune, vCount, eCount []int, members *memberLists,
-	capV, capE, floorV, floorE float64) bool {
-	k := len(vCount)
-	if float64(vCount[p]+1) > capV {
-		return false
-	}
-	order := make([]int, 0, k-1)
-	for q := 0; q < k; q++ {
-		if q != p {
-			order = append(order, q)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if dim == 'E' {
-			if eCount[a] != eCount[b] {
-				return eCount[a] > eCount[b]
-			}
-			return vCount[a] > vCount[b]
-		}
-		if vCount[a] != vCount[b] {
-			return vCount[a] > vCount[b]
-		}
-		return eCount[a] > eCount[b]
-	})
-	headroomE := int(capE) - eCount[p]
-	for _, q := range order {
-		if vCount[q] <= 1 || float64(vCount[q]-1) < floorV {
-			continue
-		}
-		var idx int
-		if dim == 'E' {
-			// Largest donor vertex that fits p and keeps q above its
-			// edge floor.
-			budget := headroomE
-			if keep := eCount[q] - int(floorE); keep < budget {
-				budget = keep
-			}
-			idx = members.firstWithin(q, budget)
-		} else {
-			var d int
-			idx, d = members.lowest(q)
-			if d > headroomE || float64(eCount[q]-d) < floorE {
-				idx = -1
-			}
-		}
-		if idx < 0 {
-			continue
-		}
-		members.transfer(q, idx, p)
-		return true
-	}
-	return false
-}
-
-// moveOne moves a single vertex out of part p to relieve dimension dim.
-// It reports whether a move happened.
-func moveOne(p int, dim rune, vCount, eCount []int, members *memberLists, capV, capE float64) bool {
-	if vCount[p] <= 1 {
-		return false // never empty a part
-	}
-	k := len(vCount)
-	// Candidate receivers ordered by load in the violated dimension.
-	order := make([]int, 0, k-1)
-	for q := 0; q < k; q++ {
-		if q != p {
-			order = append(order, q)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if dim == 'E' {
-			if eCount[a] != eCount[b] {
-				return eCount[a] < eCount[b]
-			}
-			return vCount[a] < vCount[b]
-		}
-		if vCount[a] != vCount[b] {
-			return vCount[a] < vCount[b]
-		}
-		return eCount[a] < eCount[b]
-	})
-	for _, q := range order {
-		if float64(vCount[q]+1) > capV {
-			continue
-		}
-		headroomE := int(capE) - eCount[q]
-		var idx int
-		if dim == 'E' {
-			// Largest-degree vertex whose degree fits the receiver.
-			idx = members.firstWithin(p, headroomE)
-		} else {
-			// Smallest-degree vertex; it must still fit the receiver.
-			var d int
-			if idx, d = members.lowest(p); d > headroomE {
-				idx = -1
-			}
-		}
-		if idx < 0 {
-			continue
-		}
-		members.transfer(p, idx, q)
-		return true
-	}
-	return false
 }

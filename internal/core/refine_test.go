@@ -26,6 +26,23 @@ func skewedAssignment(n, k int, frac float64) []int {
 	return parts
 }
 
+// deficitAssignment spreads vertices round-robin, then hands two in five of
+// the first k/8 parts' vertices to the other parts: those parts start near
+// 0.6 of the mean and the rest near 1.06, so refine's pull phase does the
+// work.
+func deficitAssignment(n, k int) []int {
+	parts := make([]int, n)
+	short := max(k/8, 1)
+	for v := range parts {
+		p := v % k
+		if r := v / k; p < short && r%5 < 2 {
+			p = short + r%(k-short)
+		}
+		parts[v] = p
+	}
+	return parts
+}
+
 func TestRebalanceFixesVertexOverage(t *testing.T) {
 	g := gen.Ring(1000)
 	// Part 0 holds 40% of all vertices.
@@ -151,6 +168,30 @@ func TestQuickRebalanceInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// One rebalance allocates the same number of times however many moves it
+// makes: the member lists share one backing array with room to the vertex
+// cap, and every move reuses one peer-order buffer.
+func TestRebalanceAllocsIndependentOfMoves(t *testing.T) {
+	g := twitterish(t)
+	n, k := g.NumVertices(), 16
+	parts := make([]int, n)
+	var moves, allocs []float64
+	for _, start := range [][]int{deficitAssignment(n, k), skewedAssignment(n, k, 0.3)} {
+		var m refineMoves
+		allocs = append(allocs, testing.AllocsPerRun(3, func() {
+			copy(parts, start)
+			m = rebalance(g, parts, k, 0.1)
+		}))
+		moves = append(moves, float64(m.Shed+m.Pulled))
+	}
+	if moves[1] < 5*moves[0] {
+		t.Fatalf("moves %v: the starts do not span a wide range", moves)
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("%v allocations for %v moves, want one count", allocs, moves)
 	}
 }
 
