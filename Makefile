@@ -35,8 +35,7 @@ race:
 # own: commview and resview FuzzRead and partaudit FuzzReadLog feed
 # whatever traceview.Read accepts through the superstep, res_* or audit.*
 # decode and the summarizers. Every FuzzRead/FuzzReadLog then renders what
-# it accepted, text and HTML, so no report can panic on a log its reader
-# takes. One target per line as package:Target.
+# it accepted as text, so no report can panic on a log its reader takes. One target per line as package:Target.
 FUZZ_TARGETS = \
 	internal/gio:FuzzReadBinary \
 	internal/gio:FuzzReadEdgeList \

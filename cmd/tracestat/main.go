@@ -34,7 +34,6 @@ import (
 	"bpart/internal/commview"
 	"bpart/internal/gio"
 	"bpart/internal/partaudit"
-	"bpart/internal/report"
 	"bpart/internal/resview"
 	"bpart/internal/servestats"
 	"bpart/internal/traceview"
@@ -45,36 +44,20 @@ func main() {
 }
 
 // A command is one subcommand. Everything else — the FlagSet, the
-// argument count, usage and exit 2, the failure line and exit 1, the -html
-// page — belongs to the driver, which also prints the usage lines from
-// these rows, so a subcommand accepts exactly the flags its line shows.
+// argument count, usage and exit 2, the failure line and exit 1 — belongs
+// to the driver, which also prints the usage lines from these rows, so a
+// subcommand accepts exactly the flags its line shows.
 type command struct {
 	name string
 	args []string // positional argument names, in order
-	// page, when set, gives the subcommand an -html flag: "also write a
-	// self-contained <page> page".
-	page string
 	// setup declares the subcommand's own flags and returns its body.
 	setup func(fs *flag.FlagSet) func(c *call) error
 }
 
 // call is one invocation's positional arguments and output.
 type call struct {
-	args     []string
-	stdout   io.Writer
-	htmlPath string
-}
-
-// html writes render's page to the -html path, if one was given.
-func (c *call) html(render func(io.Writer) error) error {
-	if c.htmlPath == "" {
-		return nil
-	}
-	if err := report.WriteFile(c.htmlPath, render); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(c.stdout, "\nwrote %s\n", c.htmlPath)
-	return err
+	args   []string
+	stdout io.Writer
 }
 
 // noFlags is the setup of a subcommand that takes no flags.
@@ -83,16 +66,13 @@ func noFlags(body func(c *call) error) func(*flag.FlagSet) func(*call) error {
 }
 
 var commands = []command{
-	{name: "report", args: []string{"trace.jsonl"}, page: "timeline",
+	{name: "report", args: []string{"trace.jsonl"},
 		setup: noFlags(func(c *call) error {
 			tr, err := traceview.ReadFile(c.args[0])
 			if err != nil {
 				return err
 			}
-			if err := traceview.WriteReport(c.stdout, tr); err != nil {
-				return err
-			}
-			return c.html(func(w io.Writer) error { return traceview.WriteHTML(w, tr) })
+			return traceview.WriteReport(c.stdout, tr)
 		})},
 	{name: "stragglers", args: []string{"trace.jsonl"},
 		setup: noFlags(func(c *call) error {
@@ -106,7 +86,7 @@ var commands = []command{
 				return traceview.WriteCritPath(c.stdout, i, run)
 			})
 		})},
-	{name: "comm", args: []string{"trace.jsonl"}, page: "heatmap",
+	{name: "comm", args: []string{"trace.jsonl"},
 		setup: func(fs *flag.FlagSet) func(*call) error {
 			auditPath := fs.String("audit", "", "reconcile observed traffic against the cut predicted by the audit events of the partition's trace `audit.jsonl`")
 			return func(c *call) error {
@@ -131,26 +111,18 @@ var commands = []command{
 				if err := commview.CheckMessages(steps); err != nil {
 					return err
 				}
-				if err := commview.WriteReport(c.stdout, steps, tr.Truncated, audit); err != nil {
-					return err
-				}
-				return c.html(func(w io.Writer) error {
-					return commview.WriteHTML(w, steps, tr.Truncated, "bpart comm topology")
-				})
+				return commview.WriteReport(c.stdout, steps, tr.Truncated, audit)
 			}
 		}},
-	{name: "resources", args: []string{"trace.jsonl"}, page: "chart",
+	{name: "resources", args: []string{"trace.jsonl"},
 		setup: noFlags(func(c *call) error {
 			tr, err := traceview.ReadFile(c.args[0])
 			if err != nil {
 				return err
 			}
-			if err := resview.WriteReport(c.stdout, tr); err != nil {
-				return err
-			}
-			return c.html(func(w io.Writer) error { return resview.WriteHTML(w, tr, "bpart runtime resources") })
+			return resview.WriteReport(c.stdout, tr)
 		})},
-	{name: "serve", args: []string{"reqlog.jsonl"}, page: "latency/heatmap",
+	{name: "serve", args: []string{"reqlog.jsonl"},
 		setup: func(fs *flag.FlagSet) func(*call) error {
 			assignPath := fs.String("assign", "", "add the per-part tail attribution, reconciled exactly against the assignment file `parts.txt`")
 			version := fs.Int("version", 1, "attribute assignment version `n` (with -assign)")
@@ -172,9 +144,6 @@ var commands = []command{
 					}
 				}
 				if err := servestats.WriteText(c.stdout, rep, attrib); err != nil {
-					return err
-				}
-				if err := c.html(func(w io.Writer) error { return servestats.WriteHTML(w, rep, attrib) }); err != nil {
 					return err
 				}
 				if *gatePath == "" {
@@ -203,16 +172,13 @@ var commands = []command{
 			}
 			return partaudit.WriteExplain(c.stdout, audit, vertex)
 		})},
-	{name: "timeline", args: []string{"audit.jsonl"}, page: "timeline chart",
+	{name: "timeline", args: []string{"audit.jsonl"},
 		setup: noFlags(func(c *call) error {
 			audit, err := readAudit(c.args[0])
 			if err != nil {
 				return err
 			}
-			if err := partaudit.WriteTimeline(c.stdout, audit); err != nil {
-				return err
-			}
-			return c.html(func(w io.Writer) error { return partaudit.WriteTimelineHTML(w, audit) })
+			return partaudit.WriteTimeline(c.stdout, audit)
 		})},
 	{name: "combine", args: []string{"audit.jsonl"},
 		setup: noFlags(func(c *call) error {
@@ -270,19 +236,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return usage(stderr)
 }
 
-// flags declares the subcommand's flags (with -html when it has a page) on
-// a new FlagSet and returns the set and the body that reads them.
-func (cmd command) flags(c *call) (*flag.FlagSet, func(*call) error) {
+// flags declares the subcommand's flags on a new FlagSet and returns the
+// set and the body that reads them.
+func (cmd command) flags() (*flag.FlagSet, func(*call) error) {
 	fs := flag.NewFlagSet(cmd.name, flag.ContinueOnError)
-	if cmd.page != "" {
-		fs.StringVar(&c.htmlPath, "html", "", "also write a self-contained "+cmd.page+" page to `out.html`")
-	}
 	return fs, cmd.setup(fs)
 }
 
 func (cmd command) run(args []string, stdout, stderr io.Writer) int {
 	c := &call{stdout: stdout}
-	fs, body := cmd.flags(c)
+	fs, body := cmd.flags()
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -302,7 +265,7 @@ func (cmd command) run(args []string, stdout, stderr io.Writer) int {
 func usage(stderr io.Writer) int {
 	fmt.Fprintln(stderr, "usage:")
 	for _, cmd := range commands {
-		fs, _ := cmd.flags(&call{})
+		fs, _ := cmd.flags()
 		line := []string{"  tracestat", cmd.name}
 		fs.VisitAll(func(f *flag.Flag) {
 			arg, _ := flag.UnquoteUsage(f)

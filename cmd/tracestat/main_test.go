@@ -41,22 +41,6 @@ func TestReportSubcommand(t *testing.T) {
 	}
 }
 
-func TestReportHTMLFlag(t *testing.T) {
-	path := writeTrace(t, "a.jsonl", sampleTrace)
-	htmlPath := filepath.Join(t.TempDir(), "out.html")
-	code, _, errb := runCLI(t, "report", "-html", htmlPath, path)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
-	}
-	data, err := os.ReadFile(htmlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "<svg") {
-		t.Fatal("HTML artifact missing timeline SVG")
-	}
-}
-
 func TestStragglersSubcommand(t *testing.T) {
 	path := writeTrace(t, "a.jsonl", sampleTrace)
 	code, out, errb := runCLI(t, "stragglers", path)
@@ -126,22 +110,6 @@ func TestCommAuditReconciliation(t *testing.T) {
 	}
 }
 
-func TestCommHTMLFlag(t *testing.T) {
-	path := writeTrace(t, "comm.jsonl", commTrace)
-	htmlPath := filepath.Join(t.TempDir(), "comm.html")
-	code, _, errb := runCLI(t, "comm", "-html", htmlPath, path)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
-	}
-	data, err := os.ReadFile(htmlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "<svg") {
-		t.Fatal("HTML artifact missing heatmap SVG")
-	}
-}
-
 func TestCommNoMatrices(t *testing.T) {
 	// A valid trace without pairs attrs (capture off): informative, exit 0.
 	path := writeTrace(t, "plain.jsonl", sampleTrace)
@@ -179,15 +147,16 @@ func TestBadInvocations(t *testing.T) {
 		t.Errorf("missing file exit = %d, want 1 with stderr", code)
 	}
 	// A subcommand accepts exactly the flags on its usage line: report has
-	// no row cap to raise and stragglers no page to write.
+	// no row cap to raise, and no subcommand writes a page.
 	path := writeTrace(t, "a.jsonl", sampleTrace)
-	for _, args := range [][]string{
-		{"report", "-supersteps", "3", path},
-		{"stragglers", "-html", filepath.Join(t.TempDir(), "s.html"), path},
-		{"combine", "-html", filepath.Join(t.TempDir(), "c.html"), path},
-	} {
-		if code, _, stderr := runCLI(t, args...); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
-			t.Errorf("run(%q) = %d, want 2 with a flag diagnostic; stderr %q", args, code, stderr)
+	rejected := [][]string{{"report", "-supersteps", "3", path}}
+	for _, cmd := range commands {
+		args := append([]string{cmd.name, "-html", filepath.Join(t.TempDir(), "out.html")}, cmd.args...)
+		rejected = append(rejected, args)
+	}
+	for _, args := range rejected {
+		if code, out, stderr := runCLI(t, args...); code != 2 || out != "" || !strings.Contains(stderr, "flag provided but not defined: "+args[1]) {
+			t.Errorf("run(%q) = %d, want 2 with a flag diagnostic; stdout %q, stderr %q", args, code, out, stderr)
 		}
 	}
 	_, _, stderr := runCLI(t)
@@ -196,9 +165,12 @@ func TestBadInvocations(t *testing.T) {
 	}
 	for _, line := range []string{
 		"  tracestat critpath trace.jsonl\n",
-		"  tracestat comm [-audit audit.jsonl] [-html out.html] trace.jsonl\n",
+		"  tracestat report trace.jsonl\n",
+		"  tracestat comm [-audit audit.jsonl] trace.jsonl\n",
+		"  tracestat resources trace.jsonl\n",
+		"  tracestat serve [-assign parts.txt] [-gate gate.json] [-version n] reqlog.jsonl\n",
 		"  tracestat explain <vertexID> audit.jsonl\n",
-		"  tracestat timeline [-html out.html] audit.jsonl\n",
+		"  tracestat timeline audit.jsonl\n",
 	} {
 		if !strings.Contains(stderr, line) {
 			t.Errorf("usage lacks %q:\n%s", line, stderr)
@@ -206,10 +178,9 @@ func TestBadInvocations(t *testing.T) {
 	}
 }
 
-// goldenDir holds every subcommand's stdout and -html page, recorded with
-// the binaries from before the audit views became tracestat subcommands
-// and every subcommand ran through one driver. A golden's "OUT.html" is
-// the -html path.
+// goldenDir holds every subcommand's stdout, recorded with the binaries
+// from before the audit views became tracestat subcommands and every
+// subcommand ran through one driver.
 const goldenDir = "testdata"
 
 func TestGoldenOutputs(t *testing.T) {
@@ -228,48 +199,36 @@ func TestGoldenOutputs(t *testing.T) {
 		args []string
 		code int
 	}{
-		{"report", []string{"report", "-html", "OUT.html", sample}, 0},
+		{"report", []string{"report", sample}, 0},
 		{"stragglers", []string{"stragglers", comm}, 0},
 		{"critpath", []string{"critpath", comm}, 0},
-		{"comm", []string{"comm", "-html", "OUT.html", "-audit", audit, comm}, 0},
-		{"resources", []string{"resources", "-html", "OUT.html", res}, 0},
-		{"serve", []string{"serve", "-html", "OUT.html", "-assign", goldenDir + "/parts.txt",
+		{"comm", []string{"comm", "-audit", audit, comm}, 0},
+		{"resources", []string{"resources", res}, 0},
+		{"serve", []string{"serve", "-assign", goldenDir + "/parts.txt",
 			"-gate", goldenDir + "/gate.json", goldenDir + "/reqs.jsonl"}, 0},
 		{"explain", []string{"explain", "0", audit}, 0},
-		{"timeline", []string{"timeline", "-html", "OUT.html", audit}, 0},
+		{"timeline", []string{"timeline", audit}, 0},
 		{"combine", []string{"combine", audit}, 0},
 		// Each family's torn copy ends mid-record, so every reader's
-		// truncation banner, in text and on the page, is pinned too.
-		{"report_torn", []string{"report", "-html", "OUT.html", tornTrace}, 0},
+		// truncation banner is pinned too.
+		{"report_torn", []string{"report", tornTrace}, 0},
 		{"stragglers_torn", []string{"stragglers", tornTrace}, 0},
 		{"critpath_torn", []string{"critpath", tornTrace}, 0},
-		{"comm_torn", []string{"comm", "-html", "OUT.html", "-audit", tornAudit, tornTrace}, 0},
-		{"resources_torn", []string{"resources", "-html", "OUT.html", goldenDir + "/resources_torn.jsonl"}, 0},
-		{"serve_torn", []string{"serve", "-html", "OUT.html", "-assign", goldenDir + "/parts.txt",
+		{"comm_torn", []string{"comm", "-audit", tornAudit, tornTrace}, 0},
+		{"resources_torn", []string{"resources", goldenDir + "/resources_torn.jsonl"}, 0},
+		{"serve_torn", []string{"serve", "-assign", goldenDir + "/parts.txt",
 			"-gate", goldenDir + "/gate.json", goldenDir + "/reqs_torn.jsonl"}, 0},
 		{"explain_torn", []string{"explain", "0", tornAudit}, 0},
-		{"timeline_torn", []string{"timeline", "-html", "OUT.html", tornAudit}, 0},
+		{"timeline_torn", []string{"timeline", tornAudit}, 0},
 		{"combine_torn", []string{"combine", tornAudit}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			htmlPath := filepath.Join(t.TempDir(), "OUT.html")
-			args := make([]string, len(tc.args))
-			for i, a := range tc.args {
-				args[i] = strings.ReplaceAll(a, "OUT.html", htmlPath)
-			}
-			code, out, errb := runCLI(t, args...)
+			code, out, errb := runCLI(t, tc.args...)
 			if code != tc.code {
 				t.Fatalf("exit %d, want %d; stderr: %s", code, tc.code, errb)
 			}
-			checkGolden(t, tc.name+".stdout", []byte(strings.ReplaceAll(out, htmlPath, "OUT.html")))
-			page, err := os.ReadFile(htmlPath)
-			if want := strings.Contains(strings.Join(tc.args, " "), "-html"); want != (err == nil) {
-				t.Fatalf("-html given: %v, page read: %v", want, err)
-			}
-			if err == nil {
-				checkGolden(t, tc.name+".html", page)
-			}
+			checkGolden(t, tc.name+".stdout", []byte(out))
 		})
 	}
 }
@@ -298,19 +257,11 @@ func TestSubcommands(t *testing.T) {
 	}
 
 	out.Reset()
-	htmlPath := filepath.Join(t.TempDir(), "timeline.html")
-	if code := run([]string{"timeline", "-html", htmlPath, path}, &out, &errb); code != 0 {
+	if code := run([]string{"timeline", path}, &out, &errb); code != 0 {
 		t.Fatalf("timeline exited %d: %s", code, errb.String())
 	}
 	if !strings.Contains(out.String(), "cut_ratio") {
 		t.Fatalf("timeline output lacks the window table:\n%s", out.String())
-	}
-	html, err := os.ReadFile(htmlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(html, []byte("<svg")) || !bytes.Contains(html, []byte("</html>")) {
-		t.Fatal("HTML timeline is not a complete page with a chart")
 	}
 
 	out.Reset()
@@ -437,25 +388,6 @@ func TestResourcesSubcommand(t *testing.T) {
 	}
 }
 
-func TestResourcesHTMLFlag(t *testing.T) {
-	path := writeTrace(t, "res.jsonl", sampleResources)
-	htmlPath := filepath.Join(t.TempDir(), "res.html")
-	code, out, errb := runCLI(t, "resources", "-html", htmlPath, path)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
-	}
-	if !strings.Contains(out, htmlPath) {
-		t.Errorf("stdout does not mention the HTML path:\n%s", out)
-	}
-	data, err := os.ReadFile(htmlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "<svg") || !strings.Contains(string(data), "walk.run") {
-		t.Errorf("HTML page missing chart content")
-	}
-}
-
 // A resource log is a trace and a trace with no res_* attr is a resource
 // log with nothing captured: each subcommand reads the other's file, and
 // only a schema-v1 resource log (written before the two formats became
@@ -531,23 +463,15 @@ func TestServeSubcommand(t *testing.T) {
 	}
 }
 
-func TestServeAttributionAndHTML(t *testing.T) {
+func TestServeAttribution(t *testing.T) {
 	path := writeTrace(t, "reqs.jsonl", sampleReqlog)
 	assign := writeTrace(t, "parts.txt", sampleAssign)
-	htmlPath := filepath.Join(t.TempDir(), "serve.html")
-	code, out, errb := runCLI(t, "serve", "-assign", assign, "-html", htmlPath, path)
+	code, out, errb := runCLI(t, "serve", "-assign", assign, path)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
 	if !strings.Contains(out, "Tail attribution") || !strings.Contains(out, "pressure") {
 		t.Fatalf("attribution missing:\n%s", out)
-	}
-	html, err := os.ReadFile(htmlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(html), "<svg") {
-		t.Fatal("HTML page has no SVG")
 	}
 }
 

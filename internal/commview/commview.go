@@ -25,7 +25,7 @@ import (
 
 // withMatrix keeps the supersteps that carry a comm matrix, in order. A
 // trace recorded with capture off (or a pre-commview trace) keeps none,
-// which is not an error — the renderers say so.
+// which is not an error — the report says so.
 func withMatrix(steps []traceview.Superstep) []traceview.Superstep {
 	var out []traceview.Superstep
 	for _, st := range steps {

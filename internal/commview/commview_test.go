@@ -76,24 +76,19 @@ func TestReadRejectsMalformedPairs(t *testing.T) {
 	}
 }
 
-// A crashed run's torn final line is traceview.Read's to tolerate; both
-// renderers say so and cover the intact prefix.
+// A crashed run's torn final line is traceview.Read's to tolerate; the
+// report says so and covers the intact prefix.
 func TestReadTornTail(t *testing.T) {
 	steps, truncated, err := decode(sampleTrace + `{"ts":"2026-08-07T12:0`)
 	if err != nil || !truncated || len(withMatrix(steps)) != 2 {
 		t.Fatalf("torn trace: %d matrix steps, truncated=%v, %v", len(withMatrix(steps)), truncated, err)
 	}
-	var text, page strings.Builder
+	var text strings.Builder
 	if err := WriteReport(&text, steps, truncated, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteHTML(&page, steps, truncated, "torn"); err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range []string{text.String(), page.String()} {
-		if !strings.Contains(out, "final trace line torn") || !strings.Contains(strings.ToUpper(out), "RUN 1") {
-			t.Fatalf("torn-trace output lacks the warning or the run:\n%s", out)
-		}
+	if out := text.String(); !strings.Contains(out, "final trace line torn") || !strings.Contains(out, "RUN 1") {
+		t.Fatalf("torn-trace report lacks the warning or the run:\n%s", out)
 	}
 }
 
@@ -303,32 +298,12 @@ func TestWriteReportNoMatrices(t *testing.T) {
 	}
 }
 
-func TestWriteHTMLDeterministic(t *testing.T) {
-	steps := mustDecode(t, sampleTrace)
-	render := func() string {
-		var b strings.Builder
-		if err := WriteHTML(&b, steps, false, "comm heatmap"); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	out := render()
-	for _, want := range []string{"<svg", "Run 1", "rgb(240,", "</html>"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("HTML missing %q", want)
-		}
-	}
-	if out != render() {
-		t.Fatal("HTML not byte-identical across renders")
-	}
-}
-
-// The text and HTML the parent commit's `tracestat comm [-html]` printed for
+// The text the parent commit's `tracestat comm` printed for
 // testdata/crash5_restream.trace.jsonl (two runs of `bench -scale 0.05 -id
 // "Comm Matrix" -fault internal/fault/testdata/crash5_restream.json -trace`:
 // a walk with checkpoints, then a PageRank with a restream and a restore),
 // recorded before the superstep decode moved to traceview.
-func TestGoldenReportAndHTML(t *testing.T) {
+func TestGoldenReport(t *testing.T) {
 	tr, err := traceview.ReadFile(filepath.Join("testdata", "crash5_restream.trace.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -340,25 +315,17 @@ func TestGoldenReportAndHTML(t *testing.T) {
 	if err := CheckMessages(steps); err != nil {
 		t.Fatal(err)
 	}
-	for golden, render := range map[string]func(*bytes.Buffer) error{
-		"crash5_restream.comm.txt": func(b *bytes.Buffer) error {
-			return WriteReport(b, steps, tr.Truncated, nil)
-		},
-		"crash5_restream.comm.html": func(b *bytes.Buffer) error {
-			return WriteHTML(b, steps, tr.Truncated, "bpart comm topology")
-		},
-	} {
-		want, err := os.ReadFile(filepath.Join("testdata", golden))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := render(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s drifted from the parent's bytes:\n%s", golden, got.Bytes())
-		}
+	const golden = "crash5_restream.comm.txt"
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteReport(&got, steps, tr.Truncated, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s drifted from the parent's bytes:\n%s", golden, got.Bytes())
 	}
 }
 
@@ -367,9 +334,6 @@ func TestWriteReportWriterError(t *testing.T) {
 	steps := mustDecode(t, sampleTrace)
 	if err := WriteReport(failWriter{}, steps, false, nil); err == nil {
 		t.Fatal("WriteReport swallowed the writer error")
-	}
-	if err := WriteHTML(failWriter{}, steps, false, "x"); err == nil {
-		t.Fatal("WriteHTML swallowed the writer error")
 	}
 }
 

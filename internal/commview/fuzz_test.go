@@ -77,9 +77,5 @@ func FuzzRead(f *testing.F) {
 		if err := WriteReport(&buf, all, truncated, nil); err != nil {
 			t.Fatalf("report on accepted steps: %v", err)
 		}
-		buf.Reset()
-		if err := WriteHTML(&buf, all, truncated, "fuzz"); err != nil {
-			t.Fatalf("html on accepted steps: %v", err)
-		}
 	})
 }

@@ -35,8 +35,8 @@ type Summary struct {
 	HotMessages int64
 	HotSlack    int64
 	// PerStepMessages[s] is superstep s's total traffic and
-	// PerStepActivePairs[s] its nonzero pair count — the evolution series
-	// the report and heatmap page plot.
+	// PerStepActivePairs[s] its nonzero pair count — the report's
+	// per-superstep evolution table.
 	PerStepMessages    []int64
 	PerStepActivePairs []int
 }

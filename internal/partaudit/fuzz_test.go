@@ -75,6 +75,5 @@ func FuzzReadLog(f *testing.F) {
 		_ = partaudit.WriteExplain(&sink, log, vertex)
 		_ = partaudit.WriteTimeline(&sink, log)
 		_ = partaudit.WriteCombine(&sink, log)
-		_ = partaudit.WriteTimelineHTML(&sink, log)
 	})
 }

@@ -307,7 +307,7 @@ func TestAuditDoesNotChangeResult(t *testing.T) {
 	}
 }
 
-// The text and HTML renderers must handle a real log without error, and
+// The text renderers must handle a real log without error, and
 // explain must reject an unsampled vertex with a helpful error.
 func TestRenderers(t *testing.T) {
 	g := testGraph(t)
@@ -340,13 +340,6 @@ func TestRenderers(t *testing.T) {
 	}
 	if !bytes.Contains(out.Bytes(), []byte("FROZEN as part")) {
 		t.Fatal("combine output lacks freeze outcomes")
-	}
-	out.Reset()
-	if err := partaudit.WriteTimelineHTML(&out, log); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(out.Bytes(), []byte("<svg")) {
-		t.Fatal("HTML timeline lacks the chart")
 	}
 
 	// A vertex no rule sampled: find one absent from the decision log.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -55,28 +54,6 @@ func TestBar(t *testing.T) {
 		if got := Bar(tc.v, tc.max, tc.width); got != tc.want {
 			t.Errorf("Bar(%v,%v,%d) = %q, want %q", tc.v, tc.max, tc.width, got, tc.want)
 		}
-	}
-}
-
-// A page is head, escaped title, body, tail; a failed write ends it there
-// and is returned.
-func TestPage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Page(&buf, "a<b", func(p *Printer) { p.Printf("<p>%d</p>\n", 7) }); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>a&lt;b</title>\n<style>") ||
-		!strings.HasSuffix(out, "</style></head><body>\n<h1>a&lt;b</h1>\n<p>7</p>\n</body></html>\n") {
-		t.Fatalf("page:\n%s", out)
-	}
-	wantErr := errors.New("disk full")
-	sink := &failAfter{n: len(out) - len("</body></html>\n"), err: wantErr}
-	if err := Page(sink, "a<b", func(p *Printer) { p.Printf("<p>%d</p>\n", 7) }); !errors.Is(err, wantErr) {
-		t.Fatalf("Page on a full sink = %v, want %v", err, wantErr)
-	}
-	if sink.buf.String() != strings.TrimSuffix(out, "</body></html>\n") {
-		t.Fatalf("full sink got:\n%s", sink.buf.String())
 	}
 }
 

@@ -130,12 +130,9 @@ func TestReadHardErrors(t *testing.T) {
 		if _, err := Summarize(tr); err == nil {
 			t.Errorf("%s: summarized", name)
 		}
-		if err := WriteReport(&bytes.Buffer{}, tr); err == nil {
-			t.Errorf("%s: reported", name)
-		}
-		var page bytes.Buffer
-		if err := WriteHTML(&page, tr, "x"); err == nil || page.Len() != 0 {
-			t.Errorf("%s: WriteHTML err %v after %d bytes, want an error before the first", name, err, page.Len())
+		var text bytes.Buffer
+		if err := WriteReport(&text, tr); err == nil || text.Len() != 0 {
+			t.Errorf("%s: WriteReport err %v after %d bytes, want an error before the first", name, err, text.Len())
 		}
 	}
 	v1 := `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":123.5,"allocs":10,"alloc_bytes":4096,"heap_bytes":1000,"gc_cycles":1,"gc_pause_us":5,"goroutines":2}` + "\n"
@@ -210,19 +207,5 @@ func TestWriteReport(t *testing.T) {
 	}
 	if out := textReport(t, read(t, many.String())); strings.Count(out, "... 1 more phases elided\n") != 2 {
 		t.Errorf("%d phases did not elide one per table:\n%s", maxPhases+1, out)
-	}
-}
-
-func TestWriteHTML(t *testing.T) {
-	in := validLine(0, "partition.stream", 2500, "") + validLine(1, "walk.run", 1000, "")
-	var buf bytes.Buffer
-	if err := WriteHTML(&buf, read(t, in), "test resources"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"<!DOCTYPE html>", "test resources", "<svg", "walk.run", "partition.stream"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("html missing %q", want)
-		}
 	}
 }

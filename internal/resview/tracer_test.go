@@ -85,8 +85,7 @@ func TestSpanAttrsAccumulate(t *testing.T) {
 // the old iter/kind lap attrs), re-encoded once from schema v1 into the
 // trace schema with the same numbers, must render byte for byte as the
 // commits that still read v1 rendered it (the text as PR 15's `tracestat
-// resources` printed it, the page as PR 23's `-html` wrote it) but for the
-// first table: its heading says the sums are inclusive of nested spans,
+// resources` printed it) but for the first table: its heading says the sums are inclusive of nested spans,
 // and its rows lost the goroutine column. The log's res_goroutines attrs
 // still decode.
 // Neither draws speedup curves: the Parallel Speedup table is the one
@@ -96,20 +95,16 @@ func TestParentRecordedLogRendersIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for golden, render := range map[string]func(*bytes.Buffer) error{
-		"parent_pr15.report.txt":     func(b *bytes.Buffer) error { return WriteReport(b, tr) },
-		"parent_pr15.resources.html": func(b *bytes.Buffer) error { return WriteHTML(b, tr, "bpart runtime resources") },
-	} {
-		want, err := os.ReadFile(filepath.Join("testdata", golden))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := render(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s drifted from the parent's bytes:\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
-		}
+	const golden = "parent_pr15.report.txt"
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteReport(&got, tr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s drifted from the parent's bytes:\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
 	}
 }

@@ -2,7 +2,6 @@ package traceview
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 )
@@ -64,9 +63,12 @@ func FuzzRead(f *testing.F) {
 				t.Fatalf("record %d: End %v before start %v with dur_us %v", i, r.End(), r.Time, r.DurUS)
 			}
 		}
-		// Every renderer must survive anything Read accepts: malformed
-		// superstep attrs are a legitimate error, a panic is not.
-		_ = WriteReport(io.Discard, tr)
-		_ = WriteHTML(io.Discard, tr)
+		// The report must survive anything Read accepts: malformed
+		// superstep attrs are a legitimate error, a panic is not, and an
+		// error comes before the report's first byte.
+		var report bytes.Buffer
+		if err := WriteReport(&report, tr); err != nil && report.Len() != 0 {
+			t.Fatalf("report failed after %d bytes: %v", report.Len(), err)
+		}
 	})
 }

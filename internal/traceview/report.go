@@ -32,14 +32,14 @@ func fmtUS(us float64) string {
 // aggregates, phase tree, and — per run — straggler attribution, the
 // WaitRatio decomposition and the critical-path split.
 func WriteReport(w io.Writer, tr *Trace) error {
+	steps, err := Supersteps(tr) // before the first byte: bad input fails the report, not half of it
+	if err != nil {
+		return err
+	}
 	ew := &report.Printer{W: w}
 	writeSummary(ew, tr)
 	writeSpanTable(ew, tr)
 	writeTree(ew, tr)
-	steps, err := Supersteps(tr)
-	if err != nil {
-		return err
-	}
 	if len(steps) == 0 {
 		ew.Printf("\nNo cluster.superstep records: trace carries no BSP runs.\n")
 		return ew.Err

@@ -115,6 +115,18 @@ func TestReportOnRealTrace(t *testing.T) {
 	}
 }
 
+// A malformed cluster.superstep fails the report before its first byte,
+// not after three sections: stdout never holds half a report.
+func TestReportMalformedSuperstepWritesNothing(t *testing.T) {
+	tr := mustRead(t, `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"walk.run","dur_us":1000}
+{"ts":"2026-08-06T10:00:00.0001Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":100,"compute":[50],"comm":[20,10],"waiting":[0,10],"steps":[1,1],"edges":[0,0],"vertices":[0,0],"messages":[10,10]}}
+`)
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, tr); err == nil || buf.Len() != 0 {
+		t.Fatalf("WriteReport err %v after %d bytes, want an error before the first:\n%s", err, buf.Len(), buf.String())
+	}
+}
+
 // A run longer than maxSupersteps elides the straggler table's tail, and
 // more than maxTreeSpans spans elide the phase tree's; the run summary
 // still covers every superstep.
