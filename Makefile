@@ -72,8 +72,8 @@ benchcheck:
 # baselines regenerates the committed BENCH artifact CI compares against
 # with cmp (see the observability job in .github/workflows/ci.yml). Run
 # after an intentional performance change and commit the result; the
-# artifact is -deterministic, so an unchanged simulation reproduces it byte
-# for byte.
+# artifact holds no wall-clock field, so an unchanged simulation reproduces
+# it byte for byte.
 baselines:
 	$(GO) run ./cmd/bench -scale 0.05 -id "Fig 13" \
-		-json baselines/BENCH_bpart.json -deterministic
+		-json baselines/BENCH_bpart.json

@@ -9,7 +9,7 @@
 //	bench -id "Fig 13" -id "Table 3"
 //	bench -list
 //	bench -trace run.jsonl -pprof localhost:6060
-//	bench -json BENCH_bpart.json -deterministic
+//	bench -json BENCH_bpart.json
 //	bench -fault crash5.json
 //
 // With -trace, one "bench.experiment" span per experiment (id, duration,
@@ -18,9 +18,8 @@
 // -json, a machine-readable BENCH artifact (schema in EXPERIMENTS.md) is
 // written for regression tracking — including a serving section that
 // replays the canonical seeded Zipf request stream per scheme through the
-// bpartd HTTP surface (internal/servestats); -deterministic zeroes its
-// wall-clock fields (experiment seconds, serving latency percentiles) so
-// two runs with identical flags produce byte-identical files.
+// bpartd HTTP surface (internal/servestats). The artifact holds no host
+// measurement, so two runs with identical flags write byte-identical files.
 // With -fault, the JSON fault schedule is injected into every engine the
 // experiments build and the artifact grows a recovery section; the
 // schedule's checkpoint_every field sets the checkpoint interval, so
@@ -34,8 +33,7 @@
 // With -workers N, every engine runs its supersteps on an N-worker
 // goroutine pool (default min(GOMAXPROCS, machines)); outputs and every
 // deterministic artifact are bit-identical at any setting, so the flag
-// changes wall time only. The "Parallel Speedup" experiment sweeps its own
-// -widths ladder (default 1,2,4) regardless of -workers.
+// changes wall time only.
 package main
 
 import (
@@ -47,7 +45,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -76,9 +73,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	tracePath := fs.String("trace", "", "write a JSONL trace (one span per experiment, each span with its res_* resource deltas) to this file")
 	jsonPath := fs.String("json", "", "write a machine-readable BENCH artifact (schema in EXPERIMENTS.md) to this file, e.g. BENCH_bpart.json")
 	faultPath := fs.String("fault", "", "inject this JSON fault schedule (see FaultSpec) into every engine the experiments build")
-	deterministic := fs.Bool("deterministic", false, "zero the artifact's wall-clock fields so identical flags yield byte-identical output")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof, /metrics and /debug/vars on this address")
-	widthsFlag := fs.String("widths", "", "comma-separated Parallel Speedup worker ladder (default 1,2,4)")
 	workers := fs.Int("workers", 0, "superstep worker-pool size for every engine (0 = min(GOMAXPROCS, machines); outputs are bit-identical at any setting)")
 	fs.Var(&ids, "id", "experiment ID to run (repeatable; default all)")
 	if err := fs.Parse(args); err != nil {
@@ -105,11 +100,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		selected[id] = true
 	}
-	// The harness would run a non-positive scale at 1.0 and negative
-	// walkers at the paper defaults while the header, the trace and the
-	// artifact recorded the values given, so both are refused up front.
-	if *scale <= 0 || *walkers < 0 {
-		fmt.Fprintf(stderr, "bench: -scale must be > 0 and -walkers >= 0 (got %g and %d)\n", *scale, *walkers)
+	// The harness would run a non-positive scale at 1.0, negative walkers
+	// at the paper defaults and negative workers at the default pool width
+	// while the header, the trace and the artifact recorded the values
+	// given, so all three are refused up front.
+	if *scale <= 0 || *walkers < 0 || *workers < 0 {
+		fmt.Fprintf(stderr, "bench: -scale must be > 0, -walkers >= 0 and -workers >= 0 (got %g, %d and %d)\n", *scale, *walkers, *workers)
 		return 2
 	}
 
@@ -141,11 +137,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}()
 	}
-	widths, err := parseWidths(*widthsFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "bench:", err)
-		return 2
-	}
 	var reg *bpart.Metrics // built only to be served; a nil sink drops out of the tee
 	if *pprofAddr != "" {
 		reg = bpart.NewMetrics()
@@ -162,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		hist = &experiments.HistogramSink{}
 	}
 	tracer = bpart.TeeTrace(tracer, reg, hist)
-	opt := experiments.Options{Scale: *scale, Walkers: *walkers, Tracer: tracer, Faults: faults, Widths: widths, Workers: *workers}
+	opt := experiments.Options{Scale: *scale, Walkers: *walkers, Tracer: tracer, Faults: faults, Workers: *workers}
 	artifact := experiments.NewBenchArtifact(opt)
 	fmt.Fprintf(stdout, "# bpart experiment run: scale=%.2f\n\n", *scale)
 	failed := 0
@@ -179,13 +170,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		tbl, err := e.Run(opt)
 		if err != nil {
 			sp.End(bpart.TraceString("error", err.Error()))
-			artifact.RecordExperiment(id, time.Since(start).Seconds(), 0, err)
+			artifact.RecordExperiment(id, 0, err)
 			fmt.Fprintf(stderr, "%s: %v\n", id, err)
 			failed++
 			continue
 		}
 		sp.End(bpart.TraceInt("rows", len(tbl.Rows)))
-		artifact.RecordExperiment(id, time.Since(start).Seconds(), len(tbl.Rows), nil)
+		artifact.RecordExperiment(id, len(tbl.Rows), nil)
 		fmt.Fprintf(stdout, "%s   [%.1fs]\n\n", tbl, time.Since(start).Seconds())
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, id, tbl); err != nil {
@@ -199,40 +190,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err := artifact.Collect(opt, hist); err != nil {
 			fmt.Fprintln(stderr, "bench: artifact:", err)
 			failed++
+		} else if err := artifact.WriteFile(*jsonPath); err != nil {
+			fmt.Fprintln(stderr, "bench: artifact:", err)
+			failed++
 		} else {
-			if *deterministic {
-				artifact.StripWallClock()
-			}
-			if err := artifact.WriteFile(*jsonPath); err != nil {
-				fmt.Fprintln(stderr, "bench: artifact:", err)
-				failed++
-			} else {
-				fmt.Fprintf(stdout, "# wrote %s\n", *jsonPath)
-			}
+			fmt.Fprintf(stdout, "# wrote %s\n", *jsonPath)
 		}
 	}
 	if failed > 0 {
 		return 1
 	}
 	return 0
-}
-
-// parseWidths resolves the Parallel Speedup worker ladder: an explicit
-// comma-separated -widths list, or nil for the harness's host-independent
-// default.
-func parseWidths(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var ws []int
-	for _, part := range strings.Split(s, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("-widths: %q is not a positive worker count", part)
-		}
-		ws = append(ws, w)
-	}
-	return ws, nil
 }
 
 func writeCSV(dir, id string, tbl *experiments.Table) error {

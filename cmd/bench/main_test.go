@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -13,7 +12,7 @@ import (
 )
 
 // Two bench runs with identical seeds and flags must write byte-identical
-// BENCH artifacts (wall clocks stripped by -deterministic).
+// BENCH artifacts: the artifact holds no wall-clock field.
 func TestBenchDeterministicArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	runOnce := func(tag string) []byte {
@@ -22,7 +21,7 @@ func TestBenchDeterministicArtifacts(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{
 			"-scale", "0.02", "-id", "Fig 3",
-			"-json", jsonPath, "-deterministic",
+			"-json", jsonPath,
 		}, &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("bench exited %d: %s", code, stderr.String())
@@ -38,11 +37,8 @@ func TestBenchDeterministicArtifacts(t *testing.T) {
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("BENCH artifacts differ across identical runs:\n--- one ---\n%.400s\n--- two ---\n%.400s", j1, j2)
 	}
-	// -deterministic means no live wall clock leaks into the artifact.
 	var art struct {
-		Experiments []struct {
-			WallSeconds float64 `json:"wall_seconds"`
-		} `json:"experiments"`
+		Experiments []map[string]any `json:"experiments"`
 	}
 	if err := json.Unmarshal(j1, &art); err != nil {
 		t.Fatal(err)
@@ -50,9 +46,9 @@ func TestBenchDeterministicArtifacts(t *testing.T) {
 	if len(art.Experiments) == 0 {
 		t.Fatal("artifact recorded no experiments")
 	}
-	for _, e := range art.Experiments {
-		if e.WallSeconds != 0 {
-			t.Fatalf("wall clock survived -deterministic: %+v", art.Experiments)
+	for _, key := range []string{"wall_seconds", "p50_us", "p999_us"} {
+		if bytes.Contains(j1, []byte(`"`+key+`"`)) {
+			t.Fatalf("artifact carries the wall-clock key %q", key)
 		}
 	}
 }
@@ -67,7 +63,7 @@ func TestBenchFaultFlag(t *testing.T) {
 	code := run([]string{
 		"-scale", "0.02", "-id", "Fault Recovery",
 		"-fault", "../../internal/fault/testdata/crash5.json",
-		"-json", jsonPath, "-trace", tracePath, "-deterministic",
+		"-json", jsonPath, "-trace", tracePath,
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("bench exited %d: %s", code, stderr.String())
@@ -115,7 +111,7 @@ func TestBenchCheckpointOnly(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-scale", "0.02", "-id", "Fig 3",
-		"-fault", "../../internal/fault/testdata/checkpoint2.json", "-json", jsonPath, "-deterministic",
+		"-fault", "../../internal/fault/testdata/checkpoint2.json", "-json", jsonPath,
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("bench exited %d: %s", code, stderr.String())
@@ -223,7 +219,7 @@ func TestBenchResourcesDisabledPathIdentical(t *testing.T) {
 		t.Helper()
 		jsonPath := filepath.Join(dir, tag+".json")
 		tracePath := filepath.Join(dir, tag+"_trace.jsonl")
-		args := []string{"-scale", "0.02", "-id", "Fig 3", "-json", jsonPath, "-deterministic"}
+		args := []string{"-scale", "0.02", "-id", "Fig 3", "-json", jsonPath}
 		if traced {
 			args = append(args, "-trace", tracePath)
 		}
@@ -257,15 +253,12 @@ func TestBenchResourcesDisabledPathIdentical(t *testing.T) {
 }
 
 // -trace records each span's resource deltas: the bench.experiment span
-// carries them, and the Parallel Speedup sweep's engines run quiet, so
-// that span is all the trace holds.
+// carries them, and Table 1 builds no engine, so that span is all the
+// trace holds.
 func TestBenchTraceCarriesResources(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "t.jsonl")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-scale", "0.02", "-id", "Parallel Speedup",
-		"-trace", tracePath, "-widths", "1,2",
-	}, &stdout, &stderr)
+	code := run([]string{"-scale", "0.02", "-id", "Table 1", "-trace", tracePath}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("bench exited %d: %s", code, stderr.String())
 	}
@@ -276,49 +269,11 @@ func TestBenchTraceCarriesResources(t *testing.T) {
 	if len(l.Records) != 1 || l.Records[0].Name != "bench.experiment" {
 		t.Fatalf("trace holds %+v, want one bench.experiment span", l.Records)
 	}
-	if id, _ := l.Records[0].Str("id"); id != "Parallel Speedup" {
+	if id, _ := l.Records[0].Str("id"); id != "Table 1" {
 		t.Fatalf("bench.experiment id %q", id)
 	}
 	if n, ok := l.Records[0].Int("res_allocs"); !ok || n < 1 {
 		t.Fatalf("bench.experiment span without resource deltas: %+v", l.Records[0])
-	}
-}
-
-// Without -widths the Parallel Speedup ladder is the harness's {1, 2, 4}
-// on every host, traced with resource deltas or not, and every row is
-// bit-identical to the 1-worker run.
-func TestBenchDefaultWidthsIgnoreResources(t *testing.T) {
-	dir := t.TempDir()
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-scale", "0.02", "-id", "Parallel Speedup",
-		"-trace", filepath.Join(dir, "t.jsonl"), "-csv", dir,
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("bench exited %d: %s", code, stderr.String())
-	}
-	f, err := os.Open(filepath.Join(dir, "parallel_speedup.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rows, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := map[string]int{}
-	for i, h := range rows[0] {
-		col[h] = i
-	}
-	widths := map[string]bool{}
-	for _, r := range rows[1:] {
-		widths[r[col["workers"]]] = true
-		if r[col["identical"]] != "true" {
-			t.Fatalf("row %v failed its bit-identity check", r)
-		}
-	}
-	if len(widths) != 3 || !widths["1"] || !widths["2"] || !widths["4"] {
-		t.Fatalf("worker ladder %v, want {1, 2, 4}", widths)
 	}
 }
 
@@ -337,30 +292,20 @@ func TestBenchUnknownID(t *testing.T) {
 	}
 }
 
-func TestBenchBadWidths(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-widths", "1,zero"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("bad -widths exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "-widths") {
-		t.Fatalf("no diagnostic: %s", stderr.String())
-	}
-}
-
-// An early exit after the trace is open (here the -widths parse error)
-// must still close it: the deferred close runs on every return. A leaked
-// handle shows as a /proc/self/fd entry still pointing into the test's
-// directory.
+// A failed run must still close the trace it opened (here the -csv
+// directory is a regular file, so the table cannot be written): the
+// deferred close runs on every return. A leaked handle shows as a
+// /proc/self/fd entry still pointing into the test's directory.
 func TestBenchEarlyExitClosesLogs(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "t.jsonl")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-trace", tracePath, "-widths", "1,zero"}, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("bad -widths exited %d, want 2", code)
+	code := run([]string{"-scale", "0.02", "-id", "Table 1", "-trace", tracePath, "-csv", tracePath}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "Table 1: csv:") {
+		t.Fatalf("an unwritable -csv exited %d, want 1; stderr %q", code, stderr.String())
 	}
-	if l, err := traceview.ReadFile(tracePath); err != nil || l.Truncated || len(l.Records) != 0 {
-		t.Fatalf("trace after early exit: %+v, %v", l, err)
+	if l, err := traceview.ReadFile(tracePath); err != nil || l.Truncated || len(l.Spans("bench.experiment")) != 1 {
+		t.Fatalf("trace after a failed run: %+v, %v", l, err)
 	}
 	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
@@ -404,7 +349,7 @@ func TestBenchParallelWorkersByteIdentical(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{
 			"-scale", "0.02", "-id", "Fig 3",
-			"-json", jsonPath, "-deterministic", "-workers", workers,
+			"-json", jsonPath, "-workers", workers,
 		}, &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("bench -workers %s exited %d: %s", workers, code, stderr.String())
@@ -423,12 +368,12 @@ func TestBenchParallelWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// A scale or walker count the harness would silently replace is a usage
-// error, raised before any output file is created: the header, the trace
-// and the artifact would otherwise record values that never ran.
+// A scale, walker or worker count the harness would silently replace is a
+// usage error, raised before any output file is created: the header, the
+// trace and the artifact would otherwise record values that never ran.
 func TestBenchBadScaleOrWalkers(t *testing.T) {
 	for _, bad := range [][]string{
-		{"-scale", "-1"}, {"-scale", "0"}, {"-walkers", "-3"}, {"-scale", "-1", "-walkers", "-3"},
+		{"-scale", "-1"}, {"-scale", "0"}, {"-walkers", "-3"}, {"-scale", "-1", "-walkers", "-3"}, {"-workers", "-1"},
 	} {
 		t.Run(strings.Join(bad, "_"), func(t *testing.T) {
 			dir := t.TempDir()
@@ -439,8 +384,8 @@ func TestBenchBadScaleOrWalkers(t *testing.T) {
 			if code := run(args, &stdout, &stderr); code != 2 {
 				t.Fatalf("bench %v exited %d, want 2", bad, code)
 			}
-			if !strings.Contains(stderr.String(), "-scale") || !strings.Contains(stderr.String(), "-walkers") {
-				t.Fatalf("diagnostic names neither flag: %q", stderr.String())
+			if !strings.Contains(stderr.String(), bad[0]) || strings.Count(stderr.String(), "\n") != 1 {
+				t.Fatalf("diagnostic is not one line naming %s: %q", bad[0], stderr.String())
 			}
 			if stdout.Len() != 0 {
 				t.Fatalf("the run started:\n%s", stdout.String())

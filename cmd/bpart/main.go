@@ -107,6 +107,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err := checkModeFlags(fs, stderr, *list, *evalPath != "", *vcutMode, *all); err != nil {
 		return err
 	}
+	// The pool would run a negative width at its default while the run
+	// reported the value given, so it is refused before any file is made.
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "bpart: -workers must be >= 0 (got %d)\n", *workers)
+		return errUsage
+	}
 
 	tel, err := setupTelemetry(*tracePath, *metrics, *pprofAddr, stdout, stderr)
 	if err != nil {

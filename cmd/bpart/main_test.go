@@ -90,6 +90,28 @@ func TestBadFlagIsUsageError(t *testing.T) {
 	}
 }
 
+// A negative -workers is a usage error with a one-line diagnostic, raised
+// before any output file is created; the pool would otherwise run it at
+// the default width.
+func TestNegativeWorkersIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-dataset", "lj-sim", "-scale", "0.02", "-k", "4", "-workers", "-1",
+		"-out", filepath.Join(dir, "o.txt"), "-trace", filepath.Join(dir, "t.jsonl")}, &stdout, &stderr)
+	if err != errUsage {
+		t.Fatalf("run = %v, want errUsage", err)
+	}
+	if diag := stderr.String(); diag != "bpart: -workers must be >= 0 (got -1)\n" {
+		t.Fatalf("diagnostic %q", diag)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("the run started:\n%s", stdout.String())
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("a refused run created files: %v, %v", left, err)
+	}
+}
+
 // A flag the selected mode would silently ignore is a usage error naming
 // the flag, raised before any output file is created.
 func TestIgnoredFlagIsUsageError(t *testing.T) {

@@ -5,8 +5,7 @@
 //
 // Traces: report prints the full analysis (span aggregates, the phase tree
 // and, per BSP run, the WaitRatio decomposition, straggler attribution and
-// critical-path split); stragglers and critpath print just their section;
-// comm analyzes the src→dst matrices of a matrix-capture run
+// critical-path split); comm analyzes the src→dst matrices of a matrix-capture run
 // (Cluster.SetCommMatrix); resources analyzes the res_* attrs of the
 // trace's spans (per-phase inclusive wall time, alloc/GC attribution).
 // Request logs: serve prints per-endpoint and per-part latency percentiles
@@ -73,18 +72,6 @@ var commands = []command{
 				return err
 			}
 			return traceview.WriteReport(c.stdout, tr)
-		})},
-	{name: "stragglers", args: []string{"trace.jsonl"},
-		setup: noFlags(func(c *call) error {
-			return eachRun(c, func(i int, run []traceview.Superstep) error {
-				return traceview.WriteStragglers(c.stdout, i, run)
-			})
-		})},
-	{name: "critpath", args: []string{"trace.jsonl"},
-		setup: noFlags(func(c *call) error {
-			return eachRun(c, func(i int, run []traceview.Superstep) error {
-				return traceview.WriteCritPath(c.stdout, i, run)
-			})
 		})},
 	{name: "comm", args: []string{"trace.jsonl"},
 		setup: func(fs *flag.FlagSet) func(*call) error {
@@ -197,29 +184,6 @@ func readAudit(path string) (*partaudit.Audit, error) {
 		return nil, err
 	}
 	return tr.Audit()
-}
-
-// eachRun reads the trace, splits its supersteps into BSP runs and hands
-// each to section, numbered from 1.
-func eachRun(c *call, section func(i int, run []traceview.Superstep) error) error {
-	tr, err := traceview.ReadFile(c.args[0])
-	if err != nil {
-		return err
-	}
-	steps, err := traceview.Supersteps(tr)
-	if err != nil {
-		return err
-	}
-	if len(steps) == 0 {
-		_, err := fmt.Fprintln(c.stdout, "no cluster.superstep records in trace")
-		return err
-	}
-	for i, run := range traceview.GroupRuns(steps) {
-		if err := section(i+1, run); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // run is the testable entry point; it returns the process exit code.

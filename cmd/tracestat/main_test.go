@@ -41,28 +41,6 @@ func TestReportSubcommand(t *testing.T) {
 	}
 }
 
-func TestStragglersSubcommand(t *testing.T) {
-	path := writeTrace(t, "a.jsonl", sampleTrace)
-	code, out, errb := runCLI(t, "stragglers", path)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
-	}
-	if !strings.Contains(out, "straggler attribution") || !strings.Contains(out, "M0") {
-		t.Fatalf("stragglers output:\n%s", out)
-	}
-}
-
-func TestCritpathSubcommand(t *testing.T) {
-	path := writeTrace(t, "a.jsonl", sampleTrace)
-	code, out, errb := runCLI(t, "critpath", path)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
-	}
-	if !strings.Contains(out, "critical path") {
-		t.Fatalf("critpath output:\n%s", out)
-	}
-}
-
 // commTrace carries pairs matrices (matrix capture on) with a recovery
 // phase superstep.
 const commTrace = `{"ts":"2026-08-06T10:00:00Z","type":"event","name":"cluster.superstep","attrs":{"iteration":0,"machines":2,"time_us":100,"compute":[50,40],"comm":[20,10],"waiting":[0,10],"steps":[0,0],"edges":[10,10],"vertices":[2,2],"messages":[3,1],"pairs":[[0,3],[1,0]]}}
@@ -160,11 +138,10 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 	_, _, stderr := runCLI(t)
-	if n := strings.Count(stderr, "\n  tracestat "); n != 9 {
-		t.Errorf("usage lists %d subcommands, want 9:\n%s", n, stderr)
+	if n := strings.Count(stderr, "\n  tracestat "); n != 7 {
+		t.Errorf("usage lists %d subcommands, want 7:\n%s", n, stderr)
 	}
 	for _, line := range []string{
-		"  tracestat critpath trace.jsonl\n",
 		"  tracestat report trace.jsonl\n",
 		"  tracestat comm [-audit audit.jsonl] trace.jsonl\n",
 		"  tracestat resources trace.jsonl\n",
@@ -200,8 +177,8 @@ func TestGoldenOutputs(t *testing.T) {
 		code int
 	}{
 		{"report", []string{"report", sample}, 0},
-		{"stragglers", []string{"stragglers", comm}, 0},
-		{"critpath", []string{"critpath", comm}, 0},
+		// The straggler and critical-path sections of a recovered run.
+		{"report_crash5", []string{"report", comm}, 0},
 		{"comm", []string{"comm", "-audit", audit, comm}, 0},
 		{"resources", []string{"resources", res}, 0},
 		{"serve", []string{"serve", "-assign", goldenDir + "/parts.txt",
@@ -212,8 +189,6 @@ func TestGoldenOutputs(t *testing.T) {
 		// Each family's torn copy ends mid-record, so every reader's
 		// truncation banner is pinned too.
 		{"report_torn", []string{"report", tornTrace}, 0},
-		{"stragglers_torn", []string{"stragglers", tornTrace}, 0},
-		{"critpath_torn", []string{"critpath", tornTrace}, 0},
 		{"comm_torn", []string{"comm", "-audit", tornAudit, tornTrace}, 0},
 		{"resources_torn", []string{"resources", goldenDir + "/resources_torn.jsonl"}, 0},
 		{"serve_torn", []string{"serve", "-assign", goldenDir + "/parts.txt",
@@ -340,7 +315,7 @@ func TestCorruptLogFails(t *testing.T) {
 // failure with a single-line diagnostic — not an empty report with exit 0.
 func TestCorruptTraceFails(t *testing.T) {
 	path := writeTrace(t, "garbage.jsonl", "this is not a trace\n")
-	for _, sub := range []string{"report", "stragglers", "critpath"} {
+	for _, sub := range []string{"report", "comm", "resources"} {
 		code, _, stderr := runCLI(t, sub, path)
 		if code != 1 {
 			t.Errorf("%s on garbage exit = %d, want 1", sub, code)
@@ -394,7 +369,7 @@ func TestResourcesSubcommand(t *testing.T) {
 // one) is refused — with a message that says what to do, not `bad ts ""`.
 func TestResourceFileIsATrace(t *testing.T) {
 	res := writeTrace(t, "res.jsonl", sampleResources)
-	for _, sub := range []string{"report", "stragglers", "critpath", "comm"} {
+	for _, sub := range []string{"report", "comm"} {
 		if code, out, errb := runCLI(t, sub, res); code != 0 || out == "" {
 			t.Errorf("%s on a resource log: exit %d, stderr %q", sub, code, errb)
 		}

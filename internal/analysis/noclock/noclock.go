@@ -22,9 +22,9 @@
 // internal/resview only reads those attrs back); request-latency capture for
 // the serving layer lives in the exempt internal/servestats, whose clock
 // reads are the feature (the BENCH serving section stays deterministic
-// because StripWallClock zeroes the latency columns, and experiments
-// drives serving through servestats.Play rather than timing anything
-// itself). Test files are exempt:
+// because it keeps only request counts and routing skew, never a latency,
+// and experiments drives serving through servestats.Play rather than
+// timing anything itself). Test files are exempt:
 // -timeout handling and
 // benchmark plumbing there are the test harness's business. Anything else
 // needs a bpartlint:ignore noclock waiver and a reason.

@@ -4,8 +4,8 @@
 // set — wall-clock reads here are the feature, not a leak — so nothing
 // may be flagged. The boundary holds in the other direction: the
 // deterministic packages drive serving through servestats.Play and never
-// time requests themselves, and the BENCH serving section's latency
-// columns are zeroed by StripWallClock before any byte comparison.
+// time requests themselves, and the BENCH serving section keeps no
+// latency column.
 package servestats
 
 import "time"

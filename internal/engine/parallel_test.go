@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bpart/internal/cluster"
@@ -90,6 +91,40 @@ func runStats(t testing.TB, b []byte) cluster.RunStats {
 	return r.Stats
 }
 
+// gridGraph is one graph of the worker grid and the schemes and
+// algorithms it runs.
+type gridGraph struct {
+	name    string
+	g       *graph.Graph
+	k       int
+	schemes []string
+	algos   []parallelAlgo
+}
+
+// workerGridGraphs are the grid's graphs: two 400-vertex Chung-Lu graphs
+// under every algorithm, and the largest reference preset, friendster-sim
+// at scale 0.02 (k = 8), under the paper's four compared schemes with
+// PageRank and CC.
+func workerGridGraphs(t *testing.T) []gridGraph {
+	t.Helper()
+	var gs []gridGraph
+	for _, seed := range []uint64{1, 7} {
+		g, err := gen.ChungLu(gen.Config{NumVertices: 400, AvgDegree: 6, Skew: 0.6, Seed: seed})
+		if err != nil {
+			t.Fatalf("seed=%d: %v", seed, err)
+		}
+		gs = append(gs, gridGraph{fmt.Sprintf("seed=%d", seed), g, 4,
+			[]string{"Chunk-V", "Chunk-E", "Hash", "BPart"}, parallelAlgos()})
+	}
+	g, err := gen.Preset(gen.FriendsterSim, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prCC := slices.DeleteFunc(parallelAlgos(), func(a parallelAlgo) bool { return a.name != "PageRank" && a.name != "CC" })
+	return append(gs, gridGraph{string(gen.FriendsterSim), g, 8,
+		[]string{"Chunk-V", "Chunk-E", "Fennel", "BPart"}, prCC})
+}
+
 // The grid runs in both accounting modes: with matrix capture off a push
 // superstep charges each frontier vertex its cached cut degree, with capture
 // on it scans the arcs for their destinations. Each mode must be
@@ -97,39 +132,32 @@ func runStats(t testing.TB, b []byte) cluster.RunStats {
 // per-superstep per-machine counter, with the captured rows summing to the
 // message totals.
 func TestParallelWorkerGridByteIdentical(t *testing.T) {
-	schemes := []string{"Chunk-V", "Chunk-E", "Hash", "BPart"}
-	seeds := []uint64{1, 7}
-	const k = 4
-	for _, seed := range seeds {
-		g, err := gen.ChungLu(gen.Config{NumVertices: 400, AvgDegree: 6, Skew: 0.6, Seed: seed})
-		if err != nil {
-			t.Fatalf("seed=%d: %v", seed, err)
-		}
-		for _, scheme := range schemes {
-			e := schemeEngine(t, g, scheme, k)
-			for _, algo := range parallelAlgos() {
+	for _, gg := range workerGridGraphs(t) {
+		for _, scheme := range gg.schemes {
+			e := schemeEngine(t, gg.g, scheme, gg.k)
+			for _, algo := range gg.algos {
 				var byMode [2]cluster.RunStats // matrix off, on
 				for mode, matrix := range []bool{false, true} {
 					e.Cluster().SetCommMatrix(matrix)
 					e.Cluster().SetWorkers(1)
 					ref, err := algo.run(e)
 					if err != nil {
-						t.Fatalf("%s/%s seed=%d matrix=%v workers=1: %v", algo.name, scheme, seed, matrix, err)
+						t.Fatalf("%s/%s %s matrix=%v workers=1: %v", algo.name, scheme, gg.name, matrix, err)
 					}
 					byMode[mode] = runStats(t, ref)
 					for _, wk := range parallelWorkerGrid() {
 						e.Cluster().SetWorkers(wk)
 						got, err := algo.run(e)
 						if err != nil {
-							t.Fatalf("%s/%s seed=%d matrix=%v workers=%d: %v", algo.name, scheme, seed, matrix, wk, err)
+							t.Fatalf("%s/%s %s matrix=%v workers=%d: %v", algo.name, scheme, gg.name, matrix, wk, err)
 						}
 						if !bytes.Equal(got, ref) {
-							t.Errorf("%s/%s seed=%d matrix=%v workers=%d: marshaled result differs from the 1-worker run (%d vs %d bytes)",
-								algo.name, scheme, seed, matrix, wk, len(got), len(ref))
+							t.Errorf("%s/%s %s matrix=%v workers=%d: marshaled result differs from the 1-worker run (%d vs %d bytes)",
+								algo.name, scheme, gg.name, matrix, wk, len(got), len(ref))
 						}
 					}
 				}
-				checkAccountingModesAgree(t, fmt.Sprintf("%s/%s seed=%d", algo.name, scheme, seed), byMode[0], byMode[1])
+				checkAccountingModesAgree(t, fmt.Sprintf("%s/%s %s", algo.name, scheme, gg.name), byMode[0], byMode[1])
 			}
 		}
 	}

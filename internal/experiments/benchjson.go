@@ -16,16 +16,15 @@ import (
 // BenchSchemaVersion is the BENCH_bpart.json schema version. Bump it on
 // any incompatible field change; consumers must check it before trusting
 // field meanings. The schema itself is documented in EXPERIMENTS.md.
-const BenchSchemaVersion = 1
+// Version 2 dropped the wall-clock fields (experiment seconds, serving
+// latency percentiles), so every field is deterministic at a fixed scale.
+const BenchSchemaVersion = 2
 
-// BenchExperiment is one experiment's entry in the artifact. Wall-clock
-// seconds vary run to run; everything else is deterministic at a fixed
-// scale.
+// BenchExperiment is one experiment's entry in the artifact.
 type BenchExperiment struct {
-	ID          string  `json:"id"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Rows        int     `json:"rows"`
-	Error       string  `json:"error,omitempty"`
+	ID    string `json:"id"`
+	Rows  int    `json:"rows"`
+	Error string `json:"error,omitempty"`
 }
 
 // BenchPartition is one (graph, scheme, k) cell of the artifact's
@@ -82,10 +81,10 @@ type BenchComm struct {
 }
 
 // BenchArtifact is the machine-readable benchmark record cmd/bench writes
-// (BENCH_bpart.json). Fields marshal in declaration order, so the output
-// is byte-deterministic given identical contents. Recovery is additive
-// (schema version 1 either way): it is present exactly when the run
-// injected a fault schedule.
+// (BENCH_bpart.json). Fields marshal in declaration order and none holds a
+// host measurement, so two runs with identical flags write identical
+// bytes. Recovery is additive (the schema version is the same either
+// way): it is present exactly when the run injected a fault schedule.
 type BenchArtifact struct {
 	SchemaVersion int                          `json:"schema_version"`
 	Scale         float64                      `json:"scale"`
@@ -113,8 +112,8 @@ func NewBenchArtifact(opt Options) *BenchArtifact {
 }
 
 // RecordExperiment appends one experiment outcome in run order.
-func (a *BenchArtifact) RecordExperiment(id string, wallSeconds float64, rows int, runErr error) {
-	e := BenchExperiment{ID: id, WallSeconds: wallSeconds, Rows: rows}
+func (a *BenchArtifact) RecordExperiment(id string, rows int, runErr error) {
+	e := BenchExperiment{ID: id, Rows: rows}
 	if runErr != nil {
 		e.Error = runErr.Error()
 	}
@@ -225,23 +224,6 @@ func (a *BenchArtifact) collectRecovery(d gen.Dataset, opt Options) error {
 		})
 	}
 	return nil
-}
-
-// StripWallClock zeroes every wall-clock field (bench -deterministic):
-// experiment wall seconds and serving latency percentiles are the
-// artifact's only nondeterministic content, so a stripped artifact is
-// byte-identical across runs with the same flags — including across
-// -workers settings, since every engine output is worker-invariant.
-func (a *BenchArtifact) StripWallClock() {
-	for i := range a.Experiments {
-		a.Experiments[i].WallSeconds = 0
-	}
-	for i := range a.Serving {
-		for j := range a.Serving[i].Endpoints {
-			e := &a.Serving[i].Endpoints[j]
-			e.P50US, e.P95US, e.P99US, e.P999US = 0, 0, 0, 0
-		}
-	}
 }
 
 // WriteJSON marshals the artifact (indented, trailing newline).

@@ -16,8 +16,8 @@ func TestBenchArtifactRoundTrip(t *testing.T) {
 	hist := &HistogramSink{}
 	opt := Options{Scale: testScale, Tracer: hist}
 	a := NewBenchArtifact(opt)
-	a.RecordExperiment("Fig 13", 1.25, 4, nil)
-	a.RecordExperiment("Fig 14", 0.5, 0, errors.New("boom"))
+	a.RecordExperiment("Fig 13", 4, nil)
+	a.RecordExperiment("Fig 14", 0, errors.New("boom"))
 	if err := a.Collect(opt, hist); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestBenchArtifactRoundTrip(t *testing.T) {
 func TestBenchArtifactDeterministicEncoding(t *testing.T) {
 	opt := Options{Scale: testScale}
 	a := NewBenchArtifact(opt)
-	a.RecordExperiment("Fig 13", 1, 4, nil)
+	a.RecordExperiment("Fig 13", 4, nil)
 	if err := a.Collect(opt, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,14 @@ func TestReadBenchArtifactRejectsWrongVersion(t *testing.T) {
 	if _, err := ReadBenchArtifact(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// Version 1 still reads with a key this reader no longer knows: the
-	// parallel section older artifacts carry.
-	old := `{"schema_version": 1, "parallel": [{"engine": "CC", "workers": 2, "identical": true}]}`
-	if _, err := ReadBenchArtifact(strings.NewReader(old)); err != nil {
-		t.Fatalf("artifact with a parallel section: %v", err)
+	// Version 1 carried wall-clock fields this reader no longer knows, so
+	// it is refused by number; a key the version does not define is not.
+	if _, err := ReadBenchArtifact(strings.NewReader(`{"schema_version": 1}`)); err == nil {
+		t.Fatal("schema version 1 accepted")
+	}
+	extra := `{"schema_version": 2, "parallel": [{"engine": "CC", "workers": 2, "identical": true}]}`
+	if _, err := ReadBenchArtifact(strings.NewReader(extra)); err != nil {
+		t.Fatalf("artifact with an unknown section: %v", err)
 	}
 }
 

@@ -50,7 +50,7 @@ func CommMatrix(opt Options) (*Table, error) {
 					return nil, err
 				}
 				e.Cluster().SetCommMatrix(true)
-				if _, stats, err = pageRank(e); err != nil {
+				if stats, err = pageRank(e); err != nil {
 					return nil, err
 				}
 			}

@@ -8,8 +8,8 @@
 // Graphs and partitions are memoized per (dataset, scale) so that a full
 // run does not regenerate the synthetic datasets dozens of times; a
 // memoized graph carries its reverse (graph.Graph.In) to every engine and
-// stream over it. Everything except the wall-clock timings of Table 2 is
-// deterministic.
+// stream over it. Everything except the wall-clock timings of Table 2 and
+// S5 Related is deterministic.
 package experiments
 
 import (
@@ -42,8 +42,7 @@ type Options struct {
 	// application-time figures).
 	Walkers int
 	// Tracer, when non-nil, is attached to every engine an experiment
-	// builds (the Parallel Speedup sweep's engines run quiet); `bench
-	// -trace` arrives here, as do `-pprof`'s registry and `-json`'s
+	// builds; `bench -trace` arrives here, as do `-pprof`'s registry and `-json`'s
 	// HistogramSink. Observation-only — results are identical with or
 	// without it.
 	Tracer telemetry.Tracer
@@ -53,18 +52,12 @@ type Options struct {
 	// machine count. The Fault Recovery experiment and the BENCH
 	// artifact's recovery section also honor it.
 	Faults *fault.Spec
-	// Widths is the Parallel Speedup worker-count ladder (cmd/bench
-	// -widths). nil selects the host-independent default {1, 2, 4}. Every
-	// width must be >= 1, and the speedup/efficiency columns need width 1
-	// as their baseline.
-	Widths []int
 	// Workers is the superstep worker-pool size for every iteration and
 	// walk engine an experiment builds (cmd/bench -workers); 0 selects the
 	// cluster's default, min(GOMAXPROCS, machines), and 1 runs supersteps
 	// inline on the calling goroutine. The engines' outputs and counters
 	// are bit-identical at any setting; only host wall time changes, so
-	// every deterministic table and artifact section is unaffected. The
-	// Parallel Speedup experiment sweeps its own ladder and ignores this.
+	// every deterministic table and artifact section is unaffected.
 	Workers int
 }
 
@@ -176,7 +169,6 @@ func All() []Experiment {
 		{"Ablation Hetero", AblationHetero},
 		{"Fault Recovery", FaultRecovery},
 		{"Comm Matrix", CommMatrix},
-		{"Parallel Speedup", ParallelSpeedup},
 	}
 }
 

@@ -79,19 +79,3 @@ func TestBenchArtifactRecoverySection(t *testing.T) {
 		t.Fatal("fault-free artifact still carries a recovery key")
 	}
 }
-
-// StripWallClock must zero exactly the nondeterministic fields.
-func TestStripWallClock(t *testing.T) {
-	a := NewBenchArtifact(Options{Scale: testScale})
-	a.RecordExperiment("Fig 13", 1.5, 4, nil)
-	a.RecordExperiment("Fig 14", 0.25, 2, nil)
-	a.StripWallClock()
-	for _, e := range a.Experiments {
-		if e.WallSeconds != 0 {
-			t.Fatalf("wall clock survived strip: %+v", e)
-		}
-		if e.Rows == 0 {
-			t.Fatalf("strip clobbered rows: %+v", e)
-		}
-	}
-}

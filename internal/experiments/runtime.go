@@ -188,26 +188,25 @@ var appRuns = map[string]appRun{
 	"CC":       iterApp(components),
 }
 
-// iterRun runs one iteration algorithm and returns its full result (the
-// Parallel Speedup sweep marshals it) and the run's stats.
-type iterRun func(*engine.Engine) (any, *cluster.RunStats, error)
+// iterRun runs one iteration algorithm and returns the run's stats.
+type iterRun func(*engine.Engine) (*cluster.RunStats, error)
 
 // pageRank is the paper's ten PageRank iterations.
-func pageRank(e *engine.Engine) (any, *cluster.RunStats, error) {
+func pageRank(e *engine.Engine) (*cluster.RunStats, error) {
 	r, err := e.PageRank(10, 0.85)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return r, &r.Stats, nil
+	return &r.Stats, nil
 }
 
 // components is connected components run to convergence.
-func components(e *engine.Engine) (any, *cluster.RunStats, error) {
+func components(e *engine.Engine) (*cluster.RunStats, error) {
 	r, err := e.ConnectedComponents(0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return r, &r.Stats, nil
+	return &r.Stats, nil
 }
 
 // walkApp runs |V| walks of kind (Options.Walkers overrides).
@@ -232,7 +231,7 @@ func iterApp(run iterRun) appRun {
 		if err != nil {
 			return 0, err
 		}
-		_, stats, err := run(e)
+		stats, err := run(e)
 		if err != nil {
 			return 0, err
 		}

@@ -11,32 +11,26 @@ import (
 // The canonical serving workload: a fixed seeded Zipf request stream
 // (lookup-heavy with k-hop and walk traffic mixed in) replayed in-process
 // through the full HTTP surface per scheme. The stream is identical across
-// runs and schemes, so the routing columns are regression-diffable; only
-// the latency columns are wall-clock.
+// runs and schemes, so every column is regression-diffable; the request
+// latencies stay in the request log, which the artifact does not keep.
 const (
 	benchServingSeed     = 1
 	benchServingRequests = 1200
 	benchServingZipf     = 1.1
 )
 
-// BenchServingEndpoint is one endpoint's latency digest in a serving cell.
-// The percentile fields are wall-clock (StripWallClock zeroes them); the
-// request count is deterministic.
+// BenchServingEndpoint is one endpoint's request count in a serving cell.
 type BenchServingEndpoint struct {
-	Endpoint string  `json:"endpoint"`
-	Requests int64   `json:"requests"`
-	P50US    float64 `json:"p50_us"`
-	P95US    float64 `json:"p95_us"`
-	P99US    float64 `json:"p99_us"`
-	P999US   float64 `json:"p999_us"`
+	Endpoint string `json:"endpoint"`
+	Requests int64  `json:"requests"`
 }
 
 // BenchServing is one (graph, scheme, k) cell of the artifact's serving
 // section: the canonical Zipf stream served by that scheme's assignment,
-// with per-endpoint tail latencies and the routing-skew columns that tie
-// serving pressure back to partition balance. HotPart/HotShare/MaxPressure
-// derive purely from the seeded stream and the assignment, so they are
-// deterministic at a fixed scale.
+// with per-endpoint request counts and the routing-skew columns that tie
+// serving pressure back to partition balance. Every field derives purely
+// from the seeded stream and the assignment, so the cell is deterministic
+// at a fixed scale.
 type BenchServing struct {
 	Graph    string `json:"graph"`
 	Scheme   string `json:"scheme"`
@@ -116,10 +110,6 @@ func (a *BenchArtifact) collectServing(d gen.Dataset, opt Options) error {
 			cell.Endpoints = append(cell.Endpoints, BenchServingEndpoint{
 				Endpoint: e.Endpoint,
 				Requests: e.Count,
-				P50US:    e.P50,
-				P95US:    e.P95,
-				P99US:    e.P99,
-				P999US:   e.P999,
 			})
 		}
 		a.Serving = append(a.Serving, cell)

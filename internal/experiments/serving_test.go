@@ -6,7 +6,7 @@ import (
 )
 
 // The serving section must carry one cell per scheme with a full endpoint
-// digest, live latencies, and routing-skew columns in their defined ranges.
+// digest and routing-skew columns in their defined ranges.
 func TestBenchServingSection(t *testing.T) {
 	opt := Options{Scale: testScale}
 	a := NewBenchArtifact(opt)
@@ -34,7 +34,7 @@ func TestBenchServingSection(t *testing.T) {
 		var total int64
 		for _, e := range s.Endpoints {
 			total += e.Requests
-			if e.Requests <= 0 || e.P50US <= 0 || e.P99US < e.P50US || e.P999US < e.P99US {
+			if e.Requests <= 0 {
 				t.Fatalf("%s %s digest = %+v", s.Scheme, e.Endpoint, e)
 			}
 		}
@@ -44,10 +44,9 @@ func TestBenchServingSection(t *testing.T) {
 	}
 }
 
-// Under StripWallClock the serving section must be byte-identical across
-// collections: the seeded stream routes the same way every run, and the
-// latency columns are the only live measurements.
-func TestBenchServingDeterministicUnderStrip(t *testing.T) {
+// The serving section is byte-identical across collections: the seeded
+// stream routes the same way every run, and no cell holds a latency.
+func TestBenchServingDeterministic(t *testing.T) {
 	opt := Options{Scale: testScale}
 	var outs [2]bytes.Buffer
 	for i := range outs {
@@ -55,19 +54,11 @@ func TestBenchServingDeterministicUnderStrip(t *testing.T) {
 		if err := a.Collect(opt, nil); err != nil {
 			t.Fatal(err)
 		}
-		a.StripWallClock()
-		for _, s := range a.Serving {
-			for _, e := range s.Endpoints {
-				if e.P50US != 0 || e.P95US != 0 || e.P99US != 0 || e.P999US != 0 {
-					t.Fatalf("stripped cell still carries latency: %+v", e)
-				}
-			}
-		}
 		if err := a.WriteJSON(&outs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
-		t.Fatal("two stripped collections differ")
+		t.Fatal("two collections differ")
 	}
 }

@@ -88,8 +88,8 @@ func TestSpanAttrsAccumulate(t *testing.T) {
 // resources` printed it) but for the first table: its heading says the sums are inclusive of nested spans,
 // and its rows lost the goroutine column. The log's res_goroutines attrs
 // still decode.
-// Neither draws speedup curves: the Parallel Speedup table is the one
-// report of that quantity.
+// Neither draws speedup curves: benchmark/'s engine.pagerank_speedup is
+// the one report of that quantity.
 func TestParentRecordedLogRendersIdentically(t *testing.T) {
 	tr, err := traceview.ReadFile(filepath.Join("testdata", "parent_pr15.jsonl"))
 	if err != nil {

@@ -124,30 +124,6 @@ func writeRun(ew *report.Printer, idx int, run []Superstep) {
 	writeCritPath(ew, run)
 }
 
-// WriteStragglers prints the straggler-attribution section for one run —
-// the `tracestat stragglers` subcommand.
-func WriteStragglers(w io.Writer, idx int, run []Superstep) error {
-	if len(run) == 0 {
-		return nil
-	}
-	ew := &report.Printer{W: w}
-	ew.Printf("RUN %d: %d machines, %d supersteps\n", idx, run[0].Machines, len(run))
-	writeStragglers(ew, run)
-	return ew.Err
-}
-
-// WriteCritPath prints the critical-path section for one run — the
-// `tracestat critpath` subcommand.
-func WriteCritPath(w io.Writer, idx int, run []Superstep) error {
-	if len(run) == 0 {
-		return nil
-	}
-	ew := &report.Printer{W: w}
-	ew.Printf("RUN %d: %d machines, %d supersteps\n", idx, run[0].Machines, len(run))
-	writeCritPath(ew, run)
-	return ew.Err
-}
-
 func writeStragglers(ew *report.Printer, run []Superstep) {
 	strag := Stragglers(run)
 	ew.Printf("  straggler attribution (machine bounding each barrier, and its lead over the runner-up):\n")
