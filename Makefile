@@ -31,11 +31,12 @@ race:
 # fuzz runs every fuzz target for 10 s each. Seven parse bytes: the three
 # gio file readers, the record-log substrate's framing (FuzzScan), the two
 # format parsers on it (traceview, servestats FuzzRead) and the serving
-# handlers' query strings (FuzzHandlers). Three have no parser of their
-# own: commview and resview FuzzRead and partaudit FuzzReadLog feed
-# whatever traceview.Read accepts through the superstep, res_* or audit.*
-# decode and the summarizers. Every FuzzRead/FuzzReadLog then renders what
-# it accepted as text, so no report can panic on a log its reader takes. One target per line as package:Target.
+# handlers' query strings (FuzzHandlers); traceview's also feeds what it
+# accepts through the span table's res_* decode. Two have no parser of
+# their own: commview FuzzRead and partaudit FuzzReadLog feed whatever
+# traceview.Read accepts through the superstep or audit.* decode and the
+# summarizers. Every FuzzRead/FuzzReadLog then renders what it accepted as
+# text, so no report can panic on a log its reader takes. One target per line as package:Target.
 FUZZ_TARGETS = \
 	internal/gio:FuzzReadBinary \
 	internal/gio:FuzzReadEdgeList \
@@ -44,7 +45,6 @@ FUZZ_TARGETS = \
 	internal/traceview:FuzzRead \
 	internal/partaudit:FuzzReadLog \
 	internal/commview:FuzzRead \
-	internal/resview:FuzzRead \
 	internal/servestats:FuzzRead \
 	internal/servestats:FuzzHandlers
 

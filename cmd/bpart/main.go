@@ -25,7 +25,7 @@
 // /debug/pprof/*, /metrics and /debug/vars on ADDR for the run's duration.
 // Every span record of the trace carries the runtime resource deltas of
 // its interval as res_* attrs (partition streams, BPart layers, engine and
-// walk runs — feed the trace to `tracestat resources`). A trace that fails
+// walk runs — `tracestat report` sums them per span name). A trace that fails
 // to flush fails the run. All observability is observation-only: the
 // partition and every simulated result are byte-identical with or without
 // it.

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"bpart/internal/resview"
 	"bpart/internal/traceview"
 )
 
@@ -51,7 +50,7 @@ func TestErrorExitKeepsLogs(t *testing.T) {
 	if al.Header == nil || al.Final == nil {
 		t.Fatalf("trace lost audit events: header=%v final=%v", al.Header, al.Final)
 	}
-	if s, err := resview.Summarize(tr); err != nil || len(s) == 0 {
+	if s, err := traceview.SummarizeSpans(tr); err != nil || len(s) == 0 || s[0].AllocBytes == 0 {
 		t.Fatalf("trace lost its resource deltas: %v, %v", s, err)
 	}
 	if stderr.Len() != 0 {
@@ -235,18 +234,18 @@ func TestTraceSpansCarryResources(t *testing.T) {
 	if supersteps == 0 {
 		t.Fatal("no cluster.superstep events")
 	}
-	phases, err := resview.Summarize(tr)
+	sums, err := traceview.SummarizeSpans(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var names []string
-	for _, p := range phases {
-		names = append(names, p.Phase)
+	for _, s := range sums {
+		names = append(names, s.Name)
 	}
 	slices.Sort(names)
 	slices.Sort(spans)
 	if !slices.Equal(names, spans) {
-		t.Fatalf("resource phases %v, want the span names %v", names, spans)
+		t.Fatalf("span rows %v, want the span names %v", names, spans)
 	}
 	for _, want := range []string{"bpart.partition", "bpart.layer", "partition.stream", "bpart.refine", "walk.run"} {
 		if !slices.Contains(spans, want) {

@@ -3,11 +3,11 @@
 // without arguments for the usage lines, printed from the subcommand table
 // below; `tracestat <subcommand> -h` describes a subcommand's flags.
 //
-// Traces: report prints the full analysis (span aggregates, the phase tree
-// and, per BSP run, the WaitRatio decomposition, straggler attribution and
-// critical-path split); comm analyzes the src→dst matrices of a matrix-capture run
-// (Cluster.SetCommMatrix); resources analyzes the res_* attrs of the
-// trace's spans (per-phase inclusive wall time, alloc/GC attribution).
+// Traces: report prints the full analysis (span aggregates with the
+// alloc/GC deltas of the spans' res_* attrs, the phase tree and, per BSP
+// run, the WaitRatio decomposition, straggler attribution and
+// critical-path split); comm analyzes the src→dst matrices of a
+// matrix-capture run (Cluster.SetCommMatrix).
 // Request logs: serve prints per-endpoint and per-part latency percentiles
 // and the version census.
 // The partition decision audit, the audit.* events of a trace of a BPart,
@@ -18,11 +18,12 @@
 // (pairing rounds, freeze decisions, predicted vs actual balance).
 //
 // Exit status: 0 on success, 1 when a log cannot be read or a gate trips,
-// 2 on a usage error (an unknown subcommand or flag, or a wrong argument
-// count).
+// 2 on a usage error (an unknown subcommand or flag, a wrong argument
+// count, or a flag the subcommand would ignore).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,7 +34,6 @@ import (
 	"bpart/internal/commview"
 	"bpart/internal/gio"
 	"bpart/internal/partaudit"
-	"bpart/internal/resview"
 	"bpart/internal/servestats"
 	"bpart/internal/traceview"
 )
@@ -101,20 +101,15 @@ var commands = []command{
 				return commview.WriteReport(c.stdout, steps, tr.Truncated, audit)
 			}
 		}},
-	{name: "resources", args: []string{"trace.jsonl"},
-		setup: noFlags(func(c *call) error {
-			tr, err := traceview.ReadFile(c.args[0])
-			if err != nil {
-				return err
-			}
-			return resview.WriteReport(c.stdout, tr)
-		})},
 	{name: "serve", args: []string{"reqlog.jsonl"},
 		setup: func(fs *flag.FlagSet) func(*call) error {
 			assignPath := fs.String("assign", "", "add the per-part tail attribution, reconciled exactly against the assignment file `parts.txt`")
 			version := fs.Int("version", 1, "attribute assignment version `n` (with -assign)")
 			gatePath := fs.String("gate", "", "check the p99 gate file `gate.json` (baselines/SERVING_gate.json); exit 1 on breach")
 			return func(c *call) error {
+				if *assignPath == "" && isSet(fs, "version") {
+					return fmt.Errorf("%w: serve -version attributes an -assign file; none given", errUsage)
+				}
 				log, err := servestats.ReadFile(c.args[0])
 				if err != nil {
 					return err
@@ -177,6 +172,15 @@ var commands = []command{
 		})},
 }
 
+// errUsage marks a body's error as a usage error: exit 2, not 1.
+var errUsage = errors.New("usage")
+
+// isSet reports whether the command line set the named flag.
+func isSet(fs *flag.FlagSet, name string) (set bool) {
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
 // readAudit reads the trace at path and decodes its audit.* events.
 func readAudit(path string) (*partaudit.Audit, error) {
 	tr, err := traceview.ReadFile(path)
@@ -220,6 +224,9 @@ func (cmd command) run(args []string, stdout, stderr io.Writer) int {
 	c.args = fs.Args()
 	if err := body(c); err != nil {
 		fmt.Fprintln(stderr, "tracestat:", err)
+		if errors.Is(err, errUsage) {
+			return 2
+		}
 		return 1
 	}
 	return 0

@@ -137,14 +137,19 @@ func TestBadInvocations(t *testing.T) {
 			t.Errorf("run(%q) = %d, want 2 with a flag diagnostic; stdout %q, stderr %q", args, code, out, stderr)
 		}
 	}
+	// -version picks the assignment version of -assign's attribution;
+	// alone it would be ignored.
+	reqs := writeTrace(t, "reqs.jsonl", sampleReqlog)
+	if code, out, stderr := runCLI(t, "serve", "-version", "7", reqs); code != 2 || out != "" || !strings.Contains(stderr, "-version attributes an -assign file") {
+		t.Errorf("serve -version without -assign = %d, want 2 with a diagnostic; stdout %q, stderr %q", code, out, stderr)
+	}
 	_, _, stderr := runCLI(t)
-	if n := strings.Count(stderr, "\n  tracestat "); n != 7 {
-		t.Errorf("usage lists %d subcommands, want 7:\n%s", n, stderr)
+	if n := strings.Count(stderr, "\n  tracestat "); n != 6 {
+		t.Errorf("usage lists %d subcommands, want 6:\n%s", n, stderr)
 	}
 	for _, line := range []string{
 		"  tracestat report trace.jsonl\n",
 		"  tracestat comm [-audit audit.jsonl] trace.jsonl\n",
-		"  tracestat resources trace.jsonl\n",
 		"  tracestat serve [-assign parts.txt] [-gate gate.json] [-version n] reqlog.jsonl\n",
 		"  tracestat explain <vertexID> audit.jsonl\n",
 		"  tracestat timeline audit.jsonl\n",
@@ -164,7 +169,7 @@ func TestGoldenOutputs(t *testing.T) {
 	const (
 		sample = "../../internal/traceview/testdata/sample.jsonl"
 		comm   = "../../internal/commview/testdata/crash5_restream.trace.jsonl"
-		res    = "../../internal/resview/testdata/parent_pr15.jsonl"
+		res    = "../../internal/traceview/testdata/parent_pr15.jsonl"
 		audit  = goldenDir + "/audit.jsonl" // a BPart run's audit.* events
 		// Prefixes of comm's trace and of audit.jsonl (thinned decisions),
 		// each ending in half a line.
@@ -180,7 +185,10 @@ func TestGoldenOutputs(t *testing.T) {
 		// The straggler and critical-path sections of a recovered run.
 		{"report_crash5", []string{"report", comm}, 0},
 		{"comm", []string{"comm", "-audit", audit, comm}, 0},
-		{"resources", []string{"resources", res}, 0},
+		// The span table's alloc/GC columns, on a resource log recorded
+		// before the deltas rode on spans alone: its superstep laps are
+		// events, so no row.
+		{"report_res", []string{"report", res}, 0},
 		{"serve", []string{"serve", "-assign", goldenDir + "/parts.txt",
 			"-gate", goldenDir + "/gate.json", goldenDir + "/reqs.jsonl"}, 0},
 		{"explain", []string{"explain", "0", audit}, 0},
@@ -190,7 +198,7 @@ func TestGoldenOutputs(t *testing.T) {
 		// truncation banner is pinned too.
 		{"report_torn", []string{"report", tornTrace}, 0},
 		{"comm_torn", []string{"comm", "-audit", tornAudit, tornTrace}, 0},
-		{"resources_torn", []string{"resources", goldenDir + "/resources_torn.jsonl"}, 0},
+		{"report_res_torn", []string{"report", goldenDir + "/resources_torn.jsonl"}, 0},
 		{"serve_torn", []string{"serve", "-assign", goldenDir + "/parts.txt",
 			"-gate", goldenDir + "/gate.json", goldenDir + "/reqs_torn.jsonl"}, 0},
 		{"explain_torn", []string{"explain", "0", tornAudit}, 0},
@@ -315,7 +323,7 @@ func TestCorruptLogFails(t *testing.T) {
 // failure with a single-line diagnostic — not an empty report with exit 0.
 func TestCorruptTraceFails(t *testing.T) {
 	path := writeTrace(t, "garbage.jsonl", "this is not a trace\n")
-	for _, sub := range []string{"report", "comm", "resources"} {
+	for _, sub := range []string{"report", "comm"} {
 		code, _, stderr := runCLI(t, sub, path)
 		if code != 1 {
 			t.Errorf("%s on garbage exit = %d, want 1", sub, code)
@@ -350,23 +358,32 @@ const sampleResources = `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"part
 {"ts":"2026-08-06T10:00:03Z","type":"span","name":"walk.run","dur_us":600,"attrs":{"kind":"PPR","res_allocs":10,"res_alloc_bytes":512,"res_heap_bytes":4096,"res_gc_cycles":0,"res_gc_pause_us":0,"res_goroutines":4}}
 `
 
-func TestResourcesSubcommand(t *testing.T) {
+// Spans that carry res_* deltas add the alloc, allocs and gc columns to
+// the span table; the superstep event's lap is no row.
+func TestReportResourceColumns(t *testing.T) {
 	path := writeTrace(t, "res.jsonl", sampleResources)
-	code, out, errb := runCLI(t, "resources", path)
+	code, out, errb := runCLI(t, "report", path)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	for _, want := range []string{"RESOURCES: 4 records across 3 phases", "partition.stream", "cluster.superstep", "walk.run", "allocation / GC attribution"} {
+	for _, want := range []string{
+		"  name               count       total         max       alloc    allocs            gc\n",
+		"  partition.stream       1       2.5ms       2.5ms      8.0KiB       100    1 (10.0us)\n",
+		"  walk.run               2       1.6ms       1.0ms      1.0KiB        20     0 (0.0us)\n",
+	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("resources output missing %q:\n%s", want, out)
+			t.Errorf("report output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "\n  cluster.superstep ") {
+		t.Errorf("an event is a row of the span table:\n%s", out)
 	}
 }
 
-// A resource log is a trace and a trace with no res_* attr is a resource
-// log with nothing captured: each subcommand reads the other's file, and
-// only a schema-v1 resource log (written before the two formats became
-// one) is refused — with a message that says what to do, not `bad ts ""`.
+// A resource log is a trace, and a trace with no res_* attr has no
+// resource columns: only a schema-v1 resource log (written before the two
+// formats became one) is refused — with a message that says what to do,
+// not `bad ts ""` — and so is a res_* attr the trace writer never writes.
 func TestResourceFileIsATrace(t *testing.T) {
 	res := writeTrace(t, "res.jsonl", sampleResources)
 	for _, sub := range []string{"report", "comm"} {
@@ -379,33 +396,37 @@ func TestResourceFileIsATrace(t *testing.T) {
 	}
 	// A committed trace recorded before spans carried res_* attrs.
 	const plain = "../../internal/traceview/testdata/sample.jsonl"
-	if code, out, errb := runCLI(t, "resources", plain); code != 0 || out != "No resource records: capture was off (record the run with -trace).\n" {
-		t.Errorf("resources on a trace with no res_* attr: exit %d, stdout %q, stderr %q", code, out, errb)
+	if code, out, errb := runCLI(t, "report", plain); code != 0 || !strings.Contains(out, "  name               count       total         max\n") {
+		t.Errorf("report on a trace with no res_* attr: exit %d, stdout %q, stderr %q", code, out, errb)
 	}
 	v1 := writeTrace(t, "v1.jsonl", `{"v":1,"type":"resource","seq":0,"kind":"span","phase":"partition.stream","wall_us":2500,"allocs":100,"alloc_bytes":8192,"heap_bytes":4096,"gc_cycles":1,"gc_pause_us":10,"goroutines":2,"attrs":{"k":8}}`+"\n")
-	for _, sub := range []string{"resources", "report"} {
+	for _, sub := range []string{"report", "comm"} {
 		code, _, errb := runCLI(t, sub, v1)
 		if code != 1 || !strings.Contains(errb, "line 1: schema-v1 resource log") || !strings.Contains(errb, "re-record with -trace") {
 			t.Errorf("%s on a schema-v1 log: exit %d, stderr %q", sub, code, errb)
 		}
 	}
 	bad := writeTrace(t, "bad.jsonl", `{"ts":"2026-08-06T10:00:00Z","type":"span","name":"a","dur_us":1,"attrs":{"res_allocs":-1}}`+"\n")
-	if code, out, errb := runCLI(t, "resources", bad); code != 1 || out != "" || !strings.Contains(errb, "res_allocs") {
-		t.Errorf("resources on a negative count: exit %d, stdout %q, stderr %q", code, out, errb)
+	if code, out, errb := runCLI(t, "report", bad); code != 1 || out != "" || !strings.Contains(errb, "res_allocs") {
+		t.Errorf("report on a negative count: exit %d, stdout %q, stderr %q", code, out, errb)
 	}
 }
 
+// A resource log damaged before its final line is no report: exit 1, no
+// stdout, and a diagnostic that locates the damage. report without a
+// file is a usage error.
 func TestResourcesCorruptFails(t *testing.T) {
-	path := writeTrace(t, "garbage.jsonl", "not a resource log\n")
-	code, _, stderr := runCLI(t, "resources", path)
-	if code != 1 {
-		t.Errorf("resources on garbage exit = %d, want 1", code)
+	lines := strings.SplitAfter(sampleResources, "\n")
+	path := writeTrace(t, "garbage.jsonl", lines[0]+"not a resource log\n"+lines[2])
+	code, out, stderr := runCLI(t, "report", path)
+	if code != 1 || out != "" {
+		t.Errorf("report on a damaged resource log: exit %d, stdout %q; want 1 and nothing", code, out)
 	}
-	if !strings.Contains(stderr, "line 1") {
+	if !strings.Contains(stderr, "line 2") {
 		t.Errorf("diagnostic does not locate the damage: %q", stderr)
 	}
-	if code, _, _ := runCLI(t, "resources"); code != 2 {
-		t.Errorf("resources without a file exit = %d, want 2", code)
+	if code, _, _ := runCLI(t, "report"); code != 2 {
+		t.Errorf("report without a file exit = %d, want 2", code)
 	}
 }
 
@@ -447,6 +468,12 @@ func TestServeAttribution(t *testing.T) {
 	}
 	if !strings.Contains(out, "Tail attribution") || !strings.Contains(out, "pressure") {
 		t.Fatalf("attribution missing:\n%s", out)
+	}
+	// A version the log never served attributes nothing: exit 1, naming
+	// the versions it holds.
+	code, out, errb = runCLI(t, "serve", "-assign", assign, "-version", "7", path)
+	if code != 1 || out != "" || !strings.Contains(errb, "no record carries assignment version 7; the log holds versions [1]") {
+		t.Fatalf("absent version: exit %d, stdout %q, stderr %q", code, out, errb)
 	}
 }
 

@@ -68,7 +68,7 @@ func TestFacadeExports(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch path {
-		case "bpart/internal/experiments", "bpart/internal/servestats", "bpart/internal/resview",
+		case "bpart/internal/experiments", "bpart/internal/servestats",
 			"bpart/internal/traceview", "bpart/internal/commview":
 			t.Errorf("bpart.go imports the tool package %s", path)
 		}

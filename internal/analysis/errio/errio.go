@@ -1,7 +1,7 @@
 // Package errio forbids discarding writer and flush errors in the I/O
 // packages (internal/gio, internal/telemetry, internal/cluster,
 // internal/recordlog, internal/report, internal/partaudit,
-// internal/commview, internal/resview, internal/servestats).
+// internal/commview, internal/traceview, internal/servestats).
 //
 // Graph dumps, assignment files, JSONL traces and CSV timelines are the
 // artifacts experiments are reproduced from; a full disk or closed pipe
@@ -25,7 +25,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid discarded writer/flush errors in I/O packages\n\n" +
 		"In internal/gio, internal/telemetry, internal/cluster, " +
 		"internal/recordlog, internal/report, internal/partaudit, internal/commview, " +
-		"internal/resview and internal/servestats, errors from " +
+		"internal/traceview and internal/servestats, errors from " +
 		"Write*/Flush/Sync/fmt.Fprint* calls " +
 		"must be checked; bytes.Buffer, strings.Builder and " +
 		"http.ResponseWriter sinks are exempt.",
@@ -33,7 +33,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scope names the packages that write artifacts worth protecting.
-var scope = []string{"gio", "telemetry", "cluster", "recordlog", "report", "partaudit", "commview", "resview", "servestats"}
+var scope = []string{"gio", "telemetry", "cluster", "recordlog", "report", "partaudit", "commview", "traceview", "servestats"}
 
 func run(pass *analysis.Pass) error {
 	if !pass.InScope(scope...) {

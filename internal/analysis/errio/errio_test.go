@@ -27,8 +27,8 @@ func TestSeededViolationsCommview(t *testing.T) {
 	analysistest.Run(t, "../testdata/errio/commview", errio.Analyzer)
 }
 
-func TestSeededViolationsResview(t *testing.T) {
-	analysistest.Run(t, "../testdata/errio/resview", errio.Analyzer)
+func TestSeededViolationsTraceview(t *testing.T) {
+	analysistest.Run(t, "../testdata/errio/traceview", errio.Analyzer)
 }
 
 func TestSeededViolationsServestats(t *testing.T) {

@@ -19,7 +19,7 @@
 // span and writes the deltas as res_* attrs on the span record only, so
 // the deterministic packages reach it only through the telemetry.Tracer
 // interface and nothing it reads flows back into their outputs (the exempt
-// internal/resview only reads those attrs back); request-latency capture for
+// internal/traceview only reads those attrs back); request-latency capture for
 // the serving layer lives in the exempt internal/servestats, whose clock
 // reads are the feature (the BENCH serving section stays deterministic
 // because it keeps only request counts and routing skew, never a latency,

@@ -23,17 +23,10 @@ func TestOutOfScopePackageIsExempt(t *testing.T) {
 	analysistest.Run(t, "../testdata/noclock/other", noclock.Analyzer)
 }
 
-// TestResviewIsExempt pins the observability boundary: resview renders the
-// host-dependent res_* attrs the trace writer records on the deterministic
-// packages' behalf, so it must stay outside noclock's scope.
-func TestResviewIsExempt(t *testing.T) {
-	analysistest.Run(t, "../testdata/noclock/resview", noclock.Analyzer)
-}
-
 // TestServestatsIsExempt pins the serving-layer boundary: servestats is
 // the package that stamps request latencies off the host clock on the
-// serving surface's behalf, so — like resview and telemetry — it must
-// stay outside noclock's scope.
+// serving surface's behalf, so — like telemetry — it must stay outside
+// noclock's scope.
 func TestServestatsIsExempt(t *testing.T) {
 	analysistest.Run(t, "../testdata/noclock/servestats", noclock.Analyzer)
 }

@@ -1,6 +1,6 @@
 // Package servestats mirrors bpart/internal/servestats: the serving-layer
 // observer whose entire job is stamping request latencies off the host
-// clock. Like telemetry and resview, it sits outside the deterministic
+// clock. Like telemetry and traceview, it sits outside the deterministic
 // set — wall-clock reads here are the feature, not a leak — so nothing
 // may be flagged. The boundary holds in the other direction: the
 // deterministic packages drive serving through servestats.Play and never

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bpart/internal/recordlog"
-	"bpart/internal/resview"
 	"bpart/internal/servestats"
 	"bpart/internal/traceview"
 )
@@ -53,20 +52,20 @@ var families = []family{
 	},
 	{
 		// Not a format either: a resource log is a trace whose spans
-		// carry res_* attrs. The row pins that the resource view adds no
-		// tolerance of its own to the trace reader's verdict.
-		name: "traceview", view: "resview", what: "trace",
+		// carry res_* attrs. The row pins that the span table's decode of
+		// them adds no tolerance of its own to the trace reader's verdict.
+		name: "traceview", view: "spans", what: "trace",
 		good: `{"ts":"2026-08-06T10:11:12.13Z","type":"span","name":"partition.stream","dur_us":123.5,"attrs":{"res_allocs":10,"res_alloc_bytes":4096,"res_heap_bytes":1000,"res_gc_cycles":1,"res_gc_pause_us":5,"res_goroutines":2}}`,
 		read: func(r io.Reader) (int, bool, error) {
 			tr, err := traceview.Read(r)
 			if err != nil {
 				return 0, false, err
 			}
-			phases, err := resview.Summarize(tr)
-			if err != nil || len(phases) == 0 {
+			sums, err := traceview.SummarizeSpans(tr)
+			if err != nil || len(sums) == 0 {
 				return 0, tr.Truncated, err
 			}
-			return phases[0].Count, tr.Truncated, nil
+			return sums[0].Count, tr.Truncated, nil
 		},
 	},
 	{

@@ -1,7 +1,7 @@
 // Package report is the one toolkit behind every bpart text report: the
 // trace report (internal/traceview), the audit views (internal/partaudit),
-// the comm report (internal/commview), the resource report
-// (internal/resview) and the serving report (internal/servestats).
+// the comm report (internal/commview) and the serving report
+// (internal/servestats).
 // Printer folds a renderer's per-line error checks into one sticky error;
 // Bar and Max are the scale arithmetic every table repeats.
 package report

@@ -5,11 +5,11 @@
 // per-part log-bucketed latency histograms (telemetry.Histogram), windowed
 // p50/p95/p99/p999 snapshots, in-flight gauges, and a versioned JSONL
 // request log whose reader tolerates exactly one torn final line (the
-// resview/traceview contract). The per-part report ties tail latency back
+// traceview contract). The per-part report ties tail latency back
 // to the partition's size/cut balance, which is the paper's serving-side
 // claim made measurable.
 //
-// Like resview, everything here lives outside the determinism boundary:
+// Like telemetry, everything here lives outside the determinism boundary:
 // core/partition/cluster/engine/walk never import it, wall-clock use is
 // confined to the Recorder, and with recording disabled (a nil *Recorder)
 // the serving hot path allocates no per-request stats records. What *is*

@@ -38,16 +38,6 @@ type Log struct {
 	Truncated bool
 }
 
-// StripWallClock zeroes every host-dependent field — only LatencyUS —
-// leaving the deterministic structure (seq, endpoint, vertex, routing,
-// version, status). Two seeded runs of the same workload strip to
-// identical logs; that is the routing-trace determinism CI pins.
-func (l *Log) StripWallClock() {
-	for i := range l.Records {
-		l.Records[i].LatencyUS = 0
-	}
-}
-
 // jsonRecord is the wire shape of one request line. Fields marshal in
 // declaration order, so recorder output is layout-stable.
 type jsonRecord struct {

@@ -50,17 +50,15 @@ func TestReadEmptyAndBlank(t *testing.T) {
 	}
 }
 
-func TestStripWallClock(t *testing.T) {
+// A request line decodes to every field it carries: the deterministic
+// routing fields and the wall-clock latency beside them.
+func TestReadDecodesFields(t *testing.T) {
 	l, err := Read(strings.NewReader(goodLine + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StripWallClock()
-	r := l.Records[0]
-	if r.LatencyUS != 0 {
-		t.Fatalf("latency survived strip: %+v", r)
-	}
-	if r.Endpoint != EndpointLookup || r.Vertex != 7 || r.Part != 0 || r.Version != 1 || r.Status != 200 {
-		t.Fatalf("strip damaged deterministic fields: %+v", r)
+	want := Record{Seq: 1, Endpoint: EndpointLookup, Vertex: 7, Part: 0, Version: 1, Status: 200, LatencyUS: 12.5}
+	if len(l.Records) != 1 || l.Records[0] != want {
+		t.Fatalf("decoded %+v, want [%+v]", l.Records, want)
 	}
 }

@@ -143,7 +143,8 @@ type Attribution struct {
 // parts[vertex], per-part request counts must sum to the version's routed
 // total, and each part's vertex share comes from the assignment (the same
 // sizes partaudit's final record carries). Any disagreement is an error —
-// attribution that does not reconcile is worse than none.
+// attribution that does not reconcile is worse than none — and so is a
+// version no record carries, which would attribute nothing.
 func Attribute(l *Log, parts []int, k int, version int) ([]Attribution, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("servestats: attribute with k = %d", k)
@@ -161,8 +162,13 @@ func Attribute(l *Log, parts []int, k int, version int) ([]Attribution, error) {
 		hists[i] = &telemetry.Histogram{}
 	}
 	var total int64
+	held := false
 	for _, r := range l.Records {
-		if r.Version != version || r.Part < 0 {
+		if r.Version != version {
+			continue
+		}
+		held = true
+		if r.Part < 0 {
 			continue
 		}
 		if r.Part >= k {
@@ -177,6 +183,13 @@ func Attribute(l *Log, parts []int, k int, version int) ([]Attribution, error) {
 		counts[r.Part]++
 		hists[r.Part].Observe(r.LatencyUS)
 		total++
+	}
+	if !held {
+		var vs []int
+		for _, v := range Summarize(l).Versions {
+			vs = append(vs, v.Version)
+		}
+		return nil, fmt.Errorf("servestats: no record carries assignment version %d; the log holds versions %v", version, vs)
 	}
 	var sum int64
 	for _, c := range counts {

@@ -163,4 +163,9 @@ func TestAttributeFiltersVersions(t *testing.T) {
 	if attrib[0].Requests != 1 || attrib[1].Requests != 0 {
 		t.Fatalf("v1 attribution = %+v", attrib)
 	}
+	// A version no record carries attributes nothing: an error naming the
+	// versions the log holds, not a table of zeros.
+	if attrib, err := Attribute(l, parts, 2, 7); err == nil || !strings.Contains(err.Error(), "version 7") || !strings.Contains(err.Error(), "[1 2]") {
+		t.Fatalf("absent version: %+v, %v", attrib, err)
+	}
 }

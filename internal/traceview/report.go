@@ -3,6 +3,7 @@ package traceview
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"bpart/internal/report"
@@ -28,17 +29,36 @@ func fmtUS(us float64) string {
 	}
 }
 
+// fmtBytes renders a byte count with a binary unit suffix.
+func fmtBytes(b int64) string {
+	switch {
+	case b >= 1<<30:
+		return fmt.Sprintf("%.2fGiB", float64(b)/(1<<30))
+	case b >= 1<<20:
+		return fmt.Sprintf("%.2fMiB", float64(b)/(1<<20))
+	case b >= 1<<10:
+		return fmt.Sprintf("%.1fKiB", float64(b)/(1<<10))
+	default:
+		return fmt.Sprintf("%dB", b)
+	}
+}
+
 // WriteReport renders the full terminal report: trace summary, span
-// aggregates, phase tree, and — per run — straggler attribution, the
+// aggregates (with each name's alloc/GC deltas when the spans carry
+// res_*), phase tree, and — per run — straggler attribution, the
 // WaitRatio decomposition and the critical-path split.
 func WriteReport(w io.Writer, tr *Trace) error {
 	steps, err := Supersteps(tr) // before the first byte: bad input fails the report, not half of it
 	if err != nil {
 		return err
 	}
+	sums, err := SummarizeSpans(tr) // likewise
+	if err != nil {
+		return err
+	}
 	ew := &report.Printer{W: w}
 	writeSummary(ew, tr)
-	writeSpanTable(ew, tr)
+	writeSpanTable(ew, sums)
 	writeTree(ew, tr)
 	if len(steps) == 0 {
 		ew.Printf("\nNo cluster.superstep records: trace carries no BSP runs.\n")
@@ -72,16 +92,32 @@ func writeSummary(ew *report.Printer, tr *Trace) {
 	}
 }
 
-func writeSpanTable(ew *report.Printer, tr *Trace) {
-	sums := SummarizeSpans(tr)
+// writeSpanTable lists the span names. When any span carried res_*
+// deltas, three columns show them; a row that measured none shows "-".
+func writeSpanTable(ew *report.Printer, sums []NameSummary) {
 	if len(sums) == 0 {
 		return
 	}
-	ew.Printf("\nSPANS BY NAME\n")
+	measured := func(s NameSummary) bool {
+		return s.Allocs != 0 || s.AllocBytes != 0 || s.GCCycles != 0 || s.GCPauseUS != 0
+	}
+	res := slices.ContainsFunc(sums, measured)
 	nameW := max(len("name"), report.Max(len(sums), func(i int) int { return len(sums[i].Name) }))
-	ew.Printf("  %-*s  %6s  %10s  %10s\n", nameW, "name", "count", "total", "max")
+	row := func(name, count, total, maxUS string, resCells ...any) {
+		ew.Printf("  %-*s  %6s  %10s  %10s", nameW, name, count, total, maxUS)
+		if res {
+			ew.Printf("  %10s  %8s  %12s", resCells...)
+		}
+		ew.Printf("\n")
+	}
+	ew.Printf("\nSPANS BY NAME\n")
+	row("name", "count", "total", "max", "alloc", "allocs", "gc")
 	for _, s := range sums {
-		ew.Printf("  %-*s  %6d  %10s  %10s\n", nameW, s.Name, s.Count, fmtUS(s.TotalUS), fmtUS(s.MaxUS))
+		cells := []any{"-", "-", "-"}
+		if measured(s) {
+			cells = []any{fmtBytes(s.AllocBytes), fmt.Sprint(s.Allocs), fmt.Sprintf("%d (%s)", s.GCCycles, fmtUS(s.GCPauseUS))}
+		}
+		row(s.Name, fmt.Sprint(s.Count), fmtUS(s.TotalUS), fmtUS(s.MaxUS), cells...)
 	}
 }
 

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"bpart/internal/core"
+	"bpart/internal/gen"
+	"bpart/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -165,6 +170,134 @@ func TestReportElidesPastCaps(t *testing.T) {
 	}
 	if i := row(maxSupersteps - 1); i < 0 || lines[i+1] != "    ... 1 more supersteps elided" || row(maxSupersteps) >= 0 {
 		t.Errorf("straggler table not cut after %d rows:\n%s", maxSupersteps, out)
+	}
+}
+
+// A traced BPart run's span table is its span tree: every row is a span
+// name (the partition, its layers, their streams and the refine pass),
+// none is an audit.* event, each carries its resource deltas, and the
+// whole partition leads.
+func TestBPartTracePhasesAreSpans(t *testing.T) {
+	g, err := gen.Preset(gen.TwitterSim, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.New(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	trace := telemetry.NewJSONL(&buf)
+	b.SetTelemetry(trace, nil)
+	if _, err := b.Partition(g, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr := mustRead(t, buf.String())
+	if al, err := tr.Audit(); err != nil || len(al.Decisions) == 0 {
+		t.Fatalf("the traced run emitted no audit decisions: %v", err)
+	}
+	sums, err := SummarizeSpans(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range sums {
+		names = append(names, s.Name)
+		if s.Allocs == 0 && s.AllocBytes == 0 {
+			t.Errorf("span row %+v carries no resource deltas", s)
+		}
+	}
+	slices.Sort(names)
+	if want := []string{"bpart.layer", "bpart.partition", "bpart.refine", "partition.stream"}; !slices.Equal(names, want) {
+		t.Fatalf("span rows %v, want the run's span names %v", names, want)
+	}
+	if sums[0].Name != "bpart.partition" || sums[0].Count != 1 {
+		t.Fatalf("largest row %+v, want the one bpart.partition span", sums[0])
+	}
+}
+
+// A span table with res_* deltas gains the alloc, allocs and gc columns;
+// a span that measured none shows "-" in them.
+func TestWriteReportResourceColumns(t *testing.T) {
+	tr := mustRead(t, resLine(0, "partition.stream", 2500)+resLine(1, "walk.run", 1000)+
+		`{"ts":"2026-08-06T10:00:02Z","type":"span","name":"plain","dur_us":10}`+"\n")
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"  name               count       total         max       alloc    allocs            gc\n",
+		"  partition.stream       1       2.5ms       2.5ms      4.0KiB        10     1 (5.0us)\n",
+		"  walk.run               1       1.0ms       1.0ms      4.0KiB        10     1 (5.0us)\n",
+		"  plain                  1      10.0us      10.0us           -         -             -\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// A crashed run's torn final line is Read's to tolerate: the report says
+// so and its span table covers the intact prefix, deltas included.
+func TestWriteReportTornResourceLog(t *testing.T) {
+	tr := mustRead(t, resLine(0, "a", 100)+`{"ts":"2026-08-20T12:0`)
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"  records 1  (spans 1, events 0, degraded 0)\n",
+		"WARNING: final line torn",
+		"  a          1     100.0us     100.0us      4.0KiB        10     1 (5.0us)\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// A resource log recorded by an earlier writer sums to the numbers its
+// own resource report printed (name, count, wall time to 10us, alloc
+// bytes, allocs, GC cycles and pause to 1us), row for row and in that
+// order. Its cluster.superstep laps are events, so they are no row.
+func TestParentRecordedLogSummarizesIdentically(t *testing.T) {
+	tr, err := ReadFile(filepath.Join("testdata", "parent_pr15.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := SummarizeSpans(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name       string
+		count      int
+		wall10us   float64
+		alloc      string
+		allocs, gc int64
+		pauseUS    float64
+	}{
+		{"bench.experiment", 1, 14245, "10.46MiB", 9581, 3, 262},
+		{"scaling.replay", 16, 3098, "1.78MiB", 4225, 0, 0},
+		{"bpart.partition", 1, 256, "625.1KiB", 479, 0, 0},
+		{"bpart.layer", 2, 174, "105.0KiB", 367, 0, 0},
+		{"partition.stream", 2, 112, "688B", 8, 0, 0},
+		{"bpart.refine", 1, 19, "30.1KiB", 56, 0, 0},
+		{"bpart.combine.round", 3, 13, "2.5KiB", 56, 0, 0},
+	}
+	if len(sums) != len(want) {
+		t.Fatalf("got %d rows, want %d: %+v", len(sums), len(want), sums)
+	}
+	for i, w := range want {
+		s := sums[i]
+		if s.Name != w.name || s.Count != w.count || math.Round(s.TotalUS/10) != w.wall10us ||
+			fmtBytes(s.AllocBytes) != w.alloc || s.Allocs != w.allocs || s.GCCycles != w.gc || math.Round(s.GCPauseUS) != w.pauseUS {
+			t.Errorf("row %d = %+v, want %+v", i, s, w)
+		}
 	}
 }
 

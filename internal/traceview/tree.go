@@ -1,6 +1,10 @@
 package traceview
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
 
 // SpanNode is one node of the reconstructed phase tree. The JSONL schema
 // records spans flat (each line is one closed span), so nesting is rebuilt
@@ -11,14 +15,6 @@ import "sort"
 type SpanNode struct {
 	Rec      *Record // nil for the synthetic root
 	Children []*SpanNode
-}
-
-// DurUS returns the node's span duration (0 for the root).
-func (n *SpanNode) DurUS() float64 {
-	if n.Rec == nil {
-		return 0
-	}
-	return n.Rec.DurUS
 }
 
 // Walk visits the tree depth-first, reporting each node's depth (root =
@@ -72,21 +68,31 @@ func BuildTree(tr *Trace) *SpanNode {
 	return root
 }
 
-// NameSummary aggregates all spans sharing a name.
+// NameSummary aggregates all spans sharing a name. Allocs, AllocBytes,
+// GCCycles and GCPauseUS sum their res_* deltas, which include those of
+// nested spans: a parent's sums count its children's again.
 type NameSummary struct {
-	Name    string
-	Count   int
-	TotalUS float64
-	MaxUS   float64
+	Name                         string
+	Count                        int
+	TotalUS, MaxUS               float64
+	Allocs, AllocBytes, GCCycles int64
+	GCPauseUS                    float64
 }
 
-// SummarizeSpans aggregates span durations by name, sorted by total
-// duration descending (ties by name, so output is deterministic).
-func SummarizeSpans(tr *Trace) []NameSummary {
+// SummarizeSpans aggregates span durations and resource deltas by name,
+// sorted by total duration descending (ties by name, so output is
+// deterministic). The trace is outside input, so a res_* attr the writer
+// never writes, on any record, is an error: one that is not a
+// non-negative number below 2^63 (the writer's int64s), or any on a record
+// with a negative dur_us.
+func SummarizeSpans(tr *Trace) ([]NameSummary, error) {
 	idx := map[string]int{}
 	var out []NameSummary
 	for i := range tr.Records {
 		r := &tr.Records[i]
+		if err := checkRes(r); err != nil {
+			return nil, err
+		}
 		if r.Type != "span" {
 			continue
 		}
@@ -96,11 +102,15 @@ func SummarizeSpans(tr *Trace) []NameSummary {
 			idx[r.Name] = j
 			out = append(out, NameSummary{Name: r.Name})
 		}
-		out[j].Count++
-		out[j].TotalUS += r.DurUS
-		if r.DurUS > out[j].MaxUS {
-			out[j].MaxUS = r.DurUS
-		}
+		res := func(key string) float64 { v, _ := r.Float(key); return v }
+		s := &out[j]
+		s.Count++
+		s.TotalUS += r.DurUS
+		s.MaxUS = max(s.MaxUS, r.DurUS)
+		s.Allocs += int64(res("res_allocs"))
+		s.AllocBytes += int64(res("res_alloc_bytes"))
+		s.GCCycles += int64(res("res_gc_cycles"))
+		s.GCPauseUS += res("res_gc_pause_us")
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TotalUS != out[j].TotalUS {
@@ -108,5 +118,19 @@ func SummarizeSpans(tr *Trace) []NameSummary {
 		}
 		return out[i].Name < out[j].Name
 	})
-	return out
+	return out, nil
+}
+
+func checkRes(r *Record) error {
+	bad := "" // the first offender in key order, so the error is the same every run
+	for key, raw := range r.Attrs {
+		v, ok := raw.(float64)
+		if strings.HasPrefix(key, "res_") && (!ok || v < 0 || v >= 1<<63 || r.DurUS < 0) && (bad == "" || key < bad) {
+			bad = key
+		}
+	}
+	if bad != "" {
+		return fmt.Errorf("traceview: %s record %q: %s = %v (dur_us %v), want non-negative numbers below 2^63", r.Type, r.Name, bad, r.Attrs[bad], r.DurUS)
+	}
+	return nil
 }
