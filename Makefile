@@ -28,7 +28,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs every fuzz target for 10 s each. Seven parse bytes: the three
+# fuzz runs each of the ten fuzz targets for 10 s. One fuzzes what an engine
+# computes: partition FuzzStream holds a stream pass over a small generated
+# graph to the index-order reference scorer, and passes over one reused
+# stream state to fresh one-shot streams. Seven parse bytes: the three
 # gio file readers, the record-log substrate's framing (FuzzScan), the two
 # format parsers on it (traceview, servestats FuzzRead) and the serving
 # handlers' query strings (FuzzHandlers); traceview's also feeds what it
@@ -38,6 +41,7 @@ race:
 # summarizers. Every FuzzRead/FuzzReadLog then renders what it accepted as
 # text, so no report can panic on a log its reader takes. One target per line as package:Target.
 FUZZ_TARGETS = \
+	internal/partition:FuzzStream \
 	internal/gio:FuzzReadBinary \
 	internal/gio:FuzzReadEdgeList \
 	internal/gio:FuzzReadAssignment \

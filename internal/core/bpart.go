@@ -194,6 +194,10 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 	for v := range remaining {
 		remaining[v] = graph.VertexID(v)
 	}
+	// Every layer streams through one state, empty between layers: the
+	// freeze loop below takes each residual vertex back out as it reads its
+	// piece, so a layer costs its residual, not |V|.
+	st := partition.NewStreamState(g)
 	nr := k        // parts still to produce
 	nextFinal := 0 // next final part id
 
@@ -222,7 +226,7 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 			telemetry.Int("remaining_vertices", len(remaining)),
 			telemetry.Int("parts_wanted", nr))
 		// The stream's span and audit events carry their layer.
-		res, err := b.streamLayer(g, in, remaining, ms, pieces, telemetry.With(tr, telemetry.Int("layer", layer)))
+		res, err := b.streamLayer(st, in, remaining, ms, pieces, telemetry.With(tr, telemetry.Int("layer", layer)))
 		if err != nil {
 			layerSpan.End(telemetry.String("error", err.Error()))
 			runSpan.End(telemetry.String("error", err.Error()))
@@ -231,8 +235,8 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		lt := LayerTrace{
 			Layer:  layer,
 			Pieces: pieces,
-			PieceV: append([]int(nil), res.VertexCount...),
-			PieceE: append([]int(nil), res.EdgeCount...),
+			PieceV: res.VertexCount,
+			PieceE: res.EdgeCount,
 		}
 
 		groups := make([]group, pieces)
@@ -309,10 +313,11 @@ func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment
 		}
 		// Map vertices of frozen groups to their final part; keep the
 		// rest for the next layer, in place and in ID order for stream
-		// locality (the write index never passes the read index).
+		// locality (the write index never passes the read index). Reading
+		// a vertex's piece empties it from the state.
 		kept := remaining[:0]
 		for _, v := range remaining {
-			if f := pieceToFinal[res.Parts[v]]; f != partition.Unassigned {
+			if f := pieceToFinal[st.Unassign(v)]; f != partition.Unassigned {
 				final[v] = f
 			} else {
 				kept = append(kept, v)
@@ -377,11 +382,11 @@ func (b *BPart) layerPieces(layer, nr, r int) int {
 }
 
 // streamLayer is one layer's partitioning phase: the remaining vertices
-// (ms out-arcs in all) streamed, in the given order, into pieces under
-// per-piece |V_i| and |E_i| caps at the slack, with undirected affinity
-// read from in = g.In().
-func (b *BPart) streamLayer(g, in *graph.Graph, remaining []graph.VertexID, ms, pieces int, tr telemetry.Tracer) (*partition.StreamResult, error) {
-	return partition.Stream(g, partition.StreamOptions{
+// (ms out-arcs in all) streamed through st, in the given order, into pieces
+// under per-piece |V_i| and |E_i| caps at the slack, with undirected
+// affinity read from in = g.In().
+func (b *BPart) streamLayer(st *partition.StreamState, in *graph.Graph, remaining []graph.VertexID, ms, pieces int, tr telemetry.Tracer) (*partition.StreamResult, error) {
+	return st.Stream(partition.StreamOptions{
 		K:        pieces,
 		C:        b.cfg.C,
 		Vertices: remaining,

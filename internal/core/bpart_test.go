@@ -386,20 +386,21 @@ func BenchmarkBPart20k(b *testing.B) {
 
 // One Partition(g, 8) call on twitter-sim allocates within a budget per
 // vertex, measured as its TotalAlloc delta: the assignment, one residual
-// list that every layer filters in place, each layer's stream and the
-// refine pass's member lists. The budgets sit between this loop and one
-// that builds a fresh residual per layer (scratch copy, 2-CPU host: 32.1
-// vs 39.2 B/vertex at scale 0.02, 45.1 vs 67.4 at 0.7). The layers streamed
-// are pinned too: at 0.7 (partition-k8's shape) layer 2 leaves a residual
-// of 2 parts that no split can balance, so layer 3 is skipped.
+// list that every layer filters in place, one stream state that every
+// layer streams through and the refine pass's member lists. Each budget is
+// this loop's measurement plus 10 % (23.6 B/vertex at scale 0.02, 25.9 at
+// 0.7); a loop that gives each layer's stream a fresh |V|-long piece array
+// reads 32.2 and 42.0. The layers streamed are pinned too: at 0.7
+// (partition-k8's shape) layer 2 leaves a residual of 2 parts that no
+// split can balance, so layer 3 is skipped.
 func TestPartitionAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		scale  float64
 		budget float64 // bytes per vertex
 		layers []int
 	}{
-		{0.02, 36, []int{1, 2}},
-		{0.7, 52, []int{1, 2, 4}},
+		{0.02, 26, []int{1, 2}},
+		{0.7, 28.5, []int{1, 2, 4}},
 	} {
 		if c.scale > 0.1 && testing.Short() {
 			continue
@@ -418,6 +419,7 @@ func TestPartitionAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		perVertex := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumVertices())
+		t.Logf("scale %v: %.1f B/vertex", c.scale, perVertex)
 		if perVertex > c.budget {
 			t.Errorf("scale %v: one call allocated %.1f B/vertex, budget %v", c.scale, perVertex, c.budget)
 		}

@@ -8,6 +8,7 @@ import (
 	"bpart/internal/graph"
 	"bpart/internal/oracle"
 	"bpart/internal/partaudit"
+	"bpart/internal/partition"
 	"bpart/internal/telemetry"
 )
 
@@ -125,7 +126,7 @@ func TestJumpSkipsOnlyFreezelessLayers(t *testing.T) {
 					}
 					for skipped := prev + 1; skipped < l.Layer; skipped++ {
 						pieces := b.layerPieces(skipped, nr, len(residual))
-						res, err := b.streamLayer(g, g.In(), residual, ms, pieces, telemetry.Nop())
+						res, err := b.streamLayer(partition.NewStreamState(g), g.In(), residual, ms, pieces, telemetry.Nop())
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -92,7 +92,7 @@ func measurePlanted(t *testing.T, cfg gen.Config, g *graph.Graph) plantedCell {
 	}
 	all := partition.OrderByID(g.NumVertices())
 	pieces := plantedK * b.cfg.SplitFactor
-	res, err := b.streamLayer(g, g.In(), all, g.NumEdges(), pieces, telemetry.Nop())
+	res, err := b.streamLayer(partition.NewStreamState(g), g.In(), all, g.NumEdges(), pieces, telemetry.Nop())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -335,12 +335,13 @@ func (c *Controller) addPhase(kind string, busy []float64, work *cluster.Counter
 }
 
 // restream permanently retires machine dead and moves its vertices onto the
-// survivors by partition.Stream continued from the survivors' placement. The
-// lost vertices go in out-degree order (prioritized restreaming): highest
-// degree first, the vertices whose placement matters most while survivor
-// loads are least constrained. The score is the Fennel objective over the
-// paper's two-dimensional weight W_i = C·|V_i| + (1−C)·|E_i|/d̄, so the
-// degraded cluster stays balanced in both dimensions.
+// survivors by one stream pass over a state that holds the survivors'
+// placement. The lost vertices go in out-degree order (prioritized
+// restreaming): highest degree first, the vertices whose placement matters
+// most while survivor loads are least constrained. The score is the Fennel
+// objective over the paper's two-dimensional weight
+// W_i = C·|V_i| + (1−C)·|E_i|/d̄, so the degraded cluster stays balanced in
+// both dimensions.
 func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 	owner := c.cl.Assignment()
 	k := c.cl.NumMachines()
@@ -355,10 +356,10 @@ func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 			live = append(live, m)
 		}
 	}
-	start := make([]int, len(owner))
+	st := partition.NewStreamState(c.g)
 	lost := make([]graph.VertexID, 0, c.owned[dead]) // non-nil: nil streams every vertex
 	for v, m := range owner {
-		start[v] = part[m]
+		st.Assign(graph.VertexID(v), part[m])
 		if m == dead {
 			lost = append(lost, graph.VertexID(v))
 		}
@@ -366,13 +367,12 @@ func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 	sort.SliceStable(lost, func(a, b int) bool { return c.g.OutDegree(lost[a]) > c.g.OutDegree(lost[b]) })
 	// The recovery policy's own α (whole graph, every machine counted, dead
 	// ones included) and no W cap: Stream's defaults would move placements.
-	res, err := partition.Stream(c.g, partition.StreamOptions{
+	res, err := st.Stream(partition.StreamOptions{
 		K:        len(live),
 		C:        0.5, // the paper's balance mix between vertices and edges
 		Alpha:    float64(c.g.NumEdges()) * math.Sqrt(float64(k)) / math.Pow(float64(c.g.NumVertices()), 1.5),
 		Slack:    math.Inf(1),
 		Vertices: lost,
-		Start:    start,
 		In:       c.g.In(),
 	})
 	// Commit the new placement, retire the machine, and bill the transfer:
@@ -393,7 +393,7 @@ func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 		err = c.cl.MarkDead(dead)
 	}
 	if err != nil {
-		// start, lost and owner come from this cluster's own assignment and
+		// st, lost and owner come from this cluster's own assignment and
 		// only ever point at live survivors, so this is unreachable; a bug
 		// must not kill the run silently, though.
 		c.tr.Event("fault.error", telemetry.String("err", err.Error()))

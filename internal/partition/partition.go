@@ -16,7 +16,7 @@ import (
 )
 
 // Unassigned marks a vertex that no part owns (only possible in partial
-// streaming results and in a StreamOptions.Start).
+// streaming results and in a StreamState).
 const Unassigned = -1
 
 // Assignment maps every vertex to a part in [0, K).

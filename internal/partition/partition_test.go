@@ -193,23 +193,23 @@ func TestStreamBadOptions(t *testing.T) {
 	g := gen.Ring(5)
 	tr := telemetry.NewMemory()
 	for _, tc := range []struct {
-		name string
-		opt  StreamOptions
-		want string // substring of the error
+		name  string
+		start []int // the state's pieces before the pass, as streamFrom takes them
+		opt   StreamOptions
+		want  string // substring of the error
 	}{
-		{"K=0", StreamOptions{K: 0}, "k = 0"},
-		{"C above 1", StreamOptions{K: 2, C: 1.5}, "C = 1.5"},
-		{"negative C", StreamOptions{K: 2, C: -0.5}, "C = -0.5"},
-		{"In of another graph", StreamOptions{K: 2, In: gen.Ring(6)}, "does not match"},
-		{"vertex ID past |V|", StreamOptions{K: 2, Vertices: []graph.VertexID{0, 5}}, "Vertices[1] = 5"},
-		{"vertex streamed twice", StreamOptions{K: 2, Vertices: []graph.VertexID{3, 1, 3}, Tracer: tr}, "Vertices[2] = 3"},
-		{"Start of the wrong length", StreamOptions{K: 2, Start: []int{0, 1}}, "Start has 2 entries"},
-		{"Start part out of range", StreamOptions{K: 2, Start: []int{0, 1, 2, -1, -1}}, "Start[2] = 2"},
-		{"streamed vertex assigned in Start", StreamOptions{K: 2, Start: []int{0, -1, -1, -1, -1}, Vertices: []graph.VertexID{1, 0}},
-			"Vertices[1] = 0 is already assigned in Start"},
+		{"K=0", nil, StreamOptions{K: 0}, "k = 0"},
+		{"C above 1", nil, StreamOptions{K: 2, C: 1.5}, "C = 1.5"},
+		{"negative C", nil, StreamOptions{K: 2, C: -0.5}, "C = -0.5"},
+		{"In of another graph", nil, StreamOptions{K: 2, In: gen.Ring(6)}, "does not match"},
+		{"vertex ID past |V|", nil, StreamOptions{K: 2, Vertices: []graph.VertexID{0, 5}}, "Vertices[1] = 5"},
+		{"vertex streamed twice", nil, StreamOptions{K: 2, Vertices: []graph.VertexID{3, 1, 3}, Tracer: tr}, "Vertices[2] = 3"},
+		{"Start part out of range", []int{0, 1, 2, -1, -1}, StreamOptions{K: 2}, "piece 2 is held"},
+		{"streamed vertex assigned in Start", []int{0, -1, -1, -1, -1}, StreamOptions{K: 2, Vertices: []graph.VertexID{1, 0}},
+			"Vertices[1] = 0 is already held"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Stream(g, tc.opt)
+			res, err := streamFrom(g, tc.start, tc.opt)
 			if err == nil {
 				t.Fatalf("accepted, placed %d", res.Stats.Placed)
 			}
@@ -226,14 +226,15 @@ func TestStreamBadOptions(t *testing.T) {
 	}
 }
 
-// A stream over a Start is traced but not audited: the audit's recorder
-// assumes empty parts, so the span comes and no audit.* event does.
+// A pass over a state that holds vertices is traced but not audited: the
+// audit's recorder assumes empty parts, so the span comes and no audit.*
+// event does.
 func TestStartStreamEmitsSpanNoAudit(t *testing.T) {
 	g := gen.Ring(6)
 	tr := telemetry.NewMemory()
 	start := []int{0, 1, Unassigned, Unassigned, Unassigned, Unassigned}
-	opt := StreamOptions{K: 2, Start: start, Vertices: []graph.VertexID{2, 3, 4, 5}, Tracer: tr}
-	if _, err := Stream(g, opt); err != nil {
+	opt := StreamOptions{K: 2, Vertices: []graph.VertexID{2, 3, 4, 5}, Tracer: tr}
+	if _, err := streamFrom(g, start, opt); err != nil {
 		t.Fatal(err)
 	}
 	recs := tr.Records()

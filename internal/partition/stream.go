@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bpart/internal/graph"
 	"bpart/internal/metrics"
@@ -36,21 +37,15 @@ type StreamOptions struct {
 	// C is the weighting factor c ∈ [0,1] of Eq. 1.
 	C float64
 	// Alpha is Fennel's α; <= 0 selects the standard
-	// α = m·k^{γ−1}/n^γ computed over Start's and the streamed vertices.
+	// α = m·k^{γ−1}/n^γ computed over the held and the streamed vertices.
 	Alpha float64
 	// Slack ν bounds each part: W_i may not exceed ν·n_s/k (n_s = number
-	// of placed vertices, Start's and the streamed ones, which equals Σ W_i
+	// of placed vertices, the held and the streamed ones, which equals Σ W_i
 	// at completion). <= 0 selects DefaultSlack; +Inf means no cap.
 	Slack float64
 	// Vertices restricts the stream to a subset, in the given order.
 	// nil streams every vertex in ID order.
 	Vertices []graph.VertexID
-	// Start, when non-nil, is an assignment to extend (|V| entries, each a
-	// part in [0,K) or Unassigned, none streamed): its vertices count toward
-	// affinity, |V_i|, |E_i|, W_i and the default α, d̄ and slack cap from the
-	// start. A stream with a Start emits its span but no audit events: the
-	// audit's recorder assumes empty parts.
-	Start []int
 	// CapV and CapE, when positive, are hard per-part ceilings on |V_i|
 	// and |E_i|. BPart's partitioning phase uses them to stop any single
 	// piece from exceeding its share of either dimension — without the
@@ -63,11 +58,11 @@ type StreamOptions struct {
 	// Fennel's undirected N(v). Without it only out-neighbors count, which
 	// halves the clustering signal on directed graphs.
 	In *graph.Graph
-	// Tracer, when enabled, receives one "partition.stream" span per call
-	// carrying the StreamStats, and, without a Start, the stream's
-	// audit.decision and audit.window events (see partaudit): sampled
-	// placements with their full score decomposition and windowed quality
-	// snapshots. Stats accumulate in locals and publish once at the end; a
+	// Tracer, when enabled, receives one "partition.stream" span per
+	// non-empty pass carrying the StreamStats, and, when the state held no
+	// vertex before the pass, the stream's audit.decision and audit.window
+	// events (see partaudit): sampled placements with their full score
+	// decomposition and windowed quality snapshots. Stats accumulate in locals and publish once at the end; a
 	// registry teed into it folds them into partition_stream_*_total
 	// counters. The traced assignment is byte-identical to an untraced one:
 	// the audit only observes scores, never alters them.
@@ -79,7 +74,7 @@ type StreamOptions struct {
 // greedy choice, how often ties were broken by load, and how often every
 // part was full and the lightest-part fallback fired.
 type StreamStats struct {
-	// Placed is the number of vertices streamed (Start's are not counted).
+	// Placed is the number of vertices streamed (held ones are not counted).
 	Placed int64
 	// CapWSkips counts part candidacies rejected by the W_i slack cap.
 	CapWSkips int64
@@ -130,19 +125,103 @@ var skipNames = [...]string{
 }
 
 // StreamResult is a partial assignment: Parts[v] is Unassigned for vertices
-// outside the streamed set and Start.
+// the state did not hold and the pass did not stream.
 type StreamResult struct {
+	// Parts is the state's own piece array: a StreamState's next Assign,
+	// Unassign, Reset or pass changes it.
 	Parts []int
 	K     int
 	// VertexCount and EdgeCount are the per-part |V_i| and |E_i|
-	// (out-degree mass) over Start's vertices and the streamed set.
+	// (out-degree mass) over the held vertices and the streamed set.
 	VertexCount []int
 	EdgeCount   []int
 	// Stats counts cap hits, tie-breaks and fallbacks during the stream.
 	Stats StreamStats
 }
 
-// Stream runs the weighted greedy streaming partitioner over g.
+// StreamState is one graph's streaming state, reused by every pass over it:
+// the piece every vertex sits in (Unassigned where none), one dense array;
+// the per-piece |V_i| and |E_i| of the vertices it holds; and the K-sized
+// scratch a pass scores with, regrown only when K grows. A pass places its
+// Vertices and leaves them placed; the vertices held before it (Assign's)
+// count toward affinity, |V_i|, |E_i|, W_i and the default α, d̄ and slack
+// cap from the start. Unassign and Reset take vertices back out, so a pass
+// over a state emptied that way costs what it streams, not |V|: BPart
+// streams every layer through one state and empties each residual vertex
+// as it reads its piece.
+type StreamState struct {
+	g              *graph.Graph
+	parts          []int
+	vCount, eCount []int // per piece, over parts; as long as the largest K or piece seen
+	// A pass's K-sized scratch (see Stream). Every affinity entry is zero
+	// between vertices, and so between passes.
+	w, pen            []float64
+	affinity, touched []int
+	class             []uint8
+	byW, byE          partOrder
+}
+
+// NewStreamState returns g's state holding no vertex.
+func NewStreamState(g *graph.Graph) *StreamState {
+	return &StreamState{g: g, parts: fillUnassigned(g.NumVertices())}
+}
+
+// Assign places v in piece p before a pass, taking it out of the piece it
+// held; p = Unassigned only takes it out. A pass whose K is not above every
+// held piece fails. It panics, as an index would, if v >= |V| or p <
+// Unassigned.
+func (s *StreamState) Assign(v graph.VertexID, p int) {
+	s.Unassign(v)
+	if p == Unassigned {
+		return
+	}
+	s.grow(p + 1)
+	s.parts[v] = p
+	s.vCount[p]++
+	s.eCount[p] += s.g.OutDegree(v)
+}
+
+// Unassign takes v out of its piece and returns that piece, Unassigned if
+// it held none.
+func (s *StreamState) Unassign(v graph.VertexID) int {
+	p := s.parts[v]
+	if p != Unassigned {
+		s.parts[v] = Unassigned
+		s.vCount[p]--
+		s.eCount[p] -= s.g.OutDegree(v)
+	}
+	return p
+}
+
+// grow lengthens the per-piece counts to at least k pieces.
+func (s *StreamState) grow(k int) {
+	if k > len(s.vCount) {
+		s.vCount = append(s.vCount, make([]int, k-len(s.vCount))...)
+		s.eCount = append(s.eCount, make([]int, k-len(s.eCount))...)
+	}
+}
+
+// Reset unassigns every vertex of vs: after a pass over vs, the state holds
+// what it held before the pass.
+func (s *StreamState) Reset(vs []graph.VertexID) {
+	for _, v := range vs {
+		s.Unassign(v)
+	}
+}
+
+// Stream runs the weighted greedy streaming partitioner over g from a state
+// that holds no vertex.
+func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
+	if err := checkArgs(g, opt.K); err != nil {
+		return nil, err
+	}
+	return NewStreamState(g).Stream(opt)
+}
+
+// Stream is one pass of the weighted greedy streaming partitioner over the
+// state's graph: it places opt.Vertices, none of them held, into K parts
+// beside the vertices the state holds. A pass that fails leaves the state
+// as it found it.
 //
 // A placement costs the arcs of its vertex plus the parts those arcs touch,
 // not K. Three facts make that exact rather than approximate:
@@ -159,7 +238,8 @@ type StreamResult struct {
 //   - The |E_i| cap does depend on the vertex's degree d; the open parts it
 //     rejects are the tail of a second order by |E_i|, walked from the
 //     heavy end.
-func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
+func (s *StreamState) Stream(opt StreamOptions) (*StreamResult, error) {
+	g := s.g
 	if err := checkArgs(g, opt.K); err != nil {
 		return nil, err
 	}
@@ -173,21 +253,16 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	if opt.Slack <= 0 {
 		opt.Slack = DefaultSlack
 	}
-	if opt.Start != nil && len(opt.Start) != n {
-		return nil, fmt.Errorf("partition: Start has %d entries, want |V| = %d", len(opt.Start), n)
+	for p := opt.K; p < len(s.vCount); p++ {
+		if s.vCount[p] > 0 {
+			return nil, fmt.Errorf("partition: piece %d is held, want pieces in [0,%d)", p, opt.K)
+		}
 	}
-	parts := fillUnassigned(n)
-	copy(parts, opt.Start)
-	vCount := make([]int, opt.K)
-	eCount := make([]int, opt.K)
-	for v, p := range opt.Start {
-		if p < Unassigned || p >= opt.K {
-			return nil, fmt.Errorf("partition: Start[%d] = %d, want in [0,%d) or Unassigned", v, p, opt.K)
-		}
-		if p != Unassigned {
-			vCount[p]++
-			eCount[p] += g.OutDegree(graph.VertexID(v))
-		}
+	s.grow(opt.K)
+	parts := s.parts
+	vCount, eCount := s.vCount[:opt.K], s.eCount[:opt.K]
+	result := func(stats StreamStats) *StreamResult {
+		return &StreamResult{Parts: parts, K: opt.K, VertexCount: slices.Clone(vCount), EdgeCount: slices.Clone(eCount), Stats: stats}
 	}
 	stream := opt.Vertices
 	if stream == nil {
@@ -195,7 +270,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	}
 	ns := len(stream)
 	if ns == 0 {
-		return &StreamResult{Parts: parts, K: opt.K, VertexCount: vCount, EdgeCount: eCount}, nil
+		return result(StreamStats{}), nil
 	}
 	var ms int
 	for pos, v := range stream {
@@ -203,15 +278,16 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 			return nil, fmt.Errorf("partition: Vertices[%d] = %d, want < %d", pos, v, n)
 		}
 		if parts[v] != Unassigned {
-			return nil, fmt.Errorf("partition: Vertices[%d] = %d is already assigned in Start", pos, v)
+			return nil, fmt.Errorf("partition: Vertices[%d] = %d is already held, in piece %d", pos, v, parts[v])
 		}
 		ms += g.OutDegree(v)
 	}
-	nAll, mAll := ns, ms // every vertex placed at the end, Start's and streamed
+	var nHeld, mHeld int
 	for i := range vCount {
-		nAll += vCount[i]
-		mAll += eCount[i]
+		nHeld += vCount[i]
+		mHeld += eCount[i]
 	}
+	nAll, mAll := ns+nHeld, ms+mHeld // every vertex placed at the end, held and streamed
 	avgDeg := float64(mAll) / float64(nAll)
 	if metrics.IsZero(avgDeg) {
 		avgDeg = 1 // edgeless vertex set: W_i degenerates to C·|V_i|+(1−C)·0
@@ -235,13 +311,15 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		capE = opt.CapE
 	}
 
-	w := make([]float64, opt.K)     // current W_i
-	affinity := make([]int, opt.K)  // |V_i ∩ N(v)| scratch, zero between vertices
-	touched := make([]int, opt.K+1) // parts with affinity > 0, see tally
+	s.w, s.affinity, s.touched = resize(s.w, opt.K), resize(s.affinity, opt.K), resize(s.touched, opt.K+1)
+	s.pen, s.class = resize(s.pen, opt.K), resize(s.class, opt.K)
+	w := s.w               // current W_i
+	affinity := s.affinity // |V_i ∩ N(v)| scratch, zero between vertices
+	touched := s.touched   // parts with affinity > 0, see tally
 	// pen[i] = α·γ·√W_i, the penalty half of the score. Only the part
 	// that just received a vertex has a new W_i, so one entry is refreshed
 	// per placement instead of K being recomputed per vertex.
-	pen := make([]float64, opt.K)
+	pen, class := s.pen, s.class
 	// class[i] is part i's vertex-independent skip reason, in the precedence
 	// W slack, then |V_i| cap; inClass[c] counts the parts of class c.
 	classOf := func(i int) uint8 {
@@ -253,7 +331,6 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		}
 		return skipNone
 	}
-	class := make([]uint8, opt.K)
 	var inClass [skipCapE]int64
 	for i := range pen {
 		w[i] = opt.C*float64(vCount[i]) + (1-opt.C)*float64(eCount[i])/avgDeg
@@ -270,11 +347,14 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 	lighterE := func(a, b int) bool { return eCount[a] < eCount[b] }
 	// The open parts in both orders; byE stays empty, and is never repaired,
 	// without an |E_i| cap.
-	byW := newPartOrder(class, lighter)
-	var byE partOrder
+	s.byW.reset(class, lighter)
+	s.byE.list = s.byE.list[:0]
 	if opt.CapE > 0 {
-		byE = newPartOrder(class, lighterE)
+		s.byE.reset(class, lighterE)
 	}
+	// Local copies share the state's buffers; as locals, the placement
+	// loop's repairs need not reload their headers after every store.
+	byW, byE := s.byW, s.byE
 
 	// Stats accumulate in plain locals — the inner loop pays a handful of
 	// integer increments whether or not telemetry is attached — and are
@@ -287,7 +367,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 			telemetry.Int("k", opt.K),
 			telemetry.Int("streamed", ns),
 			telemetry.Int("edges", ms))
-		if opt.Start == nil {
+		if nHeld == 0 {
 			audit = partaudit.NewStream(opt.Tracer, g, opt.K)
 		}
 	}
@@ -297,6 +377,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 			if sp != nil {
 				sp.End(telemetry.String("error", err.Error()))
 			}
+			s.Reset(stream[:pos])
 			return nil, err
 		}
 		nt := tally(g.Neighbors(v), parts, affinity, touched, 0)
@@ -412,7 +493,7 @@ func Stream(g *graph.Graph, opt StreamOptions) (*StreamResult, error) {
 		Fallbacks: fallbacks,
 	}
 	stats.publish(sp)
-	return &StreamResult{Parts: parts, K: opt.K, VertexCount: vCount, EdgeCount: eCount, Stats: stats}, nil
+	return result(stats), nil
 }
 
 // tally adds one adjacency row of the vertex being placed to affinity and
@@ -442,10 +523,11 @@ type partOrder struct {
 	pos  []int
 }
 
-// newPartOrder returns the open parts, those of class skipNone, sorted by less
-// and then by index, by sinking each into the sorted tail behind it.
-func newPartOrder(class []uint8, less func(a, b int) bool) partOrder {
-	o := partOrder{list: make([]int, 0, len(class)), pos: make([]int, len(class))}
+// reset makes o the open parts, those of class skipNone, sorted by less and
+// then by index, by sinking each into the sorted tail behind it. It reuses
+// o's buffers.
+func (o *partOrder) reset(class []uint8, less func(a, b int) bool) {
+	o.list, o.pos = resize(o.list, len(class))[:0], resize(o.pos, len(class))
 	for p := range o.pos {
 		o.pos[p] = -1
 		if class[p] == skipNone {
@@ -456,7 +538,6 @@ func newPartOrder(class []uint8, less func(a, b int) bool) partOrder {
 	for j := len(o.list) - 1; j >= 0; j-- {
 		o.sink(o.list[j], less)
 	}
-	return o
 }
 
 // remove drops p from the order if it is in it.
@@ -483,6 +564,15 @@ func (o *partOrder) sink(p int, less func(a, b int) bool) {
 		o.list[j], o.pos[q] = q, j
 	}
 	o.list[j], o.pos[p] = p, j
+}
+
+// resize returns s with length n, reallocated only when n exceeds its
+// capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func fillUnassigned(n int) []int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,10 +19,12 @@ import (
 // referenceStream is the scorer Stream is checked against: the same greedy
 // rule written the slow, obvious way — every candidate of every vertex
 // visited in index order, the penalty α·γ·W_i^{γ−1} recomputed with math.Pow
-// each time, and the skip reason carried as the audit string. It honours
-// K, C, Alpha, Slack, Vertices, Start, CapV, CapE and In, and emits
-// Stream's audit events on Tracer (none with a Start), but not its span.
-func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
+// each time, and the skip reason carried as the audit string. It streams
+// from a starting assignment of its own (nil, or a part or Unassigned per
+// vertex, none of them streamed), honours K, C, Alpha, Slack, Vertices,
+// CapV, CapE and In, and emits Stream's audit events on Tracer (none when
+// start places a vertex), but not its span.
+func referenceStream(g *graph.Graph, start []int, opt StreamOptions) ([]int, StreamStats) {
 	stream := opt.Vertices
 	if stream == nil {
 		for v := 0; v < g.NumVertices(); v++ {
@@ -31,10 +34,10 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	parts := fillUnassigned(g.NumVertices())
 	vCount := make([]int, opt.K)
 	eCount := make([]int, opt.K)
-	// Start's vertices are placed before the stream begins; α, d̄ and the
+	// start's vertices are placed before the stream begins; α, d̄ and the
 	// slack cap count them with the streamed ones.
 	n, m := len(stream), 0
-	for v, p := range opt.Start {
+	for v, p := range start {
 		if p != Unassigned {
 			d := g.OutDegree(graph.VertexID(v))
 			parts[v] = p
@@ -43,6 +46,9 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 			n++
 			m += d
 		}
+	}
+	if len(stream) == 0 {
+		return parts, StreamStats{} // an empty stream places and records nothing
 	}
 	for _, v := range stream {
 		m += g.OutDegree(v)
@@ -70,7 +76,7 @@ func referenceStream(g *graph.Graph, opt StreamOptions) ([]int, StreamStats) {
 	}
 	stats := StreamStats{Placed: int64(len(stream))}
 	var audit *partaudit.StreamRecorder
-	if opt.Start == nil {
+	if n == len(stream) {
 		audit = partaudit.NewStream(opt.Tracer, g, opt.K)
 	}
 	for _, v := range stream {
@@ -155,19 +161,31 @@ func auditEvents(m *telemetry.Memory) []telemetry.Record {
 	return out
 }
 
-// matchReference runs opt through Stream and referenceStream, untraced and
-// traced, and fails unless assignment, stats and audit events agree and
-// Stream's per-part counts match its assignment. It returns the stats.
-func matchReference(t *testing.T, name string, g *graph.Graph, opt StreamOptions) StreamStats {
+// streamFrom runs opt as one pass over a fresh state that holds start (nil,
+// or a part or Unassigned per vertex): a one-shot Stream from a starting
+// assignment.
+func streamFrom(g *graph.Graph, start []int, opt StreamOptions) (*StreamResult, error) {
+	s := NewStreamState(g)
+	for v, p := range start {
+		s.Assign(graph.VertexID(v), p)
+	}
+	return s.Stream(opt)
+}
+
+// matchReference runs opt from start through a StreamState pass and
+// referenceStream, untraced and traced, and fails unless assignment, stats
+// and audit events agree and the pass's per-part counts match its
+// assignment. It returns the stats.
+func matchReference(t *testing.T, name string, g *graph.Graph, start []int, opt StreamOptions) StreamStats {
 	t.Helper()
 	type scorer func(StreamOptions) ([]int, StreamStats)
-	reference := func(o StreamOptions) ([]int, StreamStats) { return referenceStream(g, o) }
+	reference := func(o StreamOptions) ([]int, StreamStats) { return referenceStream(g, start, o) }
 	product := func(o StreamOptions) ([]int, StreamStats) {
-		res, err := Stream(g, o)
+		res, err := streamFrom(g, start, o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		// The per-part counts cover every assigned vertex, Start's included.
+		// The per-part counts cover every assigned vertex, start's included.
 		vCount, eCount := make([]int, o.K), make([]int, o.K)
 		for v, p := range res.Parts {
 			if p != Unassigned {
@@ -201,8 +219,9 @@ func matchReference(t *testing.T, name string, g *graph.Graph, opt StreamOptions
 	if !reflect.DeepEqual(gotLog, wantLog) {
 		t.Fatalf("%s: audit events differ from the reference scorer's", name)
 	}
-	if (opt.Start == nil) != (len(gotLog) > 0) {
-		t.Fatalf("%s: %d audit events, want some exactly when there is no Start", name, len(gotLog))
+	held := slices.ContainsFunc(start, func(p int) bool { return p != Unassigned })
+	if empty := opt.Vertices != nil && len(opt.Vertices) == 0; (held || empty) == (len(gotLog) > 0) {
+		t.Fatalf("%s: %d audit events, want some exactly when start places no vertex and the stream is not empty", name, len(gotLog))
 	}
 	return wantStats
 }
@@ -237,7 +256,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 				if variant.in {
 					opt.In = in
 				}
-				stats := matchReference(t, fmt.Sprintf("k=%d c=%v %+v", k, c, variant), g, opt)
+				stats := matchReference(t, fmt.Sprintf("k=%d c=%v %+v", k, c, variant), g, nil, opt)
 				saw(stats)
 			}
 		}
@@ -254,7 +273,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 		}
 	}
 	for _, k := range []int{16, 256} {
-		stats := matchReference(t, fmt.Sprintf("restricted k=%d", k), g, StreamOptions{
+		stats := matchReference(t, fmt.Sprintf("restricted k=%d", k), g, nil, StreamOptions{
 			K: k, C: 0.5, In: in, Vertices: subset,
 			CapV: int(1.1*float64(len(subset))/float64(k)) + 1,
 			CapE: int(1.1*float64(subsetEdges)/float64(k)) + 1,
@@ -269,7 +288,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 			opt.CapV = n / 16
 			opt.CapE = m / 16
 		}
-		stats := matchReference(t, fmt.Sprintf("slack=0.9 caps=%v", caps), g, opt)
+		stats := matchReference(t, fmt.Sprintf("slack=0.9 caps=%v", caps), g, nil, opt)
 		if stats.Fallbacks == 0 {
 			t.Fatalf("slack=0.9 caps=%v: no fallbacks", caps)
 		}
@@ -296,11 +315,11 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 			lost = append(lost, v)
 		}
 	}
-	saw(matchReference(t, "restream", g, StreamOptions{
-		K: 7, C: 0.5, In: in, Slack: math.Inf(1), Vertices: lost, Start: survivors,
+	saw(matchReference(t, "restream", g, survivors, StreamOptions{
+		K: 7, C: 0.5, In: in, Slack: math.Inf(1), Vertices: lost,
 		Alpha: float64(m) * math.Sqrt(8) / math.Pow(float64(n), 1.5),
 	}))
-	// A Start that puts 300 vertices on each of parts 0–4 closes them
+	// A start that puts 300 vertices on each of parts 0–4 closes them
 	// before the first placement: by the slack, or by CapV once the slack is
 	// lifted. Parts 5–9 start with ≈ 94 vertices (603–610 edges) and 10–15
 	// with ≈ 47 (≈ 305), so the open parts' |E_i| order is not their index
@@ -319,24 +338,24 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 		opt    StreamOptions
 		closed func(StreamStats) int64
 	}{
-		{"closed by slack", StreamOptions{K: 16, C: 0.5, In: in, Start: lopsided, Vertices: tail},
+		{"closed by slack", StreamOptions{K: 16, C: 0.5, In: in, Vertices: tail},
 			func(s StreamStats) int64 { return s.CapWSkips }},
-		{"closed by CapV", StreamOptions{K: 16, C: 0.5, In: in, Start: lopsided, Vertices: tail,
+		{"closed by CapV", StreamOptions{K: 16, C: 0.5, In: in, Vertices: tail,
 			Slack: math.Inf(1), CapV: 300, CapE: 612},
 			func(s StreamStats) int64 { return s.CapVSkips }},
 	} {
-		stats := matchReference(t, tc.name, g, tc.opt)
+		stats := matchReference(t, tc.name, g, lopsided, tc.opt)
 		if got, want := tc.closed(stats), int64(5*len(tail)); got < want {
 			t.Fatalf("%s: %d skips, want >= %d: parts 0-4 did not start closed", tc.name, got, want)
 		}
 		saw(stats)
 	}
-	// An empty stream returns Start with its counts; an all-Unassigned Start
-	// with nil Vertices streams every vertex in ID order, as no Start does.
-	matchReference(t, "empty stream", g, StreamOptions{
-		K: 16, C: 0.5, In: in, Start: lopsided, Vertices: []graph.VertexID{},
+	// An empty stream returns start with its counts; an all-Unassigned start
+	// with nil Vertices streams every vertex in ID order, as no start does.
+	matchReference(t, "empty stream", g, lopsided, StreamOptions{
+		K: 16, C: 0.5, In: in, Vertices: []graph.VertexID{},
 	})
-	matchReference(t, "unassigned start", g, StreamOptions{K: 16, C: 0.5, In: in, Start: fillUnassigned(n)})
+	matchReference(t, "unassigned start", g, fillUnassigned(n), StreamOptions{K: 16, C: 0.5, In: in})
 	// As many parts as vertices, and more.
 	small, err := gen.ChungLu(gen.Config{NumVertices: 200, AvgDegree: 6, Skew: 0.7, Seed: 5})
 	if err != nil {
@@ -344,7 +363,7 @@ func TestStreamMatchesReferenceScorer(t *testing.T) {
 	}
 	smallIn := small.Transpose()
 	for _, k := range []int{200, 333} {
-		stats := matchReference(t, fmt.Sprintf("n=200 k=%d", k), small,
+		stats := matchReference(t, fmt.Sprintf("n=200 k=%d", k), small, nil,
 			StreamOptions{K: k, C: 0.5, In: smallIn, CapV: 2, CapE: 40})
 		saw(stats)
 	}
@@ -373,7 +392,7 @@ func TestTieBreaksEqualAuditCauses(t *testing.T) {
 		{K: 64, C: 1, In: in},
 		{K: 16, C: 0.5, In: in, CapV: 3000/16 + 1, CapE: g.NumEdges()/16 + 1},
 	} {
-		stats := matchReference(t, fmt.Sprintf("K=%d C=%v", opt.K, opt.C), g, opt)
+		stats := matchReference(t, fmt.Sprintf("K=%d C=%v", opt.K, opt.C), g, nil, opt)
 		m := telemetry.NewMemory()
 		opt.Tracer = m
 		if _, err := Stream(g, opt); err != nil {
