@@ -111,6 +111,16 @@ func TestStreamWindowAccounting(t *testing.T) {
 	}
 }
 
+// A pass that placed nothing ends with no window: a traced LDG over an
+// empty graph records what an empty Stream pass records, nothing.
+func TestEmptyStreamEmitsNoWindow(t *testing.T) {
+	tr, read := traced(t)
+	NewStream(tr, graph.NewBuilder(0).Build(), 4).End()
+	if log := read(); len(log.Windows) != 0 {
+		t.Fatalf("an empty pass emitted %d windows: %+v", len(log.Windows), log.Windows)
+	}
+}
+
 // A self-loop must resolve exactly once (in the out-scan).
 func TestStreamSelfLoopResolvesOnce(t *testing.T) {
 	b := graph.NewBuilder(2)

@@ -127,12 +127,13 @@ func (r *StreamRecorder) Place(v graph.VertexID, degree, piece int, cause string
 
 // End closes the stream's timeline, emitting the trailing partial window
 // (the final snapshot, when the stream length is not a multiple of the
-// window size).
+// window size). A pass that placed nothing has no window, as an empty
+// pass of the streaming engine records nothing.
 func (r *StreamRecorder) End() {
 	if r == nil {
 		return
 	}
-	if r.placed == 0 || r.placed%r.window != 0 {
+	if r.placed%r.window != 0 {
 		r.emitWindow()
 	}
 }

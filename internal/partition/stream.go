@@ -264,23 +264,29 @@ func (s *StreamState) Stream(opt StreamOptions) (*StreamResult, error) {
 	result := func(stats StreamStats) *StreamResult {
 		return &StreamResult{Parts: parts, K: opt.K, VertexCount: slices.Clone(vCount), EdgeCount: slices.Clone(eCount), Stats: stats}
 	}
-	stream := opt.Vertices
-	if stream == nil {
-		stream = OrderByID(n)
+	ns := len(opt.Vertices)
+	if opt.Vertices == nil {
+		ns = n
 	}
-	ns := len(stream)
 	if ns == 0 {
 		return result(StreamStats{}), nil
 	}
-	var ms int
-	for pos, v := range stream {
-		if int(v) >= n {
-			return nil, fmt.Errorf("partition: Vertices[%d] = %d, want < %d", pos, v, n)
+	// A nil Vertices is the ID range, which no list holds: the loops over
+	// the stream walk it idChunk IDs at a time, written into an array on
+	// the pass's stack, and walk a list as one chunk, the list itself.
+	var ids [idChunk]graph.VertexID
+	var ms, lo int
+	for chunk := nextChunk(opt.Vertices, nil, ids[:], n); len(chunk) > 0; chunk = nextChunk(opt.Vertices, chunk, ids[:], n) {
+		for i, v := range chunk {
+			if int(v) >= n {
+				return nil, fmt.Errorf("partition: Vertices[%d] = %d, want < %d", lo+i, v, n)
+			}
+			if parts[v] != Unassigned {
+				return nil, fmt.Errorf("partition: Vertices[%d] = %d is already held, in piece %d", lo+i, v, parts[v])
+			}
+			ms += g.OutDegree(v)
 		}
-		if parts[v] != Unassigned {
-			return nil, fmt.Errorf("partition: Vertices[%d] = %d is already held, in piece %d", pos, v, parts[v])
-		}
-		ms += g.OutDegree(v)
+		lo += len(chunk)
 	}
 	var nHeld, mHeld int
 	for i := range vCount {
@@ -371,117 +377,120 @@ func (s *StreamState) Stream(opt StreamOptions) (*StreamResult, error) {
 			audit = partaudit.NewStream(opt.Tracer, g, opt.K)
 		}
 	}
-	for pos, v := range stream {
-		if parts[v] != Unassigned {
-			err := fmt.Errorf("partition: Vertices[%d] = %d is streamed twice", pos, v)
-			if sp != nil {
-				sp.End(telemetry.String("error", err.Error()))
+	for chunk := nextChunk(opt.Vertices, nil, ids[:], n); len(chunk) > 0; chunk = nextChunk(opt.Vertices, chunk, ids[:], n) {
+		for pos, v := range chunk {
+			if parts[v] != Unassigned {
+				// Only a list, which is one chunk, can repeat a vertex.
+				err := fmt.Errorf("partition: Vertices[%d] = %d is streamed twice", pos, v)
+				if sp != nil {
+					sp.End(telemetry.String("error", err.Error()))
+				}
+				s.Reset(chunk[:pos])
+				return nil, err
 			}
-			s.Reset(stream[:pos])
-			return nil, err
-		}
-		nt := tally(g.Neighbors(v), parts, affinity, touched, 0)
-		if opt.In != nil {
-			nt = tally(opt.In.Neighbors(v), parts, affinity, touched, nt)
-		}
-		d := g.OutDegree(v)
-		capWSkips += inClass[skipCapW]
-		capVSkips += inClass[skipCapV]
-		for j := len(byE.list) - 1; j >= 0 && eCount[byE.list[j]]+d > capE; j-- {
-			capESkips++
-		}
+			nt := tally(g.Neighbors(v), parts, affinity, touched, 0)
+			if opt.In != nil {
+				nt = tally(opt.In.Neighbors(v), parts, affinity, touched, nt)
+			}
+			d := g.OutDegree(v)
+			capWSkips += inClass[skipCapW]
+			capVSkips += inClass[skipCapV]
+			for j := len(byE.list) - 1; j >= 0 && eCount[byE.list[j]]+d > capE; j-- {
+				capESkips++
+			}
 
-		// best is the winner under "max score, then lower W, then lower
-		// index"; first is the lowest index among the parts that share the
-		// winning score, which is where an index-order scan would have
-		// stopped had it not preferred a lighter part.
-		best, first, bestScore := -1, -1, math.Inf(-1)
-		offer := func(i int, score float64) {
+			// best is the winner under "max score, then lower W, then lower
+			// index"; first is the lowest index among the parts that share the
+			// winning score, which is where an index-order scan would have
+			// stopped had it not preferred a lighter part.
+			best, first, bestScore := -1, -1, math.Inf(-1)
+			offer := func(i int, score float64) {
+				switch {
+				case score > bestScore:
+					best, first, bestScore = i, i, score
+				case metrics.TieEq(score, bestScore) && best >= 0:
+					if i < first {
+						first = i
+					}
+					if lighter(i, best) {
+						best = i
+					}
+				}
+			}
+			for _, i := range touched[:nt] {
+				if class[i] == skipNone && eCount[i]+d <= capE {
+					offer(i, float64(affinity[i])-pen[i])
+				}
+			}
+			// Untouched parts score −pen: nothing past the first one below the
+			// best score so far can win or tie, and the ones that tie are its
+			// bit-equal-pen neighbours in the order.
+			for _, i := range byW.list {
+				score := -pen[i]
+				if score < bestScore {
+					break
+				}
+				if affinity[i] == 0 && eCount[i]+d <= capE {
+					offer(i, score)
+				}
+			}
+			cause := partaudit.CauseGreedy
 			switch {
-			case score > bestScore:
-				best, first, bestScore = i, i, score
-			case metrics.TieEq(score, bestScore) && best >= 0:
-				if i < first {
-					first = i
+			case best == -1:
+				// All parts at capacity (possible only through rounding):
+				// fall back to the lightest part.
+				fallbacks++
+				cause = partaudit.CauseFallback
+				best = 0
+				for i := 1; i < opt.K; i++ {
+					if w[i] < w[best] {
+						best = i
+					}
 				}
-				if lighter(i, best) {
-					best = i
-				}
+			case best != first:
+				tieBreaks++
+				cause = partaudit.CauseTieBreak
 			}
-		}
-		for _, i := range touched[:nt] {
-			if class[i] == skipNone && eCount[i]+d <= capE {
-				offer(i, float64(affinity[i])-pen[i])
-			}
-		}
-		// Untouched parts score −pen: nothing past the first one below the
-		// best score so far can win or tie, and the ones that tie are its
-		// bit-equal-pen neighbours in the order.
-		for _, i := range byW.list {
-			score := -pen[i]
-			if score < bestScore {
-				break
-			}
-			if affinity[i] == 0 && eCount[i]+d <= capE {
-				offer(i, score)
-			}
-		}
-		cause := partaudit.CauseGreedy
-		switch {
-		case best == -1:
-			// All parts at capacity (possible only through rounding):
-			// fall back to the lightest part.
-			fallbacks++
-			cause = partaudit.CauseFallback
-			best = 0
-			for i := 1; i < opt.K; i++ {
-				if w[i] < w[best] {
-					best = i
+			dec := audit.SampleDecision(v, d)
+			if dec != nil {
+				// A sampled decision reports all K candidates in index order;
+				// the selection above has no per-candidate hook.
+				for i := 0; i < opt.K; i++ {
+					skip := class[i]
+					if skip == skipNone && eCount[i]+d > capE {
+						skip = skipCapE
+					}
+					dec.Candidate(i, affinity[i], pen[i], float64(affinity[i])-pen[i], skipNames[skip])
 				}
 			}
-		case best != first:
-			tieBreaks++
-			cause = partaudit.CauseTieBreak
-		}
-		dec := audit.SampleDecision(v, d)
-		if dec != nil {
-			// A sampled decision reports all K candidates in index order;
-			// the selection above has no per-candidate hook.
-			for i := 0; i < opt.K; i++ {
-				skip := class[i]
-				if skip == skipNone && eCount[i]+d > capE {
-					skip = skipCapE
-				}
-				dec.Candidate(i, affinity[i], pen[i], float64(affinity[i])-pen[i], skipNames[skip])
+			for _, i := range touched[:nt] {
+				affinity[i] = 0
 			}
-		}
-		for _, i := range touched[:nt] {
-			affinity[i] = 0
-		}
 
-		parts[v] = best
-		vCount[best]++
-		eCount[best] += d
-		w[best] += opt.C + (1-opt.C)*float64(d)/avgDeg
-		pen[best] = alpha * gamma * math.Sqrt(w[best])
-		// Only the receiver's class and keys changed. W_i and |V_i| never
-		// shrink, so a part only ever closes; the fallback can place into a
-		// closed part, which may take it from V-full to W-full.
-		if was, now := class[best], classOf(best); was != now {
-			class[best] = now
-			inClass[was]--
-			inClass[now]++
-			byW.remove(best)
-			if opt.CapE > 0 {
-				byE.remove(best)
+			parts[v] = best
+			vCount[best]++
+			eCount[best] += d
+			w[best] += opt.C + (1-opt.C)*float64(d)/avgDeg
+			pen[best] = alpha * gamma * math.Sqrt(w[best])
+			// Only the receiver's class and keys changed. W_i and |V_i| never
+			// shrink, so a part only ever closes; the fallback can place into a
+			// closed part, which may take it from V-full to W-full.
+			if was, now := class[best], classOf(best); was != now {
+				class[best] = now
+				inClass[was]--
+				inClass[now]++
+				byW.remove(best)
+				if opt.CapE > 0 {
+					byE.remove(best)
+				}
+			} else if now == skipNone {
+				byW.sink(best, lighter)
+				if opt.CapE > 0 {
+					byE.sink(best, lighterE)
+				}
 			}
-		} else if now == skipNone {
-			byW.sink(best, lighter)
-			if opt.CapE > 0 {
-				byE.sink(best, lighterE)
-			}
+			audit.Place(v, d, best, cause, dec, parts)
 		}
-		audit.Place(v, d, best, cause, dec, parts)
 	}
 	audit.End()
 	stats := StreamStats{
@@ -496,11 +505,43 @@ func (s *StreamState) Stream(opt StreamOptions) (*StreamResult, error) {
 	return result(stats), nil
 }
 
+// idChunk is how many IDs of the range a pass with a nil Vertices walks at
+// a time.
+const idChunk = 256
+
+// nextChunk returns the chunk of a pass's stream after chunk, or its first
+// when chunk is nil: a list is one chunk, and the ID range [0, n) (list
+// nil) is walked in chunks of the IDs after chunk's last, written into
+// buf, which may hold chunk.
+func nextChunk(list, chunk, buf []graph.VertexID, n int) []graph.VertexID {
+	if list != nil {
+		if chunk == nil {
+			return list
+		}
+		return nil
+	}
+	lo := 0
+	if chunk != nil {
+		lo = int(chunk[len(chunk)-1]) + 1
+	}
+	buf = buf[:min(len(buf), n-lo)]
+	for i := range buf {
+		buf[i] = graph.VertexID(lo + i)
+	}
+	return buf
+}
+
 // tally adds one adjacency row of the vertex being placed to affinity and
 // lists each part on its first increment in touched[nt:], returning the new
 // count. The store is unconditional and nt advances by a conditional move, so
 // the loop has no branch on affinity; touched has one slot beyond K for the
 // store made when every part is already listed.
+//
+// It stays out of line: inlined into the placement loop, whose chunk loop
+// nests it one level deeper, its per-arc loop spilled its counters to the
+// stack, and BenchmarkBPart20k and BenchmarkStreamByK ran 10–25 % slower.
+//
+//go:noinline
 func tally(row []graph.VertexID, parts, affinity, touched []int, nt int) int {
 	for _, u := range row {
 		if p := parts[u]; p != Unassigned {

@@ -91,6 +91,46 @@ func TestPassCostsWhatItStreams(t *testing.T) {
 	}
 }
 
+// A pass with a nil Vertices streams the ID range without a list of it:
+// through a reused state it allocates the same bytes on a 10k-vertex and
+// a 100k-vertex graph, where a |V|-long ID list would cost 40 KB against
+// 400 KB.
+func TestIDRangePassBuildsNoList(t *testing.T) {
+	const passes = 4
+	perPass := func(n int) float64 {
+		g, err := gen.ChungLu(gen.Config{NumVertices: n, AvgDegree: 4, Skew: 0.7, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewStreamState(g)
+		all := OrderByID(n)
+		opt := StreamOptions{K: 8, C: 1, In: g.In()}
+		pass := func() {
+			res, err := st.Stream(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Placed != int64(n) {
+				t.Fatalf("placed %d of %d vertices", res.Stats.Placed, n)
+			}
+			st.Reset(all)
+		}
+		pass() // sizes the K-sized scratch
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < passes; i++ {
+			pass()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / passes
+	}
+	small, large := perPass(10_000), perPass(100_000)
+	t.Logf("bytes per pass: %.0f on 10k vertices, %.0f on 100k", small, large)
+	if math.Abs(large-small) > 32 {
+		t.Fatalf("an ID-range pass allocates %.0f B on 10k vertices and %.0f B on 100k: it pays for |V|", small, large)
+	}
+}
+
 // streamCase is one FuzzStream input, decoded as FuzzStream's body says.
 type streamCase struct {
 	name          string

@@ -35,22 +35,38 @@ func StepWeight(u, v graph.VertexID) float64 {
 // aliasCache lazily builds and shares per-vertex alias tables. A built
 // table is published in its vertex's slot and never replaced, so the hot
 // path (hub vertices) is one atomic load; the lock serializes builds only.
+// The |V| slots themselves are made by init, which an engine calls only
+// when a BiasedWalk Run starts: no other walk reads them.
 type aliasCache struct {
 	g      *graph.Graph
+	once   sync.Once
 	mu     sync.Mutex
 	tables []atomic.Pointer[xrand.Alias]
 }
 
 func newAliasCache(g *graph.Graph) *aliasCache {
-	return &aliasCache{g: g, tables: make([]atomic.Pointer[xrand.Alias], g.NumVertices())}
+	c := &aliasCache{g: g}
+	c.init()
+	return c
+}
+
+// init makes the slots, once. Goroutines that read them must start after
+// an init call returns.
+func (c *aliasCache) init() {
+	c.once.Do(func() { c.tables = make([]atomic.Pointer[xrand.Alias], c.g.NumVertices()) })
 }
 
 // table returns v's alias table, building it on first use (nil for an
 // edgeless vertex).
 func (c *aliasCache) table(v graph.VertexID) *xrand.Alias {
-	if t := c.tables[v].Load(); t != nil {
-		return t
+	// The length test stands in for the index's own bounds check; it fails
+	// only before init, for a caller outside Run.
+	if int(v) < len(c.tables) {
+		if t := c.tables[v].Load(); t != nil {
+			return t
+		}
 	}
+	c.init()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t := c.tables[v].Load(); t != nil {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"bpart/internal/cluster"
 	"bpart/internal/fault"
@@ -170,9 +171,19 @@ type Engine struct {
 	g     *graph.Graph
 	cl    *cluster.Cluster
 	owned [][]graph.VertexID
-	alias *aliasCache       // per-vertex transition tables for BiasedWalk
+	alias aliasCache        // per-vertex transition tables for BiasedWalk
 	tel   telemetry.Tracer  // run-level spans; supersteps come from cl
 	flt   *fault.Controller // nil = fault injection disabled
+	// spare holds the walker buffers the last Run left, nil while a Run
+	// holds them (see Run).
+	spare atomic.Pointer[walkerSet]
+}
+
+// walkerSet is the walker buffers a Run steps in: each machine's active
+// list and its row of the k×k outboxes.
+type walkerSet struct {
+	active [][]walker
+	outbox [][][]walker
 }
 
 // New builds a walk engine for g with the given vertex→machine assignment.
@@ -187,15 +198,26 @@ func New(g *graph.Graph, assignment []int, machines int, model cluster.CostModel
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{g: g, cl: cl, alias: newAliasCache(g), tel: telemetry.Nop()}
+	e := &Engine{g: g, cl: cl, alias: aliasCache{g: g}, tel: telemetry.Nop()}
 	e.reassign(assignment)
 	return e, nil
 }
 
 // reassign rebuilds the per-machine vertex lists: at construction, and
-// after degraded-mode restreaming moved vertices off a dead machine.
+// after degraded-mode restreaming moved vertices off a dead machine. The
+// lists are windows of one |V| array, each capped at its machine's count.
 func (e *Engine) reassign(assignment []int) {
 	owned := make([][]graph.VertexID, e.cl.NumMachines())
+	count := make([]int, len(owned))
+	for _, m := range assignment {
+		count[m]++
+	}
+	all := make([]graph.VertexID, len(assignment))
+	off := 0
+	for m, c := range count {
+		owned[m] = all[off : off : off+c]
+		off += c
+	}
 	for v, m := range assignment {
 		owned[m] = append(owned[m], graph.VertexID(v))
 	}
@@ -301,7 +323,8 @@ func cloneWalkers(ws [][]walker) [][]walker {
 	return out
 }
 
-// Run executes the configured walk to completion.
+// Run executes the configured walk to completion. Concurrent Runs on one
+// engine are safe when it has no fault controller attached.
 func (e *Engine) Run(cfg Config) (*Result, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
@@ -319,8 +342,8 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			sourceSet[v] = true
 		}
 	}
-	// Count each machine's walkers first: every active list is made at
-	// exactly its count, and the total must fit a walker's slot.
+	// Count each machine's walkers first: every active list is grown to at
+	// least its count, and the total must fit a walker's slot.
 	starts := make([]int, k)
 	totalStarts := 0
 	for m := 0; m < k; m++ {
@@ -336,8 +359,23 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	}
 	totalWalkers := totalStarts * cfg.WalkersPerVertex
 
+	// The walker buffers outlive the Run: it takes the set the last Run
+	// left, regrows a list only where this Run needs more room, and leaves
+	// the set for the next. A Run that finds none (the engine's first, or
+	// one beside another Run) makes its own, so no two Runs share one.
+	set := e.spare.Swap(nil)
+	if set == nil {
+		set = &walkerSet{active: make([][]walker, k), outbox: make([][][]walker, k)}
+		for m := range set.outbox {
+			set.outbox[m] = make([][]walker, k)
+		}
+	}
+	if cfg.Kind == BiasedWalk {
+		e.alias.init() // before the tasks start, so they read the slots it made
+	}
+
 	// Per-machine state.
-	active := make([][]walker, k)
+	active := set.active
 	rngs := make([]xrand.RNG, k)
 	base := xrand.New(cfg.Seed)
 	var paths arena
@@ -347,7 +385,11 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	var slot uint32
 	for m := 0; m < k; m++ {
 		rngs[m] = *base.Fork()
-		active[m] = make([]walker, 0, starts[m]*cfg.WalkersPerVertex)
+		if need := starts[m] * cfg.WalkersPerVertex; cap(active[m]) < need {
+			active[m] = make([]walker, 0, need)
+		} else {
+			active[m] = active[m][:0]
+		}
 		for _, v := range e.owned[m] {
 			if sourceSet != nil && !sourceSet[v] {
 				continue
@@ -370,11 +412,9 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		visits = make([]int64, n)
 	}
 	// outbox[from][to] carries migrating walkers; inboxes are merged
-	// between supersteps, so machines never touch shared state.
-	outbox := make([][][]walker, k)
-	for m := range outbox {
-		outbox[m] = make([][]walker, k)
-	}
+	// between supersteps, so machines never touch shared state. Every
+	// merge empties them, so the set is left with them empty.
+	outbox := set.outbox
 
 	// One backing array under the k×k traffic rows, so a checkpoint is a
 	// single slice copy.
@@ -539,6 +579,8 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		telemetry.Int("walkers", totalWalkers),
 		telemetry.Int("steps", cfg.Steps))
 	res.Stats, res.Recovery = e.flt.Run(prog)
+	set.active = active // a restore or Reassign may have replaced the lists
+	e.spare.Store(set)
 	if cfg.CollectPaths {
 		for m := 0; m < k; m++ {
 			res.Paths = append(res.Paths, finished[m]...)
