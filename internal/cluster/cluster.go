@@ -78,9 +78,12 @@ func DefaultCostModel() CostModel {
 type Cluster struct {
 	numMachines int
 	owner       []int // vertex -> machine
-	model       CostModel
-	dead        []bool // machine -> permanently failed
-	disrupter   Disrupter
+	// owned[m] is machine m's vertices in ascending ID order: windows of
+	// one |V| array, each capped at its length (see own).
+	owned     [][]uint32
+	model     CostModel
+	dead      []bool // machine -> permanently failed
+	disrupter Disrupter
 
 	tr telemetry.Tracer
 	// iter numbers finished supersteps for spans. Atomic because two runs
@@ -148,7 +151,31 @@ func New(assignment []int, k int, model CostModel) (*Cluster, error) {
 	// Copy the assignment: the caller keeps its slice, and a later
 	// mutation of it must not silently re-home vertices mid-run.
 	owner := append([]int(nil), assignment...)
-	return &Cluster{numMachines: k, owner: owner, model: model, tr: telemetry.Nop()}, nil
+	c := &Cluster{numMachines: k, owner: owner, model: model, tr: telemetry.Nop()}
+	c.own()
+	return c, nil
+}
+
+// own rebuilds every machine's vertex list from the placement: count
+// first, then fill windows of one |V| array in ascending ID order. Each
+// window is capped at its count, so an append to one machine's list copies
+// instead of writing into the next one's.
+func (c *Cluster) own() {
+	owned := make([][]uint32, c.numMachines)
+	count := make([]int, c.numMachines)
+	for _, m := range c.owner {
+		count[m]++
+	}
+	all := make([]uint32, len(c.owner))
+	off := 0
+	for m, n := range count {
+		owned[m] = all[off : off : off+n]
+		off += n
+	}
+	for v, m := range c.owner {
+		owned[m] = append(owned[m], uint32(v))
+	}
+	c.owned = owned
 }
 
 // SetTelemetry implements telemetry.Instrumentable: with a tracer attached
@@ -209,6 +236,11 @@ func (c *Cluster) Owner(v uint32) int { return c.owner[v] }
 // Model returns the cost model.
 func (c *Cluster) Model() CostModel { return c.model }
 
+// Owned returns machine m's vertices in ascending ID order. The slice is
+// the cluster's own, valid until the next Rehome: read it, never write it.
+// Its capacity is its length, so appending to it copies.
+func (c *Cluster) Owned(m int) []uint32 { return c.owned[m] }
+
 // Assignment returns a copy of the current vertex→machine placement.
 func (c *Cluster) Assignment() []int { return append([]int(nil), c.owner...) }
 
@@ -219,10 +251,8 @@ func (c *Cluster) MarkDead(m int) error {
 	if m < 0 || m >= c.numMachines {
 		return fmt.Errorf("cluster: mark dead machine %d of %d", m, c.numMachines)
 	}
-	for v, p := range c.owner {
-		if p == m {
-			return fmt.Errorf("cluster: machine %d still owns vertex %d; rehome before MarkDead", m, v)
-		}
+	if vs := c.owned[m]; len(vs) > 0 {
+		return fmt.Errorf("cluster: machine %d still owns vertex %d; rehome before MarkDead", m, vs[0])
 	}
 	if c.dead == nil {
 		c.dead = make([]bool, c.numMachines)
@@ -246,8 +276,9 @@ func (c *Cluster) LiveMachines() int {
 }
 
 // Rehome replaces the vertex→machine placement mid-run — degraded-mode
-// recovery restreaming a dead machine's vertices onto survivors. The new
-// assignment must cover the same vertices and place none on a dead machine.
+// recovery restreaming a dead machine's vertices onto survivors — and
+// rebuilds every machine's vertex list (Owned). The new assignment must
+// cover the same vertices and place none on a dead machine.
 func (c *Cluster) Rehome(assignment []int) error {
 	if len(assignment) != len(c.owner) {
 		return fmt.Errorf("cluster: rehome %d vertices, cluster has %d", len(assignment), len(c.owner))
@@ -261,6 +292,7 @@ func (c *Cluster) Rehome(assignment []int) error {
 		}
 	}
 	copy(c.owner, assignment)
+	c.own()
 	return nil
 }
 
@@ -551,20 +583,6 @@ func (r *RunStats) TotalMessages() int64 {
 		}
 	}
 	return m
-}
-
-// ComputeByMachine returns each machine's summed compute time.
-func (r *RunStats) ComputeByMachine() []float64 {
-	if len(r.Iterations) == 0 {
-		return nil
-	}
-	out := make([]float64, len(r.Iterations[0].Compute))
-	for _, it := range r.Iterations {
-		for i, c := range it.Compute {
-			out[i] += c
-		}
-	}
-	return out
 }
 
 // WriteTimeline writes the run as CSV rows

@@ -102,15 +102,11 @@ func TestRunStatsAggregation(t *testing.T) {
 	if got := run.WaitRatio(); math.Abs(got-wantRatio) > 1e-12 {
 		t.Fatalf("WaitRatio = %v, want %v", got, wantRatio)
 	}
-	cb := run.ComputeByMachine()
-	if cb[0] != 30 || cb[1] != 30 {
-		t.Fatalf("ComputeByMachine = %v", cb)
-	}
 }
 
 func TestRunStatsEmpty(t *testing.T) {
 	var run RunStats
-	if run.WaitRatio() != 0 || run.TotalTime() != 0 || run.ComputeByMachine() != nil {
+	if run.WaitRatio() != 0 || run.TotalTime() != 0 {
 		t.Fatal("empty RunStats not zero")
 	}
 }
@@ -283,9 +279,6 @@ func TestRunStatsDegenerate(t *testing.T) {
 	if got := zeroMachines.TotalMessages(); got != 0 {
 		t.Fatalf("TotalMessages with zero machines = %d, want 0", got)
 	}
-	if got := zeroMachines.ComputeByMachine(); len(got) != 0 {
-		t.Fatalf("ComputeByMachine with zero machines = %v, want empty", got)
-	}
 
 	// All-zero work: total time is zero (zero latency), ratio must be 0,
 	// not NaN.
@@ -300,9 +293,6 @@ func TestRunStatsDegenerate(t *testing.T) {
 	}
 	if got := run.TotalMessages(); got != 0 {
 		t.Fatalf("TotalMessages = %d, want 0", got)
-	}
-	if got := run.ComputeByMachine(); len(got) != 2 || got[0] != 0 || got[1] != 0 {
-		t.Fatalf("ComputeByMachine = %v, want [0 0]", got)
 	}
 }
 

@@ -154,6 +154,11 @@ func (b *BPart) Partition(g *graph.Graph, k int) (*partition.Assignment, error) 
 // PartitionWithTrace partitions g into k two-dimensionally balanced
 // subgraphs and returns the per-layer trace.
 func (b *BPart) PartitionWithTrace(g *graph.Graph, k int) (*partition.Assignment, *Trace, error) {
+	if b.cfg == (Config{}) {
+		// The zero BPart, made without New: the paper's defaults, as New
+		// gives an all-zero Config.
+		b = &BPart{cfg: Default(), tr: b.tr}
+	}
 	if g == nil {
 		return nil, nil, fmt.Errorf("core: nil graph")
 	}

@@ -73,6 +73,28 @@ func TestPartitionArgs(t *testing.T) {
 	}
 }
 
+// The zero BPart (the facade exports the type, so callers can make one
+// without New) must partition as New(Default()) does, not with C = ε = 0
+// and no over-split.
+func TestZeroBPartIsDefault(t *testing.T) {
+	g, err := gen.ChungLu(gen.Config{NumVertices: 4000, AvgDegree: 12, Skew: 0.8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := defaultBPart(t).Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := (&BPart{}).Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Parts, want.Parts) {
+		t.Fatalf("zero BPart: vertex bias %.3f, New(Default()) %.3f",
+			metrics.NewReport(g, got.Parts, 8, false).VertexBias, metrics.NewReport(g, want.Parts, 8, false).VertexBias)
+	}
+}
+
 func TestPartitionK1(t *testing.T) {
 	b := defaultBPart(t)
 	g := gen.Ring(10)

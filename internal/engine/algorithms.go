@@ -127,7 +127,7 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 		e.cl.RunTasks(len(tasks), func(t int) {
 			ts := tasks[t]
 			var members []graph.VertexID
-			for _, v := range e.owned[ts.m][ts.lo:ts.hi] {
+			for _, v := range e.cl.Owned(ts.m)[ts.lo:ts.hi] {
 				if alive[v] {
 					tcs[t].verts++
 					if degree[v] < int32(kCore) {
@@ -154,7 +154,7 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 				alive[v] = false
 			}
 		}
-		ptasks := shardLists(removed)
+		ptasks := shardLists(k, func(m int) []graph.VertexID { return removed[m] })
 		ptcs := newTaskCounters(len(ptasks), k, w.Pairs != nil)
 		acct := e.pushAccounting(w, tr)
 		e.cl.RunTasks(len(ptasks), func(t int) {

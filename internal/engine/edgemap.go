@@ -65,13 +65,13 @@ type machineShard struct {
 	lo, hi int
 }
 
-// shardLists flattens the fixed shard decomposition of every machine's
-// work list into tasks, machine-major. Empty lists still yield one empty
-// shard so per-machine counters are always written.
-func shardLists(lists [][]graph.VertexID) []machineShard {
+// shardLists flattens the fixed shard decomposition of each of k machines'
+// work lists, list(m), into tasks, machine-major. Empty lists still yield
+// one empty shard so per-machine counters are always written.
+func shardLists(k int, list func(m int) []graph.VertexID) []machineShard {
 	var tasks []machineShard
-	for m := range lists {
-		n := len(lists[m])
+	for m := 0; m < k; m++ {
+		n := len(list(m))
 		s := shardCount(n)
 		if n == 0 {
 			s = 1
@@ -312,7 +312,7 @@ func (e *Engine) edgeMap(st *kernelState, frontier *VertexSubset, frontierEdges 
 				}
 				return false
 			}
-			for _, v := range e.owned[t.m][t.lo:t.hi] {
+			for _, v := range e.cl.Owned(t.m)[t.lo:t.hi] {
 				// Only this task writes an owned vertex's slot, and the
 				// slot mirrors the current key until it does.
 				if st.prop[v] != unsetKey {
@@ -339,10 +339,10 @@ func (e *Engine) edgeMap(st *kernelState, frontier *VertexSubset, frontierEdges 
 		}
 		acct := e.pushAccounting(w, tr)
 		var member []bool
-		var lists [][]graph.VertexID
+		list := e.cl.Owned
 		if frontier.IsDense() {
 			member = frontier.Bitmap()
-			lists, tasks = e.owned, e.tasks
+			tasks = e.tasks
 		} else {
 			for m := range st.byOwner {
 				st.byOwner[m] = st.byOwner[m][:0]
@@ -351,10 +351,11 @@ func (e *Engine) edgeMap(st *kernelState, frontier *VertexSubset, frontierEdges 
 				m := e.cl.Owner(v)
 				st.byOwner[m] = append(st.byOwner[m], v)
 			}
-			lists, tasks = st.byOwner, shardLists(st.byOwner)
+			list = func(m int) []graph.VertexID { return st.byOwner[m] }
+			tasks = shardLists(k, list)
 		}
 		run = func(t machineShard, tc *taskCounters) {
-			for _, v := range lists[t.m][t.lo:t.hi] {
+			for _, v := range list(t.m)[t.lo:t.hi] {
 				if member != nil && !member[v] {
 					continue
 				}

@@ -28,15 +28,14 @@ import (
 type Engine struct {
 	g     *graph.Graph
 	cl    *cluster.Cluster
-	owned [][]graph.VertexID // vertices per machine
-	tasks []machineShard     // fixed shard decomposition of owned
-	tel   telemetry.Tracer   // run-level spans; supersteps come from cl
-	flt   *fault.Controller  // nil = fault injection disabled
+	tasks []machineShard    // fixed shard decomposition of cl's owned lists
+	tel   telemetry.Tracer  // run-level spans; supersteps come from cl
+	flt   *fault.Controller // nil = fault injection disabled
 
 	// Per-placement cut degrees (see accounting.go): cutOut[v] counts v's
 	// out-neighbors owned by another machine, cutIn[v] its in-neighbors
 	// (over g.In(), the graph's own reverse). Built on demand, dropped by
-	// reassign.
+	// reshard.
 	cutMu         sync.Mutex
 	cutOut, cutIn []int32
 }
@@ -54,7 +53,7 @@ func New(g *graph.Graph, assignment []int, machines int, model cluster.CostModel
 		return nil, err
 	}
 	e := &Engine{g: g, cl: cl, tel: telemetry.Nop()}
-	e.reassign(assignment)
+	e.reshard()
 	return e, nil
 }
 
@@ -79,17 +78,12 @@ func (e *Engine) SetFaults(ctl *fault.Controller) error {
 	return nil
 }
 
-// reassign rebuilds every ownership-derived structure: at construction,
+// reshard cuts the cluster's owned lists into shards: at construction,
 // and after degraded-mode restreaming moved vertices off a dead machine.
 // The cut degrees describe the old placement, so they are dropped and
 // rebuilt on the next push superstep.
-func (e *Engine) reassign(assignment []int) {
-	owned := make([][]graph.VertexID, e.cl.NumMachines())
-	for v, m := range assignment {
-		owned[m] = append(owned[m], graph.VertexID(v))
-	}
-	e.owned = owned
-	e.tasks = shardLists(owned)
+func (e *Engine) reshard() {
+	e.tasks = shardLists(e.cl.NumMachines(), e.cl.Owned)
 	e.cutMu.Lock()
 	e.cutOut, e.cutIn = nil, nil
 	e.cutMu.Unlock()
@@ -98,12 +92,13 @@ func (e *Engine) reassign(assignment []int) {
 // run drives one algorithm's supersteps through the fault package's BSP
 // loop — under the attached controller, or bare when there is none.
 // checkpoint captures the algorithm's mutable state and returns the closure
-// that copies it back; a restream's new placement is the engine's to absorb.
+// that copies it back; after a restream the engine reshards the cluster's
+// new lists.
 func (e *Engine) run(step func(it int) (cluster.IterationStats, bool), checkpoint func() func()) (cluster.RunStats, *fault.RecoveryStats) {
 	return e.flt.Run(fault.Program{
 		Step:       step,
 		Checkpoint: checkpoint,
-		Reassign:   func(dead int, assignment []int) { e.reassign(assignment) },
+		Reassign:   e.reshard,
 	})
 }
 
@@ -244,7 +239,7 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 		tcs := newTaskCounters(len(tasks), k, w.Pairs != nil)
 		e.cl.RunTasks(len(tasks), func(t int) {
 			ts, tc := tasks[t], &tcs[t]
-			for _, v := range e.owned[ts.m][ts.lo:ts.hi] {
+			for _, v := range e.cl.Owned(ts.m)[ts.lo:ts.hi] {
 				tc.verts++
 				acct.charge(tc, ts.m, v)
 			}

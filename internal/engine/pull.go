@@ -56,7 +56,7 @@ func (e *Engine) PageRankPull(iters int, damping float64) (*PRResult, error) {
 		e.cl.RunTasks(len(tasks), func(t int) {
 			ts, tc := tasks[t], &tcs[t]
 			stamp := stamps[ts.m]
-			for _, v := range e.owned[ts.m][ts.lo:ts.hi] {
+			for _, v := range e.cl.Owned(ts.m)[ts.lo:ts.hi] {
 				tc.verts++
 				var sum float64
 				for _, u := range tr.Neighbors(v) {

@@ -54,10 +54,10 @@ type Program struct {
 	// copies it back. The closure must leave the capture intact: two crashes
 	// can roll back to the same checkpoint. Only called under a controller.
 	Checkpoint func() (restore func())
-	// Reassign is called after a restream, once state is restored, with the
-	// dead machine and the new placement so the engine can rebuild
-	// ownership-derived structures. Required by the Restream policy.
-	Reassign func(dead int, assignment []int)
+	// Reassign is called after a restream, once state is restored, so the
+	// engine can rebuild what it derives from the cluster's placement
+	// (cluster.Owned). Required by the Restream policy.
+	Reassign func()
 }
 
 // Controller orchestrates one engine run under a fault spec: it supplies
@@ -77,12 +77,11 @@ type Controller struct {
 
 	prog        Program
 	running     bool
-	step        int     // logical superstep currently executing
-	lastCkpt    int     // logical step of the newest checkpoint (-1 = initial)
-	restore     func()  // copies the newest checkpoint back
-	consumed    []bool  // one-shot events (crash, msgloss) already fired
-	replayUntil int     // logical steps below this are replays
-	owned       []int64 // per-machine owned-vertex counts
+	step        int    // logical superstep currently executing
+	lastCkpt    int    // logical step of the newest checkpoint (-1 = initial)
+	restore     func() // copies the newest checkpoint back
+	consumed    []bool // one-shot events (crash, msgloss) already fired
+	replayUntil int    // logical steps below this are replays
 
 	stats        RecoveryStats
 	recoveryWait float64
@@ -168,20 +167,11 @@ func (c *Controller) begin(p Program) {
 			c.consumed[i] = true
 		}
 	}
-	c.refreshOwned()
 	c.stats = RecoveryStats{}
 	c.recoveryWait = 0
 	// The initial state is always recoverable: loading the input is a
 	// startup cost every run pays, so this snapshot is not charged.
 	c.restore = p.Checkpoint()
-}
-
-func (c *Controller) refreshOwned() {
-	owned := make([]int64, c.cl.NumMachines())
-	for _, m := range c.cl.Assignment() {
-		owned[m]++
-	}
-	c.owned = owned
 }
 
 // Disrupt implements cluster.Disrupter for the logical superstep currently
@@ -265,7 +255,7 @@ func (c *Controller) endSuperstep(stats *cluster.RunStats) (rolledBack bool) {
 		c.chargePhase("restore", stats)
 		c.restore()
 		if c.spec.Policy == Restream {
-			c.prog.Reassign(ev.Machine, c.cl.Assignment())
+			c.prog.Reassign()
 		}
 		c.replayUntil = step + 1
 		c.step = c.lastCkpt + 1
@@ -277,9 +267,9 @@ func (c *Controller) endSuperstep(stats *cluster.RunStats) (rolledBack bool) {
 		c.lastCkpt = step
 		c.stats.Checkpoints++
 		var total int64
-		for m, n := range c.owned {
+		for m := range c.cl.NumMachines() {
 			if !c.cl.Dead(m) {
-				total += n
+				total += int64(len(c.cl.Owned(m)))
 			}
 		}
 		c.stats.CheckpointVertices += total
@@ -308,9 +298,9 @@ func (c *Controller) pendingCrash(step int) int {
 func (c *Controller) chargePhase(kind string, stats *cluster.RunStats) {
 	busy := make([]float64, c.cl.NumMachines())
 	cost := c.cl.Model().CheckpointCost
-	for m, n := range c.owned {
+	for m := range busy {
 		if !c.cl.Dead(m) {
-			busy[m] = cost * float64(n)
+			busy[m] = cost * float64(len(c.cl.Owned(m)))
 		}
 	}
 	c.addPhase(kind, busy, nil, stats)
@@ -357,13 +347,12 @@ func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 		}
 	}
 	st := partition.NewStreamState(c.g)
-	lost := make([]graph.VertexID, 0, c.owned[dead]) // non-nil: nil streams every vertex
 	for v, m := range owner {
 		st.Assign(graph.VertexID(v), part[m])
-		if m == dead {
-			lost = append(lost, graph.VertexID(v))
-		}
 	}
+	// The dead machine's list is ascending, so the stable sort breaks
+	// degree ties by ID. Non-nil even when empty: nil streams every vertex.
+	lost := append(make([]graph.VertexID, 0, len(c.cl.Owned(dead))), c.cl.Owned(dead)...)
 	sort.SliceStable(lost, func(a, b int) bool { return c.g.OutDegree(lost[a]) > c.g.OutDegree(lost[b]) })
 	// The recovery policy's own α (whole graph, every machine counted, dead
 	// ones included) and no W cap: Stream's defaults would move placements.
@@ -419,7 +408,6 @@ func (c *Controller) restream(dead int, stats *cluster.RunStats) {
 		}
 	}
 	c.addPhase("restream", busy, work, stats)
-	c.refreshOwned()
 	c.stats.RestreamedVertices += len(lost)
 	c.tr.Event("fault.restream",
 		telemetry.Int("machine", dead),

@@ -72,9 +72,9 @@ func newToyPlaced(t *testing.T, g *graph.Graph, k int, place func(v, n, k int) i
 
 // program is the toy computation as Run sees it; done(it) decides whether
 // superstep it was the last, reassign (may be nil) observes restreams.
-func (e *toyEngine) program(done func(it int) bool, reassign func(dead int, assignment []int)) Program {
+func (e *toyEngine) program(done func(it int) bool, reassign func()) Program {
 	if reassign == nil {
-		reassign = func(int, []int) {}
+		reassign = func() {}
 	}
 	return Program{
 		Step: func(it int) (cluster.IterationStats, bool) {
@@ -242,15 +242,13 @@ func TestRestreamDegradedMode(t *testing.T) {
 	}
 	e := newToy(t, 30, 3, spec)
 	reassigned := false
-	rs := e.runProgram(t, e.program(func(it int) bool { return it+1 == 8 }, func(dead int, assignment []int) {
+	rs := e.runProgram(t, e.program(func(it int) bool { return it+1 == 8 }, func() {
 		reassigned = true
-		if dead != 2 {
-			t.Errorf("Reassign dead = %d", dead)
+		if !e.cl.Dead(2) {
+			t.Error("Reassign called before machine 2 was retired")
 		}
-		for v, m := range assignment {
-			if m == 2 {
-				t.Errorf("vertex %d still on dead machine", v)
-			}
+		if vs := e.cl.Owned(2); len(vs) > 0 {
+			t.Errorf("vertices %v still on dead machine", vs)
 		}
 	}))
 	e.checkState(t, 8)

@@ -38,25 +38,6 @@ func Bias(xs []int) float64 {
 	return (float64(maxV) - mean) / mean
 }
 
-// BiasFloat is Bias over float64 samples (used for compute-time loads).
-func BiasFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	maxV, sum := xs[0], 0.0
-	for _, x := range xs {
-		if x > maxV {
-			maxV = x
-		}
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	if IsZero(mean) {
-		return 0
-	}
-	return (maxV - mean) / mean
-}
-
 // Jain returns Jain's fairness index (Σ|x|)² / (n·Σx²). It is 1 when all
 // values are equal and 1/n when a single element holds everything. An empty
 // or all-zero sample returns 1 (trivially fair).

@@ -27,15 +27,6 @@ func TestBias(t *testing.T) {
 	}
 }
 
-func TestBiasFloat(t *testing.T) {
-	if got := BiasFloat([]float64{1, 3}); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("BiasFloat = %v", got)
-	}
-	if BiasFloat(nil) != 0 || BiasFloat([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate BiasFloat not 0")
-	}
-}
-
 func TestJain(t *testing.T) {
 	if got := Jain([]int{7, 7, 7, 7}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("uniform Jain = %v, want 1", got)

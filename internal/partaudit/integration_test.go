@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"testing"
 
@@ -122,14 +123,15 @@ func TestDecisionsMatchAssignment(t *testing.T) {
 				t.Fatalf("%s: vertex %d audited onto piece %d, assignment has %d",
 					p.Name(), d.Vertex, d.Piece, got)
 			}
-			chosen, ok := d.Chosen()
 			if d.Cause == partaudit.CauseFallback {
 				continue // every part was at capacity; no eligible argmax
 			}
-			if !ok {
+			i := slices.IndexFunc(d.Cands, func(c partaudit.Candidate) bool { return c.Piece == d.Piece })
+			if i < 0 {
 				t.Fatalf("%s: vertex %d: chosen piece %d missing from score table %+v",
 					p.Name(), d.Vertex, d.Piece, d.Cands)
 			}
+			chosen := d.Cands[i]
 			if chosen.Skip != "" {
 				t.Fatalf("%s: vertex %d placed on a skipped piece: %+v", p.Name(), d.Vertex, chosen)
 			}

@@ -168,19 +168,6 @@ func (d *Decision) Candidate(piece, affinity int, penalty, score float64, skip s
 	})
 }
 
-// Chosen returns the candidate row of the piece actually assigned.
-func (d *Decision) Chosen() (Candidate, bool) {
-	if d == nil {
-		return Candidate{}, false
-	}
-	for _, c := range d.Cands {
-		if c.Piece == d.Piece {
-			return c, true
-		}
-	}
-	return Candidate{}, false
-}
-
 // Window is one streaming quality snapshot: the per-piece sizes and
 // quality metrics after Placed vertices of one stream.
 type Window struct {

@@ -22,7 +22,7 @@ func NewStopwatch() *Stopwatch {
 	return &Stopwatch{start: time.Now()}
 }
 
-// Elapsed returns the wall-clock time since the stopwatch (re)started.
+// Elapsed returns the wall-clock time since the stopwatch started.
 func (s *Stopwatch) Elapsed() time.Duration {
 	return time.Since(s.start)
 }
@@ -31,9 +31,4 @@ func (s *Stopwatch) Elapsed() time.Duration {
 // tables print.
 func (s *Stopwatch) Seconds() float64 {
 	return s.Elapsed().Seconds()
-}
-
-// Restart rewinds the stopwatch to now.
-func (s *Stopwatch) Restart() {
-	s.start = time.Now()
 }

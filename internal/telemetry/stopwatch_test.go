@@ -20,12 +20,3 @@ func TestStopwatchElapsedGrows(t *testing.T) {
 		t.Fatalf("Seconds() = %v, want > 0", sw.Seconds())
 	}
 }
-
-func TestStopwatchRestart(t *testing.T) {
-	sw := NewStopwatch()
-	time.Sleep(5 * time.Millisecond)
-	sw.Restart()
-	if e := sw.Elapsed(); e > 4*time.Millisecond {
-		t.Fatalf("Elapsed() after Restart = %v, want well under the pre-restart 5ms", e)
-	}
-}

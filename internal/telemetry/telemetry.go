@@ -76,10 +76,6 @@ func Bool(key string, v bool) Attr {
 // as a per-machine timing slice. It boxes; keep it off hot paths.
 func Any(key string, v any) Attr { return Attr{Key: key, kind: kindAny, any: v} }
 
-// Scalar reports whether the attribute holds a string, number or bool
-// rather than a structured Any payload.
-func (a Attr) Scalar() bool { return a.kind != kindAny }
-
 // Value returns the attribute's payload as an interface value.
 func (a Attr) Value() any {
 	switch a.kind {

@@ -170,7 +170,6 @@ func (c *Config) Normalize() error {
 type Engine struct {
 	g     *graph.Graph
 	cl    *cluster.Cluster
-	owned [][]graph.VertexID
 	alias aliasCache        // per-vertex transition tables for BiasedWalk
 	tel   telemetry.Tracer  // run-level spans; supersteps come from cl
 	flt   *fault.Controller // nil = fault injection disabled
@@ -198,30 +197,7 @@ func New(g *graph.Graph, assignment []int, machines int, model cluster.CostModel
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{g: g, cl: cl, alias: aliasCache{g: g}, tel: telemetry.Nop()}
-	e.reassign(assignment)
-	return e, nil
-}
-
-// reassign rebuilds the per-machine vertex lists: at construction, and
-// after degraded-mode restreaming moved vertices off a dead machine. The
-// lists are windows of one |V| array, each capped at its machine's count.
-func (e *Engine) reassign(assignment []int) {
-	owned := make([][]graph.VertexID, e.cl.NumMachines())
-	count := make([]int, len(owned))
-	for _, m := range assignment {
-		count[m]++
-	}
-	all := make([]graph.VertexID, len(assignment))
-	off := 0
-	for m, c := range count {
-		owned[m] = all[off : off : off+c]
-		off += c
-	}
-	for v, m := range assignment {
-		owned[m] = append(owned[m], graph.VertexID(v))
-	}
-	e.owned = owned
+	return &Engine{g: g, cl: cl, alias: aliasCache{g: g}, tel: telemetry.Nop()}, nil
 }
 
 // Cluster exposes the underlying simulated cluster.
@@ -332,27 +308,31 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	n := e.g.NumVertices()
 	k := e.cl.NumMachines()
 
-	var sourceSet []bool
-	if cfg.Sources != nil {
-		sourceSet = make([]bool, n)
+	// Each machine's start vertices, ascending and each once: every vertex
+	// it owns, or the sources it owns.
+	starts := make([][]graph.VertexID, k)
+	if cfg.Sources == nil {
+		for m := range starts {
+			starts[m] = e.cl.Owned(m)
+		}
+	} else {
 		for _, v := range cfg.Sources {
 			if int(v) >= n {
 				return nil, fmt.Errorf("walk: source %d out of range [0,%d)", v, n)
 			}
-			sourceSet[v] = true
+			m := e.cl.Owner(v)
+			starts[m] = append(starts[m], v)
+		}
+		for m := range starts {
+			slices.Sort(starts[m])
+			starts[m] = slices.Compact(starts[m])
 		}
 	}
-	// Count each machine's walkers first: every active list is grown to at
-	// least its count, and the total must fit a walker's slot.
-	starts := make([]int, k)
+	// Count the walkers first: every active list is grown to at least its
+	// machine's count, and the total must fit a walker's slot.
 	totalStarts := 0
-	for m := 0; m < k; m++ {
-		for _, v := range e.owned[m] {
-			if sourceSet == nil || sourceSet[v] {
-				starts[m]++
-			}
-		}
-		totalStarts += starts[m]
+	for _, vs := range starts {
+		totalStarts += len(vs)
 	}
 	if totalStarts > 0 && uint64(cfg.WalkersPerVertex) > math.MaxUint32/uint64(totalStarts) {
 		return nil, fmt.Errorf("walk: %d starts × %d walkers per vertex exceed %d walkers", totalStarts, cfg.WalkersPerVertex, uint32(math.MaxUint32))
@@ -385,15 +365,12 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	var slot uint32
 	for m := 0; m < k; m++ {
 		rngs[m] = *base.Fork()
-		if need := starts[m] * cfg.WalkersPerVertex; cap(active[m]) < need {
+		if need := len(starts[m]) * cfg.WalkersPerVertex; cap(active[m]) < need {
 			active[m] = make([]walker, 0, need)
 		} else {
 			active[m] = active[m][:0]
 		}
-		for _, v := range e.owned[m] {
-			if sourceSet != nil && !sourceSet[v] {
-				continue
-			}
+		for _, v := range starts[m] {
 			for i := 0; i < cfg.WalkersPerVertex; i++ {
 				wk := walker{cur: v, remaining: int32(cfg.Steps), slot: slot}
 				slot++
@@ -557,11 +534,9 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 				res.Paths = res.Paths[:pathsLen]
 			}
 		},
-		// Rebuild ownership and migrate stranded walkers onto their
-		// vertices' new owners, machine by machine in order, so the
-		// re-bucketing is deterministic.
-		Reassign: func(dead int, assignment []int) {
-			e.reassign(assignment)
+		// Migrate stranded walkers onto their vertices' new owners, machine
+		// by machine in order, so the re-bucketing is deterministic.
+		Reassign: func() {
 			rebucketed := make([][]walker, k)
 			for m := 0; m < k; m++ {
 				for _, wk := range active[m] {
