@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench benchsmoke benchcheck baselines
+.PHONY: all build lint test race fuzz bench benchsmoke benchcheck baselines loc
 
 all: build lint test
 
@@ -81,3 +81,12 @@ benchcheck:
 baselines:
 	$(GO) run ./cmd/bench -scale 0.05 -id "Fig 13" \
 		-json baselines/BENCH_bpart.json
+
+# loc prints the non-test line ledger: per package of this module (so not
+# the nested benchmark/ module, nor testdata fixtures), the line count of
+# `cat` of its non-_test.go files, then the total.
+loc:
+	@total=0; for p in $$($(GO) list -f '{{.ImportPath}}:{{.Dir}}' ./...); do \
+		n=$$(find $${p#*:} -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%6d %s\n' $$n $${p%%:*}; total=$$((total + n)); \
+	done; printf '%6d total\n' $$total

@@ -16,8 +16,9 @@
 //
 // Observability: -trace out.jsonl streams structured spans (one per BPart
 // combining layer, streaming pass and refine pass, plus one record per BSP
-// superstep when -timeline runs) as JSON lines, and, for BPart, Fennel and
-// LDG, the partition decision audit as audit.* events (sampled score
+// superstep of each engine run: the -fault PageRank and the -timeline
+// walk) as JSON lines, and, for BPart, Fennel and LDG, the partition
+// decision audit as audit.* events (sampled score
 // decompositions, the streaming quality timeline and the combining audit
 // tree — feed the trace to `tracestat explain|timeline|combine`); -metrics
 // prints the counter/gauge registry in Prometheus text format on exit

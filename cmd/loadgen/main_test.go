@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -80,7 +81,14 @@ func TestErrorsExitNonzero(t *testing.T) {
 	}
 }
 
+// TestFlagValidation checks that each bad flag value is a usage error
+// (exit 2) before any request reaches the server.
 func TestFlagValidation(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("request sent: %s", r.URL)
+	}))
+	t.Cleanup(ts.Close)
+	addr := strings.TrimPrefix(ts.URL, "http://")
 	var out, errb strings.Builder
 	for name, args := range map[string][]string{
 		"bad flag":     {"-bogus"},
@@ -89,8 +97,13 @@ func TestFlagValidation(t *testing.T) {
 		"bad mix val":  {"-vertices", "10", "-mix", "a,b,c"},
 		"neg mix":      {"-vertices", "10", "-mix", "-1,0,0"},
 		"open no rate": {"-vertices", "10", "-open", "-rate", "0"},
+		"zero c":       {"-vertices", "10", "-c", "0"},
+		"neg c":        {"-vertices", "10", "-c", "-3"},
+		"neg hops":     {"-vertices", "10", "-hops", "-1"},
+		"hops 9":       {"-vertices", "10", "-hops", "9"},
+		"neg steps":    {"-vertices", "10", "-steps", "-1"},
 	} {
-		if code := run(args, &out, &errb); code != 2 {
+		if code := run(append([]string{"-addr", addr}, args...), &out, &errb); code != 2 {
 			t.Errorf("%s: exit = %d, want 2", name, code)
 		}
 	}

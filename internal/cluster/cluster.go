@@ -43,11 +43,6 @@ type CostModel struct {
 	// dimensions — so vertex-skewed partitions pay for it at every
 	// checkpoint barrier. Unused unless fault injection is enabled.
 	CheckpointCost float64
-	// Pipelined overlaps the computation and communication phases the
-	// way some systems do (§2.1: "the computation and communication
-	// phases may be processed in a pipelined fashion"): iteration time
-	// becomes max(compute, comm) instead of compute + comm.
-	Pipelined bool
 	// Speeds, when non-nil, gives each machine a relative compute speed
 	// (1.0 = nominal; 0.5 = half speed). It models heterogeneous
 	// clusters, where uniformly balanced partitions are no longer the
@@ -417,32 +412,13 @@ func (c *Cluster) FinishIteration(w *Counters) IterationStats {
 			maxComm = st.Comm[i]
 		}
 	}
-	if m.Pipelined {
-		phase := maxCompute
-		if maxComm > phase {
-			phase = maxComm
+	st.Time = maxCompute + maxComm + m.Latency + d.ExtraLatency
+	for i := 0; i < k; i++ {
+		if c.Dead(i) {
+			continue
 		}
-		st.Time = phase + m.Latency
-		for i := 0; i < k; i++ {
-			if c.Dead(i) {
-				continue
-			}
-			busy := st.Compute[i]
-			if st.Comm[i] > busy {
-				busy = st.Comm[i]
-			}
-			st.Waiting[i] = phase - busy
-		}
-	} else {
-		st.Time = maxCompute + maxComm + m.Latency
-		for i := 0; i < k; i++ {
-			if c.Dead(i) {
-				continue
-			}
-			st.Waiting[i] = (maxCompute - st.Compute[i]) + (maxComm - st.Comm[i])
-		}
+		st.Waiting[i] = (maxCompute - st.Compute[i]) + (maxComm - st.Comm[i])
 	}
-	st.Time += d.ExtraLatency
 	c.observe(&st, "")
 	return st
 }

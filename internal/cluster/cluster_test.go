@@ -126,44 +126,6 @@ func TestBalancedLoadZeroWaiting(t *testing.T) {
 	}
 }
 
-func TestPipelinedTiming(t *testing.T) {
-	model := CostModel{StepCost: 1, MessageCost: 2, Latency: 10, Pipelined: true}
-	c, err := New([]int{0, 1}, 2, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := c.NewCounters()
-	w.Steps[0] = 100   // compute 100
-	w.Messages[1] = 30 // comm 60
-	st := c.FinishIteration(w)
-	// Pipelined: time = max(100, 60) + 10.
-	if st.Time != 110 {
-		t.Fatalf("pipelined Time = %v, want 110", st.Time)
-	}
-	// Machine 0 busy 100 (compute-bound), waits 0; machine 1 busy 60, waits 40.
-	if st.Waiting[0] != 0 || st.Waiting[1] != 40 {
-		t.Fatalf("pipelined Waiting = %v", st.Waiting)
-	}
-}
-
-func TestPipelinedNeverSlower(t *testing.T) {
-	base := DefaultCostModel()
-	pipe := base
-	pipe.Pipelined = true
-	c1, _ := New([]int{0, 1, 2}, 3, base)
-	c2, _ := New([]int{0, 1, 2}, 3, pipe)
-	w := c1.NewCounters()
-	for i := range w.Steps {
-		w.Steps[i] = int64(100 * (i + 1))
-		w.Messages[i] = int64(50 * (3 - i))
-	}
-	t1 := c1.FinishIteration(w)
-	t2 := c2.FinishIteration(w)
-	if t2.Time > t1.Time {
-		t.Fatalf("pipelined time %v exceeds sequential %v", t2.Time, t1.Time)
-	}
-}
-
 func TestSpeedsValidation(t *testing.T) {
 	m := DefaultCostModel()
 	m.Speeds = []float64{1}

@@ -2,7 +2,7 @@
 // observability story: internal/cluster (with SetCommMatrix enabled)
 // records a per-superstep K×K src→dst message matrix into its
 // "cluster.superstep" trace events, traceview decodes it with the rest of
-// the superstep (traceview.Superstep.Pairs), and commview is the statistics
+// the superstep (its Work.Pairs), and commview is the statistics
 // over the supersteps that carry one.
 //
 // The paper's core claim is that two-dimensional balance flattens
@@ -29,35 +29,23 @@ import (
 func withMatrix(steps []traceview.Superstep) []traceview.Superstep {
 	var out []traceview.Superstep
 	for _, st := range steps {
-		if st.Pairs != nil {
+		if st.Work.Pairs != nil {
 			out = append(out, st)
 		}
 	}
 	return out
 }
 
-// FromRunStats builds the matrix-carrying supersteps straight from a live
-// run's RunStats — the in-process path the BENCH artifact and the Comm
-// Matrix experiment use, bypassing the JSONL round-trip. Iterations without
-// a captured matrix are skipped; only the fields this package reads are
-// filled, and Phase is "" throughout (the RunStats carry no phase kinds).
+// FromRunStats returns a live run's matrix-carrying iterations as
+// supersteps, numbered by their index in the run — the in-process path the
+// BENCH artifact and the Comm Matrix experiment use, bypassing the JSONL
+// round-trip. Phase is "" throughout (the RunStats carry no phase kinds).
 func FromRunStats(stats *cluster.RunStats) []traceview.Superstep {
-	var out []traceview.Superstep
-	for i := range stats.Iterations {
-		it := &stats.Iterations[i]
-		if it.Work.Pairs == nil {
-			continue
-		}
-		out = append(out, traceview.Superstep{
-			Iteration: i,
-			Machines:  len(it.Compute),
-			Pairs:     it.Work.Pairs,
-			Messages:  it.Work.Messages,
-			Edges:     it.Work.Edges,
-			Steps:     it.Work.Steps,
-		})
+	steps := make([]traceview.Superstep, len(stats.Iterations))
+	for i, it := range stats.Iterations {
+		steps[i] = traceview.Superstep{Iteration: i, IterationStats: it}
 	}
-	return out
+	return withMatrix(steps)
 }
 
 // CheckMessages verifies the reconciliation invariant on every superstep
@@ -68,7 +56,7 @@ func FromRunStats(stats *cluster.RunStats) []traceview.Superstep {
 // a metric.
 func CheckMessages(steps []traceview.Superstep) error {
 	for _, st := range steps {
-		for i, row := range st.Pairs {
+		for i, row := range st.Work.Pairs {
 			var sum int64
 			for j, n := range row {
 				if n < 0 {
@@ -79,8 +67,8 @@ func CheckMessages(steps []traceview.Superstep) error {
 				}
 				sum += n
 			}
-			if sum != st.Messages[i] {
-				return fmt.Errorf("commview: superstep %d: machine %d row sum %d != messages %d", st.Iteration, i, sum, st.Messages[i])
+			if sum != st.Work.Messages[i] {
+				return fmt.Errorf("commview: superstep %d: machine %d row sum %d != messages %d", st.Iteration, i, sum, st.Work.Messages[i])
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"bpart/internal/cluster"
 	"bpart/internal/partaudit"
 	"bpart/internal/traceview"
 )
@@ -15,6 +16,12 @@ import (
 // Superstep is the one decoded superstep; the alias keeps the table
 // literals below short.
 type Superstep = traceview.Superstep
+
+// onMachines is the IterationStats of a superstep that did work w, with
+// its per-machine compute sized to w's machine count.
+func onMachines(w cluster.Counters) cluster.IterationStats {
+	return cluster.IterationStats{Compute: make([]float64, len(w.Messages)), Work: w}
+}
 
 // decode is the read path cmd/tracestat comm uses: traceview.Read, then
 // traceview.Supersteps.
@@ -50,11 +57,11 @@ func TestReadDecodesPairs(t *testing.T) {
 		t.Fatalf("decoded %d steps, %d with a matrix, want 3 and 2 (pairs-less superstep skipped)", len(all), len(steps))
 	}
 	st := steps[0]
-	if st.Iteration != 0 || st.Machines != 2 || st.Phase != "" {
+	if st.Iteration != 0 || len(st.Compute) != 2 || st.Phase != "" {
 		t.Fatalf("step 0 = %+v", st)
 	}
-	if st.Pairs[0][1] != 3 || st.Pairs[1][0] != 1 {
-		t.Fatalf("step 0 pairs = %v", st.Pairs)
+	if st.Work.Pairs[0][1] != 3 || st.Work.Pairs[1][0] != 1 {
+		t.Fatalf("step 0 pairs = %v", st.Work.Pairs)
 	}
 	if steps[1].Phase != "restream" {
 		t.Fatalf("step 1 phase = %q, want restream", steps[1].Phase)
@@ -94,31 +101,30 @@ func TestReadTornTail(t *testing.T) {
 
 func TestCheckMessagesViolations(t *testing.T) {
 	base := func() []Superstep {
-		return []Superstep{{
-			Iteration: 0, Machines: 2,
+		return []Superstep{{Iteration: 0, IterationStats: onMachines(cluster.Counters{
 			Pairs:    [][]int64{{0, 2}, {1, 0}},
 			Messages: []int64{2, 1},
 			Edges:    []int64{4, 4},
 			Steps:    []int64{0, 0},
-		}}
+		})}}
 	}
 	ok := base()
 	if err := CheckMessages(ok); err != nil {
 		t.Fatalf("valid steps rejected: %v", err)
 	}
 	badSum := base()
-	badSum[0].Messages[0] = 5
+	badSum[0].Work.Messages[0] = 5
 	if err := CheckMessages(badSum); err == nil {
 		t.Fatal("row-sum mismatch accepted")
 	}
 	badDiag := base()
-	badDiag[0].Pairs[0][0] = 1
-	badDiag[0].Messages[0] = 3
+	badDiag[0].Work.Pairs[0][0] = 1
+	badDiag[0].Work.Messages[0] = 3
 	if err := CheckMessages(badDiag); err == nil {
 		t.Fatal("nonzero diagonal accepted")
 	}
 	badNeg := base()
-	badNeg[0].Pairs[0][1] = -2
+	badNeg[0].Work.Pairs[0][1] = -2
 	if err := CheckMessages(badNeg); err == nil {
 		t.Fatal("negative pair count accepted")
 	}
@@ -126,16 +132,14 @@ func TestCheckMessagesViolations(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	run := []Superstep{
-		{
-			Iteration: 0, Machines: 3,
+		{Iteration: 0, IterationStats: onMachines(cluster.Counters{
 			Pairs:    [][]int64{{0, 4, 1}, {2, 0, 0}, {1, 0, 0}},
 			Messages: []int64{5, 2, 1},
-		},
-		{
-			Iteration: 1, Machines: 3,
+		})},
+		{Iteration: 1, IterationStats: onMachines(cluster.Counters{
 			Pairs:    [][]int64{{0, 4, 0}, {0, 0, 0}, {0, 0, 0}},
 			Messages: []int64{4, 0, 0},
-		},
+		})},
 	}
 	s := Summarize(run)
 	if s.Messages != 12 {
@@ -168,10 +172,9 @@ func TestSummarizeDegenerate(t *testing.T) {
 		t.Fatalf("empty run summary = %+v", s)
 	}
 	// All-zero matrix: no active pairs, hot pair present but zero.
-	s := Summarize([]Superstep{{
-		Iteration: 0, Machines: 2,
+	s := Summarize([]Superstep{{Iteration: 0, IterationStats: onMachines(cluster.Counters{
 		Pairs: [][]int64{{0, 0}, {0, 0}}, Messages: []int64{0, 0},
-	}})
+	})}})
 	if s.ImbalanceRatio != 0 || s.PairJain != 0 || s.ActivePairs != 0 {
 		t.Fatalf("zero-traffic summary = %+v", s)
 	}
@@ -191,11 +194,11 @@ func TestPairJainBounds(t *testing.T) {
 
 func TestReconcile(t *testing.T) {
 	run := []Superstep{
-		{Iteration: 0, Machines: 2, Messages: []int64{3, 1}, Edges: []int64{10, 10}, Steps: []int64{0, 0},
-			Pairs: [][]int64{{0, 3}, {1, 0}}},
+		{Iteration: 0, IterationStats: onMachines(cluster.Counters{Messages: []int64{3, 1}, Edges: []int64{10, 10}, Steps: []int64{0, 0},
+			Pairs: [][]int64{{0, 3}, {1, 0}}})},
 		// Recovery phase: excluded from the observed side.
-		{Iteration: 1, Machines: 2, Phase: "restream", Messages: []int64{100, 0}, Edges: []int64{0, 0}, Steps: []int64{0, 0},
-			Pairs: [][]int64{{0, 100}, {0, 0}}},
+		{Iteration: 1, Phase: "restream", IterationStats: onMachines(cluster.Counters{Messages: []int64{100, 0}, Edges: []int64{0, 0}, Steps: []int64{0, 0},
+			Pairs: [][]int64{{0, 100}, {0, 0}}})},
 	}
 	audit := &partaudit.Audit{Final: &partaudit.Final{CutRatio: 0.25}}
 	r, err := Reconcile(run, audit)
@@ -267,7 +270,7 @@ func TestWriteReportElidesPastCaps(t *testing.T) {
 		pairs[0][1] = 1
 		messages := make([]int64, k)
 		messages[0] = 1
-		steps[i] = Superstep{Iteration: i, Machines: k, Messages: messages, Pairs: pairs}
+		steps[i] = Superstep{Iteration: i, IterationStats: onMachines(cluster.Counters{Messages: messages, Pairs: pairs})}
 	}
 	var b strings.Builder
 	if err := WriteReport(&b, steps, false, nil); err != nil {

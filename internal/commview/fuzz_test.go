@@ -45,15 +45,16 @@ func FuzzRead(f *testing.F) {
 		}
 		steps := withMatrix(all)
 		for i, st := range steps {
-			if len(st.Pairs) != st.Machines {
-				t.Fatalf("step %d: %d rows for %d machines", i, len(st.Pairs), st.Machines)
+			k, w := len(st.Compute), &st.Work
+			if len(w.Pairs) != k {
+				t.Fatalf("step %d: %d rows for %d machines", i, len(w.Pairs), k)
 			}
-			for _, row := range st.Pairs {
-				if len(row) != st.Machines {
+			for _, row := range w.Pairs {
+				if len(row) != k {
 					t.Fatalf("step %d: ragged matrix row", i)
 				}
 			}
-			if len(st.Messages) != st.Machines || len(st.Edges) != st.Machines || len(st.Steps) != st.Machines {
+			if len(st.Comm) != k || len(st.Waiting) != k || len(w.Messages) != k || len(w.Edges) != k || len(w.Steps) != k || len(w.Vertices) != k {
 				t.Fatalf("step %d: flat counter shape mismatch", i)
 			}
 		}

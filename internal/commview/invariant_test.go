@@ -76,7 +76,7 @@ func checkRun(t *testing.T, name string, stats *cluster.RunStats, mem *telemetry
 	}
 	var matrixTotal int64
 	for _, st := range steps {
-		for _, row := range st.Pairs {
+		for _, row := range st.Work.Pairs {
 			for _, n := range row {
 				matrixTotal += n
 			}
@@ -228,7 +228,7 @@ func TestInvariantUnderFaults(t *testing.T) {
 			// much outbound traffic, on top of its pre-crash edge messages.
 			var fromDead int64
 			for _, st := range FromRunStats(&r.Stats) {
-				fromDead += st.Pairs[2][0] + st.Pairs[2][1] + st.Pairs[2][3]
+				fromDead += st.Work.Pairs[2][0] + st.Work.Pairs[2][1] + st.Work.Pairs[2][3]
 			}
 			if fromDead < int64(r.Recovery.RestreamedVertices) {
 				t.Fatalf("dead machine's matrix rows carry %d messages, want >= %d restreamed vertices",

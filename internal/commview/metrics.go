@@ -48,7 +48,7 @@ func Summarize(run []traceview.Superstep) Summary {
 	if len(run) == 0 {
 		return s
 	}
-	k := run[0].Machines
+	k := len(run[0].Compute)
 	s.Machines = k
 	s.Matrix = make([][]int64, k)
 	for i := range s.Matrix {
@@ -59,7 +59,7 @@ func Summarize(run []traceview.Superstep) Summary {
 	s.PerStepMessages = make([]int64, len(run))
 	s.PerStepActivePairs = make([]int, len(run))
 	for idx, st := range run {
-		for i, row := range st.Pairs {
+		for i, row := range st.Work.Pairs {
 			for j, n := range row {
 				if n == 0 {
 					continue

@@ -47,9 +47,10 @@ func Reconcile(run []traceview.Superstep, audit *partaudit.Audit) (Reconciliatio
 		if st.Phase != "" {
 			continue
 		}
-		for i := range st.Messages {
-			r.Messages += st.Messages[i]
-			r.Opportunities += st.Edges[i] + st.Steps[i]
+		w := &st.Work
+		for i := range w.Messages {
+			r.Messages += w.Messages[i]
+			r.Opportunities += w.Edges[i] + w.Steps[i]
 		}
 	}
 	if r.Opportunities == 0 {

@@ -133,26 +133,8 @@ func (e *Engine) SetTranspose(tr *graph.Graph) error {
 type PRResult struct {
 	Ranks []float64
 	Stats cluster.RunStats
-	// Delta is the final iteration's L1 rank change (set by the
-	// tolerance-based variants).
-	Delta float64
 	// Recovery is set when the run executed under a fault controller.
 	Recovery *fault.RecoveryStats
-}
-
-// PageRank runs the classic damped PageRank for a fixed number of
-// iterations (the paper runs ten).
-func (e *Engine) PageRank(iters int, damping float64) (*PRResult, error) {
-	return e.pageRankPush(iters, damping, 0)
-}
-
-// PageRankUntil runs push-mode PageRank until the L1 rank change drops
-// below tol (capped at maxIters iterations).
-func (e *Engine) PageRankUntil(maxIters int, damping, tol float64) (*PRResult, error) {
-	if tol <= 0 {
-		return nil, fmt.Errorf("engine: tolerance = %v, want > 0", tol)
-	}
-	return e.pageRankPush(maxIters, damping, tol)
 }
 
 // pageRank is the state the push and pull modes share: the rank vector and
@@ -209,14 +191,15 @@ func (e *Engine) contributions(pr *pageRank) (base float64) {
 	return (1-pr.damping)/float64(n) + pr.damping*danglingSum/float64(n)
 }
 
-// pageRankPush is push-mode PageRank on the parallel kernel. The
+// PageRank runs the classic damped PageRank for a fixed number of
+// iterations (the paper runs ten), push mode on the parallel kernel. The
 // communication accounting is push-semantics exactly as before — every
 // out-edge is traversed and a cut out-edge costs its owner one message —
 // while the floating-point accumulation is per-destination over the
 // transpose in adjacency order, so each vertex's sum is produced by
 // exactly one chunk and the ranks are bit-identical at any worker count
 // (and across placements).
-func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error) {
+func (e *Engine) PageRank(iters int, damping float64) (*PRResult, error) {
 	pr, err := e.newPageRank(iters, damping)
 	if err != nil {
 		return nil, err
@@ -225,7 +208,6 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 	k := e.cl.NumMachines()
 	tr := e.g.In()
 	ranks, contrib := pr.ranks, pr.contrib
-	deltas := make([]float64, len(pr.dangling))
 
 	res := &PRResult{}
 	step := func(it int) (cluster.IterationStats, bool) {
@@ -247,45 +229,28 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 		combineCounters(w, tasks, tcs)
 
 		// Rank update: per-destination sums in transpose adjacency order.
-		e.chunkMap(n, func(c, lo, hi int) {
-			var delta float64
+		e.chunkMap(n, func(_, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				var sum float64
 				for _, u := range tr.Neighbors(graph.VertexID(v)) {
 					sum += contrib[u]
 				}
-				next := base + damping*sum
-				d := next - ranks[v]
-				if d < 0 {
-					d = -d
-				}
-				delta += d
-				ranks[v] = next
+				ranks[v] = base + damping*sum
 			}
-			deltas[c] = delta
 		})
-		res.Delta = 0
-		for _, d := range deltas {
-			res.Delta += d
-		}
-		return e.cl.FinishIteration(w), it+1 == iters || (tol > 0 && res.Delta < tol)
+		return e.cl.FinishIteration(w), it+1 == iters
 	}
 	checkpoint := func() func() {
-		saved, delta := slices.Clone(ranks), res.Delta
-		return func() {
-			copy(ranks, saved)
-			res.Delta = delta
-		}
+		saved := slices.Clone(ranks)
+		return func() { copy(ranks, saved) }
 	}
 	sp := e.tel.Span("engine.pagerank",
 		telemetry.Int("max_iters", iters),
-		telemetry.Float("damping", damping),
-		telemetry.Float("tol", tol))
+		telemetry.Float("damping", damping))
 	res.Stats, res.Recovery = e.run(step, checkpoint)
 	res.Ranks = ranks
 	sp.End(
 		telemetry.Int("iterations", len(res.Stats.Iterations)),
-		telemetry.Float("delta", res.Delta),
 		telemetry.Float("sim_time_us", res.Stats.TotalTime()),
 		telemetry.Int64("messages", res.Stats.TotalMessages()))
 	return res, nil

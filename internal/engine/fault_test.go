@@ -76,27 +76,6 @@ func TestPageRankRollbackIdenticalRanks(t *testing.T) {
 	}
 }
 
-func TestPageRankUntilRollbackIdentical(t *testing.T) {
-	g := testGraph(t)
-	base, err := newEngine(t, g, 4).PageRankUntil(50, 0.85, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &fault.Spec{CheckpointEvery: 3, Events: []fault.Event{{Kind: fault.Crash, Step: 4, Machine: 2}}}
-	got, err := faultEngine(t, g, 4, spec).PageRankUntil(50, 0.85, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Delta != got.Delta {
-		t.Fatalf("Delta differs: %v vs %v", base.Delta, got.Delta)
-	}
-	for v := range base.Ranks {
-		if base.Ranks[v] != got.Ranks[v] {
-			t.Fatalf("rank[%d] differs: %v vs %v", v, base.Ranks[v], got.Ranks[v])
-		}
-	}
-}
-
 func TestPageRankPullRollbackIdentical(t *testing.T) {
 	g := testGraph(t)
 	base, err := newEngine(t, g, 4).PageRankPull(8, 0.85)

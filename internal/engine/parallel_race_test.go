@@ -2,9 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
+	"bpart/internal/cluster"
 	"bpart/internal/fault"
 )
 
@@ -63,15 +67,35 @@ func TestParallelRollbackCrashByteIdentical(t *testing.T) {
 	}
 }
 
+// restreamDigest pins the width-1 crash+restream PageRank run: the SHA-256
+// of the JSON of its ranks, run stats (comm matrix included) and recovery
+// stats. A restream defect that is the same at every width (say, machine
+// vertex lists left stale by a re-home) changes it.
+const restreamDigest = "68598b3338a2b47e0917bb34286c6b87157b0112835d0256c146d442afc95129"
+
 // TestParallelRestreamCrashByteIdentical covers the other recovery policy:
 // the crash is permanent, survivors take over the dead machine's vertices,
-// and the reassigned run continues on the live worker pool. Determinism
-// must survive the mid-run repartition.
+// and the reassigned run continues on the live worker pool. The width-1
+// run must match its pinned digest, and every width must match it byte for
+// byte.
 func TestParallelRestreamCrashByteIdentical(t *testing.T) {
-	run := func(e *Engine) ([]byte, error) { return marshalRun(e.PageRank(10, 0.85)) }
+	run := func(e *Engine) ([]byte, error) {
+		res, err := e.PageRank(10, 0.85)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(struct {
+			Ranks    []float64
+			Stats    cluster.RunStats
+			Recovery *fault.RecoveryStats
+		}{res.Ranks, res.Stats, res.Recovery})
+	}
 	ref, err := run(parallelFaultEngine(t, faultSpec(t, "crash5_restream.json"), 1))
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(ref)); got != restreamDigest {
+		t.Errorf("workers=1: crash+restream run digest %s, pinned %s", got, restreamDigest)
 	}
 	for _, wk := range []int{2, 4} {
 		got, err := run(parallelFaultEngine(t, faultSpec(t, "crash5_restream.json"), wk))

@@ -167,7 +167,7 @@ func (s *Server) handleKHop(w http.ResponseWriter, r *http.Request) {
 		s.R.End(start, EndpointKHop, badVertex(q), -1, view.Version(), http.StatusBadRequest)
 		return
 	}
-	hops, err := intParam(q, "hops", 2, 1, 8)
+	hops, err := intParam(q, "hops", 2, 1, maxHops)
 	if err == nil {
 		var limit int
 		limit, err = intParam(q, "limit", 0, 0, 1024)
@@ -198,7 +198,7 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 		s.R.End(start, EndpointWalk, badVertex(q), -1, view.Version(), http.StatusBadRequest)
 		return
 	}
-	steps, err := intParam(q, "steps", 16, 1, 1<<20)
+	steps, err := intParam(q, "steps", 16, 1, maxSteps)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		s.R.End(start, EndpointWalk, v, -1, view.Version(), http.StatusBadRequest)

@@ -19,6 +19,14 @@ const (
 // Endpoints lists the serving endpoints in report order.
 var Endpoints = []string{EndpointLookup, EndpointKHop, EndpointWalk}
 
+// The largest hops a khop request and steps a walk request may ask for;
+// both must be at least 1. The handlers answer a request outside them with
+// 400, and Normalize refuses a workload that would generate one.
+const (
+	maxHops  = 8
+	maxSteps = 1 << 20
+)
+
 // Request is one generated serving request. The stream a Workload expands
 // to is a pure function of its config, so the same seed yields the same
 // vertices, kinds and (given the same assignment) the same per-part
@@ -62,8 +70,14 @@ func (w *Workload) Normalize() error {
 	if w.Hops == 0 {
 		w.Hops = 2
 	}
+	if w.Hops < 1 || w.Hops > maxHops {
+		return fmt.Errorf("servestats: hops = %d, want [1,%d]", w.Hops, maxHops)
+	}
 	if w.Steps == 0 {
 		w.Steps = 16
+	}
+	if w.Steps < 1 || w.Steps > maxSteps {
+		return fmt.Errorf("servestats: steps = %d, want [1,%d]", w.Steps, maxSteps)
 	}
 	if w.Alpha < 0 || w.Alpha >= 1 {
 		return fmt.Errorf("servestats: alpha = %g, want [0,1)", w.Alpha)

@@ -113,6 +113,10 @@ func TestWorkloadValidation(t *testing.T) {
 		{Vertices: 10, Requests: 1, ZipfS: -1},
 		{Vertices: 10, Requests: 1, Alpha: 1},
 		{Vertices: 10, Requests: 1, LookupW: -1},
+		{Vertices: 10, Requests: 1, Hops: -1},
+		{Vertices: 10, Requests: 1, Hops: maxHops + 1},
+		{Vertices: 10, Requests: 1, Steps: -1},
+		{Vertices: 10, Requests: 1, Steps: maxSteps + 1},
 	} {
 		if _, err := w.Generate(); err == nil {
 			t.Errorf("workload %+v accepted", w)

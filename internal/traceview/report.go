@@ -175,7 +175,7 @@ func writeStragglers(ew *report.Printer, run []Superstep) {
 			fmt.Sprintf("M%d", s.CommMachine), fmtUS(s.CommUS), fmtUS(s.CommSlackUS))
 	}
 	// Aggregate: how often each machine bound a phase.
-	k := run[0].Machines
+	k := len(run[0].Compute)
 	computeBound := make([]int, k)
 	commBound := make([]int, k)
 	for _, s := range strag {
@@ -200,12 +200,7 @@ func writeCritPath(ew *report.Printer, run []Superstep) {
 	if cp.TotalUS <= 0 {
 		return
 	}
-	mode := "sequential phases"
-	if cp.Pipelined {
-		mode = "pipelined phases"
-	}
-	ew.Printf("  critical path (%s): compute %s (%.1f%%)  comm %s (%.1f%%)  latency %s (%.1f%%)\n",
-		mode,
+	ew.Printf("  critical path (sequential phases): compute %s (%.1f%%)  comm %s (%.1f%%)  latency %s (%.1f%%)\n",
 		fmtUS(cp.ComputeUS), 100*cp.ComputeUS/cp.TotalUS,
 		fmtUS(cp.CommUS), 100*cp.CommUS/cp.TotalUS,
 		fmtUS(cp.LatencyUS), 100*cp.LatencyUS/cp.TotalUS)

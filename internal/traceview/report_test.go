@@ -76,9 +76,6 @@ func TestReportFixtureArithmetic(t *testing.T) {
 	cp := ComputeCriticalPath(runs[0])
 	// iter 0: compute M0 100, comm M1 30, latency 20; iter 1: compute M1
 	// 90, comm M0 40, latency 20.
-	if cp.Pipelined {
-		t.Fatal("fixture inferred pipelined")
-	}
 	if cp.ComputeUS != 190 || cp.CommUS != 70 || cp.LatencyUS != 40 {
 		t.Fatalf("fixture critical path = compute %v, comm %v, latency %v", cp.ComputeUS, cp.CommUS, cp.LatencyUS)
 	}

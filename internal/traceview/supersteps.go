@@ -1,24 +1,18 @@
 package traceview
 
-import "fmt"
+import (
+	"fmt"
 
-// Superstep is one decoded "cluster.superstep" event — the IterationStats
-// the simulated cluster emitted for one BSP iteration.
+	"bpart/internal/cluster"
+)
+
+// Superstep is one decoded "cluster.superstep" event: the IterationStats
+// the simulated cluster emitted for one BSP iteration, numbered and tagged
+// with its phase. Work.Pairs is nil when Cluster.SetCommMatrix was off.
 type Superstep struct {
 	Iteration int
-	Machines  int
 	Phase     string // "" or the fault controller's barrier: checkpoint, restore, restream
-	TimeUS    float64
-	Compute   []float64 // per-machine compute time (simulated µs)
-	Comm      []float64 // per-machine communication time
-	Waiting   []float64 // per-machine barrier idle time
-	Steps     []int64
-	Edges     []int64
-	Vertices  []int64
-	Messages  []int64
-	// Pairs[i][j] counts machine i's messages whose remote peer is j (row i
-	// sums to Messages[i]); nil when Cluster.SetCommMatrix was off.
-	Pairs [][]int64
+	cluster.IterationStats
 }
 
 // Supersteps decodes every cluster.superstep event in trace order. One
@@ -56,37 +50,39 @@ func decodeSuperstep(r *Record) (Superstep, error) {
 	if st.Iteration, ok = r.Int("iteration"); !ok {
 		return st, fmt.Errorf("traceview: superstep record missing iteration attr")
 	}
-	if st.Machines, ok = r.Int("machines"); !ok {
+	machines, ok := r.Int("machines")
+	if !ok {
 		return st, fmt.Errorf("traceview: superstep %d missing machines attr", st.Iteration)
 	}
-	if st.TimeUS, ok = r.Float("time_us"); !ok {
+	if st.Time, ok = r.Float("time_us"); !ok {
 		return st, fmt.Errorf("traceview: superstep %d missing time_us attr", st.Iteration)
 	}
+	w := &st.Work
 	for _, f := range []struct {
 		key string
 		dst *[]float64
 	}{{"compute", &st.Compute}, {"comm", &st.Comm}, {"waiting", &st.Waiting}} {
 		v, ok := r.Floats(f.key)
-		if !ok || len(v) != st.Machines {
-			return st, fmt.Errorf("traceview: superstep %d: bad %s array (want %d machines)", st.Iteration, f.key, st.Machines)
+		if !ok || len(v) != machines {
+			return st, fmt.Errorf("traceview: superstep %d: bad %s array (want %d machines)", st.Iteration, f.key, machines)
 		}
 		*f.dst = v
 	}
 	for _, f := range []struct {
 		key string
 		dst *[]int64
-	}{{"steps", &st.Steps}, {"edges", &st.Edges}, {"vertices", &st.Vertices}, {"messages", &st.Messages}} {
+	}{{"steps", &w.Steps}, {"edges", &w.Edges}, {"vertices", &w.Vertices}, {"messages", &w.Messages}} {
 		v, ok := r.Ints(f.key)
-		if !ok || len(v) != st.Machines {
-			return st, fmt.Errorf("traceview: superstep %d: bad %s array (want %d machines)", st.Iteration, f.key, st.Machines)
+		if !ok || len(v) != machines {
+			return st, fmt.Errorf("traceview: superstep %d: bad %s array (want %d machines)", st.Iteration, f.key, machines)
 		}
 		*f.dst = v
 	}
 	st.Phase, _ = r.Str("phase")
 	// Present but malformed is a hard error: dropping it would skew commview.
 	if raw, present := r.Attrs["pairs"]; present {
-		if st.Pairs, ok = decodePairs(raw, st.Machines); !ok {
-			return st, fmt.Errorf("traceview: superstep %d: bad pairs matrix (want %d×%d numbers)", st.Iteration, st.Machines, st.Machines)
+		if w.Pairs, ok = decodePairs(raw, machines); !ok {
+			return st, fmt.Errorf("traceview: superstep %d: bad pairs matrix (want %d×%d numbers)", st.Iteration, machines, machines)
 		}
 	}
 	return st, nil
@@ -115,7 +111,7 @@ func decodePairs(raw any, k int) ([][]int64, bool) {
 func GroupRuns(steps []Superstep) [][]Superstep {
 	var runs [][]Superstep
 	for i, st := range steps {
-		if i == 0 || st.Iteration <= steps[i-1].Iteration || st.Machines != steps[i-1].Machines {
+		if i == 0 || st.Iteration <= steps[i-1].Iteration || len(st.Compute) != len(steps[i-1].Compute) {
 			runs = append(runs, nil)
 		}
 		runs[len(runs)-1] = append(runs[len(runs)-1], st)
@@ -197,10 +193,10 @@ type WaitBreakdown struct {
 // run. A run with zero machines, zero supersteps or zero total time has a
 // zero breakdown, mirroring RunStats.WaitRatio's degenerate cases.
 func DecomposeWaitRatio(run []Superstep) WaitBreakdown {
-	if len(run) == 0 || run[0].Machines == 0 {
+	if len(run) == 0 || len(run[0].Compute) == 0 {
 		return WaitBreakdown{}
 	}
-	k := run[0].Machines
+	k := len(run[0].Compute)
 	b := WaitBreakdown{
 		Machines:     k,
 		Supersteps:   len(run),
@@ -208,7 +204,7 @@ func DecomposeWaitRatio(run []Superstep) WaitBreakdown {
 		Contribution: make([]float64, k),
 	}
 	for _, st := range run {
-		b.TotalTimeUS += st.TimeUS
+		b.TotalTimeUS += st.Time
 		for i, w := range st.Waiting {
 			b.WaitUS[i] += w
 		}
@@ -246,42 +242,24 @@ type CriticalPath struct {
 	// OnPathUS[i] is machine i's time on the critical path; the machine
 	// with the largest share is the run's dominant straggler.
 	OnPathUS []float64
-	// Pipelined reports that the cost model overlapped compute and comm
-	// (iteration time = max of the phases, not their sum); only the
-	// dominant phase is on the path then.
-	Pipelined bool
 }
 
-// ComputeCriticalPath derives the critical path of one run. The cluster's
-// execution mode is inferred per the cost model: when an iteration's time
-// is at least maxCompute+maxComm the residual is barrier latency
-// (sequential phases); when it is smaller the phases overlapped
-// (CostModel.Pipelined) and only the dominant one bounds the iteration.
+// ComputeCriticalPath derives the critical path of one run: per iteration,
+// the slowest machine's compute, the slowest machine's comm, and the rest
+// of the iteration's time as barrier latency.
 func ComputeCriticalPath(run []Superstep) CriticalPath {
 	cp := CriticalPath{}
 	if len(run) == 0 {
 		return cp
 	}
-	cp.OnPathUS = make([]float64, run[0].Machines)
+	cp.OnPathUS = make([]float64, len(run[0].Compute))
 	for _, st := range run {
-		cp.TotalUS += st.TimeUS
+		cp.TotalUS += st.Time
 		cm, cUS, _ := argmaxSlack(st.Compute)
 		mm, mUS, _ := argmaxSlack(st.Comm)
-		if st.TimeUS+1e-9 < cUS+mUS {
-			// Pipelined: the iteration finished before the phase sum —
-			// compute and comm overlapped, the longer phase bounds it.
-			cp.Pipelined = true
-			phase, machine, dur := "compute", cm, cUS
-			if mUS > cUS {
-				phase, machine, dur = "comm", mm, mUS
-			}
-			cp.add(st.Iteration, phase, machine, dur)
-			cp.add(st.Iteration, "latency", -1, st.TimeUS-dur)
-			continue
-		}
 		cp.add(st.Iteration, "compute", cm, cUS)
 		cp.add(st.Iteration, "comm", mm, mUS)
-		cp.add(st.Iteration, "latency", -1, st.TimeUS-cUS-mUS)
+		cp.add(st.Iteration, "latency", -1, st.Time-cUS-mUS)
 	}
 	return cp
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bpart/internal/cluster"
+	"bpart/internal/engine"
 	"bpart/internal/gen"
 	"bpart/internal/metrics"
 	"bpart/internal/partition"
@@ -79,6 +80,73 @@ func TestDecomposeWaitRatioMatchesRunStats(t *testing.T) {
 	if !metrics.ApproxEq(b.TotalTimeUS, res.Stats.TotalTime(), 1e-9) {
 		t.Fatalf("TotalTimeUS = %v, engine TotalTime = %v", b.TotalTimeUS, res.Stats.TotalTime())
 	}
+}
+
+// A decoded superstep is the IterationStats the run kept, field for field:
+// the trace and the live RunStats are one shape, with no converter between
+// them. The PageRank run captures the comm matrix, so Pairs round-trips too.
+func TestSuperstepsRoundTripRunStats(t *testing.T) {
+	walkTrace, walkRes := tracedWalk(t, 4)
+	prTrace, prStats := tracedPageRank(t)
+	for _, c := range []struct {
+		name  string
+		tr    *Trace
+		stats *cluster.RunStats
+	}{{"walk", walkTrace, &walkRes.Stats}, {"pagerank", prTrace, prStats}} {
+		steps, err := Supersteps(c.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(steps) != len(c.stats.Iterations) {
+			t.Fatalf("%s: decoded %d supersteps, run kept %d", c.name, len(steps), len(c.stats.Iterations))
+		}
+		for i, st := range steps {
+			if st.Iteration != i || st.Phase != "" {
+				t.Fatalf("%s: superstep %d decoded as iteration %d, phase %q", c.name, i, st.Iteration, st.Phase)
+			}
+			if !reflect.DeepEqual(st.IterationStats, c.stats.Iterations[i]) {
+				t.Fatalf("%s: superstep %d = %+v, run kept %+v", c.name, i, st.IterationStats, c.stats.Iterations[i])
+			}
+		}
+		if c.name == "pagerank" && steps[0].Work.Pairs == nil {
+			t.Fatalf("%s: no comm matrix decoded", c.name)
+		}
+	}
+}
+
+// tracedPageRank runs ten push PageRank iterations with the comm matrix on
+// and a JSONL tracer attached, and returns the parsed trace and the run's
+// RunStats.
+func tracedPageRank(t *testing.T) (*Trace, *cluster.RunStats) {
+	t.Helper()
+	g, err := gen.ChungLu(gen.Config{NumVertices: 1500, AvgDegree: 6, Skew: 0.8, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := (partition.ChunkV{}).Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(g, a.Parts, 4, cluster.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Cluster().SetCommMatrix(true)
+	var buf bytes.Buffer
+	jl := telemetry.NewJSONL(&buf)
+	e.SetTelemetry(jl, nil)
+	res, err := e.PageRank(10, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, &res.Stats
 }
 
 // Straggler attribution must name the machine the engine's own
@@ -219,29 +287,9 @@ func TestDecomposeWaitRatioDegenerate(t *testing.T) {
 	if b := DecomposeWaitRatio(nil); b.WaitRatio != 0 || b.Machines != 0 {
 		t.Fatalf("empty run breakdown = %+v", b)
 	}
-	run := []Superstep{{Machines: 2, TimeUS: 0, Waiting: []float64{0, 0}}}
+	run := []Superstep{{IterationStats: cluster.IterationStats{Compute: []float64{0, 0}, Waiting: []float64{0, 0}}}}
 	if b := DecomposeWaitRatio(run); b.WaitRatio != 0 {
 		t.Fatalf("zero-time run WaitRatio = %v", b.WaitRatio)
-	}
-}
-
-// A superstep whose time is below maxCompute+maxComm must be inferred as
-// pipelined, with only the dominant phase plus latency on the path.
-func TestCriticalPathPipelinedInference(t *testing.T) {
-	run := []Superstep{{
-		Iteration: 0, Machines: 2, TimeUS: 120,
-		Compute: []float64{100, 40}, Comm: []float64{30, 80},
-		Waiting: []float64{0, 0},
-	}}
-	cp := ComputeCriticalPath(run)
-	if !cp.Pipelined {
-		t.Fatal("overlapped superstep not inferred as pipelined")
-	}
-	if cp.ComputeUS != 100 || cp.CommUS != 0 || cp.LatencyUS != 20 {
-		t.Fatalf("pipelined split = compute %v, comm %v, latency %v", cp.ComputeUS, cp.CommUS, cp.LatencyUS)
-	}
-	if cp.OnPathUS[0] != 100 || cp.OnPathUS[1] != 0 {
-		t.Fatalf("on-path = %v", cp.OnPathUS)
 	}
 }
 
@@ -270,10 +318,10 @@ func TestSuperstepPhaseAndPairs(t *testing.T) {
 	if len(steps) != 2 {
 		t.Fatalf("decoded %d supersteps, want 2 (the scalar-only copy skipped)", len(steps))
 	}
-	if steps[0].Phase != "" || steps[0].Pairs != nil {
+	if steps[0].Phase != "" || steps[0].Work.Pairs != nil {
 		t.Fatalf("superstep without phase/pairs attrs: %+v", steps[0])
 	}
-	if steps[1].Phase != "restream" || !reflect.DeepEqual(steps[1].Pairs, [][]int64{{0, 3}, {1, 0}}) {
+	if steps[1].Phase != "restream" || !reflect.DeepEqual(steps[1].Work.Pairs, [][]int64{{0, 3}, {1, 0}}) {
 		t.Fatalf("superstep with phase/pairs attrs: %+v", steps[1])
 	}
 	for name, pairs := range map[string]string{
@@ -307,10 +355,13 @@ func TestSuperstepPhaseAndPairs(t *testing.T) {
 // A machine-count change splits a run even when the iteration counter
 // keeps climbing, and a reset splits it at equal size.
 func TestGroupRunsSplitsOnReset(t *testing.T) {
+	on := func(iter, machines int) Superstep {
+		return Superstep{Iteration: iter, IterationStats: cluster.IterationStats{Compute: make([]float64, machines)}}
+	}
 	steps := []Superstep{
-		{Iteration: 0, Machines: 2}, {Iteration: 1, Machines: 2},
-		{Iteration: 0, Machines: 2}, // new cluster: counter reset
-		{Iteration: 1, Machines: 3}, // machine-count change
+		on(0, 2), on(1, 2),
+		on(0, 2), // new cluster: counter reset
+		on(1, 3), // machine-count change
 	}
 	runs := GroupRuns(steps)
 	if len(runs) != 3 || len(runs[0]) != 2 || len(runs[1]) != 1 || len(runs[2]) != 1 {
