@@ -10,7 +10,8 @@ build:
 # lint is the one definition of lint; the CI lint job runs this target.
 # Formatting, go vet, the one-reverse check (graph.Graph.In is the only
 # non-test caller of Transpose), then the repo's own analyzer suite (see
-# internal/analysis and README "Static analysis").
+# internal/analysis and README "Static analysis") over this module and the
+# nested benchmark module, where ./... stops.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -20,7 +21,7 @@ lint:
 		echo "build the reverse with g.In(), not Transpose():"; echo "$$out"; exit 1; fi
 	@echo "bpartlint analyzers:"
 	@$(GO) run ./cmd/bpartlint -list
-	$(GO) run ./cmd/bpartlint ./...
+	$(GO) run ./cmd/bpartlint ./... ./benchmark/...
 
 test:
 	$(GO) test ./...

@@ -5,9 +5,12 @@
 //
 //	bpartlint [-list] [-json] [pattern ...]
 //
-// Patterns are package directories or "dir/..." trees; the default "./..."
-// lints the whole module. Diagnostics print as file:line:col: [analyzer]
-// message, one per line; -json emits one JSON object per finding instead
+// Patterns are package directories or "dir/..." trees. The go command lists
+// each one from its directory, so a tree under a nested module (such as
+// ./benchmark/...) is listed by that module, while "./..." (the default)
+// stops at a nested go.mod. A pattern that names no package is a load
+// error. Diagnostics print as file:line:col: [analyzer] message, one per
+// line; -json emits one JSON object per finding instead
 // (fields file, line, col, analyzer, message in that order), the shape the
 // CI artifact stores. The exit status is 1 when anything fires, 2 when a
 // package fails to load or type-check.
@@ -22,16 +25,34 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/token"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"bpart/internal/analysis"
-	"bpart/internal/analysis/suite"
+	"bpart/internal/analysis/aliasret"
+	"bpart/internal/analysis/errio"
+	"bpart/internal/analysis/floateq"
+	"bpart/internal/analysis/maporder"
+	"bpart/internal/analysis/metricname"
+	"bpart/internal/analysis/noclock"
+	"bpart/internal/analysis/norawrand"
+	"bpart/internal/analysis/spanend"
 )
+
+// analyzers is the suite, in stable (alphabetical) order.
+var analyzers = []*analysis.Analyzer{
+	aliasret.Analyzer,
+	errio.Analyzer,
+	floateq.Analyzer,
+	maporder.Analyzer,
+	metricname.Analyzer,
+	noclock.Analyzer,
+	norawrand.Analyzer,
+	spanend.Analyzer,
+}
 
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
@@ -51,7 +72,7 @@ func main() {
 // listAnalyzers prints the suite inventory, one analyzer per line with the
 // first line of its doc.
 func listAnalyzers(w io.Writer) {
-	for _, a := range suite.Analyzers() {
+	for _, a := range analyzers {
 		fmt.Fprintf(w, "%-12s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 	}
 }
@@ -74,35 +95,35 @@ func Main(patterns []string, jsonOut bool, out, errOut io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		fmt.Fprintln(errOut, "bpartlint:", err)
-		return 2
-	}
-	dirs, err := expand(patterns)
-	if err != nil {
-		fmt.Fprintln(errOut, "bpartlint:", err)
-		return 2
-	}
-
 	code := 0
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
 	var pkgs []*analysis.LoadedPackage
-	for _, dir := range dirs {
-		loaded, err := loader.Load(dir)
+	for _, pat := range patterns {
+		dir, tree := strings.CutSuffix(pat, "...")
+		rel := "."
+		if tree {
+			rel = "./..."
+		}
+		loaded, err := analysis.Load(fset, filepath.Clean(dir), rel)
 		if err != nil {
-			fmt.Fprintf(errOut, "bpartlint: %s: %v\n", dir, err)
+			fmt.Fprintf(errOut, "bpartlint: %s: %v\n", pat, err)
 			code = 2
 			continue
 		}
 		for _, pkg := range loaded {
+			if seen[pkg.Path] {
+				continue // matched by an earlier pattern too
+			}
+			seen[pkg.Path] = true
 			for _, cerr := range pkg.CheckErrs {
 				fmt.Fprintf(errOut, "bpartlint: %s: type error: %v\n", pkg.Path, cerr)
 				code = 2
 			}
+			pkgs = append(pkgs, pkg)
 		}
-		pkgs = append(pkgs, loaded...)
 	}
-	findings, err := analysis.Run(suite.Analyzers(), loader.Fset(), pkgs)
+	findings, err := analysis.Run(analyzers, fset, pkgs)
 	if err != nil {
 		fmt.Fprintln(errOut, "bpartlint:", err)
 		return 2
@@ -131,60 +152,14 @@ func Main(patterns []string, jsonOut bool, out, errOut io.Writer) int {
 }
 
 // relFile renders the finding's file relative to the working directory
-// when possible.
+// when possible, so a file reached through a pattern such as ../../x
+// prints as ../../x/f.go.
 func relFile(f analysis.Finding) string {
 	wd, err := os.Getwd()
 	if err == nil {
-		if rel, rerr := filepath.Rel(wd, f.Pos.Filename); rerr == nil && !strings.HasPrefix(rel, "..") {
+		if rel, rerr := filepath.Rel(wd, f.Pos.Filename); rerr == nil {
 			return rel
 		}
 	}
 	return f.Pos.Filename
-}
-
-// expand resolves patterns to package directories. "dir/..." walks the
-// tree; anything else names one directory. testdata, vendor and dot-dirs
-// are pruned — fixtures under internal/analysis/testdata contain seeded
-// violations on purpose.
-func expand(patterns []string) ([]string, error) {
-	seen := map[string]bool{}
-	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		root, walk := strings.CutSuffix(pat, "...")
-		root = filepath.Clean(strings.TrimSuffix(root, "/"))
-		if root == "" {
-			root = "."
-		}
-		if !walk {
-			add(root)
-			continue
-		}
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				name := d.Name()
-				if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-					return fs.SkipDir
-				}
-				return nil
-			}
-			if strings.HasSuffix(d.Name(), ".go") {
-				add(filepath.Dir(path))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
 }

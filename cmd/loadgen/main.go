@@ -13,7 +13,8 @@
 // drawing from the shared stream — throughput is whatever the server
 // sustains. Open loop (-open): requests fire at -rate per second with
 // seeded exponential inter-arrival gaps regardless of completions, the
-// arrival model that exposes queueing tails closed loops hide.
+// arrival model that exposes queueing tails closed loops hide. A flag the
+// chosen mode ignores (-rate without -open, -c with it) is a usage error.
 //
 // loadgen prints its own client-side view — per-endpoint counts and
 // latency percentiles (the same log-bucketed estimator the server uses) —
@@ -75,6 +76,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *conc < 1 {
 		fmt.Fprintf(stderr, "loadgen: -c = %d, want >= 1\n", *conc)
+		return 2
+	}
+	// A flag of the other loop mode would be silently ignored: -c sizes
+	// the closed loop's workers, -rate paces the open loop's arrivals.
+	mode, ignored := "the closed loop", "rate"
+	if *open {
+		mode, ignored = "-open", "c"
+	}
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == ignored })
+	if set {
+		fmt.Fprintf(stderr, "loadgen: %s does not honour -%s\n", mode, ignored)
 		return 2
 	}
 	reqs, err := servestats.Workload{

@@ -102,6 +102,9 @@ func TestFlagValidation(t *testing.T) {
 		"neg hops":     {"-vertices", "10", "-hops", "-1"},
 		"hops 9":       {"-vertices", "10", "-hops", "9"},
 		"neg steps":    {"-vertices", "10", "-steps", "-1"},
+		"closed rate":  {"-vertices", "10", "-rate", "500"},
+		"open c":       {"-vertices", "10", "-open", "-c", "8"},
+		"open c 4":     {"-vertices", "10", "-open", "-rate", "500", "-c", "4"},
 	} {
 		if code := run(append([]string{"-addr", addr}, args...), &out, &errb); code != 2 {
 			t.Errorf("%s: exit = %d, want 2", name, code)

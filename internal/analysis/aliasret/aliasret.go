@@ -279,13 +279,8 @@ func retainingLHS(pass *analysis.Pass, dst ast.Expr) bool {
 	case *ast.StarExpr:
 		return true
 	case *ast.Ident:
-		v, ok := pass.TypesInfo.Uses[d].(*types.Var)
-		if !ok {
-			if v, ok = pass.TypesInfo.Defs[d].(*types.Var); !ok {
-				return false
-			}
-		}
-		return v != nil && v.Parent() == pass.Pkg.Scope()
+		v, ok := pass.TypesInfo.ObjectOf(d).(*types.Var)
+		return ok && v.Parent() == pass.Pkg.Scope()
 	}
 	return false
 }
@@ -302,7 +297,7 @@ func reassigns(pass *analysis.Pass, n ast.Node, v *types.Var) bool {
 	}
 	for i, l := range as.Lhs {
 		id, ok := l.(*ast.Ident)
-		if !ok || (pass.TypesInfo.Uses[id] != v && pass.TypesInfo.Defs[id] != v) {
+		if !ok || pass.TypesInfo.ObjectOf(id) != v {
 			continue
 		}
 		// Positional RHS only exists for non-tuple assignments; a tuple

@@ -5,15 +5,17 @@
 // kept out of output, span hygiene, metric naming, epsilon float
 // comparisons, checked writer errors, no retained caller slices — live in
 // the sibling analyzer packages (aliasret, errio, floateq, maporder,
-// metricname, noclock, norawrand, spanend; the list is suite.Analyzers)
-// and are driven by cmd/bpartlint.
+// metricname, noclock, norawrand, spanend), which cmd/bpartlint lists and
+// drives.
 //
 // The x/tools module is deliberately not vendored: the build environment is
-// offline, so the loader (loader.go) resolves module-local imports itself
-// and reads the standard library from the toolchain's export data through
-// go/importer's gc importer. When x/tools becomes available the analyzers
-// port mechanically — the Analyzer/Pass/Diagnostic surface mirrors
-// go/analysis on purpose.
+// offline, so Load (load.go) stands in for go/packages. One `go list
+// -export -deps -test` names the packages, their files (build constraints
+// applied) and every dependency's compiler export data, built in the local
+// build cache; each lint target is type-checked from source and reads its
+// imports from that export data through go/importer's gc importer. When
+// x/tools becomes available the analyzers port mechanically — the
+// Analyzer/Pass/Diagnostic surface mirrors go/analysis on purpose.
 package analysis
 
 import (
@@ -51,8 +53,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Path is the package's import path. Testdata fixtures get their
-	// module-relative path (".../testdata/floateq/core"), so analyzers
+	// Path is the package's import path. Testdata fixtures get theirs too
+	// ("bpart/internal/analysis/testdata/floateq/core"), so analyzers
 	// that scope by path segment (InScope) work unchanged under
 	// analysistest.
 	Path string

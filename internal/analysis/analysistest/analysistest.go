@@ -13,6 +13,7 @@ package analysistest
 
 import (
 	"fmt"
+	"go/token"
 	"regexp"
 	"sort"
 	"strconv"
@@ -34,11 +35,8 @@ type key struct {
 // its // want annotations.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	loader, err := analysis.NewLoader(dir)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	pkgs, err := loader.Load(dir)
+	fset := token.NewFileSet()
+	pkgs, err := analysis.Load(fset, dir, ".")
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
@@ -60,7 +58,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 					if m == nil {
 						continue
 					}
-					pos := loader.Fset().Position(c.Pos())
+					pos := fset.Position(c.Pos())
 					k := key{pos.Filename, pos.Line}
 					for _, q := range quotedRE.FindAllString(m[1], -1) {
 						pat, err := strconv.Unquote(q)
@@ -78,7 +76,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		}
 	}
 
-	findings, err := analysis.Run([]*analysis.Analyzer{a}, loader.Fset(), pkgs)
+	findings, err := analysis.Run([]*analysis.Analyzer{a}, fset, pkgs)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -179,11 +179,7 @@ func outerVar(pass *analysis.Pass, rng *ast.RangeStmt, e ast.Expr) *types.Var {
 	if !ok {
 		return nil
 	}
-	obj := pass.TypesInfo.Uses[id]
-	if obj == nil {
-		obj = pass.TypesInfo.Defs[id]
-	}
-	v, ok := obj.(*types.Var)
+	v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var)
 	if !ok {
 		return nil
 	}
@@ -256,11 +252,7 @@ func loopLocal(pass *analysis.Pass, rng *ast.RangeStmt, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	obj := pass.TypesInfo.Uses[id]
-	if obj == nil {
-		obj = pass.TypesInfo.Defs[id]
-	}
-	v, ok := obj.(*types.Var)
+	v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var)
 	return ok && v.Pos() >= rng.Pos() && v.Pos() < rng.End()
 }
 
@@ -269,7 +261,7 @@ func mentionsVar(pass *analysis.Pass, n ast.Node, v *types.Var) bool {
 	found := false
 	ast.Inspect(n, func(m ast.Node) bool {
 		if id, ok := m.(*ast.Ident); ok {
-			if pass.TypesInfo.Uses[id] == v || pass.TypesInfo.Defs[id] == v {
+			if pass.TypesInfo.ObjectOf(id) == v {
 				found = true
 			}
 		}
@@ -292,7 +284,7 @@ func observesVar(pass *analysis.Pass, n ast.Node, v *types.Var) bool {
 			}
 		}
 		if id, ok := m.(*ast.Ident); ok {
-			if pass.TypesInfo.Uses[id] == v || pass.TypesInfo.Defs[id] == v {
+			if pass.TypesInfo.ObjectOf(id) == v {
 				found = true
 			}
 		}
@@ -362,7 +354,7 @@ func selfAppend(pass *analysis.Pass, n ast.Node, v *types.Var) bool {
 		return false
 	}
 	lhs, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
-	if !ok || resolveVar(pass, lhs) != v {
+	if !ok || pass.TypesInfo.ObjectOf(lhs) != v {
 		return false
 	}
 	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
@@ -370,7 +362,7 @@ func selfAppend(pass *analysis.Pass, n ast.Node, v *types.Var) bool {
 		return false
 	}
 	first, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok || resolveVar(pass, first) != v {
+	if !ok || pass.TypesInfo.ObjectOf(first) != v {
 		return false
 	}
 	for _, a := range call.Args[1:] {
@@ -379,15 +371,6 @@ func selfAppend(pass *analysis.Pass, n ast.Node, v *types.Var) bool {
 		}
 	}
 	return true
-}
-
-func resolveVar(pass *analysis.Pass, id *ast.Ident) *types.Var {
-	obj := pass.TypesInfo.Uses[id]
-	if obj == nil {
-		obj = pass.TypesInfo.Defs[id]
-	}
-	v, _ := obj.(*types.Var)
-	return v
 }
 
 // sortsVar reports whether n is a statement calling a sort/slices sorting

@@ -123,11 +123,7 @@ const (
 // checkSpanVar verifies that the span held in id reaches End on every
 // control-flow path from its start.
 func checkSpanVar(pass *analysis.Pass, body *ast.BlockStmt, parents map[ast.Node]ast.Node, id *ast.Ident, call *ast.CallExpr) {
-	obj := pass.TypesInfo.Defs[id]
-	if obj == nil {
-		obj = pass.TypesInfo.Uses[id]
-	}
-	v, ok := obj.(*types.Var)
+	v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var)
 	if !ok || v.Parent() == nil || v.Parent() == pass.Pkg.Scope() {
 		return
 	}
@@ -153,7 +149,7 @@ func checkSpanVar(pass *analysis.Pass, body *ast.BlockStmt, parents map[ast.Node
 		if !ok || use == id {
 			return true
 		}
-		if pass.TypesInfo.Uses[use] != v && pass.TypesInfo.Defs[use] != v {
+		if pass.TypesInfo.ObjectOf(use) != v {
 			return true
 		}
 		switch classifyUse(parents, use) {
@@ -185,7 +181,7 @@ func checkSpanVar(pass *analysis.Pass, body *ast.BlockStmt, parents map[ast.Node
 		}
 		for _, l := range as.Lhs {
 			if lid, ok := l.(*ast.Ident); ok {
-				if pass.TypesInfo.Defs[lid] == v || pass.TypesInfo.Uses[lid] == v {
+				if pass.TypesInfo.ObjectOf(lid) == v {
 					return true
 				}
 			}

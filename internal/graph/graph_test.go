@@ -282,14 +282,6 @@ func TestGini(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	// degrees: 2,1,1,1 -> bucket0 ([1,2)) = 3, bucket1 ([2,4)) = 1
-	h := DegreeHistogram(diamond())
-	if len(h) != 2 || h[0] != 3 || h[1] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
 func TestPercentileIndex(t *testing.T) {
 	cases := []struct {
 		n    int

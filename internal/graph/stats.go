@@ -77,28 +77,6 @@ func giniSorted(xs []int) float64 {
 	return (2*weighted - float64(n+1)*sum) / (float64(n) * sum)
 }
 
-// DegreeHistogram returns log2-bucketed out-degree counts: bucket[i] counts
-// vertices with degree in [2^i, 2^(i+1)), bucket "-1" (index 0 of the
-// returned slice via Zero field) is exposed through Stats.ZeroDegree.
-func DegreeHistogram(g *Graph) []int {
-	var buckets []int
-	for v := 0; v < g.NumVertices(); v++ {
-		d := g.OutDegree(VertexID(v))
-		if d == 0 {
-			continue
-		}
-		b := 0
-		for x := d; x > 1; x >>= 1 {
-			b++
-		}
-		for len(buckets) <= b {
-			buckets = append(buckets, 0)
-		}
-		buckets[b]++
-	}
-	return buckets
-}
-
 // String renders the stats on one line.
 func (s Stats) String() string {
 	return fmt.Sprintf("|V|=%d |E|=%d avg=%.2f max=%d p50=%d p90=%d p99=%d gini=%.3f zero=%d",
