@@ -12,10 +12,10 @@ import (
 
 // TestRepoIsLintClean is the acceptance gate: the suite must run over the
 // whole module and the nested benchmark module without crashing and
-// without diagnostics. The only production waivers (grep for
-// bpartlint:ignore outside internal/analysis) are the two documented
-// aliasret ownership transfers, engine.SubsetFromVertices and
-// graph.FromCSR, so this is an exact zero across the whole suite. It
+// without diagnostics. The only production waiver (grep for
+// bpartlint:ignore outside internal/analysis) is the documented aliasret
+// ownership transfer of graph.FromCSR, so this is an exact zero across the
+// whole suite. It
 // type-checks every package from source once (imports come from the
 // export data go list reports); -short skips it.
 func TestRepoIsLintClean(t *testing.T) {

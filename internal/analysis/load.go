@@ -21,7 +21,6 @@ import (
 // with tests yields up to two: the package compiled with its in-package
 // _test.go files, and — when present — the external "_test" package.
 type LoadedPackage struct {
-	Dir   string
 	Path  string // import path; xtest variants get a "_test" suffix
 	Files []*ast.File
 	Types *types.Package
@@ -100,7 +99,6 @@ func Load(fset *token.FileSet, dir, pattern string) ([]*LoadedPackage, error) {
 // check parses and type-checks one listed package with full type info.
 func check(fset *token.FileSet, p *listedPackage, path string, byPath map[string]*listedPackage) *LoadedPackage {
 	lp := &LoadedPackage{
-		Dir:  p.Dir,
 		Path: path,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},

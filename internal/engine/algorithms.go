@@ -60,7 +60,8 @@ func (e *Engine) SSSP(source graph.VertexID) (*SSSPResult, error) {
 		},
 		apply: func(v graph.VertexID, key uint64) { dist[v] = int64(key) },
 	}
-	st := e.newKernelState(spec)
+	st := e.takeKernelState()
+	st.bind(spec)
 	step := func(int) (cluster.IterationStats, bool) {
 		w := e.cl.NewCounters()
 		frontier = e.edgeMap(st, frontier, 0, w).frontier
@@ -71,11 +72,12 @@ func (e *Engine) SSSP(source graph.VertexID) (*SSSPResult, error) {
 		return func() {
 			copy(dist, saved)
 			st.syncProposals()
-			frontier = SubsetFromVertices(n, slices.Clone(members))
+			frontier = SubsetFromVertices(n, members)
 		}
 	}
 	res := &SSSPResult{}
 	res.Stats, res.Recovery = e.run(step, checkpoint)
+	e.putKernelState(st)
 	res.Dist = dist
 	for _, d := range dist {
 		if d >= 0 {
@@ -115,34 +117,56 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 		alive[v] = true
 		degree[v] = int32(e.g.OutDegree(graph.VertexID(v)) + tr.OutDegree(graph.VertexID(v)))
 	}
+	// The removed vertices' bytes live in a frontier buffer of the kernel
+	// state; the per-task counts and per-machine offsets and lists are the
+	// Run's own.
+	st := e.takeKernelState()
+	buf := st.frontier[0]
+	var counts []int
+	base := make([]int, k)
+	removed := make([][]graph.VertexID, k)
 	step := func(int) (cluster.IterationStats, bool) {
 		// Read per superstep: a restream replaces the engine's shards.
 		tasks := e.tasks
 		w := e.cl.NewCounters()
-		// Scan: find the sub-threshold survivors. Per-shard removed lists
-		// concatenate in fixed (machine, shard) order, so each machine's
-		// removed list comes out in ascending vertex order.
-		tcs := newTaskCounters(len(tasks), k, false)
-		found := make([][]graph.VertexID, len(tasks))
+		// Scan: find the sub-threshold survivors. Machine m's owned list
+		// starts at base[m] of the cluster's counted |V| array, so shard
+		// (m, lo, hi) writes its finds into buf[base[m]+lo:], and a serial
+		// copy closes the gaps in (machine, shard) order: each machine's
+		// removed list is one window of buf, in ascending vertex order.
+		off := 0
+		for m := range base {
+			base[m] = off
+			off += len(e.cl.Owned(m))
+		}
+		tcs := st.taskCounters(len(tasks), k, false)
+		if len(counts) < len(tasks) {
+			counts = make([]int, len(tasks))
+		}
 		e.cl.RunTasks(len(tasks), func(t int) {
 			ts := tasks[t]
-			var members []graph.VertexID
+			at := base[ts.m] + ts.lo
+			i := at
 			for _, v := range e.cl.Owned(ts.m)[ts.lo:ts.hi] {
 				if alive[v] {
 					tcs[t].verts++
 					if degree[v] < int32(kCore) {
-						members = append(members, v)
+						buf[i] = v
+						i++
 					}
 				}
 			}
-			found[t] = members
+			counts[t] = i - at
 		})
 		combineCounters(w, tasks, tcs)
-		removed := make([][]graph.VertexID, k)
-		total := 0
+		total, start := 0, 0
 		for t, ts := range tasks {
-			removed[ts.m] = append(removed[ts.m], found[t]...)
-			total += len(found[t])
+			if t == 0 || tasks[t-1].m != ts.m {
+				start = total
+			}
+			at := base[ts.m] + ts.lo
+			total += copy(buf[total:], buf[at:at+counts[t]])
+			removed[ts.m] = buf[start:total:total]
 		}
 		if total == 0 {
 			return e.cl.FinishIteration(w), true
@@ -154,8 +178,9 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 				alive[v] = false
 			}
 		}
-		ptasks := shardLists(k, func(m int) []graph.VertexID { return removed[m] })
-		ptcs := newTaskCounters(len(ptasks), k, w.Pairs != nil)
+		ptasks := shardLists(st.tasks[:0], k, func(m int) []graph.VertexID { return removed[m] })
+		st.tasks = ptasks
+		ptcs := st.taskCounters(len(ptasks), k, w.Pairs != nil)
 		acct := e.pushAccounting(w, tr)
 		e.cl.RunTasks(len(ptasks), func(t int) {
 			ts, tc := ptasks[t], &ptcs[t]
@@ -181,6 +206,7 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 	}
 	res := &KCoreResult{}
 	res.Stats, res.Recovery = e.run(step, checkpoint)
+	e.putKernelState(st)
 	res.InCore = alive
 	for _, a := range alive {
 		if a {

@@ -30,6 +30,7 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"bpart/internal/cluster"
@@ -65,11 +66,11 @@ type machineShard struct {
 	lo, hi int
 }
 
-// shardLists flattens the fixed shard decomposition of each of k machines'
-// work lists, list(m), into tasks, machine-major. Empty lists still yield
-// one empty shard so per-machine counters are always written.
-func shardLists(k int, list func(m int) []graph.VertexID) []machineShard {
-	var tasks []machineShard
+// shardLists appends to dst the fixed shard decomposition of each of k
+// machines' work lists, list(m), flattened into tasks, machine-major.
+// Empty lists still yield one empty shard so per-machine counters are
+// always written.
+func shardLists(dst []machineShard, k int, list func(m int) []graph.VertexID) []machineShard {
 	for m := 0; m < k; m++ {
 		n := len(list(m))
 		s := shardCount(n)
@@ -77,10 +78,10 @@ func shardLists(k int, list func(m int) []graph.VertexID) []machineShard {
 			s = 1
 		}
 		for i := 0; i < s; i++ {
-			tasks = append(tasks, machineShard{m: m, lo: i * n / s, hi: (i + 1) * n / s})
+			dst = append(dst, machineShard{m: m, lo: i * n / s, hi: (i + 1) * n / s})
 		}
 	}
-	return tasks
+	return dst
 }
 
 // taskCounters is one shard's private slice of the superstep counters.
@@ -174,9 +175,12 @@ type edgeMapSpec struct {
 	stopEarly bool
 }
 
-// kernelState is the per-run state of the edge-map kernel for one spec.
+// kernelState is the edge-map kernel's working memory: the proposal
+// buffer and dirty bits, and the buffers each superstep writes its next
+// frontier into. It outlives a Run: the engine keeps one spare (see
+// takeKernelState), so a Run on a built engine allocates none of it.
 type kernelState struct {
-	spec *edgeMapSpec
+	spec *edgeMapSpec // the running algorithm's, set by bind
 	// prop is the shared proposal buffer. Between supersteps prop[v] equals
 	// spec.cur(v); during one it is lowered by CAS-min.
 	prop []uint64
@@ -185,29 +189,79 @@ type kernelState struct {
 	// only the chunks overlapping a set bit, then clears the bits.
 	dirty   []atomic.Uint64
 	byOwner [][]graph.VertexID // sparse-frontier split scratch
+
+	// frontier holds two |V| member buffers. Each superstep writes its
+	// next frontier into frontier[next] and flips next, so the frontier
+	// it reads (the other buffer, or a fresh slice a checkpoint restore
+	// handed in) is never the one being written.
+	frontier [2][]graph.VertexID
+	next     int
+	// bitmap is the |V| membership bitmap of whichever frontier is dense:
+	// the output of a superstep is densified into it only after the
+	// scatter has finished reading the input's.
+	bitmap []bool
+	// counts and fedges are the merge's per-chunk member counts and
+	// out-edge sums (KCore's scan uses counts per task).
+	counts []int
+	fedges []int64
+	tasks  []machineShard // a sparse superstep's shard decomposition
+	tcs    []taskCounters // per-task counters when no matrix is captured
 }
 
-// newKernelState builds the kernel state for runs of s and fills the
-// proposal buffer from the algorithm's initial keys.
-func (e *Engine) newKernelState(s *edgeMapSpec) *kernelState {
-	n := e.g.NumVertices()
-	st := &kernelState{
-		spec:    s,
-		prop:    make([]uint64, n),
-		dirty:   make([]atomic.Uint64, ((n+shardTarget-1)>>shardShift+63)/64),
-		byOwner: make([][]graph.VertexID, e.cl.NumMachines()),
+// takeKernelState returns the kernel state the last Run left on the
+// engine, or a new one: on the engine's first Run, or beside another Run
+// holding it, so no two Runs share one. putKernelState gives it back.
+func (e *Engine) takeKernelState() *kernelState {
+	if st := e.spare.Swap(nil); st != nil {
+		return st
 	}
-	st.syncProposals()
-	return st
+	n := e.g.NumVertices()
+	chunks := shardCount(n)
+	return &kernelState{
+		prop:     make([]uint64, n),
+		dirty:    make([]atomic.Uint64, ((n+shardTarget-1)>>shardShift+63)/64),
+		byOwner:  make([][]graph.VertexID, e.cl.NumMachines()),
+		frontier: [2][]graph.VertexID{make([]graph.VertexID, n), make([]graph.VertexID, n)},
+		bitmap:   make([]bool, n),
+		counts:   make([]int, chunks),
+		fedges:   make([]int64, chunks),
+	}
 }
 
-// syncProposals sets every proposal slot to its vertex's current key: at
-// construction, and in each checkpoint restore after the algorithm state
-// is copied back.
+// putKernelState leaves st on the engine for the next Run. The dirty bits
+// are clear (every merge clears them) and bind rewrites every proposal
+// slot, so no Run sees another's values; the spec is dropped so the spare
+// holds no algorithm's state alive.
+func (e *Engine) putKernelState(st *kernelState) {
+	st.spec = nil
+	e.spare.Store(st)
+}
+
+// bind sets the algorithm st runs and fills the proposal buffer from its
+// initial keys.
+func (st *kernelState) bind(s *edgeMapSpec) {
+	st.spec = s
+	st.syncProposals()
+}
+
+// syncProposals sets every proposal slot to its vertex's current key: when
+// a Run binds its spec, and in each checkpoint restore after the algorithm
+// state is copied back.
 func (st *kernelState) syncProposals() {
 	for v := range st.prop {
 		st.prop[v] = st.spec.cur(graph.VertexID(v))
 	}
+}
+
+// taskCounters returns zeroed private counters for ntasks tasks: the
+// state's own when no matrix is captured, fresh ones with rows otherwise.
+func (st *kernelState) taskCounters(ntasks, k int, pairs bool) []taskCounters {
+	if pairs {
+		return newTaskCounters(ntasks, k, true)
+	}
+	st.tcs = slices.Grow(st.tcs[:0], ntasks)[:ntasks]
+	clear(st.tcs)
+	return st.tcs
 }
 
 // mark sets the dirty bit of v's block: a proposal lowered v's slot.
@@ -285,7 +339,8 @@ func (e *Engine) edgeMap(st *kernelState, frontier *VertexSubset, frontierEdges 
 		// small to be dense, so membership is read from a bitmap taken
 		// here rather than searched per in-arc.
 		tr := e.g.In()
-		member := frontier.Bitmap()
+		frontier.toDense(st.bitmap)
+		member := frontier.dense
 		tasks = e.tasks
 		run = func(t machineShard, tc *taskCounters) {
 			scan := func(v graph.VertexID, ns []graph.VertexID) bool {
@@ -352,7 +407,8 @@ func (e *Engine) edgeMap(st *kernelState, frontier *VertexSubset, frontierEdges 
 				st.byOwner[m] = append(st.byOwner[m], v)
 			}
 			list = func(m int) []graph.VertexID { return st.byOwner[m] }
-			tasks = shardLists(k, list)
+			st.tasks = shardLists(st.tasks[:0], k, list)
+			tasks = st.tasks
 		}
 		run = func(t machineShard, tc *taskCounters) {
 			for _, v := range list(t.m)[t.lo:t.hi] {
@@ -369,7 +425,7 @@ func (e *Engine) edgeMap(st *kernelState, frontier *VertexSubset, frontierEdges 
 			}
 		}
 	}
-	tcs := newTaskCounters(len(tasks), k, w.Pairs != nil)
+	tcs := st.taskCounters(len(tasks), k, w.Pairs != nil)
 	e.cl.RunTasks(len(tasks), func(t int) { run(tasks[t], &tcs[t]) })
 	combineCounters(w, tasks, tcs)
 
@@ -378,45 +434,45 @@ func (e *Engine) edgeMap(st *kernelState, frontier *VertexSubset, frontierEdges 
 	// the buffer mirrors the state again afterwards. A slot is lowered only
 	// below the current key, so the dirty bits name exactly the blocks
 	// holding an improvement, whatever order the scatter ran in, and a
-	// chunk overlapping none has nothing to apply. Chunk outputs are
-	// concatenated in chunk order, so the next frontier is sorted ascending
-	// however the chunks were scheduled.
+	// chunk overlapping none has nothing to apply. The next frontier's
+	// bytes live in the state's frontier buffer: chunk c's improved
+	// vertices all lie in [lo, hi), so it writes them to out[lo:] and
+	// records its count, and a serial copy after the barrier closes the
+	// gaps in chunk order. The frontier comes out sorted ascending however
+	// the chunks were scheduled.
+	out := st.frontier[st.next]
+	st.next ^= 1
 	chunks := shardCount(n)
-	outs := make([][]graph.VertexID, chunks)
-	fedges := make([]int64, chunks)
 	e.cl.RunTasks(chunks, func(c int) {
 		lo, hi := c*n/chunks, (c+1)*n/chunks
+		st.counts[c], st.fedges[c] = 0, 0
 		if lo == hi || !st.dirtyIn(lo, hi) {
 			return
 		}
-		var members []graph.VertexID
+		i := lo
 		var fe int64
 		for v := lo; v < hi; v++ {
 			id := graph.VertexID(v)
 			if key := st.prop[v]; key < s.cur(id) {
 				s.apply(id, key)
-				members = append(members, id)
+				out[i] = id
+				i++
 				fe += int64(e.g.OutDegree(id))
 			}
 		}
-		outs[c] = members
-		fedges[c] = fe
+		st.counts[c], st.fedges[c] = i-lo, fe
 	})
 	for i := range st.dirty {
 		st.dirty[i].Store(0)
 	}
 	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	members := make([]graph.VertexID, 0, total)
 	var fe int64
-	for c := range outs {
-		members = append(members, outs[c]...)
-		fe += fedges[c]
+	for c := 0; c < chunks; c++ {
+		total += copy(out[total:], out[c*n/chunks:c*n/chunks+st.counts[c]])
+		fe += st.fedges[c]
 	}
 	return edgeMapOut{
-		frontier:      SubsetFromVertices(n, members),
+		frontier:      subsetOf(n, out[:total:total], st.bitmap),
 		frontierEdges: fe,
 		bottomUp:      bottomUp,
 	}

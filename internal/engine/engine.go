@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"bpart/internal/cluster"
 	"bpart/internal/fault"
@@ -38,6 +39,10 @@ type Engine struct {
 	// reshard.
 	cutMu         sync.Mutex
 	cutOut, cutIn []int32
+
+	// spare is the edge-map kernel state the last frontier Run left, nil
+	// while a Run holds it (see takeKernelState).
+	spare atomic.Pointer[kernelState]
 }
 
 // New builds an engine for g with the given vertex→machine assignment.
@@ -83,7 +88,7 @@ func (e *Engine) SetFaults(ctl *fault.Controller) error {
 // The cut degrees describe the old placement, so they are dropped and
 // rebuilt on the next push superstep.
 func (e *Engine) reshard() {
-	e.tasks = shardLists(e.cl.NumMachines(), e.cl.Owned)
+	e.tasks = shardLists(nil, e.cl.NumMachines(), e.cl.Owned)
 	e.cutMu.Lock()
 	e.cutOut, e.cutIn = nil, nil
 	e.cutMu.Unlock()
@@ -277,14 +282,15 @@ func (e *Engine) ConnectedComponents(maxIters int) (*CCResult, error) {
 	for v := range labels {
 		labels[v] = uint32(v)
 	}
-	frontier := FullVertexSubset(n)
 	spec := &edgeMapSpec{
 		key:        func(src graph.VertexID) uint64 { return uint64(labels[src]) },
 		cur:        func(v graph.VertexID) uint64 { return uint64(labels[v]) },
 		apply:      func(v graph.VertexID, key uint64) { labels[v] = uint32(key) },
 		undirected: true,
 	}
-	st := e.newKernelState(spec)
+	st := e.takeKernelState()
+	st.bind(spec)
+	frontier := fullSubset(st.bitmap)
 	step := func(it int) (cluster.IterationStats, bool) {
 		w := e.cl.NewCounters()
 		frontier = e.edgeMap(st, frontier, 0, w).frontier
@@ -295,21 +301,24 @@ func (e *Engine) ConnectedComponents(maxIters int) (*CCResult, error) {
 		return func() {
 			copy(labels, saved)
 			st.syncProposals()
-			frontier = SubsetFromVertices(n, slices.Clone(members))
+			frontier = SubsetFromVertices(n, members)
 		}
 	}
 	res := &CCResult{}
 	sp := e.tel.Span("engine.cc", telemetry.Int("max_iters", maxIters))
 	res.Stats, res.Recovery = e.run(step, checkpoint)
 	res.Labels = labels
-	// Labels are vertex IDs, so distinct labels count in a |V| bitmap.
-	seen := make([]bool, n)
+	// Labels are vertex IDs, so distinct labels count in a |V| bitmap: the
+	// state's, which no frontier holds once the run is over.
+	seen := st.bitmap
+	clear(seen)
 	for _, l := range labels {
 		if !seen[l] {
 			seen[l] = true
 			res.Components++
 		}
 	}
+	e.putKernelState(st)
 	sp.End(
 		telemetry.Int("iterations", len(res.Stats.Iterations)),
 		telemetry.Int("components", res.Components),
@@ -375,7 +384,8 @@ func (e *Engine) bfs(source graph.VertexID, directionOptimizing bool) (*BFSResul
 		auto:      directionOptimizing,
 		stopEarly: directionOptimizing,
 	}
-	st := e.newKernelState(spec)
+	st := e.takeKernelState()
+	st.bind(spec)
 	step := func(it int) (cluster.IterationStats, bool) {
 		depth = int32(it) + 1
 		w := e.cl.NewCounters()
@@ -388,12 +398,13 @@ func (e *Engine) bfs(source graph.VertexID, directionOptimizing bool) (*BFSResul
 		return func() {
 			copy(dist, saved)
 			st.syncProposals()
-			frontier, frontierEdges = SubsetFromVertices(n, slices.Clone(members)), edges
+			frontier, frontierEdges = SubsetFromVertices(n, members), edges
 		}
 	}
 	res := &BFSResult{}
 	sp := e.tel.Span("engine.bfs", telemetry.Int("source", int(source)))
 	res.Stats, res.Recovery = e.run(step, checkpoint)
+	e.putKernelState(st)
 	res.Dist = dist
 	for _, d := range dist {
 		if d >= 0 {

@@ -529,3 +529,48 @@ func TestRollbackSpanKeepsSuperstepCount(t *testing.T) {
 		}
 	}
 }
+
+// TestKeptKernelStateUnderRollback runs CC under a rollback schedule on an
+// engine whose kernel state a BFS Run has already used and left behind:
+// the proposal slots hold BFS depths until CC binds its own keys, the
+// frontier buffers alternate from wherever BFS left them, and each
+// restore hands the kernel a fresh frontier between them. The labels must
+// be the fault-free CC's on a fresh engine, and the recorded supersteps
+// the fault-free count plus the replay, checkpoint and restore barriers.
+func TestKeptKernelStateUnderRollback(t *testing.T) {
+	g := tailedGraph(t)
+	base, err := newEngine(t, g, 4).ConnectedComponents(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := len(base.Stats.Iterations)
+	for s := 1; s < steps-1; s++ {
+		e := newEngine(t, g, 4)
+		e.Cluster().SetWorkers(2)
+		if _, err := e.BFS(0); err != nil {
+			t.Fatal(err)
+		}
+		spec := &fault.Spec{CheckpointEvery: 2, Events: []fault.Event{{Kind: fault.Crash, Step: s, Machine: 1}}}
+		ctl, err := fault.NewController(g, e.Cluster(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetFaults(ctl); err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.ConnectedComponents(0)
+		if err != nil {
+			t.Fatalf("crash at %d: %v", s, err)
+		}
+		rec := got.Recovery
+		if rec == nil || rec.Crashes != 1 {
+			t.Fatalf("crash at %d: Recovery = %+v, want 1 crash", s, rec)
+		}
+		if !slices.Equal(got.Labels, base.Labels) || got.Components != base.Components {
+			t.Errorf("crash at %d: CC after BFS on one engine differs from a fault-free CC on a fresh engine", s)
+		}
+		if n, want := len(got.Stats.Iterations), steps+rec.SuperstepsReplayed+rec.Checkpoints+rec.Crashes; n != want {
+			t.Errorf("crash at %d: %d iterations, want %d", s, n, want)
+		}
+	}
+}

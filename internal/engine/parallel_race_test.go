@@ -160,34 +160,51 @@ func TestParallelConcurrentEngines(t *testing.T) {
 // once on ONE engine that has built neither its transpose nor its cut
 // degrees, so both runs race to the lazy builders on their first push
 // superstep. The matrix stays off (the cut degrees are only built then);
-// CC needs both directions. Each run must match a sequential run on an
-// engine of its own.
+// CC needs both directions. That warms the engine, which now keeps a spare
+// kernel state, so rounds of CC, SSSP and BFS then run at once on it: one
+// Run takes the spare and the others make their own, and no two may
+// share one. Every run must match a sequential run on an engine of its
+// own.
 func TestParallelConcurrentRunsShareEngine(t *testing.T) {
 	g := testGraph(t)
-	run := func(e *Engine) ([]byte, error) { return marshalRun(e.ConnectedComponents(0)) }
-	ref, err := run(newEngine(t, g, 4))
-	if err != nil {
-		t.Fatal(err)
+	algos := []parallelAlgo{
+		{"CC", func(e *Engine) ([]byte, error) { return marshalRun(e.ConnectedComponents(0)) }},
+		{"SSSP", func(e *Engine) ([]byte, error) { return marshalRun(e.SSSP(0)) }},
+		{"BFS", func(e *Engine) ([]byte, error) { return marshalRun(e.BFS(0)) }},
+	}
+	refs := make([][]byte, len(algos))
+	for i, a := range algos {
+		var err error
+		if refs[i], err = a.run(newEngine(t, g, 4)); err != nil {
+			t.Fatalf("%s reference: %v", a.name, err)
+		}
 	}
 	e := newEngine(t, g, 4)
 	e.Cluster().SetWorkers(2)
-	var wg sync.WaitGroup
-	var got [2][]byte
-	var errs [2]error
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = run(e)
-		}(i)
+	// concurrently runs algos[pick[i]] for every i at once on e.
+	concurrently := func(round string, pick []int) {
+		var wg sync.WaitGroup
+		got := make([][]byte, len(pick))
+		errs := make([]error, len(pick))
+		for i, a := range pick {
+			wg.Add(1)
+			go func(i int, a parallelAlgo) {
+				defer wg.Done()
+				got[i], errs[i] = a.run(e)
+			}(i, algos[a])
+		}
+		wg.Wait()
+		for i, a := range pick {
+			if errs[i] != nil {
+				t.Fatalf("%s: %s: %v", round, algos[a].name, errs[i])
+			}
+			if !bytes.Equal(got[i], refs[a]) {
+				t.Errorf("%s: %s on the shared engine differs from a sequential run on its own engine", round, algos[a].name)
+			}
+		}
 	}
-	wg.Wait()
-	for i := range got {
-		if errs[i] != nil {
-			t.Fatalf("run %d: %v", i, errs[i])
-		}
-		if !bytes.Equal(got[i], ref) {
-			t.Errorf("run %d on the shared engine differs from a sequential run on its own engine", i)
-		}
+	concurrently("cold", []int{0, 0})
+	for r := 0; r < 4; r++ {
+		concurrently(fmt.Sprintf("warm round %d", r), []int{0, 1, 2})
 	}
 }

@@ -1,6 +1,10 @@
 package engine
 
-import "bpart/internal/graph"
+import (
+	"slices"
+
+	"bpart/internal/graph"
+)
 
 // VertexSubset is a Ligra-style frontier: a set of vertices over a
 // universe [0, n) held either sparsely (a sorted slice of members) or
@@ -30,37 +34,48 @@ func NewVertexSubset(n int) *VertexSubset {
 
 // FullVertexSubset returns the subset holding every vertex of [0, n).
 func FullVertexSubset(n int) *VertexSubset {
-	d := make([]bool, n)
-	for i := range d {
-		d[i] = true
-	}
-	return &VertexSubset{n: n, count: n, dense: d}
+	return fullSubset(make([]bool, n))
 }
 
-// SubsetFromVertices builds a subset from members, which must be sorted
-// ascending and duplicate-free (the kernel's merge produces exactly that).
-// The representation is chosen by the usual threshold.
+// fullSubset returns the subset holding every vertex of [0, len(bitmap)),
+// taking ownership of bitmap, whose contents it overwrites.
+func fullSubset(bitmap []bool) *VertexSubset {
+	for i := range bitmap {
+		bitmap[i] = true
+	}
+	return &VertexSubset{n: len(bitmap), count: len(bitmap), dense: bitmap}
+}
+
+// SubsetFromVertices builds a subset holding a copy of members, which must
+// be sorted ascending and duplicate-free. The representation is chosen by
+// the usual threshold.
 func SubsetFromVertices(n int, members []graph.VertexID) *VertexSubset {
-	//bpartlint:ignore aliasret the subset takes ownership of members; the kernel hands it freshly built slices
+	return subsetOf(n, slices.Clone(members), nil)
+}
+
+// subsetOf builds a subset that takes ownership of members (sorted
+// ascending, duplicate-free) and, should the subset go dense, of bitmap: a
+// |V| slice whose contents it overwrites, or nil to allocate one. The
+// representation is chosen by the usual threshold.
+func subsetOf(n int, members []graph.VertexID, bitmap []bool) *VertexSubset {
 	s := &VertexSubset{n: n, count: len(members), sparse: members}
-	s.settle()
+	if s.count*denseRatio > n {
+		s.toDense(bitmap)
+	}
 	return s
 }
 
-// settle moves the subset to the representation its size calls for.
-func (s *VertexSubset) settle() {
-	if s.count*denseRatio > s.n {
-		s.toDense()
-	} else {
-		s.toSparse()
-	}
-}
-
-func (s *VertexSubset) toDense() {
+// toDense switches to the bitmap representation, writing it into d (a |V|
+// slice whose contents are overwritten) or, when d is nil, into a new one.
+func (s *VertexSubset) toDense(d []bool) {
 	if s.dense != nil {
 		return
 	}
-	d := make([]bool, s.n)
+	if d == nil {
+		d = make([]bool, s.n)
+	} else {
+		clear(d)
+	}
 	for _, v := range s.sparse {
 		d[v] = true
 	}
@@ -113,7 +128,7 @@ func (s *VertexSubset) Contains(v graph.VertexID) bool {
 // needed. The returned slice is the subset's own storage — read-only for
 // callers, valid until the subset is mutated.
 func (s *VertexSubset) Bitmap() []bool {
-	s.toDense()
+	s.toDense(nil)
 	return s.dense
 }
 
